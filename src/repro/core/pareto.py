@@ -26,9 +26,9 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Candidate rows per broadcasting block in :func:`dominated_flags`.
-#: Bounds the ``(n, chunk, m)`` comparison intermediates to a few tens
-#: of MB no matter how large the front grows.
+#: Candidate rows per block in :func:`dominated_flags`.  Bounds each
+#: ``(n, chunk)`` boolean intermediate to ``n`` KiB, so memory grows
+#: linearly, not quadratically, with the front.
 _DOMINANCE_CHUNK = 1024
 
 
@@ -44,41 +44,61 @@ def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
     return not_worse and strictly_better
 
 
-def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Full ``(n, n)`` boolean matrix with ``D[i, j] = row i dominates row j``.
-
-    One O(M·N²) broadcast instead of N² Python-level comparisons; this
-    is the array kernel the GA's non-dominated sort
-    (:mod:`repro.dse.kernels`) and :func:`pareto_mask` are built on.
-    The diagonal is always False (nothing dominates itself — equal rows
-    have no strictly-better component).
-    """
+def _points(objectives) -> np.ndarray:
     points = np.asarray(objectives, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a 2-D objective array, got shape {points.shape}")
-    left = points[:, None, :]
-    right = points[None, :, :]
-    return (left <= right).all(axis=2) & (left < right).any(axis=2)
+    return points
+
+
+def _no_worse(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``W[i, j]``: ``rows[i] <= cols[j]`` in every objective.
+
+    The column-fold kernel: one ``(len(rows), len(cols))`` comparison
+    per objective, and-ed into a single boolean accumulator.  An
+    ``(n, c, m)`` broadcast reduced over its short last axis costs
+    several times more at the four objectives a DSE front has.  ``nan``
+    compares False, so a row holding one is no worse than nothing and
+    nothing is no worse than it.
+    """
+    out = np.ones((len(rows), len(cols)), dtype=bool)
+    for row_values, col_values in zip(rows.T, cols.T):
+        out &= row_values[:, None] <= col_values
+    return out
+
+
+def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """Full ``(n, n)`` boolean matrix with ``D[i, j] = row i dominates row j``.
+
+    One O(M·N²) column fold instead of N² Python-level comparisons;
+    this is the array kernel the GA's non-dominated sort
+    (:mod:`repro.dse.kernels`) is built on.  Row ``i`` dominates row
+    ``j`` exactly when it is no worse everywhere and ``j`` is not also
+    no worse everywhere (which would make the two rows equal), so
+    ``W & ~W.T`` over the no-worse matrix ``W`` — written ``W > W.T`` on
+    booleans — is Eq. (1) bit for bit.  The diagonal is always False
+    (nothing dominates itself).
+    """
+    points = _points(objectives)
+    no_worse = _no_worse(points, points)
+    return no_worse > no_worse.T
 
 
 def dominated_flags(objectives: np.ndarray) -> np.ndarray:
     """Boolean vector: row ``j`` is strictly dominated by some other row.
 
-    Evaluates the dominance matrix in column blocks of
-    :data:`_DOMINANCE_CHUNK` candidates, so memory stays bounded for
-    large merged fronts while small inputs still run as one broadcast.
+    Inputs up to :data:`_DOMINANCE_CHUNK` rows take one
+    :func:`dominance_matrix`; larger ones fold column blocks of that
+    many candidates, so memory stays bounded for large merged fronts.
     """
-    points = np.asarray(objectives, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"expected a 2-D objective array, got shape {points.shape}")
-    n = len(points)
-    dominated = np.zeros(n, dtype=bool)
-    for start in range(0, n, _DOMINANCE_CHUNK):
+    points = _points(objectives)
+    if len(points) <= _DOMINANCE_CHUNK:
+        return dominance_matrix(points).any(axis=0)
+    dominated = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), _DOMINANCE_CHUNK):
         block = points[start:start + _DOMINANCE_CHUNK]
-        left = points[:, None, :]
-        right = block[None, :, :]
-        beats = (left <= right).all(axis=2) & (left < right).any(axis=2)
-        dominated[start:start + _DOMINANCE_CHUNK] = beats.any(axis=0)
+        beats = _no_worse(points, block) > _no_worse(block, points).T
+        dominated[start:start + len(block)] = beats.any(axis=0)
     return dominated
 
 

@@ -28,7 +28,7 @@ __all__ = [
     "DEFAULT_EXHAUSTIVE_THRESHOLD",
     "ExplorationResult",
     "DesignSpaceExplorer",
-    "design_space_size",
+    "SpecPlan",
     "merge_exploration_results",
 ]
 
@@ -39,17 +39,23 @@ __all__ = [
 DEFAULT_EXHAUSTIVE_THRESHOLD = 512
 
 
-def design_space_size(problem) -> int | None:
-    """Decoded design-space size, or None when not enumerable.
+@dataclass(frozen=True)
+class SpecPlan:
+    """One spec's problem, built once, and the route it will take.
 
-    Only problems exposing the optional ``enumerate_genomes`` hook (see
-    :meth:`repro.dse.problem.DcimProblem.enumerate_genomes`) report a
-    size; anything else — e.g. the mapping problem, whose codec covers
-    only part of its genome — returns None and always runs the GA.
+    Attributes:
+        problem: the GA-facing problem object for the spec.
+        genomes: the enumerated design space when the exhaustive route
+            applies, ``None`` when the GA runs.
     """
-    if not hasattr(problem, "enumerate_genomes"):
-        return None
-    return len(problem.enumerate_genomes())
+
+    problem: object
+    genomes: list | None = None
+
+    @property
+    def strategy(self) -> str:
+        """``"exhaustive"`` or ``"ga"``."""
+        return "ga" if self.genomes is None else "exhaustive"
 
 
 @dataclass
@@ -157,6 +163,7 @@ class DesignSpaceExplorer:
         seed: int | None = None,
         observer: ProgressObserver | None = None,
         should_stop: Callable[[], bool] | None = None,
+        plan: SpecPlan | None = None,
     ) -> ExplorationResult:
         """Explore one specification and return its Pareto frontier.
 
@@ -167,8 +174,10 @@ class DesignSpaceExplorer:
             should_stop: cooperative cancellation hook polled between
                 generations; a stopped run returns the frontier over
                 everything evaluated so far (``stopped_early=True``).
+            plan: :meth:`plan` of this spec, whose problem is reused
+                instead of building another.
         """
-        problem = self._problem(spec)
+        problem = plan.problem if plan is not None else self._problem(spec)
         config = self.config
         if seed is not None:
             config = replace(config, seed=seed)
@@ -194,20 +203,29 @@ class DesignSpaceExplorer:
             stopped_early=result.stopped_early,
         )
 
-    def select_strategy(self, spec: DcimSpec) -> str:
-        """``"exhaustive"`` or ``"ga"`` for a spec, per the threshold.
+    def plan(self, spec: DcimSpec) -> SpecPlan:
+        """Build a spec's problem once and pick its route.
 
-        Exhaustive wins when the problem can enumerate its genomes
-        (:func:`design_space_size` is not None) and the space is no
-        larger than ``exhaustive_threshold``; everything else runs the
-        GA.
+        Exhaustive wins when the problem exposes the optional
+        ``enumerate_genomes`` hook (see
+        :meth:`repro.dse.problem.DcimProblem.enumerate_genomes`) and its
+        space is no larger than ``exhaustive_threshold``; everything
+        else — e.g. the mapping problem, whose codec covers only part of
+        its genome — runs the GA.  The enumeration that sized the space
+        is kept on the plan, so handing the plan to
+        :meth:`explore_exhaustive` or :meth:`explore` neither rebuilds
+        the problem nor enumerates again.
         """
-        if not self.exhaustive_threshold:
-            return "ga"
-        size = design_space_size(self._problem(spec))
-        if size is not None and size <= self.exhaustive_threshold:
-            return "exhaustive"
-        return "ga"
+        problem = self._problem(spec)
+        if self.exhaustive_threshold and hasattr(problem, "enumerate_genomes"):
+            genomes = problem.enumerate_genomes()
+            if len(genomes) <= self.exhaustive_threshold:
+                return SpecPlan(problem, genomes)
+        return SpecPlan(problem)
+
+    def select_strategy(self, spec: DcimSpec) -> str:
+        """``"exhaustive"`` or ``"ga"`` for a spec, per the threshold."""
+        return self.plan(spec).strategy
 
     def explore_auto(
         self,
@@ -223,16 +241,18 @@ class DesignSpaceExplorer:
         non-enumerable spaces run NSGA-II.  The chosen strategy is
         recorded on the result.
         """
-        if self.select_strategy(spec) == "exhaustive":
-            return self.explore_exhaustive(spec, should_stop=should_stop)
+        plan = self.plan(spec)
+        if plan.strategy == "exhaustive":
+            return self.explore_exhaustive(spec, should_stop=should_stop, plan=plan)
         return self.explore(
-            spec, seed=seed, observer=observer, should_stop=should_stop
+            spec, seed=seed, observer=observer, should_stop=should_stop, plan=plan
         )
 
     def explore_exhaustive(
         self,
         spec: DcimSpec,
         should_stop: Callable[[], bool] | None = None,
+        plan: SpecPlan | None = None,
     ) -> ExplorationResult:
         """Exact frontier by enumeration (baseline / small spaces).
 
@@ -240,9 +260,10 @@ class DesignSpaceExplorer:
         uses, so an exhaustive run both warms and is served by the
         shared evaluation cache.  ``evaluations`` counts the full
         enumeration (every genome is requested, wherever it is served
-        from).
+        from).  ``plan`` (see :meth:`plan`) supplies the problem and,
+        on the exhaustive route, the enumeration already made.
         """
-        problem = self._problem(spec)
+        problem = plan.problem if plan is not None else self._problem(spec)
         if not hasattr(problem, "enumerate_genomes"):
             raise ValueError(
                 f"problem {type(problem).__name__} cannot enumerate its "
@@ -256,7 +277,9 @@ class DesignSpaceExplorer:
                 stopped_early=True,
                 strategy="exhaustive",
             )
-        genomes = problem.enumerate_genomes()
+        genomes = plan.genomes if plan is not None else None
+        if genomes is None:
+            genomes = problem.enumerate_genomes()
         evaluator = self._evaluator(problem)
         if evaluator is not None:
             objectives = list(evaluator.evaluate_batch(genomes))

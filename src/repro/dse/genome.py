@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.precision import Precision
@@ -76,21 +77,24 @@ class GenomeCodec:
             )
 
     # Derived bounds -------------------------------------------------------
+    #
+    # Computed once per codec (the spec is frozen): sampling, repair and
+    # decode read them for every genome the explorer touches.
     @property
     def precision(self) -> Precision:
         return self.spec.precision
 
-    @property
+    @cached_property
     def weight_bits(self) -> int:
         """``Bw`` (INT) or ``BM`` (FP): the encoded column-group width."""
         return self.precision.weight_bits
 
-    @property
+    @cached_property
     def total_exponent(self) -> int:
         """``a + b + c`` must equal ``log2(Wstore)``."""
         return int(math.log2(self.spec.wstore))
 
-    @property
+    @cached_property
     def min_a(self) -> int:
         """Smallest ``a`` with ``N = Bw * 2^a > min_n_factor * Bw``."""
         factor = self.spec.min_n_factor
@@ -98,7 +102,7 @@ class GenomeCodec:
             return 0
         return int(math.floor(math.log2(factor))) + 1
 
-    @property
+    @cached_property
     def max_a(self) -> int:
         if self.spec.max_n is None:
             return self.total_exponent
@@ -107,17 +111,17 @@ class GenomeCodec:
             self.total_exponent,
         )
 
-    @property
+    @cached_property
     def max_b(self) -> int:
         """Largest ``b`` with ``H = 2^b <= max_h``."""
         return min(int(math.log2(self.spec.max_h)), self.total_exponent)
 
-    @property
+    @cached_property
     def max_c(self) -> int:
         """Largest ``c`` with ``L = 2^c <= max_l``."""
         return min(int(math.log2(self.spec.max_l)), self.total_exponent)
 
-    @property
+    @cached_property
     def k_choices(self) -> list[int]:
         """Legal per-cycle input slices: divisors of the input width."""
         return divisors(self.precision.input_bits)
@@ -136,34 +140,34 @@ class GenomeCodec:
 
         Clips each gene into its box, then redistributes the exponent
         surplus/deficit among ``(a, b, c)`` in random order so the sum
-        constraint holds exactly.
+        constraint holds exactly.  The one ``shuffle`` of three gene
+        positions is the only rng draw, made whether or not a gene
+        moves: the draw order is part of the per-seed GA contract.
         """
         a, b, c, k_idx = genome
-        a = min(max(a, self.min_a), self.max_a)
-        b = min(max(b, 0), self.max_b)
-        c = min(max(c, 0), self.max_c)
+        lows = (self.min_a, 0, 0)
+        highs = (self.max_a, self.max_b, self.max_c)
+        genes = [
+            min(max(a, lows[0]), highs[0]),
+            min(max(b, 0), highs[1]),
+            min(max(c, 0), highs[2]),
+        ]
         k_idx = min(max(k_idx, 0), len(self.k_choices) - 1)
-
-        lows = {"a": self.min_a, "b": 0, "c": 0}
-        highs = {"a": self.max_a, "b": self.max_b, "c": self.max_c}
-        genes = {"a": a, "b": b, "c": c}
-        delta = self.total_exponent - (a + b + c)
-        names = ["a", "b", "c"]
-        rng.shuffle(names)
-        for name in names:
+        delta = self.total_exponent - sum(genes)
+        order = [0, 1, 2]
+        rng.shuffle(order)
+        for i in order:
             if delta == 0:
                 break
             if delta > 0:
-                room = highs[name] - genes[name]
-                step = min(room, delta)
+                step = min(highs[i] - genes[i], delta)
             else:
-                room = genes[name] - lows[name]
-                step = -min(room, -delta)
-            genes[name] += step
+                step = -min(genes[i] - lows[i], -delta)
+            genes[i] += step
             delta -= step
         if delta != 0:  # pragma: no cover - excluded by codec validation
             raise RuntimeError("repair failed; bounds validated at construction")
-        return (genes["a"], genes["b"], genes["c"], k_idx)
+        return (genes[0], genes[1], genes[2], k_idx)
 
     def is_feasible(self, genome: Genome) -> bool:
         """True when a genome decodes to a design meeting the spec."""
@@ -251,11 +255,12 @@ class GenomeCodec:
         Used by the brute-force baseline that validates NSGA-II and by
         the design-space ablation benches.
         """
-        out = []
-        for a in range(self.min_a, self.max_a + 1):
-            for b in range(0, self.max_b + 1):
-                c = self.total_exponent - a - b
-                if 0 <= c <= self.max_c:
-                    for k_idx in range(len(self.k_choices)):
-                        out.append((a, b, c, k_idx))
-        return out
+        total, max_c = self.total_exponent, self.max_c
+        k_indices = range(len(self.k_choices))
+        return [
+            (a, b, total - a - b, k_idx)
+            for a in range(self.min_a, self.max_a + 1)
+            for b in range(self.max_b + 1)
+            if 0 <= total - a - b <= max_c
+            for k_idx in k_indices
+        ]

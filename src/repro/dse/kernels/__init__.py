@@ -6,7 +6,7 @@ evaluation is batched (PR 2).  This package provides those primitives
 in two bit-identical backends, selected exactly like
 :mod:`repro.model.engine`:
 
-* ``"numpy"`` (:mod:`repro.dse.kernels.numpy`): O(M·N²) broadcast
+* ``"numpy"`` (:mod:`repro.dse.kernels.numpy`): O(M·N²) column-fold
   dominance matrix, stable argsorts per objective.
 * ``"python"`` (:mod:`repro.dse.kernels.python`): the pre-kernel
   reference implementation in index form.

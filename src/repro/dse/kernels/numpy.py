@@ -1,7 +1,7 @@
 """Vectorised NSGA-II bookkeeping kernels (numpy backend).
 
 Array-form implementations of the :mod:`repro.dse.kernels.python`
-reference: an O(M·N²) broadcast dominance matrix feeds the rank
+reference: an O(M·N²) column-fold dominance matrix feeds the rank
 peeling, crowding runs as stable argsorts per objective, and the
 archive front filter is one dominance pass.  Results — values *and*
 tie-breaking order — are bit-identical to the reference:

@@ -28,6 +28,7 @@ from repro.dse.explorer import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
     DesignSpaceExplorer,
     ExplorationResult,
+    SpecPlan,
     merge_exploration_results,
 )
 from repro.dse.kernels import resolve_kernel_backend
@@ -396,22 +397,22 @@ def run_campaign(
         # Small enumerable spaces skip the GA entirely: exhaustive
         # enumeration is exact and (batched) cheaper.  An exhaustive
         # spec emits no GENERATION_DONE events and reports 0
-        # generations in its SPEC_* events.
-        strategy = explorer.select_strategy(spec)
-        spec_generations = (
-            0 if strategy == "exhaustive" else config.nsga2.generations
-        )
+        # generations in its SPEC_* events.  The plan builds the spec's
+        # one problem and its one enumeration; both routes reuse them.
         with tracer.span(
             "spec",
-            attributes={"index": i, "spec": label, "strategy": strategy},
+            attributes={"index": i, "spec": label},
             parent=campaign_span,
             category="campaign",
         ) as spec_span:
-            return _explore_spec(i, spec, label, strategy, spec_span)
+            plan = explorer.plan(spec)
+            spec_span.set_attribute("strategy", plan.strategy)
+            return _explore_spec(i, spec, label, plan, spec_span)
 
     def _explore_spec(
-        i: int, spec: DcimSpec, label: str, strategy: str, spec_span
+        i: int, spec: DcimSpec, label: str, plan: SpecPlan, spec_span
     ) -> ExplorationResult | None:
+        strategy = plan.strategy
         emit(
             CampaignEvent(
                 kind=EventKind.SPEC_STARTED,
@@ -425,7 +426,7 @@ def run_campaign(
         if strategy == "exhaustive":
             with tracer.span("spec.exhaustive", category="campaign"):
                 result = explorer.explore_exhaustive(
-                    spec, should_stop=should_stop
+                    spec, should_stop=should_stop, plan=plan
                 )
             if result.stopped_early:
                 spec_span.set_attribute("stopped", True)
@@ -502,6 +503,7 @@ def run_campaign(
                 seed=config.seed + i,
                 observer=ga_observer,
                 should_stop=should_stop,
+                plan=plan,
             )
         except BaseException as exc:
             gen_holder[0].end(

@@ -305,14 +305,11 @@ class TestExhaustiveStrategy:
     SPEC = DcimSpec(wstore=4096, precision="INT8")
 
     def test_auto_picks_exhaustive_for_small_spaces(self):
-        from repro.dse.explorer import (
-            DesignSpaceExplorer,
-            design_space_size,
-        )
+        from repro.dse.explorer import DesignSpaceExplorer
 
         explorer = DesignSpaceExplorer()
-        size = design_space_size(DcimProblem(self.SPEC))
-        assert size is not None and size <= explorer.exhaustive_threshold
+        size = len(DcimProblem(self.SPEC).enumerate_genomes())
+        assert size <= explorer.exhaustive_threshold
         assert explorer.select_strategy(self.SPEC) == "exhaustive"
         result = explorer.explore_auto(self.SPEC)
         assert result.strategy == "exhaustive"

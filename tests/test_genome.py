@@ -37,6 +37,31 @@ def codec(wstore=64 * 1024, precision="INT8", **kw):
     return GenomeCodec(DcimSpec(wstore=wstore, precision=precision, **kw))
 
 
+def reference_repair(c, genome, rng):
+    """Gene-name keyed repair, as first written: the per-seed reference."""
+    a, b, c_gene, k_idx = genome
+    a = min(max(a, c.min_a), c.max_a)
+    b = min(max(b, 0), c.max_b)
+    c_gene = min(max(c_gene, 0), c.max_c)
+    k_idx = min(max(k_idx, 0), len(c.k_choices) - 1)
+    lows = {"a": c.min_a, "b": 0, "c": 0}
+    highs = {"a": c.max_a, "b": c.max_b, "c": c.max_c}
+    genes = {"a": a, "b": b, "c": c_gene}
+    delta = c.total_exponent - (a + b + c_gene)
+    names = ["a", "b", "c"]
+    rng.shuffle(names)
+    for name in names:
+        if delta == 0:
+            break
+        if delta > 0:
+            step = min(highs[name] - genes[name], delta)
+        else:
+            step = -min(genes[name] - lows[name], -delta)
+        genes[name] += step
+        delta -= step
+    return (genes["a"], genes["b"], genes["c"], k_idx)
+
+
 class TestCodecBounds:
     def test_paper_n_bound(self):
         # N > 4*Bw means N = Bw * 2^a with 2^a > 4, i.e. a >= 3.
@@ -95,6 +120,43 @@ class TestSampleRepairDecode:
         c = codec()
         repaired = c.repair(genome, random.Random(seed))
         assert c.is_feasible(repaired)
+
+    @given(
+        st.sampled_from(
+            [
+                dict(),
+                dict(precision="BF16", wstore=1024 * 1024),
+                dict(precision="FP32", wstore=4096, max_l=8),
+                dict(precision="INT2", wstore=2**20, max_n=64, min_n_factor=0),
+            ]
+        ),
+        st.tuples(*[st.integers(min_value=-5, max_value=30)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_repair_matches_reference_and_rng_stream(self, kw, genome, seed):
+        c = codec(**kw)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert c.repair(genome, rng) == reference_repair(c, genome, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_bounds_are_computed_once(self, monkeypatch):
+        from repro.dse import genome as genome_mod
+
+        calls = []
+
+        def counting_divisors(n):
+            calls.append(n)
+            return divisors(n)
+
+        monkeypatch.setattr(genome_mod, "divisors", counting_divisors)
+        c = codec()
+        rng = random.Random(0)
+        for g in c.enumerate():
+            c.decode(c.repair(g, rng))
+        c.decode_params(c.enumerate())
+        c.sample(rng)
+        assert calls == [8]
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)

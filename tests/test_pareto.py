@@ -1,11 +1,16 @@
 """Tests for repro.core.pareto (Eq. 1 and front utilities)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pareto
 from repro.core.pareto import (
+    dominance_matrix,
+    dominated_flags,
     dominates,
     hypervolume,
     knee_point,
@@ -19,6 +24,20 @@ vectors = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+@st.composite
+def adversarial_matrices(draw):
+    """Objective rows full of ties, duplicates, infinities and nan."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    rows = draw(st.lists(st.tuples(*[value] * m), min_size=0, max_size=30))
+    if rows and draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    return np.array(rows, dtype=float).reshape(len(rows), m)
 
 
 class TestDominates:
@@ -45,6 +64,30 @@ class TestDominates:
         for u in points:
             for v in points:
                 assert not (dominates(u, v) and dominates(v, u))
+
+
+class TestDominanceKernel:
+    """The column-fold kernel against the pairwise Eq. (1) reference."""
+
+    @given(adversarial_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_is_pairwise_eq1(self, points):
+        expected = [[dominates(u, v) for v in points] for u in points]
+        assert dominance_matrix(points).tolist() == expected
+
+    @given(adversarial_matrices(), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_flags_match_pairwise(self, points, chunk):
+        # Any chunk size smaller than the input exercises the blocked
+        # path that otherwise runs only past _DOMINANCE_CHUNK rows.
+        expected = [any(dominates(u, v) for u in points) for v in points]
+        original = pareto._DOMINANCE_CHUNK
+        pareto._DOMINANCE_CHUNK = chunk
+        try:
+            assert dominated_flags(points).tolist() == expected
+        finally:
+            pareto._DOMINANCE_CHUNK = original
+        assert dominated_flags(points).tolist() == expected
 
 
 class TestParetoMask:

@@ -65,6 +65,55 @@ class TestMergeCorrectness:
         assert campaign.wall_time_s > 0
 
 
+class TestOneProblemPerSpec:
+    """Every spec builds one problem and enumerates its space at most once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.dse.genome import GenomeCodec
+        from repro.problems.dcim import DcimProblemDefinition
+
+        counts = {"make_problem": 0, "enumerate": 0}
+        make_problem = DcimProblemDefinition.make_problem
+        enumerate_space = GenomeCodec.enumerate
+
+        def counting_make_problem(self, *args, **kwargs):
+            counts["make_problem"] += 1
+            return make_problem(self, *args, **kwargs)
+
+        def counting_enumerate(self):
+            counts["enumerate"] += 1
+            return enumerate_space(self)
+
+        monkeypatch.setattr(DcimProblemDefinition, "make_problem", counting_make_problem)
+        monkeypatch.setattr(GenomeCodec, "enumerate", counting_enumerate)
+        return counts
+
+    @pytest.mark.parametrize(
+        "threshold, strategy, enumerations",
+        [
+            (512, "exhaustive", 2),  # the sizing enumeration is explored
+            (8, "ga", 2),  # sized once, too large: the GA runs
+            (0, "ga", 0),  # forced GA never sizes the space
+        ],
+    )
+    def test_counts_per_route(self, counts, threshold, strategy, enumerations):
+        result = run_campaign(SPECS, small_config(exhaustive_threshold=threshold))
+        assert result.strategies == (strategy, strategy)
+        assert counts == {"make_problem": 2, "enumerate": enumerations}
+
+    def test_plan_carries_the_exhaustive_enumeration(self):
+        explorer = DesignSpaceExplorer()
+        plan = explorer.plan(SPECS[0])
+        assert plan.strategy == "exhaustive"
+        assert plan.genomes == plan.problem.enumerate_genomes()
+        result = explorer.explore_exhaustive(SPECS[0], plan=plan)
+        assert result.evaluations == len(plan.genomes)
+        baseline = explorer.explore_exhaustive(SPECS[0])
+        assert result.points == baseline.points
+        assert (result.objectives == baseline.objectives).all()
+
+
 class TestEngineSelection:
     def test_engine_backends_bit_identical(self):
         # The engine backend is a throughput knob only: per-seed runs
