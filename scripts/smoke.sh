@@ -81,6 +81,25 @@ PY
 }
 cache="$workdir/evals.jsonl"
 
+echo "== compile --verify: gate-level sign-off and artifacts =="
+for precision in INT8 FP16; do
+    compile_dir="$workdir/${precision,,}"
+    if ! compile_output="$(python -m repro compile --wstore 4096 \
+            --precision "$precision" --verify --out "$compile_dir")"; then
+        echo "smoke: repro compile --verify exited non-zero for $precision" >&2
+        exit 1
+    fi
+    echo "$compile_output"
+    if ! grep -q "^verification: .*PASS" <<<"$compile_output"; then
+        echo "smoke: $precision gate-level verification did not PASS" >&2
+        exit 1
+    fi
+done
+if ! compgen -G "$workdir/int8/rtl/tb_*.v" >/dev/null; then
+    echo "smoke: INT8 compile wrote no rtl/tb_*.v testbench" >&2
+    exit 1
+fi
+
 run_campaign() {
     python -m repro campaign \
         --spec 4096:INT4 --spec 4096:INT8 \

@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("--out", default=None,
                            help="write RTL/layout/report artifacts here")
     compile_p.add_argument("--verify", action="store_true",
-                           help="run scaled gate-level verification")
+                           help="run scaled gate-level verification "
+                                "(exit status 1 on a mismatch)")
 
     report = sub.add_parser("report", help="area/timing/power of one design")
     report.add_argument("--precision", required=True)
@@ -649,12 +650,16 @@ def _cmd_compile(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(result.summary())
+    verified = not args.verify or result.verification.passed
     if args.verify:
-        print(f"verification: {result.verification}")
+        stream = sys.stdout if verified else sys.stderr
+        print(f"verification: {result.verification}", file=stream)
+        for mismatch in result.verification.mismatches:
+            print(f"  {mismatch}", file=stream)
     if args.out:
         manifest = write_artifacts(result, args.out, tech)
         print(f"artifacts written to {manifest.parent} (manifest.json)")
-    return 0
+    return 0 if verified else 1
 
 
 def _cmd_report(args) -> int:

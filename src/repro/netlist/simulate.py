@@ -1,58 +1,112 @@
-"""Event-driven two-value simulator for gate-level netlists.
+"""Lane-parallel two-value simulator for gate-level netlists.
 
-Stands in for the commercial logic simulator of a real flow.  The
-combinational fabric is levelised once (topological order); ``eval``
-propagates input changes through the ordered gates, and ``step`` clocks
-every DFF simultaneously, then re-evaluates.
+Stands in for the commercial logic simulator of a real flow.  Every net
+holds a Python int with one bit per *lane*: lane ``i`` is an independent
+copy of the design, so one pass over the gates evaluates ``lanes`` test
+vectors at once with big-int AND/OR/XOR.  The combinational fabric is
+levelised once (topological order) and compiled into a flat op list;
+``eval`` propagates input changes through it, and ``step`` clocks every
+DFF simultaneously, then re-evaluates.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.netlist.ir import Netlist
 
 __all__ = ["GateSimulator"]
 
-_EVAL = {
-    "NOT": lambda v: 1 - v[0],
-    "AND": lambda v: v[0] & v[1],
-    "OR": lambda v: v[0] | v[1],
-    "NOR": lambda v: 1 - (v[0] | v[1]),
-    "XOR": lambda v: v[0] ^ v[1],
-    "MUX2": lambda v: v[2] if v[0] else v[1],
-}
+# Op codes of the compiled gate program, most frequent kinds first (the
+# evaluation loop tests them in this order), and the net-0 padding that
+# gives every program entry three inputs.
+_AND, _XOR, _OR, _NOT, _NOR, _MUX2 = range(6)
+_OPCODES = {"AND": _AND, "XOR": _XOR, "OR": _OR, "NOT": _NOT, "NOR": _NOR, "MUX2": _MUX2}
+_PADDING = {"AND": (0,), "XOR": (0,), "OR": (0,), "NOT": (0, 0), "NOR": (0,), "MUX2": ()}
+
+
+def _transpose(words: Sequence[int], width: int) -> list[int]:
+    """Bit-matrix transpose: ``len(words)`` rows of ``width`` bits become
+    ``width`` rows of ``len(words)`` bits (bit ``j`` of row ``i`` moves to
+    bit ``i`` of row ``j``)."""
+    row_bytes = (width + 7) // 8
+    raw = b"".join(word.to_bytes(row_bytes, "little") for word in words)
+    bits = np.unpackbits(
+        np.frombuffer(raw, np.uint8).reshape(len(words), row_bytes),
+        axis=1, count=width, bitorder="little",
+    )
+    planes = np.packbits(bits.T, axis=1, bitorder="little")
+    data = planes.tobytes()
+    step = planes.shape[1]
+    return [int.from_bytes(data[i * step:(i + 1) * step], "little") for i in range(width)]
 
 
 class GateSimulator:
-    """Simulates one :class:`~repro.netlist.ir.Netlist`.
+    """Simulates ``lanes`` independent copies of one
+    :class:`~repro.netlist.ir.Netlist`.
+
+    Args:
+        netlist: the design.
+        count_toggles: count output toggles per gate and per DFF, summed
+            over lanes (the power-measurement substrate reads these).
+        lanes: independent copies simulated side by side; net values
+            carry one bit per lane.
 
     Raises:
         ValueError: if the combinational fabric contains a cycle (only
-            DFFs may close loops).
+            DFFs may close loops), if a net has two drivers, or if
+            ``lanes < 1``.
     """
 
-    def __init__(self, netlist: Netlist, count_toggles: bool = False) -> None:
+    def __init__(
+        self, netlist: Netlist, count_toggles: bool = False, lanes: int = 1
+    ) -> None:
+        if lanes < 1:
+            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.netlist = netlist
+        self.lanes = lanes
+        self._mask = (1 << lanes) - 1
         self.values = [0] * netlist.n_nets
-        self.values[netlist.ONE] = 1
-        #: Per-gate output-toggle counters (enabled by ``count_toggles``);
-        #: the power-measurement substrate reads these.
+        self.values[netlist.ONE] = self._mask
         self.count_toggles = count_toggles
         self.gate_toggles = [0] * len(netlist.gates)
         self.dff_toggles = [0] * len(netlist.dffs)
-        self._order = self._levelize()
-        self._eval_all()
+        # The compiled program: one (op, out, in0, in1, in2) tuple per
+        # gate, in creation order, then in topological order.
+        self._gates = [
+            (_OPCODES[g.kind], g.output, *g.inputs, *_PADDING[g.kind])
+            for g in netlist.gates
+        ]
+        order = self._levelize()
+        self._program = self._gates if order is None else [self._gates[i] for i in order]
+        self._dffs = [(dff.d, dff.q, dff.clear) for dff in netlist.dffs]
+        self.eval()
 
-    def _levelize(self) -> list[int]:
-        """Topological order of gate indices (Kahn's algorithm)."""
+    def _levelize(self) -> list[int] | None:
+        """Topological order of gate indices; ``None`` if creation order is one.
+
+        Builders create gates in dependency order, so one linear pass
+        usually confirms creation order; Kahn's algorithm runs only when
+        some gate reads a net that a later gate drives.
+        """
+        driver = [-1] * self.netlist.n_nets
+        for i, (_op, out, _in0, _in1, _in2) in enumerate(self._gates):
+            if driver[out] >= 0:
+                raise ValueError("multiple drivers on one net")
+            driver[out] = i
+        for i, (_op, _out, in0, in1, in2) in enumerate(self._gates):
+            if driver[in0] >= i or driver[in1] >= i or driver[in2] >= i:
+                break
+        else:
+            return None
         gates = self.netlist.gates
         consumers: dict[int, list[int]] = {}
         indegree = [0] * len(gates)
-        driven_by: dict[int, int] = {g.output: i for i, g in enumerate(gates)}
-        if len(driven_by) != len(gates):
-            raise ValueError("multiple drivers on one net")
         for i, gate in enumerate(gates):
             for net in gate.inputs:
-                if net in driven_by:
+                if driver[net] >= 0:
                     consumers.setdefault(net, []).append(i)
                     indegree[i] += 1
         ready = [i for i, deg in enumerate(indegree) if deg == 0]
@@ -68,69 +122,100 @@ class GateSimulator:
             raise ValueError("combinational cycle detected")
         return order
 
-    # Stimulus ---------------------------------------------------------------
-    def set_bus(self, name: str, value: int) -> None:
-        """Drive a named input bus with an unsigned integer."""
+    # Stimulus and readout ----------------------------------------------------
+    def _input(self, name: str) -> list[int]:
         try:
-            bus = self.netlist.inputs[name]
+            return self.netlist.inputs[name]
         except KeyError:
             raise KeyError(f"no input bus {name!r}") from None
-        if value < 0 or value >= (1 << len(bus)):
+
+    def _output(self, name: str) -> list[int]:
+        try:
+            return self.netlist.outputs[name]
+        except KeyError:
+            raise KeyError(f"no output bus {name!r}") from None
+
+    def set_bus(self, name: str, value: int) -> None:
+        """Drive a named input bus with one unsigned integer on every lane."""
+        bus = self._input(name)
+        if value < 0 or value >> len(bus):
             raise ValueError(
                 f"value {value} does not fit input {name!r} ({len(bus)} bits)"
             )
+        mask = self._mask
         for i, net in enumerate(bus):
-            self.values[net] = (value >> i) & 1
+            self.values[net] = mask if (value >> i) & 1 else 0
+
+    def set_lanes(self, name: str, values: Sequence[int]) -> None:
+        """Drive a named input bus with one unsigned integer per lane."""
+        bus = self._input(name)
+        if len(values) != self.lanes:
+            raise ValueError(
+                f"need {self.lanes} lane values for {name!r}, got {len(values)}"
+            )
+        for value in values:
+            if value < 0 or value >> len(bus):
+                raise ValueError(
+                    f"value {value} does not fit input {name!r} ({len(bus)} bits)"
+                )
+        for net, word in zip(bus, _transpose(values, len(bus))):
+            self.values[net] = word
 
     def get_bus(self, name: str) -> int:
-        """Read a named output bus as an unsigned integer."""
-        try:
-            bus = self.netlist.outputs[name]
-        except KeyError:
-            raise KeyError(f"no output bus {name!r}") from None
+        """Read a named output bus as an unsigned integer (one-lane only)."""
+        bus = self._output(name)
+        if self.lanes != 1:
+            raise ValueError(
+                f"get_bus reads one lane; this simulator has {self.lanes} "
+                "(use get_lanes)"
+            )
         return sum(self.values[net] << i for i, net in enumerate(bus))
 
-    def peek(self, nets: list[int]) -> int:
-        """Read an arbitrary LSB-first net list as an integer."""
-        return sum(self.values[net] << i for i, net in enumerate(nets))
+    def get_lanes(self, name: str) -> list[int]:
+        """Read a named output bus as one unsigned integer per lane."""
+        bus = self._output(name)
+        return _transpose([self.values[net] for net in bus], self.lanes)
 
     # Execution ---------------------------------------------------------------
-    def _eval_all(self) -> None:
-        gates = self.netlist.gates
-        values = self.values
-        if self.count_toggles:
-            toggles = self.gate_toggles
-            for i in self._order:
-                gate = gates[i]
-                new = _EVAL[gate.kind]([values[net] for net in gate.inputs])
-                if new != values[gate.output]:
-                    toggles[i] += 1
-                    values[gate.output] = new
-            return
-        for i in self._order:
-            gate = gates[i]
-            values[gate.output] = _EVAL[gate.kind](
-                [values[net] for net in gate.inputs]
-            )
-
     def eval(self) -> None:
         """Propagate current input values through the combinational fabric."""
-        self._eval_all()
+        v = self.values
+        before = v.copy() if self.count_toggles else None
+        mask = self._mask
+        for op, out, in0, in1, in2 in self._program:
+            if op == _AND:
+                v[out] = v[in0] & v[in1]
+            elif op == _XOR:
+                v[out] = v[in0] ^ v[in1]
+            elif op == _OR:
+                v[out] = v[in0] | v[in1]
+            elif op == _NOT:
+                v[out] = v[in0] ^ mask
+            elif op == _NOR:
+                v[out] = (v[in0] | v[in1]) ^ mask
+            else:  # MUX2 (sel, a, b): sel ? b : a
+                a = v[in1]
+                v[out] = a ^ ((a ^ v[in2]) & v[in0])
+        if before is not None:
+            # Each gate output is written once per pass, so its toggles
+            # are the lanes where it differs from the previous pass.
+            toggles = self.gate_toggles
+            for index, (_op, out, _in0, _in1, _in2) in enumerate(self._gates):
+                toggles[index] += (before[out] ^ v[out]).bit_count()
 
     def step(self, cycles: int = 1) -> None:
         """Advance ``cycles`` clock edges (latch all DFFs, then settle)."""
+        v = self.values
         for _ in range(cycles):
             self.eval()
-            latched = []
-            for dff in self.netlist.dffs:
-                if dff.clear is not None and self.values[dff.clear]:
-                    latched.append(0)
-                else:
-                    latched.append(self.values[dff.d])
-            for index, (dff, value) in enumerate(zip(self.netlist.dffs, latched)):
-                if self.count_toggles and self.values[dff.q] != value:
-                    self.dff_toggles[index] += 1
-                self.values[dff.q] = value
+            latched = [
+                v[d] if clear is None else v[d] & ~v[clear]
+                for d, _q, clear in self._dffs
+            ]
+            for index, ((_d, q, _clear), new) in enumerate(zip(self._dffs, latched)):
+                if self.count_toggles:
+                    self.dff_toggles[index] += (v[q] ^ new).bit_count()
+                v[q] = new
             self.eval()
 
     def reset_toggles(self) -> None:
@@ -140,6 +225,6 @@ class GateSimulator:
 
     def reset_state(self) -> None:
         """Zero every flip-flop output and re-evaluate."""
-        for dff in self.netlist.dffs:
-            self.values[dff.q] = 0
+        for _d, q, _clear in self._dffs:
+            self.values[q] = 0
         self.eval()

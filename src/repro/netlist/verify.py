@@ -3,6 +3,10 @@
 Randomised functional verification of every gate-level block against
 the behavioural reference — the role a commercial simulator plus a
 testbench plays in the authors' flow.
+
+Each check draws every trial's stimulus first, simulates all trials at
+once (one :class:`~repro.netlist.simulate.GateSimulator` lane per
+trial), then compares the lanes in trial order.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ import numpy as np
 from repro.core.spec import DesignPoint
 from repro.func.formats import max_unsigned
 from repro.func.macro_model import IntMacroModel
+from repro.func.mvm import input_slices
 from repro.model.logic import clog2
 from repro.netlist.builders import (
     build_adder_tree,
     build_compute_unit,
+    build_int2fp,
     build_int_macro,
     build_prealign,
     build_shift_accumulator,
@@ -52,21 +58,44 @@ class VerificationReport:
         return f"{self.block}: {status} over {self.trials} trials"
 
 
+def _pack(fields, width: int) -> int:
+    """Concatenate unsigned ``width``-bit fields, the first in the LSBs."""
+    word = 0
+    for i, value in enumerate(fields):
+        word |= int(value) << (i * width)
+    return word
+
+
+def _field(word: int, index: int, width: int) -> int:
+    """Field ``index`` of a word packed by :func:`_pack`."""
+    return (word >> (index * width)) & max_unsigned(width)
+
+
+def _array_weights(w_sets: np.ndarray, bw: int) -> int:
+    """The macro ``weights`` bus for ``(L, H, groups)`` weight sets.
+
+    Column ``c = g*bw + j`` stores bit ``j`` of the group-``g`` weights;
+    its bank holds, for each row, that bit of the ``L`` sets, at bus
+    bit ``(c*H + row)*L + set``.
+    """
+    planes = (w_sets.transpose(2, 1, 0)[:, None] >> np.arange(bw)[:, None, None]) & 1
+    return int.from_bytes(np.packbits(planes, axis=None, bitorder="little").tobytes(), "little")
+
+
 def verify_compute_unit(l: int, k: int, trials: int = 50, seed: int = 0) -> VerificationReport:
     """Compute unit: product == din * selected weight bit."""
     report = VerificationReport(f"compute_unit(l={l}, k={k})", trials)
-    sim = GateSimulator(build_compute_unit(l, k))
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        weights = int(rng.integers(0, 2**l))
-        sel = int(rng.integers(0, l))
-        din = int(rng.integers(0, 2**k))
-        sim.set_bus("weights", weights)
-        sim.set_bus("sel", sel)
-        sim.set_bus("din", din)
-        sim.eval()
+    stimulus = [
+        (int(rng.integers(0, 2**l)), int(rng.integers(0, l)), int(rng.integers(0, 2**k)))
+        for _ in range(trials)
+    ]
+    sim = GateSimulator(build_compute_unit(l, k), lanes=trials)
+    for name, values in zip(("weights", "sel", "din"), zip(*stimulus)):
+        sim.set_lanes(name, values)
+    sim.eval()
+    for (weights, sel, din), got in zip(stimulus, sim.get_lanes("product")):
         expected = din if (weights >> sel) & 1 else 0
-        got = sim.get_bus("product")
         if got != expected:
             report.mismatches.append(
                 f"w={weights:0{l}b} sel={sel} din={din}: got {got}, want {expected}"
@@ -77,16 +106,12 @@ def verify_compute_unit(l: int, k: int, trials: int = 50, seed: int = 0) -> Veri
 def verify_adder_tree(h: int, k: int, trials: int = 50, seed: int = 0) -> VerificationReport:
     """Adder tree: total == sum of the h operands."""
     report = VerificationReport(f"adder_tree(h={h}, k={k})", trials)
-    sim = GateSimulator(build_adder_tree(h, k))
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        terms = rng.integers(0, 2**k, size=h)
-        packed = 0
-        for i, t in enumerate(terms):
-            packed |= int(t) << (i * k)
-        sim.set_bus("terms", packed)
-        sim.eval()
-        got = sim.get_bus("total")
+    stimulus = [rng.integers(0, 2**k, size=h) for _ in range(trials)]
+    sim = GateSimulator(build_adder_tree(h, k), lanes=trials)
+    sim.set_lanes("terms", [_pack(terms, k) for terms in stimulus])
+    sim.eval()
+    for terms, got in zip(stimulus, sim.get_lanes("total")):
         expected = int(terms.sum())
         if got != expected:
             report.mismatches.append(f"terms={terms}: got {got}, want {expected}")
@@ -98,23 +123,26 @@ def verify_shift_accumulator(
 ) -> VerificationReport:
     """Shift accumulator over full passes of ``bx/k`` cycles."""
     report = VerificationReport(f"shift_accumulator(bx={bx}, k={k}, h={h})", trials)
-    sim = GateSimulator(build_shift_accumulator(bx, k, h))
     rng = np.random.default_rng(seed)
     cycles = bx // k
     in_max = (2**k - 1) * h  # adder-tree output bound
     in_cap = 2 ** (k + clog2(h)) - 1
-    for _ in range(trials):
-        # Clear, then stream one pass.
-        sim.set_bus("clear", 1)
+    partials = [
+        [int(rng.integers(0, min(in_max, in_cap) + 1)) for _c in range(cycles)]
+        for _ in range(trials)
+    ]
+    sim = GateSimulator(build_shift_accumulator(bx, k, h), lanes=trials)
+    # Clear, then stream one pass.
+    sim.set_bus("clear", 1)
+    sim.step()
+    sim.set_bus("clear", 0)
+    for cycle in zip(*partials):
+        sim.set_lanes("partial", cycle)
         sim.step()
-        sim.set_bus("clear", 0)
+    for stream, got in zip(partials, sim.get_lanes("acc")):
         expected = 0
-        for _c in range(cycles):
-            partial = int(rng.integers(0, min(in_max, in_cap) + 1))
-            sim.set_bus("partial", partial)
-            sim.step()
+        for partial in stream:
             expected = (expected << k) + partial
-        got = sim.get_bus("acc")
         if got != expected:
             report.mismatches.append(f"got {got}, want {expected}")
     return report
@@ -125,28 +153,23 @@ def verify_prealign(
 ) -> VerificationReport:
     """Pre-alignment: max exponent + truncating right shifts."""
     report = VerificationReport(f"prealign(h={h}, be={be}, bm={bm})", trials)
-    sim = GateSimulator(build_prealign(h, be, bm))
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        exps = rng.integers(0, 2**be, size=h)
-        mants = rng.integers(0, 2**bm, size=h)
-        packed_e = 0
-        packed_m = 0
-        for i in range(h):
-            packed_e |= int(exps[i]) << (i * be)
-            packed_m |= int(mants[i]) << (i * bm)
-        sim.set_bus("exponents", packed_e)
-        sim.set_bus("mantissas", packed_m)
-        sim.eval()
+    stimulus = [
+        (rng.integers(0, 2**be, size=h), rng.integers(0, 2**bm, size=h))
+        for _ in range(trials)
+    ]
+    sim = GateSimulator(build_prealign(h, be, bm), lanes=trials)
+    sim.set_lanes("exponents", [_pack(exps, be) for exps, _ in stimulus])
+    sim.set_lanes("mantissas", [_pack(mants, bm) for _, mants in stimulus])
+    sim.eval()
+    lanes = zip(stimulus, sim.get_lanes("xemax"), sim.get_lanes("aligned"))
+    for (exps, mants), got_xemax, got in lanes:
         xemax = int(exps.max())
-        if sim.get_bus("xemax") != xemax:
-            report.mismatches.append(
-                f"xemax: got {sim.get_bus('xemax')}, want {xemax}"
-            )
+        if got_xemax != xemax:
+            report.mismatches.append(f"xemax: got {got_xemax}, want {xemax}")
             continue
-        got = sim.get_bus("aligned")
         for i in range(h):
-            lane = (got >> (i * bm)) & max_unsigned(bm)
+            lane = _field(got, i, bm)
             expected = int(mants[i]) >> (xemax - int(exps[i]))
             if lane != expected:
                 report.mismatches.append(
@@ -168,13 +191,11 @@ def verify_int_macro(
         raise ValueError("verify_int_macro needs an integer design")
     bx = bw = p.bits
     report = VerificationReport(f"int_macro({design.describe()})", trials)
-    netlist = build_int_macro(design.n, design.h, design.l, design.k, bx, bw)
-    sim = GateSimulator(netlist)
     model = IntMacroModel(design)
     rng = np.random.default_rng(seed)
     groups = design.n // bw
     out_w = bw + bx + clog2(design.h)
-    cycles = bx // design.k
+    sels, weights, slices, expected = [], [], [], []
     for _ in range(trials):
         sel = int(rng.integers(0, design.l))
         # One (H, groups) weight matrix for the selected set; other sets
@@ -182,38 +203,27 @@ def verify_int_macro(
         w_sets = rng.integers(0, 2**bw, size=(design.l, design.h, groups))
         x = rng.integers(0, 2**bx, size=design.h)
         model.weights = w_sets.astype(np.int64)
-        expected = model.matvec(x, sel=sel)
-        # Pack weights column-major: column c = (group g, bit j) with
-        # c = g*bw + j; its bank holds, for each row, bit j of the L
-        # weight sets at (row, g).
-        packed_w = 0
-        bit_index = 0
-        for g in range(groups):
-            for j in range(bw):
-                for row in range(design.h):
-                    for li in range(design.l):
-                        bit = (int(w_sets[li, row, g]) >> j) & 1
-                        packed_w |= bit << bit_index
-                        bit_index += 1
-        sim.set_bus("weights", packed_w)
-        sim.set_bus("sel", sel)
-        sim.set_bus("clear", 1)
+        expected.append(model.matvec(x, sel=sel))
+        sels.append(sel)
+        weights.append(_array_weights(w_sets, bw))
+        slices.append([_pack(s, design.k) for s in input_slices(x, bx, design.k)])
+    sim = GateSimulator(
+        build_int_macro(design.n, design.h, design.l, design.k, bx, bw), lanes=trials
+    )
+    sim.set_lanes("weights", weights)
+    sim.set_lanes("sel", sels)
+    sim.set_bus("clear", 1)
+    sim.step()
+    sim.set_bus("clear", 0)
+    for cycle in zip(*slices):  # MSB-first input slices
+        sim.set_lanes("din", cycle)
         sim.step()
-        sim.set_bus("clear", 0)
-        for c in range(cycles):
-            packed_din = 0
-            shift = bx - (c + 1) * design.k
-            for row in range(design.h):
-                slice_v = (int(x[row]) >> shift) & max_unsigned(design.k)
-                packed_din |= slice_v << (row * design.k)
-            sim.set_bus("din", packed_din)
-            sim.step()
-        got_all = sim.get_bus("y")
+    for want, got_all in zip(expected, sim.get_lanes("y")):
         for g in range(groups):
-            got = (got_all >> (g * out_w)) & max_unsigned(out_w)
-            if got != int(expected[g]):
+            got = _field(got_all, g, out_w)
+            if got != int(want[g]):
                 report.mismatches.append(
-                    f"group {g}: got {got}, want {int(expected[g])}"
+                    f"group {g}: got {got}, want {int(want[g])}"
                 )
     return report
 
@@ -221,21 +231,26 @@ def verify_int_macro(
 def verify_int2fp(br: int, be: int, trials: int = 40, seed: int = 0) -> VerificationReport:
     """INT-to-FP converter vs the functional model (RTL-exact)."""
     from repro.func.int2fp_model import int_to_fp
-    from repro.netlist.builders import build_int2fp
 
     report = VerificationReport(f"int2fp(br={br}, be={be})", trials)
-    sim = GateSimulator(build_int2fp(br, be))
     rng = np.random.default_rng(seed)
-    for t in range(trials):
-        value = 0 if t == 0 else int(rng.integers(0, 2**br))  # cover zero
-        base = int(rng.integers(0, 2**be))
-        sim.set_bus("value", value)
-        sim.set_bus("base_exp", base)
-        sim.eval()
+    stimulus = [
+        # Trial 0 covers zero.
+        (0 if t == 0 else int(rng.integers(0, 2**br)), int(rng.integers(0, 2**be)))
+        for t in range(trials)
+    ]
+    sim = GateSimulator(build_int2fp(br, be), lanes=trials)
+    for name, values in zip(("value", "base_exp"), zip(*stimulus)):
+        sim.set_lanes(name, values)
+    sim.eval()
+    lanes = zip(
+        stimulus,
+        sim.get_lanes("mantissa"),
+        sim.get_lanes("exponent"),
+        sim.get_lanes("is_zero"),
+    )
+    for (value, base), got_m, got_e, got_z in lanes:
         expected = int_to_fp(value, base, br)
-        got_m = sim.get_bus("mantissa")
-        got_e = sim.get_bus("exponent")
-        got_z = sim.get_bus("is_zero")
         if (got_m, got_e, bool(got_z)) != (
             expected.mantissa, expected.exponent, expected.is_zero
         ):
@@ -257,71 +272,65 @@ def verify_fp_datapath(
     ``k = BM``) and checks the fused integer and the converter fields
     against the functional models.  Signs are handled outside the array
     by sign-magnitude in the full macro, so positive stimulus covers
-    the datapath logic.
+    the datapath logic.  Each stage's inputs are the previous stage's
+    gate-level outputs; a trial reports only its first failing stage.
     """
     from repro.func.formats import FloatFormat
     from repro.func.int2fp_model import int_to_fp
     from repro.func.prealign_model import prealign
-    from repro.netlist.builders import build_int2fp, build_int_macro
 
     fmt = FloatFormat("fmt", exponent_bits=be, mantissa_bits=bm)
     report = VerificationReport(f"fp_datapath(h={h}, be={be}, bm={bm})", trials)
-    align_sim = GateSimulator(build_prealign(h, be, bm))
-    macro_sim = GateSimulator(build_int_macro(bm, h, 1, bm, bm, bm))
     br = bm + bm + clog2(h)
-    convert_sim = GateSimulator(build_int2fp(br, be + 1))
     rng = np.random.default_rng(seed)
+    xs, wa = [], []
     for _ in range(trials):
-        x = rng.uniform(0.01, 8.0, size=h)
-        w = rng.uniform(0.01, 8.0, size=h)
+        xs.append(rng.uniform(0.01, 8.0, size=h))
         # Offline weight alignment (done in software in the real flow).
-        wa = prealign(w, fmt)
-        xf = [fmt.encode(float(v)) for v in x]
-        packed_e = packed_m = 0
-        for i, fields in enumerate(xf):
-            packed_e |= fields.exponent << (i * be)
-            packed_m |= fields.significand << (i * bm)
-        align_sim.set_bus("exponents", packed_e)
-        align_sim.set_bus("mantissas", packed_m)
-        align_sim.eval()
-        xemax = align_sim.get_bus("xemax")
-        aligned = align_sim.get_bus("aligned")
-        # Expected alignment from the functional model.
-        xa = prealign(x, fmt)
-        if xemax != xa.max_exponent:
-            report.mismatches.append(f"xemax {xemax} != {xa.max_exponent}")
+        wa.append(prealign(rng.uniform(0.01, 8.0, size=h), fmt))
+    xa = [prealign(x, fmt) for x in xs]
+    # Stage 1: pre-alignment of the raw input fields.
+    align_sim = GateSimulator(build_prealign(h, be, bm), lanes=trials)
+    fields = [[fmt.encode(float(v)) for v in x] for x in xs]
+    align_sim.set_lanes("exponents", [_pack((f.exponent for f in row), be) for row in fields])
+    align_sim.set_lanes("mantissas", [_pack((f.significand for f in row), bm) for row in fields])
+    align_sim.eval()
+    xemax = align_sim.get_lanes("xemax")
+    # Stage 2: mantissa MAC, one pass with k = bm; column j stores
+    # weight-mantissa bit j.
+    macro_sim = GateSimulator(build_int_macro(bm, h, 1, bm, bm, bm), lanes=trials)
+    macro_sim.set_lanes(
+        "weights", [_array_weights(a.mantissas.reshape(1, h, 1), bm) for a in wa]
+    )
+    macro_sim.set_bus("sel", 0)
+    macro_sim.set_bus("clear", 1)
+    macro_sim.step()
+    macro_sim.set_bus("clear", 0)
+    macro_sim.set_lanes("din", align_sim.get_lanes("aligned"))
+    macro_sim.step()
+    fused = macro_sim.get_lanes("y")
+    # Stage 3: INT-to-FP conversion with the shared exponent base.
+    bases = [x.max_exponent + w.max_exponent for x, w in zip(xa, wa)]
+    convert_sim = GateSimulator(build_int2fp(br, be + 1), lanes=trials)
+    convert_sim.set_lanes("value", fused)
+    convert_sim.set_lanes("base_exp", bases)
+    convert_sim.eval()
+    lanes = zip(
+        xa, wa, bases, xemax, fused,
+        convert_sim.get_lanes("mantissa"), convert_sim.get_lanes("exponent"),
+    )
+    for x, w, base, got_xemax, got_acc, got_m, got_e in lanes:
+        if got_xemax != x.max_exponent:
+            report.mismatches.append(f"xemax {got_xemax} != {x.max_exponent}")
             continue
-        # Mantissa MAC: one pass, k = bm.
-        packed_w = 0
-        bit_index = 0
-        for j in range(bm):  # column j stores weight-mantissa bit j
-            for row in range(h):
-                packed_w |= ((int(wa.mantissas[row]) >> j) & 1) << bit_index
-                bit_index += 1
-        macro_sim.set_bus("weights", packed_w)
-        macro_sim.set_bus("sel", 0)
-        macro_sim.set_bus("clear", 1)
-        macro_sim.step()
-        macro_sim.set_bus("clear", 0)
-        macro_sim.set_bus("din", aligned)
-        macro_sim.step()
-        fused = macro_sim.get_bus("y")
-        expected_acc = int(np.dot(xa.mantissas, wa.mantissas))
-        if fused != expected_acc:
-            report.mismatches.append(f"acc {fused} != {expected_acc}")
+        expected_acc = int(np.dot(x.mantissas, w.mantissas))
+        if got_acc != expected_acc:
+            report.mismatches.append(f"acc {got_acc} != {expected_acc}")
             continue
-        # INT-to-FP conversion with the shared exponent base.
-        base = xa.max_exponent + wa.max_exponent
-        convert_sim.set_bus("value", fused)
-        convert_sim.set_bus("base_exp", base)
-        convert_sim.eval()
-        expected_fields = int_to_fp(fused, base, br)
-        if convert_sim.get_bus("mantissa") != expected_fields.mantissa or (
-            convert_sim.get_bus("exponent") != expected_fields.exponent
-        ):
+        expected = int_to_fp(got_acc, base, br)
+        if got_m != expected.mantissa or got_e != expected.exponent:
             report.mismatches.append(
-                f"convert: got (m={convert_sim.get_bus('mantissa')}, "
-                f"e={convert_sim.get_bus('exponent')}), want "
-                f"(m={expected_fields.mantissa}, e={expected_fields.exponent})"
+                f"convert: got (m={got_m}, e={got_e}), want "
+                f"(m={expected.mantissa}, e={expected.exponent})"
             )
     return report

@@ -31,6 +31,18 @@ def _hex(value: int, width: int) -> str:
     return f"{width}'h{value:x}"
 
 
+def _wdata_words(w_sets: np.ndarray, bw: int) -> list[int]:
+    """One ``wdata`` word per weight set of an ``(L, H, N/Bw)`` array.
+
+    Column ``c = g*Bw + j`` stores bit ``j`` of the group-``g`` weights;
+    bit ``c*H + row`` of the word is that bit for ``row``.
+    """
+    l = w_sets.shape[0]
+    planes = (w_sets.transpose(0, 2, 1)[:, :, None] >> np.arange(bw)[:, None]) & 1
+    rows = np.packbits(planes.reshape(l, -1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def generate_int_testbench(
     bundle: RtlBundle, vectors: int = 4, seed: int = 0
 ) -> str:
@@ -105,13 +117,7 @@ def generate_int_testbench(
             expected |= int(word) << (g * out_w)
         lines.append(f"    // ---- vector {t} (sel={sel_v}) ----")
         # Write each weight set: one clock per set, all rows enabled.
-        for li in range(l):
-            packed = 0
-            for c in range(n):
-                g, j = divmod(c, bw)
-                for row in range(h):
-                    bit = (int(w_sets[li, row, g]) >> j) & 1
-                    packed |= bit << (c * h + row)
+        for li, packed in enumerate(_wdata_words(w_sets, bw)):
             lines.append(f"    wsel = {_hex(1 << li, l)};")
             lines.append(f"    wrow = {{{h}{{1'b1}}}};")
             lines.append(f"    wdata = {_hex(packed, n * h)};")

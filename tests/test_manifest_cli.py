@@ -108,6 +108,31 @@ class TestCli:
         assert "artifacts written" in out
         assert (tmp_path / "macro" / "manifest.json").exists()
 
+    def test_compile_verify_passes(self, capsys):
+        assert main([
+            "compile", "--wstore", "4096", "--precision", "INT8", "--verify",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "verification: " in captured.out and "PASS" in captured.out
+        assert captured.err == ""
+
+    def test_compile_verify_failure_exits_nonzero(self, capsys, tmp_path, monkeypatch):
+        from repro.netlist.verify import VerificationReport
+
+        def failing(self, design, trials=5):
+            return VerificationReport("stub", trials, ["group 0: got 1, want 2"])
+
+        monkeypatch.setattr(SegaDcim, "verify", failing)
+        assert main([
+            "compile", "--wstore", "4096", "--precision", "INT8", "--verify",
+            "--out", str(tmp_path / "macro"),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "stub: FAIL (1) over 5 trials" in captured.err
+        assert "group 0: got 1, want 2" in captured.err
+        assert "artifacts written" in captured.out
+        assert (tmp_path / "macro" / "manifest.json").exists()
+
     def test_compile_infeasible_budget(self, capsys):
         assert main([
             "compile", "--wstore", "4096", "--precision", "INT8",

@@ -1,8 +1,12 @@
 """Tests for repro.netlist.ir, primitives and simulate."""
 
-import pytest
+import dataclasses
 
-from repro.netlist.ir import Dff, Gate, Netlist
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.netlist.ir import GATE_KINDS, Dff, Gate, Netlist
 from repro.netlist.primitives import (
     barrel_shifter_right,
     constant_shift_left,
@@ -309,3 +313,111 @@ class TestMeasurePower:
         )
         assert m.toggles > 0
         assert m.energy_per_vector > 0
+
+
+@st.composite
+def small_netlists(draw):
+    """Random gates over input buses, plus DFFs with and without clear.
+
+    DFF ``d`` pins connect after the gates, so flops may close loops.
+    """
+    nl = Netlist("random")
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    pool = [nl.ZERO, nl.ONE]
+    for i, width in enumerate(widths):
+        pool += nl.input_bus(f"in{i}", width)
+    clear = nl.input_bus("clear", 1)[0]
+    pool.append(clear)
+    flops = draw(st.lists(st.booleans(), max_size=3))  # True: has clear
+    state = [nl.add_dff(nl.ZERO, clear=clear if cleared else None) for cleared in flops]
+    pool += state
+    for kind in draw(st.lists(st.sampled_from(sorted(GATE_KINDS)), min_size=1, max_size=24)):
+        inputs = [draw(st.sampled_from(pool)) for _ in range(GATE_KINDS[kind])]
+        pool.append(nl.add_gate(kind, *inputs))
+    for index, dff in enumerate(nl.dffs):
+        nl.dffs[index] = Dff(d=draw(st.sampled_from(pool)), q=dff.q, clear=dff.clear)
+    taps = draw(st.lists(st.sampled_from(pool[2:]), min_size=1, max_size=8))
+    nl.output_bus("y", taps)
+    if state:
+        nl.output_bus("state", state)
+    return nl
+
+
+class TestLanes:
+    @given(small_netlists(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_one_lane_runs(self, nl, data):
+        lanes = data.draw(st.integers(2, 6), label="lanes")
+        wide = GateSimulator(nl, count_toggles=True, lanes=lanes)
+        singles = [GateSimulator(nl, count_toggles=True) for _ in range(lanes)]
+        for action in data.draw(
+            st.lists(st.sampled_from(["eval", "step"]), min_size=1, max_size=6),
+            label="actions",
+        ):
+            for name, bus in nl.inputs.items():
+                values = data.draw(
+                    st.lists(st.integers(0, 2 ** len(bus) - 1), min_size=lanes, max_size=lanes),
+                    label=name,
+                )
+                wide.set_lanes(name, values)
+                for sim, value in zip(singles, values):
+                    sim.set_bus(name, value)
+            for sim in (wide, *singles):
+                getattr(sim, action)()
+            for name in nl.outputs:
+                assert wide.get_lanes(name) == [sim.get_bus(name) for sim in singles]
+        assert wide.gate_toggles == [sum(c) for c in zip(*(s.gate_toggles for s in singles))]
+        assert wide.dff_toggles == [sum(c) for c in zip(*(s.dff_toggles for s in singles))]
+        with pytest.raises(ValueError, match="get_lanes"):
+            wide.get_bus("y")
+
+    @given(small_netlists(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gate_order_does_not_matter(self, nl, data):
+        """Out-of-creation-order gates levelise to the same results."""
+        shuffled = dataclasses.replace(nl, gates=data.draw(st.permutations(nl.gates)))
+        values = {
+            name: data.draw(st.integers(0, 2 ** len(bus) - 1), label=name)
+            for name, bus in nl.inputs.items()
+        }
+        sims = [GateSimulator(nl), GateSimulator(shuffled)]
+        for sim in sims:
+            for name, value in values.items():
+                sim.set_bus(name, value)
+            sim.step()
+        for name in nl.outputs:
+            assert sims[0].get_bus(name) == sims[1].get_bus(name)
+
+    @given(small_netlists(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cycle_and_double_driver_raise_out_of_order(self, nl, data):
+        index = data.draw(st.integers(0, len(nl.gates) - 1), label="gate")
+        gate = nl.gates[index]
+        # Close a loop: the gate now reads a NOT of its own output.
+        loop = nl.new_net()
+        cyclic = [*nl.gates, Gate("NOT", (gate.output,), loop)]
+        cyclic[index] = Gate(gate.kind, (loop, *gate.inputs[1:]), gate.output)
+        with pytest.raises(ValueError, match="cycle"):
+            GateSimulator(dataclasses.replace(
+                nl, gates=data.draw(st.permutations(cyclic), label="cyclic")))
+        # A second gate driving an existing gate output.
+        doubled = [*nl.gates, Gate("NOT", (nl.ONE,), gate.output)]
+        with pytest.raises(ValueError, match="multiple drivers"):
+            GateSimulator(dataclasses.replace(
+                nl, gates=data.draw(st.permutations(doubled), label="doubled")))
+
+    def test_set_lanes_checks_count_and_range(self):
+        nl = Netlist("t")
+        a = nl.input_bus("a", 2)
+        nl.output_bus("y", [nl.add_gate("NOT", a[0])])
+        sim = GateSimulator(nl, lanes=3)
+        with pytest.raises(ValueError):
+            sim.set_lanes("a", [0, 1])
+        with pytest.raises(ValueError):
+            sim.set_lanes("a", [0, 1, 4])
+        sim.set_lanes("a", [0, 1, 3])
+        sim.set_bus("a", 2)  # one value on every lane
+        sim.eval()
+        assert sim.get_lanes("y") == [1, 1, 1]
+        with pytest.raises(ValueError):
+            GateSimulator(nl, lanes=0)
