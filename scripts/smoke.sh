@@ -45,6 +45,24 @@ python -m pytest benchmarks/test_ga_kernels.py -q
 echo "== cache pipeline bench (>=5x gate, records cache_pipeline.txt) =="
 python -m pytest benchmarks/test_cache_pipeline.py -q
 
+echo "== benchmark workloads: every op checked against its oracle =="
+# A short run of each workload: exact fronts, merges, compile checks and
+# HTTP responses are all checked; no timing is asserted.
+for workload in in_process service_http; do
+    bench_json="$(python perfbench/run.py --workload "$workload" \
+        --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    python - "$workload" "$bench_json" <<'PY'
+import json
+import sys
+
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"smoke: perfbench {workload} checks failed: {line[:300]}")
+print(f"perfbench {workload}: {result['attempted']} ops, all correct")
+PY
+done
+
 workdir="$(mktemp -d)"
 server_pid=""
 worker_pids=()

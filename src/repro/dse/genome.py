@@ -16,6 +16,11 @@ of divisors of the input width, giving a legal bit-serial slice ``k``.
 A :class:`GenomeCodec` owns the bounds derived from a
 :class:`~repro.core.spec.DcimSpec` (``N > 4*Bw``, ``L <= 64``,
 ``H <= 2048``) and provides sampling, repair, and decode.
+
+``repair`` runs once per GA child, so it replays the draws of
+``rng.shuffle`` on three gene positions straight from
+``rng.getrandbits`` (the rejection loop of ``Random._randbelow``) instead
+of calling the stdlib wrapper: same draws, same stream, same genomes.
 """
 
 from __future__ import annotations
@@ -33,6 +38,15 @@ __all__ = ["Genome", "GenomeCodec", "divisors"]
 
 #: A genome is the integer tuple (a, b, c, k_idx).
 Genome = tuple[int, int, int, int]
+
+#: Gene visiting order ``rng.shuffle([0, 1, 2])`` leaves, indexed by its
+#: two draws: ``randbelow(3)`` (swap slot 2) then ``randbelow(2)`` (swap
+#: slot 1).
+_SHUFFLED_GENES = (
+    ((1, 2, 0), (2, 1, 0)),
+    ((2, 0, 1), (0, 2, 1)),
+    ((1, 0, 2), (0, 1, 2)),
+)
 
 
 def divisors(n: int) -> list[int]:
@@ -75,6 +89,13 @@ class GenomeCodec:
             raise ValueError(
                 f"Wstore={wstore} is too small for the bound N>{4 * self.weight_bits}"
             )
+        if self.max_a < self.min_a:
+            bw = self.weight_bits
+            raise ValueError(
+                f"max_n={self.spec.max_n} admits no N = {bw}*2^a above the "
+                f"bound N>{self.spec.min_n_factor * bw}; the smallest legal N "
+                f"is {bw << self.min_a}"
+            )
 
     # Derived bounds -------------------------------------------------------
     #
@@ -104,12 +125,11 @@ class GenomeCodec:
 
     @cached_property
     def max_a(self) -> int:
+        """Largest ``a`` with ``N = Bw * 2^a <= max_n`` (-1 when none)."""
         if self.spec.max_n is None:
             return self.total_exponent
-        return min(
-            int(math.log2(self.spec.max_n // self.weight_bits)),
-            self.total_exponent,
-        )
+        groups = self.spec.max_n // self.weight_bits
+        return min(groups.bit_length() - 1, self.total_exponent)
 
     @cached_property
     def max_b(self) -> int:
@@ -126,6 +146,18 @@ class GenomeCodec:
         """Legal per-cycle input slices: divisors of the input width."""
         return divisors(self.precision.input_bits)
 
+    @cached_property
+    def _repair_bounds(self) -> tuple[int, int, int, int, int, int]:
+        """``(min_a, max_a, max_b, max_c, max_k_idx, total_exponent)``."""
+        return (
+            self.min_a,
+            self.max_a,
+            self.max_b,
+            self.max_c,
+            len(self.k_choices) - 1,
+            self.total_exponent,
+        )
+
     # Sampling / repair ----------------------------------------------------
     def sample(self, rng: random.Random) -> Genome:
         """Draw a random feasible genome (uniform over repaired draws)."""
@@ -140,33 +172,42 @@ class GenomeCodec:
 
         Clips each gene into its box, then redistributes the exponent
         surplus/deficit among ``(a, b, c)`` in random order so the sum
-        constraint holds exactly.  The one ``shuffle`` of three gene
-        positions is the only rng draw, made whether or not a gene
-        moves: the draw order is part of the per-seed GA contract.
+        constraint holds exactly.  The random order is the one
+        ``rng.shuffle([0, 1, 2])`` would give, drawn the same way (two
+        ``randbelow`` rejection loops on ``rng.getrandbits``), whether
+        or not a gene moves: the draw order is part of the per-seed GA
+        contract.  ``rng`` must be a :class:`random.Random`.
         """
         a, b, c, k_idx = genome
-        lows = (self.min_a, 0, 0)
-        highs = (self.max_a, self.max_b, self.max_c)
+        min_a, max_a, max_b, max_c, max_k, total = self._repair_bounds
         genes = [
-            min(max(a, lows[0]), highs[0]),
-            min(max(b, 0), highs[1]),
-            min(max(c, 0), highs[2]),
+            min_a if a < min_a else max_a if a > max_a else a,
+            0 if b < 0 else max_b if b > max_b else b,
+            0 if c < 0 else max_c if c > max_c else c,
         ]
-        k_idx = min(max(k_idx, 0), len(self.k_choices) - 1)
-        delta = self.total_exponent - sum(genes)
-        order = [0, 1, 2]
-        rng.shuffle(order)
-        for i in order:
-            if delta == 0:
-                break
-            if delta > 0:
-                step = min(highs[i] - genes[i], delta)
-            else:
-                step = -min(genes[i] - lows[i], -delta)
-            genes[i] += step
-            delta -= step
-        if delta != 0:  # pragma: no cover - excluded by codec validation
-            raise RuntimeError("repair failed; bounds validated at construction")
+        k_idx = 0 if k_idx < 0 else max_k if k_idx > max_k else k_idx
+        getrandbits = rng.getrandbits
+        swap2 = getrandbits(2)
+        while swap2 >= 3:
+            swap2 = getrandbits(2)
+        swap1 = getrandbits(2)
+        while swap1 >= 2:
+            swap1 = getrandbits(2)
+        delta = total - genes[0] - genes[1] - genes[2]
+        if delta:
+            lows = (min_a, 0, 0)
+            highs = (max_a, max_b, max_c)
+            for i in _SHUFFLED_GENES[swap2][swap1]:
+                if delta > 0:
+                    step = min(highs[i] - genes[i], delta)
+                else:
+                    step = -min(genes[i] - lows[i], -delta)
+                genes[i] += step
+                delta -= step
+                if delta == 0:
+                    break
+            if delta != 0:  # pragma: no cover - excluded by codec validation
+                raise RuntimeError("repair failed; bounds validated at construction")
         return (genes[0], genes[1], genes[2], k_idx)
 
     def is_feasible(self, genome: Genome) -> bool:

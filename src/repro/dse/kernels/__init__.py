@@ -17,12 +17,24 @@ every tie-break) and the same float64 crowding values, so per-seed
 ``nsga2()`` trajectories are unchanged no matter which one runs — the
 hypothesis parity suite and golden-fingerprint tests pin this.
 
+The numpy sort also accepts a precomputed dominance matrix.  Dominance
+is pairwise, so the survivors of one merged sort carry their own matrix
+as its submatrix (:meth:`GAKernels.take`): ``nsga2()`` builds one
+dominance matrix per generation, and keeps the population objectives
+as one matrix that grows only by the children's rows
+(:meth:`GAKernels.append`).
+
 The *variation* operators (tournament, uniform crossover, step
 mutation) and the hash-based archive dedup live here as shared code:
 they draw from the run's single ``random.Random`` stream in a frozen
 order (tournament × 2, crossover, then per child mutation + repair),
 and the problem's ``repair`` hook consumes that stream too, so
-vectorising them would change per-seed results.  They operate on the
+vectorising them would change per-seed results.  :func:`breed_offspring`
+replays the draws of the per-operator functions inline — the same
+``getrandbits`` rejection loops ``random.sample``/``randint`` run, on
+the same stream — so it breeds the same children without a stdlib
+wrapper call per draw; the per-operator functions stay as the
+reference the parity tests compare against.  They operate on the
 parallel rank/crowding arrays the sort kernels produce, which is what
 makes the whole loop array-native.
 
@@ -129,12 +141,63 @@ class GAKernels:
             return np.asarray(objectives, dtype=float)
         return objectives
 
-    def nondominated_sort(self, matrix) -> tuple[list[int], list[list[int]]]:
-        """(ranks, fronts-as-index-lists) for an ``as_matrix`` result."""
+    def append(self, matrix, objectives: Sequence[Sequence[float]]):
+        """``matrix`` with ``objectives`` appended as new rows.
+
+        Only the new rows are converted; ``as_matrix`` of the joined
+        sequences gives the same (bitwise) result.
+        """
+        if not len(matrix) or not len(objectives):
+            return self.as_matrix([*matrix, *objectives])
+        if self.backend == "numpy":
+            import numpy as np
+
+            return np.concatenate((matrix, np.asarray(objectives, dtype=float)))
+        return [*matrix, *objectives]
+
+    def take(self, matrix, dominance, rows: Sequence[int]):
+        """``(matrix, dominance)`` of the sub-population ``rows``.
+
+        ``dominance`` is the population's matrix from
+        :meth:`nondominated_sort` (``None`` on the python backend).
+        Dominance is pairwise, so the subset's own matrix is exactly
+        the ``np.ix_(rows, rows)`` submatrix: nothing is recomputed.
+        """
+        if self.backend == "numpy":
+            import numpy as np
+
+            index = np.asarray(rows, dtype=np.intp)
+            # Two axis takes: several times cheaper than np.ix_ indexing.
+            return (
+                matrix.take(index, axis=0),
+                dominance.take(index, axis=0).take(index, axis=1),
+            )
+        return [matrix[i] for i in rows], None
+
+    def nondominated_sort(
+        self, matrix, dominance=None, *, return_dominance: bool = False
+    ):
+        """(ranks, fronts-as-index-lists) for an ``as_matrix`` result.
+
+        ``dominance``: the rows' boolean dominance matrix when the
+        caller holds it (a :meth:`take` result); the numpy backend then
+        skips building it.  ``return_dominance=True`` appends the matrix
+        the sort used (``None`` on the python backend, whose reference
+        sort compares rows itself) as a third element.
+        """
         start = time.perf_counter()
-        result = self._impl.nondominated_sort(matrix)
+        if self.backend == "numpy":
+            if dominance is None:
+                from repro.core.pareto import dominance_matrix
+
+                dominance = dominance_matrix(matrix)
+            ranks, fronts = self._impl.nondominated_sort(matrix, dominance)
+        else:
+            ranks, fronts = self._impl.nondominated_sort(matrix)
         self._sort_seconds.observe(time.perf_counter() - start)
-        return result
+        if return_dominance:
+            return ranks, fronts, dominance
+        return ranks, fronts
 
     def crowding(self, matrix, front: Sequence[int]) -> tuple[list[int], list[float]]:
         """(post-sort permutation, crowding per position) for one front."""
@@ -156,7 +219,8 @@ class GAKernels:
 # These are deliberately *not* vectorised: they share one Random stream
 # with the problem's repair hook in a frozen draw order, which is the
 # bit-parity contract.  They consume the rank/crowding arrays the sort
-# kernels produce.
+# kernels produce.  breed_offspring inlines the draws of the three
+# per-operator functions, which remain their readable reference.
 
 
 def tournament_index(
@@ -216,14 +280,70 @@ def breed_offspring(
     for each child the mutation draws followed by ``repair`` (which may
     draw too).  The loop overshoots by at most one child and truncates,
     exactly like the pre-kernel implementation.
+
+    The draws are the ones :func:`tournament_index`,
+    :func:`uniform_crossover` and :func:`step_mutation` make, replayed
+    inline: ``rng.sample(range(n), 2)`` and ``rng.randint(-s, s)`` run
+    ``Random._randbelow``'s rejection loop on ``rng.getrandbits``, and
+    ``sample``'s two algorithms are kept apart (a pool list for
+    ``n <= 21``, a set of picks above).  Children, and the stream left
+    behind, are identical; only the per-child wrapper calls are gone.
+    ``rng`` must be a :class:`random.Random`.
     """
+    n = len(ranks)
+    if n < 2:
+        raise ValueError("tournament selection needs at least two individuals")
+    if any(step < 0 for step in steps):
+        raise ValueError(f"mutation steps must be non-negative, got {list(steps)}")
+    getrandbits = rng.getrandbits
+    draw = rng.random
+    bits = n.bit_length()
+    last = n - 1
+    last_bits = last.bit_length()
+    pooled = n <= 21  # random.sample's list-vs-set switch for k = 2
+    # (gene, randint width 2s + 1, its bit length, offset s) per gene.
+    mutations = [
+        (i, 2 * step + 1, (2 * step + 1).bit_length(), step)
+        for i, step in enumerate(steps)
+    ]
+
+    def tournament() -> Genome:
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        if pooled:
+            # The pool moved its last index into slot i after the pick.
+            j = getrandbits(last_bits)
+            while j >= last:
+                j = getrandbits(last_bits)
+            if j == i:
+                j = last
+        else:
+            j = getrandbits(bits)
+            while j >= n or j == i:
+                j = getrandbits(bits)
+        if ranks[i] != ranks[j]:
+            return genomes[i if ranks[i] < ranks[j] else j]
+        return genomes[i if crowding[i] > crowding[j] else j]
+
     children: list[Genome] = []
     while len(children) < count:
-        mother = genomes[tournament_index(rng, ranks, crowding)]
-        father = genomes[tournament_index(rng, ranks, crowding)]
-        for child in uniform_crossover(rng, mother, father, crossover_prob):
-            child = step_mutation(rng, child, steps, mutation_prob)
-            children.append(repair(child, rng))
+        mother = tournament()
+        father = tournament()
+        child_a = list(mother)
+        child_b = list(father)
+        if draw() < crossover_prob:
+            for i in range(len(mother)):
+                if draw() < 0.5:
+                    child_a[i], child_b[i] = child_b[i], child_a[i]
+        for genes in (child_a, child_b):
+            for i, width, width_bits, step in mutations:
+                if draw() < mutation_prob:
+                    r = getrandbits(width_bits)
+                    while r >= width:
+                        r = getrandbits(width_bits)
+                    genes[i] += r - step
+            children.append(repair(tuple(genes), rng))
     return children[:count]
 
 

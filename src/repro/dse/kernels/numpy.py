@@ -40,14 +40,20 @@ INFINITY = float("inf")
 
 
 def nondominated_sort(
-    objectives: np.ndarray,
+    objectives: np.ndarray, beats: np.ndarray | None = None
 ) -> tuple[list[int], list[list[int]]]:
-    """Vectorised Deb sort; see the python reference for the contract."""
-    obj = np.asarray(objectives, dtype=float)
-    n = len(obj)
+    """Vectorised Deb sort; see the python reference for the contract.
+
+    ``beats`` is the rows' dominance matrix (``beats[i, j]``: row ``i``
+    dominates row ``j``) when the caller holds it already; the sort then
+    reads nothing else.  Dominance is pairwise, so any row subset's
+    matrix is the ``np.ix_`` submatrix of a superset's.
+    """
+    if beats is None:
+        beats = dominance_matrix(np.asarray(objectives, dtype=float))
+    n = len(beats)
     if n == 0:
         return [], []
-    beats = dominance_matrix(obj)  # beats[i, j]: row i dominates row j
     counts = beats.sum(axis=0).astype(np.int64)
     ranks = np.zeros(n, dtype=np.int64)
     assigned = np.zeros(n, dtype=bool)

@@ -19,6 +19,10 @@ crowding sequences) through the backend-selectable sort and crowding
 kernels of :mod:`repro.dse.kernels` — ``NSGA2Config.backend`` picks
 ``numpy`` or the pure-Python reference exactly like the cost engine's
 ``engine`` option, and both produce bit-identical per-seed results.
+The objectives also live as one backend-native matrix that only grows
+by the children's rows, and each generation builds one dominance
+matrix: the merged sort's, whose survivor submatrix ranks the next
+parents.
 :class:`Individual` objects are built only at the API boundary (the
 returned front and population), so the public shapes are unchanged.
 """
@@ -341,9 +345,14 @@ def nsga2(
     # Parallel population arrays: genome, objective vector, rank and
     # crowding per slot.  Ranks/crowding hold their defaults until the
     # first generation's sort runs (matching the old Individual fields).
+    # The kernels see the objectives as one backend-native matrix plus
+    # its dominance matrix: the survivors' dominance is a submatrix of
+    # the merged sort's, so each generation builds only that one.
     pop_genomes = [problem.sample(rng) for _ in range(config.population_size)]
     evaluate_all(pop_genomes)
     pop_objectives = [archive[g] for g in pop_genomes]
+    pop_matrix = kernels.as_matrix(pop_objectives)
+    pop_dominance = None  # built by the first parent sort
     pop_ranks = [0] * config.population_size
     pop_crowding = [0.0] * config.population_size
 
@@ -357,11 +366,10 @@ def nsga2(
             stopped_early = True
             break
         # Parent ranking feeds tournament selection.
-        matrix = kernels.as_matrix(pop_objectives)
-        ranks, fronts = kernels.nondominated_sort(matrix)
+        ranks, fronts = kernels.nondominated_sort(pop_matrix, pop_dominance)
         pop_ranks = ranks
         for front in fronts:
-            perm, dist = kernels.crowding(matrix, front)
+            perm, dist = kernels.crowding(pop_matrix, front)
             for i, value in zip(perm, dist):
                 pop_crowding[i] = value
         # Variation: fill an offspring population of equal size.  The
@@ -380,10 +388,13 @@ def nsga2(
         )
         evaluate_all(children)
         # Elitist environmental selection over parents + offspring.
+        child_objectives = [archive[g] for g in children]
         merged_genomes = pop_genomes + children
-        merged_objectives = pop_objectives + [archive[g] for g in children]
-        matrix = kernels.as_matrix(merged_objectives)
-        ranks, fronts = kernels.nondominated_sort(matrix)
+        merged_objectives = pop_objectives + child_objectives
+        matrix = kernels.append(pop_matrix, child_objectives)
+        ranks, fronts, dominance = kernels.nondominated_sort(
+            matrix, return_dominance=True
+        )
         survivors: list[int] = []
         survivor_crowding: list[float] = []
         for front in fronts:
@@ -401,6 +412,7 @@ def nsga2(
                 break
         pop_genomes = [merged_genomes[i] for i in survivors]
         pop_objectives = [merged_objectives[i] for i in survivors]
+        pop_matrix, pop_dominance = kernels.take(matrix, dominance, survivors)
         pop_ranks = [ranks[i] for i in survivors]
         pop_crowding = survivor_crowding
         history.append(

@@ -14,11 +14,18 @@ Two ideas make the batch path fast:
    draw from tiny discrete sets (powers of two under the spec bounds,
    divisors of the input width), so the component models that contain
    loops — ``adder_tree``, ``mux``, ``barrel_shifter`` — are evaluated
-   once per *unique* parameter value and shared across the batch.
+   once per *unique* parameter value.  The memo is one table per cell
+   library *content* (name and cells), shared by every engine in the
+   process: each campaign builds new problems over a new
+   ``CellLibrary.default()`` object, and they all find the components
+   of the earlier ones.  Libraries are treated as immutable.
 2. **Vectorised assembly.**  The remaining per-genome arithmetic is a
    fixed sequence of elementwise operations, executed on numpy arrays
    when numpy is importable (the ``"numpy"`` backend) and as a plain
-   Python loop otherwise (the ``"python"`` backend).
+   Python loop otherwise (the ``"python"`` backend).  The numpy backend
+   gathers component costs per *distinct* parameter key and maps each
+   genome onto its key with C-level dict lookups, so no Python code runs
+   per genome.
 
 Both backends replicate the *exact* operation order of
 :func:`repro.model.integer.int_macro_cost` and
@@ -68,6 +75,17 @@ HAS_NUMPY = _np is not None
 
 #: Backend names accepted by :class:`CostEngine` and the CLI.
 ENGINE_BACKENDS = ("auto", "numpy", "python")
+
+#: Component-cost memo per cell-library content, shared process-wide.
+#: ``CellLibrary`` holds a dict (unhashable) and ``default()`` builds a
+#: new object per call, so the key is the content, not the object.
+_COMPONENT_TABLES: dict[tuple, dict[tuple, Cost]] = {}
+
+
+def _component_table(library: CellLibrary) -> dict[tuple, Cost]:
+    """The shared component memo of every library equal to ``library``."""
+    key = (library.name, tuple(sorted(library.cells.items())))
+    return _COMPONENT_TABLES.setdefault(key, {})
 
 
 def resolve_backend(backend: str = "auto") -> str:
@@ -169,11 +187,12 @@ def _batch_from_macro_costs(arch: str, costs: Sequence[MacroCost]) -> BatchCost:
 class CostEngine:
     """Batch evaluator for the INT and FP macro estimation models.
 
-    One engine instance owns a component-cost memo keyed on the unique
-    structural parameters, so repeated batches (e.g. one per NSGA-II
-    generation) get cheaper as the design space is covered.  Engines are
-    picklable, which lets :class:`repro.dse.problem.DcimProblem` carry
-    one into process-pool workers.
+    Component costs are memoised per unique structural parameter in a
+    table shared by every engine over an equal library, so repeated
+    batches (one per NSGA-II generation, one per campaign) get cheaper
+    as the design space is covered.  Engines are picklable, which lets
+    :class:`repro.dse.problem.DcimProblem` carry one into process-pool
+    workers; an unpickled engine joins the receiving process's table.
 
     Args:
         library: normalised standard-cell library shared by all
@@ -187,10 +206,22 @@ class CostEngine:
         self.library = library or CellLibrary.default()
         self.requested_backend = backend
         self.backend = resolve_backend(backend)
-        self._memo: dict[tuple, Cost] = {}
+        self._memo = _component_table(self.library)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"]  # process-wide; never copied across processes
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = _component_table(self.library)
 
     # Component memoisation ------------------------------------------------
     def _cost(self, key: tuple, factory: Callable[[], Cost]) -> Cost:
+        # Threads may race to fill one missing key; the component models
+        # are pure, so every write stores the same value and no lock is
+        # needed.
         cost = self._memo.get(key)
         if cost is None:
             cost = factory()
@@ -200,21 +231,41 @@ class CostEngine:
     def _int_components(
         self, l: int, k: int, h: int, bx: int, bw: int
     ) -> tuple[Cost, Cost, Cost, Cost, Cost, Cost]:
+        return (
+            self._select_cost(l),
+            self._multiply_cost(k),
+            self._tree_cost((h, k)),
+        ) + self._column_costs(h, bx, bw)
+
+    def _fp_components(
+        self, l: int, k: int, h: int, be: int, bm: int
+    ) -> tuple[Cost, ...]:
+        return self._int_components(l, k, h, bm, bm) + self._fp_column_costs(
+            h, be, bm
+        )
+
+    def _select_cost(self, l: int) -> Cost:
+        return self._cost(("mux", l), lambda: mux(self.library, l))
+
+    def _multiply_cost(self, k: int) -> Cost:
+        return self._cost(("mult", k), lambda: multiplier_1xn(self.library, k))
+
+    def _tree_cost(self, hk: tuple[int, int]) -> Cost:
+        return self._cost(("tree", *hk), lambda: adder_tree(self.library, *hk))
+
+    def _column_costs(self, h: int, bx: int, bw: int) -> tuple[Cost, Cost, Cost]:
+        """Accumulator, fusion and input buffer of one ``H``-high column."""
         lib = self.library
         return (
-            self._cost(("mux", l), lambda: mux(lib, l)),
-            self._cost(("mult", k), lambda: multiplier_1xn(lib, k)),
-            self._cost(("tree", h, k), lambda: adder_tree(lib, h, k)),
             self._cost(("accu", bx, h), lambda: shift_accumulator(lib, bx, h)),
             self._cost(("fusion", bw, bx, h), lambda: result_fusion(lib, bw, bx, h)),
             self._cost(("buffer", h, bx), lambda: input_buffer(lib, h, bx)),
         )
 
-    def _fp_components(
-        self, l: int, k: int, h: int, be: int, bm: int
-    ) -> tuple[Cost, ...]:
+    def _fp_column_costs(self, h: int, be: int, bm: int) -> tuple[Cost, Cost, Cost]:
+        """Pre-alignment, INT-to-FP converter and exponent registers."""
         lib = self.library
-        return self._int_components(l, k, h, bm, bm) + (
+        return (
             self._cost(("align", h, be, bm), lambda: prealignment(lib, h, be, bm)),
             self._cost(
                 ("convert", bm, h, be), lambda: int_to_fp_converter(lib, bm, bm, h, be)
@@ -222,70 +273,43 @@ class CostEngine:
             self._cost(("regs", h * be), lambda: register_bank(lib, h * be)),
         )
 
-    def _gather(
-        self, keys: Sequence, make: Callable[..., Cost]
-    ) -> tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]:
-        """Per-genome (area, delay, energy) arrays from memoised costs.
+    @staticmethod
+    def _gather(keys: Sequence, make: Callable[..., Sequence[Cost]]):
+        """Per-genome ``(area, delay, energy)`` arrays of some components.
 
-        ``keys`` is one hashable component key per genome; each unique
-        key is materialised once.
+        ``keys`` holds one hashable parameter key per genome and
+        ``make(key)`` returns that key's component costs.  Each distinct
+        key is built once; genomes reach their key through C-level dict
+        lookups (``map`` over ``dict.__getitem__``), so no Python code
+        runs per genome.  Returns one ``(area, delay, energy)`` triple of
+        per-genome arrays per component, in ``make``'s order.
         """
-        index: dict = {}
-        costs: list[Cost] = []
-        pos = _np.empty(len(keys), dtype=_np.intp)
-        for i, key in enumerate(keys):
-            j = index.get(key)
-            if j is None:
-                j = len(costs)
-                index[key] = j
-                costs.append(make(key))
-            pos[i] = j
-        area = _np.array([c.area for c in costs])[pos]
-        delay = _np.array([c.delay for c in costs])[pos]
-        energy = _np.array([c.energy for c in costs])[pos]
-        return area, delay, energy
+        index = dict.fromkeys(keys)
+        table: list[float] = []
+        for j, key in enumerate(index):
+            index[key] = j
+            for c in make(key):
+                table += (c.area, c.delay, c.energy)
+        pos = _np.fromiter(map(index.__getitem__, keys), _np.intp, len(keys))
+        columns = _np.array(table).reshape(len(index), -1).take(pos, axis=0).T
+        return [columns[i:i + 3] for i in range(0, len(columns), 3)]
 
-    def _array_component_arrays(self, h, k, l, bx: int, bw: int):
+    def _array_component_arrays(self, h, k, l, bx: int, bw: int, fp=None):
         """Gathered (area, delay, energy) triples for the six components
         both architectures share (the FP mantissa datapath is the integer
         array with ``bx = bw = BM``): select, multiply, adder tree,
-        accumulator, fusion, input buffer.
+        accumulator, fusion, input buffer — then, with ``fp=(be, bm)``,
+        the FP pre-alignment, converter and exponent registers.
         """
-        lib = self.library
+        def per_column(hi: int) -> tuple[Cost, ...]:
+            costs = self._column_costs(hi, bx, bw)
+            return costs if fp is None else costs + self._fp_column_costs(hi, *fp)
+
         return (
-            self._gather(
-                list(l), lambda li: self._cost(("mux", li), lambda: mux(lib, li))
-            ),
-            self._gather(
-                list(k),
-                lambda ki: self._cost(
-                    ("mult", ki), lambda: multiplier_1xn(lib, ki)
-                ),
-            ),
-            self._gather(
-                list(zip(h, k)),
-                lambda hk: self._cost(
-                    ("tree", *hk), lambda: adder_tree(lib, hk[0], hk[1])
-                ),
-            ),
-            self._gather(
-                list(h),
-                lambda hi: self._cost(
-                    ("accu", bx, hi), lambda: shift_accumulator(lib, bx, hi)
-                ),
-            ),
-            self._gather(
-                list(h),
-                lambda hi: self._cost(
-                    ("fusion", bw, bx, hi), lambda: result_fusion(lib, bw, bx, hi)
-                ),
-            ),
-            self._gather(
-                list(h),
-                lambda hi: self._cost(
-                    ("buffer", hi, bx), lambda: input_buffer(lib, hi, bx)
-                ),
-            ),
+            self._gather(l, lambda li: (self._select_cost(li),))
+            + self._gather(k, lambda ki: (self._multiply_cost(ki),))
+            + self._gather(list(zip(h, k)), lambda hk: (self._tree_cost(hk),))
+            + self._gather(h, per_column)
         )
 
     # Integer architecture -------------------------------------------------
@@ -310,11 +334,8 @@ class CostEngine:
         # Parameters draw from tiny discrete sets, so validating the
         # unique tuples (first-occurrence order) covers the whole batch
         # without an O(batch) scalar loop; same errors, same order.
-        seen: set[tuple[int, int, int, int]] = set()
-        for params in zip(n, h, l, k):
-            if params not in seen:
-                seen.add(params)
-                validate_int_params(*params, bx, bw)
+        for params in dict.fromkeys(zip(n, h, l, k)):
+            validate_int_params(*params, bx, bw)
         if self.backend == "numpy":
             return self._int_numpy(n, h, l, k, bx, bw)
         return self._int_python(n, h, l, k, bx, bw)
@@ -400,11 +421,8 @@ class CostEngine:
         """
         if not len(n):
             return _empty_batch("fp-prealign", self.backend)
-        seen: set[tuple[int, int, int, int]] = set()
-        for params in zip(n, h, l, k):
-            if params not in seen:
-                seen.add(params)
-                validate_fp_params(*params, be, bm)
+        for params in dict.fromkeys(zip(n, h, l, k)):
+            validate_fp_params(*params, be, bm)
         if self.backend == "numpy":
             return self._fp_numpy(n, h, l, k, be, bm)
         return self._fp_python(n, h, l, k, be, bm)
@@ -432,26 +450,10 @@ class CostEngine:
             (acc_a, acc_d, acc_e),
             (fus_a, fus_d, fus_e),
             (buf_a, _, buf_e),
-        ) = self._array_component_arrays(h, k, l, bm, bm)
-        ali_a, ali_d, ali_e = self._gather(
-            list(h),
-            lambda hi: self._cost(
-                ("align", hi, be, bm), lambda: prealignment(lib, hi, be, bm)
-            ),
-        )
-        cvt_a, cvt_d, cvt_e = self._gather(
-            list(h),
-            lambda hi: self._cost(
-                ("convert", bm, hi, be),
-                lambda: int_to_fp_converter(lib, bm, bm, hi, be),
-            ),
-        )
-        reg_a, _, reg_e = self._gather(
-            list(h),
-            lambda hi: self._cost(
-                ("regs", hi * be), lambda: register_bank(lib, hi * be)
-            ),
-        )
+            (ali_a, ali_d, ali_e),
+            (cvt_a, cvt_d, cvt_e),
+            (reg_a, _, reg_e),
+        ) = self._array_component_arrays(h, k, l, bm, bm, fp=(be, bm))
 
         nh = n64 * h64
         nhf = nh.astype(_np.float64)

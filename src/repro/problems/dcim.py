@@ -11,6 +11,7 @@ payload valid byte for byte.
 
 from __future__ import annotations
 
+from repro.dse.genome import GenomeCodec
 from repro.dse.problem import OBJECTIVE_NAMES, DcimProblem
 from repro.problems.base import GASizing, ProblemDefinition, SpecValidationError
 from repro.problems.registry import register_problem
@@ -39,9 +40,10 @@ class DcimProblemDefinition(ProblemDefinition):
     def validate_spec(self, spec_request: SpecRequest) -> None:
         # Fail wire payloads fast (HTTP submits answer 400 invalid_spec
         # instead of queueing a campaign doomed to fail): materialising
-        # the DcimSpec checks the precision grammar and bounds.
+        # the DcimSpec checks the precision grammar and bounds, and its
+        # genome codec checks that the bounds admit at least one design.
         try:
-            spec_request.to_spec()
+            GenomeCodec(spec_request.to_spec())
         except ValueError as exc:
             raise SpecValidationError(self.name, str(exc)) from None
 

@@ -24,6 +24,8 @@ from repro.model.engine import (
     HAS_NUMPY,
     resolve_backend,
 )
+from repro.model import engine as engine_module
+from repro.model.cost import Cost
 from repro.tech.cells import CellLibrary
 
 LIB = CellLibrary.default()
@@ -229,7 +231,119 @@ class TestDecodeBatch:
             problem.evaluate(bad)
 
 
+#: The component models the engine memoises (names in its module).
+COMPONENT_MODELS = (
+    "mux",
+    "multiplier_1xn",
+    "adder_tree",
+    "shift_accumulator",
+    "result_fusion",
+    "input_buffer",
+    "prealignment",
+    "int_to_fp_converter",
+    "register_bank",
+)
+
+
+def count_component_calls(monkeypatch) -> list[str]:
+    """Record every component-model call the engine makes from now on."""
+    calls: list[str] = []
+    for name in COMPONENT_MODELS:
+        model = getattr(engine_module, name)
+
+        def counted(*args, _name=name, _model=model):
+            calls.append(_name)
+            return _model(*args)
+
+        monkeypatch.setattr(engine_module, name, counted)
+    return calls
+
+
+class TestSharedComponentTable:
+    """Engines over libraries of equal content share one component table."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("precision", ["INT8", "BF16"])
+    def test_second_problem_makes_no_component_call(
+        self, monkeypatch, backend, precision
+    ):
+        spec = DcimSpec(wstore=65536, precision=precision)
+        first = DcimProblem(spec, CellLibrary.default(), engine_backend=backend)
+        genomes = first.codec.enumerate()
+        expected = first.evaluate_batch(genomes)
+        calls = count_component_calls(monkeypatch)
+        # A new default() object per problem, as every campaign builds.
+        second = DcimProblem(spec, CellLibrary.default(), engine_backend=backend)
+        assert second.library is not first.library
+        assert second.evaluate_batch(genomes) == expected
+        assert second.evaluate_batch(genomes[::7]) == expected[::7]
+        assert calls == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_with_cell_library_keeps_its_own_costs(self, monkeypatch, backend):
+        spec = DcimSpec(wstore=4096, precision="INT8")
+        default = DcimProblem(spec, CellLibrary.default(), engine_backend=backend)
+        genomes = default.codec.enumerate()
+        default_objectives = default.evaluate_batch(genomes)
+        calls = count_component_calls(monkeypatch)
+        # Both backends share tables, so each run tweaks a fresh content.
+        energy = 9.1 + BACKENDS.index(backend)
+        tweaked = CellLibrary.default().with_cell("FA", Cost(6.3, 3.7, energy))
+        problem = DcimProblem(spec, tweaked, engine_backend=backend)
+        got = problem.evaluate_batch(genomes)
+        assert calls, "a library with other cells must not reuse the default table"
+        assert got == [
+            objectives_of(problem.codec.decode(g).macro_cost(tweaked))
+            for g in genomes
+        ]
+        assert got != default_objectives
+        assert default.evaluate_batch(genomes) == default_objectives
+
+    def test_threads_filling_one_table_agree(self):
+        # Service workers build engines on threads; concurrent first
+        # fills of one cold table must leave every result exact.
+        import sys
+        import threading
+
+        spec = DcimSpec(wstore=65536, precision="BF16")
+        cells = dict(CellLibrary.default().with_cell("HA", Cost(4.4, 2.6, 7.0)).cells)
+        genomes = GenomeCodec(spec).enumerate()
+        reference = [
+            objectives_of(GenomeCodec(spec).decode(g).macro_cost(CellLibrary(cells=cells)))
+            for g in genomes
+        ]
+        results, errors = [], []
+
+        def work():
+            try:
+                problem = DcimProblem(spec, CellLibrary(cells=dict(cells)))
+                results.append(problem.evaluate_batch(genomes))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [reference] * 4
+
+
 class TestEngineLifecycle:
+    def test_unpickled_engine_joins_the_process_table(self):
+        engine = CostEngine(CellLibrary.default())
+        assert "_memo" not in engine.__getstate__()
+        clone = pickle.loads(pickle.dumps(engine))
+        assert clone._memo is engine._memo
+        assert clone._memo is CostEngine(CellLibrary.default())._memo
+
     def test_engine_survives_pickling(self):
         """Process-pool executors ship the problem (and its engine)."""
         problem = DcimProblem(DcimSpec(wstore=4096, precision="INT8"), LIB)

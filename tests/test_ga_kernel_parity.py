@@ -1,12 +1,16 @@
 """Bit-parity and behaviour tests for the array-native GA kernels.
 
-Three layers of evidence that vectorising the NSGA-II bookkeeping
+Four layers of evidence that vectorising the NSGA-II bookkeeping
 changed nothing:
 
 * a Hypothesis suite feeding adversarial objective matrices (ties,
   duplicate rows, infinities, zero-range columns) through both kernel
   backends and asserting bitwise-identical ranks, front orders and
-  crowding values;
+  crowding values, also when the numpy sort reuses a superset's
+  dominance matrix;
+* exact-draw tests: ``breed_offspring`` against a loop over the
+  per-operator functions and the stdlib-wrapper repair, children and
+  rng state both;
 * golden result fingerprints of full ``nsga2()`` runs, captured from
   the pre-kernel implementation and pinned for both backends;
 * strategy/bookkeeping coverage: exhaustive-vs-GA routing, response
@@ -23,18 +27,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pareto import dominance_matrix
 from repro.core.spec import DcimSpec
 from repro.dse.kernels import (
     HAS_NUMPY,
     KERNEL_BACKENDS,
     GAKernels,
+    breed_offspring,
     novel_genomes,
     resolve_kernel_backend,
+    step_mutation,
     tournament_index,
+    uniform_crossover,
 )
 from repro.dse.kernels import python as py_kernels
 from repro.dse.nsga2 import NSGA2Config, nsga2
 from repro.dse.problem import DcimProblem
+from repro.problems.mapping import MappingProblem, MappingSpec
 
 pytestmark = pytest.mark.skipif(
     not HAS_NUMPY, reason="parity needs both backends importable"
@@ -135,6 +144,48 @@ class TestKernelParity:
             )
         assert results[0] == results[1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(objectives=objective_matrices(), data=st.data())
+    def test_sort_on_superset_dominance_submatrix(self, objectives, data):
+        # nsga2() ranks the next parents with the survivors' submatrix of
+        # the merged dominance matrix: it must sort exactly like the
+        # survivors' own objectives, in any row order.
+        import numpy as np
+
+        if not objectives:
+            return
+        kernels = GAKernels("numpy")
+        obj = kernels.as_matrix(objectives)
+        idx = data.draw(
+            st.lists(
+                st.integers(0, len(objectives) - 1), unique=True, max_size=24
+            )
+        )
+        subset = obj[idx].reshape(len(idx), obj.shape[1])
+        fed = kernels.nondominated_sort(
+            subset, dominance_matrix(obj)[np.ix_(idx, idx)]
+        )
+        assert fed == kernels.nondominated_sort(subset)
+        taken, dominance = kernels.take(obj, dominance_matrix(obj), idx)
+        assert bits(taken.ravel()) == bits(subset.ravel())
+        assert np.array_equal(dominance, dominance_matrix(subset))
+
+    @settings(max_examples=100, deadline=None)
+    @given(objectives=objective_matrices(), cut=st.integers(0, 25))
+    def test_append_matches_as_matrix(self, objectives, cut):
+        if not objectives:
+            return
+        cut = min(cut, len(objectives))
+        for backend in ("numpy", "python"):
+            kernels = GAKernels(backend)
+            grown = kernels.append(
+                kernels.as_matrix(objectives[:cut]), objectives[cut:]
+            )
+            whole = kernels.as_matrix(objectives)
+            assert len(grown) == len(whole)
+            for got, want in zip(grown, whole):
+                assert bits(got) == bits(want)
+
     def test_zero_range_column_is_not_divided_by(self):
         # A constant objective column has span 0; both backends must
         # skip it instead of dividing (the reference skips before any
@@ -180,6 +231,123 @@ class TestBackendSelection:
             sample['repro_ga_crowding_seconds_count{backend="python"}']
             == 1.0
         )
+
+
+def stdlib_repair(codec, genome, rng):
+    """``GenomeCodec.repair`` as it was before its draws were inlined:
+    clip, then ``rng.shuffle`` the three exponent genes' visiting order."""
+    a, b, c, k_idx = genome
+    lows = (codec.min_a, 0, 0)
+    highs = (codec.max_a, codec.max_b, codec.max_c)
+    genes = [
+        min(max(a, lows[0]), highs[0]),
+        min(max(b, 0), highs[1]),
+        min(max(c, 0), highs[2]),
+    ]
+    k_idx = min(max(k_idx, 0), len(codec.k_choices) - 1)
+    delta = codec.total_exponent - sum(genes)
+    order = [0, 1, 2]
+    rng.shuffle(order)
+    for i in order:
+        if delta == 0:
+            break
+        if delta > 0:
+            step = min(highs[i] - genes[i], delta)
+        else:
+            step = -min(genes[i] - lows[i], -delta)
+        genes[i] += step
+        delta -= step
+    return (genes[0], genes[1], genes[2], k_idx)
+
+
+def wrapper_breed(rng, genomes, ranks, crowding, steps, cx, mut, repair, count):
+    """The breeding loop over the per-operator (stdlib-wrapper) functions."""
+    children = []
+    while len(children) < count:
+        mother = genomes[tournament_index(rng, ranks, crowding)]
+        father = genomes[tournament_index(rng, ranks, crowding)]
+        for child in uniform_crossover(rng, mother, father, cx):
+            child = step_mutation(rng, child, steps, mut)
+            children.append(repair(child, rng))
+    return children[:count]
+
+
+def _dcim_case(precision, wstore):
+    problem = DcimProblem(DcimSpec(wstore=wstore, precision=precision))
+    codec = problem.codec
+    return (
+        problem.sample,
+        problem.mutation_steps(),
+        problem.repair,
+        lambda genome, rng: stdlib_repair(codec, genome, rng),
+    )
+
+
+def _mapping_case():
+    problem = MappingProblem(MappingSpec(network="resnet_block"))
+    codec, max_em = problem.codec, problem.max_em
+
+    def reference(genome, rng):
+        base = stdlib_repair(codec, tuple(genome[:4]), rng)
+        return (*base, min(max(genome[4], 0), max_em))
+
+    return problem.sample, problem.mutation_steps(), problem.repair, reference
+
+
+def _grid_case():
+    problem = GoldenGridProblem()  # its repair clips and draws nothing
+    return problem.sample, problem.mutation_steps(), problem.repair, problem.repair
+
+
+BREED_CASES = {
+    "INT2": lambda: _dcim_case("INT2", 4096),
+    "INT8": lambda: _dcim_case("INT8", 65536),
+    "BF16": lambda: _dcim_case("BF16", 65536),
+    "FP32": lambda: _dcim_case("FP32", 256 * 1024),
+    "mapping": _mapping_case,
+    "no-draw repair": _grid_case,
+}
+
+
+class TestExactDraws:
+    """``breed_offspring`` replays the stdlib draws: same children, and
+    the stream left in the same state, on both sides of
+    ``random.sample``'s pool/set switch (n <= 21 / n > 21)."""
+
+    @pytest.mark.parametrize("case", sorted(BREED_CASES))
+    @pytest.mark.parametrize("n", [4, 16, 21, 22, 24, 64])
+    def test_children_and_stream_match_wrapper_loop(self, case, n):
+        sample, steps, repair, reference_repair = BREED_CASES[case]()
+        for seed in range(12):
+            setup = random.Random(seed)
+            genomes = [sample(setup) for _ in range(n)]
+            # Few distinct ranks and crowding values force ties.
+            ranks = [setup.randrange(3) for _ in range(n)]
+            crowding = [
+                setup.choice([0.0, 1.5, math.inf, setup.random()])
+                for _ in range(n)
+            ]
+            cx = setup.choice([0.0, 0.9, 1.0])
+            mut = setup.choice([0.0, 0.3, 1.0])
+            count = n + seed % 2  # odd counts truncate the last pair
+            rng = random.Random(seed + 1000)
+            reference_rng = random.Random(seed + 1000)
+            got = breed_offspring(
+                rng, genomes, ranks, crowding, steps, cx, mut, repair, count
+            )
+            want = wrapper_breed(
+                reference_rng, genomes, ranks, crowding, steps, cx, mut,
+                reference_repair, count,
+            )
+            assert got == want, (case, n, seed)
+            assert rng.getstate() == reference_rng.getstate(), (case, n, seed)
+
+    def test_rejects_population_below_two(self):
+        with pytest.raises(ValueError, match="at least two"):
+            breed_offspring(
+                random.Random(0), [(0, 0)], [0], [0.0], (1, 1), 0.9, 0.3,
+                lambda genome, rng: genome, 2,
+            )
 
 
 class TestNovelGenomes:
@@ -255,6 +423,16 @@ GOLDEN_DCIM_4096_INT8 = {
 GOLDEN_DCIM_64K_BF16_SEED5 = (
     "997109a04d8b8f88833e05004dfa93148cd08eba9dd04dc78e0de48b338bf62b"
 )
+# The benchmark's GA shapes: the dcim default sizing (64 x 60) on the
+# forced-GA 64K INT8 spec, and the mapping sizing (32 x 24).  Captured
+# from the implementation before breeding replayed its draws inline and
+# before parents reused the merged dominance matrix.
+GOLDEN_DCIM_64K_INT8_64X60_SEED0 = (
+    "ff5f3342274356ccadbf31ec9e7a4f1cf5140f2cf38d5a0e1dbda5d89b6068b1"
+)
+GOLDEN_MAPPING_RESNET_32X24_SEED0 = (
+    "77802f7f4cbaffeb0981dcd085f0539964108f9a9a8900c43648830e2c83dd64"
+)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "python"])
@@ -297,6 +475,26 @@ class TestGoldenFingerprints:
             ),
         )
         assert result_fingerprint(result) == GOLDEN_DCIM_64K_BF16_SEED5
+
+    def test_dcim_int8_benchmark_shape(self, backend):
+        problem = DcimProblem(DcimSpec(wstore=65536, precision="INT8"))
+        result = nsga2(
+            problem,
+            NSGA2Config(
+                population_size=64, generations=60, seed=0, backend=backend
+            ),
+        )
+        assert result_fingerprint(result) == GOLDEN_DCIM_64K_INT8_64X60_SEED0
+
+    def test_mapping_benchmark_shape(self, backend):
+        problem = MappingProblem(MappingSpec(network="resnet_block"))
+        result = nsga2(
+            problem,
+            NSGA2Config(
+                population_size=32, generations=24, seed=0, backend=backend
+            ),
+        )
+        assert result_fingerprint(result) == GOLDEN_MAPPING_RESNET_32X24_SEED0
 
 
 class TestExhaustiveStrategy:

@@ -84,6 +84,19 @@ class TestCodecBounds:
         with pytest.raises(ValueError):
             codec(wstore=2**40, max_h=64, max_l=4, max_n=1024)
 
+    @pytest.mark.parametrize("max_n", [33, 40, 48, 63])
+    def test_rejects_max_n_below_every_legal_n(self, max_n):
+        # INT8 needs N = 8*2^a > 32, so the smallest legal N is 64: a
+        # max_n in 33-63 passes DcimSpec but leaves the space empty.
+        spec = DcimSpec(wstore=4096, precision="INT8", max_n=max_n)
+        with pytest.raises(ValueError, match=f"max_n={max_n} admits no N"):
+            GenomeCodec(spec)
+
+    def test_smallest_legal_max_n_is_accepted(self):
+        c = codec(wstore=4096, max_n=64)
+        assert c.min_a == c.max_a == 3
+        assert {c.decode(g).n for g in c.enumerate()} == {64}
+
     def test_max_n_bound_respected(self):
         c = codec(max_n=1024)
         for g in c.enumerate():

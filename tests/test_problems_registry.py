@@ -49,6 +49,11 @@ class TestBuiltins:
             definition.parse_spec({"precision": "INT8"})  # missing wstore
         with pytest.raises(SpecValidationError):
             definition.parse_spec("4096:INT8")  # not a mapping
+        # Valid fields, empty design space: no N = 8*2^a in (32, 40].
+        with pytest.raises(SpecValidationError, match="max_n=40"):
+            definition.parse_spec(
+                {"wstore": 4096, "precision": "INT8", "max_n": 40}
+            )
 
     def test_parse_spec_ignores_unknown_keys_with_warning(self):
         definition = get_problem("dcim")

@@ -207,6 +207,32 @@ class TestHTTPServer:
                 {"problem": "mapping", "specs": [{"network": "nope"}]},
             )
 
+    def test_dcim_spec_without_legal_n_is_400(self, http_setup):
+        # max_n=40 passes DcimSpec but no N = 8*2^a > 32 fits under it:
+        # the submit must be refused, not queued as a job bound to fail.
+        import json as _json
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
+        client, queue = http_setup
+        body = {"specs": [{"wstore": 4096, "precision": "INT8", "max_n": 40}]}
+        request = Request(
+            f"{client.base_url}/api/campaigns",
+            data=_json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            urlopen(request, timeout=10)
+        except HTTPError as exc:
+            assert exc.code == 400
+            envelope = _json.loads(exc.read().decode("utf-8"))
+            assert envelope["error"]["code"] == "invalid_spec"
+            assert "max_n=40" in envelope["error"]["message"]
+        else:  # pragma: no cover - the request must fail
+            pytest.fail("expected an HTTP 400")
+        assert queue.pending_count() == 0
+
     def test_mapping_campaign_over_http(self, http_setup):
         client, _ = http_setup
         request = CampaignRequest(
