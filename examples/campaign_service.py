@@ -10,7 +10,12 @@ from disk, so the run costs no model evaluations at all.
 The same campaign can be driven from the command line::
 
     repro campaign --spec 8192:INT8 --spec 8192:BF16 \
+        --exhaustive-threshold 0 \
         --cache build/evals.jsonl --backend thread --workers 2
+
+Both specs are small enough for exact enumeration, which is the default
+route and never consults the cache; ``exhaustive_threshold=0`` keeps
+them on NSGA-II, the route the cache serves.
 
 For the progress-aware serving layer on top of this queue — streaming
 generation-by-generation events and cancelling campaigns mid-flight,
@@ -46,6 +51,7 @@ def main(cache_path: str = "build/campaign_evals.jsonl") -> None:
         seed=0,
         workers=2,
         backend="thread",
+        exhaustive_threshold=0,
     )
 
     for label in ("cold", "warm"):
@@ -70,6 +76,7 @@ def main(cache_path: str = "build/campaign_evals.jsonl") -> None:
         population_size=32,
         generations=20,
         seed=0,
+        exhaustive_threshold=0,
     )
     with EvaluationCache(cache_path) as cache:
         queue = JobQueue(cache=cache)

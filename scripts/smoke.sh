@@ -118,10 +118,12 @@ if ! compgen -G "$workdir/int8/rtl/tb_*.v" >/dev/null; then
     exit 1
 fi
 
+# The GA route is the one that reads and writes the evaluation cache
+# (exhaustive specs bypass it), so the cold/warm check forces it.
 run_campaign() {
     python -m repro campaign \
         --spec 4096:INT4 --spec 4096:INT8 \
-        --population 16 --generations 6 \
+        --population 16 --generations 6 --exhaustive-threshold 0 \
         --engine auto --chunk-size 64 \
         --cache "$cache" --cache-flush-every 128 --limit 5
 }
@@ -206,12 +208,35 @@ if ! grep -q "hit rate 100.0%" <<<"$warm_output"; then
     echo "smoke: warm campaign run was not served from the cache" >&2
     exit 1
 fi
-# These specs enumerate under the default threshold, so both runs must
-# have routed through exhaustive enumeration.
-if ! grep -q "strategy: .*=exhaustive" <<<"$warm_output"; then
+if ! grep -q "strategy: 4096:INT4=ga, 4096:INT8=ga;" <<<"$warm_output"; then
+    echo "smoke: --exhaustive-threshold 0 did not force the GA" >&2
+    exit 1
+fi
+
+echo "== default route: exhaustive specs leave the cache untouched =="
+bypass_cache="$workdir/bypass_evals.sqlite"
+bypass_output="$(python -m repro campaign --spec 4096:INT4 --spec 4096:INT8 \
+    --cache "$bypass_cache" --limit 3)"
+echo "$bypass_output"
+# These specs enumerate under the default threshold, so the run takes
+# the exhaustive route, which never consults the cache.
+if ! grep -q "strategy: .*=exhaustive" <<<"$bypass_output"; then
     echo "smoke: small-space campaign did not default to exhaustive" >&2
     exit 1
 fi
+if ! grep -q "cache\[sqlite\]: not consulted" <<<"$bypass_output"; then
+    echo "smoke: exhaustive campaign did not report an unconsulted cache" >&2
+    exit 1
+fi
+python - "$bypass_cache" <<'PY'
+import sys
+
+from repro.service.cache import EvaluationCache
+
+with EvaluationCache(sys.argv[1]) as cache:
+    assert len(cache) == 0, f"exhaustive campaign stored {len(cache)} entries"
+print("default route: cache file left empty")
+PY
 
 echo "== GA kernel backends: bit-identical fronts =="
 run_ga_campaign() {

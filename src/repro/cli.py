@@ -990,7 +990,14 @@ def _cmd_campaign(args) -> int:
             f"{result.fresh_evaluations} computed fresh; "
             f"wall time {result.wall_time_s:.2f} s"
         )
-        if stats is not None:
+        if stats is not None and all(
+            strategy == "exhaustive" for strategy in result.strategies
+        ):
+            print(
+                f"cache[{cache.backend}]: not consulted (every spec was "
+                f"enumerated exhaustively), {len(cache)} entries stored"
+            )
+        elif stats is not None:
             print(
                 f"cache[{cache.backend}]: {stats.hits} hits / {stats.misses} "
                 f"misses (hit rate {stats.hit_rate:.1%}), "

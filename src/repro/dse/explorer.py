@@ -107,11 +107,13 @@ class DesignSpaceExplorer:
             input of Fig. 4).
         config: NSGA-II hyper-parameters.
         cache: optional shared persistent evaluation cache
-            (:class:`repro.service.cache.EvaluationCache`); evaluations
-            are served from and written back to it.
+            (:class:`repro.service.cache.EvaluationCache`); GA
+            evaluations are served from and written back to it (the
+            exhaustive route never consults it).
         executor: optional batch backend
             (:class:`repro.service.executor.BatchExecutor`) that
-            evaluates each generation's new genomes in parallel.
+            evaluates each generation's new genomes, or the exhaustive
+            route's enumeration, in parallel.
         engine: cost-engine backend (``auto``/``numpy``/``python``)
             forwarded to every :class:`DcimProblem`; all backends are
             bit-identical, so this is purely a throughput knob.
@@ -256,12 +258,16 @@ class DesignSpaceExplorer:
     ) -> ExplorationResult:
         """Exact frontier by enumeration (baseline / small spaces).
 
-        Evaluation routes through the same cached batch evaluator the GA
-        uses, so an exhaustive run both warms and is served by the
-        shared evaluation cache.  ``evaluations`` counts the full
-        enumeration (every genome is requested, wherever it is served
-        from).  ``plan`` (see :meth:`plan`) supplies the problem and,
-        on the exhaustive route, the enumeration already made.
+        The whole enumeration goes to the cost model in one batch:
+        through ``executor`` when one is set (its chunks, spans and
+        evaluation counter work as on the GA route), else straight to
+        ``problem.evaluate_batch``.  The evaluation cache is never
+        consulted here: keying, looking up and storing a few hundred
+        genomes costs more than evaluating them, so this route neither
+        reads nor warms it.  ``evaluations`` counts the full
+        enumeration, all of which reaches the cost model.  ``plan``
+        (see :meth:`plan`) supplies the problem and, on the exhaustive
+        route, the enumeration already made.
         """
         problem = plan.problem if plan is not None else self._problem(spec)
         if not hasattr(problem, "enumerate_genomes"):
@@ -280,9 +286,8 @@ class DesignSpaceExplorer:
         genomes = plan.genomes if plan is not None else None
         if genomes is None:
             genomes = problem.enumerate_genomes()
-        evaluator = self._evaluator(problem)
-        if evaluator is not None:
-            objectives = list(evaluator.evaluate_batch(genomes))
+        if self.executor is not None:
+            objectives = self.executor.evaluate_batch(problem, genomes)
         else:
             objectives = list(problem.evaluate_batch(genomes))
         front = pareto_front(list(zip(genomes, objectives)), objectives)

@@ -4,8 +4,10 @@ A *campaign* explores many :class:`~repro.core.spec.DcimSpec`s — e.g.
 every candidate precision for an application, or a Wstore sweep — and
 merges the per-spec Pareto fronts into one cross-architecture frontier.
 All runs share one :class:`~repro.service.cache.EvaluationCache` and one
-batch executor, so overlapping design spaces are evaluated once no
-matter how many specs (or repeated campaigns) touch them.
+batch executor, so the GA route evaluates overlapping design spaces once
+no matter how many specs (or repeated campaigns) touch them.  Specs
+small enough to enumerate take the exhaustive route, which evaluates
+the whole space directly and never consults the cache.
 
 Spec-level sharding uses threads: each worker thread drives its own
 NSGA-II run while the genome-level batches fan out through the shared
@@ -143,9 +145,9 @@ class CampaignResult:
         results: per-spec exploration outcomes, in input order.
         merged_points: the cross-architecture non-dominated frontier.
         merged_objectives: matching normalised objective rows.
-        evaluations: unique genomes evaluated across all GA runs —
-            including those served by the cache (each run's counter is
-            cache-agnostic).
+        evaluations: unique genomes evaluated across all specs —
+            including those the GA route served from the cache (each
+            run's counter is cache-agnostic).
         cache_stats: snapshot of the shared cache counters for this
             campaign (``None`` when uncached).
         wall_time_s: end-to-end wall clock.
@@ -177,16 +179,20 @@ class CampaignResult:
 
     @property
     def fresh_evaluations(self) -> int:
-        """Objective evaluations actually computed (cache hits excluded).
+        """Genomes that reached the cost model (cache hits excluded).
 
-        Each GA run looks every unique genome up exactly once, so the
-        campaign's cache misses are exactly the evaluations that reached
-        the estimation models.  Without a cache, every evaluation is
-        fresh.
+        Each GA run looks every unique genome up exactly once, so a GA
+        spec's fresh evaluations are its cache misses.  The exhaustive
+        route never consults the cache, so every genome of an
+        exhaustive spec is fresh.  Without a cache, every evaluation is
+        fresh; an all-exhaustive campaign reports ``evaluations`` with
+        or without one.
         """
         if self.cache_stats is None:
             return self.evaluations
-        return self.cache_stats.misses
+        return self.cache_stats.misses + sum(
+            r.evaluations for r in self.results if r.strategy == "exhaustive"
+        )
 
     def to_response(self) -> CampaignResponse:
         """Flatten into the JSON-able API record."""
@@ -269,8 +275,8 @@ def run_campaign(
         config: campaign sizing/backing (defaults everywhere).
         library: shared normalised cell library.
         cache: shared evaluation cache; campaigns that pass the same
-            instance (or the same on-disk path) dedupe work across
-            invocations.
+            instance (or the same on-disk path) dedupe GA work across
+            invocations.  Exhaustive specs never consult it.
         executor: genome-level batch backend; built from
             ``config.backend`` when omitted (and closed on exit — a
             caller-provided executor is left open for reuse).
@@ -381,13 +387,14 @@ def run_campaign(
         # cache shared across a server, lookups from campaigns running
         # concurrently in the same window are included — this reports
         # how the shared dedup layer is doing, not a per-campaign
-        # measurement.  Uncached campaigns fall back to the GA's own
-        # memoisation rate.
+        # measurement.  ``None`` while nothing has looked anything up
+        # (the exhaustive route never does).  Uncached campaigns fall
+        # back to the GA's own memoisation rate.
         if cache is not None:
             hits = cache.stats.hits - stats_before.hits
             misses = cache.stats.misses - stats_before.misses
             total = hits + misses
-            return hits / total if total else 0.0
+            return hits / total if total else None
         return progress.cache_hit_rate if progress is not None else None
 
     def explore_one(i: int, spec: DcimSpec) -> ExplorationResult | None:
@@ -440,7 +447,9 @@ def run_campaign(
                     generations=0,
                     evaluations=result.evaluations,
                     front_size=len(result),
-                    cache_hit_rate=hit_rate(),
+                    # This spec consulted no cache, whatever the shared
+                    # window's rate says.
+                    cache_hit_rate=None,
                 )
             )
             return result

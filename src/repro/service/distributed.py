@@ -737,6 +737,7 @@ class WorkCoordinator:
         points: list[FrontierPoint] = []
         objectives: list[tuple[float, ...]] = []
         per_spec: list[int] = []
+        fresh = 0
         strategies: list[str] = []
         engine_backend = "python"
         ga_backend = None
@@ -748,6 +749,7 @@ class WorkCoordinator:
                 points.append(point)
                 objectives.append(tuple(point.objectives))
             per_spec.append(int(result.get("evaluations") or 0))
+            fresh += int(result.get("fresh_evaluations") or 0)
             strategies.append(result.get("strategy") or "ga")
             engine_backend = result.get("engine_backend") or engine_backend
             ga_backend = result.get("ga_backend") or ga_backend
@@ -770,15 +772,9 @@ class WorkCoordinator:
             frontier = tuple(point for point, _ in merged)
         else:
             frontier = ()
-        evaluations = sum(per_spec)
-        fresh = (
-            evaluations
-            if cache_totals is None
-            else int(cache_totals.get("misses", 0))
-        )
         return CampaignResponse(
             frontier=frontier,
-            evaluations=evaluations,
+            evaluations=sum(per_spec),
             fresh_evaluations=fresh,
             per_spec_evaluations=tuple(per_spec),
             cache_stats=cache_totals,

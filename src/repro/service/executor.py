@@ -383,7 +383,11 @@ class ProblemEvaluator:
        :meth:`~repro.service.cache.EvaluationCache.put_many`.
 
     So a generation costs one batched disk read plus one batched disk
-    transaction, never one round trip per genome.
+    transaction, never one round trip per genome.  Only the GA route
+    evaluates through it: the exhaustive route
+    (:meth:`~repro.dse.explorer.DesignSpaceExplorer.explore_exhaustive`)
+    hands its enumeration straight to the executor, because keying and
+    storing a few hundred genomes costs more than evaluating them.
 
     Args:
         problem: the problem instance (must offer ``evaluate`` or

@@ -334,6 +334,7 @@ class CampaignWorker:
             "status": "done",
             "front": front,
             "evaluations": exploration.evaluations,
+            "fresh_evaluations": result.fresh_evaluations,
             "generations_run": exploration.generations_run,
             "strategy": exploration.strategy,
             "engine_backend": result.engine_backend,

@@ -7,10 +7,13 @@ Both must stay valid forever: request files, cache dedup and run
 registries written before the v2 schema keep working bit-identically.
 """
 
+import dataclasses
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import CampaignConfig, run_campaign
 from repro.service.api import (
@@ -255,6 +258,193 @@ class TestFrontierPointExtras:
             "INT8", 64, 64, 1, 8, (1.0, 2.0), extras={"n_macros": 2}
         )
         assert point_hash(extended) != legacy
+
+
+def asdict_reference(point: FrontierPoint) -> dict:
+    """The encoder ``FrontierPoint.to_dict`` replaced, kept as an oracle."""
+    payload = dataclasses.asdict(point)
+    payload["objectives"] = list(point.objectives)
+    if not point.extras:
+        del payload["extras"]
+    return payload
+
+
+#: Literal points whose ``point_hash`` was captured before
+#: ``FrontierPoint.to_dict`` stopped going through ``dataclasses.asdict``.
+GOLDEN_DCIM_POINT = FrontierPoint(
+    "INT8", 64, 16, 64, 2,
+    (0.011839232, 0.6096, 0.0190464, -0.20998687664041995),
+)
+GOLDEN_DCIM_POINT_HASH = (
+    "5004d0d1bfa31c4b7d12b46bdafaa6110d0737e256789434bcafde1176f0ab3d"
+)
+GOLDEN_MAPPING_POINT = FrontierPoint(
+    "BF16", 128, 8, 32, 4,
+    (0.5, 12.25, 3.0625, -81.6326530612245),
+    extras={"n_macros": 4, "schedule": "pipelined"},
+)
+GOLDEN_MAPPING_POINT_HASH = (
+    "8241272a96b80381c634d1f0fc1de7a8a64541e0100f242c84c6433ce8bf0b20"
+)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**53), max_value=2**53)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+FRONTIER_POINTS = st.builds(
+    FrontierPoint,
+    precision=st.sampled_from(["INT4", "INT8", "BF16", "FP32", "-"]),
+    n=st.integers(min_value=0, max_value=4096),
+    h=st.integers(min_value=0, max_value=4096),
+    l=st.integers(min_value=0, max_value=128),
+    k=st.integers(min_value=0, max_value=16),
+    objectives=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=4
+    ).map(tuple),
+    extras=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=3),
+)
+RESPONSES = st.builds(
+    CampaignResponse,
+    frontier=st.lists(FRONTIER_POINTS, max_size=4).map(tuple),
+    evaluations=st.integers(min_value=0, max_value=10**6),
+    fresh_evaluations=st.integers(min_value=0, max_value=10**6),
+    per_spec_evaluations=st.lists(
+        st.integers(min_value=0, max_value=10**4), max_size=4
+    ).map(tuple),
+    cache_stats=st.none()
+    | st.dictionaries(
+        st.sampled_from(["hits", "misses", "puts", "hit_rate"]),
+        st.integers(min_value=0, max_value=10**4),
+    ),
+    wall_time_s=st.floats(min_value=0.0, max_value=1e3),
+    engine_backend=st.sampled_from(["numpy", "python"]),
+    problem=st.sampled_from(["dcim", "mapping"]),
+    strategies=st.lists(st.sampled_from(["ga", "exhaustive"]), max_size=4).map(
+        tuple
+    ),
+    ga_backend=st.none() | st.sampled_from(["numpy", "python"]),
+)
+
+
+@pytest.fixture(scope="module")
+def dcim_response() -> CampaignResponse:
+    return execute_request(
+        CampaignRequest(specs=(SpecRequest(4096, "INT8"), SpecRequest(4096, "BF16")))
+    )
+
+
+@pytest.fixture(scope="module")
+def mapping_response() -> CampaignResponse:
+    return execute_request(
+        CampaignRequest(
+            problem="mapping",
+            specs=({"network": "tiny_cnn", "wstore": 4096},),
+            population_size=12,
+            generations=3,
+        )
+    )
+
+
+NESTED_POINTS = (
+    FrontierPoint("-", 0, 0, 0, 0, (1.0, -2.5), extras={"tiles": [4, 2]}),
+    FrontierPoint(
+        "INT8", 64, 16, 64, 2, (0.1,),
+        extras={"grid": {"rows": [1, 2], "cols": {"n": 3}}, "note": None},
+    ),
+    FrontierPoint(
+        "FP32", 32, 8, 8, 1, (),
+        extras={"schedule": [["a", 1], {"b": [True, 0.5]}]},
+    ),
+)
+
+
+class TestFrontierPointCodec:
+    """``to_dict``/``from_dict`` are hand-built; the bytes must not move."""
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_dcim_points_match_asdict(self, dcim_response, sort_keys):
+        assert dcim_response.frontier
+        for point in dcim_response.frontier:
+            assert json.dumps(point.to_dict(), sort_keys=sort_keys) == json.dumps(
+                asdict_reference(point), sort_keys=sort_keys
+            )
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_mapping_points_match_asdict(self, mapping_response, sort_keys):
+        assert mapping_response.frontier
+        for point in mapping_response.frontier:
+            assert set(point.extras) == {"n_macros", "schedule"}
+            assert json.dumps(point.to_dict(), sort_keys=sort_keys) == json.dumps(
+                asdict_reference(point), sort_keys=sort_keys
+            )
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    @pytest.mark.parametrize("point", NESTED_POINTS)
+    def test_nested_extras_match_asdict(self, point, sort_keys):
+        assert json.dumps(point.to_dict(), sort_keys=sort_keys) == json.dumps(
+            asdict_reference(point), sort_keys=sort_keys
+        )
+
+    @given(FRONTIER_POINTS)
+    @settings(max_examples=100, deadline=None)
+    def test_random_points_match_asdict(self, point):
+        assert json.dumps(point.to_dict()) == json.dumps(asdict_reference(point))
+
+    def test_response_wire_bytes_match_asdict(self, dcim_response, mapping_response):
+        for response in (dcim_response, mapping_response):
+            reference = dict(
+                response.to_dict(),
+                frontier=[asdict_reference(p) for p in response.frontier],
+            )
+            assert response.to_json() == json.dumps(reference, sort_keys=True)
+
+    def test_returned_extras_are_a_deep_copy(self):
+        point = FrontierPoint(
+            "-", 0, 0, 0, 0, (1.0,),
+            extras={"tiles": [4, 2], "grid": {"rows": [1]}},
+        )
+        payload = point.to_dict()
+        payload["extras"]["tiles"].append(9)
+        payload["extras"]["grid"]["rows"].clear()
+        payload["extras"]["new"] = True
+        assert point.extras == {"tiles": [4, 2], "grid": {"rows": [1]}}
+
+    def test_from_dict_warns_on_unknown_key(self):
+        payload = dict(GOLDEN_MAPPING_POINT.to_dict(), hologram=9)
+        with pytest.warns(RuntimeWarning, match="hologram"):
+            loaded = FrontierPoint.from_dict(payload)
+        assert loaded == GOLDEN_MAPPING_POINT
+        assert "hologram" in payload  # the caller's dict is left alone
+
+    def test_from_dict_known_keys_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in (GOLDEN_DCIM_POINT, GOLDEN_MAPPING_POINT):
+                assert FrontierPoint.from_dict(point.to_dict()) == point
+
+    def test_from_dict_raises_type_error_on_missing_key(self):
+        payload = GOLDEN_DCIM_POINT.to_dict()
+        del payload["k"]
+        with pytest.raises(TypeError):
+            FrontierPoint.from_dict(payload)
+
+    @given(RESPONSES)
+    @settings(max_examples=100, deadline=None)
+    def test_response_round_trip(self, response):
+        assert CampaignResponse.from_dict(response.to_dict()) == response
+        assert CampaignResponse.from_json(response.to_json()) == response
+
+    def test_point_hash_goldens(self):
+        from repro.store.runstore import point_hash
+
+        assert point_hash(GOLDEN_DCIM_POINT) == GOLDEN_DCIM_POINT_HASH
+        assert point_hash(GOLDEN_MAPPING_POINT) == GOLDEN_MAPPING_POINT_HASH
 
 
 class TestProgrammaticFingerprint:

@@ -90,8 +90,47 @@ class TestCampaignFlushFlag:
         rc = run_cli(
             "campaign", "--spec", "4096:INT4",
             "--population", "16", "--generations", "4",
+            # The GA route: exhaustive specs never write to the cache.
+            "--exhaustive-threshold", "0",
             "--cache", str(cache), "--cache-flush-every", "32",
         )
         assert rc == 0
         with EvaluationCache(cache) as reopened:
             assert len(reopened) > 0  # flushed by campaign end
+
+
+class TestCampaignCacheReport:
+    def test_all_exhaustive_campaign_reports_cache_not_consulted(
+        self, tmp_path, capsys
+    ):
+        cache = tmp_path / "evals.sqlite"
+        with EvaluationCache(cache) as seeded:
+            seeded.put_many({"unrelated": (1.0, 2.0)})
+        rc = run_cli(
+            "campaign", "--spec", "4096:INT4", "--spec", "4096:INT8",
+            "--cache", str(cache),
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "strategy: 4096:INT4=exhaustive, 4096:INT8=exhaustive;" in out
+        assert (
+            "cache[sqlite]: not consulted (every spec was enumerated "
+            "exhaustively), 1 entries stored"
+        ) in out
+        assert "hit rate" not in out
+        with EvaluationCache(cache) as reopened:
+            assert len(reopened) == 1
+
+    def test_ga_campaign_reports_hits_and_misses(self, tmp_path, capsys):
+        cache = tmp_path / "evals.sqlite"
+        argv = (
+            "campaign", "--spec", "4096:INT4",
+            "--population", "16", "--generations", "4",
+            "--exhaustive-threshold", "0", "--cache", str(cache),
+        )
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out
+        assert "misses (hit rate 100.0%)" in out
+        assert "not consulted" not in out

@@ -38,6 +38,7 @@ def done_payload(evaluations: int = 3) -> dict:
         "status": "done",
         "front": [],
         "evaluations": evaluations,
+        "fresh_evaluations": evaluations,
         "generations_run": 4,
         "strategy": "ga",
         "engine_backend": "python",
@@ -155,6 +156,23 @@ class TestWorkCoordinator:
         coord.submit_result("w1", units[1]["unit_id"], done_payload())
         thread.join(timeout=10)
         assert box["response"].evaluations == 6
+
+    def test_merge_sums_reported_fresh_evaluations(self):
+        # Exhaustive units consult no cache: zero misses, all fresh.  The
+        # merge must take each worker's count, not re-derive it.
+        coord = WorkCoordinator(lease_ttl_s=10.0)
+        thread, box = run_execute(coord, tiny_request())
+        wait_for(lambda: coord.stats()["units_pending"] == 2)
+        unconsulted = EvaluationCache().stats.as_dict()
+        for evaluations in (5, 7):
+            unit = coord.lease("w1")
+            payload = done_payload(evaluations)
+            payload.update(strategy="exhaustive", cache_stats=unconsulted)
+            coord.submit_result("w1", unit["unit_id"], payload)
+        thread.join(timeout=10)
+        response = box["response"]
+        assert response.fresh_evaluations == response.evaluations == 12
+        assert response.cache_stats["misses"] == 0
 
     def test_attempts_exhausted_fails_campaign_structurally(self):
         coord = WorkCoordinator(lease_ttl_s=10.0, max_attempts=2)
@@ -305,6 +323,22 @@ class TestDistributedRoundTrip:
             p.to_dict() for p in first.frontier
         ]
         assert second.cache_stats["hits"] == second.evaluations
+
+    def test_exhaustive_units_count_every_genome_fresh(self, distributed_setup):
+        client, server, _, _ = distributed_setup
+        first = finished(
+            client, client.submit(tiny_request(exhaustive_threshold=None))
+        )
+        assert first.strategies == ("exhaustive", "exhaustive")
+        assert first.fresh_evaluations == first.evaluations > 0
+        # A distinct request over the same specs: no unit consulted the
+        # shared cache, so every genome is fresh again.
+        second = finished(
+            client,
+            client.submit(tiny_request(exhaustive_threshold=None, workers=3)),
+        )
+        assert second.fresh_evaluations == second.evaluations == first.evaluations
+        assert len(server.cache) == 0
 
     def test_workers_endpoint_lists_registered_workers(
         self, distributed_setup
@@ -490,6 +524,9 @@ class TestSubprocessRoundTrip:
                 )
             client = CampaignClient(url, retries=4)
             wait_for(lambda: client.healthy(), timeout_s=30.0)
+            # Submit only once both workers have registered: otherwise
+            # one worker can finish both units before the other starts.
+            wait_for(lambda: len(client.workers()) == 2, timeout_s=30.0)
             request = tiny_request()
             response = finished(client, client.submit(request))
             reference = execute_request(request, cache=EvaluationCache())

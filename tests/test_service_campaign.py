@@ -200,6 +200,128 @@ class TestWarmCache:
         assert result.cache_stats is None
 
 
+def spy_on_cache(cache, monkeypatch) -> list[str]:
+    """Record every batched lookup and store the cache receives."""
+    calls: list[str] = []
+    for name in ("get_many", "put_many"):
+        original = getattr(cache, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cache, name, spy)
+    return calls
+
+
+class TestExhaustiveRouteBypassesCache:
+    """The exhaustive route evaluates its enumeration without the cache."""
+
+    #: 4K INT8 enumerates under the default threshold; 256K FP32 does not.
+    MIXED = [
+        DcimSpec(wstore=4096, precision="INT8"),
+        DcimSpec(wstore=256 * 1024, precision="FP32"),
+    ]
+
+    def test_all_exhaustive_campaign_never_touches_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        config = CampaignConfig(seed=3)  # default threshold
+        plain = run_campaign(SPECS, config)
+        path = tmp_path / "evals.sqlite"
+        with EvaluationCache(path) as cache:
+            calls = spy_on_cache(cache, monkeypatch)
+            cached = run_campaign(SPECS, config, cache=cache)
+        assert cached.strategies == ("exhaustive", "exhaustive")
+        assert calls == []
+        with EvaluationCache(path) as reopened:
+            assert len(reopened) == 0
+        assert front_keys(cached) == front_keys(plain)
+        assert cached.merged_objectives.tolist() == plain.merged_objectives.tolist()
+        assert cached.evaluations == plain.evaluations
+        assert cached.fresh_evaluations == cached.evaluations
+        assert cached.to_response().fresh_evaluations == cached.evaluations
+
+    def test_mixed_campaign_counts_exhaustive_genomes_as_fresh(self, tmp_path):
+        config = CampaignConfig(nsga2=SMALL_GA, seed=3)
+        path = tmp_path / "mixed.sqlite"
+        with EvaluationCache(path) as cache:
+            cold = run_campaign(self.MIXED, config, cache=cache)
+        assert cold.strategies == ("exhaustive", "ga")
+        exhaustive, ga = cold.results
+        # Only the GA spec consulted the cache.
+        assert cold.cache_stats.misses == ga.evaluations
+        assert cold.cache_stats.hits == 0
+        assert cold.fresh_evaluations == ga.evaluations + exhaustive.evaluations
+        with EvaluationCache(path) as cache:
+            assert len(cache) == ga.evaluations
+            warm = run_campaign(self.MIXED, config, cache=cache)
+        assert warm.cache_stats.misses == 0
+        assert warm.cache_stats.hits == ga.evaluations
+        assert warm.fresh_evaluations == exhaustive.evaluations
+        assert front_keys(warm) == front_keys(cold)
+
+    def test_exhaustive_spec_done_reports_no_hit_rate(self):
+        from repro.service.events import EventKind
+
+        cache = EvaluationCache()
+        events = []
+        run_campaign(
+            self.MIXED,
+            CampaignConfig(nsga2=SMALL_GA, seed=3, workers=2),
+            cache=cache,
+            observer=events.append,
+        )
+        rates = {
+            e.spec: e.cache_hit_rate
+            for e in events
+            if e.kind is EventKind.SPEC_DONE
+        }
+        assert rates["4096:INT8"] is None
+        assert rates["262144:FP32"] is not None
+
+    def test_all_exhaustive_campaign_done_reports_no_hit_rate(self):
+        from repro.service.events import EventKind
+
+        events = []
+        run_campaign(
+            SPECS,
+            CampaignConfig(seed=3),
+            cache=EvaluationCache(),
+            observer=events.append,
+        )
+        done = [e for e in events if e.kind is EventKind.CAMPAIGN_DONE]
+        assert [e.cache_hit_rate for e in done] == [None]
+
+    def test_thread_backend_matches_serial_and_traces_chunks(self):
+        from repro.obs.trace import Tracer, set_tracer
+
+        serial = run_campaign(SPECS, CampaignConfig(seed=3))
+        tracer = Tracer(sample_ratio=1.0, seed=7)
+        previous = set_tracer(tracer)
+        try:
+            threaded = run_campaign(
+                SPECS,
+                CampaignConfig(seed=3, backend="thread", chunk_size=32),
+                cache=EvaluationCache(),
+            )
+        finally:
+            set_tracer(previous)
+        assert threaded.strategies == ("exhaustive", "exhaustive")
+        assert front_keys(threaded) == front_keys(serial)
+        assert threaded.merged_objectives.tolist() == serial.merged_objectives.tolist()
+        (record,) = tracer.finished()
+        spans = record.spans
+        exhaustive_ids = {s.span_id for s in spans if s.name == "spec.exhaustive"}
+        chunks = [s for s in spans if s.name == "executor.chunk"]
+        assert len(exhaustive_ids) == 2
+        assert len(chunks) > 2  # chunk_size 32 splits every enumeration
+        assert all(c.parent_id in exhaustive_ids for c in chunks)
+        assert all(c.attributes["backend"] == "thread" for c in chunks)
+        assert sum(c.attributes["genomes"] for c in chunks) == threaded.evaluations
+        assert not any(s.name.startswith("cache.") for s in spans)
+
+
 class TestWriteBehind:
     def test_flush_cadence_never_changes_results(self, tmp_path):
         plain = run_campaign(SPECS, small_config())
