@@ -21,6 +21,8 @@ import json
 import sqlite3
 import timeit
 
+import pytest
+
 from repro.core.spec import DcimSpec
 from repro.obs.metrics import NULL_REGISTRY
 from repro.reporting import ascii_table
@@ -88,6 +90,7 @@ def _best(fn, repeat=5):
     return min(timeit.repeat(fn, number=1, repeat=repeat))
 
 
+@pytest.mark.bench
 def test_batched_sqlite_generation_speedup(tmp_path, record):
     keys, entries = _generation()
 

@@ -13,6 +13,8 @@ huge margin.
 import time
 import timeit
 
+import pytest
+
 from repro.core.spec import DcimSpec, DesignPoint
 from repro.dse import DesignSpaceExplorer, NSGA2Config
 from repro.dse.problem import DcimProblem, objectives_of
@@ -52,12 +54,13 @@ def _engine_vs_scalar():
     rows = [
         (f"evaluation core: scalar loop ({len(genomes)} genomes)", "-",
          f"{t_scalar * 1e3:.2f} ms"),
-        (f"evaluation core: batch engine [{problem.engine.backend}]",
+        ("evaluation core: batch engine",
          ">= 3x vs scalar", f"{t_batch * 1e3:.2f} ms ({speedup:.1f}x)"),
     ]
     return rows, speedup
 
 
+@pytest.mark.bench
 def test_dse_runtime_budget(record):
     start = time.perf_counter()
     result = full_ga_run()

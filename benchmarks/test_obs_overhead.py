@@ -18,6 +18,8 @@ stay under the 3% gate.
 import statistics
 import timeit
 
+import pytest
+
 from repro.core.spec import DcimSpec
 from repro.dse.problem import DcimProblem
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, set_registry
@@ -63,6 +65,7 @@ def _interleaved_overhead(
     return statistics.median(ratios) - 1.0, t_real, t_null
 
 
+@pytest.mark.bench
 def test_instrumentation_overhead(record):
     problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))
     genomes = problem.codec.enumerate()
@@ -103,6 +106,7 @@ def test_instrumentation_overhead(record):
     )
 
 
+@pytest.mark.bench
 def test_tracing_overhead(record):
     """Fully sampled tracing vs NULL_TRACER on the evaluation hot path."""
     problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))

@@ -119,7 +119,7 @@ class BufferDefinition(ProblemDefinition):
         except ValueError as exc:
             raise SpecValidationError(self.name, str(exc)) from None
 
-    def make_problem(self, spec, library=None, engine="auto"):
+    def make_problem(self, spec, library=None):
         return BufferProblem(spec)
 
 

@@ -39,6 +39,11 @@ from repro.reporting.tables import ascii_table, format_si
 from repro.tech.corners import STANDARD_CORNERS, apply_corner
 from repro.tech.pdk import available_pdks, load_pdk
 
+#: Retired numeric-backend selectors of ``campaign``/``submit``.  numpy
+#: is the only backend, so for one release they are still accepted,
+#: then ignored with a warning.
+_RETIRED_BACKEND_FLAGS = ("--engine", "--ga-backend")
+
 __all__ = ["main", "build_parser"]
 
 
@@ -53,6 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("precisions", help="list supported precisions")
 
     sub.add_parser("pdks", help="list bundled PDKs and corners")
+
+    def add_retired_backend_flags(p: argparse.ArgumentParser) -> None:
+        for flag in _RETIRED_BACKEND_FLAGS:  # warned about in main()
+            p.add_argument(flag, default=None, help=argparse.SUPPRESS)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--wstore", type=int, required=True,
@@ -178,14 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="genomes per executor task (default: "
                                "auto-sized per batch)")
-    campaign.add_argument("--engine", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="cost-engine backend (bit-identical "
-                               "objectives either way)")
-    campaign.add_argument("--ga-backend", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="GA kernel backend (bit-identical fronts "
-                               "either way)")
+    add_retired_backend_flags(campaign)
     campaign.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -378,13 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="genome-level evaluation backend")
     submit_p.add_argument("--workers", type=int, default=1,
                           help="specs explored concurrently")
-    submit_p.add_argument("--engine", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="cost-engine backend")
-    submit_p.add_argument("--ga-backend", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="GA kernel backend (bit-identical fronts "
-                               "either way)")
+    add_retired_backend_flags(submit_p)
     submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -894,13 +890,11 @@ def _cmd_campaign(args) -> int:
             nsga2=NSGA2Config(
                 population_size=population,
                 generations=generations,
-                backend=args.ga_backend,
             ),
             seed=args.seed,
             workers=args.workers,
             backend=args.backend,
             chunk_size=args.chunk_size,
-            engine=args.engine,
             problem=args.problem,
             cache_flush_every=args.cache_flush_every,
             **threshold,
@@ -971,19 +965,12 @@ def _cmd_campaign(args) -> int:
         print(ascii_table(headers, rows))
         stats = result.cache_stats
         chunk_text = "auto" if args.chunk_size is None else str(args.chunk_size)
-        print(
-            f"engine: {result.engine_backend} "
-            f"(requested {args.engine}); "
-            f"executor: {args.backend}, chunk size {chunk_text}"
-        )
+        print(f"executor: {args.backend}, chunk size {chunk_text}")
         strategy_text = ", ".join(
             f"{definition.spec_label(spec)}={strategy}"
             for spec, strategy in zip(specs, result.strategies)
         )
-        print(
-            f"strategy: {strategy_text}; "
-            f"ga kernels: {result.ga_backend} (requested {args.ga_backend})"
-        )
+        print(f"strategy: {strategy_text}")
         print(
             f"evaluations: {result.evaluations} unique genomes "
             f"({', '.join(f'{r.evaluations}' for r in result.results)} per spec), "
@@ -1228,9 +1215,7 @@ def _build_submit_request(args):
         seed=args.seed,
         backend=args.backend,
         workers=args.workers,
-        engine=args.engine,
         problem=args.problem,
-        ga_backend=args.ga_backend,
         exhaustive_threshold=args.exhaustive_threshold,
     )
 
@@ -1252,8 +1237,7 @@ def _watch_job(client, job_id: str, cursor: int = 0, as_json: bool = False) -> i
         print(
             f"{job_id}: {len(response.frontier)} frontier designs, "
             f"{response.evaluations} evaluations "
-            f"({response.fresh_evaluations} fresh), "
-            f"engine {response.engine_backend}"
+            f"({response.fresh_evaluations} fresh)"
         )
     return 0
 
@@ -1357,8 +1341,6 @@ def _run_registry_command(args, store) -> int:
 
         record = store.resolve(args.run)
         print(record.describe())
-        if record.ga_backend:
-            print(f"ga kernels: {record.ga_backend}")
         front = store.front(record.run_id)
         try:
             legend = " ".join(get_problem(record.problem).objectives)
@@ -1594,6 +1576,10 @@ def _cmd_mc(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    for flag in _RETIRED_BACKEND_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            print(f"warning: {flag} is deprecated and ignored "
+                  f"(numpy is the only numeric backend)", file=sys.stderr)
     if args.command == "precisions":
         return _cmd_precisions()
     if args.command == "pdks":

@@ -4,14 +4,7 @@ from repro.dse.baselines import random_search, weighted_sum_search
 from repro.dse.distill import Requirements, SELECTION_STRATEGIES, distill, select
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.genome import GenomeCodec, divisors
-from repro.dse.nsga2 import (
-    Individual,
-    NSGA2Config,
-    NSGA2Result,
-    crowding_distance,
-    fast_non_dominated_sort,
-    nsga2,
-)
+from repro.dse.nsga2 import Individual, NSGA2Config, NSGA2Result, nsga2
 from repro.dse.problem import OBJECTIVE_NAMES, DcimProblem, objectives_of
 
 __all__ = [
@@ -23,8 +16,6 @@ __all__ = [
     "NSGA2Result",
     "Individual",
     "nsga2",
-    "fast_non_dominated_sort",
-    "crowding_distance",
     "DcimProblem",
     "OBJECTIVE_NAMES",
     "objectives_of",

@@ -114,9 +114,6 @@ class DesignSpaceExplorer:
             (:class:`repro.service.executor.BatchExecutor`) that
             evaluates each generation's new genomes, or the exhaustive
             route's enumeration, in parallel.
-        engine: cost-engine backend (``auto``/``numpy``/``python``)
-            forwarded to every :class:`DcimProblem`; all backends are
-            bit-identical, so this is purely a throughput knob.
         problem_factory: optional ``spec -> problem`` hook replacing the
             default :class:`DcimProblem` construction; this is how the
             campaign layer dispatches through the
@@ -135,7 +132,6 @@ class DesignSpaceExplorer:
         config: NSGA2Config | None = None,
         cache=None,
         executor=None,
-        engine: str = "auto",
         problem_factory: Callable | None = None,
         exhaustive_threshold: int | None = DEFAULT_EXHAUSTIVE_THRESHOLD,
     ) -> None:
@@ -143,14 +139,13 @@ class DesignSpaceExplorer:
         self.config = config or NSGA2Config()
         self.cache = cache
         self.executor = executor
-        self.engine = engine
         self.problem_factory = problem_factory
         self.exhaustive_threshold = exhaustive_threshold
 
     def _problem(self, spec: DcimSpec) -> DcimProblem:
         if self.problem_factory is not None:
             return self.problem_factory(spec)
-        return DcimProblem(spec, self.library, engine_backend=self.engine)
+        return DcimProblem(spec, self.library)
 
     def _evaluator(self, problem: DcimProblem):
         if self.cache is None and self.executor is None:

@@ -1,21 +1,14 @@
-"""Array-native NSGA-II primitives with numpy and pure-Python backends.
+"""Array-native NSGA-II primitives.
 
 The GA's per-generation bookkeeping — non-dominated sorting, crowding
 distance, the archive front filter — is the dominant cost now that
-evaluation is batched (PR 2).  This package provides those primitives
-in two bit-identical backends, selected exactly like
-:mod:`repro.model.engine`:
-
-* ``"numpy"`` (:mod:`repro.dse.kernels.numpy`): O(M·N²) column-fold
-  dominance matrix, stable argsorts per objective.
-* ``"python"`` (:mod:`repro.dse.kernels.python`): the pre-kernel
-  reference implementation in index form.
-* ``"auto"``: numpy when importable, else python.
-
-Both backends return the same ranks, the same front orders (including
-every tie-break) and the same float64 crowding values, so per-seed
-``nsga2()`` trajectories are unchanged no matter which one runs — the
-hypothesis parity suite and golden-fingerprint tests pin this.
+evaluation is batched.  :class:`GAKernels` runs it on the numpy kernels
+of :mod:`repro.dse.kernels.numpy`: an O(M·N²) column-fold dominance
+matrix and stable argsorts per objective.  They return the same ranks,
+the same front orders (including every tie-break) and the same float64
+crowding values as the index-form reference in
+:mod:`repro.dse.kernels.python`, the test oracle the hypothesis parity
+suite and the golden-fingerprint tests compare them against.
 
 The numpy sort also accepts a precomputed dominance matrix.  Dominance
 is pairwise, so the survivors of one merged sort carry their own matrix
@@ -38,11 +31,11 @@ reference the parity tests compare against.  They operate on the
 parallel rank/crowding arrays the sort kernels produce, which is what
 makes the whole loop array-native.
 
-:class:`GAKernels` is the facade ``nsga2()`` drives; it resolves the
-backend once and times every sort/crowding call into the
-``repro_ga_sort_seconds`` / ``repro_ga_crowding_seconds`` histograms
-(labelled by backend) of the process metrics registry.  Timing happens
-outside all rng draws, so instrumentation never perturbs a run.
+:class:`GAKernels` is the facade ``nsga2()`` drives; it times every
+sort/crowding call into the ``repro_ga_sort_seconds`` /
+``repro_ga_crowding_seconds`` histograms of the process metrics
+registry.  Timing happens outside all rng draws, so instrumentation
+never perturbs a run.
 """
 
 from __future__ import annotations
@@ -51,13 +44,13 @@ import random
 import time
 from typing import Callable, Sequence
 
-from repro.model.engine import HAS_NUMPY
+import numpy as np
+
+from repro.core.pareto import dominance_matrix
+from repro.dse.kernels import numpy as _kernels
 from repro.obs.metrics import get_registry
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "HAS_NUMPY",
-    "resolve_kernel_backend",
     "GAKernels",
     "tournament_index",
     "uniform_crossover",
@@ -68,78 +61,33 @@ __all__ = [
 
 Genome = tuple[int, ...]
 
-#: Backend names ``resolve_kernel_backend`` accepts.
-KERNEL_BACKENDS = ("auto", "numpy", "python")
-
-
-def resolve_kernel_backend(backend: str = "auto") -> str:
-    """Resolve a requested GA-kernel backend to the one that will run.
-
-    ``"auto"`` picks numpy when importable and falls back to the pure
-    Python reference otherwise; the explicit names force one path
-    (useful for parity tests and numpy-less deployments).
-
-    Raises:
-        ValueError: on an unknown name, or when ``"numpy"`` is forced
-            but numpy is not importable.
-    """
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown GA kernel backend {backend!r}; "
-            f"choose from {KERNEL_BACKENDS}"
-        )
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise ValueError(
-            "GA kernel backend 'numpy' requested but numpy is not importable"
-        )
-    return backend
-
 
 class GAKernels:
-    """Resolved sort/crowding/front kernels plus their instrumentation.
+    """Sort/crowding/front kernels plus their instrumentation.
 
     Args:
-        backend: requested backend name (``auto``/``numpy``/``python``).
         registry: metrics registry to time kernel calls into; defaults
             to the process registry
             (:func:`repro.obs.metrics.get_registry`).  With the null
             registry every observation is a no-op.
     """
 
-    def __init__(self, backend: str = "auto", registry=None) -> None:
-        self.backend = resolve_kernel_backend(backend)
-        if self.backend == "numpy":
-            from repro.dse.kernels import numpy as impl
-        else:
-            from repro.dse.kernels import python as impl
-        self._impl = impl
+    def __init__(self, registry=None) -> None:
         registry = get_registry() if registry is None else registry
         self._sort_seconds = registry.histogram(
             "repro_ga_sort_seconds",
             "Wall time of one non-dominated sort kernel call",
-            ("backend",),
-        ).labels(self.backend)
+        )
         self._crowding_seconds = registry.histogram(
             "repro_ga_crowding_seconds",
             "Wall time of one crowding-distance kernel call",
-            ("backend",),
-        ).labels(self.backend)
+        )
 
-    def as_matrix(self, objectives: Sequence[Sequence[float]]):
-        """Backend-native (N, M) objective container.
-
-        A float64 array for the numpy backend (exact conversion from
-        CPython floats), the sequence itself for the python reference.
-        """
-        if self.backend == "numpy":
-            import numpy as np
-
-            if not len(objectives):
-                return np.empty((0, 0), dtype=float)
-            return np.asarray(objectives, dtype=float)
-        return objectives
+    def as_matrix(self, objectives: Sequence[Sequence[float]]) -> np.ndarray:
+        """(N, M) float64 objective matrix (exact conversion from floats)."""
+        if not len(objectives):
+            return np.empty((0, 0), dtype=float)
+        return np.asarray(objectives, dtype=float)
 
     def append(self, matrix, objectives: Sequence[Sequence[float]]):
         """``matrix`` with ``objectives`` appended as new rows.
@@ -149,30 +97,22 @@ class GAKernels:
         """
         if not len(matrix) or not len(objectives):
             return self.as_matrix([*matrix, *objectives])
-        if self.backend == "numpy":
-            import numpy as np
-
-            return np.concatenate((matrix, np.asarray(objectives, dtype=float)))
-        return [*matrix, *objectives]
+        return np.concatenate((matrix, np.asarray(objectives, dtype=float)))
 
     def take(self, matrix, dominance, rows: Sequence[int]):
         """``(matrix, dominance)`` of the sub-population ``rows``.
 
         ``dominance`` is the population's matrix from
-        :meth:`nondominated_sort` (``None`` on the python backend).
-        Dominance is pairwise, so the subset's own matrix is exactly
-        the ``np.ix_(rows, rows)`` submatrix: nothing is recomputed.
+        :meth:`nondominated_sort`.  Dominance is pairwise, so the
+        subset's own matrix is exactly the ``np.ix_(rows, rows)``
+        submatrix: nothing is recomputed.
         """
-        if self.backend == "numpy":
-            import numpy as np
-
-            index = np.asarray(rows, dtype=np.intp)
-            # Two axis takes: several times cheaper than np.ix_ indexing.
-            return (
-                matrix.take(index, axis=0),
-                dominance.take(index, axis=0).take(index, axis=1),
-            )
-        return [matrix[i] for i in rows], None
+        index = np.asarray(rows, dtype=np.intp)
+        # Two axis takes: several times cheaper than np.ix_ indexing.
+        return (
+            matrix.take(index, axis=0),
+            dominance.take(index, axis=0).take(index, axis=1),
+        )
 
     def nondominated_sort(
         self, matrix, dominance=None, *, return_dominance: bool = False
@@ -180,20 +120,14 @@ class GAKernels:
         """(ranks, fronts-as-index-lists) for an ``as_matrix`` result.
 
         ``dominance``: the rows' boolean dominance matrix when the
-        caller holds it (a :meth:`take` result); the numpy backend then
-        skips building it.  ``return_dominance=True`` appends the matrix
-        the sort used (``None`` on the python backend, whose reference
-        sort compares rows itself) as a third element.
+        caller holds it (a :meth:`take` result); the sort then skips
+        building it.  ``return_dominance=True`` appends the matrix the
+        sort used as a third element.
         """
         start = time.perf_counter()
-        if self.backend == "numpy":
-            if dominance is None:
-                from repro.core.pareto import dominance_matrix
-
-                dominance = dominance_matrix(matrix)
-            ranks, fronts = self._impl.nondominated_sort(matrix, dominance)
-        else:
-            ranks, fronts = self._impl.nondominated_sort(matrix)
+        if dominance is None:
+            dominance = dominance_matrix(matrix)
+        ranks, fronts = _kernels.nondominated_sort(matrix, dominance)
         self._sort_seconds.observe(time.perf_counter() - start)
         if return_dominance:
             return ranks, fronts, dominance
@@ -202,14 +136,14 @@ class GAKernels:
     def crowding(self, matrix, front: Sequence[int]) -> tuple[list[int], list[float]]:
         """(post-sort permutation, crowding per position) for one front."""
         start = time.perf_counter()
-        result = self._impl.crowding(matrix, front)
+        result = _kernels.crowding(matrix, front)
         self._crowding_seconds.observe(time.perf_counter() - start)
         return result
 
     def pareto_filter(self, matrix) -> list[int]:
         """Non-dominated row indices in input order (archive front)."""
         start = time.perf_counter()
-        result = self._impl.pareto_filter(matrix)
+        result = _kernels.pareto_filter(matrix)
         self._sort_seconds.observe(time.perf_counter() - start)
         return result
 

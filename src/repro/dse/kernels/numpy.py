@@ -1,4 +1,4 @@
-"""Vectorised NSGA-II bookkeeping kernels (numpy backend).
+"""Vectorised NSGA-II bookkeeping kernels.
 
 Array-form implementations of the :mod:`repro.dse.kernels.python`
 reference: an O(M·N²) column-fold dominance matrix feeds the rank
@@ -96,7 +96,7 @@ def crowding(
     perm = np.arange(n)  # positions into `base`, permuted per objective
     dist = np.zeros(n)  # indexed by position in `base`
     # inf - inf produces nan exactly like the CPython reference does;
-    # silence numpy's warning so both backends are equally quiet.
+    # silence numpy's warning so the kernel is as quiet as the reference.
     with np.errstate(invalid="ignore"):
         for m in range(points.shape[1]):
             keys = points[perm, m]

@@ -1,22 +1,24 @@
-"""Pure-Python reference NSGA-II bookkeeping kernels.
+"""Pure-Python reference NSGA-II bookkeeping kernels: the test oracle.
 
-This is the pre-kernel ``repro.dse.nsga2`` logic, refactored from
-Individual-object form to index form: every function takes a sequence
-of objective vectors (one tuple per individual) plus index lists, and
-returns indices/values instead of mutating objects.  It is the parity
-*reference* — the numpy backend in :mod:`repro.dse.kernels.numpy` must
-reproduce these results (including tie-breaking order) bit for bit,
-which the hypothesis suite in ``tests/test_ga_kernels.py`` enforces.
+This is the pre-kernel ``repro.dse.nsga2`` logic in index form: every
+function takes a sequence of objective vectors (one tuple per
+individual) plus index lists, and returns indices/values instead of
+mutating objects.  No runtime path selects it — ``nsga2()`` always runs
+the numpy kernels of :mod:`repro.dse.kernels.numpy`.  It stays as the
+one readable statement of the tie-break orders those kernels must
+reproduce bit for bit, which the hypothesis suite in
+``tests/test_ga_kernel_parity.py`` and the ``benchmarks/test_ga_kernels.py``
+speedup gate check by calling it directly.
 
-Ordering contracts the numpy backend replicates exactly:
+Ordering contracts the numpy kernels replicate exactly:
 
 * :func:`nondominated_sort` — front 0 in ascending index order; each
   later front in the order Deb's peeling loop discovers members, which
   is ``(position of the last same-front dominator, index)`` ascending.
 * :func:`crowding` — the returned permutation is the front after the
   per-objective stable sorts (so it ends sorted by the last objective),
-  exactly how the in-place ``crowding_distance`` reordered fronts
-  before this refactor.
+  exactly how the original in-place crowding assignment reordered
+  fronts.
 * :func:`pareto_filter` — survivors in input order; duplicate objective
   vectors are all kept (equal rows never strictly dominate).
 """

@@ -15,14 +15,11 @@ It is deliberately independent of DCIM specifics: anything implementing
 the small :class:`Problem` protocol can be optimised.
 
 Population state runs as parallel arrays (genome / objective / rank /
-crowding sequences) through the backend-selectable sort and crowding
-kernels of :mod:`repro.dse.kernels` — ``NSGA2Config.backend`` picks
-``numpy`` or the pure-Python reference exactly like the cost engine's
-``engine`` option, and both produce bit-identical per-seed results.
-The objectives also live as one backend-native matrix that only grows
-by the children's rows, and each generation builds one dominance
-matrix: the merged sort's, whose survivor submatrix ranks the next
-parents.
+crowding sequences) through the numpy sort and crowding kernels of
+:mod:`repro.dse.kernels`.  The objectives also live as one float64
+matrix that only grows by the children's rows, and each generation
+builds one dominance matrix: the merged sort's, whose survivor
+submatrix ranks the next parents.
 :class:`Individual` objects are built only at the API boundary (the
 returned front and population), so the public shapes are unchanged.
 """
@@ -33,13 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from repro.dse.kernels import (
-    KERNEL_BACKENDS,
-    GAKernels,
-    breed_offspring,
-    novel_genomes,
-)
-from repro.dse.kernels import python as _reference_kernels
+from repro.dse.kernels import GAKernels, breed_offspring, novel_genomes
 
 __all__ = [
     "Problem",
@@ -50,12 +41,9 @@ __all__ = [
     "GenerationProgress",
     "ProgressObserver",
     "nsga2",
-    "fast_non_dominated_sort",
-    "crowding_distance",
 ]
 
 Genome = tuple[int, ...]
-INFINITY = float("inf")
 
 
 class Problem(Protocol):
@@ -123,10 +111,6 @@ class NSGA2Config:
     The defaults are sized so one (Wstore, precision) exploration runs in
     seconds (the paper quotes "within 30 minutes" on their server; our
     analytical models are much cheaper to evaluate).
-
-    ``backend`` selects the sort/crowding kernel implementation
-    (``auto``/``numpy``/``python``, see :mod:`repro.dse.kernels`); it
-    never changes results, only speed.
     """
 
     population_size: int = 64
@@ -134,7 +118,6 @@ class NSGA2Config:
     crossover_prob: float = 0.9
     mutation_prob: float = 0.3
     seed: int | None = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
@@ -144,11 +127,6 @@ class NSGA2Config:
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown GA kernel backend {self.backend!r}; "
-                f"choose from {KERNEL_BACKENDS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -217,39 +195,6 @@ class NSGA2Result:
     stopped_early: bool = False
 
 
-def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
-    """Pareto dominance (minimisation), as Eq. (1) of the paper."""
-    return all(a <= b for a, b in zip(u, v)) and any(a < b for a, b in zip(u, v))
-
-
-def fast_non_dominated_sort(population: list[Individual]) -> list[list[Individual]]:
-    """Deb's fast non-dominated sort; assigns ranks and returns the fronts.
-
-    Object-level convenience over the index-form reference kernel
-    (:func:`repro.dse.kernels.python.nondominated_sort`), kept for
-    callers that work with :class:`Individual` lists directly.
-    """
-    objectives = [ind.objectives for ind in population]
-    ranks, fronts = _reference_kernels.nondominated_sort(objectives)
-    for ind, rank in zip(population, ranks):
-        ind.rank = rank
-    return [[population[i] for i in front] for front in fronts]
-
-
-def crowding_distance(front: list[Individual]) -> None:
-    """Assign crowding distances in place (boundary points get infinity).
-
-    Reorders ``front`` the way the per-objective stable sorts leave it,
-    exactly as before the kernel refactor — object-level convenience
-    over :func:`repro.dse.kernels.python.crowding`.
-    """
-    objectives = [ind.objectives for ind in front]
-    perm, dist = _reference_kernels.crowding(objectives, range(len(front)))
-    front[:] = [front[i] for i in perm]
-    for ind, value in zip(front, dist):
-        ind.crowding = value
-
-
 def _archive_front(
     archive: dict[Genome, tuple[float, ...]], kernels: GAKernels
 ) -> list[Individual]:
@@ -287,13 +232,12 @@ def nsga2(
     :class:`repro.service.executor.ProblemEvaluator`), otherwise through
     the problem's own ``evaluate_batch``/``evaluate``.  Because
     evaluation is pure and order-preserving, the run is bit-identical
-    for a fixed seed regardless of the backend.
+    for a fixed seed regardless of the executor.
 
     Population state lives in parallel arrays (genomes, objectives,
-    ranks, crowding); sorting and crowding run through the configured
-    :mod:`repro.dse.kernels` backend, variation through the shared
-    single-rng-stream operators.  ``config.backend`` therefore never
-    changes results — the numpy and python kernels are bit-identical.
+    ranks, crowding); sorting and crowding run through the
+    :mod:`repro.dse.kernels` numpy kernels, variation through the
+    shared single-rng-stream operators.
 
     Args:
         observer: called with a :class:`GenerationProgress` after each
@@ -310,7 +254,7 @@ def nsga2(
     """
     config = config or NSGA2Config()
     rng = random.Random(config.seed)
-    kernels = GAKernels(config.backend)
+    kernels = GAKernels()
     #: Every genome ever evaluated, keyed for O(1) dedup lookups.
     archive: dict[Genome, tuple[float, ...]] = {}
     evaluations = 0
@@ -345,7 +289,7 @@ def nsga2(
     # Parallel population arrays: genome, objective vector, rank and
     # crowding per slot.  Ranks/crowding hold their defaults until the
     # first generation's sort runs (matching the old Individual fields).
-    # The kernels see the objectives as one backend-native matrix plus
+    # The kernels see the objectives as one float64 matrix plus
     # its dominance matrix: the survivors' dominance is a submatrix of
     # the merged sort's, so each generation builds only that one.
     pop_genomes = [problem.sample(rng) for _ in range(config.population_size)]

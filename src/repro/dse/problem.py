@@ -54,18 +54,14 @@ class DcimProblem:
     Attributes:
         spec: the user specification (Fig. 4 "User Defined" inputs).
         library: normalised standard-cell library.
-        engine_backend: cost-engine backend (``auto``/``numpy``/
-            ``python``); every backend returns bit-identical objectives,
-            so this only changes throughput.
     """
 
     spec: DcimSpec
     library: CellLibrary = field(default_factory=CellLibrary.default)
-    engine_backend: str = "auto"
 
     def __post_init__(self) -> None:
         self.codec = GenomeCodec(self.spec)
-        self.engine = CostEngine(self.library, backend=self.engine_backend)
+        self.engine = CostEngine(self.library)
 
     # Problem protocol -----------------------------------------------------
     def sample(self, rng: random.Random) -> Genome:

@@ -23,13 +23,7 @@ from repro.model.components import (
     shift_accumulator,
 )
 from repro.model.macro import MacroCost
-from repro.model.engine import (
-    BatchCost,
-    CostEngine,
-    ENGINE_BACKENDS,
-    HAS_NUMPY,
-    resolve_backend,
-)
+from repro.model.engine import BatchCost, CostEngine
 from repro.model.integer import int_macro_cost, int_weights_stored, validate_int_params
 from repro.model.floating import fp_macro_cost, fp_weights_stored, validate_fp_params
 from repro.model.metrics import MacroMetrics, evaluate_macro
@@ -38,9 +32,6 @@ from repro.model.variation import VariationResult, monte_carlo
 __all__ = [
     "BatchCost",
     "CostEngine",
-    "ENGINE_BACKENDS",
-    "HAS_NUMPY",
-    "resolve_backend",
     "Cost",
     "adder_cla",
     "VariationResult",

@@ -20,27 +20,29 @@ Two ideas make the batch path fast:
    ``CellLibrary.default()`` object, and they all find the components
    of the earlier ones.  Libraries are treated as immutable.
 2. **Vectorised assembly.**  The remaining per-genome arithmetic is a
-   fixed sequence of elementwise operations, executed on numpy arrays
-   when numpy is importable (the ``"numpy"`` backend) and as a plain
-   Python loop otherwise (the ``"python"`` backend).  The numpy backend
-   gathers component costs per *distinct* parameter key and maps each
-   genome onto its key with C-level dict lookups, so no Python code runs
+   fixed sequence of elementwise operations on numpy arrays.  Component
+   costs are gathered per *distinct* parameter key and each genome is
+   mapped onto its key with C-level dict lookups, so no Python code runs
    per genome.
 
-Both backends replicate the *exact* operation order of
+The array arithmetic replicates the *exact* operation order of
 :func:`repro.model.integer.int_macro_cost` and
 :func:`repro.model.floating.fp_macro_cost`, so the results are
 bit-identical to the scalar path: IEEE-754 double arithmetic is
 deterministic, and elementwise numpy float64 operations round exactly
 like CPython floats.  That guarantee is what keeps persisted
 :class:`repro.service.cache.EvaluationCache` entries and per-seed
-NSGA-II trajectories unchanged no matter which backend ran.
+NSGA-II trajectories unchanged; the scalar models stay as the oracle
+the tests compare every batch against (:meth:`CostEngine.macro_cost`
+feeds them the engine's memoised components).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.model.components import (
     adder_tree,
@@ -57,24 +59,7 @@ from repro.model.logic import multiplier_1xn, mux, register_bank
 from repro.model.macro import MacroCost
 from repro.tech.cells import CellLibrary
 
-try:  # numpy is optional: the python backend covers its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - image bakes numpy in
-    _np = None
-
-__all__ = [
-    "BatchCost",
-    "CostEngine",
-    "ENGINE_BACKENDS",
-    "HAS_NUMPY",
-    "resolve_backend",
-]
-
-#: True when the vectorised numpy backend can run in this interpreter.
-HAS_NUMPY = _np is not None
-
-#: Backend names accepted by :class:`CostEngine` and the CLI.
-ENGINE_BACKENDS = ("auto", "numpy", "python")
+__all__ = ["BatchCost", "CostEngine"]
 
 #: Component-cost memo per cell-library content, shared process-wide.
 #: ``CellLibrary`` holds a dict (unhashable) and ``default()`` builds a
@@ -88,47 +73,22 @@ def _component_table(library: CellLibrary) -> dict[tuple, Cost]:
     return _COMPONENT_TABLES.setdefault(key, {})
 
 
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a requested backend name to the one that will run.
-
-    ``"auto"`` picks numpy when importable and falls back to the pure
-    Python loop otherwise; the explicit names force one path (useful for
-    parity tests and for debugging numpy-less deployments).
-
-    Raises:
-        ValueError: on an unknown name, or when ``"numpy"`` is forced
-            but numpy is not importable.
-    """
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {backend!r}; choose from {ENGINE_BACKENDS}"
-        )
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise ValueError("engine backend 'numpy' requested but numpy is not importable")
-    return backend
-
-
 @dataclass(frozen=True)
 class BatchCost:
     """Columnar cost summary of one evaluated batch.
 
     The per-genome quantities mirror :class:`repro.model.macro.MacroCost`
     (same normalised NOR-gate units, same definitions), stored as plain
-    Python tuples so downstream consumers never see backend-specific
-    scalar types.
+    Python tuples so downstream consumers never see numpy scalar types.
 
     Attributes:
         arch: architecture template of the batch (``"mixed"`` when a
             point batch spans both templates).
-        backend: which engine backend produced the numbers.
         area / delay / energy_per_pass / cycles_per_pass / ops_per_pass /
             sram_bits: per-genome columns, in input order.
     """
 
     arch: str
-    backend: str
     area: tuple[float, ...]
     delay: tuple[float, ...]
     energy_per_pass: tuple[float, ...]
@@ -166,22 +126,8 @@ class BatchCost:
         )
 
 
-def _empty_batch(arch: str, backend: str) -> BatchCost:
-    return BatchCost(arch, backend, (), (), (), (), (), ())
-
-
-def _batch_from_macro_costs(arch: str, costs: Sequence[MacroCost]) -> BatchCost:
-    """Columnarise scalar macro costs (the pure-Python backend's output)."""
-    return BatchCost(
-        arch,
-        "python",
-        tuple(c.area for c in costs),
-        tuple(c.delay for c in costs),
-        tuple(c.energy_per_pass for c in costs),
-        tuple(c.cycles_per_pass for c in costs),
-        tuple(c.ops_per_pass for c in costs),
-        tuple(c.sram_bits for c in costs),
-    )
+def _empty_batch(arch: str) -> BatchCost:
+    return BatchCost(arch, (), (), (), (), (), ())
 
 
 class CostEngine:
@@ -197,15 +143,10 @@ class CostEngine:
     Args:
         library: normalised standard-cell library shared by all
             evaluations.
-        backend: ``"auto"`` (default), ``"numpy"``, or ``"python"``.
     """
 
-    def __init__(
-        self, library: CellLibrary | None = None, backend: str = "auto"
-    ) -> None:
+    def __init__(self, library: CellLibrary | None = None) -> None:
         self.library = library or CellLibrary.default()
-        self.requested_backend = backend
-        self.backend = resolve_backend(backend)
         self._memo = _component_table(self.library)
 
     def __getstate__(self) -> dict:
@@ -290,8 +231,8 @@ class CostEngine:
             index[key] = j
             for c in make(key):
                 table += (c.area, c.delay, c.energy)
-        pos = _np.fromiter(map(index.__getitem__, keys), _np.intp, len(keys))
-        columns = _np.array(table).reshape(len(index), -1).take(pos, axis=0).T
+        pos = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+        columns = np.array(table).reshape(len(index), -1).take(pos, axis=0).T
         return [columns[i:i + 3] for i in range(0, len(columns), 3)]
 
     def _array_component_arrays(self, h, k, l, bx: int, bw: int, fp=None):
@@ -330,33 +271,17 @@ class CostEngine:
             bx / bw: input and weight widths, shared by the batch.
         """
         if not len(n):
-            return _empty_batch("int-mul", self.backend)
+            return _empty_batch("int-mul")
         # Parameters draw from tiny discrete sets, so validating the
         # unique tuples (first-occurrence order) covers the whole batch
         # without an O(batch) scalar loop; same errors, same order.
         for params in dict.fromkeys(zip(n, h, l, k)):
             validate_int_params(*params, bx, bw)
-        if self.backend == "numpy":
-            return self._int_numpy(n, h, l, k, bx, bw)
-        return self._int_python(n, h, l, k, bx, bw)
-
-    def _int_python(self, n, h, l, k, bx: int, bw: int) -> BatchCost:
-        # The fallback IS the scalar model, fed memoised components: one
-        # formula copy, bit-identical by construction.
-        return _batch_from_macro_costs(
-            "int-mul",
-            [
-                self._int_macro_cost(ni, hi, li, ki, bx, bw)
-                for ni, hi, li, ki in zip(n, h, l, k)
-            ],
-        )
-
-    def _int_numpy(self, n, h, l, k, bx: int, bw: int) -> BatchCost:
         lib = self.library
-        n64 = _np.asarray(n, dtype=_np.int64)
-        h64 = _np.asarray(h, dtype=_np.int64)
-        l64 = _np.asarray(l, dtype=_np.int64)
-        k64 = _np.asarray(k, dtype=_np.int64)
+        n64 = np.asarray(n, dtype=np.int64)
+        h64 = np.asarray(h, dtype=np.int64)
+        l64 = np.asarray(l, dtype=np.int64)
+        k64 = np.asarray(k, dtype=np.int64)
 
         (
             (sel_a, sel_d, sel_e),
@@ -368,14 +293,14 @@ class CostEngine:
         ) = self._array_component_arrays(h, k, l, bx, bw)
 
         nh = n64 * h64
-        nhf = nh.astype(_np.float64)
-        nf = n64.astype(_np.float64)
-        hf = h64.astype(_np.float64)
-        fuf = (n64 // bw).astype(_np.float64)
-        sram_area = (nh * l64).astype(_np.float64) * lib.sram.area
+        nhf = nh.astype(np.float64)
+        nf = n64.astype(np.float64)
+        hf = h64.astype(np.float64)
+        fuf = (n64 // bw).astype(np.float64)
+        sram_area = (nh * l64).astype(np.float64) * lib.sram.area
 
         cycles64 = -((-bx) // k64)
-        cyclesf = cycles64.astype(_np.float64)
+        cyclesf = cycles64.astype(np.float64)
         per_cycle = nhf * sel_e + nhf * mul_e + nf * tre_e + nf * acc_e
         per_pass = buf_e + fuf * fus_e
         energy = per_cycle * cyclesf + per_pass
@@ -388,11 +313,10 @@ class CostEngine:
             + fuf * fus_a
             + buf_a
         )
-        delay = _np.maximum(_np.maximum(sel_d + mul_d + tre_d, acc_d), fus_d)
+        delay = np.maximum(np.maximum(sel_d + mul_d + tre_d, acc_d), fus_d)
         ops = (2.0 * hf) * (nf / float(bw))
         return BatchCost(
             "int-mul",
-            "numpy",
             tuple(area.tolist()),
             tuple(delay.tolist()),
             tuple(energy.tolist()),
@@ -420,28 +344,14 @@ class CostEngine:
                 the batch.
         """
         if not len(n):
-            return _empty_batch("fp-prealign", self.backend)
+            return _empty_batch("fp-prealign")
         for params in dict.fromkeys(zip(n, h, l, k)):
             validate_fp_params(*params, be, bm)
-        if self.backend == "numpy":
-            return self._fp_numpy(n, h, l, k, be, bm)
-        return self._fp_python(n, h, l, k, be, bm)
-
-    def _fp_python(self, n, h, l, k, be: int, bm: int) -> BatchCost:
-        return _batch_from_macro_costs(
-            "fp-prealign",
-            [
-                self._fp_macro_cost(ni, hi, li, ki, be, bm)
-                for ni, hi, li, ki in zip(n, h, l, k)
-            ],
-        )
-
-    def _fp_numpy(self, n, h, l, k, be: int, bm: int) -> BatchCost:
         lib = self.library
-        n64 = _np.asarray(n, dtype=_np.int64)
-        h64 = _np.asarray(h, dtype=_np.int64)
-        l64 = _np.asarray(l, dtype=_np.int64)
-        k64 = _np.asarray(k, dtype=_np.int64)
+        n64 = np.asarray(n, dtype=np.int64)
+        h64 = np.asarray(h, dtype=np.int64)
+        l64 = np.asarray(l, dtype=np.int64)
+        k64 = np.asarray(k, dtype=np.int64)
 
         (
             (sel_a, sel_d, sel_e),
@@ -456,14 +366,14 @@ class CostEngine:
         ) = self._array_component_arrays(h, k, l, bm, bm, fp=(be, bm))
 
         nh = n64 * h64
-        nhf = nh.astype(_np.float64)
-        nf = n64.astype(_np.float64)
-        hf = h64.astype(_np.float64)
-        fuf = (n64 // bm).astype(_np.float64)
-        sram_area = (nh * l64).astype(_np.float64) * lib.sram.area
+        nhf = nh.astype(np.float64)
+        nf = n64.astype(np.float64)
+        hf = h64.astype(np.float64)
+        fuf = (n64 // bm).astype(np.float64)
+        sram_area = (nh * l64).astype(np.float64) * lib.sram.area
 
         cycles64 = -((-bm) // k64)
-        cyclesf = cycles64.astype(_np.float64)
+        cyclesf = cycles64.astype(np.float64)
         per_cycle = nhf * sel_e + nhf * mul_e + nf * tre_e + nf * acc_e
         per_pass = buf_e + ali_e + reg_e + fuf * fus_e + fuf * cvt_e
         energy = per_cycle * cyclesf + per_pass
@@ -479,9 +389,9 @@ class CostEngine:
             + reg_a
             + fuf * cvt_a
         )
-        delay = _np.maximum(
-            _np.maximum(
-                _np.maximum(_np.maximum(ali_d, sel_d + mul_d + tre_d), acc_d),
+        delay = np.maximum(
+            np.maximum(
+                np.maximum(np.maximum(ali_d, sel_d + mul_d + tre_d), acc_d),
                 fus_d,
             ),
             cvt_d,
@@ -489,7 +399,6 @@ class CostEngine:
         ops = (2.0 * hf) * (nf / float(bm))
         return BatchCost(
             "fp-prealign",
-            "numpy",
             tuple(area.tolist()),
             tuple(delay.tolist()),
             tuple(energy.tolist()),
@@ -508,7 +417,7 @@ class CostEngine:
         input order.
         """
         if not points:
-            return _empty_batch("mixed", self.backend)
+            return _empty_batch("mixed")
         groups: dict = {}
         for i, point in enumerate(points):
             groups.setdefault(point.precision, []).append(i)
@@ -539,7 +448,7 @@ class CostEngine:
             for column, row in zip(columns, rows):
                 for j, i in enumerate(indices):
                     column[i] = row[j]
-        return BatchCost(arch, self.backend, *(tuple(c) for c in columns))
+        return BatchCost(arch, *(tuple(c) for c in columns))
 
     def objectives_of_points(self, points: Sequence) -> list[tuple[float, ...]]:
         """``[A, D, E, -T]`` rows for many design points, in input order."""

@@ -178,7 +178,7 @@ class ProblemDefinition(ABC):
 
     # Problem construction -------------------------------------------------
     @abstractmethod
-    def make_problem(self, spec, library=None, engine: str = "auto"):
+    def make_problem(self, spec, library=None):
         """Build the GA-facing problem object for one concrete spec.
 
         The returned object must implement the

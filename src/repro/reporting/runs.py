@@ -86,17 +86,19 @@ def run_report_markdown(
         f"- evaluations: {record.evaluations} "
         f"({record.fresh_evaluations} fresh)",
         f"- wall time: {record.wall_time_s:.2f} s",
-        f"- engine: {record.engine_backend or '-'}",
         f"- strategy: {record.strategy or '-'}",
-        f"- ga kernels: {record.ga_backend or '-'}",
         f"- fingerprint: `{record.fingerprint[:16]}...`",
     ]
     if record.cache_stats is not None:
         hits = record.cache_stats.get("hits", 0)
         misses = record.cache_stats.get("misses", 0)
         total = hits + misses
-        rate = hits / total if total else 0.0
-        lines.append(f"- cache: {hits} hits / {misses} misses ({rate:.1%})")
+        if total:
+            lines.append(
+                f"- cache: {hits} hits / {misses} misses ({hits / total:.1%})"
+            )
+        else:  # the exhaustive route never looks anything up
+            lines.append("- cache: not consulted")
     if record.error:
         lines.append(f"- error: {record.error}")
     lines.extend(["", f"## Merged frontier ({len(front)} designs)", ""])

@@ -18,6 +18,9 @@ campaign results and identical :meth:`CampaignRequest.fingerprint`
 values, so existing request files, caches and registry rows keep
 matching.  Loaders ignore unknown keys with a warning instead of
 raising, so files written by newer schema versions stay readable.
+The keys of the retired numeric-backend knobs (request ``engine`` /
+``ga_backend``, response ``engine_backend`` / ``ga_backend``) are
+dropped silently: stored requests and older peers still send them.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ SCHEMA_VERSION = 2
 
 #: Schemas the loaders accept (v1 payloads are upgraded in place).
 SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+
+#: Request and response keys of the retired numeric-backend knobs.
+#: numpy is the only backend, so they carry nothing; the loaders drop
+#: them without the unknown-key warning.
+_RETIRED_REQUEST_KEYS = ("engine", "ga_backend")
+_RETIRED_RESPONSE_KEYS = ("engine_backend", "ga_backend")
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,6 @@ class CampaignRequest:
         backend: evaluation backend (``serial``/``thread``/``process``).
         workers: campaign-level parallelism (specs explored at once).
         chunk_size: genomes per executor task (``None`` = automatic).
-        engine: cost-engine backend (``auto``/``numpy``/``python``);
-            all choices return bit-identical objective vectors.
-        ga_backend: GA sort/crowding kernel backend
-            (``auto``/``numpy``/``python``, see
-            :mod:`repro.dse.kernels`); all choices return bit-identical
-            campaign results, so it never enters the fingerprint.
         exhaustive_threshold: largest enumerable design space explored
             exhaustively instead of via the GA; ``0`` forces the GA
             everywhere, omitted/``None`` resolves to the library
@@ -130,8 +133,6 @@ class CampaignRequest:
     backend: str = "serial"
     workers: int = 1
     chunk_size: int | None = None
-    engine: str = "auto"
-    ga_backend: str = "auto"
     exhaustive_threshold: int | None = None
     schema_version: int = SCHEMA_VERSION
     problem: str = DEFAULT_PROBLEM
@@ -143,13 +144,7 @@ class CampaignRequest:
                 f"supported: {list(SUPPORTED_SCHEMA_VERSIONS)}"
             )
         from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
-        from repro.dse.kernels import KERNEL_BACKENDS
 
-        if self.ga_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown GA kernel backend {self.ga_backend!r}; "
-                f"choose from {KERNEL_BACKENDS}"
-            )
         # Omitted threshold resolves to the library default, so stored
         # requests always carry the concrete number they ran with.
         if self.exhaustive_threshold is None:
@@ -198,11 +193,12 @@ class CampaignRequest:
         del payload["schema_version"]
         if self.problem == DEFAULT_PROBLEM:
             del payload["problem"]
-        # The GA kernel backend can never change results, so it never
-        # hashes; the exhaustive threshold only hashes when it differs
-        # from the library default.  Both rules keep fingerprints from
-        # before these knobs existed matching.
-        del payload["ga_backend"]
+        # Every layout so far hashed the retired cost-engine knob, as
+        # "auto" unless forced; keeping the literal keeps recorded
+        # fingerprints matching.  The exhaustive threshold only hashes
+        # when it differs from the library default, so fingerprints
+        # from before it existed keep matching too.
+        payload["engine"] = "auto"
         from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
 
         if self.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
@@ -218,7 +214,9 @@ class CampaignRequest:
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignRequest":
         """Load a v1 or v2 payload (v1 is upgraded to ``problem: dcim``)."""
-        payload = dict(payload)
+        payload = {
+            k: v for k, v in payload.items() if k not in _RETIRED_REQUEST_KEYS
+        }
         version = payload.pop("schema_version", 1)
         problem = payload.pop("problem", DEFAULT_PROBLEM)
         if version not in SUPPORTED_SCHEMA_VERSIONS:
@@ -341,14 +339,10 @@ class CampaignResponse:
         cache_stats: cache counters (``CacheStats.as_dict`` shape), or
             ``None`` when the campaign ran uncached.
         wall_time_s: end-to-end campaign wall clock.
-        engine_backend: which cost-engine backend ran
-            (``numpy``/``python``).
         problem: registry name of the problem the campaign optimised.
         strategies: per-spec exploration strategy (``"ga"`` or
             ``"exhaustive"``), in spec input order; empty for records
             written before strategies were tracked.
-        ga_backend: resolved GA kernel backend (``numpy``/``python``),
-            or ``None`` for pre-kernel records.
     """
 
     frontier: tuple[FrontierPoint, ...]
@@ -357,10 +351,8 @@ class CampaignResponse:
     per_spec_evaluations: tuple[int, ...] = ()
     cache_stats: dict | None = None
     wall_time_s: float = 0.0
-    engine_backend: str = "python"
     problem: str = DEFAULT_PROBLEM
     strategies: tuple[str, ...] = ()
-    ga_backend: str | None = None
 
     def __post_init__(self) -> None:
         frontier = tuple(
@@ -385,10 +377,8 @@ class CampaignResponse:
                 dict(self.cache_stats) if self.cache_stats is not None else None
             ),
             "wall_time_s": self.wall_time_s,
-            "engine_backend": self.engine_backend,
             "problem": self.problem,
             "strategies": list(self.strategies),
-            "ga_backend": self.ga_backend,
         }
 
     def to_json(self) -> str:
@@ -396,7 +386,11 @@ class CampaignResponse:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignResponse":
-        payload = filter_unknown_keys(dict(payload), cls, "CampaignResponse")
+        payload = filter_unknown_keys(
+            {k: v for k, v in payload.items() if k not in _RETIRED_RESPONSE_KEYS},
+            cls,
+            "CampaignResponse",
+        )
         payload["frontier"] = tuple(
             FrontierPoint.from_dict(point)
             for point in payload.get("frontier", ())

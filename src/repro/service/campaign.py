@@ -33,9 +33,7 @@ from repro.dse.explorer import (
     SpecPlan,
     merge_exploration_results,
 )
-from repro.dse.kernels import resolve_kernel_backend
 from repro.dse.nsga2 import GenerationProgress, NSGA2Config
-from repro.model.engine import ENGINE_BACKENDS, resolve_backend
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
     NULL_SPAN,
@@ -79,8 +77,6 @@ class CampaignConfig:
         chunk_size: genomes per executor task (``None`` lets the pool
             size chunks itself); ignored with a caller-provided
             executor.
-        engine: cost-engine backend (``auto``/``numpy``/``python``)
-            used inside every problem; bit-identical across choices.
         problem: :mod:`repro.problems` registry name; every spec of the
             campaign is explored through that entry's problem factory.
         exhaustive_threshold: largest enumerable design space that is
@@ -111,7 +107,6 @@ class CampaignConfig:
     workers: int = 1
     backend: str = "serial"
     chunk_size: int | None = None
-    engine: str = "auto"
     problem: str = DEFAULT_PROBLEM
     exhaustive_threshold: int | None = DEFAULT_EXHAUSTIVE_THRESHOLD
     cache_flush_every: int | None = None
@@ -126,11 +121,6 @@ class CampaignConfig:
             raise ValueError("cache_flush_every must be >= 0 when given")
         if self.exhaustive_threshold is not None and self.exhaustive_threshold < 0:
             raise ValueError("exhaustive_threshold must be >= 0 when given")
-        if self.engine not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {self.engine!r}; "
-                f"choose from {ENGINE_BACKENDS}"
-            )
         try:
             get_problem(self.problem)
         except KeyError as exc:
@@ -151,8 +141,6 @@ class CampaignResult:
         cache_stats: snapshot of the shared cache counters for this
             campaign (``None`` when uncached).
         wall_time_s: end-to-end wall clock.
-        engine_backend: which cost-engine backend ran
-            (``numpy``/``python``).
         run_id: registry id assigned when the campaign was recorded
             into a :class:`~repro.store.runstore.RunStore` (``None``
             for unrecorded campaigns).
@@ -161,8 +149,6 @@ class CampaignResult:
             frontier records).
         strategies: per-spec exploration strategy (``"ga"`` or
             ``"exhaustive"``), in spec input order.
-        ga_backend: resolved GA kernel backend
-            (``numpy``/``python``) that ran the sort/crowding kernels.
     """
 
     results: list[ExplorationResult]
@@ -171,11 +157,9 @@ class CampaignResult:
     evaluations: int = 0
     cache_stats: CacheStats | None = None
     wall_time_s: float = 0.0
-    engine_backend: str = "python"
     run_id: str | None = None
     problem: str = DEFAULT_PROBLEM
     strategies: tuple[str, ...] = ()
-    ga_backend: str | None = None
 
     @property
     def fresh_evaluations(self) -> int:
@@ -208,10 +192,8 @@ class CampaignResult:
             per_spec_evaluations=tuple(r.evaluations for r in self.results),
             cache_stats=self.cache_stats.as_dict() if self.cache_stats else None,
             wall_time_s=self.wall_time_s,
-            engine_backend=self.engine_backend,
             problem=self.problem,
             strategies=self.strategies,
-            ga_backend=self.ga_backend,
         )
 
 
@@ -230,18 +212,20 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     identical workloads share it).  Like the request fingerprint, the
     default ``"dcim"`` problem hashes the pre-v2 config layout so
     registry rows recorded before the schema upgrade keep matching.
-    The GA kernel backend never enters the hash (it cannot change
-    results), and the exhaustive threshold only does when it differs
-    from the default — so rows recorded before these knobs existed keep
-    matching too.  ``cache_flush_every`` and ``cache_backend`` are pure
-    I/O/dedup plumbing and stay out unconditionally.
+    That layout carried the retired cost-engine knob, which every
+    default run hashed as ``"auto"``: the payload keeps that literal so
+    those rows keep matching.  The exhaustive threshold only hashes
+    when it differs from the default — so rows recorded before it
+    existed keep matching too.  ``cache_flush_every`` and
+    ``cache_backend`` are pure I/O/dedup plumbing and stay out
+    unconditionally.
     """
     from repro.service.cache import stable_hash
 
     config_payload = dataclasses.asdict(config)
+    config_payload["engine"] = "auto"
     if config.problem == DEFAULT_PROBLEM:
         del config_payload["problem"]
-    del config_payload["nsga2"]["backend"]
     del config_payload["cache_flush_every"]
     del config_payload["cache_backend"]
     if config.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
@@ -311,10 +295,6 @@ def run_campaign(
 
         cache = make_cache(config.cache_backend)
     definition = get_problem(config.problem)
-    # Resolve the backends first: a resolution failure must not leak a
-    # freshly spawned worker pool.
-    engine_backend = resolve_backend(config.engine)
-    ga_backend = resolve_kernel_backend(config.nsga2.backend)
     own_executor = executor is None
     executor = executor or make_executor(config.backend, chunk_size=config.chunk_size)
     explorer = DesignSpaceExplorer(
@@ -322,9 +302,8 @@ def run_campaign(
         config.nsga2,
         cache=cache,
         executor=executor,
-        engine=config.engine,
         problem_factory=lambda spec: definition.make_problem(
-            spec, library=library, engine=config.engine
+            spec, library=library
         ),
         exhaustive_threshold=config.exhaustive_threshold,
     )
@@ -354,28 +333,28 @@ def run_campaign(
     m_generations = registry.counter(
         "repro_campaign_generations_total",
         "GA generations completed across campaigns",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
     m_generation_seconds = registry.histogram(
         "repro_campaign_generation_seconds",
         "Wall time of one GA generation",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
     m_front_size = registry.gauge(
         "repro_campaign_front_size",
         "Pareto front size reported by the most recent generation",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
     m_campaigns = registry.counter(
         "repro_campaigns_total",
         "Campaigns finished, by outcome",
-        ("problem", "status", "ga_backend"),
+        ("problem", "status"),
     )
     m_campaign_seconds = registry.histogram(
         "repro_campaign_seconds",
         "End-to-end campaign wall time",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
 
     def emit(event: CampaignEvent) -> None:
         if observer is not None:
@@ -597,7 +576,7 @@ def run_campaign(
         done = sum(result is not None for result in maybe_results)
         message = f"campaign cancelled after {done}/{len(specs)} specs"
         campaign_span.end(status="error", error=message)
-        m_campaigns.labels(config.problem, "cancelled", ga_backend).inc()
+        m_campaigns.labels(config.problem, "cancelled").inc()
         if store is not None:
             _record_safely(
                 store.record_failure,
@@ -611,7 +590,7 @@ def run_campaign(
         raise CampaignCancelled(message)
     results: list[ExplorationResult] = maybe_results
 
-    m_campaigns.labels(config.problem, "done", ga_backend).inc()
+    m_campaigns.labels(config.problem, "done").inc()
     m_campaign_seconds.observe(wall_time)
     merged_points, merged_objs = merge_exploration_results(results)
     emit(
@@ -641,10 +620,8 @@ def run_campaign(
         evaluations=sum(r.evaluations for r in results),
         cache_stats=stats,
         wall_time_s=wall_time,
-        engine_backend=engine_backend,
         problem=config.problem,
         strategies=tuple(r.strategy for r in results),
-        ga_backend=ga_backend,
     )
     if store is not None:
         record = _record_safely(
@@ -713,13 +690,11 @@ def execute_request(
         nsga2=NSGA2Config(
             population_size=request.population_size,
             generations=request.generations,
-            backend=request.ga_backend,
         ),
         seed=request.seed,
         workers=request.workers,
         backend=request.backend,
         chunk_size=request.chunk_size,
-        engine=request.engine,
         problem=request.problem,
         exhaustive_threshold=request.exhaustive_threshold,
     )

@@ -739,8 +739,6 @@ class WorkCoordinator:
         per_spec: list[int] = []
         fresh = 0
         strategies: list[str] = []
-        engine_backend = "python"
-        ga_backend = None
         cache_totals: dict[str, float] | None = {}
         for unit in campaign.units:
             result = unit.result or {}
@@ -751,8 +749,6 @@ class WorkCoordinator:
             per_spec.append(int(result.get("evaluations") or 0))
             fresh += int(result.get("fresh_evaluations") or 0)
             strategies.append(result.get("strategy") or "ga")
-            engine_backend = result.get("engine_backend") or engine_backend
-            ga_backend = result.get("ga_backend") or ga_backend
             stats = result.get("cache_stats")
             if stats is None:
                 cache_totals = None
@@ -779,10 +775,8 @@ class WorkCoordinator:
             per_spec_evaluations=tuple(per_spec),
             cache_stats=cache_totals,
             wall_time_s=wall_time,
-            engine_backend=engine_backend,
             problem=campaign.request.problem,
             strategies=tuple(strategies),
-            ga_backend=ga_backend,
         )
 
 

@@ -52,14 +52,12 @@ CREATE TABLE IF NOT EXISTS runs (
     wall_time_s REAL NOT NULL DEFAULT 0.0,
     evaluations INTEGER NOT NULL DEFAULT 0,
     fresh_evaluations INTEGER NOT NULL DEFAULT 0,
-    engine_backend TEXT,
     specs TEXT NOT NULL,
     request TEXT,
     cache_stats TEXT,
     error TEXT,
     problem TEXT NOT NULL DEFAULT 'dcim',
-    strategy TEXT,
-    ga_backend TEXT
+    strategy TEXT
 );
 CREATE INDEX IF NOT EXISTS runs_by_fingerprint ON runs(fingerprint);
 CREATE INDEX IF NOT EXISTS runs_by_created ON runs(created_at);
@@ -124,6 +122,17 @@ CREATE TABLE IF NOT EXISTS work_units (
 CREATE INDEX IF NOT EXISTS work_units_by_worker ON work_units(worker_id);
 """
 
+#: The ``runs`` columns a :class:`RunRecord` reads, named rather than
+#: ``r.*``: databases created before the numeric-backend columns were
+#: dropped still carry ``engine_backend`` and ``ga_backend``.
+_SELECT_RUNS = (
+    "SELECT r.run_id, r.name, r.fingerprint, r.status, r.created_at, "
+    "r.wall_time_s, r.evaluations, r.fresh_evaluations, r.specs, "
+    "r.cache_stats, r.error, r.problem, r.strategy, "
+    "(SELECT COUNT(*) FROM fronts f WHERE f.run_id = r.run_id) AS front_size "
+    "FROM runs r"
+)
+
 
 def _summarize_strategies(response: CampaignResponse | None) -> str | None:
     """Collapse per-spec strategies into the run row's summary value.
@@ -171,7 +180,6 @@ class RunRecord:
         wall_time_s: campaign wall clock.
         evaluations / fresh_evaluations: unique genomes looked up /
             actually computed (cache misses).
-        engine_backend: cost-engine backend that ran.
         specs: per-spec labels (``"<wstore>:<precision>"`` for DCIM).
         front_size: merged-frontier rows recorded for this run.
         cache_stats: cache counter snapshot (``None`` when uncached).
@@ -182,8 +190,6 @@ class RunRecord:
         strategy: exploration strategy summary — ``"ga"`` or
             ``"exhaustive"`` when every spec used that strategy,
             ``"mixed"`` otherwise, ``None`` for pre-strategy rows.
-        ga_backend: resolved GA kernel backend (``numpy``/``python``),
-            ``None`` for pre-kernel rows.
     """
 
     run_id: str
@@ -194,14 +200,12 @@ class RunRecord:
     wall_time_s: float = 0.0
     evaluations: int = 0
     fresh_evaluations: int = 0
-    engine_backend: str | None = None
     specs: tuple[str, ...] = ()
     front_size: int = 0
     cache_stats: dict | None = None
     error: str | None = None
     problem: str = "dcim"
     strategy: str | None = None
-    ga_backend: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -213,14 +217,12 @@ class RunRecord:
             "wall_time_s": self.wall_time_s,
             "evaluations": self.evaluations,
             "fresh_evaluations": self.fresh_evaluations,
-            "engine_backend": self.engine_backend,
             "specs": list(self.specs),
             "front_size": self.front_size,
             "cache_stats": self.cache_stats,
             "error": self.error,
             "problem": self.problem,
             "strategy": self.strategy,
-            "ga_backend": self.ga_backend,
         }
 
     @classmethod
@@ -297,15 +299,13 @@ class RunStore:
 
         ``CREATE TABLE IF NOT EXISTS`` leaves existing tables alone, so
         columns added since a database was created are backfilled here
-        (``ALTER TABLE ADD COLUMN`` appends; the list is ordered by the
-        release each column landed in, so altered databases end up with
-        the column order of a freshly created schema).
+        (``ALTER TABLE ADD COLUMN`` appends).  Retired columns stay in
+        older databases; every read names its columns.
         """
         migrations = [
             ("runs", "problem", "TEXT NOT NULL DEFAULT 'dcim'"),
             ("design_points", "extras", "TEXT NOT NULL DEFAULT '{}'"),
             ("runs", "strategy", "TEXT"),
-            ("runs", "ga_backend", "TEXT"),
         ]
         for table, column, decl in migrations:
             present = {
@@ -438,16 +438,12 @@ class RunStore:
             fresh_evaluations=(
                 response.fresh_evaluations if response is not None else 0
             ),
-            engine_backend=(
-                response.engine_backend if response is not None else None
-            ),
             specs=specs,
             front_size=len(frontier),
             cache_stats=response.cache_stats if response is not None else None,
             error=error,
             problem=problem,
             strategy=_summarize_strategies(response),
-            ga_backend=response.ga_backend if response is not None else None,
         )
 
     def _insert_run_locked(
@@ -467,9 +463,8 @@ class RunStore:
         self._conn.execute(
             "INSERT INTO runs (run_id, name, fingerprint, status, "
             "created_at, wall_time_s, evaluations, fresh_evaluations, "
-            "engine_backend, specs, request, cache_stats, error, problem, "
-            "strategy, ga_backend) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "specs, request, cache_stats, error, problem, strategy) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 run_id,
                 name,
@@ -479,7 +474,6 @@ class RunStore:
                 response.wall_time_s if response is not None else 0.0,
                 response.evaluations if response is not None else 0,
                 response.fresh_evaluations if response is not None else 0,
-                response.engine_backend if response is not None else None,
                 json.dumps(list(specs)),
                 request.to_json() if request is not None else None,
                 (
@@ -490,7 +484,6 @@ class RunStore:
                 error,
                 problem,
                 _summarize_strategies(response),
-                response.ga_backend if response is not None else None,
             ),
         )
         for position, point in enumerate(frontier):
@@ -542,10 +535,7 @@ class RunStore:
             # A negative LIMIT means "unbounded" to SQLite — exactly the
             # unpaginated read this parameter exists to prevent.
             raise ValueError(f"limit must be >= 0, got {limit}")
-        query = (
-            "SELECT r.*, (SELECT COUNT(*) FROM fronts f "
-            "WHERE f.run_id = r.run_id) AS front_size FROM runs r"
-        )
+        query = _SELECT_RUNS
         params: list = []
         clauses = []
         if status is not None:
@@ -569,10 +559,7 @@ class RunStore:
         """One run by id; raises :class:`KeyError` when unknown."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT r.*, (SELECT COUNT(*) FROM fronts f "
-                "WHERE f.run_id = r.run_id) AS front_size "
-                "FROM runs r WHERE r.run_id = ?",
-                (run_id,),
+                _SELECT_RUNS + " WHERE r.run_id = ?", (run_id,)
             ).fetchone()
         if row is None:
             raise KeyError(f"unknown run id {run_id!r}")
@@ -1052,14 +1039,11 @@ class RunStore:
             wall_time_s,
             evaluations,
             fresh_evaluations,
-            engine_backend,
             specs,
-            _request,
             cache_stats,
             error,
             problem,
             strategy,
-            ga_backend,
             front_size,
         ) = row
         return RunRecord(
@@ -1071,14 +1055,12 @@ class RunStore:
             wall_time_s=wall_time_s,
             evaluations=evaluations,
             fresh_evaluations=fresh_evaluations,
-            engine_backend=engine_backend,
             specs=tuple(json.loads(specs)),
             front_size=front_size,
             cache_stats=json.loads(cache_stats) if cache_stats else None,
             error=error,
             problem=problem,
             strategy=strategy,
-            ga_backend=ga_backend,
         )
 
     def request_of(self, run_id: str) -> CampaignRequest | None:

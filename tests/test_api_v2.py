@@ -50,6 +50,18 @@ GOLDEN_V1_FINGERPRINT = (
     "b06efebc6d3294e3a91511ee5c712c2101937ceec0ebe894fa439cc1fa974ec3"
 )
 
+#: Fingerprints computed by the code that still had the ``engine`` and
+#: ``ga_backend`` knobs.  Their removal must not move any of them.
+GOLDEN_DCIM_CONFIG_FINGERPRINT = (
+    "447bf75d88ea068dbc2a3227eb914f1f0d1d51c4edbfb91e3597e7bb6723bb95"
+)
+GOLDEN_MAPPING_CONFIG_FINGERPRINT = (
+    "14e6367c64f58066d7d95a43cf57cd5cff744bca94cbe22976875733c157930a"
+)
+GOLDEN_MAPPING_REQUEST_FINGERPRINT = (
+    "79a6125532eb411a5a69ca5c281df8a2a2482a84ca13dd8dd2f654abb6e6465a"
+)
+
 
 def equivalent_v2_request() -> CampaignRequest:
     """The same campaign, written in the v2 layout."""
@@ -148,19 +160,11 @@ class TestV1Upgrade:
     def test_no_problem_hashes_schema_version(self):
         """Fingerprints identify workloads: a future schema bump must
         not silently re-fingerprint any problem's requests."""
-        from repro.service.cache import stable_hash
-
         request = CampaignRequest(
             problem="mapping",
             specs=({"network": "tiny_cnn", "wstore": 4096},),
         )
-        expected = request.to_dict()
-        del expected["schema_version"]
-        # GA backend and the default exhaustive threshold never change
-        # results, so they are excluded from workload identity too.
-        del expected["ga_backend"]
-        del expected["exhaustive_threshold"]
-        assert request.fingerprint() == stable_hash(expected)
+        assert request.fingerprint() == GOLDEN_MAPPING_REQUEST_FINGERPRINT
 
     def test_dcim_wire_spec_fails_fast_on_bad_precision(self):
         """A dict payload with a bad precision is rejected at the API
@@ -177,13 +181,15 @@ class TestV1Upgrade:
 
 class TestForwardCompatibility:
     def test_request_loader_ignores_unknown_keys_with_warning(self):
-        payload = json.loads(GOLDEN_V1_JSON)
+        payload = json.loads(GOLDEN_V1_JSON)  # carries the retired "engine"
         payload["added_in_v3"] = {"x": 1}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             request = CampaignRequest.from_dict(payload)
         assert request.fingerprint() == GOLDEN_V1_FINGERPRINT
-        assert any("added_in_v3" in str(w.message) for w in caught)
+        messages = " ".join(str(w.message) for w in caught)
+        assert "added_in_v3" in messages
+        assert "engine" not in messages
 
     def test_spec_loader_ignores_unknown_keys_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -202,6 +208,7 @@ class TestForwardCompatibility:
             ],
             "evaluations": 1,
             "from_the_future": "yes",
+            "engine_backend": "numpy",  # retired: dropped silently
         }
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -209,6 +216,29 @@ class TestForwardCompatibility:
         assert response.evaluations == 1
         assert response.frontier[0].n == 64
         assert len(caught) >= 2  # one per unknown-key site
+        assert not any("engine_backend" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("engine", ["auto", "numpy", "python"])
+    def test_retired_request_keys_load_silently(self, engine):
+        """Stored requests and older clients still send the retired
+        backend knobs; they load without a warning and fingerprint like
+        the default (a forced backend never changed results)."""
+        payload = dict(json.loads(GOLDEN_V1_JSON), engine=engine)
+        payload["ga_backend"] = "python"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            request = CampaignRequest.from_dict(payload)
+        assert request == CampaignRequest.from_json(GOLDEN_V1_JSON)
+        assert request.fingerprint() == GOLDEN_V1_FINGERPRINT
+
+    def test_retired_response_keys_load_silently(self, dcim_response):
+        payload = dict(
+            dcim_response.to_dict(), engine_backend="numpy", ga_backend="numpy"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = CampaignResponse.from_dict(payload)
+        assert loaded == dcim_response
 
 
 class TestFrontierPointExtras:
@@ -323,12 +353,10 @@ RESPONSES = st.builds(
         st.integers(min_value=0, max_value=10**4),
     ),
     wall_time_s=st.floats(min_value=0.0, max_value=1e3),
-    engine_backend=st.sampled_from(["numpy", "python"]),
     problem=st.sampled_from(["dcim", "mapping"]),
     strategies=st.lists(st.sampled_from(["ga", "exhaustive"]), max_size=4).map(
         tuple
     ),
-    ga_backend=st.none() | st.sampled_from(["numpy", "python"]),
 )
 
 
@@ -450,24 +478,21 @@ class TestFrontierPointCodec:
 class TestProgrammaticFingerprint:
     def test_dcim_config_fingerprint_matches_pre_v2_layout(self):
         """run_campaign(store=...) fingerprints must not drift either."""
-        import dataclasses
-
         from repro.core.spec import DcimSpec
         from repro.service.campaign import _campaign_fingerprint
-        from repro.service.cache import stable_hash
 
         specs = [DcimSpec(wstore=4096, precision="INT8")]
-        config = CampaignConfig()
-        legacy_config = dataclasses.asdict(config)
-        del legacy_config["problem"]  # the pre-v2 config had no such key
-        # bit-parity knobs that never affect results stay out of the hash
-        del legacy_config["nsga2"]["backend"]
-        del legacy_config["exhaustive_threshold"]
-        del legacy_config["cache_flush_every"]
-        del legacy_config["cache_backend"]
-        assert _campaign_fingerprint(specs, config) == stable_hash(
-            {
-                "specs": [dataclasses.asdict(s) for s in specs],
-                "config": legacy_config,
-            }
+        assert (
+            _campaign_fingerprint(specs, CampaignConfig())
+            == GOLDEN_DCIM_CONFIG_FINGERPRINT
+        )
+
+    def test_mapping_config_fingerprint_is_pinned(self):
+        from repro.problems.mapping import MappingSpec
+        from repro.service.campaign import _campaign_fingerprint
+
+        specs = [MappingSpec(network="tiny_cnn")]
+        assert (
+            _campaign_fingerprint(specs, CampaignConfig(problem="mapping"))
+            == GOLDEN_MAPPING_CONFIG_FINGERPRINT
         )

@@ -112,7 +112,7 @@ class TestCampaignCacheReport:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "strategy: 4096:INT4=exhaustive, 4096:INT8=exhaustive;" in out
+        assert "strategy: 4096:INT4=exhaustive, 4096:INT8=exhaustive\n" in out
         assert (
             "cache[sqlite]: not consulted (every spec was enumerated "
             "exhaustively), 1 entries stored"

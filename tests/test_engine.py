@@ -1,7 +1,7 @@
 """Batch cost engine: batch/scalar parity and front-end behaviour.
 
-The load-bearing guarantee of :mod:`repro.model.engine` is that every
-backend returns objective vectors *bit-identical* to the seed scalar
+The load-bearing guarantee of :mod:`repro.model.engine` is that the
+batch engine returns objective vectors *bit-identical* to the seed scalar
 path (``GenomeCodec.decode`` → ``DesignPoint.macro_cost`` →
 ``objectives_of``): persisted cache entries and per-seed NSGA-II
 trajectories must not move when the engine changes.  Every comparison
@@ -18,21 +18,12 @@ from hypothesis import strategies as st
 from repro.core.spec import DcimSpec
 from repro.dse.genome import GenomeCodec
 from repro.dse.problem import DcimProblem, objectives_of
-from repro.model.engine import (
-    CostEngine,
-    ENGINE_BACKENDS,
-    HAS_NUMPY,
-    resolve_backend,
-)
+from repro.model.engine import CostEngine
 from repro.model import engine as engine_module
 from repro.model.cost import Cost
 from repro.tech.cells import CellLibrary
 
 LIB = CellLibrary.default()
-
-#: Backends available in this interpreter (numpy is baked in normally,
-#: but the suite must also pass on a numpy-less install).
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
 
 PRECISIONS = ["INT2", "INT4", "INT8", "INT16", "FP8", "BF16", "FP16", "FP32"]
 
@@ -53,37 +44,12 @@ def make_spec(wstore, precision):
     return spec
 
 
-class TestResolveBackend:
-    def test_known_names(self):
-        assert set(ENGINE_BACKENDS) == {"auto", "numpy", "python"}
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("auto") in ("numpy", "python")
-
-    def test_auto_prefers_numpy_when_available(self):
-        if HAS_NUMPY:
-            assert resolve_backend("auto") == "numpy"
-        else:
-            assert resolve_backend("auto") == "python"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("cuda")
-
-    @pytest.mark.skipif(HAS_NUMPY, reason="needs a numpy-less interpreter")
-    def test_forced_numpy_without_numpy_rejected(self):  # pragma: no cover
-        with pytest.raises(ValueError, match="not importable"):
-            resolve_backend("numpy")
-
-
 class TestBatchScalarParity:
     """The acceptance-criterion tests: exact equality with the seed path."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("precision", ["INT4", "INT8", "BF16", "FP16"])
-    def test_full_space_bit_identical(self, precision, backend):
-        problem = DcimProblem(
-            DcimSpec(wstore=4096, precision=precision), LIB, engine_backend=backend
-        )
+    def test_full_space_bit_identical(self, precision):
+        problem = DcimProblem(DcimSpec(wstore=4096, precision=precision), LIB)
         genomes = problem.codec.enumerate()
         assert problem.evaluate_batch(genomes) == scalar_objectives(problem, genomes)
 
@@ -91,36 +57,19 @@ class TestBatchScalarParity:
     @given(
         wstore_exp=st.integers(min_value=9, max_value=18),
         precision=st.sampled_from(PRECISIONS),
-        backend=st.sampled_from(BACKENDS),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_random_specs_bit_identical(self, wstore_exp, precision, backend, seed):
+    def test_random_specs_bit_identical(self, wstore_exp, precision, seed):
         spec = make_spec(2**wstore_exp, precision)
         if spec is None:  # combination the exponent encoding rejects
             return
-        problem = DcimProblem(spec, LIB, engine_backend=backend)
+        problem = DcimProblem(spec, LIB)
         rng = random.Random(seed)
         genomes = [problem.sample(rng) for _ in range(12)]
         assert problem.evaluate_batch(genomes) == scalar_objectives(problem, genomes)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-    @pytest.mark.parametrize("precision", ["INT8", "BF16"])
-    def test_numpy_and_python_backends_agree(self, precision):
-        spec = DcimSpec(wstore=8192, precision=precision)
-        genomes = DcimProblem(spec, LIB).codec.enumerate()
-        results = {
-            backend: DcimProblem(
-                spec, LIB, engine_backend=backend
-            ).evaluate_batch(genomes)
-            for backend in ("numpy", "python")
-        }
-        assert results["numpy"] == results["python"]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scalar_evaluate_is_a_batch_of_one(self, backend):
-        problem = DcimProblem(
-            DcimSpec(wstore=4096, precision="INT8"), LIB, engine_backend=backend
-        )
+    def test_scalar_evaluate_is_a_batch_of_one(self):
+        problem = DcimProblem(DcimSpec(wstore=4096, precision="INT8"), LIB)
         for genome in problem.codec.enumerate()[:8]:
             assert problem.evaluate(genome) == problem.evaluate_batch([genome])[0]
 
@@ -133,15 +82,11 @@ class TestBatchScalarParity:
 
 
 class TestBatchCostColumns:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_columns_match_macro_cost(self, backend):
-        problem = DcimProblem(
-            DcimSpec(wstore=4096, precision="BF16"), LIB, engine_backend=backend
-        )
+    def test_columns_match_macro_cost(self):
+        problem = DcimProblem(DcimSpec(wstore=4096, precision="BF16"), LIB)
         genomes = problem.codec.enumerate()[:16]
         points = problem.codec.decode_batch(genomes)
         batch = problem.engine.evaluate_points(points)
-        assert batch.backend == backend
         assert batch.arch == "fp-prealign"
         assert len(batch) == len(points)
         costs = [p.macro_cost(LIB) for p in points]
@@ -262,34 +207,28 @@ def count_component_calls(monkeypatch) -> list[str]:
 class TestSharedComponentTable:
     """Engines over libraries of equal content share one component table."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("precision", ["INT8", "BF16"])
-    def test_second_problem_makes_no_component_call(
-        self, monkeypatch, backend, precision
-    ):
+    def test_second_problem_makes_no_component_call(self, monkeypatch, precision):
         spec = DcimSpec(wstore=65536, precision=precision)
-        first = DcimProblem(spec, CellLibrary.default(), engine_backend=backend)
+        first = DcimProblem(spec, CellLibrary.default())
         genomes = first.codec.enumerate()
         expected = first.evaluate_batch(genomes)
         calls = count_component_calls(monkeypatch)
         # A new default() object per problem, as every campaign builds.
-        second = DcimProblem(spec, CellLibrary.default(), engine_backend=backend)
+        second = DcimProblem(spec, CellLibrary.default())
         assert second.library is not first.library
         assert second.evaluate_batch(genomes) == expected
         assert second.evaluate_batch(genomes[::7]) == expected[::7]
         assert calls == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_with_cell_library_keeps_its_own_costs(self, monkeypatch, backend):
+    def test_with_cell_library_keeps_its_own_costs(self, monkeypatch):
         spec = DcimSpec(wstore=4096, precision="INT8")
-        default = DcimProblem(spec, CellLibrary.default(), engine_backend=backend)
+        default = DcimProblem(spec, CellLibrary.default())
         genomes = default.codec.enumerate()
         default_objectives = default.evaluate_batch(genomes)
         calls = count_component_calls(monkeypatch)
-        # Both backends share tables, so each run tweaks a fresh content.
-        energy = 9.1 + BACKENDS.index(backend)
-        tweaked = CellLibrary.default().with_cell("FA", Cost(6.3, 3.7, energy))
-        problem = DcimProblem(spec, tweaked, engine_backend=backend)
+        tweaked = CellLibrary.default().with_cell("FA", Cost(6.3, 3.7, 9.1))
+        problem = DcimProblem(spec, tweaked)
         got = problem.evaluate_batch(genomes)
         assert calls, "a library with other cells must not reuse the default table"
         assert got == [
@@ -355,9 +294,3 @@ class TestEngineLifecycle:
     def test_problem_defaults_keep_equality_semantics(self):
         spec = DcimSpec(wstore=4096, precision="INT8")
         assert DcimProblem(spec, LIB) == DcimProblem(spec, LIB)
-
-    def test_invalid_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            DcimProblem(
-                DcimSpec(wstore=4096, precision="INT8"), LIB, engine_backend="gpu"
-            )

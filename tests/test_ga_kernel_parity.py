@@ -4,15 +4,16 @@ Four layers of evidence that vectorising the NSGA-II bookkeeping
 changed nothing:
 
 * a Hypothesis suite feeding adversarial objective matrices (ties,
-  duplicate rows, infinities, zero-range columns) through both kernel
-  backends and asserting bitwise-identical ranks, front orders and
-  crowding values, also when the numpy sort reuses a superset's
-  dominance matrix;
+  duplicate rows, infinities, zero-range columns) through the numpy
+  kernels and the pure-Python reference module
+  (:mod:`repro.dse.kernels.python`) and asserting bitwise-identical
+  ranks, front orders and crowding values, also when the numpy sort
+  reuses a superset's dominance matrix;
 * exact-draw tests: ``breed_offspring`` against a loop over the
   per-operator functions and the stdlib-wrapper repair, children and
   rng state both;
 * golden result fingerprints of full ``nsga2()`` runs, captured from
-  the pre-kernel implementation and pinned for both backends;
+  the pre-kernel implementation;
 * strategy/bookkeeping coverage: exhaustive-vs-GA routing, response
   surfacing, and the run-registry schema migration.
 """
@@ -30,12 +31,9 @@ from hypothesis import strategies as st
 from repro.core.pareto import dominance_matrix
 from repro.core.spec import DcimSpec
 from repro.dse.kernels import (
-    HAS_NUMPY,
-    KERNEL_BACKENDS,
     GAKernels,
     breed_offspring,
     novel_genomes,
-    resolve_kernel_backend,
     step_mutation,
     tournament_index,
     uniform_crossover,
@@ -44,10 +42,6 @@ from repro.dse.kernels import python as py_kernels
 from repro.dse.nsga2 import NSGA2Config, nsga2
 from repro.dse.problem import DcimProblem
 from repro.problems.mapping import MappingProblem, MappingSpec
-
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="parity needs both backends importable"
-)
 
 
 def bits(values):
@@ -83,59 +77,54 @@ def objective_matrices(draw):
 
 
 class TestKernelParity:
-    """numpy and python kernels agree bit-for-bit on adversarial input."""
+    """The numpy kernels agree bit-for-bit with the reference module on
+    adversarial input."""
 
     @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_nondominated_sort_identical(self, objectives):
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
-        np_ranks, np_fronts = np_k.nondominated_sort(
-            np_k.as_matrix(objectives)
-        )
-        py_ranks, py_fronts = py_k.nondominated_sort(
-            py_k.as_matrix(objectives)
-        )
-        assert np_ranks == py_ranks
-        assert np_fronts == py_fronts
+        kernels = GAKernels()
+        ranks, fronts = kernels.nondominated_sort(kernels.as_matrix(objectives))
+        ref_ranks, ref_fronts = py_kernels.nondominated_sort(objectives)
+        assert ranks == ref_ranks
+        assert fronts == ref_fronts
 
     @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_crowding_identical(self, objectives):
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
-        _, fronts = py_k.nondominated_sort(objectives)
+        kernels = GAKernels()
+        _, fronts = py_kernels.nondominated_sort(objectives)
         for front in fronts:
-            np_perm, np_dist = np_k.crowding(
-                np_k.as_matrix(objectives), front
-            )
-            py_perm, py_dist = py_k.crowding(objectives, front)
-            assert np_perm == py_perm
-            assert bits(np_dist) == bits(py_dist)
+            perm, dist = kernels.crowding(kernels.as_matrix(objectives), front)
+            ref_perm, ref_dist = py_kernels.crowding(objectives, front)
+            assert perm == ref_perm
+            assert bits(dist) == bits(ref_dist)
 
     @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_pareto_filter_identical(self, objectives):
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
-        assert np_k.pareto_filter(
-            np_k.as_matrix(objectives)
-        ) == py_k.pareto_filter(objectives)
+        kernels = GAKernels()
+        assert kernels.pareto_filter(
+            kernels.as_matrix(objectives)
+        ) == py_kernels.pareto_filter(objectives)
 
     @settings(max_examples=100, deadline=None)
     @given(objectives=objective_matrices(), seed=st.integers(0, 2**32 - 1))
     def test_tournament_selects_identical_indices(self, objectives, seed):
         if len(objectives) < 2:
             return
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
+        kernels = GAKernels()
+        matrix = kernels.as_matrix(objectives)
+        implementations = (
+            (kernels.nondominated_sort(matrix), kernels.crowding, matrix),
+            (py_kernels.nondominated_sort(objectives), py_kernels.crowding,
+             objectives),
+        )
         results = []
-        for kernels in (np_k, py_k):
-            matrix = kernels.as_matrix(objectives)
-            ranks, fronts = kernels.nondominated_sort(matrix)
+        for (ranks, fronts), crowd, rows in implementations:
             crowding = [0.0] * len(objectives)
             for front in fronts:
-                perm, dist = kernels.crowding(matrix, front)
+                perm, dist = crowd(rows, front)
                 for i, value in zip(perm, dist):
                     crowding[i] = value
             rng = random.Random(seed)
@@ -154,7 +143,7 @@ class TestKernelParity:
 
         if not objectives:
             return
-        kernels = GAKernels("numpy")
+        kernels = GAKernels()
         obj = kernels.as_matrix(objectives)
         idx = data.draw(
             st.lists(
@@ -176,61 +165,39 @@ class TestKernelParity:
         if not objectives:
             return
         cut = min(cut, len(objectives))
-        for backend in ("numpy", "python"):
-            kernels = GAKernels(backend)
-            grown = kernels.append(
-                kernels.as_matrix(objectives[:cut]), objectives[cut:]
-            )
-            whole = kernels.as_matrix(objectives)
-            assert len(grown) == len(whole)
-            for got, want in zip(grown, whole):
-                assert bits(got) == bits(want)
+        kernels = GAKernels()
+        grown = kernels.append(
+            kernels.as_matrix(objectives[:cut]), objectives[cut:]
+        )
+        whole = kernels.as_matrix(objectives)
+        assert len(grown) == len(whole)
+        for got, want in zip(grown, whole):
+            assert bits(got) == bits(want)
 
     def test_zero_range_column_is_not_divided_by(self):
-        # A constant objective column has span 0; both backends must
-        # skip it instead of dividing (the reference skips before any
-        # division, so no inf/nan leaks in).
+        # A constant objective column has span 0; the kernel and the
+        # reference must skip it instead of dividing (the reference
+        # skips before any division, so no inf/nan leaks in).
         objectives = [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]
-        for backend in ("numpy", "python"):
-            k = GAKernels(backend)
-            perm, dist = k.crowding(
-                k.as_matrix(objectives), range(len(objectives))
-            )
+        for crowding in (GAKernels().crowding, py_kernels.crowding):
+            perm, dist = crowding(objectives, range(len(objectives)))
             assert dist[perm.index(1)] == 1.0  # only objective 0 counts
             assert math.isinf(dist[perm.index(0)])
             assert math.isinf(dist[perm.index(2)])
 
 
-class TestBackendSelection:
-    def test_auto_resolves_to_numpy_here(self):
-        assert resolve_kernel_backend("auto") == "numpy"
-        assert resolve_kernel_backend() == "numpy"
-
-    def test_explicit_backends_round_trip(self):
-        for backend in ("numpy", "python"):
-            assert resolve_kernel_backend(backend) == backend
-            assert GAKernels(backend).backend == backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown GA kernel backend"):
-            resolve_kernel_backend("fortran")
-        assert "fortran" not in KERNEL_BACKENDS
-
+class TestKernelInstrumentation:
     def test_kernels_time_into_registry(self):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        k = GAKernels("python", registry=registry)
-        k.nondominated_sort([(1.0, 2.0), (2.0, 1.0)])
-        k.crowding([(1.0, 2.0), (2.0, 1.0)], [0, 1])
+        k = GAKernels(registry=registry)
+        matrix = k.as_matrix([(1.0, 2.0), (2.0, 1.0)])
+        k.nondominated_sort(matrix)
+        k.crowding(matrix, [0, 1])
         sample = registry.sample_values()
-        assert (
-            sample['repro_ga_sort_seconds_count{backend="python"}'] == 1.0
-        )
-        assert (
-            sample['repro_ga_crowding_seconds_count{backend="python"}']
-            == 1.0
-        )
+        assert sample["repro_ga_sort_seconds_count"] == 1.0
+        assert sample["repro_ga_crowding_seconds_count"] == 1.0
 
 
 def stdlib_repair(codec, genome, rng):
@@ -408,9 +375,8 @@ def result_fingerprint(result) -> str:
 
 
 # Captured by running the pre-kernel nsga2() implementation (the list
-# based one this PR replaced) on these exact problems and seeds.  Any
-# drift here means per-seed results changed — a parity break, whichever
-# backend produced it.
+# based one the kernels replaced) on these exact problems and seeds.
+# Any drift here means per-seed results changed — a parity break.
 GOLDEN_GRID = {
     0: "554e2b806bf6c1a570e014bad71b4eec6951725b82d234191346410ee6d6b9f0",
     1: "a9be61e57b71bdbe05950a9d21f9b5db99b59e000661d54288b13fdac8f2b4b8",
@@ -435,64 +401,44 @@ GOLDEN_MAPPING_RESNET_32X24_SEED0 = (
 )
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
 class TestGoldenFingerprints:
     """Full nsga2() runs are bit-identical to the pre-kernel code."""
 
-    def test_grid_runs(self, backend):
+    def test_grid_runs(self):
         for seed, golden in GOLDEN_GRID.items():
             result = nsga2(
                 GoldenGridProblem(),
-                NSGA2Config(
-                    population_size=16,
-                    generations=10,
-                    seed=seed,
-                    backend=backend,
-                ),
+                NSGA2Config(population_size=16, generations=10, seed=seed),
             )
             assert result_fingerprint(result) == golden, f"seed {seed}"
 
-    def test_dcim_int8_runs(self, backend):
+    def test_dcim_int8_runs(self):
         problem = DcimProblem(DcimSpec(wstore=4096, precision="INT8"))
         for seed, golden in GOLDEN_DCIM_4096_INT8.items():
             result = nsga2(
                 problem,
-                NSGA2Config(
-                    population_size=16,
-                    generations=8,
-                    seed=seed,
-                    backend=backend,
-                ),
+                NSGA2Config(population_size=16, generations=8, seed=seed),
             )
             assert result_fingerprint(result) == golden, f"seed {seed}"
 
-    def test_dcim_bf16_run(self, backend):
+    def test_dcim_bf16_run(self):
         problem = DcimProblem(DcimSpec(wstore=65536, precision="BF16"))
         result = nsga2(
-            problem,
-            NSGA2Config(
-                population_size=24, generations=12, seed=5, backend=backend
-            ),
+            problem, NSGA2Config(population_size=24, generations=12, seed=5)
         )
         assert result_fingerprint(result) == GOLDEN_DCIM_64K_BF16_SEED5
 
-    def test_dcim_int8_benchmark_shape(self, backend):
+    def test_dcim_int8_benchmark_shape(self):
         problem = DcimProblem(DcimSpec(wstore=65536, precision="INT8"))
         result = nsga2(
-            problem,
-            NSGA2Config(
-                population_size=64, generations=60, seed=0, backend=backend
-            ),
+            problem, NSGA2Config(population_size=64, generations=60, seed=0)
         )
         assert result_fingerprint(result) == GOLDEN_DCIM_64K_INT8_64X60_SEED0
 
-    def test_mapping_benchmark_shape(self, backend):
+    def test_mapping_benchmark_shape(self):
         problem = MappingProblem(MappingSpec(network="resnet_block"))
         result = nsga2(
-            problem,
-            NSGA2Config(
-                population_size=32, generations=24, seed=0, backend=backend
-            ),
+            problem, NSGA2Config(population_size=32, generations=24, seed=0)
         )
         assert result_fingerprint(result) == GOLDEN_MAPPING_RESNET_32X24_SEED0
 
@@ -543,15 +489,14 @@ class TestExhaustiveStrategy:
         with pytest.raises(ValueError, match="cannot enumerate"):
             explorer.explore_exhaustive(self.SPEC)
 
-    def test_campaign_response_surfaces_strategy_and_backend(self):
+    def test_campaign_response_surfaces_strategy(self):
         from repro.service import CampaignConfig, run_campaign
 
         result = run_campaign([self.SPEC], CampaignConfig())
         assert result.strategies == ("exhaustive",)
-        assert result.ga_backend == resolve_kernel_backend("auto")
         response = result.to_response()
         assert response.strategies == ("exhaustive",)
-        assert response.to_dict()["ga_backend"] == result.ga_backend
+        assert response.to_dict()["strategies"] == ["exhaustive"]
 
     def test_exhaustive_never_beaten_by_ga(self):
         # The enumerated front is exact: no GA point may dominate it.
@@ -583,7 +528,6 @@ class TestRunStoreStrategyColumns:
             )
             record = store.get_run(result.run_id)
         assert record.strategy == "exhaustive"
-        assert record.ga_backend == resolve_kernel_backend("auto")
         assert "via exhaustive" in record.describe()
         assert record.to_dict()["strategy"] == "exhaustive"
 
@@ -599,13 +543,11 @@ class TestRunStoreStrategyColumns:
                 store=store,
             )
             run_id = result.run_id
-        # Rebuild the pre-kernel schema: drop the new columns outright.
+        # Rebuild the pre-kernel schema: drop the new column outright.
         with sqlite3.connect(path) as conn:
             conn.execute("ALTER TABLE runs DROP COLUMN strategy")
-            conn.execute("ALTER TABLE runs DROP COLUMN ga_backend")
         # Re-opening migrates additively; old rows read back as unknown.
         with RunStore(path) as store:
             record = store.get_run(run_id)
             assert record.strategy is None
-            assert record.ga_backend is None
             assert "via" not in record.describe()

@@ -6,13 +6,8 @@ import pytest
 
 from repro.core.pareto import dominates
 from repro.core.spec import DcimSpec
-from repro.dse.nsga2 import (
-    Individual,
-    NSGA2Config,
-    crowding_distance,
-    fast_non_dominated_sort,
-    nsga2,
-)
+from repro.dse.kernels import GAKernels
+from repro.dse.nsga2 import NSGA2Config, nsga2
 from repro.dse.problem import DcimProblem
 
 
@@ -39,36 +34,35 @@ class GridProblem:
         return (2, 2)
 
 
+def crowding_by_row(objectives):
+    """Crowding distance per row of one front, through the GA kernels."""
+    kernels = GAKernels()
+    perm, dist = kernels.crowding(
+        kernels.as_matrix(objectives), range(len(objectives))
+    )
+    return dict(zip(perm, dist))
+
+
 class TestSortAndCrowding:
     def test_fast_sort_ranks(self):
-        pop = [
-            Individual((0,), (1.0, 1.0)),
-            Individual((1,), (2.0, 2.0)),
-            Individual((2,), (0.5, 3.0)),
-            Individual((3,), (3.0, 3.0)),
-        ]
-        fronts = fast_non_dominated_sort(pop)
-        assert {ind.genome for ind in fronts[0]} == {(0,), (2,)}
-        assert pop[0].rank == 0
-        assert pop[3].rank == 2  # dominated by both (1,1) and (2,2)
+        kernels = GAKernels()
+        matrix = kernels.as_matrix(
+            [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (3.0, 3.0)]
+        )
+        ranks, fronts = kernels.nondominated_sort(matrix)
+        assert set(fronts[0]) == {0, 2}
+        assert ranks[0] == 0
+        assert ranks[3] == 2  # dominated by both (1,1) and (2,2)
 
     def test_crowding_boundaries_infinite(self):
-        front = [
-            Individual((0,), (0.0, 3.0)),
-            Individual((1,), (1.0, 2.0)),
-            Individual((2,), (2.0, 1.0)),
-            Individual((3,), (3.0, 0.0)),
-        ]
-        crowding_distance(front)
-        by_genome = {ind.genome: ind.crowding for ind in front}
-        assert by_genome[(0,)] == float("inf")
-        assert by_genome[(3,)] == float("inf")
-        assert 0 < by_genome[(1,)] < float("inf")
+        by_row = crowding_by_row([(0.0, 3.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)])
+        assert by_row[0] == float("inf")
+        assert by_row[3] == float("inf")
+        assert 0 < by_row[1] < float("inf")
 
     def test_crowding_small_front_all_infinite(self):
-        front = [Individual((0,), (1.0, 2.0)), Individual((1,), (2.0, 1.0))]
-        crowding_distance(front)
-        assert all(ind.crowding == float("inf") for ind in front)
+        by_row = crowding_by_row([(1.0, 2.0), (2.0, 1.0)])
+        assert all(value == float("inf") for value in by_row.values())
 
 
 class TestConfig:

@@ -337,22 +337,9 @@ class TestCampaignParity:
             sample = scoped.sample_values()
         finally:
             set_registry(previous)
-        from repro.dse.kernels import resolve_kernel_backend
-
-        backend = resolve_kernel_backend("auto")
+        assert sample['repro_campaign_generations_total{problem="dcim"}'] == 3.0
         assert (
-            sample[
-                "repro_campaign_generations_total"
-                f'{{problem="dcim",ga_backend="{backend}"}}'
-            ]
-            == 3.0
-        )
-        assert (
-            sample[
-                "repro_campaigns_total"
-                f'{{problem="dcim",status="done",ga_backend="{backend}"}}'
-            ]
-            == 1.0
+            sample['repro_campaigns_total{problem="dcim",status="done"}'] == 1.0
         )
         assert any(
             key.startswith("repro_evaluations_total") and value > 0

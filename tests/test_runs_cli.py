@@ -2,11 +2,14 @@
 --store/--baseline`)."""
 
 import json
+import re
+import sqlite3
+import warnings
 
 import pytest
 
 from repro.cli import main
-from repro.service.api import CampaignResponse, FrontierPoint
+from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
 from repro.store import RunStore
 
 
@@ -275,3 +278,165 @@ class TestMappingCampaignCLI:
                        "--baseline", "main") == 1
         err = capsys.readouterr().err
         assert "error:" in err and "different problems" in err
+
+
+class TestRunReportCache:
+    """``runs export`` reports the cache like the campaign console does."""
+
+    def export_latest(self, store_path, capsys, *campaign_args):
+        assert run_cli("campaign", "--spec", "4096:INT8", *campaign_args,
+                       "--store", store_path) == 0
+        with RunStore(store_path) as store:
+            run_id = store.list_runs()[0].run_id
+        capsys.readouterr()
+        assert run_cli("runs", "export", run_id, "--format", "md",
+                       "--store", store_path) == 0
+        return capsys.readouterr().out
+
+    def test_exhaustive_run_reports_unconsulted_cache(
+        self, store_path, tmp_path, capsys
+    ):
+        report = self.export_latest(
+            store_path, capsys, "--cache", str(tmp_path / "c.sqlite")
+        )
+        assert "- strategy: exhaustive" in report
+        assert "- cache: not consulted" in report
+        assert "%" not in report
+
+    def test_ga_run_reports_hit_rate(self, store_path, tmp_path, capsys):
+        report = self.export_latest(
+            store_path, capsys, "--cache", str(tmp_path / "c.sqlite"),
+            "--exhaustive-threshold", "0",
+            "--population", "16", "--generations", "4",
+        )
+        assert "- strategy: ga" in report
+        assert re.search(r"^- cache: 0 hits / \d+ misses \(0\.0%\)$",
+                         report, re.MULTILINE)
+
+
+#: The ``runs`` table as the store created it while responses still
+#: carried the ``engine_backend`` and ``ga_backend`` fields.
+BACKEND_COLUMNS_RUNS_DDL = """
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY,
+    name TEXT,
+    fingerprint TEXT NOT NULL,
+    status TEXT NOT NULL,
+    created_at REAL NOT NULL,
+    wall_time_s REAL NOT NULL DEFAULT 0.0,
+    evaluations INTEGER NOT NULL DEFAULT 0,
+    fresh_evaluations INTEGER NOT NULL DEFAULT 0,
+    engine_backend TEXT,
+    specs TEXT NOT NULL,
+    request TEXT,
+    cache_stats TEXT,
+    error TEXT,
+    problem TEXT NOT NULL DEFAULT 'dcim',
+    strategy TEXT,
+    ga_backend TEXT
+);
+CREATE INDEX runs_by_fingerprint ON runs(fingerprint);
+CREATE INDEX runs_by_created ON runs(created_at);
+"""
+
+
+class TestStoreWithBackendColumns:
+    """A registry created while runs still recorded their numeric
+    backends keeps listing, showing, exporting and recording."""
+
+    @pytest.fixture
+    def legacy_store(self, store_path):
+        with sqlite3.connect(store_path) as conn:
+            conn.executescript(BACKEND_COLUMNS_RUNS_DDL)
+        request = {
+            "schema_version": 2, "problem": "dcim",
+            "specs": [{"wstore": 4096, "precision": "INT4", "max_l": 64,
+                       "max_h": 2048, "min_n_factor": 4, "max_n": None}],
+            "population_size": 16, "generations": 4, "seed": 0,
+            "backend": "serial", "workers": 1, "chunk_size": None,
+            "engine": "auto", "ga_backend": "auto",
+            "exhaustive_threshold": 512,
+        }
+        with RunStore(store_path) as store:
+            run_id = store.record_response(
+                CampaignResponse(frontier=(
+                    FrontierPoint("INT4", 64, 16, 64, 4, (1.0, 2.0, 3.0, -4.0)),
+                )),
+                specs=["4096:INT4"], name="legacy",
+            ).run_id
+        with sqlite3.connect(store_path) as conn:
+            conn.execute(
+                "UPDATE runs SET engine_backend = 'numpy', "
+                "ga_backend = 'numpy', request = ? WHERE run_id = ?",
+                (json.dumps(request), run_id),
+            )
+        return store_path, run_id
+
+    def test_lists_shows_exports_and_records(self, legacy_store, capsys):
+        store_path, run_id = legacy_store
+        assert run_cli("runs", "list", "--store", store_path) == 0
+        assert run_id in capsys.readouterr().out
+        assert run_cli("runs", "show", run_id, "--store", store_path) == 0
+        shown = capsys.readouterr().out
+        assert "(legacy)" in shown and "INT4" in shown
+        assert run_cli("runs", "export", run_id, "--store", store_path) == 0
+        assert "# Campaign run `legacy`" in capsys.readouterr().out
+        assert run_cli(*CAMPAIGN, "--store", store_path, "--name", "new") == 0
+        with RunStore(store_path) as store:
+            assert [r.name for r in store.list_runs()] == ["new", "legacy"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                request = store.request_of(run_id)
+        assert request.fingerprint() == CampaignRequest(
+            specs=({"wstore": 4096, "precision": "INT4"},),
+            population_size=16, generations=4,
+        ).fingerprint()
+
+
+class TestRetiredBackendFlags:
+    """``--engine``/``--ga-backend`` still parse for one release: hidden
+    from ``--help``, ignored, and noted as deprecated on stderr."""
+
+    GA_CAMPAIGN = (
+        "campaign", "--spec", "4096:INT8", "--population", "16",
+        "--generations", "4", "--exhaustive-threshold", "0",
+    )
+
+    def test_campaign_ignores_them_with_a_note(self, capsys):
+        assert run_cli(*self.GA_CAMPAIGN) == 0
+        plain = capsys.readouterr()
+        assert run_cli(*self.GA_CAMPAIGN, "--engine", "python",
+                       "--ga-backend", "python") == 0
+        flagged = capsys.readouterr()
+
+        def rows(text):
+            return [line for line in text.splitlines() if line.startswith("|")]
+
+        assert rows(flagged.out) and rows(flagged.out) == rows(plain.out)
+        assert "strategy: 4096:INT8=ga\n" in flagged.out
+        assert plain.err == ""
+        assert flagged.err.splitlines() == [
+            f"warning: {flag} is deprecated and ignored "
+            "(numpy is the only numeric backend)"
+            for flag in ("--engine", "--ga-backend")
+        ]
+
+    @pytest.mark.parametrize("command", ["campaign", "submit"])
+    def test_hidden_from_help(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        out = capsys.readouterr().out
+        assert "--engine" not in out and "--ga-backend" not in out
+
+    def test_submit_request_ignores_them(self):
+        from repro.cli import _build_submit_request, build_parser
+
+        def request(*flags):
+            args = build_parser().parse_args(
+                ["submit", "--spec", "4096:INT8", *flags]
+            )
+            return _build_submit_request(args)
+
+        flagged = request("--engine", "python", "--ga-backend", "numpy")
+        assert flagged == request()
+        assert "engine" not in flagged.to_dict()

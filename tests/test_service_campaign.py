@@ -6,6 +6,9 @@ from repro.core.pareto import dominates
 from repro.core.spec import DcimSpec
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.nsga2 import NSGA2Config
+from repro.dse.problem import DcimProblem
+from repro.problems import REGISTRY, register_problem
+from repro.problems.dcim import DcimProblemDefinition
 from repro.service.cache import EvaluationCache
 from repro.service.campaign import CampaignConfig, run_campaign
 from repro.service.executor import ThreadPoolExecutor
@@ -114,20 +117,7 @@ class TestOneProblemPerSpec:
         assert (result.objectives == baseline.objectives).all()
 
 
-class TestEngineSelection:
-    def test_engine_backends_bit_identical(self):
-        # The engine backend is a throughput knob only: per-seed runs
-        # and merged objective rows must not move.
-        results = {
-            engine: run_campaign(SPECS, small_config(engine=engine))
-            for engine in ("auto", "python")
-        }
-        auto, python = results["auto"], results["python"]
-        assert front_keys(auto) == front_keys(python)
-        assert auto.merged_objectives.tolist() == python.merged_objectives.tolist()
-        assert python.engine_backend == "python"
-        assert auto.engine_backend in ("numpy", "python")
-
+class TestExecutorChunks:
     def test_chunked_executor_bit_identical(self):
         plain = run_campaign(SPECS, small_config())
         chunked = run_campaign(
@@ -136,15 +126,46 @@ class TestEngineSelection:
         assert front_keys(plain) == front_keys(chunked)
         assert plain.merged_objectives.tolist() == chunked.merged_objectives.tolist()
 
-    def test_config_validates_engine_and_chunk_size(self):
-        with pytest.raises(ValueError, match="engine"):
-            small_config(engine="gpu")
+    def test_config_validates_chunk_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
             small_config(chunk_size=0)
 
-    def test_response_reports_engine_backend(self):
-        result = run_campaign(SPECS, small_config(engine="python"))
-        assert result.to_response().engine_backend == "python"
+
+class NoEngineDefinition(DcimProblemDefinition):
+    """A definition written against today's ``make_problem`` signature."""
+
+    name = "dcim_no_engine"
+
+    def make_problem(self, spec, library=None):
+        return DcimProblem(spec, library)
+
+
+class EngineKeywordDefinition(DcimProblemDefinition):
+    """A definition still written against the signature that took the
+    retired ``engine`` keyword."""
+
+    name = "dcim_engine_keyword"
+
+    def make_problem(self, spec, library=None, engine="auto"):
+        return DcimProblem(spec, library)
+
+
+class TestProblemDefinitionSignatures:
+    @pytest.mark.parametrize(
+        "definition", [NoEngineDefinition, EngineKeywordDefinition]
+    )
+    def test_campaign_builds_problems_from_spec_and_library(self, definition):
+        register_problem(definition())
+        try:
+            result = run_campaign(SPECS, small_config(problem=definition.name))
+        finally:
+            REGISTRY._definitions.pop(definition.name, None)
+        reference = run_campaign(SPECS, small_config())
+        assert result.problem == definition.name
+        assert front_keys(result) == front_keys(reference)
+        assert result.merged_objectives.tolist() == (
+            reference.merged_objectives.tolist()
+        )
 
 
 class TestSharding:
