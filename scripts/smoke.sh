@@ -184,6 +184,74 @@ with EvaluationCache(sys.argv[1]) as cache:
 print(f"key parity: {len(genomes)}/{len(genomes)} pre-PR entries hit")
 PY
 
+echo "== point hash parity: served fronts keep their recorded content addresses =="
+# The pinned formula is the point hash and objectives column every
+# registry so far has written — plain hashlib/json, no store classes —
+# so any drift in the design-point encoder shows up on a served front.
+python - "$workdir/parity_runs.sqlite" <<'PY'
+import hashlib
+import json
+import sqlite3
+import sys
+from contextlib import closing
+
+from repro.service import CampaignClient, CampaignRequest
+from repro.service.server import serve
+from repro.store import RunStore
+
+
+def sha(payload):  # stable_hash as recorded rows were hashed, frozen
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def pinned_hash(point):
+    payload = {"precision": point.precision, "n": point.n, "h": point.h,
+               "l": point.l, "k": point.k, "objectives": list(point.objectives)}
+    if point.extras:
+        payload["extras"] = point.extras
+    return sha(payload)
+
+
+requests = [
+    CampaignRequest(specs=({"wstore": 4096, "precision": "INT8"},
+                           {"wstore": 8192, "precision": "BF16"})),
+    CampaignRequest(problem="mapping",
+                    specs=({"network": "tiny_cnn", "wstore": 4096},),
+                    population_size=12, generations=3),
+]
+store = RunStore(sys.argv[1])
+server = serve(port=0, workers=1, store=store)
+server.serve_in_background()
+client = CampaignClient(server.url)
+try:
+    for request in requests:
+        job_id = client.submit(request)
+        for _ in client.watch(job_id):
+            pass
+        front = client.result(job_id).frontier
+        run_id = client.status(job_id)["run_id"]
+        assert front and run_id, f"{request.problem}: no recorded front"
+        assert store.front_hashes(run_id) == [pinned_hash(p) for p in front], (
+            f"{request.problem}: point hashes drifted from the pinned formula"
+        )
+        with closing(sqlite3.connect(sys.argv[1])) as conn:
+            columns = [row[0] for row in conn.execute(
+                "SELECT p.objectives FROM fronts f JOIN design_points p "
+                "ON p.point_hash = f.point_hash WHERE f.run_id = ? "
+                "ORDER BY f.position", (run_id,))]
+        assert columns == [json.dumps(list(p.objectives)) for p in front], (
+            f"{request.problem}: stored objectives columns drifted"
+        )
+        print(f"point hash parity: {request.problem} run, {len(front)} points")
+finally:
+    client.close()
+    server.shutdown()
+    server.server_close()
+    server.queue.close()
+    store.close()
+PY
+
 echo "== cache CLI: stats + migrate jsonl -> sqlite =="
 python -m repro cache stats "$legacy_cache"
 python -m repro cache migrate "$legacy_cache" "$workdir/legacy_evals.sqlite"

@@ -188,7 +188,17 @@ class CampaignRequest:
         default ``"dcim"`` problem the ``problem`` key is dropped too,
         reproducing the v1-era layout exactly, so fingerprints recorded
         before the v2 schema keep matching as well.
+
+        The hash is computed once per request object (it is frozen), so
+        the queue's dedup at submit and the run registry's write share it.
         """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            cached = self._compute_fingerprint()
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
+
+    def _compute_fingerprint(self) -> str:
         payload = self.to_dict()
         del payload["schema_version"]
         if self.problem == DEFAULT_PROBLEM:

@@ -74,22 +74,28 @@ dedup layer):
   ``/api/traces``.  :class:`CampaignClient` injects ``traceparent``
   from its ambient span automatically.
 
-:class:`CampaignClient` is the matching ``urllib``-based client used by
-``repro submit`` / ``repro watch``.
+:class:`CampaignClient` is the matching ``http.client``-based client used
+by ``repro submit`` / ``repro watch``.  Connections are persistent: the
+server keeps each HTTP/1.1 connection open between requests, and closes
+it after :data:`KEEPALIVE_IDLE_S` idle seconds or at ``shutdown()``; the
+client keeps one per thread.  Both ends set ``TCP_NODELAY``, so a
+response written in two parts is not held back by Nagle's algorithm
+waiting for a delayed ACK.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import random
+import socket
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import AsyncIterator, Iterator
-from urllib import request as _urllib_request
-from urllib.error import HTTPError, URLError
-from urllib.parse import parse_qs, quote as _quote, urlparse
+from urllib.parse import parse_qs, quote as _quote, urlparse, urlsplit
 
 from repro.obs.admission import AdmissionController, AdmissionError
 from repro.obs.log import JsonLogger, get_logger
@@ -116,6 +122,12 @@ __all__ = [
 
 #: Upper bound on one long-poll, so handler threads always cycle.
 MAX_LONG_POLL_S = 30.0
+
+#: Seconds a kept-alive connection may sit idle between requests before
+#: the server closes it (and frees its handler thread).  The client
+#: re-sends a request once on a fresh connection when it finds its
+#: connection closed this way.
+KEEPALIVE_IDLE_S = 15.0
 
 
 class AsyncCampaignService:
@@ -334,6 +346,13 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     server: "CampaignHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: Set ``TCP_NODELAY`` on each accepted socket: the headers and the
+    #: body go out in two writes, and with Nagle's algorithm the second
+    #: would wait for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
+    #: Socket timeout; waiting this long for the next request on a
+    #: kept-alive connection closes it.
+    timeout = KEEPALIVE_IDLE_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
@@ -383,6 +402,7 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             token = set_current_span(span)
         try:
             try:
+                self._body = self._read_body()
                 payload, status = self._route(method)
             except _ApiError as exc:
                 payload, status = exc.envelope(), exc.status
@@ -420,6 +440,25 @@ class _CampaignHandler(BaseHTTPRequestHandler):
                 reset_current_span(token)
             if span is not None:
                 span.end()  # idempotent; closes the span on write errors
+
+    def _read_body(self) -> bytes:
+        """Read the request body, whatever the route does with it.
+
+        A body left unread on a kept-alive connection would be parsed
+        as the next request, so every request consumes its
+        ``Content-Length`` bytes here, once.
+        """
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot
+            # carry another request.
+            raise _ApiError(
+                400, "bad Content-Length header", headers={"Connection": "close"}
+            )
+        return self.rfile.read(length) if length else b""
 
     def _route(self, method: str) -> tuple[dict, int]:
         queue = self.server.queue
@@ -518,10 +557,8 @@ class _CampaignHandler(BaseHTTPRequestHandler):
     def _submit(self) -> dict:
         from repro.problems import SpecValidationError
 
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
         try:
-            request = CampaignRequest.from_json(raw.decode("utf-8"))
+            request = CampaignRequest.from_json(self._body.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise _ApiError(
                 400, f"request body is not valid JSON: {exc}", "invalid_json"
@@ -696,12 +733,10 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     # Distributed execution ------------------------------------------------
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        if not self._body:
             return {}
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(self._body.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise _ApiError(
                 400, f"request body is not valid JSON: {exc}", "invalid_json"
@@ -882,6 +917,9 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self.coordinator = coordinator
         self.cache = cache
         self.started_at = time.monotonic()
+        #: Accepted sockets whose handler has not finished yet.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         self._m_requests = self.registry.counter(
             "repro_http_requests_total",
             "HTTP requests served, by route template",
@@ -892,6 +930,35 @@ class CampaignHTTPServer(ThreadingHTTPServer):
             "End-to-end HTTP request latency",
             ("route",),
         )
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def shutdown(self) -> None:
+        """Stop serving, kept-alive connections included.
+
+        After the accept loop stops, each open connection's read side is
+        shut: a handler waiting for the next request sees end-of-stream
+        and closes the connection, and one mid-request still writes its
+        answer first.  So no request is served after this returns, and
+        ``server_close`` does not wait out :data:`KEEPALIVE_IDLE_S`.
+        """
+        super().shutdown()
+        # Under the lock: shutdown_request drops a socket from the set
+        # before closing it, so none of these is closed yet.
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer already reset it
+                    pass
 
     def observe_request(
         self, route: str, method: str, status: int, elapsed_s: float
@@ -1011,19 +1078,42 @@ def serve(
 # HTTP client ---------------------------------------------------------------
 
 
+class _Connection(http.client.HTTPConnection):
+    """A client thread's kept-alive connection.
+
+    It is dropped when its thread ends or its client is collected, and
+    closes its socket then instead of leaving it to the garbage
+    collector.
+    """
+
+    def __del__(self) -> None:
+        self.close()
+
+
+class _SecureConnection(_Connection, http.client.HTTPSConnection):
+    pass
+
+
 class CampaignClient:
-    """Minimal ``urllib`` client for :class:`CampaignHTTPServer`.
+    """Minimal ``http.client`` client for :class:`CampaignHTTPServer`.
 
     Every method raises :class:`RuntimeError` on non-2xx answers,
     carrying the server's structured error envelope (code + message).
 
+    Each thread calling a client keeps one persistent HTTP/1.1
+    connection to the server (``http.client`` sets ``TCP_NODELAY`` on
+    it), so a call costs one round trip rather than a connect and a
+    round trip.  A kept-alive connection the server has closed in the
+    meantime (idle timeout, restart) fails before any response byte
+    arrives; such a request is sent once more on a fresh connection,
+    which does not count as a retry.  :meth:`close` closes them all.
+
     With ``retries > 0``, *transient* transport failures (connection
-    refused/reset, timeouts — anything surfacing as ``URLError`` or
-    ``TimeoutError`` rather than an HTTP status) are retried with
-    exponential backoff and jitter before giving up; HTTP error
-    answers are never retried (the server spoke — repeating a POST
-    could duplicate work).  The final failure carries the attempt
-    count and the last underlying error.
+    refused/reset, timeouts — any ``OSError`` rather than an HTTP
+    status) are retried with exponential backoff and jitter before
+    giving up; HTTP error answers are never retried (the server spoke —
+    repeating a POST could duplicate work).  The final failure carries
+    the attempt count and the last underlying error.
 
     Args:
         base_url: server root, e.g. ``http://127.0.0.1:8000``.
@@ -1051,6 +1141,10 @@ class CampaignClient:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self._sleep = _sleep
+        self._local = threading.local()
+        #: Every thread's open connection, for :meth:`close`.
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
 
     @staticmethod
     def _error_detail(raw: bytes) -> str:
@@ -1065,7 +1159,58 @@ class CampaignClient:
             return f"{code}: {message}" if message else str(code)
         return str(error)
 
-    def _call(self, method: str, path: str, payload: dict | None = None) -> dict:
+    def close(self) -> None:
+        """Close every thread's kept-alive connection.
+
+        The client stays usable: the next call opens a new connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def _connection(self) -> _Connection:
+        """This thread's connection (it reconnects by itself once closed)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            url = urlsplit(self.base_url)
+            if url.scheme not in ("http", "https"):
+                raise ValueError(f"unsupported URL scheme in {self.base_url!r}")
+            factory = _SecureConnection if url.scheme == "https" else _Connection
+            connection = factory(url.netloc, timeout=self.timeout)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
+    def _exchange(
+        self, method: str, target: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        """One request and its answer on this thread's connection."""
+        connection = self._connection()
+        reused = connection.sock is not None
+        try:
+            try:
+                connection.request(method, target, body=body, headers=headers)
+                answer = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the kept-alive connection before
+                # reading this request: send it once more, on a new one.
+                connection.close()
+                connection.request(method, target, body=body, headers=headers)
+                answer = connection.getresponse()
+            return answer.status, answer.read()
+        except BaseException:
+            # A half-read answer would desynchronise the next request.
+            connection.close()
+            raise
+
+    def _request(
+        self, method: str, path: str, payload: dict | None = None
+    ) -> bytes:
+        """Send one request; returns the body of its 2xx answer."""
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         # Propagate the caller's ambient span so the server's request
@@ -1075,12 +1220,7 @@ class CampaignClient:
             traceparent = format_traceparent(span.context)
             if traceparent:
                 headers["traceparent"] = traceparent
-        req = _urllib_request.Request(
-            f"{self.base_url}{path}",
-            data=body,
-            method=method,
-            headers=headers,
-        )
+        target = urlsplit(self.base_url).path + path
         attempts = self.retries + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
@@ -1090,23 +1230,25 @@ class CampaignClient:
                 )
                 self._sleep(delay * (1.0 + random.random() * 0.25))
             try:
-                with _urllib_request.urlopen(
-                    req, timeout=self.timeout
-                ) as answer:
-                    return json.loads(answer.read().decode("utf-8"))
-            except HTTPError as exc:
-                # The server answered: a real status, never retried.
-                detail = self._error_detail(exc.read())
-                raise RuntimeError(
-                    f"{method} {path} failed: HTTP {exc.code}"
-                    + (f" ({detail})" if detail else "")
-                ) from None
-            except (URLError, TimeoutError, ConnectionError) as exc:
+                status, raw = self._exchange(method, target, body, headers)
+            except OSError as exc:
                 last_error = exc
+                continue
+            if not 200 <= status < 300:
+                # The server answered: a real status, never retried.
+                detail = self._error_detail(raw)
+                raise RuntimeError(
+                    f"{method} {path} failed: HTTP {status}"
+                    + (f" ({detail})" if detail else "")
+                )
+            return raw
         raise RuntimeError(
             f"{method} {path} failed after {attempts} attempt"
             f"{'s' if attempts != 1 else ''}: {last_error}"
         ) from last_error
+
+    def _call(self, method: str, path: str, payload: dict | None = None) -> dict:
+        return json.loads(self._request(method, path, payload).decode("utf-8"))
 
     def submit(self, request: CampaignRequest) -> str:
         """Submit a campaign; returns the job id."""
@@ -1199,9 +1341,7 @@ class CampaignClient:
 
     def metrics_text(self) -> str:
         """The raw Prometheus text exposition from ``/metrics``."""
-        req = _urllib_request.Request(f"{self.base_url}/metrics")
-        with _urllib_request.urlopen(req, timeout=self.timeout) as answer:
-            return answer.read().decode("utf-8")
+        return self._request("GET", "/metrics").decode("utf-8")
 
     def healthy(self) -> bool:
         try:

@@ -26,7 +26,9 @@ one without.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -153,17 +155,64 @@ def point_hash(point: FrontierPoint) -> str:
     DCIM points are identical to those recorded before problems with
     extra point state existed.
     """
+    return _design_point_row(point)[0]
+
+
+def _is_finite_float(value) -> bool:
+    return isinstance(value, float) and math.isfinite(value)
+
+
+def _design_point_row(point: FrontierPoint) -> tuple:
+    """One point's ``design_points`` row, its content address first.
+
+    The address is :func:`~repro.service.cache.stable_hash` of the
+    point's canonical JSON, and the ``objectives`` column is
+    ``json.dumps`` of the objective list.  For the common point (no
+    extras, ``int`` genes, finite ``float`` objectives) both are
+    formatted here from one set of float reprs — ``json`` writes every
+    finite float, ``np.float64`` included, as ``float.__repr__`` — which
+    is byte-identical, formats each float once instead of twice, and
+    skips the encoders' generic machinery.  Any other point goes
+    through the general encoders.
+    """
+    precision, n, h, l, k = point.precision, point.n, point.h, point.l, point.k
+    objectives = point.objectives
+    if (
+        not point.extras
+        and type(precision) is str
+        and type(n) is type(h) is type(l) is type(k) is int
+        and all(map(_is_finite_float, objectives))
+    ):
+        reprs = list(map(float.__repr__, objectives))
+        # Keys in sort order, no whitespace: what stable_hash builds.
+        text = (
+            f'{{"h":{h},"k":{k},"l":{l},"n":{n},'
+            f'"objectives":[{",".join(reprs)}],'
+            f'"precision":{json.dumps(precision)}}}'
+        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return (digest, precision, n, h, l, k, f"[{', '.join(reprs)}]", "{}")
     payload = {
-        "precision": point.precision,
-        "n": point.n,
-        "h": point.h,
-        "l": point.l,
-        "k": point.k,
-        "objectives": list(point.objectives),
+        "precision": precision,
+        "n": n,
+        "h": h,
+        "l": l,
+        "k": k,
+        "objectives": list(objectives),
     }
     if point.extras:
         payload["extras"] = point.extras
-    return stable_hash(payload)
+    return (
+        stable_hash(payload),
+        precision,
+        n,
+        h,
+        l,
+        k,
+        json.dumps(list(objectives)),
+        # default=str matches stable_hash: extras that hash also store.
+        json.dumps(point.extras or {}, sort_keys=True, default=str),
+    )
 
 
 @dataclass(frozen=True)
@@ -486,32 +535,18 @@ class RunStore:
                 _summarize_strategies(response),
             ),
         )
-        for position, point in enumerate(frontier):
-            digest = point_hash(point)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO design_points "
-                "(point_hash, precision, n, h, l, k, objectives, extras) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    digest,
-                    point.precision,
-                    point.n,
-                    point.h,
-                    point.l,
-                    point.k,
-                    json.dumps(list(point.objectives)),
-                    # default=str matches point_hash's tolerant
-                    # stable_hash: extras that hash must also store.
-                    json.dumps(
-                        point.extras or {}, sort_keys=True, default=str
-                    ),
-                ),
-            )
-            self._conn.execute(
-                "INSERT INTO fronts (run_id, position, point_hash) "
-                "VALUES (?, ?, ?)",
-                (run_id, position, digest),
-            )
+        rows = [_design_point_row(point) for point in frontier]
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO design_points "
+            "(point_hash, precision, n, h, l, k, objectives, extras) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            rows,
+        )
+        self._conn.executemany(
+            "INSERT INTO fronts (run_id, position, point_hash) "
+            "VALUES (?, ?, ?)",
+            [(run_id, position, row[0]) for position, row in enumerate(rows)],
+        )
 
     # Lookup ---------------------------------------------------------------
     def list_runs(

@@ -249,3 +249,212 @@ class TestHTTPServer:
         response = client.result(job_id)
         assert response.problem == "mapping"
         assert response.frontier[0].extras["n_macros"] >= 1
+
+
+@pytest.fixture()
+def keepalive_server(monkeypatch):
+    """A fresh server whose handler logs ``(path, client port)`` per request."""
+    from repro.service.server import _CampaignHandler
+
+    seen: list[tuple[str, int]] = []
+    dispatch = _CampaignHandler._dispatch
+
+    def spy(self, method):
+        seen.append((self.path, self.client_address[1]))
+        return dispatch(self, method)
+
+    monkeypatch.setattr(_CampaignHandler, "_dispatch", spy)
+    queue = JobQueue(cache=EvaluationCache())
+    server = serve(port=0, queue=queue)
+    server.serve_in_background()
+    yield server, seen
+    server.shutdown()
+    server.server_close()
+    queue.close()
+
+
+def raw_call(connection, method, path, body=None):
+    """One request on a raw ``http.client`` connection: (status, body)."""
+    import json as _json
+
+    headers = {"Content-Type": "application/json"}
+    data = None if body is None else _json.dumps(body).encode("utf-8")
+    connection.request(method, path, body=data, headers=headers)
+    answer = connection.getresponse()
+    return answer.status, answer.read()
+
+
+class TestKeptAliveConnections:
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/api/campaigns/job-x/cancel", 404),  # the route ignores its body
+            ("/api/nonsense", 404),  # unknown POST path
+            ("/api/campaigns/job-x", 405),  # status is GET-only
+        ],
+    )
+    def test_unread_body_leaves_the_connection_usable(
+        self, keepalive_server, path, status
+    ):
+        import http.client
+        import json as _json
+
+        server, _ = keepalive_server
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            assert raw_call(connection, "POST", path, {"reason": "x"})[0] == status
+            # The same connection must carry the next request intact.
+            code, body = raw_call(connection, "GET", "/healthz")
+        finally:
+            connection.close()
+        assert code == 200
+        assert _json.loads(body) == {"status": "ok"}
+
+    def test_bad_content_length_is_400_and_closes(self, keepalive_server):
+        import http.client
+        import json as _json
+
+        server, _ = keepalive_server
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.putrequest("POST", "/api/campaigns")
+            connection.putheader("Content-Length", "many")
+            connection.endheaders()
+            answer = connection.getresponse()
+            envelope = _json.loads(answer.read())
+        finally:
+            connection.close()
+        assert answer.status == 400
+        assert answer.getheader("Connection") == "close"
+        assert envelope["error"]["code"] == "bad_request"
+
+    def test_calls_share_one_connection_per_thread(self, keepalive_server):
+        import sys
+        import threading
+
+        server, seen = keepalive_server
+        client = CampaignClient(server.url)
+        threads, calls = 4, 3  # more threads than cores
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def run(index):
+            try:
+                for _ in range(calls):
+                    barrier.wait(timeout=10)  # every connection open at once
+                    client._call("GET", f"/healthz?thread={index}")
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=run, args=(i,)) for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        client.close()
+        assert not errors and not any(w.is_alive() for w in workers)
+        assert len(seen) == threads * calls
+        ports = [{port for path, port in seen if path.endswith(f"={i}")}
+                 for i in range(threads)]
+        assert all(len(used) == 1 for used in ports), ports
+        assert len(set().union(*ports)) == threads
+
+    def test_close_opens_a_new_connection_next_call(self, keepalive_server):
+        server, seen = keepalive_server
+        client = CampaignClient(server.url)
+        assert client.healthy() and client.healthy()
+        client.close()
+        assert client.healthy()
+        ports = [port for _, port in seen]
+        assert ports[0] == ports[1] != ports[2]
+
+    def test_accepted_sockets_disable_nagle(self, keepalive_server, monkeypatch):
+        """Headers and body are two writes: without TCP_NODELAY the body
+        would wait for the client's delayed ACK of the headers."""
+        import socket
+
+        from repro.service.server import _CampaignHandler
+
+        server, _ = keepalive_server
+        nodelay = []
+        setup = _CampaignHandler.setup
+
+        def spy(self):
+            setup(self)
+            nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_CampaignHandler, "setup", spy)
+        client = CampaignClient(server.url)
+        assert client.healthy()
+        client.close()
+        assert nodelay and all(nodelay)
+
+    def test_client_reconnects_across_a_server_restart(self, keepalive_server):
+        from repro.obs.metrics import MetricsRegistry
+
+        server, seen = keepalive_server
+        client = CampaignClient(server.url)  # retries=0: no second attempt
+        assert client.healthy()
+        server.shutdown()  # also ends the client's kept-alive connection
+        server.server_close()
+
+        queue = JobQueue(cache=EvaluationCache())
+        restarted = serve(
+            port=server.port, queue=queue, registry=MetricsRegistry()
+        )
+        restarted.serve_in_background()
+        try:
+            job_id = client.submit(tiny_request())
+            assert client.status(job_id)["status"] == "pending"
+            assert queue.stats.submitted == 1
+            assert [r.job_id for r in queue.jobs()] == [job_id]
+            # One connection carried both calls after the reconnect.
+            after = [port for _, port in seen[1:]]
+            assert len(after) == 2 and after[0] == after[1] != seen[0][1]
+        finally:
+            client.close()
+            restarted.shutdown()
+            restarted.server_close()
+            queue.close()
+
+    def test_metrics_text_uses_the_shared_transport(self, keepalive_server):
+        from repro.obs.trace import Tracer, use_span
+        from repro.service.server import _CampaignHandler
+
+        server, seen = keepalive_server
+        traceparents = []
+        dispatch = _CampaignHandler._dispatch  # the fixture's spy
+
+        def spy(self, method):
+            traceparents.append(self.headers.get("traceparent"))
+            return dispatch(self, method)
+
+        client = CampaignClient(server.url)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_CampaignHandler, "_dispatch", spy)
+            span = Tracer().start_root("scrape")
+            with use_span(span):
+                text = client.metrics_text()
+            span.end()
+            assert client.healthy()
+        client.close()
+        assert "repro_http_requests_total" in text
+        assert traceparents[0] is not None  # the ambient span rode along
+        assert seen[0][1] == seen[1][1]  # one kept-alive connection
+
+        sleeps = []
+        dead = CampaignClient(
+            "http://127.0.0.1:9", timeout=0.2, retries=2, _sleep=sleeps.append
+        )
+        with pytest.raises(RuntimeError, match="GET /metrics failed after 3 attempts"):
+            dead.metrics_text()
+        assert len(sleeps) == 2

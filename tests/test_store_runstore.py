@@ -1,6 +1,14 @@
 """Tests for the persistent run registry (repro.store.runstore)."""
 
+import hashlib
+import json
+import sqlite3
+from contextlib import closing
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service.api import (
     CampaignRequest,
@@ -272,3 +280,145 @@ class TestPagination:
         )
         assert [r.name for r in store.list_runs(problem="mapping")] == ["b"]
         assert [r.name for r in store.list_runs(problem="dcim")] == ["a"]
+
+
+def legacy_row(point):
+    """The ``design_points`` row as every release before wrote it.
+
+    Pinned here, not imported: the store's own encoder must keep
+    producing these bytes (point hash and both JSON columns).
+    """
+    payload = {
+        "precision": point.precision, "n": point.n, "h": point.h,
+        "l": point.l, "k": point.k, "objectives": list(point.objectives),
+    }
+    if point.extras:
+        payload["extras"] = point.extras
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return (
+        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        point.precision, point.n, point.h, point.l, point.k,
+        json.dumps(list(point.objectives)),
+        json.dumps(point.extras or {}, sort_keys=True, default=str),
+    )
+
+
+#: Objectives of every kind a response can carry: numpy and Python
+#: floats (non-finite, signed zeros, subnormal and extreme magnitudes)
+#: and plain ints from hand-written JSON.
+OBJECTIVES = st.lists(
+    st.floats()
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.integers(min_value=-(10**6), max_value=10**6),
+    max_size=4,
+).map(tuple)
+GENES = st.integers(min_value=0, max_value=4096)
+POINTS = st.builds(
+    FrontierPoint,
+    precision=st.sampled_from(["INT8", "BF16", "-", "\u00c4"]),
+    n=GENES | GENES.map(np.int64),
+    h=GENES,
+    l=GENES,
+    k=GENES,
+    objectives=OBJECTIVES,
+    extras=st.just({})
+    | st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=4),
+                      max_size=2),
+)
+
+
+def stored_rows(path):
+    """Raw ``design_points`` rows, as committed, in hash order."""
+    with closing(sqlite3.connect(path)) as conn:
+        return conn.execute(
+            "SELECT point_hash, precision, n, h, l, k, objectives, extras "
+            "FROM design_points ORDER BY point_hash"
+        ).fetchall()
+
+
+def table_counts(path):
+    """Committed row counts of the tables one recorded run writes."""
+    with closing(sqlite3.connect(path)) as conn:
+        return {
+            table: conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("runs", "fronts", "design_points")
+        }
+
+
+class TestPointEncoding:
+    @given(POINTS)
+    @settings(max_examples=300, deadline=None)
+    @example(FrontierPoint("INT8", 64, 16, 64, 2, (5e-324, -0.0, 1.7976931348623157e308)))
+    @example(FrontierPoint("INT8", 64, 16, 64, 2, (float("inf"), float("nan"))))
+    @example(FrontierPoint("INT8", True, 16, 64, 2, (1.0,)))
+    def test_rows_match_the_pinned_encoder(self, point):
+        from repro.store.runstore import _design_point_row
+
+        assert _design_point_row(point) == legacy_row(point)
+        assert point_hash(point) == legacy_row(point)[0]
+
+    def test_stored_rows_are_byte_identical(self, tmp_path):
+        front = (
+            fp(32, (np.float64(0.011839232), np.float64(-0.20998687664041995))),
+            fp(64, (1e-310, 1e300, -0.0)),
+            fp(96, (float("inf"), float("-inf"), float("nan"))),
+            fp(128, (3, 2.5)),
+            fp(128, (0.5, 12.25), extras={"n_macros": 4, "schedule": "pipelined"}),
+            fp(32, (np.float64(0.011839232), np.float64(-0.20998687664041995))),
+        )
+        path = tmp_path / "runs.sqlite"
+        with RunStore(path) as store:
+            record = store.record_response(response(*front), specs=["mixed"])
+            hashes = store.front_hashes(record.run_id)
+        expected = sorted({legacy_row(p) for p in front})
+        assert stored_rows(path) == expected
+        assert hashes == [legacy_row(p)[0] for p in front]
+
+
+class TestFailedWrites:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # sort_keys cannot order int and str keys: fails encoding
+            fp(96, extras={1: "a", "b": 2}),
+            # precision is NOT NULL: sqlite refuses the row mid-insert
+            fp(96, precision=None),
+        ],
+        ids=["unencodable-extras", "null-precision"],
+    )
+    def test_failed_write_leaves_no_half_written_run(self, tmp_path, bad):
+        path = tmp_path / "runs.sqlite"
+        with RunStore(path) as store:
+            first = store.record_response(response(fp(32)), specs=["first"])
+            points = store.point_count()
+            with pytest.raises((TypeError, sqlite3.IntegrityError)):
+                store.record_response(
+                    response(fp(48), fp(64), bad), specs=["broken"]
+                )
+            assert [r.run_id for r in store.list_runs()] == [first.run_id]
+            assert store.point_count() == points
+            assert table_counts(path) == {"runs": 1, "fronts": 1, "design_points": 1}
+            # Nothing of the failed run is left pending for this commit.
+            second = store.record_response(response(fp(80)), specs=["second"])
+            assert store.front(second.run_id) == [fp(80)]
+        assert table_counts(path) == {"runs": 2, "fronts": 2, "design_points": 2}
+
+    def test_queue_counts_the_failure_and_finishes_the_job(self, store):
+        from repro.service.jobs import JobQueue, JobStatus
+
+        answer = response(fp(32), fp(64, extras={1: "a", "b": 2}))
+        queue = JobQueue(runner=lambda request: answer, store=store)
+        try:
+            job_id = queue.submit(
+                CampaignRequest(specs=(SpecRequest(4096, "INT8"),))
+            )
+            queue.run_all()
+            assert queue.status(job_id) is JobStatus.DONE
+            assert queue.result(job_id) == answer
+            assert queue.record(job_id).run_id is None
+            assert queue.stats.record_errors == 1
+            assert queue.stats.recorded == 0
+        finally:
+            queue.close()
+        assert len(store) == 0
+        assert store.point_count() == 0
