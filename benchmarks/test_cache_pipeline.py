@@ -97,7 +97,6 @@ def test_batched_sqlite_generation_speedup(tmp_path, record):
     reference = _PrePrStore(tmp_path / "reference.sqlite")
     batched = EvaluationCache(
         tmp_path / "batched.sqlite",
-        backend="sqlite",
         max_memory_entries=1,  # force every lookup through the disk tier
         registry=NULL_REGISTRY,
     )
@@ -178,28 +177,10 @@ def test_batched_sqlite_generation_speedup(tmp_path, record):
     assert speedup >= 5.0
 
 
-def test_write_behind_coalesces_commits(tmp_path):
-    """Write-behind buffers N puts into one flush transaction."""
-    keys, entries = _generation()
-    cache = EvaluationCache(
-        tmp_path / "wb.sqlite",
-        backend="sqlite",
-        flush_every=GENERATION,
-        registry=NULL_REGISTRY,
-    )
-    for key, value in entries.items():
-        cache.put(key, value)
-    assert cache.pending_writes == 0  # the 512th put triggered the flush
-    cache.close()
-    with EvaluationCache(tmp_path / "wb.sqlite", registry=NULL_REGISTRY) as back:
-        assert len(back) == GENERATION
-
-
 def test_batched_generation_benchmark(benchmark, tmp_path):
     keys, entries = _generation()
     cache = EvaluationCache(
         tmp_path / "bench.sqlite",
-        backend="sqlite",
         max_memory_entries=1,
         registry=NULL_REGISTRY,
     )

@@ -11,7 +11,7 @@ The same campaign can be driven from the command line::
 
     repro campaign --spec 8192:INT8 --spec 8192:BF16 \
         --exhaustive-threshold 0 \
-        --cache build/evals.jsonl --backend thread --workers 2
+        --cache build/evals.sqlite --backend thread --workers 2
 
 Both specs are small enough for exact enumeration, which is the default
 route and never consults the cache; ``exhaustive_threshold=0`` keeps
@@ -41,7 +41,7 @@ from repro.service import (
 )
 
 
-def main(cache_path: str = "build/campaign_evals.jsonl") -> None:
+def main(cache_path: str = "build/campaign_evals.sqlite") -> None:
     specs = [
         DcimSpec(wstore=8 * 1024, precision="INT8"),
         DcimSpec(wstore=8 * 1024, precision="BF16"),

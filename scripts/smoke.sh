@@ -98,7 +98,7 @@ while time.time() < deadline:
 sys.exit("server never became healthy on /api/healthz")
 PY
 }
-cache="$workdir/evals.jsonl"
+cache="$workdir/evals.sqlite"
 
 echo "== compile --verify: gate-level sign-off and artifacts =="
 for precision in INT8 FP16; do
@@ -126,14 +126,16 @@ run_campaign() {
         --spec 4096:INT4 --spec 4096:INT8 \
         --population 16 --generations 6 --exhaustive-threshold 0 \
         --chunk-size 64 \
-        --cache "$cache" --cache-flush-every 128 --limit 5
+        --cache "$cache" --limit 5
 }
 
 echo "== cache key parity: pre-PR cache file resolves hit-for-hit =="
-# The writer is pinned to the *pre-PR* key formula and on-disk layout —
-# plain file writes, no cache classes — so any drift in GenomeKeyer or
-# the JSONL tier shows up as a miss here.
+# The writer is pinned to the *pre-PR* key formula and to the on-disk
+# layout of the removed JSONL tier — plain file writes, no cache
+# classes.  'repro cache migrate' imports it into SQLite, so any drift
+# in GenomeKeyer or in the import shows up as a miss here.
 legacy_cache="$workdir/legacy_evals.jsonl"
+migrated_cache="$workdir/legacy_evals.sqlite"
 python - "$legacy_cache" <<'PY'
 import dataclasses
 import hashlib
@@ -164,7 +166,14 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
         out.write(json.dumps({"key": key, "objectives": [float(i), -1.0]}) + "\n")
 print(f"pinned writer: {len(genomes)} pre-PR entries")
 PY
-python - "$legacy_cache" <<'PY'
+migrate_output="$(python -m repro cache migrate "$legacy_cache" "$migrated_cache")"
+echo "$migrate_output"
+legacy_lines="$(wc -l <"$legacy_cache")"
+if ! grep -q "^migrated $legacy_lines entries: .* \[jsonl\] -> .* ($legacy_lines stored)$" <<<"$migrate_output"; then
+    echo "smoke: repro cache migrate did not import every JSONL line" >&2
+    exit 1
+fi
+python - "$migrated_cache" <<'PY'
 import sys
 
 from repro.core.spec import DcimSpec
@@ -177,6 +186,7 @@ library = CellLibrary.default()
 genomes = DcimProblem(spec, library).codec.enumerate()
 keyer = GenomeKeyer.for_problem(spec, library)
 with EvaluationCache(sys.argv[1]) as cache:
+    assert cache.backend == "sqlite"
     results = cache.get_many([keyer(g) for g in genomes])
     assert all(r is not None for r in results), "pre-PR keys stopped resolving"
     assert cache.stats.hit_rate == 1.0
@@ -252,19 +262,32 @@ finally:
     store.close()
 PY
 
-echo "== cache CLI: stats + migrate jsonl -> sqlite =="
-python -m repro cache stats "$legacy_cache"
-python -m repro cache migrate "$legacy_cache" "$workdir/legacy_evals.sqlite"
-python -m repro cache stats "$workdir/legacy_evals.sqlite" --json
-python - "$legacy_cache" "$workdir/legacy_evals.sqlite" <<'PY'
+echo "== cache CLI: stats + migrated entries vs the JSONL lines =="
+python -m repro cache stats "$migrated_cache"
+python -m repro cache stats "$migrated_cache" --json
+python - "$legacy_cache" "$migrated_cache" <<'PY'
+import json
 import sys
 
 from repro.service.cache import EvaluationCache
 
-with EvaluationCache(sys.argv[1]) as src, EvaluationCache(sys.argv[2]) as dst:
-    assert sorted(src.items()) == sorted(dst.items()), "migration dropped entries"
+expected = {}
+with open(sys.argv[1], encoding="utf-8") as lines:
+    for line in lines:
+        record = json.loads(line)
+        expected[record["key"]] = tuple(record["objectives"])
+with EvaluationCache(sys.argv[2]) as dst:
+    assert dict(dst.items()) == expected, "migration dropped or changed entries"
     print(f"migrate parity: {len(dst)} entries survived jsonl -> sqlite")
 PY
+# A JSONL log no longer opens as a cache: the error names the import.
+legacy_status=0
+legacy_stats="$(python -m repro cache stats "$legacy_cache" 2>&1)" || legacy_status=$?
+echo "$legacy_stats"
+if [[ "$legacy_status" -ne 1 ]] || ! grep -q "repro cache migrate" <<<"$legacy_stats"; then
+    echo "smoke: 'repro cache stats' on a JSONL log did not exit 1 naming migrate" >&2
+    exit 1
+fi
 
 echo "== campaign (cold cache) =="
 run_campaign
@@ -307,31 +330,34 @@ with EvaluationCache(sys.argv[1]) as cache:
 print("default route: cache file left empty")
 PY
 
-echo "== retired --ga-backend flag: accepted, ignored, deprecation note =="
+echo "== retired --ga-backend/--cache-flush-every flags: accepted, ignored, deprecation notes =="
 run_ga_campaign() {
     python -m repro campaign \
         --spec 4096:INT8 --population 16 --generations 6 \
         --exhaustive-threshold 0 --cache "$cache" --limit 5 "$@"
 }
-if ! ga_flag_output="$(run_ga_campaign --ga-backend python 2>"$workdir/ga_flag.err")"; then
+if ! ga_flag_output="$(run_ga_campaign --ga-backend python \
+        --cache-flush-every 128 2>"$workdir/ga_flag.err")"; then
     cat "$workdir/ga_flag.err" >&2
-    echo "smoke: campaign with the retired --ga-backend flag failed" >&2
+    echo "smoke: campaign with the retired flags failed" >&2
     exit 1
 fi
 ga_plain_output="$(run_ga_campaign)"
 echo "$ga_plain_output"
 cat "$workdir/ga_flag.err"
-if ! grep -q "^warning: --ga-backend is deprecated" "$workdir/ga_flag.err"; then
-    echo "smoke: --ga-backend printed no deprecation note on stderr" >&2
-    exit 1
-fi
+for flag in --ga-backend --cache-flush-every; do
+    if ! grep -q "^warning: $flag is deprecated" "$workdir/ga_flag.err"; then
+        echo "smoke: $flag printed no deprecation note on stderr" >&2
+        exit 1
+    fi
+done
 if ! grep -q "strategy: 4096:INT8=ga" <<<"$ga_plain_output"; then
     echo "smoke: --exhaustive-threshold 0 did not force the GA" >&2
     exit 1
 fi
-# The frontier tables (every '|' row) must match with and without it.
+# The frontier tables (every '|' row) must match with and without them.
 if [[ "$(grep '^|' <<<"$ga_flag_output")" != "$(grep '^|' <<<"$ga_plain_output")" ]]; then
-    echo "smoke: the retired --ga-backend flag changed the front" >&2
+    echo "smoke: the retired flags changed the front" >&2
     exit 1
 fi
 
@@ -356,7 +382,7 @@ echo "== serve / submit / watch round trip =="
 server_log="$workdir/serve.log"
 serve_store="$workdir/serve_runs.sqlite"
 python -m repro serve --host 127.0.0.1 --port 0 --workers 1 \
-    --cache "$workdir/serve_evals.jsonl" \
+    --cache "$workdir/serve_evals.sqlite" \
     --store "$serve_store" --snapshot-every 1 >"$server_log" 2>&1 &
 server_pid=$!
 url=""

@@ -8,14 +8,12 @@ Usage (also via ``python -m repro``)::
     repro compile --wstore 8192 --precision BF16 --out build/macro
     repro report  --precision INT8 --n 64 --h 128 --l 64 --k 8
     repro problems list
-    repro campaign --spec 8192:INT8 --spec 8192:BF16 --cache build/evals.jsonl
-    repro campaign --spec 8192:INT8 --cache build/evals.sqlite \\
-                   --cache-flush-every 256
-    repro cache stats build/evals.jsonl
+    repro campaign --spec 8192:INT8 --spec 8192:BF16 --cache build/evals.sqlite
+    repro cache stats build/evals.sqlite
     repro cache migrate build/evals.jsonl build/evals.sqlite
     repro campaign --problem mapping --spec tiny_cnn:INT8
     repro campaign --spec 8192:INT8 --store build/runs.sqlite --baseline main
-    repro serve  --port 8000 --workers 2 --cache build/evals.jsonl
+    repro serve  --port 8000 --workers 2 --cache build/evals.sqlite
     repro serve  --store build/runs.sqlite --snapshot-every 30 \\
                  --rate-limit 5 --max-pending 32 --max-budget 100000
     repro dashboard --store build/runs.sqlite --out build/dashboard.html
@@ -39,12 +37,24 @@ from repro.reporting.tables import ascii_table, format_si
 from repro.tech.corners import STANDARD_CORNERS, apply_corner
 from repro.tech.pdk import available_pdks, load_pdk
 
-#: Retired numeric-backend selectors of ``campaign``/``submit``.  numpy
-#: is the only backend, so for one release they are still accepted,
-#: then ignored with a warning.
-_RETIRED_BACKEND_FLAGS = ("--engine", "--ga-backend")
+#: Retired flags and why they no longer do anything.  For one release
+#: they are still accepted, then ignored with a warning.
+_RETIRED_FLAGS = {
+    "--engine": "numpy is the only numeric backend",
+    "--ga-backend": "numpy is the only numeric backend",
+    "--cache-flush-every": "the evaluation cache writes every batch through",
+}
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("pdks", help="list bundled PDKs and corners")
 
-    def add_retired_backend_flags(p: argparse.ArgumentParser) -> None:
-        for flag in _RETIRED_BACKEND_FLAGS:  # warned about in main()
+    def add_retired_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:  # warned about in main()
             p.add_argument(flag, default=None, help=argparse.SUPPRESS)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -137,26 +147,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
-        "stats", help="entry counts, tier sizes, and stale-line report"
+        "stats", help="entry count, file size, and hit rate"
     )
-    cache_stats.add_argument("path", help="cache file (.jsonl or .sqlite)")
+    cache_stats.add_argument("path", help="SQLite cache file")
     cache_stats.add_argument("--json", action="store_true",
                              help="print the report as JSON")
     cache_compact = cache_sub.add_parser(
-        "compact",
-        help="rewrite the disk tier dropping stale duplicates "
-             "(jsonl) or reclaiming free pages (sqlite VACUUM)",
+        "compact", help="reclaim free pages (SQLite VACUUM)",
     )
-    cache_compact.add_argument("path", help="cache file (.jsonl or .sqlite)")
+    cache_compact.add_argument("path", help="SQLite cache file")
     cache_migrate = cache_sub.add_parser(
         "migrate",
-        help="copy every entry into a new cache file, converting "
-             "between tiers (e.g. evals.jsonl -> evals.sqlite)",
+        help="copy every entry into a new SQLite cache file; also "
+             "imports a log of the removed JSONL tier "
+             "(e.g. evals.jsonl -> evals.sqlite)",
     )
-    cache_migrate.add_argument("src", help="source cache file")
-    cache_migrate.add_argument("dst", help="destination cache file "
-                                           "(backend guessed from suffix)")
-    cache_migrate.add_argument("--batch-size", type=int, default=1024,
+    cache_migrate.add_argument("src", help="source cache file "
+                                           "(SQLite or JSONL log)")
+    cache_migrate.add_argument("dst", help="destination SQLite cache file")
+    cache_migrate.add_argument("--batch-size", type=_positive_int, default=1024,
                                metavar="N",
                                help="entries per put_many transaction")
 
@@ -187,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="genomes per executor task (default: "
                                "auto-sized per batch)")
-    add_retired_backend_flags(campaign)
+    add_retired_flags(campaign, "--engine", "--ga-backend",
+                      "--cache-flush-every")
     campaign.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -197,13 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="specs explored concurrently")
     campaign.add_argument("--cache", default=None, metavar="PATH",
                           help="persistent evaluation cache "
-                               "(.jsonl or .sqlite; omit for in-memory)")
-    campaign.add_argument("--cache-flush-every", type=int, default=None,
-                          metavar="N",
-                          help="write-behind: buffer cache misses and "
-                               "flush them as one disk transaction per "
-                               "N entries (flushed at campaign end, "
-                               "even on failure; default: write-through)")
+                               "(SQLite file; omit for in-memory)")
     campaign.add_argument("--pdk", default="generic28", help="technology node")
     campaign.add_argument("--corner", default="tt",
                           choices=sorted(STANDARD_CORNERS), help="PVT corner")
@@ -238,13 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="background campaign workers")
     serve_p.add_argument("--cache", default=None, metavar="PATH",
                          help="shared persistent evaluation cache "
-                              "(.jsonl or .sqlite; omit for in-memory)")
-    serve_p.add_argument("--cache-flush-every", type=int, default=None,
-                         metavar="N",
-                         help="write-behind: flush buffered cache "
-                              "entries as one disk transaction per N "
-                              "(default: write-through; buffered "
-                              "entries also land on shutdown)")
+                              "(SQLite file; omit for in-memory)")
+    add_retired_flags(serve_p, "--cache-flush-every")
     serve_p.add_argument("--store", default=None, metavar="PATH",
                          help="record every campaign into this run "
                               "registry (SQLite) and serve the "
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="genome-level evaluation backend")
     submit_p.add_argument("--workers", type=int, default=1,
                           help="specs explored concurrently")
-    add_retired_backend_flags(submit_p)
+    add_retired_flags(submit_p, "--engine", "--ga-backend")
     submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -792,6 +791,24 @@ def _resolve_ga_sizing(args, definition) -> tuple[int, int]:
     return population, generations
 
 
+def _read_jsonl_log(path) -> list[tuple[str, tuple[float, ...]]]:
+    """Entries of a log written by the removed JSONL cache tier.
+
+    Kept read-only, for ``repro cache migrate``: one
+    ``{"key": ..., "objectives": [...]}`` record per line, and the last
+    line for a key wins.
+    """
+    import json
+
+    entries: dict[str, tuple[float, ...]] = {}
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if line.strip():
+                record = json.loads(line)
+                entries[record["key"]] = tuple(record["objectives"])
+    return list(entries.items())
+
+
 def _cmd_cache(args) -> int:
     from pathlib import Path
 
@@ -799,13 +816,46 @@ def _cmd_cache(args) -> int:
 
     # Every cache subcommand reads an existing file; opening a typo'd
     # path would silently create an empty cache (matching `repro runs`).
-    if not Path(args.path if args.cache_command != "migrate" else args.src).exists():
-        missing = args.path if args.cache_command != "migrate" else args.src
-        print(f"error: no evaluation cache at {missing}", file=sys.stderr)
+    path = args.src if args.cache_command == "migrate" else args.path
+    if not Path(path).is_file():
+        print(f"error: no evaluation cache at {path}", file=sys.stderr)
+        return 1
+
+    if args.cache_command == "migrate":
+        if Path(args.dst).resolve() == Path(args.src).resolve():
+            print("error: migrate needs distinct src and dst paths",
+                  file=sys.stderr)
+            return 1
+        try:
+            src = EvaluationCache(args.src)
+        except ValueError:  # a log of the removed JSONL tier
+            entries, backend = _read_jsonl_log(args.src), "jsonl"
+        else:
+            with src:
+                entries, backend = src.items(), src.backend
+        try:
+            dst = EvaluationCache(args.dst)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        with dst:
+            for start in range(0, len(entries), args.batch_size):
+                dst.put_many(dict(entries[start:start + args.batch_size]))
+            migrated = len(dst)
+        print(
+            f"migrated {len(entries)} entries: {args.src} "
+            f"[{backend}] -> {args.dst} ({migrated} stored)"
+        )
+        return 0
+
+    try:
+        cache = EvaluationCache(path)
+    except ValueError as exc:  # e.g. a log of the removed JSONL tier
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if args.cache_command == "stats":
-        with EvaluationCache(args.path) as cache:
+        with cache:
             info = cache.info()
         if args.json:
             import json as _json
@@ -817,48 +867,19 @@ def _cmd_cache(args) -> int:
             ("entries", info["entries"]),
             ("disk bytes", info.get("disk_bytes", "-")),
             ("memory entries", info["memory_entries"]),
-            ("pending writes", info["pending_writes"]),
             ("hit rate", f"{info['stats']['hit_rate']:.1%}"),
         ]
-        if "log_lines" in info:
-            rows.append(("log lines", info["log_lines"]))
-            rows.append(("stale lines", info["stale_lines"]))
         print(ascii_table(["property", "value"], rows))
         return 0
 
     if args.cache_command == "compact":
-        with EvaluationCache(args.path) as cache:
+        with cache:
             report = cache.compact()
             entries = len(cache)
-        if report["backend"] == "jsonl":
-            print(
-                f"compacted {args.path}: {report['lines_before']} -> "
-                f"{report['lines_after']} lines "
-                f"({report['bytes_before']} -> {report['bytes_after']} "
-                f"bytes), {entries} entries"
-            )
-        else:
-            print(
-                f"vacuumed {args.path}: {report['bytes_before']} -> "
-                f"{report['bytes_after']} bytes, {entries} entries"
-            )
-        return 0
-
-    if args.cache_command == "migrate":
-        if Path(args.dst).resolve() == Path(args.src).resolve():
-            print("error: migrate needs distinct src and dst paths",
-                  file=sys.stderr)
-            return 1
-        with EvaluationCache(args.src) as src:
-            entries = src.items()
-            with EvaluationCache(args.dst) as dst:
-                for start in range(0, len(entries), args.batch_size):
-                    dst.put_many(dict(entries[start:start + args.batch_size]))
-                migrated = len(dst)
-            print(
-                f"migrated {len(entries)} entries: {args.src} "
-                f"[{src.backend}] -> {args.dst} ({migrated} stored)"
-            )
+        print(
+            f"vacuumed {args.path}: {report['bytes_before']} -> "
+            f"{report['bytes_after']} bytes, {entries} entries"
+        )
         return 0
 
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
@@ -896,7 +917,6 @@ def _cmd_campaign(args) -> int:
             backend=args.backend,
             chunk_size=args.chunk_size,
             problem=args.problem,
-            cache_flush_every=args.cache_flush_every,
             **threshold,
         )
     except ValueError as exc:
@@ -906,12 +926,16 @@ def _cmd_campaign(args) -> int:
         print("error: --name/--baseline/--set-baseline need --store",
               file=sys.stderr)
         return 1
+    try:
+        cache = EvaluationCache(args.cache) if args.cache else EvaluationCache()
+    except ValueError as exc:  # a directory or a JSONL log
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     store = None
     if args.store:
         from repro.store import RunStore
 
         store = RunStore(args.store)
-    cache = EvaluationCache(args.cache) if args.cache else EvaluationCache()
     tech = _tech(args)
     try:
         try:
@@ -1045,11 +1069,11 @@ def _cmd_serve(args) -> int:
     if args.snapshot_every is not None and not args.store:
         print("error: --snapshot-every needs --store", file=sys.stderr)
         return 1
-    cache = (
-        EvaluationCache(args.cache, flush_every=args.cache_flush_every)
-        if args.cache
-        else EvaluationCache()
-    )
+    try:
+        cache = EvaluationCache(args.cache) if args.cache else EvaluationCache()
+    except ValueError as exc:  # a directory or a JSONL log
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     store = None
     if args.store:
         from repro.store import RunStore
@@ -1576,10 +1600,10 @@ def _cmd_mc(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    for flag in _RETIRED_BACKEND_FLAGS:
+    for flag, reason in _RETIRED_FLAGS.items():
         if getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            print(f"warning: {flag} is deprecated and ignored "
-                  f"(numpy is the only numeric backend)", file=sys.stderr)
+            print(f"warning: {flag} is deprecated and ignored ({reason})",
+                  file=sys.stderr)
     if args.command == "precisions":
         return _cmd_precisions()
     if args.command == "pdks":

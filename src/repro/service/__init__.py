@@ -4,7 +4,7 @@ The service layer turns the per-run, in-memory evaluation loop of the
 MOGA explorer into shared infrastructure:
 
 * :mod:`repro.service.cache` — content-addressed persistent evaluation
-  cache (memory LRU + JSONL/SQLite disk tier, hit/miss statistics),
+  cache (memory LRU + SQLite disk tier, hit/miss statistics),
 * :mod:`repro.service.executor` — pluggable serial / thread-pool /
   process-pool batch evaluators behind one ``evaluate_batch`` interface,
 * :mod:`repro.service.campaign` — multi-spec campaign runner that
@@ -23,8 +23,8 @@ MOGA explorer into shared infrastructure:
   retry, idempotent result submission),
 * :mod:`repro.service.worker` — the ``repro worker`` loop that leases,
   evaluates and submits units over the HTTP protocol,
-* :mod:`repro.service.cache_backends` — pluggable storage backends for
-  the evaluation cache (memory/JSONL/SQLite/remote-over-HTTP),
+* :mod:`repro.service.cache_backends` — the remote-over-HTTP storage
+  backend for the evaluation cache and the CLI's cache-spec parser,
 * :mod:`repro.service.api` — typed, JSON round-trippable
   request/response records.
 """
@@ -40,8 +40,6 @@ from repro.service.cache import (
     CacheBackend,
     CacheStats,
     EvaluationCache,
-    JsonlCacheBackend,
-    MemoryCacheBackend,
     SqliteCacheBackend,
     evaluation_key,
     stable_hash,
@@ -91,8 +89,6 @@ __all__ = [
     "CacheBackend",
     "CacheStats",
     "EvaluationCache",
-    "JsonlCacheBackend",
-    "MemoryCacheBackend",
     "SqliteCacheBackend",
     "RemoteCacheBackend",
     "make_cache",

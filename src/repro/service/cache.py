@@ -11,22 +11,17 @@ content hash of *everything an evaluation depends on*: the genome, the
 Tiers:
 
 * an in-memory LRU tier (bounded, always present), and
-* an optional persistent disk tier — an append-only JSONL log or a
-  SQLite table — that survives process restarts and is shared between
-  campaigns.
+* an optional persistent SQLite tier that survives process restarts
+  and is shared between campaigns.
 
 The cache is **batch-first**: :meth:`EvaluationCache.get_many` and
 :meth:`EvaluationCache.put_many` push whole generations through the
 disk tier in one round trip (a chunked ``SELECT ... WHERE key IN``
-plus an ``executemany`` transaction for SQLite, one buffered
-multi-line append for JSONL) instead of N per-genome queries and N
-commits.  The SQLite tier runs in WAL journal mode with a busy
-timeout, so concurrent worker processes can share one cache file.  An
-optional write-behind buffer (``flush_every``) coalesces misses into
-one disk transaction per flush window; it is off by default and
-flushed on :meth:`~EvaluationCache.flush`, on close, and whenever the
-:meth:`~EvaluationCache.write_behind` context exits — including on
-campaign failure or cancellation.
+plus one ``executemany`` transaction) instead of N per-genome queries
+and N commits.  Every batch is written through, so whatever a campaign
+evaluated is on disk when it ends — also when it fails or is
+cancelled.  The SQLite tier runs in WAL journal mode with a busy
+timeout, so concurrent worker processes can share one cache file.
 
 All public operations are thread-safe; campaign workers share one
 cache instance.
@@ -38,12 +33,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import sqlite3
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
@@ -56,8 +49,6 @@ __all__ = [
     "CacheStats",
     "EvaluationCache",
     "GenomeKeyer",
-    "JsonlCacheBackend",
-    "MemoryCacheBackend",
     "SqliteCacheBackend",
     "evaluation_key",
     "problem_fingerprint",
@@ -66,15 +57,12 @@ __all__ = [
 
 Objectives = tuple[float, ...]
 
-#: Disk-tier backends understood by :class:`EvaluationCache`.
-DISK_BACKENDS = ("jsonl", "sqlite")
-
 #: Keys per SQLite ``IN (...)`` clause — stays well under the default
 #: SQLITE_MAX_VARIABLE_NUMBER (999) of older builds.
 _SQLITE_SELECT_CHUNK = 500
 
-#: Stale-line fraction above which a JSONL log is rewritten on open.
-_JSONL_COMPACT_THRESHOLD = 0.5
+#: First bytes of every SQLite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
 
 #: Buckets for the ``repro_cache_batch_size`` histogram (keys/batch).
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
@@ -208,8 +196,7 @@ class CacheBackend(Protocol):
     Implementations store ``key -> objectives`` pairs durably (or
     remotely) and are **batch-first**: :meth:`get_many`/:meth:`put_many`
     move a whole generation in one round trip.  The built-ins are
-    :class:`JsonlCacheBackend`, :class:`SqliteCacheBackend`,
-    :class:`MemoryCacheBackend`, and the HTTP-speaking
+    :class:`SqliteCacheBackend` and the HTTP-speaking
     :class:`~repro.service.cache_backends.RemoteCacheBackend` that lets
     N worker processes share one dedup layer.  Pass an instance as
     ``EvaluationCache(backend=...)`` to front it with the memory LRU.
@@ -235,149 +222,6 @@ class CacheBackend(Protocol):
     def close(self) -> None: ...
 
 
-class MemoryCacheBackend:
-    """Dict-backed :class:`CacheBackend` (no persistence).
-
-    Useful for tests and for processes that want the backend interface
-    without a file — e.g. a coordinator serving ``/api/cache`` from
-    RAM.  Unlike the memory *tier* of :class:`EvaluationCache`, this
-    store is unbounded and never evicts.
-    """
-
-    name = "memory"
-
-    def __init__(self) -> None:
-        self._entries: dict[str, Objectives] = {}
-
-    def get(self, key: str) -> Objectives | None:
-        return self._entries.get(key)
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, Objectives]:
-        entries = self._entries
-        return {key: entries[key] for key in keys if key in entries}
-
-    def put(self, key: str, objectives: Objectives) -> None:
-        self._entries[key] = tuple(objectives)
-
-    def put_many(self, entries: Mapping[str, Objectives]) -> None:
-        for key, objectives in entries.items():
-            self._entries[key] = tuple(objectives)
-
-    def compact(self) -> dict:
-        return {"backend": self.name, "entries": len(self._entries)}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> Iterator[tuple[str, Objectives]]:
-        return iter(list(self._entries.items()))
-
-    def close(self) -> None:
-        pass
-
-
-class _JsonlStore:
-    """Append-only JSONL disk tier.
-
-    The whole log is indexed into a dict at open (objective vectors are
-    tiny), so lookups never touch the filesystem; puts append lines —
-    a whole batch becomes one buffered write plus one flush.
-    Duplicate keys are legal — last line wins — which keeps concurrent
-    appends from separate processes safe without file locking.  When
-    more than half the lines on open are stale duplicates, the log is
-    compacted in place (the index is rewritten atomically) before the
-    append handle opens.
-    """
-
-    name = "jsonl"
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._index: dict[str, Objectives] = {}
-        #: Lines currently in the log file (>= len(index); the excess
-        #: are stale duplicates superseded by a later line).
-        self.lines = 0
-        #: True when this open rewrote a mostly-stale log.
-        self.compacted_on_open = False
-        if path.exists():
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._index[record["key"]] = tuple(record["objectives"])
-                    self.lines += 1
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stale = self.lines - len(self._index)
-        if self.lines and stale / self.lines > _JSONL_COMPACT_THRESHOLD:
-            self._rewrite()
-            self.compacted_on_open = True
-        self._handle = path.open("a", encoding="utf-8")
-
-    def _rewrite(self) -> None:
-        """Atomically replace the log with one line per live entry."""
-        swap = self.path.with_name(self.path.name + ".compact")
-        with swap.open("w", encoding="utf-8") as out:
-            out.write(
-                "".join(
-                    json.dumps({"key": key, "objectives": list(objectives)})
-                    + "\n"
-                    for key, objectives in self._index.items()
-                )
-            )
-        os.replace(swap, self.path)
-        self.lines = len(self._index)
-
-    def get(self, key: str) -> Objectives | None:
-        return self._index.get(key)
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, Objectives]:
-        index = self._index
-        return {key: index[key] for key in keys if key in index}
-
-    def put(self, key: str, objectives: Objectives) -> None:
-        self.put_many({key: objectives})
-
-    def put_many(self, entries: Mapping[str, Objectives]) -> None:
-        lines: list[str] = []
-        for key, objectives in entries.items():
-            if self._index.get(key) == objectives:
-                continue
-            self._index[key] = objectives
-            lines.append(
-                json.dumps({"key": key, "objectives": list(objectives)}) + "\n"
-            )
-        if lines:
-            self._handle.write("".join(lines))
-            self._handle.flush()
-            self.lines += len(lines)
-
-    def compact(self) -> dict:
-        """Force a rewrite; returns before/after line and byte counts."""
-        self._handle.close()
-        before_lines = self.lines
-        before_bytes = self.path.stat().st_size if self.path.exists() else 0
-        self._rewrite()
-        self._handle = self.path.open("a", encoding="utf-8")
-        return {
-            "backend": "jsonl",
-            "lines_before": before_lines,
-            "lines_after": self.lines,
-            "bytes_before": before_bytes,
-            "bytes_after": self.path.stat().st_size,
-        }
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def items(self) -> Iterator[tuple[str, Objectives]]:
-        return iter(self._index.items())
-
-    def close(self) -> None:
-        self._handle.close()
-
-
 class _SqliteStore:
     """SQLite disk tier: one ``evaluations(key, objectives)`` table.
 
@@ -393,6 +237,20 @@ class _SqliteStore:
     name = "sqlite"
 
     def __init__(self, path: Path) -> None:
+        # sqlite3 fails on these two with a bare "unable to open" or
+        # "file is not a database"; say what the path is instead.
+        if path.is_dir():
+            raise ValueError(f"evaluation cache path {path} is a directory")
+        legacy = path.suffix == ".jsonl"
+        if not legacy and path.is_file() and path.stat().st_size:
+            with path.open("rb") as handle:
+                legacy = handle.read(len(_SQLITE_HEADER)) != _SQLITE_HEADER
+        if legacy:
+            raise ValueError(
+                f"{path} names a JSONL cache log, and cache files are "
+                f"SQLite only: import it with "
+                f"'repro cache migrate {path} NEW.sqlite'"
+            )
         self.path = path
         path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(path), check_same_thread=False)
@@ -479,21 +337,16 @@ class EvaluationCache:
     """Two-tier (memory LRU + optional disk) evaluation cache.
 
     Args:
-        path: disk-tier location.  ``None`` keeps the cache memory-only
-            (unless a backend *instance* is passed).
-        backend: ``"jsonl"`` (append log) or ``"sqlite"``, or a
-            :class:`CacheBackend` *instance* to plug in directly (e.g.
-            a :class:`~repro.service.cache_backends.RemoteCacheBackend`
-            sharing a server-side dedup layer; ``path`` must be omitted
-            then).  A string backend is ignored for memory-only caches
-            and defaults to guessing from the path suffix
-            (``.sqlite``/``.db`` -> sqlite, else jsonl).
+        path: SQLite file of the disk tier, whatever its suffix.
+            ``None`` keeps the cache memory-only (unless a backend is
+            passed).  A directory, or a log of the removed JSONL tier,
+            raises :class:`ValueError`.
+        backend: a :class:`CacheBackend` instance to plug in as the
+            disk tier (e.g. a
+            :class:`~repro.service.cache_backends.RemoteCacheBackend`
+            sharing a server-side dedup layer); ``path`` must be
+            omitted then.
         max_memory_entries: LRU capacity of the memory tier.
-        flush_every: write-behind cadence.  ``None``/``0`` (default)
-            writes every put straight through to disk; ``N`` buffers
-            disk writes and flushes them as one batched transaction
-            once ``N`` entries are pending (also on :meth:`flush` and
-            on :meth:`close`).  Reads always see buffered entries.
         registry: :class:`~repro.obs.metrics.MetricsRegistry` the cache
             publishes into (defaults to the process global).  Counters
             are mirrored at scrape time through a collector — zero work
@@ -514,25 +367,27 @@ class EvaluationCache:
         self,
         path: str | Path | None = None,
         *,
-        backend: str | CacheBackend | None = None,
+        backend: CacheBackend | None = None,
         max_memory_entries: int = 262_144,
-        flush_every: int | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if max_memory_entries < 1:
             raise ValueError("max_memory_entries must be >= 1")
-        if flush_every is not None and flush_every < 1:
-            raise ValueError("flush_every must be >= 1 when given")
+        if isinstance(backend, str):
+            raise ValueError(
+                f"backend={backend!r}: backend takes a CacheBackend "
+                f"instance; a cache path always opens SQLite"
+            )
         self.max_memory_entries = max_memory_entries
-        self.flush_every = flush_every
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, Objectives] = OrderedDict()
-        self._pending: dict[str, Objectives] = {}
         self._disk: CacheBackend | None = None
-        if backend is not None and not isinstance(backend, str):
+        self.backend = "memory"
+        self.path: Path | None = None
+        if backend is not None:
             # A caller-built CacheBackend instance plugs in directly;
-            # the memory LRU fronts it exactly like the disk tiers.
+            # the memory LRU fronts it exactly like the SQLite tier.
             if path is not None:
                 raise ValueError(
                     "pass either a path or a CacheBackend instance, not both"
@@ -540,28 +395,12 @@ class EvaluationCache:
             self._disk = backend
             self.backend = getattr(backend, "name", type(backend).__name__)
             backend_path = getattr(backend, "path", None)
-            self.path = (
-                Path(backend_path)
-                if isinstance(backend_path, (str, Path))
-                else None
-            )
-        else:
-            if path is not None:
-                path = Path(path)
-                if backend is None:
-                    backend = (
-                        "sqlite" if path.suffix in {".sqlite", ".db"} else "jsonl"
-                    )
-                if backend not in DISK_BACKENDS:
-                    raise ValueError(
-                        f"unknown cache backend {backend!r}; "
-                        f"choose from {DISK_BACKENDS}"
-                    )
-                self._disk = (
-                    _SqliteStore(path) if backend == "sqlite" else _JsonlStore(path)
-                )
-            self.backend = backend if path is not None else "memory"
-            self.path = Path(path) if path is not None else None
+            if isinstance(backend_path, (str, Path)):
+                self.path = Path(backend_path)
+        elif path is not None:
+            self.path = Path(path)
+            self._disk = _SqliteStore(self.path)
+            self.backend = "sqlite"
         self._init_metrics(registry)
 
     def _init_metrics(self, registry: MetricsRegistry | None) -> None:
@@ -615,7 +454,7 @@ class EvaluationCache:
         )
         self._m_batch = {
             op: (batch_seconds.labels(label, op), batch_size.labels(label, op))
-            for op in ("get", "put", "flush")
+            for op in ("get", "put")
         }
         # Collector pattern: CacheStats stays the source of truth and is
         # mirrored only when something scrapes (weakly referenced, so
@@ -644,14 +483,6 @@ class EvaluationCache:
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
                 return value
-            # Write-behind entries not yet on disk still belong to the
-            # disk tier logically (they survive an LRU eviction).
-            value = self._pending.get(key)
-            if value is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self._insert_memory(key, value)
-                return value
             if self._disk is not None:
                 started = time.perf_counter()
                 value = self._disk.get(key)
@@ -672,11 +503,6 @@ class EvaluationCache:
             self._insert_memory(key, value)
             if self._disk is None:
                 return
-            if self.flush_every:
-                self._pending[key] = value
-                if len(self._pending) >= self.flush_every:
-                    self._flush_locked()
-                return
             started = time.perf_counter()
             self._disk.put(key, value)
             self._m_disk_put.observe(time.perf_counter() - started)
@@ -684,10 +510,10 @@ class EvaluationCache:
     def get_many(self, keys: Sequence[str]) -> list[Objectives | None]:
         """Vector lookup, one slot per key (``None`` on miss).
 
-        Memory (and write-behind) hits are served in place; everything
-        else goes to the disk tier as **one** batched query instead of
-        one round trip per key.  Disk hits are promoted into the memory
-        tier exactly as :meth:`get` would.
+        Memory hits are served in place; everything else goes to the
+        disk tier as **one** batched query instead of one round trip
+        per key.  Disk hits are promoted into the memory tier exactly
+        as :meth:`get` would.
         """
         # Child span only when a trace is already ambient (a campaign
         # above us); a bare cache call never starts a trace of its own.
@@ -711,14 +537,6 @@ class EvaluationCache:
             missing: dict[str, list[int]] = {}
             for i, key in enumerate(keys):
                 value = self._memory.get(key)
-                if value is None and self._pending:
-                    value = self._pending.get(key)
-                    if value is not None:
-                        self.stats.hits += 1
-                        self.stats.disk_hits += 1
-                        self._insert_memory(key, value)
-                        results[i] = value
-                        continue
                 if value is not None:
                     self._memory.move_to_end(key)
                     self.stats.hits += 1
@@ -748,7 +566,7 @@ class EvaluationCache:
             return results
 
     def put_many(self, entries: Mapping[str, Iterable[float]]) -> None:
-        """Store a whole batch: one disk transaction (or one buffer fill)."""
+        """Store a whole batch: one disk transaction."""
         values = {
             key: tuple(float(v) for v in objectives)
             for key, objectives in entries.items()
@@ -768,64 +586,11 @@ class EvaluationCache:
                 self._insert_memory(key, value)
             if self._disk is None:
                 return
-            if self.flush_every:
-                self._pending.update(values)
-                if len(self._pending) >= self.flush_every:
-                    self._flush_locked()
-                return
             started = time.perf_counter()
             self._disk.put_many(values)
             seconds, size = self._m_batch["put"]
             seconds.observe(time.perf_counter() - started)
             size.observe(len(values))
-
-    # Write-behind ---------------------------------------------------------
-    def flush(self) -> None:
-        """Push buffered write-behind entries to disk (no-op when clean)."""
-        with self._lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        if not self._pending or self._disk is None:
-            return
-        pending, self._pending = self._pending, {}
-        with get_tracer().start_span(
-            "cache.flush", attributes={"entries": len(pending)},
-            category="cache",
-        ):
-            started = time.perf_counter()
-            self._disk.put_many(pending)
-            seconds, size = self._m_batch["flush"]
-            seconds.observe(time.perf_counter() - started)
-            size.observe(len(pending))
-
-    @property
-    def pending_writes(self) -> int:
-        """Entries buffered by write-behind but not yet on disk."""
-        with self._lock:
-            return len(self._pending)
-
-    @contextmanager
-    def write_behind(self, flush_every: int):
-        """Enable (or tighten) write-behind for the duration of a block.
-
-        Misses coalesce into one disk transaction per ``flush_every``
-        entries; the exit path **always** flushes — including when the
-        block raises, which is how a failed or cancelled campaign keeps
-        its completed evaluations durable.  The previous cadence is
-        restored on exit.
-        """
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
-        with self._lock:
-            previous = self.flush_every
-            self.flush_every = flush_every
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self.flush_every = previous
-                self._flush_locked()
 
     def _insert_memory(self, key: str, value: Objectives) -> None:
         self._memory[key] = value
@@ -836,50 +601,34 @@ class EvaluationCache:
 
     # Introspection --------------------------------------------------------
     def __len__(self) -> int:
-        """Number of distinct cached evaluations (disk tier wins).
-
-        Write-behind entries count without being flushed: scrape-time
-        collectors call this, and a scrape must never force disk I/O
-        ahead of the configured cadence.
-        """
+        """Number of distinct cached evaluations (disk tier wins)."""
         with self._lock:
             if self._disk is not None:
-                count = len(self._disk)
-                if self._pending:
-                    on_disk = self._disk.get_many(list(self._pending))
-                    count += len(self._pending) - len(on_disk)
-                return count
+                return len(self._disk)
             return len(self._memory)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            if key in self._memory or key in self._pending:
+            if key in self._memory:
                 return True
             return self._disk is not None and self._disk.get(key) is not None
 
     def items(self) -> list[tuple[str, Objectives]]:
         """Snapshot of every persisted (key, objectives) pair.
 
-        Flushes the write-behind buffer first so the listing is
-        complete; memory-only caches list the LRU tier.  This is the
-        source feed of the ``repro cache migrate`` CLI.
+        Memory-only caches list the LRU tier.  This is the source feed
+        of the ``repro cache migrate`` CLI.
         """
         with self._lock:
             if self._disk is not None:
-                self._flush_locked()
                 return list(self._disk.items())
             return list(self._memory.items())
 
     def compact(self) -> dict:
-        """Rewrite the disk tier dropping dead weight.
-
-        JSONL logs are rewritten to one line per live entry; SQLite
-        databases are VACUUMed.  Returns a before/after summary dict.
-        """
+        """Compact the disk tier (SQLite: VACUUM); returns a summary dict."""
         with self._lock:
             if self._disk is None:
                 raise ValueError("memory-only cache has no disk tier to compact")
-            self._flush_locked()
             return self._disk.compact()
 
     def info(self) -> dict:
@@ -891,15 +640,10 @@ class EvaluationCache:
                 "entries": len(self),
                 "memory_entries": len(self._memory),
                 "max_memory_entries": self.max_memory_entries,
-                "pending_writes": len(self._pending),
-                "flush_every": self.flush_every,
                 "stats": self.stats.as_dict(),
             }
             if self.path is not None and self.path.exists():
                 payload["disk_bytes"] = self.path.stat().st_size
-            if isinstance(self._disk, _JsonlStore):
-                payload["log_lines"] = self._disk.lines
-                payload["stale_lines"] = self._disk.lines - len(self._disk)
             return payload
 
     def clear_stats(self) -> None:
@@ -909,7 +653,6 @@ class EvaluationCache:
     def close(self) -> None:
         with self._lock:
             if self._disk is not None:
-                self._flush_locked()
                 self._disk.close()
                 self._disk = None
 
@@ -920,7 +663,6 @@ class EvaluationCache:
         self.close()
 
 
-#: Public names for the built-in disk tiers, now that the backend
-#: interface is pluggable (the underscore spellings predate it).
-JsonlCacheBackend = _JsonlStore
+#: Public name for the built-in disk tier, now that the backend
+#: interface is pluggable (the underscore spelling predates it).
 SqliteCacheBackend = _SqliteStore

@@ -1,4 +1,4 @@
-"""Cache backends beyond the built-in disk tiers.
+"""Cache backends beyond the built-in SQLite tier.
 
 The interesting one is :class:`RemoteCacheBackend`: a
 :class:`~repro.service.cache.CacheBackend` that speaks batched
@@ -7,11 +7,10 @@ endpoints, so N worker processes share **one** dedup layer — a genome
 any worker evaluated is a cache hit for every other worker.  Fronted
 by the :class:`~repro.service.cache.EvaluationCache` memory LRU, each
 generation costs the worker one HTTP round trip for lookups and one
-for stores, mirroring the batch-first disk tiers.
+for stores, mirroring the batch-first SQLite tier.
 
 :func:`make_cache` turns the CLI's cache spec strings into configured
-caches: ``memory``, a file path (jsonl/sqlite by suffix), or
-``remote:http://host:port``.
+caches: ``memory``, a SQLite file path, or ``remote:http://host:port``.
 """
 
 from __future__ import annotations
@@ -99,27 +98,20 @@ class RemoteCacheBackend:
         pass
 
 
-def make_cache(
-    spec: str | None,
-    *,
-    flush_every: int | None = None,
-    registry=None,
-) -> EvaluationCache:
+def make_cache(spec: str | None, *, registry=None) -> EvaluationCache:
     """Build an :class:`EvaluationCache` from a CLI cache spec.
 
     * ``None`` / ``""`` / ``"memory"`` — memory-only cache;
     * ``"remote:http://host:port"`` (or a bare ``http(s)://`` URL) —
       the server-shared :class:`RemoteCacheBackend`;
-    * anything else — a local cache file (jsonl or sqlite by suffix).
+    * anything else — a local SQLite cache file.
     """
     if not spec or spec == "memory":
-        return EvaluationCache(flush_every=flush_every, registry=registry)
+        return EvaluationCache(registry=registry)
     if spec.startswith(_REMOTE_PREFIX):
         spec = spec[len(_REMOTE_PREFIX):]
     if spec.startswith(("http://", "https://")):
         return EvaluationCache(
-            backend=RemoteCacheBackend(spec),
-            flush_every=flush_every,
-            registry=registry,
+            backend=RemoteCacheBackend(spec), registry=registry
         )
-    return EvaluationCache(spec, flush_every=flush_every, registry=registry)
+    return EvaluationCache(spec, registry=registry)

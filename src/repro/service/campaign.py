@@ -17,7 +17,6 @@ NSGA-II run while the genome-level batches fan out through the shared
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -83,13 +82,6 @@ class CampaignConfig:
             explored exhaustively instead of via the GA (see
             :meth:`~repro.dse.explorer.DesignSpaceExplorer.explore_auto`);
             ``0`` or ``None`` forces the GA for every spec.
-        cache_flush_every: write-behind cadence for the campaign's
-            shared cache — misses coalesce into one disk transaction
-            per N entries for the campaign's duration, with a
-            guaranteed flush at the end (also on failure or
-            cancellation).  ``None``/``0`` (default) keeps the cache's
-            own write policy.  Pure I/O scheduling: never changes
-            results, never enters the campaign fingerprint.
         cache_backend: cache spec string used to *build* the campaign's
             evaluation cache when :func:`run_campaign` is not handed a
             cache instance — ``"memory"``, a cache file path, or
@@ -109,7 +101,6 @@ class CampaignConfig:
     chunk_size: int | None = None
     problem: str = DEFAULT_PROBLEM
     exhaustive_threshold: int | None = DEFAULT_EXHAUSTIVE_THRESHOLD
-    cache_flush_every: int | None = None
     cache_backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -117,8 +108,6 @@ class CampaignConfig:
             raise ValueError("workers must be >= 1")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when given")
-        if self.cache_flush_every is not None and self.cache_flush_every < 0:
-            raise ValueError("cache_flush_every must be >= 0 when given")
         if self.exhaustive_threshold is not None and self.exhaustive_threshold < 0:
             raise ValueError("exhaustive_threshold must be >= 0 when given")
         try:
@@ -216,9 +205,8 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     default run hashed as ``"auto"``: the payload keeps that literal so
     those rows keep matching.  The exhaustive threshold only hashes
     when it differs from the default — so rows recorded before it
-    existed keep matching too.  ``cache_flush_every`` and
-    ``cache_backend`` are pure I/O/dedup plumbing and stay out
-    unconditionally.
+    existed keep matching too.  ``cache_backend`` is pure dedup
+    plumbing and stays out unconditionally.
     """
     from repro.service.cache import stable_hash
 
@@ -226,7 +214,6 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     config_payload["engine"] = "auto"
     if config.problem == DEFAULT_PROBLEM:
         del config_payload["problem"]
-    del config_payload["cache_flush_every"]
     del config_payload["cache_backend"]
     if config.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
         del config_payload["exhaustive_threshold"]
@@ -535,30 +522,20 @@ def run_campaign(
 
     started = time.perf_counter()
     try:
-        with contextlib.ExitStack() as stack:
-            if cache is not None and config.cache_flush_every:
-                # Write-behind for the campaign's duration: misses
-                # coalesce into one disk transaction per flush window,
-                # and the context's exit flushes even when a spec fails
-                # or the campaign is cancelled mid-flight — completed
-                # evaluations always land on disk.
-                stack.enter_context(
-                    cache.write_behind(config.cache_flush_every)
-                )
-            if config.workers == 1 or len(specs) == 1:
-                with use_span(campaign_span):
-                    maybe_results = [
-                        explore_one(i, spec) for i, spec in enumerate(specs)
-                    ]
-            else:
-                with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=min(config.workers, len(specs))
-                ) as pool:
-                    futures = [
-                        pool.submit(explore_in_worker, i, spec)
-                        for i, spec in enumerate(specs)
-                    ]
-                    maybe_results = [f.result() for f in futures]
+        if config.workers == 1 or len(specs) == 1:
+            with use_span(campaign_span):
+                maybe_results = [
+                    explore_one(i, spec) for i, spec in enumerate(specs)
+                ]
+        else:
+            with concurrent.futures.ThreadPoolExecutor(
+                max_workers=min(config.workers, len(specs))
+            ) as pool:
+                futures = [
+                    pool.submit(explore_in_worker, i, spec)
+                    for i, spec in enumerate(specs)
+                ]
+                maybe_results = [f.result() for f in futures]
     except BaseException as exc:
         campaign_span.end(status="error", error=f"{type(exc).__name__}: {exc}")
         raise

@@ -37,24 +37,20 @@ from repro.tech.cells import CellLibrary
 __all__ = ["CampaignWorker", "worker_cache"]
 
 
-def worker_cache(
-    spec: str | None, base_url: str, **kwargs
-) -> EvaluationCache | None:
+def worker_cache(spec: str | None, base_url: str) -> EvaluationCache | None:
     """Build a worker's evaluation cache from its ``--cache`` spec.
 
     ``"remote"`` (the default) shares the coordinator's dedup layer
     over ``/api/cache``; ``"memory"`` is process-local; ``"none"``
-    disables caching; anything else is a local cache file path.
+    disables caching; anything else is a local SQLite cache file.
     """
     from repro.service.cache_backends import RemoteCacheBackend, make_cache
 
     if spec == "none":
         return None
     if spec is None or spec == "remote":
-        return EvaluationCache(
-            backend=RemoteCacheBackend(base_url), **kwargs
-        )
-    return make_cache(spec, **kwargs)
+        return EvaluationCache(backend=RemoteCacheBackend(base_url))
+    return make_cache(spec)
 
 
 class CampaignWorker:

@@ -13,45 +13,80 @@ def run_cli(*argv) -> int:
 
 
 @pytest.fixture
-def jsonl_cache(tmp_path):
-    path = tmp_path / "evals.jsonl"
+def sqlite_cache(tmp_path):
+    path = tmp_path / "evals.sqlite"
     with EvaluationCache(path) as cache:
         cache.put_many({f"k{i}": (float(i), float(i) * 2) for i in range(8)})
-        cache.put_many({f"k{i}": (9.0, 9.0) for i in range(3)})  # stale lines
+        cache.put_many({f"k{i}": (9.0, 9.0) for i in range(3)})  # overwrites
     return path
 
 
-class TestCacheStats:
-    def test_table_output(self, jsonl_cache, capsys):
-        assert run_cli("cache", "stats", str(jsonl_cache)) == 0
-        out = capsys.readouterr().out
-        assert "jsonl" in out
-        assert "entries" in out
-        assert "stale lines" in out
+@pytest.fixture
+def legacy_log(tmp_path):
+    """A log in the removed JSONL tier's layout, written with plain json:
+    11 lines, 8 live keys (a later line for a key wins)."""
+    path = tmp_path / "evals.jsonl"
+    records = [(f"k{i}", [float(i), float(i) * 2]) for i in range(8)]
+    records += [(f"k{i}", [9.0, 9.0]) for i in range(3)]
+    path.write_text(
+        "".join(
+            json.dumps({"key": key, "objectives": objectives}) + "\n"
+            for key, objectives in records
+        ),
+        encoding="utf-8",
+    )
+    return path
 
-    def test_json_output(self, jsonl_cache, capsys):
-        assert run_cli("cache", "stats", str(jsonl_cache), "--json") == 0
+
+def legacy_entries(path) -> dict:
+    entries = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        entries[record["key"]] = tuple(record["objectives"])
+    return entries
+
+
+class TestCacheStats:
+    def test_table_output(self, sqlite_cache, capsys):
+        assert run_cli("cache", "stats", str(sqlite_cache)) == 0
+        out = capsys.readouterr().out
+        assert "sqlite" in out
+        assert "entries" in out
+        assert "pending writes" not in out
+
+    def test_json_output(self, sqlite_cache, capsys):
+        assert run_cli("cache", "stats", str(sqlite_cache), "--json") == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["backend"] == "jsonl"
+        assert info["backend"] == "sqlite"
         assert info["entries"] == 8
-        assert info["log_lines"] == 11
-        assert info["stale_lines"] == 3
+        assert info["disk_bytes"] > 0
+        for dropped in ("pending_writes", "flush_every", "log_lines",
+                        "stale_lines"):
+            assert dropped not in info
 
     def test_missing_path_is_an_error(self, tmp_path, capsys):
-        assert run_cli("cache", "stats", str(tmp_path / "nope.jsonl")) == 1
+        assert run_cli("cache", "stats", str(tmp_path / "nope.sqlite")) == 1
         assert "no evaluation cache" in capsys.readouterr().err
-        assert not (tmp_path / "nope.jsonl").exists()  # not silently created
+        assert not (tmp_path / "nope.sqlite").exists()  # not silently created
+
+    @pytest.mark.parametrize("command", ["stats", "compact", "migrate"])
+    def test_directory_is_an_error(self, tmp_path, command, capsys):
+        argv = ["cache", command, str(tmp_path)]
+        if command == "migrate":
+            argv.append(str(tmp_path / "out.sqlite"))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: no evaluation cache at {tmp_path}\n"
+        )
+
+    def test_legacy_log_names_migrate(self, legacy_log, capsys):
+        assert run_cli("cache", "stats", str(legacy_log)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"repro cache migrate {legacy_log} NEW.sqlite" in err
 
 
 class TestCacheCompact:
-    def test_jsonl_compact_drops_stale_lines(self, jsonl_cache, capsys):
-        assert run_cli("cache", "compact", str(jsonl_cache)) == 0
-        out = capsys.readouterr().out
-        assert "11 -> 8 lines" in out
-        with EvaluationCache(jsonl_cache) as cache:
-            assert cache.info()["log_lines"] == 8
-            assert cache.get("k0") == (9.0, 9.0)  # last write wins
-
     def test_sqlite_vacuum(self, tmp_path, capsys):
         path = tmp_path / "evals.sqlite"
         with EvaluationCache(path) as cache:
@@ -61,30 +96,56 @@ class TestCacheCompact:
 
 
 class TestCacheMigrate:
-    def test_jsonl_to_sqlite_preserves_entries(self, jsonl_cache, tmp_path, capsys):
+    def test_jsonl_to_sqlite_preserves_entries(self, legacy_log, tmp_path, capsys):
         dst = tmp_path / "evals.sqlite"
-        assert run_cli("cache", "migrate", str(jsonl_cache), str(dst)) == 0
-        assert "migrated 8 entries" in capsys.readouterr().out
-        with EvaluationCache(jsonl_cache) as src, EvaluationCache(dst) as out:
-            assert out.backend == "sqlite"
+        assert run_cli("cache", "migrate", str(legacy_log), str(dst)) == 0
+        out = capsys.readouterr().out
+        assert f"migrated 8 entries: {legacy_log} [jsonl]" in out
+        assert "(8 stored)" in out
+        expected = legacy_entries(legacy_log)
+        assert expected["k0"] == (9.0, 9.0)  # last line wins
+        with EvaluationCache(dst) as out_cache:
+            assert out_cache.backend == "sqlite"
+            assert sorted(out_cache.items()) == sorted(expected.items())
+            keys = list(expected)
+            assert out_cache.get_many(keys) == [expected[k] for k in keys]
+
+    def test_sqlite_to_sqlite_copies_entries(self, sqlite_cache, tmp_path, capsys):
+        dst = tmp_path / "copy.sqlite"
+        assert run_cli("cache", "migrate", str(sqlite_cache), str(dst)) == 0
+        assert "[sqlite]" in capsys.readouterr().out
+        with EvaluationCache(sqlite_cache) as src, EvaluationCache(dst) as out:
             assert sorted(out.items()) == sorted(src.items())
 
-    def test_small_batches_cover_everything(self, jsonl_cache, tmp_path):
+    def test_small_batches_cover_everything(self, legacy_log, tmp_path):
         dst = tmp_path / "evals.sqlite"
         assert run_cli(
-            "cache", "migrate", str(jsonl_cache), str(dst), "--batch-size", "3"
+            "cache", "migrate", str(legacy_log), str(dst), "--batch-size", "3"
         ) == 0
         with EvaluationCache(dst) as out:
             assert len(out) == 8
 
-    def test_rejects_same_src_and_dst(self, jsonl_cache, capsys):
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_batch_size_must_be_positive(self, legacy_log, tmp_path, size, capsys):
+        dst = tmp_path / "evals.sqlite"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("cache", "migrate", str(legacy_log), str(dst),
+                    "--batch-size", size)
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_rejects_same_src_and_dst(self, legacy_log, capsys):
         assert run_cli(
-            "cache", "migrate", str(jsonl_cache), str(jsonl_cache)
+            "cache", "migrate", str(legacy_log), str(legacy_log)
         ) == 1
         assert "distinct" in capsys.readouterr().err
 
 
 class TestCampaignFlushFlag:
+    """``--cache-flush-every`` still parses for one release: hidden,
+    ignored, and noted as deprecated on stderr."""
+
     def test_campaign_accepts_cache_flush_every(self, tmp_path, capsys):
         cache = tmp_path / "evals.sqlite"
         rc = run_cli(
@@ -95,8 +156,48 @@ class TestCampaignFlushFlag:
             "--cache", str(cache), "--cache-flush-every", "32",
         )
         assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: --cache-flush-every is deprecated and ignored "
+            "(the evaluation cache writes every batch through)\n"
+        )
         with EvaluationCache(cache) as reopened:
-            assert len(reopened) > 0  # flushed by campaign end
+            assert len(reopened) > 0  # written through during the run
+
+    @pytest.mark.parametrize("command", ["campaign", "serve"])
+    def test_hidden_from_help(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        assert "--cache-flush-every" not in capsys.readouterr().out
+
+
+class TestCacheOpenErrors:
+    """``campaign`` and ``serve`` report a cache path they cannot open
+    as one ``error:`` line and exit 1, before any work starts."""
+
+    def test_campaign_directory_cache(self, tmp_path, capsys):
+        assert run_cli("campaign", "--spec", "4096:INT4",
+                       "--cache", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: evaluation cache path {tmp_path} is a directory\n"
+        )
+
+    def test_campaign_legacy_log(self, legacy_log, capsys):
+        before = legacy_log.read_bytes()
+        assert run_cli("campaign", "--spec", "4096:INT4",
+                       "--cache", str(legacy_log)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "repro cache migrate" in err
+        assert legacy_log.read_bytes() == before
+
+    def test_serve_directory_cache(self, tmp_path, capsys):
+        assert run_cli("serve", "--port", "0", "--cache", str(tmp_path),
+                       "--cache-flush-every", "8") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: --cache-flush-every is deprecated and ignored "
+            "(the evaluation cache writes every batch through)",
+            f"error: evaluation cache path {tmp_path} is a directory",
+        ]
 
 
 class TestCampaignCacheReport:

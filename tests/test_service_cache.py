@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -98,14 +99,14 @@ class TestMemoryTier:
             EvaluationCache(max_memory_entries=0)
 
 
-@pytest.mark.parametrize("backend,suffix", [("jsonl", ".jsonl"), ("sqlite", ".sqlite")])
+@pytest.mark.parametrize("backend,suffix", [("sqlite", ".sqlite")])
 class TestDiskTier:
     def test_persistence_round_trip(self, tmp_path, backend, suffix):
         path = tmp_path / f"cache{suffix}"
-        with EvaluationCache(path, backend=backend) as cache:
+        with EvaluationCache(path) as cache:
             cache.put("k1", (1.0, -2.0))
             cache.put("k2", (3.5,))
-        with EvaluationCache(path, backend=backend) as reopened:
+        with EvaluationCache(path) as reopened:
             assert reopened.get("k1") == (1.0, -2.0)
             assert reopened.get("k2") == (3.5,)
             assert len(reopened) == 2
@@ -116,16 +117,15 @@ class TestDiskTier:
 
     def test_eviction_falls_back_to_disk(self, tmp_path, backend, suffix):
         path = tmp_path / f"cache{suffix}"
-        with EvaluationCache(path, backend=backend, max_memory_entries=1) as cache:
+        with EvaluationCache(path, max_memory_entries=1) as cache:
             cache.put("a", (1.0,))
             cache.put("b", (2.0,))  # evicts "a" from memory
             assert cache.stats.evictions == 1
             assert cache.get("a") == (1.0,)
-            # jsonl indexes the log in-process; sqlite queries the table.
             assert cache.stats.hits == 1
 
     def test_thread_safety_smoke(self, tmp_path, backend, suffix):
-        cache = EvaluationCache(tmp_path / f"cache{suffix}", backend=backend)
+        cache = EvaluationCache(tmp_path / f"cache{suffix}")
 
         def worker(base: int) -> None:
             for i in range(50):
@@ -139,6 +139,45 @@ class TestDiskTier:
             t.join()
         assert len(cache) == 200
         cache.close()
+
+
+class TestSqliteOnly:
+    """Any cache path opens SQLite, except a directory or a JSONL log:
+    those raise a ValueError that says what the path is."""
+
+    def test_any_suffix_opens_sqlite(self, tmp_path):
+        path = tmp_path / "evals.cache"
+        with EvaluationCache(path) as cache:
+            cache.put("k", (1.0,))
+            assert cache.backend == "sqlite"
+        assert path.read_bytes().startswith(b"SQLite format 3\x00")
+
+    def test_existing_empty_file_opens(self, tmp_path):
+        path = tmp_path / "evals.db"
+        path.touch()
+        with EvaluationCache(path) as cache:
+            cache.put("k", (1.0,))
+        with EvaluationCache(path) as reopened:
+            assert reopened.get("k") == (1.0,)
+
+    def test_jsonl_suffix_names_migrate(self, tmp_path):
+        path = tmp_path / "evals.jsonl"
+        with pytest.raises(ValueError, match="repro cache migrate"):
+            EvaluationCache(path)
+        assert not path.exists()
+
+    def test_legacy_log_without_jsonl_suffix_names_migrate(self, tmp_path):
+        path = tmp_path / "evals.cache"
+        line = json.dumps({"key": "k", "objectives": [1.0]}) + "\n"
+        path.write_text(line, encoding="utf-8")
+        hint = re.escape(f"repro cache migrate {path} NEW.sqlite")
+        with pytest.raises(ValueError, match=hint):
+            EvaluationCache(path)
+        assert path.read_text(encoding="utf-8") == line
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="is a directory"):
+            EvaluationCache(tmp_path)
 
 
 class TestGenomeKeyer:
@@ -189,16 +228,14 @@ class TestGenomeKeyer:
             assert keyer(genome) == evaluation_key(genome, SPEC, LIB)
 
 
-@pytest.mark.parametrize("backend,suffix", [("jsonl", ".jsonl"), ("sqlite", ".sqlite")])
+@pytest.mark.parametrize("backend,suffix", [("sqlite", ".sqlite")])
 class TestBatchedDiskTier:
     def test_get_many_crosses_sqlite_chunk_boundary(self, tmp_path, backend, suffix):
         # 1200 keys spans three SELECT ... IN chunks on the sqlite tier.
         entries = {f"k{i}": (float(i),) for i in range(1200)}
-        with EvaluationCache(tmp_path / f"c{suffix}", backend=backend) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}") as cache:
             cache.put_many(entries)
-        with EvaluationCache(
-            tmp_path / f"c{suffix}", backend=backend, max_memory_entries=1
-        ) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}", max_memory_entries=1) as cache:
             keys = [f"k{i}" for i in range(1200)] + ["absent"]
             results = cache.get_many(keys)
             assert results[:-1] == [(float(i),) for i in range(1200)]
@@ -207,9 +244,7 @@ class TestBatchedDiskTier:
             assert cache.stats.misses == 1
 
     def test_get_many_counts_each_slot(self, tmp_path, backend, suffix):
-        with EvaluationCache(
-            tmp_path / f"c{suffix}", backend=backend, max_memory_entries=1
-        ) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}", max_memory_entries=1) as cache:
             cache.put_many({"a": (1.0,)})
             results = cache.get_many(["a", "a", "nope", "nope"])
             assert results == [(1.0,), (1.0,), None, None]
@@ -218,93 +253,19 @@ class TestBatchedDiskTier:
             assert cache.stats.misses == 2
 
     def test_get_many_promotes_disk_hits(self, tmp_path, backend, suffix):
-        with EvaluationCache(tmp_path / f"c{suffix}", backend=backend) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}") as cache:
             cache.put("a", (1.0,))
-        with EvaluationCache(tmp_path / f"c{suffix}", backend=backend) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}") as cache:
             assert cache.get_many(["a"]) == [(1.0,)]
             assert cache.stats.disk_hits == 1
             assert cache.get("a") == (1.0,)
             assert cache.stats.memory_hits == 1  # second read from memory
 
     def test_put_many_round_trips_after_reopen(self, tmp_path, backend, suffix):
-        with EvaluationCache(tmp_path / f"c{suffix}", backend=backend) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}") as cache:
             cache.put_many({"a": (1.0, 2.0), "b": (3.0,)})
-        with EvaluationCache(tmp_path / f"c{suffix}", backend=backend) as cache:
+        with EvaluationCache(tmp_path / f"c{suffix}") as cache:
             assert cache.get_many(["a", "b"]) == [(1.0, 2.0), (3.0,)]
-
-
-@pytest.mark.parametrize("backend,suffix", [("jsonl", ".jsonl"), ("sqlite", ".sqlite")])
-class TestWriteBehind:
-    def test_buffers_until_threshold(self, tmp_path, backend, suffix):
-        path = tmp_path / f"c{suffix}"
-        with EvaluationCache(path, backend=backend, flush_every=3) as cache:
-            cache.put("a", (1.0,))
-            cache.put("b", (2.0,))
-            assert cache.pending_writes == 2
-            with EvaluationCache(path, backend=backend) as other:
-                assert other.get("a") is None  # nothing on disk yet
-            cache.put("c", (3.0,))  # hits the threshold
-            assert cache.pending_writes == 0
-            with EvaluationCache(path, backend=backend) as other:
-                assert other.get_many(["a", "b", "c"]) == [(1.0,), (2.0,), (3.0,)]
-
-    def test_pending_entries_are_readable_and_counted(self, tmp_path, backend, suffix):
-        with EvaluationCache(
-            tmp_path / f"c{suffix}",
-            backend=backend,
-            flush_every=100,
-            max_memory_entries=1,
-        ) as cache:
-            cache.put("a", (1.0,))
-            cache.put("b", (2.0,))  # evicts "a" from the memory tier
-            # "a" only exists in the write-behind buffer now, yet it
-            # must still resolve (and count as a disk-tier hit).
-            assert cache.get("a") == (1.0,)
-            assert cache.stats.disk_hits == 1
-            assert cache.get_many(["a", "b"]) == [(1.0,), (2.0,)]
-            assert "a" in cache
-            assert len(cache) == 2
-
-    def test_explicit_flush_and_flush_on_close(self, tmp_path, backend, suffix):
-        path = tmp_path / f"c{suffix}"
-        cache = EvaluationCache(path, backend=backend, flush_every=100)
-        cache.put("a", (1.0,))
-        cache.flush()
-        assert cache.pending_writes == 0
-        cache.put("b", (2.0,))
-        cache.close()  # flush-on-close is the durability backstop
-        with EvaluationCache(path, backend=backend) as reopened:
-            assert reopened.get_many(["a", "b"]) == [(1.0,), (2.0,)]
-
-    def test_write_behind_context_flushes_on_exception(self, tmp_path, backend, suffix):
-        path = tmp_path / f"c{suffix}"
-        cache = EvaluationCache(path, backend=backend)
-        with pytest.raises(RuntimeError):
-            with cache.write_behind(1000):
-                cache.put("a", (1.0,))
-                assert cache.pending_writes == 1
-                raise RuntimeError("campaign died")
-        assert cache.pending_writes == 0
-        assert cache.flush_every is None  # previous cadence restored
-        with EvaluationCache(path, backend=backend) as reopened:
-            assert reopened.get("a") == (1.0,)  # durable despite the crash
-        cache.close()
-
-    def test_items_flushes_first(self, tmp_path, backend, suffix):
-        with EvaluationCache(
-            tmp_path / f"c{suffix}", backend=backend, flush_every=100
-        ) as cache:
-            cache.put_many({"a": (1.0,), "b": (2.0,)})
-            assert sorted(cache.items()) == [("a", (1.0,)), ("b", (2.0,))]
-            assert cache.pending_writes == 0
-
-    def test_rejects_bad_cadence(self, tmp_path, backend, suffix):
-        with pytest.raises(ValueError):
-            EvaluationCache(tmp_path / f"c{suffix}", backend=backend, flush_every=0)
-        with EvaluationCache(tmp_path / f"c{suffix}", backend=backend) as cache:
-            with pytest.raises(ValueError):
-                with cache.write_behind(0):
-                    pass
 
 
 class TestBatchMetrics:
@@ -312,27 +273,21 @@ class TestBatchMetrics:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        cache = EvaluationCache(
-            tmp_path / "c.sqlite", backend="sqlite", registry=registry
-        )
+        cache = EvaluationCache(tmp_path / "c.sqlite", registry=registry)
         cache.put_many({f"k{i}": (float(i),) for i in range(4)})
         cache.get_many(["k0", "k1", "missing"])
-        with cache.write_behind(100):
-            cache.put("late", (9.0,))
-        # flush happened on context exit -> one "flush" batch observed
         text = registry.render_prometheus()
         assert 'repro_cache_batch_size_count{cache="' in text
-        for op in ("get", "put", "flush"):
+        for op in ("get", "put"):
             assert f'op="{op}"' in text
+        assert 'op="flush"' not in text  # every batch is written through
         cache.close()
 
     def test_per_key_ops_do_not_touch_batch_series(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        cache = EvaluationCache(
-            tmp_path / "c.sqlite", backend="sqlite", registry=registry
-        )
+        cache = EvaluationCache(tmp_path / "c.sqlite", registry=registry)
         cache.put("k", (1.0,))
         cache.get("k")
         counts = [
@@ -345,52 +300,10 @@ class TestBatchMetrics:
         cache.close()
 
 
-class TestJsonlCompaction:
-    def _stale_log(self, path, rewrites: int) -> None:
-        with EvaluationCache(path, backend="jsonl") as cache:
-            for round_ in range(rewrites):
-                cache.put_many({f"k{i}": (float(round_), float(i)) for i in range(4)})
-
-    def test_auto_compacts_mostly_stale_log_on_open(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        self._stale_log(path, rewrites=4)  # 16 lines, 4 live -> 75% stale
-        assert sum(1 for _ in path.open()) == 16
-        with EvaluationCache(path, backend="jsonl") as cache:
-            assert cache.info()["log_lines"] == 4
-            assert cache.info()["stale_lines"] == 0
-            assert cache.get_many([f"k{i}" for i in range(4)]) == [
-                (3.0, float(i)) for i in range(4)
-            ]
-        assert sum(1 for _ in path.open()) == 4
-
-    def test_leaves_mostly_live_log_alone(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        with EvaluationCache(path, backend="jsonl") as cache:
-            cache.put_many({f"k{i}": (float(i),) for i in range(10)})
-            cache.put("k0", (99.0,))  # 11 lines, 1 stale -> 9% stale
-        with EvaluationCache(path, backend="jsonl") as cache:
-            assert cache.info()["log_lines"] == 11
-            assert cache.info()["stale_lines"] == 1
-
-    def test_explicit_compact_reports_savings(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        with EvaluationCache(path, backend="jsonl") as cache:
-            cache.put_many({f"k{i}": (0.0,) for i in range(8)})
-            cache.put_many({f"k{i}": (1.0,) for i in range(2)})
-            report = cache.compact()
-            assert report["backend"] == "jsonl"
-            assert report["lines_before"] == 10
-            assert report["lines_after"] == 8
-            assert report["bytes_after"] < report["bytes_before"]
-            # the reopened append handle still works after a rewrite
-            cache.put("extra", (2.0,))
-        with EvaluationCache(path, backend="jsonl") as cache:
-            assert cache.get("extra") == (2.0,)
-            assert cache.get("k0") == (1.0,)
-
+class TestCompaction:
     def test_sqlite_compact_vacuums(self, tmp_path):
         path = tmp_path / "c.sqlite"
-        with EvaluationCache(path, backend="sqlite") as cache:
+        with EvaluationCache(path) as cache:
             cache.put_many({f"k{i}": (float(i),) for i in range(16)})
             report = cache.compact()
             assert report["backend"] == "sqlite"
@@ -406,7 +319,7 @@ import sys
 from repro.service.cache import EvaluationCache
 
 path, base = sys.argv[1], int(sys.argv[2])
-cache = EvaluationCache(path, backend="sqlite")
+cache = EvaluationCache(path)
 for start in range(0, 400, 20):
     cache.put_many(
         {f"w{base}-{start + i}": (float(base), float(start + i)) for i in range(20)}
@@ -435,7 +348,7 @@ class TestConcurrentWriters:
             _, stderr = proc.communicate(timeout=120)
             assert proc.returncode == 0, stderr
             assert "database is locked" not in stderr
-        with EvaluationCache(path, backend="sqlite") as cache:
+        with EvaluationCache(path) as cache:
             assert len(cache) == 800
             keys = [f"w{base}-{i}" for base in (1, 2) for i in range(400)]
             results = cache.get_many(keys)
@@ -454,6 +367,6 @@ class TestStats:
         assert payload["hits"] == 3
         assert payload["hit_rate"] == 0.75
 
-    def test_unknown_backend_rejected(self, tmp_path):
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            EvaluationCache(tmp_path / "c.jsonl", backend="redis")
+            EvaluationCache(backend="redis")

@@ -25,7 +25,7 @@ def run_threads(worker, count=8):
 class TestSqliteCacheConcurrency:
     def test_concurrent_writers_share_one_cache(self, tmp_path):
         path = tmp_path / "evals.sqlite"
-        cache = EvaluationCache(path, backend="sqlite")
+        cache = EvaluationCache(path)
         per_thread = 50
 
         def worker(tid):
@@ -40,13 +40,13 @@ class TestSqliteCacheConcurrency:
         cache.close()
 
         # WAL round trip: a fresh instance sees every write.
-        reopened = EvaluationCache(path, backend="sqlite")
+        reopened = EvaluationCache(path)
         assert len(reopened) == 8 * per_thread
         assert reopened.get("key-3-17") == (3.0, 17.0)
         reopened.close()
 
     def test_concurrent_writers_same_keys(self, tmp_path):
-        cache = EvaluationCache(tmp_path / "evals.sqlite", backend="sqlite")
+        cache = EvaluationCache(tmp_path / "evals.sqlite")
 
         def worker(tid):
             for i in range(30):
