@@ -69,9 +69,9 @@ def _interleaved_overhead(
 def test_instrumentation_overhead(record):
     problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))
     genomes = problem.codec.enumerate()
-    # Small chunks maximise per-chunk instrument traffic; 32 is the
-    # finest granularity any real configuration runs at (serial default
-    # is one chunk per batch, pools aim at n / (4 * workers)).
+    # Small chunks maximise per-chunk instrument traffic.  The program
+    # always runs one chunk per batch, so 32-genome chunks bound the
+    # instrument cost far above anything a real run pays.
     chunk_size = 32
     executor = SerialExecutor(chunk_size=chunk_size)
 
@@ -111,7 +111,7 @@ def test_tracing_overhead(record):
     """Fully sampled tracing vs NULL_TRACER on the evaluation hot path."""
     problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))
     genomes = problem.codec.enumerate()
-    chunk_size = 32  # matches the metrics gate: finest real granularity
+    chunk_size = 32  # matches the metrics gate: a worst-case granularity
     executor = SerialExecutor(chunk_size=chunk_size)
 
     def evaluate():

@@ -1,4 +1,4 @@
-"""Evaluation service: run a cached, parallel multi-spec DSE campaign.
+"""Evaluation service: run a cached multi-spec DSE campaign.
 
 Explores two architectures (an INT8 and a BF16 candidate for the same
 application) as one campaign: both NSGA-II runs share a persistent
@@ -11,7 +11,7 @@ The same campaign can be driven from the command line::
 
     repro campaign --spec 8192:INT8 --spec 8192:BF16 \
         --exhaustive-threshold 0 \
-        --cache build/evals.sqlite --backend thread --workers 2
+        --cache build/evals.sqlite --workers 2
 
 Both specs are small enough for exact enumeration, which is the default
 route and never consults the cache; ``exhaustive_threshold=0`` keeps
@@ -50,7 +50,6 @@ def main(cache_path: str = "build/campaign_evals.sqlite") -> None:
         nsga2=NSGA2Config(population_size=32, generations=20),
         seed=0,
         workers=2,
-        backend="thread",
         exhaustive_threshold=0,
     )
 

@@ -125,7 +125,6 @@ run_campaign() {
     python -m repro campaign \
         --spec 4096:INT4 --spec 4096:INT8 \
         --population 16 --generations 6 --exhaustive-threshold 0 \
-        --chunk-size 64 \
         --cache "$cache" --limit 5
 }
 
@@ -330,14 +329,15 @@ with EvaluationCache(sys.argv[1]) as cache:
 print("default route: cache file left empty")
 PY
 
-echo "== retired --ga-backend/--cache-flush-every flags: accepted, ignored, deprecation notes =="
+echo "== retired --ga-backend/--cache-flush-every/--backend/--chunk-size flags: accepted, ignored, deprecation notes =="
 run_ga_campaign() {
     python -m repro campaign \
         --spec 4096:INT8 --population 16 --generations 6 \
         --exhaustive-threshold 0 --cache "$cache" --limit 5 "$@"
 }
 if ! ga_flag_output="$(run_ga_campaign --ga-backend python \
-        --cache-flush-every 128 2>"$workdir/ga_flag.err")"; then
+        --cache-flush-every 128 --backend thread --chunk-size 64 \
+        2>"$workdir/ga_flag.err")"; then
     cat "$workdir/ga_flag.err" >&2
     echo "smoke: campaign with the retired flags failed" >&2
     exit 1
@@ -345,7 +345,7 @@ fi
 ga_plain_output="$(run_ga_campaign)"
 echo "$ga_plain_output"
 cat "$workdir/ga_flag.err"
-for flag in --ga-backend --cache-flush-every; do
+for flag in --ga-backend --cache-flush-every --backend --chunk-size; do
     if ! grep -q "^warning: $flag is deprecated" "$workdir/ga_flag.err"; then
         echo "smoke: $flag printed no deprecation note on stderr" >&2
         exit 1

@@ -43,6 +43,8 @@ _RETIRED_FLAGS = {
     "--engine": "numpy is the only numeric backend",
     "--ga-backend": "numpy is the only numeric backend",
     "--cache-flush-every": "the evaluation cache writes every batch through",
+    "--backend": "the serial executor is the only batch executor",
+    "--chunk-size": "the serial executor is the only batch executor",
 }
 
 __all__ = ["main", "build_parser"]
@@ -53,6 +55,15 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` for row limits, where 0 is allowed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
         )
     return int(text)
 
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explore = sub.add_parser("explore", help="print the Pareto frontier")
     add_spec_args(explore)
-    explore.add_argument("--limit", type=int, default=20,
+    explore.add_argument("--limit", type=_non_negative_int, default=20,
                          help="max rows to print")
 
     compile_p = sub.add_parser("compile", help="run the full pipeline")
@@ -189,15 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NSGA-II generations (default: the "
                                "problem's own)")
     campaign.add_argument("--seed", type=int, default=0, help="base GA seed")
-    campaign.add_argument("--backend", default="serial",
-                          choices=["serial", "thread", "process"],
-                          help="genome-level evaluation backend")
-    campaign.add_argument("--chunk-size", type=int, default=None,
-                          metavar="N",
-                          help="genomes per executor task (default: "
-                               "auto-sized per batch)")
     add_retired_flags(campaign, "--engine", "--ga-backend",
-                      "--cache-flush-every")
+                      "--cache-flush-every", "--backend", "--chunk-size")
     campaign.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--pdk", default="generic28", help="technology node")
     campaign.add_argument("--corner", default="tt",
                           choices=sorted(STANDARD_CORNERS), help="PVT corner")
-    campaign.add_argument("--limit", type=int, default=20,
+    campaign.add_argument("--limit", type=_non_negative_int, default=20,
                           help="max frontier rows to print")
     campaign.add_argument("--json", action="store_true",
                           help="print the CampaignResponse as JSON")
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_p.add_argument("--port", type=int, default=8000,
                          help="bind port (0 picks a free port)")
-    serve_p.add_argument("--workers", type=int, default=2,
+    serve_p.add_argument("--workers", type=_positive_int, default=2,
                          help="background campaign workers")
     serve_p.add_argument("--cache", default=None, metavar="PATH",
                          help="shared persistent evaluation cache "
@@ -374,12 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NSGA-II generations (default: the "
                                "problem's own)")
     submit_p.add_argument("--seed", type=int, default=0, help="base GA seed")
-    submit_p.add_argument("--backend", default="serial",
-                          choices=["serial", "thread", "process"],
-                          help="genome-level evaluation backend")
     submit_p.add_argument("--workers", type=int, default=1,
                           help="specs explored concurrently")
-    add_retired_flags(submit_p, "--engine", "--ga-backend")
+    add_retired_flags(submit_p, "--engine", "--ga-backend", "--backend")
     submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -914,8 +915,6 @@ def _cmd_campaign(args) -> int:
             ),
             seed=args.seed,
             workers=args.workers,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
             problem=args.problem,
             **threshold,
         )
@@ -988,8 +987,6 @@ def _cmd_campaign(args) -> int:
         )
         print(ascii_table(headers, rows))
         stats = result.cache_stats
-        chunk_text = "auto" if args.chunk_size is None else str(args.chunk_size)
-        print(f"executor: {args.backend}, chunk size {chunk_text}")
         strategy_text = ", ".join(
             f"{definition.spec_label(spec)}={strategy}"
             for spec, strategy in zip(specs, result.strategies)
@@ -1237,7 +1234,6 @@ def _build_submit_request(args):
         population_size=population,
         generations=generations,
         seed=args.seed,
-        backend=args.backend,
         workers=args.workers,
         problem=args.problem,
         exhaustive_threshold=args.exhaustive_threshold,

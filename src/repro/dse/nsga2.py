@@ -81,8 +81,8 @@ class BatchEvaluator(Protocol):
     """Optional injectable evaluator: one call per generation batch.
 
     Implementations (see :class:`repro.service.executor.ProblemEvaluator`)
-    may serve genomes from a shared persistent cache and fan the rest
-    out to thread/process pools.  Results must come back in input
+    may serve genomes from a shared persistent cache and hand the rest
+    to a batch executor.  Results must come back in input
     order, and evaluation must be a pure function of the genome so a
     cached run is bit-identical to an uncached one.
     """
@@ -228,7 +228,7 @@ def nsga2(
     Objective evaluations are memoised per genome in an archive dict:
     the DCIM space is discrete and the GA revisits points frequently.
     Each generation's *new* genomes are evaluated as one batch — through
-    ``evaluator`` when given (e.g. a cached thread/process-pool
+    ``evaluator`` when given (e.g. a cached
     :class:`repro.service.executor.ProblemEvaluator`), otherwise through
     the problem's own ``evaluate_batch``/``evaluate``.  Because
     evaluation is pure and order-preserving, the run is bit-identical

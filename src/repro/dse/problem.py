@@ -6,7 +6,7 @@ satisfied by the genome encoding (see :mod:`repro.dse.genome`), so the
 GA never sees infeasible points.
 
 Evaluation is batch-first: every path — the GA's per-generation
-batches, the evaluation service's chunked executors, the exhaustive
+batches, the evaluation service's batch executor, the exhaustive
 baseline — funnels into :meth:`DcimProblem.evaluate_batch`, which
 decodes the genomes into parameter columns and ships them to the
 vectorised :class:`repro.model.engine.CostEngine`.  The scalar
@@ -80,7 +80,7 @@ class DcimProblem:
         This is the single evaluation path of the whole stack: genomes
         are decoded into ``(N, H, L, k)`` columns and the batch engine
         evaluates the architecture's analytic model in one shot.  The
-        service's executors call it once per genome chunk.
+        service's executor calls it once per genome chunk.
         """
         if not genomes:
             return []

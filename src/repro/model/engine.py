@@ -1,7 +1,7 @@
 """Batch-first cost-evaluation engine.
 
 Every layer of the reproduction — NSGA-II generations, the evaluation
-service's executors, ``exhaustive_front``, the DSE baselines, and the
+service's executor, ``exhaustive_front``, the DSE baselines, and the
 workload sweeps — ultimately needs objective vectors for *many* decoded
 parameter sets at once.  The paper's estimation models (Tables V/VI) are
 closed-form analytic expressions, so they are trivially array-evaluable:
@@ -136,9 +136,7 @@ class CostEngine:
     Component costs are memoised per unique structural parameter in a
     table shared by every engine over an equal library, so repeated
     batches (one per NSGA-II generation, one per campaign) get cheaper
-    as the design space is covered.  Engines are picklable, which lets
-    :class:`repro.dse.problem.DcimProblem` carry one into process-pool
-    workers; an unpickled engine joins the receiving process's table.
+    as the design space is covered.
 
     Args:
         library: normalised standard-cell library shared by all
@@ -147,15 +145,6 @@ class CostEngine:
 
     def __init__(self, library: CellLibrary | None = None) -> None:
         self.library = library or CellLibrary.default()
-        self._memo = _component_table(self.library)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_memo"]  # process-wide; never copied across processes
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._memo = _component_table(self.library)
 
     # Component memoisation ------------------------------------------------

@@ -177,7 +177,7 @@ class Histogram:
         """Record a batch of observations under one lock transaction.
 
         Hot paths that produce several samples per operation (the
-        executors' per-chunk timings) use this to pay the lock and call
+        executor's per-chunk timings) use this to pay the lock and call
         overhead once per batch instead of once per sample.
         """
         with self._lock:

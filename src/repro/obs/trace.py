@@ -13,7 +13,7 @@ I/O.  This module gives all those layers one request identity:
   sinks (the server wires a sink persisting into the
   :class:`~repro.store.runstore.RunStore`'s ``trace_spans`` table),
 * a **contextvar-based ambient current span** so deep layers (the
-  cache, the executors) attach child spans without plumbing arguments
+  cache, the executor) attach child spans without plumbing arguments
   through every call — with explicit helpers (:func:`use_span`,
   :func:`set_current_span`) for the places where a context does *not*
   flow automatically: new threads and GA observer callbacks,
@@ -742,16 +742,14 @@ class Tracer:
     ) -> Span:
         """Record an already-measured operation as a completed span.
 
-        The parent-side pattern for work that ran where this process
-        cannot observe it live — a process-pool worker measures its
-        chunk and returns the elapsed time; the parent records the span
-        here (mirroring how the executors feed their chunk histograms).
-        The span is back-dated so its wall-clock placement matches when
-        the work actually ran.
+        The pattern for work that ran where this process cannot observe
+        it live — a remote worker measures its work unit and reports the
+        elapsed time; the coordinator records the span here.  The span
+        is back-dated so its wall-clock placement matches when the work
+        actually ran.
 
-        This is the hot-path recording primitive (executors call it per
-        chunk), so it skips the open-span bookkeeping entirely: a span
-        born already ended never changes its trace's open count, which
+        It skips the open-span bookkeeping entirely: a span born
+        already ended never changes its trace's open count, which
         collapses start + end into one lock acquisition.
         """
         if parent is _AMBIENT:

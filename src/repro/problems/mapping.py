@@ -140,7 +140,7 @@ class MappingProblem:
     computes every candidate's macro cost through one shared
     :class:`~repro.model.engine.CostEngine` call, then maps the network
     onto each system — evaluation is a pure function of the genome, so
-    runs are bit-identical per seed and cacheable across executors.
+    runs are bit-identical per seed and cacheable across campaigns.
     """
 
     spec: MappingSpec

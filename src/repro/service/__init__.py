@@ -1,12 +1,13 @@
-"""Evaluation service: cached, batched, parallel DSE campaigns.
+"""Evaluation service: cached, batched DSE campaigns.
 
 The service layer turns the per-run, in-memory evaluation loop of the
 MOGA explorer into shared infrastructure:
 
 * :mod:`repro.service.cache` — content-addressed persistent evaluation
   cache (memory LRU + SQLite disk tier, hit/miss statistics),
-* :mod:`repro.service.executor` — pluggable serial / thread-pool /
-  process-pool batch evaluators behind one ``evaluate_batch`` interface,
+* :mod:`repro.service.executor` — the serial batch executor behind the
+  ``evaluate_batch`` interface, and the cache-aware evaluator the GA
+  injects,
 * :mod:`repro.service.campaign` — multi-spec campaign runner that
   shards specs across workers and merges fronts into one
   cross-architecture frontier,
@@ -58,13 +59,9 @@ from repro.service.events import (
     EventKind,
 )
 from repro.service.executor import (
-    EXECUTOR_BACKENDS,
     BatchExecutor,
     ProblemEvaluator,
-    ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
-    make_executor,
 )
 from repro.service.distributed import DistributedRunner, WorkCoordinator
 from repro.service.jobs import JobQueue, JobRecord, JobStatus
@@ -100,11 +97,7 @@ __all__ = [
     "worker_cache",
     "BatchExecutor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
     "ProblemEvaluator",
-    "make_executor",
-    "EXECUTOR_BACKENDS",
     "CampaignConfig",
     "CampaignResult",
     "run_campaign",

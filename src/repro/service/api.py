@@ -18,9 +18,10 @@ campaign results and identical :meth:`CampaignRequest.fingerprint`
 values, so existing request files, caches and registry rows keep
 matching.  Loaders ignore unknown keys with a warning instead of
 raising, so files written by newer schema versions stay readable.
-The keys of the retired numeric-backend knobs (request ``engine`` /
-``ga_backend``, response ``engine_backend`` / ``ga_backend``) are
-dropped silently: stored requests and older peers still send them.
+The keys of the retired numeric-backend and executor knobs (request
+``engine`` / ``ga_backend`` / ``backend`` / ``chunk_size``, response
+``engine_backend`` / ``ga_backend``) are dropped silently: stored
+requests and older peers still send them.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ SCHEMA_VERSION = 2
 #: Schemas the loaders accept (v1 payloads are upgraded in place).
 SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
-#: Request and response keys of the retired numeric-backend knobs.
-#: numpy is the only backend, so they carry nothing; the loaders drop
-#: them without the unknown-key warning.
-_RETIRED_REQUEST_KEYS = ("engine", "ga_backend")
+#: Request and response keys of the retired numeric-backend and
+#: executor knobs.  numpy is the only numeric backend and the serial
+#: executor the only batch executor, so they carry nothing; the loaders
+#: drop them without the unknown-key warning.
+_RETIRED_REQUEST_KEYS = ("engine", "ga_backend", "backend", "chunk_size")
 _RETIRED_RESPONSE_KEYS = ("engine_backend", "ga_backend")
 
 
@@ -112,9 +114,7 @@ class CampaignRequest:
             one ``GET /api/problems`` advertises) at construction, so
             a stored request always carries concrete numbers.
         seed: base GA seed; spec ``i`` runs with ``seed + i``.
-        backend: evaluation backend (``serial``/``thread``/``process``).
         workers: campaign-level parallelism (specs explored at once).
-        chunk_size: genomes per executor task (``None`` = automatic).
         exhaustive_threshold: largest enumerable design space explored
             exhaustively instead of via the GA; ``0`` forces the GA
             everywhere, omitted/``None`` resolves to the library
@@ -130,9 +130,7 @@ class CampaignRequest:
     population_size: int | None = None
     generations: int | None = None
     seed: int = 0
-    backend: str = "serial"
     workers: int = 1
-    chunk_size: int | None = None
     exhaustive_threshold: int | None = None
     schema_version: int = SCHEMA_VERSION
     problem: str = DEFAULT_PROBLEM
@@ -172,6 +170,18 @@ class CampaignRequest:
             object.__setattr__(
                 self, "generations", definition.sizing.generations
             )
+        # Reject at the API boundary what could only fail in the queue.
+        for name in ("population_size", "generations", "seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        from repro.dse.nsga2 import NSGA2Config
+
+        NSGA2Config(
+            population_size=self.population_size, generations=self.generations
+        )
         # Tolerate lists and raw dicts from JSON callers; the problem's
         # registry entry validates each spec payload.
         specs = tuple(definition.parse_spec(s) for s in self.specs)
@@ -203,12 +213,13 @@ class CampaignRequest:
         del payload["schema_version"]
         if self.problem == DEFAULT_PROBLEM:
             del payload["problem"]
-        # Every layout so far hashed the retired cost-engine knob, as
-        # "auto" unless forced; keeping the literal keeps recorded
-        # fingerprints matching.  The exhaustive threshold only hashes
-        # when it differs from the library default, so fingerprints
-        # from before it existed keep matching too.
-        payload["engine"] = "auto"
+        # Every layout so far hashed the retired cost-engine and
+        # executor knobs, as "auto", "serial" and None unless set;
+        # keeping the literals keeps recorded fingerprints matching.
+        # The exhaustive threshold only hashes when it differs from the
+        # library default, so fingerprints from before it existed keep
+        # matching too.
+        payload.update(engine="auto", backend="serial", chunk_size=None)
         from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
 
         if self.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:

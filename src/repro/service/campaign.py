@@ -10,8 +10,8 @@ small enough to enumerate take the exhaustive route, which evaluates
 the whole space directly and never consults the cache.
 
 Spec-level sharding uses threads: each worker thread drives its own
-NSGA-II run while the genome-level batches fan out through the shared
-(serial/thread/process) executor underneath.
+NSGA-II run and evaluates its genome batches, in that thread, through
+the shared batch executor.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.service.events import (
     CampaignObserver,
     EventKind,
 )
-from repro.service.executor import BatchExecutor, make_executor
+from repro.service.executor import BatchExecutor, SerialExecutor
 from repro.tech.cells import CellLibrary
 
 __all__ = [
@@ -70,44 +70,23 @@ class CampaignConfig:
         seed: base seed; spec ``i`` explores with ``seed + i`` so runs
             are reproducible yet decorrelated.
         workers: how many specs are explored concurrently.
-        backend: genome-level evaluation backend
-            (``serial``/``thread``/``process``); ignored when an
-            executor instance is passed to :func:`run_campaign`.
-        chunk_size: genomes per executor task (``None`` lets the pool
-            size chunks itself); ignored with a caller-provided
-            executor.
         problem: :mod:`repro.problems` registry name; every spec of the
             campaign is explored through that entry's problem factory.
         exhaustive_threshold: largest enumerable design space that is
             explored exhaustively instead of via the GA (see
             :meth:`~repro.dse.explorer.DesignSpaceExplorer.explore_auto`);
             ``0`` or ``None`` forces the GA for every spec.
-        cache_backend: cache spec string used to *build* the campaign's
-            evaluation cache when :func:`run_campaign` is not handed a
-            cache instance — ``"memory"``, a cache file path, or
-            ``"remote:http://host:port"`` for a coordinator's shared
-            dedup layer (see
-            :func:`~repro.service.cache_backends.make_cache`).
-            ``None`` (default) keeps the campaign uncached unless a
-            cache is passed in.  Caching is pure dedup — it never
-            changes results — so this stays out of the campaign
-            fingerprint unconditionally.
     """
 
     nsga2: NSGA2Config = field(default_factory=NSGA2Config)
     seed: int = 0
     workers: int = 1
-    backend: str = "serial"
-    chunk_size: int | None = None
     problem: str = DEFAULT_PROBLEM
     exhaustive_threshold: int | None = DEFAULT_EXHAUSTIVE_THRESHOLD
-    cache_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
         if self.exhaustive_threshold is not None and self.exhaustive_threshold < 0:
             raise ValueError("exhaustive_threshold must be >= 0 when given")
         try:
@@ -201,20 +180,19 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     identical workloads share it).  Like the request fingerprint, the
     default ``"dcim"`` problem hashes the pre-v2 config layout so
     registry rows recorded before the schema upgrade keep matching.
-    That layout carried the retired cost-engine knob, which every
-    default run hashed as ``"auto"``: the payload keeps that literal so
-    those rows keep matching.  The exhaustive threshold only hashes
-    when it differs from the default — so rows recorded before it
-    existed keep matching too.  ``cache_backend`` is pure dedup
-    plumbing and stays out unconditionally.
+    That layout carried the retired cost-engine and executor knobs,
+    which every default run hashed as ``"auto"``, ``"serial"`` and
+    ``None``: the payload keeps those literals so those rows keep
+    matching.  The exhaustive threshold only hashes when it differs
+    from the default — so rows recorded before it existed keep
+    matching too.
     """
     from repro.service.cache import stable_hash
 
     config_payload = dataclasses.asdict(config)
-    config_payload["engine"] = "auto"
+    config_payload.update(engine="auto", backend="serial", chunk_size=None)
     if config.problem == DEFAULT_PROBLEM:
         del config_payload["problem"]
-    del config_payload["cache_backend"]
     if config.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
         del config_payload["exhaustive_threshold"]
     return stable_hash(
@@ -248,9 +226,10 @@ def run_campaign(
         cache: shared evaluation cache; campaigns that pass the same
             instance (or the same on-disk path) dedupe GA work across
             invocations.  Exhaustive specs never consult it.
-        executor: genome-level batch backend; built from
-            ``config.backend`` when omitted (and closed on exit — a
-            caller-provided executor is left open for reuse).
+        executor: genome-level batch executor; a
+            :class:`~repro.service.executor.SerialExecutor` when
+            omitted.  The campaign never closes it, so a caller's
+            executor stays open for reuse.
         observer: called with a :class:`~repro.service.events.
             CampaignEvent` as the campaign progresses (spec started /
             generation done / spec done / campaign done).  With
@@ -276,14 +255,9 @@ def run_campaign(
         raise ValueError("a campaign needs at least one spec")
     config = config or CampaignConfig()
     library = library or CellLibrary.default()
-    own_cache = cache is None and config.cache_backend is not None
-    if own_cache:
-        from repro.service.cache_backends import make_cache
-
-        cache = make_cache(config.cache_backend)
     definition = get_problem(config.problem)
-    own_executor = executor is None
-    executor = executor or make_executor(config.backend, chunk_size=config.chunk_size)
+    if executor is None:
+        executor = SerialExecutor()
     explorer = DesignSpaceExplorer(
         library,
         config.nsga2,
@@ -306,7 +280,7 @@ def run_campaign(
         attributes={
             "problem": config.problem,
             "specs": len(specs),
-            "backend": getattr(executor, "name", config.backend),
+            "backend": getattr(executor, "name", SerialExecutor.name),
             "workers": config.workers,
         },
         root_if_orphan=True,
@@ -539,11 +513,6 @@ def run_campaign(
     except BaseException as exc:
         campaign_span.end(status="error", error=f"{type(exc).__name__}: {exc}")
         raise
-    finally:
-        if own_executor:
-            executor.close()
-        if own_cache:
-            cache.close()
     wall_time = time.perf_counter() - started
 
     labels = [definition.spec_label(spec) for spec in specs]
@@ -647,7 +616,6 @@ def execute_request(
     request: CampaignRequest,
     library: CellLibrary | None = None,
     cache: EvaluationCache | None = None,
-    executor: BatchExecutor | None = None,
     observer: CampaignObserver | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> CampaignResponse:
@@ -670,8 +638,6 @@ def execute_request(
         ),
         seed=request.seed,
         workers=request.workers,
-        backend=request.backend,
-        chunk_size=request.chunk_size,
         problem=request.problem,
         exhaustive_threshold=request.exhaustive_threshold,
     )
@@ -680,7 +646,6 @@ def execute_request(
         config,
         library=library,
         cache=cache,
-        executor=executor,
         observer=observer,
         should_stop=should_stop,
     )

@@ -192,8 +192,8 @@ class JobQueue:
             bound to the given resources.  Runners accepting
             ``observer``/``should_stop`` keywords get the job's event
             buffer and cancellation flag threaded through.
-        library / cache / executor: shared resources handed to the
-            default runner.
+        library / cache: shared resources handed to the default
+            runner.
         workers: background daemon threads draining the queue; ``0``
             (the default) keeps the queue fully synchronous —
             :meth:`run_next`/:meth:`run_all` semantics are unchanged.
@@ -221,7 +221,6 @@ class JobQueue:
         runner=None,
         library=None,
         cache=None,
-        executor=None,
         workers: int = 0,
         event_buffer_size: int = 256,
         ttl_s: float | None = None,
@@ -244,7 +243,6 @@ class JobQueue:
                     request,
                     library=library,
                     cache=cache,
-                    executor=executor,
                     observer=observer,
                     should_stop=should_stop,
                 )

@@ -138,8 +138,8 @@ class AsyncCampaignService:
             when omitted the service owns a fresh one built from the
             remaining arguments and closes it with the service.
         workers: background worker threads for an owned queue.
-        library / cache / executor: shared resources for the owned
-            queue's default runner.
+        library / cache: shared resources for the owned queue's
+            default runner.
         event_buffer_size / ttl_s: forwarded to the owned queue.
         store: optional :class:`~repro.store.runstore.RunStore`; an
             owned queue records every campaign into it, and the
@@ -163,7 +163,6 @@ class AsyncCampaignService:
         workers: int = 2,
         library=None,
         cache=None,
-        executor=None,
         event_buffer_size: int = 256,
         ttl_s: float | None = None,
         store=None,
@@ -174,7 +173,6 @@ class AsyncCampaignService:
             queue = JobQueue(
                 library=library,
                 cache=cache,
-                executor=executor,
                 workers=workers,
                 event_buffer_size=event_buffer_size,
                 ttl_s=ttl_s,
@@ -874,7 +872,7 @@ class CampaignHTTPServer(ThreadingHTTPServer):
             queryable).
         registry: metrics registry served at ``/metrics`` and
             ``/api/metrics`` (defaults to the process global — the one
-            the queue/cache/executors report into).
+            the queue/cache/executor report into).
         admission: optional
             :class:`~repro.obs.admission.AdmissionController` applied
             to every submission.
@@ -1003,7 +1001,6 @@ def serve(
     workers: int = 2,
     library=None,
     cache=None,
-    executor=None,
     event_buffer_size: int = 256,
     ttl_s: float | None = None,
     store=None,
@@ -1035,6 +1032,8 @@ def serve(
     ``/api/cache`` so workers can share it as their dedup layer.
     """
     if queue is None:
+        if workers < 1:
+            raise ValueError(f"an owned queue needs workers >= 1, got {workers}")
         runner = None
         on_recorded = None
         if coordinator is not None:
@@ -1052,8 +1051,7 @@ def serve(
             runner=runner,
             library=library,
             cache=cache,
-            executor=executor,
-            workers=max(1, workers),
+            workers=workers,
             event_buffer_size=event_buffer_size,
             ttl_s=ttl_s,
             store=store,

@@ -305,8 +305,6 @@ class CampaignWorker:
             ),
             seed=request.seed,
             workers=1,
-            backend=request.backend,
-            chunk_size=request.chunk_size,
             problem=request.problem,
             exhaustive_threshold=request.exhaustive_threshold,
         )

@@ -166,6 +166,31 @@ class TestV1Upgrade:
         )
         assert request.fingerprint() == GOLDEN_MAPPING_REQUEST_FINGERPRINT
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("workers", 0, "workers must be >= 1"),
+            ("workers", -3, "workers must be >= 1"),
+            ("workers", "two", "workers must be an integer"),
+            ("workers", 1.5, "workers must be an integer"),
+            ("workers", True, "workers must be an integer"),
+            ("population_size", 3, "population_size must be an even"),
+            ("population_size", 2, "population_size must be an even"),
+            ("population_size", "64", "population_size must be an integer"),
+            ("generations", 0, "generations must be >= 1"),
+            ("seed", "x", "seed must be an integer"),
+            ("seed", 1.0, "seed must be an integer"),
+        ],
+    )
+    def test_unrunnable_requests_fail_at_the_boundary(self, field, value, message):
+        """A request the queue could only fail is refused when loaded,
+        so an HTTP submit answers 400 instead of queueing a doomed job.
+        ``seed`` must be an integer on the exhaustive route too, where
+        the GA never reads it."""
+        payload = {"specs": [{"wstore": 4096, "precision": "INT8"}], field: value}
+        with pytest.raises(ValueError, match=message):
+            CampaignRequest.from_dict(payload)
+
     def test_dcim_wire_spec_fails_fast_on_bad_precision(self):
         """A dict payload with a bad precision is rejected at the API
         boundary (HTTP submits answer 400) instead of queueing a
@@ -221,15 +246,26 @@ class TestForwardCompatibility:
     @pytest.mark.parametrize("engine", ["auto", "numpy", "python"])
     def test_retired_request_keys_load_silently(self, engine):
         """Stored requests and older clients still send the retired
-        backend knobs; they load without a warning and fingerprint like
-        the default (a forced backend never changed results)."""
+        numeric-backend and executor knobs; they load without a warning
+        and fingerprint like the default (a forced backend or chunk
+        size never changed results)."""
         payload = dict(json.loads(GOLDEN_V1_JSON), engine=engine)
-        payload["ga_backend"] = "python"
+        payload.update(ga_backend="python", backend="process", chunk_size=7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             request = CampaignRequest.from_dict(payload)
         assert request == CampaignRequest.from_json(GOLDEN_V1_JSON)
         assert request.fingerprint() == GOLDEN_V1_FINGERPRINT
+        assert "backend" not in request.to_dict()
+        assert "chunk_size" not in request.to_dict()
+
+    def test_once_unknown_executor_backend_now_runs(self):
+        """``"backend": "gpu"`` used to fail the job; the key is now
+        dropped and the campaign runs like the default."""
+        payload = dict(json.loads(GOLDEN_V1_JSON), backend="gpu")
+        request = CampaignRequest.from_dict(payload)
+        assert request.fingerprint() == GOLDEN_V1_FINGERPRINT
+        assert execute_request(request).frontier
 
     def test_retired_response_keys_load_silently(self, dcim_response):
         payload = dict(

@@ -99,6 +99,29 @@ class TestCli:
         assert "Pareto frontier" in out
         assert "TOPS/W" in out
 
+    LIMITED = {
+        "explore": ["explore", "--wstore", "4096", "--precision", "INT8"],
+        "campaign": ["campaign", "--spec", "4096:INT8"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(LIMITED))
+    @pytest.mark.parametrize("limit", ["-1", "-2", "two"])
+    def test_limit_rejects_non_counts(self, command, limit, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.LIMITED[command], "--limit", limit])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit: expected a non-negative integer" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(LIMITED))
+    def test_limit_zero_prints_the_header_only(self, command, capsys):
+        assert main([*self.LIMITED[command], "--limit", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "63 designs, showing 0" in out
+        rows = [line for line in out.splitlines() if line.startswith("|")]
+        assert len(rows) == 1 and "TOPS/W" in rows[0]
+
     def test_compile_with_artifacts(self, capsys, tmp_path):
         assert main([
             "compile", "--wstore", "4096", "--precision", "INT8",

@@ -31,11 +31,10 @@ from repro.service.api import CampaignRequest, SpecRequest
 from repro.service.cache import EvaluationCache
 from repro.service.campaign import CampaignConfig, run_campaign
 from repro.service.events import CampaignCancelled
-from repro.service.executor import SerialExecutor, make_executor
+from repro.service.executor import SerialExecutor
 from repro.service.jobs import JobQueue
 from repro.core.spec import DcimSpec
 from repro.dse.nsga2 import NSGA2Config
-from repro.dse.problem import DcimProblem
 
 
 @pytest.fixture
@@ -410,23 +409,6 @@ class TestPropagationEdges:
         record = only_trace(tracer)
         assert {s.name for s in record.spans} == {"root", "threaded"}
 
-    def test_process_pool_chunks_recorded_parent_side(self, tracer):
-        """Pool workers cannot trace; the parent records their chunks."""
-        problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))
-        genomes = problem.codec.enumerate()[:64]
-        executor = make_executor("process", workers=2, chunk_size=16)
-        try:
-            with tracer.span("root", root_if_orphan=True):
-                executor.evaluate_batch(problem, genomes)
-        finally:
-            executor.close()
-        record = only_trace(tracer)
-        chunks = [s for s in record.spans if s.name == "executor.chunk"]
-        assert chunks, [s.name for s in record.spans]
-        root = next(s for s in record.spans if s.name == "root")
-        assert all(c.parent_id == root.span_id for c in chunks)
-        assert all(c.category == "executor" for c in chunks)
-
     def test_cancelled_campaign_closes_trace_as_error(self, tracer):
         with pytest.raises(CampaignCancelled):
             run_campaign(
@@ -447,7 +429,7 @@ class TestPropagationEdges:
     def test_failed_campaign_closes_trace_as_error(self, tracer):
         class BrokenExecutor(SerialExecutor):
             def evaluate_batch(self, problem, genomes):
-                raise OSError("pool died")
+                raise OSError("executor died")
 
         with pytest.raises(OSError):
             run_campaign(

@@ -440,3 +440,66 @@ class TestRetiredBackendFlags:
         flagged = request("--engine", "python", "--ga-backend", "numpy")
         assert flagged == request()
         assert "engine" not in flagged.to_dict()
+
+
+class TestRetiredExecutorFlags:
+    """``--backend``/``--chunk-size`` still parse for one release: hidden
+    from ``--help``, ignored, and noted as deprecated on stderr."""
+
+    NOTE = "(the serial executor is the only batch executor)"
+
+    def test_campaign_ignores_them_with_a_note(self, capsys):
+        GA_CAMPAIGN = TestRetiredBackendFlags.GA_CAMPAIGN
+        assert run_cli(*GA_CAMPAIGN) == 0
+        plain = capsys.readouterr()
+        assert run_cli(*GA_CAMPAIGN, "--backend", "thread",
+                       "--chunk-size", "7") == 0
+        flagged = capsys.readouterr()
+
+        def rows(text):
+            return [line for line in text.splitlines() if line.startswith("|")]
+
+        assert rows(flagged.out) and rows(flagged.out) == rows(plain.out)
+        assert "strategy: 4096:INT8=ga\n" in flagged.out
+        assert "executor:" not in flagged.out
+        assert flagged.err.splitlines() == [
+            f"warning: {flag} is deprecated and ignored {self.NOTE}"
+            for flag in ("--backend", "--chunk-size")
+        ]
+
+    def test_submit_ignores_it_with_a_note(self, capsys):
+        from repro.cli import _build_submit_request, build_parser
+        from repro.service.server import serve
+
+        server = serve(port=0, workers=1)
+        server.serve_in_background()
+        try:
+            assert run_cli("submit", "--url", server.url, "--spec",
+                           "4096:INT8", "--backend", "process", "--watch") == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.queue.close()
+        captured = capsys.readouterr()
+        assert "campaign done" in captured.out
+        assert captured.err.splitlines() == [
+            f"warning: --backend is deprecated and ignored {self.NOTE}"
+        ]
+        args = build_parser().parse_args(
+            ["submit", "--spec", "4096:INT8", "--backend", "process"]
+        )
+        flagged = _build_submit_request(args)
+        assert "backend" not in flagged.to_dict()
+        assert flagged == _build_submit_request(
+            build_parser().parse_args(["submit", "--spec", "4096:INT8"])
+        )
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("campaign", ("--backend", "--chunk-size")), ("submit", ("--backend",))],
+    )
+    def test_hidden_from_help(self, command, flags, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        out = capsys.readouterr().out
+        assert not any(flag in out for flag in flags)

@@ -11,7 +11,7 @@ from repro.problems import REGISTRY, register_problem
 from repro.problems.dcim import DcimProblemDefinition
 from repro.service.cache import EvaluationCache
 from repro.service.campaign import CampaignConfig, run_campaign
-from repro.service.executor import ThreadPoolExecutor
+from repro.service.executor import SerialExecutor
 
 SPECS = [
     DcimSpec(wstore=4096, precision="INT4"),
@@ -121,14 +121,10 @@ class TestExecutorChunks:
     def test_chunked_executor_bit_identical(self):
         plain = run_campaign(SPECS, small_config())
         chunked = run_campaign(
-            SPECS, small_config(backend="thread", chunk_size=7)
+            SPECS, small_config(), executor=SerialExecutor(chunk_size=7)
         )
         assert front_keys(plain) == front_keys(chunked)
         assert plain.merged_objectives.tolist() == chunked.merged_objectives.tolist()
-
-    def test_config_validates_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            small_config(chunk_size=0)
 
 
 class NoEngineDefinition(DcimProblemDefinition):
@@ -171,18 +167,23 @@ class TestProblemDefinitionSignatures:
 class TestSharding:
     def test_parallel_specs_match_sequential(self):
         sequential = run_campaign(SPECS, small_config(workers=1))
-        sharded = run_campaign(SPECS, small_config(workers=2, backend="thread"))
+        sharded = run_campaign(SPECS, small_config(workers=2))
         assert front_keys(sequential) == front_keys(sharded)
 
     def test_shared_executor_left_open(self):
-        with ThreadPoolExecutor(workers=2) as pool:
-            run_campaign(SPECS, small_config(), executor=pool)
-            # The caller-owned pool must still be usable afterwards.
-            from repro.dse.problem import DcimProblem
+        class ClosingExecutor(SerialExecutor):
+            closed = False
 
-            problem = DcimProblem(SPECS[0])
-            genome = problem.codec.enumerate()[0]
-            assert pool.evaluate_batch(problem, [genome])
+            def close(self):
+                self.closed = True
+
+        executor = ClosingExecutor()
+        run_campaign(SPECS, small_config(), executor=executor)
+        # The caller owns the executor: the campaign must not close it.
+        assert not executor.closed
+        problem = DcimProblem(SPECS[0])
+        genome = problem.codec.enumerate()[0]
+        assert executor.evaluate_batch(problem, [genome])
 
     def test_rejects_empty_campaign(self):
         with pytest.raises(ValueError):
@@ -315,6 +316,8 @@ class TestExhaustiveRouteBypassesCache:
         assert [e.cache_hit_rate for e in done] == [None]
 
     def test_thread_backend_matches_serial_and_traces_chunks(self):
+        """A chunked executor on the exhaustive route matches one batch
+        per spec and traces every chunk under its spec."""
         from repro.obs.trace import Tracer, set_tracer
 
         serial = run_campaign(SPECS, CampaignConfig(seed=3))
@@ -323,8 +326,9 @@ class TestExhaustiveRouteBypassesCache:
         try:
             threaded = run_campaign(
                 SPECS,
-                CampaignConfig(seed=3, backend="thread", chunk_size=32),
+                CampaignConfig(seed=3),
                 cache=EvaluationCache(),
+                executor=SerialExecutor(chunk_size=32),
             )
         finally:
             set_tracer(previous)
@@ -338,7 +342,7 @@ class TestExhaustiveRouteBypassesCache:
         assert len(exhaustive_ids) == 2
         assert len(chunks) > 2  # chunk_size 32 splits every enumeration
         assert all(c.parent_id in exhaustive_ids for c in chunks)
-        assert all(c.attributes["backend"] == "thread" for c in chunks)
+        assert all(c.attributes["backend"] == "serial" for c in chunks)
         assert sum(c.attributes["genomes"] for c in chunks) == threaded.evaluations
         assert not any(s.name.startswith("cache.") for s in spans)
 
@@ -413,9 +417,7 @@ class TestObserverAndCancellation:
             with lock:
                 events.append(event)
 
-        run_campaign(
-            SPECS, small_config(workers=2, backend="thread"), observer=observer
-        )
+        run_campaign(SPECS, small_config(workers=2), observer=observer)
         kinds = [e.kind for e in events]
         assert kinds.count(EventKind.GENERATION_DONE) == (
             len(SPECS) * SMALL_GA.generations

@@ -1,4 +1,4 @@
-"""Tests for the batch evaluation backends and the cached evaluator."""
+"""Tests for the serial batch executor and the cached evaluator."""
 
 import pytest
 
@@ -6,14 +6,7 @@ from repro.core.spec import DcimSpec
 from repro.dse.nsga2 import NSGA2Config, nsga2
 from repro.dse.problem import DcimProblem
 from repro.service.cache import EvaluationCache
-from repro.service.executor import (
-    ProblemEvaluator,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    chunked,
-    make_executor,
-)
+from repro.service.executor import ProblemEvaluator, SerialExecutor, chunked
 
 SPEC = DcimSpec(wstore=4096, precision="INT8")
 SMALL_GA = NSGA2Config(population_size=16, generations=6, seed=5)
@@ -37,33 +30,11 @@ class TestChunking:
         with pytest.raises(ValueError):
             chunked([1], 0)
 
-    def test_make_executor_names(self):
-        for name in ("serial", "thread", "process"):
-            executor = make_executor(name)
-            assert executor.name == name
-            executor.close()
-
-    def test_make_executor_unknown(self):
-        with pytest.raises(ValueError):
-            make_executor("gpu")
-
 
 class TestBackendsAgree:
-    def test_thread_matches_serial(self, problem, genomes):
-        serial = SerialExecutor().evaluate_batch(problem, genomes)
-        with ThreadPoolExecutor(workers=3, chunk_size=4) as pool:
-            threaded = pool.evaluate_batch(problem, genomes)
-        assert threaded == serial
-
-    def test_process_matches_serial(self, problem, genomes):
-        serial = SerialExecutor().evaluate_batch(problem, genomes)
-        with ProcessPoolExecutor(workers=2, chunk_size=16) as pool:
-            parallel = pool.evaluate_batch(problem, genomes)
-        assert parallel == serial
-
     def test_empty_batch(self, problem):
-        with ThreadPoolExecutor(workers=2) as pool:
-            assert pool.evaluate_batch(problem, []) == []
+        assert SerialExecutor().evaluate_batch(problem, []) == []
+        assert SerialExecutor(chunk_size=4).evaluate_batch(problem, []) == []
 
 
 class _CountingExecutor:
@@ -154,7 +125,7 @@ class TestBatchedCacheTraffic:
 
 
 class TestNsga2AcrossBackends:
-    """The acceptance bar: any backend reproduces the serial front."""
+    """The acceptance bar: any evaluator reproduces the plain front."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -170,20 +141,6 @@ class TestNsga2AcrossBackends:
         assert self._front(result) == self._front(baseline)
         assert result.evaluations == baseline.evaluations
 
-    def test_thread_backend_identical(self, baseline):
-        problem = DcimProblem(SPEC)
-        with ThreadPoolExecutor(workers=3, chunk_size=4) as pool:
-            evaluator = ProblemEvaluator(problem, executor=pool)
-            result = nsga2(problem, SMALL_GA, evaluator=evaluator)
-        assert self._front(result) == self._front(baseline)
-
-    def test_process_backend_identical(self, baseline):
-        problem = DcimProblem(SPEC)
-        with ProcessPoolExecutor(workers=2) as pool:
-            evaluator = ProblemEvaluator(problem, executor=pool)
-            result = nsga2(problem, SMALL_GA, evaluator=evaluator)
-        assert self._front(result) == self._front(baseline)
-
     def test_warm_cache_identical_and_fully_served(self, baseline):
         cache = EvaluationCache()
         problem = DcimProblem(SPEC)
@@ -196,49 +153,3 @@ class TestNsga2AcrossBackends:
         )
         assert self._front(warm) == self._front(baseline)
         assert counting.genomes == 0  # every genome came from the cache
-
-
-class _CrashOnceProblem:
-    """Kills its worker process on the first evaluation, then behaves.
-
-    The marker file is the cross-process "already crashed" flag — the
-    rebuilt pool's fresh workers see it and evaluate normally.
-    """
-
-    def __init__(self, marker: str) -> None:
-        self.marker = marker
-
-    def evaluate(self, genome):
-        import os
-
-        if not os.path.exists(self.marker):
-            open(self.marker, "w").close()
-            os._exit(1)
-        return (float(genome), 0.0)
-
-
-class _AlwaysCrashProblem:
-    def evaluate(self, genome):
-        import os
-
-        os._exit(1)
-
-
-class TestPoolCrashRecovery:
-    def test_worker_death_mid_chunk_is_retried_not_hung(self, tmp_path):
-        marker = str(tmp_path / "crashed-once")
-        with ProcessPoolExecutor(workers=2, chunk_size=2) as pool:
-            before = pool._metrics.resolve(pool.name).pool_rebuilds.value
-            out = pool.evaluate_batch(_CrashOnceProblem(marker), list(range(8)))
-            rebuilds = pool._metrics.resolve(pool.name).pool_rebuilds.value
-        assert out == [(float(g), 0.0) for g in range(8)]
-        assert rebuilds == before + 1
-
-    def test_persistent_worker_death_fails_structurally(self):
-        with ProcessPoolExecutor(workers=2, chunk_size=2) as pool:
-            with pytest.raises(RuntimeError) as excinfo:
-                pool.evaluate_batch(_AlwaysCrashProblem(), list(range(8)))
-        message = str(excinfo.value)
-        assert "pool died" in message
-        assert "again after rebuilding" in message
-        assert "8 genomes" in message

@@ -91,6 +91,20 @@ class TestAsyncCampaignService:
         with pytest.raises(ValueError):
             AsyncCampaignService(workers=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_serve_requires_workers(self, workers):
+        with pytest.raises(ValueError, match="workers >= 1"):
+            serve(port=0, workers=workers)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_serve_flag_requires_workers(self, workers, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers: expected a positive integer" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="class")
 def http_setup():
@@ -166,6 +180,19 @@ class TestHTTPServer:
         client, _ = http_setup
         with pytest.raises(RuntimeError, match="400"):
             client._call("POST", "/api/campaigns", {"specs": []})
+
+    def test_unrunnable_request_is_400_not_a_job(self, http_setup):
+        """A request that could only fail in the queue is refused at
+        submit instead of being queued as a job bound to fail."""
+        client, queue = http_setup
+        before = len(queue.jobs())
+        with pytest.raises(RuntimeError, match="400.*invalid_request.*workers"):
+            client._call(
+                "POST",
+                "/api/campaigns",
+                {"specs": [{"wstore": 4096, "precision": "INT8"}], "workers": 0},
+            )
+        assert len(queue.jobs()) == before
 
     def test_unknown_path_is_404(self, http_setup):
         client, _ = http_setup
