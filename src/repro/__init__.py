@@ -10,19 +10,12 @@ Quickstart::
     compiler = SegaDcim()
     result = compiler.compile(DcimSpec(wstore=8 * 1024, precision="INT8"))
     print(result.summary())
+
+Every package resolves its exports on first use (:mod:`repro._lazy`),
+so importing one module loads only what that module needs.
 """
 
-from repro.core import (
-    DcimSpec,
-    DesignPoint,
-    Precision,
-    STANDARD_PRECISIONS,
-    parse_precision,
-)
-from repro.core.compiler import CompilationResult, SegaDcim
-from repro.dse import NSGA2Config, Requirements
-from repro.model import MacroCost, MacroMetrics, evaluate_macro
-from repro.tech import GENERIC28, CellLibrary, Technology
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SegaDcim",
@@ -43,3 +36,18 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+_EXPORTS = {
+    "repro.core.precision": ("STANDARD_PRECISIONS", "Precision", "parse_precision"),
+    "repro.core.spec": ("DcimSpec", "DesignPoint"),
+    "repro.core.compiler": ("CompilationResult", "SegaDcim"),
+    "repro.dse.distill": ("Requirements",),
+    "repro.dse.nsga2": ("NSGA2Config",),
+    "repro.model.macro": ("MacroCost",),
+    "repro.model.metrics": ("MacroMetrics", "evaluate_macro"),
+    "repro.tech.cells": ("CellLibrary",),
+    "repro.tech.pdk": ("GENERIC28",),
+    "repro.tech.technology": ("Technology",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

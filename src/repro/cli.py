@@ -37,16 +37,6 @@ from repro.reporting.tables import ascii_table, format_si
 from repro.tech.corners import STANDARD_CORNERS, apply_corner
 from repro.tech.pdk import available_pdks, load_pdk
 
-#: Retired flags and why they no longer do anything.  For one release
-#: they are still accepted, then ignored with a warning.
-_RETIRED_FLAGS = {
-    "--engine": "numpy is the only numeric backend",
-    "--ga-backend": "numpy is the only numeric backend",
-    "--cache-flush-every": "the evaluation cache writes every batch through",
-    "--backend": "the serial executor is the only batch executor",
-    "--chunk-size": "the serial executor is the only batch executor",
-}
-
 __all__ = ["main", "build_parser"]
 
 
@@ -79,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("precisions", help="list supported precisions")
 
     sub.add_parser("pdks", help="list bundled PDKs and corners")
-
-    def add_retired_flags(p: argparse.ArgumentParser, *flags: str) -> None:
-        for flag in flags:  # warned about in main()
-            p.add_argument(flag, default=None, help=argparse.SUPPRESS)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--wstore", type=int, required=True,
@@ -200,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NSGA-II generations (default: the "
                                "problem's own)")
     campaign.add_argument("--seed", type=int, default=0, help="base GA seed")
-    add_retired_flags(campaign, "--engine", "--ga-backend",
-                      "--cache-flush-every", "--backend", "--chunk-size")
     campaign.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -247,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--cache", default=None, metavar="PATH",
                          help="shared persistent evaluation cache "
                               "(SQLite file; omit for in-memory)")
-    add_retired_flags(serve_p, "--cache-flush-every")
     serve_p.add_argument("--store", default=None, metavar="PATH",
                          help="record every campaign into this run "
                               "registry (SQLite) and serve the "
@@ -380,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--seed", type=int, default=0, help="base GA seed")
     submit_p.add_argument("--workers", type=int, default=1,
                           help="specs explored concurrently")
-    add_retired_flags(submit_p, "--engine", "--ga-backend", "--backend")
     submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -889,7 +871,7 @@ def _cmd_cache(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.dse.nsga2 import NSGA2Config
     from repro.problems import get_problem
-    from repro.service import CampaignConfig, EvaluationCache, run_campaign
+    from repro.service.campaign import CampaignConfig, run_campaign
 
     try:
         definition = get_problem(args.problem)
@@ -925,11 +907,17 @@ def _cmd_campaign(args) -> int:
         print("error: --name/--baseline/--set-baseline need --store",
               file=sys.stderr)
         return 1
-    try:
-        cache = EvaluationCache(args.cache) if args.cache else EvaluationCache()
-    except ValueError as exc:  # a directory or a JSONL log
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # The cache and the store (and SQLite with them) load only when asked
+    # for: without --cache the campaign runs uncached.
+    cache = None
+    if args.cache:
+        from repro.service.cache import EvaluationCache
+
+        try:
+            cache = EvaluationCache(args.cache)
+        except ValueError as exc:  # a directory or a JSONL log
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     store = None
     if args.store:
         from repro.store import RunStore
@@ -1013,7 +1001,8 @@ def _cmd_campaign(args) -> int:
             )
         return _campaign_registry_epilogue(args, store, result)
     finally:
-        cache.close()
+        if cache is not None:
+            cache.close()
         if store is not None:
             store.close()
 
@@ -1596,10 +1585,6 @@ def _cmd_mc(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    for flag, reason in _RETIRED_FLAGS.items():
-        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            print(f"warning: {flag} is deprecated and ignored ({reason})",
-                  file=sys.stderr)
     if args.command == "precisions":
         return _cmd_precisions()
     if args.command == "pdks":

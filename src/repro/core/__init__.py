@@ -1,15 +1,6 @@
 """Core public types of the SEGA-DCIM reproduction."""
 
-from repro.core.pareto import (
-    dominates,
-    hypervolume,
-    knee_point,
-    normalize_objectives,
-    pareto_front,
-    pareto_mask,
-)
-from repro.core.precision import STANDARD_PRECISIONS, Precision, parse_precision
-from repro.core.spec import FP_ARCH, INT_ARCH, DcimSpec, DesignPoint
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Precision",
@@ -25,4 +16,17 @@ __all__ = [
     "hypervolume",
     "knee_point",
     "normalize_objectives",
+    "stable_hash",
 ]
+
+_EXPORTS = {
+    "repro.core.pareto": (
+        "dominates", "hypervolume", "knee_point", "normalize_objectives",
+        "pareto_front", "pareto_mask",
+    ),
+    "repro.core.precision": ("STANDARD_PRECISIONS", "Precision", "parse_precision"),
+    "repro.core.spec": ("FP_ARCH", "INT_ARCH", "DcimSpec", "DesignPoint"),
+    "repro.core.hashing": ("stable_hash",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.spec import DcimSpec, DesignPoint
 from repro.dse.distill import Requirements, distill, select
@@ -24,11 +25,12 @@ from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.nsga2 import NSGA2Config
 from repro.layout.pnr import LayoutResult, PnrFlow
 from repro.model.metrics import MacroMetrics
-from repro.rtl.generator import RtlBundle, generate_rtl
-from repro.reporting.tables import ascii_table, format_si
 from repro.tech.cells import CellLibrary
 from repro.tech.pdk import GENERIC28
 from repro.tech.technology import Technology
+
+if TYPE_CHECKING:  # RTL generation loads with the first generate() call
+    from repro.rtl.generator import RtlBundle
 
 __all__ = ["CompilationResult", "SegaDcim"]
 
@@ -49,6 +51,8 @@ class CompilationResult:
 
     def summary(self) -> str:
         """Human-readable report of the chosen design."""
+        from repro.reporting.tables import ascii_table, format_si
+
         m = self.metrics
         rows = [
             ("architecture", self.selected.arch),
@@ -99,6 +103,8 @@ class SegaDcim:
 
     def generate(self, design: DesignPoint) -> RtlBundle:
         """Stage 3a: emit the Verilog bundle for a chosen design."""
+        from repro.rtl.generator import generate_rtl
+
         return generate_rtl(design)
 
     def place_and_route(self, design: DesignPoint) -> LayoutResult:

@@ -16,10 +16,7 @@ from pathlib import Path
 from repro.core.precision import parse_precision
 from repro.core.spec import DcimSpec, DesignPoint
 from repro.core.compiler import CompilationResult
-from repro.reporting.power import full_report
-from repro.rtl.generator import write_bundle
 from repro.tech.cells import CellLibrary
-from repro.tech.liberty import dump_library
 from repro.tech.technology import Technology
 
 __all__ = [
@@ -98,6 +95,10 @@ def write_artifacts(
           cells.lib          the cell library used
           reports/macro.rpt  area/timing/power report
     """
+    from repro.reporting.power import full_report
+    from repro.rtl.generator import write_bundle
+    from repro.tech.liberty import dump_library
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []

@@ -1,11 +1,13 @@
-"""MOGA-based design space exploration (NSGA-II) for SEGA-DCIM."""
+"""MOGA-based design space exploration (NSGA-II) for SEGA-DCIM.
 
-from repro.dse.baselines import random_search, weighted_sum_search
-from repro.dse.distill import Requirements, SELECTION_STRATEGIES, distill, select
-from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
-from repro.dse.genome import GenomeCodec, divisors
-from repro.dse.nsga2 import Individual, NSGA2Config, NSGA2Result, nsga2
-from repro.dse.problem import OBJECTIVE_NAMES, DcimProblem, objectives_of
+``nsga2`` and ``distill`` are imported eagerly: each shares its name
+with the submodule that defines it, and importing a submodule binds the
+module to that name on the package unless the function is bound first.
+"""
+
+from repro._lazy import lazy_exports
+from repro.dse.distill import distill
+from repro.dse.nsga2 import nsga2
 
 __all__ = [
     "random_search",
@@ -26,3 +28,14 @@ __all__ = [
     "select",
     "SELECTION_STRATEGIES",
 ]
+
+_EXPORTS = {
+    "repro.dse.baselines": ("random_search", "weighted_sum_search"),
+    "repro.dse.distill": ("Requirements", "SELECTION_STRATEGIES", "select"),
+    "repro.dse.explorer": ("DesignSpaceExplorer", "ExplorationResult"),
+    "repro.dse.genome": ("GenomeCodec", "divisors"),
+    "repro.dse.nsga2": ("Individual", "NSGA2Config", "NSGA2Result"),
+    "repro.dse.problem": ("OBJECTIVE_NAMES", "DcimProblem", "objectives_of"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -115,19 +115,26 @@ class GAKernels:
         )
 
     def nondominated_sort(
-        self, matrix, dominance=None, *, return_dominance: bool = False
+        self,
+        matrix,
+        dominance=None,
+        *,
+        return_dominance: bool = False,
+        limit: int | None = None,
     ):
         """(ranks, fronts-as-index-lists) for an ``as_matrix`` result.
 
         ``dominance``: the rows' boolean dominance matrix when the
         caller holds it (a :meth:`take` result); the sort then skips
         building it.  ``return_dominance=True`` appends the matrix the
-        sort used as a third element.
+        sort used as a third element.  ``limit``: stop peeling once the
+        fronts hold at least that many rows; the rows left unranked
+        have rank ``-1`` and are in no front.
         """
         start = time.perf_counter()
         if dominance is None:
             dominance = dominance_matrix(matrix)
-        ranks, fronts = _kernels.nondominated_sort(matrix, dominance)
+        ranks, fronts = _kernels.nondominated_sort(matrix, dominance, limit)
         self._sort_seconds.observe(time.perf_counter() - start)
         if return_dominance:
             return ranks, fronts, dominance

@@ -40,14 +40,17 @@ INFINITY = float("inf")
 
 
 def nondominated_sort(
-    objectives: np.ndarray, beats: np.ndarray | None = None
+    objectives: np.ndarray,
+    beats: np.ndarray | None = None,
+    limit: int | None = None,
 ) -> tuple[list[int], list[list[int]]]:
     """Vectorised Deb sort; see the python reference for the contract.
 
     ``beats`` is the rows' dominance matrix (``beats[i, j]``: row ``i``
     dominates row ``j``) when the caller holds it already; the sort then
     reads nothing else.  Dominance is pairwise, so any row subset's
-    matrix is the ``np.ix_`` submatrix of a superset's.
+    matrix is the ``np.ix_`` submatrix of a superset's.  ``limit``
+    stops the peeling as in the reference.
     """
     if beats is None:
         beats = dominance_matrix(np.asarray(objectives, dtype=float))
@@ -55,14 +58,17 @@ def nondominated_sort(
     if n == 0:
         return [], []
     counts = beats.sum(axis=0).astype(np.int64)
-    ranks = np.zeros(n, dtype=np.int64)
+    ranks = np.full(n, -1, dtype=np.int64)
     assigned = np.zeros(n, dtype=bool)
     fronts: list[list[int]] = []
     current = np.flatnonzero(counts == 0)
-    rank = 0
+    rank = ranked = 0
     while current.size:
         fronts.append(current.tolist())
         ranks[current] = rank
+        ranked += current.size
+        if limit is not None and ranked >= limit:
+            break
         assigned[current] = True
         sub = beats[current]  # (f, n): dominators drawn from this front
         dec = sub.sum(axis=0)

@@ -15,6 +15,9 @@ Ordering contracts the numpy kernels replicate exactly:
 * :func:`nondominated_sort` — front 0 in ascending index order; each
   later front in the order Deb's peeling loop discovers members, which
   is ``(position of the last same-front dominator, index)`` ascending.
+  With a ``limit``, peeling stops at the first front that brings the
+  ranked rows to at least ``limit``; the fronts returned are a prefix of
+  the full sort's, and every later row has rank ``-1``.
 * :func:`crowding` — the returned permutation is the front after the
   per-objective stable sorts (so it ends sorted by the last objective),
   exactly how the original in-place crowding assignment reordered
@@ -42,18 +45,20 @@ def _dominates(u: Vector, v: Vector) -> bool:
 
 
 def nondominated_sort(
-    objectives: Sequence[Vector],
+    objectives: Sequence[Vector], limit: int | None = None
 ) -> tuple[list[int], list[list[int]]]:
     """Deb's fast non-dominated sort over objective rows.
 
     Returns ``(ranks, fronts)``: one 0-based rank per row, and the
     fronts as index lists (``fronts[0]`` is rank 0).  Every row appears
-    in exactly one front.
+    in exactly one front.  With ``limit``, peeling stops once the fronts
+    hold at least ``limit`` rows: the rows of the fronts not peeled are
+    in no front and have rank ``-1``.
     """
     n = len(objectives)
     dominated_by: list[list[int]] = [[] for _ in range(n)]
     domination_count = [0] * n
-    ranks = [0] * n
+    ranks = [-1] * n
     fronts: list[list[int]] = [[]]
     for i in range(n):
         oi = objectives[i]
@@ -69,7 +74,8 @@ def nondominated_sort(
             ranks[i] = 0
             fronts[0].append(i)
     current = 0
-    while fronts[current]:
+    ranked = len(fronts[0])
+    while fronts[current] and (limit is None or ranked < limit):
         next_front: list[int] = []
         for i in fronts[current]:
             for j in dominated_by[i]:
@@ -79,7 +85,8 @@ def nondominated_sort(
                     next_front.append(j)
         current += 1
         fronts.append(next_front)
-    return ranks, fronts[:-1]
+        ranked += len(next_front)
+    return ranks, [front for front in fronts if front]
 
 
 def crowding(

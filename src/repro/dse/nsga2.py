@@ -336,8 +336,10 @@ def nsga2(
         merged_genomes = pop_genomes + children
         merged_objectives = pop_objectives + child_objectives
         matrix = kernels.append(pop_matrix, child_objectives)
+        # Only the fronts that fill the next population are peeled; the
+        # rows after them (rank -1) could never survive.
         ranks, fronts, dominance = kernels.nondominated_sort(
-            matrix, return_dominance=True
+            matrix, return_dominance=True, limit=config.population_size
         )
         survivors: list[int] = []
         survivor_crowding: list[float] = []

@@ -1,21 +1,6 @@
 """Functional golden models: formats, MVM references, macro behaviour."""
 
-from repro.func.formats import FloatFormat, FpFields, max_unsigned, quantize_unsigned
-from repro.func.int2fp_model import ConversionResult, int_to_fp, pack_to_format
-from repro.func.macro_model import FpMacroModel, IntMacroModel
-from repro.func.mvm import (
-    bit_serial_mvm,
-    golden_mvm,
-    input_slices,
-    signed_matvec,
-    weight_bitplanes,
-)
-from repro.func.prealign_model import (
-    AlignedVector,
-    aligned_dot,
-    alignment_error,
-    prealign,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FloatFormat",
@@ -37,3 +22,18 @@ __all__ = [
     "int_to_fp",
     "pack_to_format",
 ]
+
+_EXPORTS = {
+    "repro.func.formats": ("FloatFormat", "FpFields", "max_unsigned", "quantize_unsigned"),
+    "repro.func.int2fp_model": ("ConversionResult", "int_to_fp", "pack_to_format"),
+    "repro.func.macro_model": ("FpMacroModel", "IntMacroModel"),
+    "repro.func.mvm": (
+        "bit_serial_mvm", "golden_mvm", "input_slices", "signed_matvec",
+        "weight_bitplanes",
+    ),
+    "repro.func.prealign_model": (
+        "AlignedVector", "aligned_dot", "alignment_error", "prealign",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,10 +1,6 @@
 """Layout substrate: floorplanning, DEF dumps, mock P&R."""
 
-from repro.layout.checks import CheckReport, DrcRules, run_drc, run_lvs
-from repro.layout.def_writer import DBU_PER_MICRON, dump_def, load_def
-from repro.layout.floorplan import Block, Floorplan, slicing_floorplan
-from repro.layout.geometry import Placement, Rect
-from repro.layout.pnr import PART_GROUPS, LayoutResult, PnrFlow
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Rect",
@@ -23,3 +19,13 @@ __all__ = [
     "LayoutResult",
     "PART_GROUPS",
 ]
+
+_EXPORTS = {
+    "repro.layout.checks": ("CheckReport", "DrcRules", "run_drc", "run_lvs"),
+    "repro.layout.def_writer": ("DBU_PER_MICRON", "dump_def", "load_def"),
+    "repro.layout.floorplan": ("Block", "Floorplan", "slicing_floorplan"),
+    "repro.layout.geometry": ("Placement", "Rect"),
+    "repro.layout.pnr": ("PART_GROUPS", "LayoutResult", "PnrFlow"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,33 +1,6 @@
 """Estimation models for SEGA-DCIM (paper Tables II-VI)."""
 
-from repro.model.cost import Cost, parallel, series, ZERO_COST
-from repro.model.logic import (
-    adder,
-    adder_cla,
-    barrel_shifter,
-    clog2,
-    comparator,
-    multiplier_1xn,
-    mux,
-    register_bank,
-)
-from repro.model.components import (
-    accumulator_width,
-    adder_tree,
-    converter_width,
-    fusion_width,
-    input_buffer,
-    int_to_fp_converter,
-    prealignment,
-    result_fusion,
-    shift_accumulator,
-)
-from repro.model.macro import MacroCost
-from repro.model.engine import BatchCost, CostEngine
-from repro.model.integer import int_macro_cost, int_weights_stored, validate_int_params
-from repro.model.floating import fp_macro_cost, fp_weights_stored, validate_fp_params
-from repro.model.metrics import MacroMetrics, evaluate_macro
-from repro.model.variation import VariationResult, monte_carlo
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchCost",
@@ -65,3 +38,24 @@ __all__ = [
     "MacroMetrics",
     "evaluate_macro",
 ]
+
+_EXPORTS = {
+    "repro.model.cost": ("Cost", "parallel", "series", "ZERO_COST"),
+    "repro.model.logic": (
+        "adder", "adder_cla", "barrel_shifter", "clog2", "comparator",
+        "multiplier_1xn", "mux", "register_bank",
+    ),
+    "repro.model.components": (
+        "accumulator_width", "adder_tree", "converter_width", "fusion_width",
+        "input_buffer", "int_to_fp_converter", "prealignment", "result_fusion",
+        "shift_accumulator",
+    ),
+    "repro.model.macro": ("MacroCost",),
+    "repro.model.engine": ("BatchCost", "CostEngine"),
+    "repro.model.integer": ("int_macro_cost", "int_weights_stored", "validate_int_params"),
+    "repro.model.floating": ("fp_macro_cost", "fp_weights_stored", "validate_fp_params"),
+    "repro.model.metrics": ("MacroMetrics", "evaluate_macro"),
+    "repro.model.variation": ("VariationResult", "monte_carlo"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,30 +1,6 @@
 """Gate-level netlist IR, simulator and verification for SEGA-DCIM."""
 
-from repro.netlist.builders import (
-    build_adder_tree,
-    build_column,
-    build_compute_unit,
-    build_int2fp,
-    build_int_macro,
-    build_prealign,
-    build_result_fusion,
-    build_shift_accumulator,
-)
-from repro.netlist.export import PRIMITIVE_LIBRARY_VERILOG, netlist_to_verilog
-from repro.netlist.importer import verilog_to_netlist
-from repro.netlist.timing import GATE_DELAYS, TimingReport, analyze_timing
-from repro.netlist.ir import Dff, Gate, GATE_KINDS, Netlist
-from repro.netlist.simulate import GateSimulator
-from repro.netlist.verify import (
-    VerificationReport,
-    verify_adder_tree,
-    verify_compute_unit,
-    verify_fp_datapath,
-    verify_int2fp,
-    verify_int_macro,
-    verify_prealign,
-    verify_shift_accumulator,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "netlist_to_verilog",
@@ -55,3 +31,23 @@ __all__ = [
     "verify_int_macro",
     "verify_fp_datapath",
 ]
+
+_EXPORTS = {
+    "repro.netlist.builders": (
+        "build_adder_tree", "build_column", "build_compute_unit", "build_int2fp",
+        "build_int_macro", "build_prealign", "build_result_fusion",
+        "build_shift_accumulator",
+    ),
+    "repro.netlist.export": ("PRIMITIVE_LIBRARY_VERILOG", "netlist_to_verilog"),
+    "repro.netlist.importer": ("verilog_to_netlist",),
+    "repro.netlist.timing": ("GATE_DELAYS", "TimingReport", "analyze_timing"),
+    "repro.netlist.ir": ("Dff", "Gate", "GATE_KINDS", "Netlist"),
+    "repro.netlist.simulate": ("GateSimulator",),
+    "repro.netlist.verify": (
+        "VerificationReport", "verify_adder_tree", "verify_compute_unit",
+        "verify_fp_datapath", "verify_int2fp", "verify_int_macro",
+        "verify_prealign", "verify_shift_accumulator",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,46 +18,7 @@ Dependency-free operational plumbing for the serving stack:
   ascii-tree / Chrome-trace exports for ``repro trace``.
 """
 
-from repro.obs.admission import (
-    AdmissionController,
-    AdmissionError,
-    AdmissionPolicy,
-    RateLimiter,
-    TokenBucket,
-    request_budget,
-)
-from repro.obs.log import LEVELS, JsonLogger, configure, get_logger
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
-from repro.obs.snapshot import MetricsSnapshotter
-from repro.obs.trace import (
-    KNOWN_SOURCES,
-    NULL_SPAN,
-    NULL_TRACER,
-    Span,
-    SpanContext,
-    TraceRecord,
-    Tracer,
-    chrome_trace,
-    current_span,
-    format_traceparent,
-    get_tracer,
-    normalize_source,
-    parse_traceparent,
-    set_tracer,
-    spans_to_dicts,
-    trace_tree,
-    use_span,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -98,3 +59,25 @@ __all__ = [
     "trace_tree",
     "use_span",
 ]
+
+_EXPORTS = {
+    "repro.obs.admission": (
+        "AdmissionController", "AdmissionError", "AdmissionPolicy",
+        "RateLimiter", "TokenBucket", "request_budget",
+    ),
+    "repro.obs.log": ("LEVELS", "JsonLogger", "configure", "get_logger"),
+    "repro.obs.metrics": (
+        "DEFAULT_BUCKETS", "NULL_REGISTRY", "Counter", "Gauge", "Histogram",
+        "MetricFamily", "MetricsRegistry", "get_registry", "set_registry",
+    ),
+    "repro.obs.snapshot": ("MetricsSnapshotter",),
+    "repro.obs.trace": (
+        "KNOWN_SOURCES", "NULL_SPAN", "NULL_TRACER", "Span", "SpanContext",
+        "TraceRecord", "Tracer", "chrome_trace", "current_span",
+        "format_traceparent", "get_tracer", "normalize_source",
+        "parse_traceparent", "set_tracer", "spans_to_dicts", "trace_tree",
+        "use_span",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,14 +1,6 @@
 """Reporting utilities for benches, examples, and the run registry."""
 
-from repro.reporting.dashboard import render_dashboard, write_dashboard
-from repro.reporting.plots import ascii_scatter
-from repro.reporting.power import area_report, full_report, power_report, timing_report
-from repro.reporting.runs import (
-    comparison_markdown,
-    run_report_csv,
-    run_report_markdown,
-)
-from repro.reporting.tables import ascii_table, csv_table, format_si
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ascii_table",
@@ -25,3 +17,13 @@ __all__ = [
     "render_dashboard",
     "write_dashboard",
 ]
+
+_EXPORTS = {
+    "repro.reporting.dashboard": ("render_dashboard", "write_dashboard"),
+    "repro.reporting.plots": ("ascii_scatter",),
+    "repro.reporting.power": ("area_report", "full_report", "power_report", "timing_report"),
+    "repro.reporting.runs": ("comparison_markdown", "run_report_csv", "run_report_markdown"),
+    "repro.reporting.tables": ("ascii_table", "csv_table", "format_si"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

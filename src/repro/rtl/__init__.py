@@ -1,18 +1,6 @@
 """Template-based RTL generation for SEGA-DCIM."""
 
-from repro.rtl.generator import (
-    ArchitectureTemplate,
-    FpMacroTemplate,
-    IntMacroTemplate,
-    RtlBundle,
-    available_templates,
-    generate_rtl,
-    register_template,
-    write_bundle,
-)
-from repro.rtl.lint import LintReport, lint_bundle, lint_source
-from repro.rtl.testbench import generate_int_testbench
-from repro.rtl.verilog import Instance, Port, VerilogModule, render_modules
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LintReport",
@@ -32,3 +20,15 @@ __all__ = [
     "generate_rtl",
     "write_bundle",
 ]
+
+_EXPORTS = {
+    "repro.rtl.generator": (
+        "ArchitectureTemplate", "FpMacroTemplate", "IntMacroTemplate", "RtlBundle",
+        "available_templates", "generate_rtl", "register_template", "write_bundle",
+    ),
+    "repro.rtl.lint": ("LintReport", "lint_bundle", "lint_source"),
+    "repro.rtl.testbench": ("generate_int_testbench",),
+    "repro.rtl.verilog": ("Instance", "Port", "VerilogModule", "render_modules"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,48 +30,7 @@ MOGA explorer into shared infrastructure:
   request/response records.
 """
 
-from repro.service.api import (
-    SCHEMA_VERSION,
-    CampaignRequest,
-    CampaignResponse,
-    FrontierPoint,
-    SpecRequest,
-)
-from repro.service.cache import (
-    CacheBackend,
-    CacheStats,
-    EvaluationCache,
-    SqliteCacheBackend,
-    evaluation_key,
-    stable_hash,
-)
-from repro.service.cache_backends import RemoteCacheBackend, make_cache
-from repro.service.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    execute_request,
-    run_campaign,
-)
-from repro.service.events import (
-    CampaignCancelled,
-    CampaignEvent,
-    EventBuffer,
-    EventKind,
-)
-from repro.service.executor import (
-    BatchExecutor,
-    ProblemEvaluator,
-    SerialExecutor,
-)
-from repro.service.distributed import DistributedRunner, WorkCoordinator
-from repro.service.jobs import JobQueue, JobRecord, JobStatus
-from repro.service.server import (
-    AsyncCampaignService,
-    CampaignClient,
-    CampaignHTTPServer,
-    serve,
-)
-from repro.service.worker import CampaignWorker, worker_cache
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -110,3 +69,31 @@ __all__ = [
     "CampaignResponse",
     "FrontierPoint",
 ]
+
+_EXPORTS = {
+    "repro.service.api": (
+        "SCHEMA_VERSION", "CampaignRequest", "CampaignResponse", "FrontierPoint",
+        "SpecRequest",
+    ),
+    "repro.service.cache": (
+        "CacheBackend", "CacheStats", "EvaluationCache", "SqliteCacheBackend",
+        "evaluation_key",
+    ),
+    "repro.core.hashing": ("stable_hash",),
+    "repro.service.cache_backends": ("RemoteCacheBackend", "make_cache"),
+    "repro.service.campaign": (
+        "CampaignConfig", "CampaignResult", "execute_request", "run_campaign",
+    ),
+    "repro.service.events": (
+        "CampaignCancelled", "CampaignEvent", "EventBuffer", "EventKind",
+    ),
+    "repro.service.executor": ("BatchExecutor", "ProblemEvaluator", "SerialExecutor"),
+    "repro.service.distributed": ("DistributedRunner", "WorkCoordinator"),
+    "repro.service.jobs": ("JobQueue", "JobRecord", "JobStatus"),
+    "repro.service.server": (
+        "AsyncCampaignService", "CampaignClient", "CampaignHTTPServer", "serve",
+    ),
+    "repro.service.worker": ("CampaignWorker", "worker_cache"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

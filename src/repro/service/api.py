@@ -30,9 +30,9 @@ import copy
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.core.hashing import stable_hash
 from repro.core.spec import DcimSpec, DesignPoint
 from repro.problems.base import DEFAULT_PROBLEM, filter_unknown_keys
-from repro.service.cache import stable_hash
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
+from repro.core.hashing import stable_hash
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import NULL_SPAN, get_tracer
 
@@ -66,17 +67,6 @@ _SQLITE_HEADER = b"SQLite format 3\x00"
 
 #: Buckets for the ``repro_cache_batch_size`` histogram (keys/batch).
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-
-
-def stable_hash(payload: object) -> str:
-    """SHA-256 of the canonical JSON encoding of ``payload``.
-
-    Canonical means sorted keys and no insignificant whitespace, so two
-    structurally equal payloads always hash identically regardless of
-    construction order.
-    """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def problem_fingerprint(spec, library) -> dict:

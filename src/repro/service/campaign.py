@@ -16,11 +16,10 @@ the shared batch executor.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from repro.obs.trace import (
 )
 from repro.problems import DEFAULT_PROBLEM, get_problem
 from repro.service.api import CampaignRequest, CampaignResponse
-from repro.service.cache import CacheStats, EvaluationCache
 from repro.service.events import (
     CampaignCancelled,
     CampaignEvent,
@@ -51,6 +49,9 @@ from repro.service.events import (
 )
 from repro.service.executor import BatchExecutor, SerialExecutor
 from repro.tech.cells import CellLibrary
+
+if TYPE_CHECKING:  # the cache module loads only when a cache is passed
+    from repro.service.cache import CacheStats, EvaluationCache
 
 __all__ = [
     "CampaignConfig",
@@ -187,7 +188,7 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     from the default — so rows recorded before it existed keep
     matching too.
     """
-    from repro.service.cache import stable_hash
+    from repro.core.hashing import stable_hash
 
     config_payload = dataclasses.asdict(config)
     config_payload.update(engine="auto", backend="serial", chunk_size=None)
@@ -502,6 +503,8 @@ def run_campaign(
                     explore_one(i, spec) for i, spec in enumerate(specs)
                 ]
         else:
+            import concurrent.futures
+
             with concurrent.futures.ThreadPoolExecutor(
                 max_workers=min(config.workers, len(specs))
             ) as pool:
@@ -550,6 +553,8 @@ def run_campaign(
     )
     stats = None
     if cache is not None:
+        from repro.service.cache import CacheStats
+
         assert stats_before is not None
         stats = CacheStats(
             hits=cache.stats.hits - stats_before.hits,

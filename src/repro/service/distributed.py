@@ -38,12 +38,12 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.hashing import stable_hash
 from repro.obs.log import JsonLogger, get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import format_traceparent, get_tracer
 from repro.problems import get_problem
 from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
-from repro.service.cache import stable_hash
 from repro.service.events import CampaignCancelled, CampaignEvent, EventKind
 
 __all__ = [

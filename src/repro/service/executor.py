@@ -16,11 +16,13 @@ injects.
 from __future__ import annotations
 
 import time
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_span, get_tracer
-from repro.service.cache import EvaluationCache, GenomeKeyer
+
+if TYPE_CHECKING:  # the cache module loads only when a cache is passed
+    from repro.service.cache import EvaluationCache
 
 __all__ = [
     "BatchExecutor",
@@ -214,6 +216,8 @@ class ProblemEvaluator:
         library = getattr(problem, "library", None)
         if spec is None or library is None:
             return None
+        from repro.service.cache import GenomeKeyer
+
         return GenomeKeyer.for_problem(spec, library)
 
     def evaluate_batch(self, genomes: Sequence[Genome]) -> list[Objectives]:

@@ -85,7 +85,6 @@ waiting for a delayed ACK.
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
@@ -128,6 +127,17 @@ MAX_LONG_POLL_S = 30.0
 #: re-sends a request once on a fresh connection when it finds its
 #: connection closed this way.
 KEEPALIVE_IDLE_S = 15.0
+
+
+async def _to_thread(func, *args):
+    """:func:`asyncio.to_thread`, importing asyncio on first use.
+
+    Only :class:`AsyncCampaignService` runs an event loop, so the HTTP
+    server and client never load asyncio.
+    """
+    import asyncio
+
+    return await asyncio.to_thread(func, *args)
 
 
 class AsyncCampaignService:
@@ -186,10 +196,10 @@ class AsyncCampaignService:
 
     async def submit(self, request: CampaignRequest) -> str:
         """Queue a campaign; returns the (possibly deduplicated) job id."""
-        return await asyncio.to_thread(self.queue.submit, request)
+        return await _to_thread(self.queue.submit, request)
 
     async def status(self, job_id: str) -> JobStatus:
-        return await asyncio.to_thread(self.queue.status, job_id)
+        return await _to_thread(self.queue.status, job_id)
 
     async def result(
         self, job_id: str, timeout: float | None = None
@@ -199,12 +209,12 @@ class AsyncCampaignService:
         Raises :class:`TimeoutError` when ``timeout`` elapses first and
         :class:`RuntimeError` when the job failed or was cancelled.
         """
-        await asyncio.to_thread(self.queue.wait, job_id, timeout)
-        return await asyncio.to_thread(self.queue.result, job_id)
+        await _to_thread(self.queue.wait, job_id, timeout)
+        return await _to_thread(self.queue.result, job_id)
 
     async def cancel(self, job_id: str) -> JobStatus:
         """Request cooperative cancellation; returns the current status."""
-        return await asyncio.to_thread(self.queue.cancel, job_id)
+        return await _to_thread(self.queue.cancel, job_id)
 
     async def events(
         self, job_id: str, cursor: int = 0, poll_s: float = 1.0
@@ -216,7 +226,7 @@ class AsyncCampaignService:
         ``cursor`` resumes an interrupted stream.
         """
         while True:
-            events, cursor, done = await asyncio.to_thread(
+            events, cursor, done = await _to_thread(
                 self.queue.wait_events, job_id, cursor, poll_s
             )
             for event in events:
@@ -230,7 +240,7 @@ class AsyncCampaignService:
         from repro.problems import problem_catalog
 
         # First call imports/registers the built-ins: keep it off-loop.
-        return await asyncio.to_thread(problem_catalog)
+        return await _to_thread(problem_catalog)
 
     # Run registry ---------------------------------------------------------
     def _require_store(self):
@@ -247,31 +257,31 @@ class AsyncCampaignService:
     ):
         """Recorded runs, newest first (requires an attached store)."""
         store = self._require_store()
-        return await asyncio.to_thread(
+        return await _to_thread(
             store.list_runs, limit, status, offset, problem
         )
 
     async def run(self, run_id: str):
         """One registry row by id."""
         store = self._require_store()
-        return await asyncio.to_thread(store.get_run, run_id)
+        return await _to_thread(store.get_run, run_id)
 
     async def run_front(self, run_id: str):
         """A recorded run's merged frontier."""
         store = self._require_store()
-        return await asyncio.to_thread(store.front, run_id)
+        return await _to_thread(store.front, run_id)
 
     async def compare(self, ref_a: str, ref_b: str):
         """Front-quality indicators between two recorded runs."""
         from repro.store.analytics import compare_runs
 
         store = self._require_store()
-        return await asyncio.to_thread(compare_runs, store, ref_a, ref_b)
+        return await _to_thread(compare_runs, store, ref_a, ref_b)
 
     async def close(self) -> None:
         """Shut down an owned queue (a fronted queue is left running)."""
         if self._own_queue:
-            await asyncio.to_thread(self.queue.close)
+            await _to_thread(self.queue.close)
 
     async def __aenter__(self) -> "AsyncCampaignService":
         return self

@@ -20,22 +20,7 @@ Recording is opt-in everywhere (``run_campaign(..., store=...)``,
 changes a campaign's result.
 """
 
-from repro.store.analytics import (
-    FrontComparison,
-    compare_fronts,
-    compare_runs,
-    epsilon_indicator,
-    front_coverage,
-    knee_drift,
-    union_hypervolumes,
-)
-from repro.store.gate import GateConfig, GateReport, check_regression
-from repro.store.runstore import (
-    MetricsSnapshot,
-    RunRecord,
-    RunStore,
-    point_hash,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RunStore",
@@ -53,3 +38,14 @@ __all__ = [
     "GateReport",
     "check_regression",
 ]
+
+_EXPORTS = {
+    "repro.store.analytics": (
+        "FrontComparison", "compare_fronts", "compare_runs", "epsilon_indicator",
+        "front_coverage", "knee_drift", "union_hypervolumes",
+    ),
+    "repro.store.gate": ("GateConfig", "GateReport", "check_regression"),
+    "repro.store.runstore": ("MetricsSnapshot", "RunRecord", "RunStore", "point_hash"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

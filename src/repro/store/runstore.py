@@ -36,8 +36,8 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.hashing import stable_hash
 from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
-from repro.service.cache import stable_hash
 
 __all__ = ["MetricsSnapshot", "RunRecord", "RunStore", "point_hash"]
 
@@ -165,7 +165,7 @@ def _is_finite_float(value) -> bool:
 def _design_point_row(point: FrontierPoint) -> tuple:
     """One point's ``design_points`` row, its content address first.
 
-    The address is :func:`~repro.service.cache.stable_hash` of the
+    The address is :func:`~repro.core.hashing.stable_hash` of the
     point's canonical JSON, and the ``objectives`` column is
     ``json.dumps`` of the objective list.  For the common point (no
     extras, ``int`` genes, finite ``float`` objectives) both are

@@ -1,11 +1,6 @@
 """Technology substrate: cells, nodes, PDKs and liberty I/O."""
 
-from repro.tech.cells import CellLibrary, TABLE3_CELLS
-from repro.tech.corners import Corner, STANDARD_CORNERS, apply_corner
-from repro.tech.liberty import dump_library, load_library
-from repro.tech.techfile import dump_technology, load_technology
-from repro.tech.pdk import GENERIC22, GENERIC28, available_pdks, load_pdk
-from repro.tech.technology import Technology
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CellLibrary",
@@ -23,3 +18,14 @@ __all__ = [
     "STANDARD_CORNERS",
     "apply_corner",
 ]
+
+_EXPORTS = {
+    "repro.tech.cells": ("CellLibrary", "TABLE3_CELLS"),
+    "repro.tech.corners": ("Corner", "STANDARD_CORNERS", "apply_corner"),
+    "repro.tech.liberty": ("dump_library", "load_library"),
+    "repro.tech.techfile": ("dump_technology", "load_technology"),
+    "repro.tech.pdk": ("GENERIC22", "GENERIC28", "available_pdks", "load_pdk"),
+    "repro.tech.technology": ("Technology",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

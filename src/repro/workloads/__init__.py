@@ -1,33 +1,6 @@
 """NN workload descriptions and macro mapping."""
 
-from repro.workloads.layers import (
-    Layer,
-    attention_projection,
-    conv2d,
-    gcn_layer,
-    linear,
-)
-from repro.workloads.mapping import (
-    LayerMapping,
-    NetworkMapping,
-    map_layer,
-    map_network,
-    recommend_spec,
-)
-from repro.workloads.system import (
-    SystemMapping,
-    macros_for_residency,
-    map_system,
-    map_system_sweep,
-)
-from repro.workloads.networks import (
-    AVAILABLE_NETWORKS,
-    gcn_network,
-    mlp_mixer_block,
-    resnet_block,
-    tiny_cnn,
-    transformer_block,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SystemMapping",
@@ -51,3 +24,21 @@ __all__ = [
     "map_network",
     "recommend_spec",
 ]
+
+_EXPORTS = {
+    "repro.workloads.layers": (
+        "Layer", "attention_projection", "conv2d", "gcn_layer", "linear",
+    ),
+    "repro.workloads.mapping": (
+        "LayerMapping", "NetworkMapping", "map_layer", "map_network", "recommend_spec",
+    ),
+    "repro.workloads.system": (
+        "SystemMapping", "macros_for_residency", "map_system", "map_system_sweep",
+    ),
+    "repro.workloads.networks": (
+        "AVAILABLE_NETWORKS", "gcn_network", "mlp_mixer_block", "resnet_block",
+        "tiny_cnn", "transformer_block",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

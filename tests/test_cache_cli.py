@@ -143,25 +143,21 @@ class TestCacheMigrate:
 
 
 class TestCampaignFlushFlag:
-    """``--cache-flush-every`` still parses for one release: hidden,
-    ignored, and noted as deprecated on stderr."""
+    """``--cache-flush-every`` is gone: its round as a hidden, ignored
+    flag is over, so it fails as an unknown argument."""
 
-    def test_campaign_accepts_cache_flush_every(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["campaign", "serve"])
+    def test_rejects_cache_flush_every(self, command, tmp_path, capsys):
         cache = tmp_path / "evals.sqlite"
-        rc = run_cli(
-            "campaign", "--spec", "4096:INT4",
-            "--population", "16", "--generations", "4",
-            # The GA route: exhaustive specs never write to the cache.
-            "--exhaustive-threshold", "0",
-            "--cache", str(cache), "--cache-flush-every", "32",
+        args = ["--spec", "4096:INT4"] if command == "campaign" else ["--port", "0"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *args, "--cache", str(cache),
+                    "--cache-flush-every", "32")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-flush-every 32" in (
+            capsys.readouterr().err
         )
-        assert rc == 0
-        assert capsys.readouterr().err == (
-            "warning: --cache-flush-every is deprecated and ignored "
-            "(the evaluation cache writes every batch through)\n"
-        )
-        with EvaluationCache(cache) as reopened:
-            assert len(reopened) > 0  # written through during the run
+        assert not cache.exists()  # rejected before any work started
 
     @pytest.mark.parametrize("command", ["campaign", "serve"])
     def test_hidden_from_help(self, command, capsys):
@@ -191,13 +187,10 @@ class TestCacheOpenErrors:
         assert legacy_log.read_bytes() == before
 
     def test_serve_directory_cache(self, tmp_path, capsys):
-        assert run_cli("serve", "--port", "0", "--cache", str(tmp_path),
-                       "--cache-flush-every", "8") == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "warning: --cache-flush-every is deprecated and ignored "
-            "(the evaluation cache writes every batch through)",
-            f"error: evaluation cache path {tmp_path} is a directory",
-        ]
+        assert run_cli("serve", "--port", "0", "--cache", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: evaluation cache path {tmp_path} is a directory\n"
+        )
 
 
 class TestCampaignCacheReport:

@@ -90,6 +90,28 @@ class TestKernelParity:
         assert fronts == ref_fronts
 
     @settings(max_examples=200, deadline=None)
+    @given(objectives=objective_matrices(), limit=st.integers(0, 26))
+    def test_limited_sort_is_a_prefix_of_the_full_sort(self, objectives, limit):
+        # nsga2() stops the survivor sort once the next population is
+        # full: both kernels must peel the same fronts, each a prefix of
+        # the full sort, and leave every other row at rank -1.
+        kernels = GAKernels()
+        ranks, fronts = kernels.nondominated_sort(
+            kernels.as_matrix(objectives), limit=limit
+        )
+        assert (ranks, fronts) == py_kernels.nondominated_sort(objectives, limit)
+        full_ranks, full_fronts = py_kernels.nondominated_sort(objectives)
+        assert fronts == full_fronts[: len(fronts)]
+        peeled = sum(map(len, fronts))
+        assert peeled >= min(limit, len(objectives))
+        if fronts:
+            assert peeled - len(fronts[-1]) < limit or len(fronts) == 1
+        ranked = {i for front in fronts for i in front}
+        assert ranks == [
+            rank if i in ranked else -1 for i, rank in enumerate(full_ranks)
+        ]
+
+    @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_crowding_identical(self, objectives):
         kernels = GAKernels()

@@ -394,32 +394,22 @@ class TestStoreWithBackendColumns:
 
 
 class TestRetiredBackendFlags:
-    """``--engine``/``--ga-backend`` still parse for one release: hidden
-    from ``--help``, ignored, and noted as deprecated on stderr."""
+    """``--engine``/``--ga-backend`` are gone: their round as hidden,
+    ignored flags is over, so they fail as unknown arguments (exit 2)."""
 
     GA_CAMPAIGN = (
         "campaign", "--spec", "4096:INT8", "--population", "16",
         "--generations", "4", "--exhaustive-threshold", "0",
     )
 
-    def test_campaign_ignores_them_with_a_note(self, capsys):
-        assert run_cli(*self.GA_CAMPAIGN) == 0
-        plain = capsys.readouterr()
-        assert run_cli(*self.GA_CAMPAIGN, "--engine", "python",
-                       "--ga-backend", "python") == 0
-        flagged = capsys.readouterr()
-
-        def rows(text):
-            return [line for line in text.splitlines() if line.startswith("|")]
-
-        assert rows(flagged.out) and rows(flagged.out) == rows(plain.out)
-        assert "strategy: 4096:INT8=ga\n" in flagged.out
-        assert plain.err == ""
-        assert flagged.err.splitlines() == [
-            f"warning: {flag} is deprecated and ignored "
-            "(numpy is the only numeric backend)"
-            for flag in ("--engine", "--ga-backend")
-        ]
+    @pytest.mark.parametrize("flag", ["--engine", "--ga-backend"])
+    def test_campaign_rejects_them(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*self.GA_CAMPAIGN, flag, "python")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} python" in captured.err
+        assert captured.out == ""  # rejected before any campaign ran
 
     @pytest.mark.parametrize("command", ["campaign", "submit"])
     def test_hidden_from_help(self, command, capsys):
@@ -428,71 +418,38 @@ class TestRetiredBackendFlags:
         out = capsys.readouterr().out
         assert "--engine" not in out and "--ga-backend" not in out
 
-    def test_submit_request_ignores_them(self):
-        from repro.cli import _build_submit_request, build_parser
+    @pytest.mark.parametrize("flag", ["--engine", "--ga-backend"])
+    def test_submit_rejects_them(self, flag, capsys):
+        from repro.cli import build_parser
 
-        def request(*flags):
-            args = build_parser().parse_args(
-                ["submit", "--spec", "4096:INT8", *flags]
-            )
-            return _build_submit_request(args)
-
-        flagged = request("--engine", "python", "--ga-backend", "numpy")
-        assert flagged == request()
-        assert "engine" not in flagged.to_dict()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["submit", "--spec", "4096:INT8", flag, "numpy"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} numpy" in capsys.readouterr().err
 
 
 class TestRetiredExecutorFlags:
-    """``--backend``/``--chunk-size`` still parse for one release: hidden
-    from ``--help``, ignored, and noted as deprecated on stderr."""
+    """``--backend``/``--chunk-size`` are gone: their round as hidden,
+    ignored flags is over, so they fail as unknown arguments (exit 2)."""
 
-    NOTE = "(the serial executor is the only batch executor)"
-
-    def test_campaign_ignores_them_with_a_note(self, capsys):
-        GA_CAMPAIGN = TestRetiredBackendFlags.GA_CAMPAIGN
-        assert run_cli(*GA_CAMPAIGN) == 0
-        plain = capsys.readouterr()
-        assert run_cli(*GA_CAMPAIGN, "--backend", "thread",
-                       "--chunk-size", "7") == 0
-        flagged = capsys.readouterr()
-
-        def rows(text):
-            return [line for line in text.splitlines() if line.startswith("|")]
-
-        assert rows(flagged.out) and rows(flagged.out) == rows(plain.out)
-        assert "strategy: 4096:INT8=ga\n" in flagged.out
-        assert "executor:" not in flagged.out
-        assert flagged.err.splitlines() == [
-            f"warning: {flag} is deprecated and ignored {self.NOTE}"
-            for flag in ("--backend", "--chunk-size")
-        ]
-
-    def test_submit_ignores_it_with_a_note(self, capsys):
-        from repro.cli import _build_submit_request, build_parser
-        from repro.service.server import serve
-
-        server = serve(port=0, workers=1)
-        server.serve_in_background()
-        try:
-            assert run_cli("submit", "--url", server.url, "--spec",
-                           "4096:INT8", "--backend", "process", "--watch") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.queue.close()
+    @pytest.mark.parametrize("flag, value", [("--backend", "thread"), ("--chunk-size", "7")])
+    def test_campaign_rejects_them(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*TestRetiredBackendFlags.GA_CAMPAIGN, flag, value)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "campaign done" in captured.out
-        assert captured.err.splitlines() == [
-            f"warning: --backend is deprecated and ignored {self.NOTE}"
-        ]
-        args = build_parser().parse_args(
-            ["submit", "--spec", "4096:INT8", "--backend", "process"]
-        )
-        flagged = _build_submit_request(args)
-        assert "backend" not in flagged.to_dict()
-        assert flagged == _build_submit_request(
-            build_parser().parse_args(["submit", "--spec", "4096:INT8"])
-        )
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert captured.out == ""
+
+    def test_submit_rejects_it(self, capsys):
+        # Rejected while parsing: no server is contacted.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("submit", "--url", "http://127.0.0.1:9", "--spec",
+                    "4096:INT8", "--backend", "process", "--watch")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --backend process" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "command, flags",
