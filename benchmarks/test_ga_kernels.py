@@ -17,7 +17,7 @@ import pytest
 
 from repro.dse.kernels import GAKernels
 from repro.dse.kernels import python as py_kernels
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import NULL_REGISTRY, set_registry
 from repro.reporting import ascii_table
 
 POPULATION = 256  # parents + offspring of a paper-sized (128) GA
@@ -69,7 +69,11 @@ def _append_section(results_dir, text):
 @pytest.mark.bench
 def test_numpy_kernels_speedup(results_dir):
     objectives = _population()
-    np_k = GAKernels(registry=NULL_REGISTRY)
+    previous = set_registry(NULL_REGISTRY)
+    try:
+        np_k = GAKernels()
+    finally:
+        set_registry(previous)
 
     # Wrong-but-fast must fail before any timing happens.
     np_ranks, np_fronts, np_crowd = _sort_and_crowd(np_k, objectives)
@@ -112,7 +116,11 @@ def test_numpy_kernels_speedup(results_dir):
 
 def test_sort_crowding_benchmark(benchmark):
     objectives = _population()
-    kernels = GAKernels(registry=NULL_REGISTRY)
+    previous = set_registry(NULL_REGISTRY)
+    try:
+        kernels = GAKernels()
+    finally:
+        set_registry(previous)
     ranks, fronts, _ = benchmark(_sort_and_crowd, kernels, objectives)
     assert len(ranks) == POPULATION
     assert sum(len(f) for f in fronts) == POPULATION

@@ -9,7 +9,7 @@ evaluation workload against the real process-global registry and
 against :data:`~repro.obs.metrics.NULL_REGISTRY` (all instruments
 no-ops) and asserts the relative overhead stays under 3%.
 
-The tracing layer (Issue 9) makes the same promise: a fully sampled
+The tracing layer makes the same promise: a
 :class:`~repro.obs.trace.Tracer` (every trace kept) versus
 :data:`~repro.obs.trace.NULL_TRACER` on the same workload must also
 stay under the 3% gate.
@@ -108,7 +108,7 @@ def test_instrumentation_overhead(record):
 
 @pytest.mark.bench
 def test_tracing_overhead(record):
-    """Fully sampled tracing vs NULL_TRACER on the evaluation hot path."""
+    """Tracing (every trace kept) vs NULL_TRACER on the evaluation hot path."""
     problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))
     genomes = problem.codec.enumerate()
     chunk_size = 32  # matches the metrics gate: a worst-case granularity
@@ -122,7 +122,7 @@ def test_tracing_overhead(record):
             return executor.evaluate_batch(problem, genomes)
 
     # A bounded ring with every trace kept: the worst-case retention.
-    real = Tracer(sample_ratio=1.0, max_traces=8)
+    real = Tracer(max_traces=8)
     previous_tracer = get_tracer()
     previous_registry = set_registry(NULL_REGISTRY)  # isolate tracing cost
     try:
@@ -141,7 +141,7 @@ def test_tracing_overhead(record):
     rows = [
         (f"null tracer ({len(genomes)} genomes, {chunks} chunks)",
          "-", f"{t_null * 1e3:.2f} ms"),
-        ("sampled tracer (ratio 1.0)", f"< {MAX_OVERHEAD:.0%} overhead",
+        ("tracer (every trace kept)", f"< {MAX_OVERHEAD:.0%} overhead",
          f"{t_real * 1e3:.2f} ms ({overhead:+.1%})"),
     ]
     record(

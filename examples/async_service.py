@@ -122,11 +122,11 @@ def print_trace_tree(tracer) -> None:
 
 
 async def main() -> None:
-    # Install a fully-sampling tracer so the demo always keeps its
-    # traces; `repro serve --trace-sample` does the same over HTTP.
+    # Install a fresh process tracer, so the trace printed at the end
+    # is this demo's; every completed trace is kept.
     from repro.obs.trace import Tracer, set_tracer
 
-    tracer = Tracer(sample_ratio=1.0)
+    tracer = Tracer()
     set_tracer(tracer)
 
     cache = EvaluationCache()

@@ -356,6 +356,27 @@ for flag_value in "--engine numpy" "--ga-backend python" \
 done
 echo "retired flags: all five rejected with exit 2"
 
+echo "== retired serve flags: --trace-sample/--trace-slow/--verbose are unknown arguments =="
+# Trace sampling and the stdlib access log are gone; argument parsing
+# fails before a port is bound.  The timeout only stops a server that
+# a regression would start instead.
+for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose"; do
+    set +e
+    # shellcheck disable=SC2086  # the flag and its value are two words
+    timeout 30 python -m repro serve --port 0 $flag_value \
+        >"$workdir/retired.out" 2>"$workdir/retired.err"
+    retired_status=$?
+    set -e
+    if [[ "$retired_status" -ne 2 ]] \
+            || ! grep -q "unrecognized arguments: $flag_value" "$workdir/retired.err" \
+            || [[ -s "$workdir/retired.out" ]]; then
+        cat "$workdir/retired.err" >&2
+        echo "smoke: retired serve flag '$flag_value' was not rejected (exit $retired_status)" >&2
+        exit 1
+    fi
+done
+echo "retired serve flags: all three rejected with exit 2"
+
 echo "== problem registry: discovery + a non-DCIM campaign =="
 problems_output="$(python -m repro problems list)"
 echo "$problems_output"

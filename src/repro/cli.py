@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="specs explored concurrently")
     campaign.add_argument("--cache", default=None, metavar="PATH",
                           help="persistent evaluation cache "
-                               "(SQLite file; omit for in-memory)")
+                               "(SQLite file; omit to run uncached)")
     campaign.add_argument("--pdk", default="generic28", help="technology node")
     campaign.add_argument("--corner", default="tt",
                           choices=sorted(STANDARD_CORNERS), help="PVT corner")
@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="purge finished job records after S seconds")
     serve_p.add_argument("--buffer", type=int, default=256, metavar="N",
                          help="progress events retained per job")
-    serve_p.add_argument("--verbose", action="store_true",
-                         help="log HTTP requests to stderr")
     serve_p.add_argument("--log-level", default="warning",
                          choices=["debug", "info", "warning", "error"],
                          help="structured JSON-lines log level on stderr")
@@ -265,15 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sample /metrics into the run registry "
                               "every S seconds (needs --store; feeds "
                               "'repro dashboard')")
-    serve_p.add_argument("--trace-sample", type=float, default=1.0,
-                         metavar="RATIO",
-                         help="head-sample this fraction of new traces "
-                              "(errored and slow traces are always "
-                              "kept; default 1.0 = keep everything)")
-    serve_p.add_argument("--trace-slow", type=float, default=None,
-                         metavar="S",
-                         help="always keep a trace whose longest span "
-                              "is >= S seconds, even when sampled out")
     serve_p.add_argument("--no-trace", action="store_true",
                          help="disable request/campaign tracing")
     serve_p.add_argument("--workers-remote", action="store_true",
@@ -507,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="finished traces, newest first"
     )
     add_trace_source_args(trace_list)
-    trace_list.add_argument("--limit", type=int, default=20,
+    trace_list.add_argument("--limit", type=_non_negative_int, default=20,
                             help="max rows to print")
     trace_list.add_argument("--run", default=None, metavar="RUN_ID",
                             help="only traces linked to this run")
@@ -1077,25 +1066,18 @@ def _cmd_serve(args) -> int:
     if args.no_trace:
         tracer = obs.NULL_TRACER
     else:
-        try:
-            tracer = obs.Tracer(
-                sample_ratio=args.trace_sample,
-                slow_threshold_s=args.trace_slow,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        tracer = obs.Tracer()
         if store is not None:
-            # Persist every kept trace so `repro trace`/the dashboard
-            # can read it after the server (or its ring) is gone.
+            # Persist every trace so `repro trace`/the dashboard can
+            # read it after the server (or its ring) is gone.
             trace_source = obs.normalize_source("serve")
             tracer.add_sink(
                 lambda record: store.append_trace_spans(
                     obs.spans_to_dicts(record.spans), source=trace_source
                 )
             )
-    # The campaign/cache/executor layers trace through the process
-    # global; the server additionally serves /api/traces from it.
+    # Every layer, the HTTP handler included, traces through the process
+    # global; the server also serves /api/traces from it.
     obs.set_tracer(tracer)
     coordinator = None
     if args.workers_remote:
@@ -1121,9 +1103,7 @@ def _cmd_serve(args) -> int:
         event_buffer_size=args.buffer,
         ttl_s=args.ttl,
         store=store,
-        verbose=args.verbose,
         admission=admission,
-        tracer=tracer,
         coordinator=coordinator,
     )
     snapshotter = None

@@ -65,15 +65,13 @@ Genome = tuple[int, ...]
 class GAKernels:
     """Sort/crowding/front kernels plus their instrumentation.
 
-    Args:
-        registry: metrics registry to time kernel calls into; defaults
-            to the process registry
-            (:func:`repro.obs.metrics.get_registry`).  With the null
-            registry every observation is a no-op.
+    Kernel calls are timed into the process registry as it is at
+    construction (:func:`repro.obs.metrics.get_registry`); under the
+    null registry every observation is a no-op.
     """
 
-    def __init__(self, registry=None) -> None:
-        registry = get_registry() if registry is None else registry
+    def __init__(self) -> None:
+        registry = get_registry()
         self._sort_seconds = registry.histogram(
             "repro_ga_sort_seconds",
             "Wall time of one non-dominated sort kernel call",

@@ -1,6 +1,12 @@
 """Observability layer: metrics, structured logging, admission control.
 
-Dependency-free operational plumbing for the serving stack:
+Dependency-free operational plumbing for the serving stack.  Every
+layer reports into one process-wide context: the tracer
+(:func:`get_tracer`/:func:`set_tracer`), the metrics registry
+(:func:`get_registry`/:func:`set_registry`) and the log configuration
+(:func:`configure`).  No component takes its own tracer or logger,
+and only the evaluation cache (``EvaluationCache(registry=)``) its own
+registry, so one request's spans and metrics land in one place.
 
 * :mod:`repro.obs.metrics` — thread-safe ``Counter``/``Gauge``/
   ``Histogram`` instruments, labelled families, and a
@@ -14,8 +20,9 @@ Dependency-free operational plumbing for the serving stack:
   history into the :class:`~repro.store.runstore.RunStore` for the
   ``repro dashboard`` renderer,
 * :mod:`repro.obs.trace` — a span tracer with contextvar-based ambient
-  spans, W3C ``traceparent`` propagation, head sampling, and
-  ascii-tree / Chrome-trace exports for ``repro trace``.
+  spans, W3C ``traceparent`` propagation, a bounded ring of
+  completed traces, and ascii-tree / Chrome-trace exports for
+  ``repro trace``.
 """
 
 from repro._lazy import lazy_exports

@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 
 __all__ = [
     "AdmissionController",
@@ -174,11 +174,7 @@ class AdmissionController:
     the queue also happens to be full.
     """
 
-    def __init__(
-        self,
-        policy: AdmissionPolicy,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
         self._limiter = None
         if policy.rate_limit is not None:
@@ -186,8 +182,7 @@ class AdmissionController:
             if burst is None:
                 burst = max(1, math.ceil(policy.rate_limit))
             self._limiter = RateLimiter(policy.rate_limit, burst)
-        registry = registry if registry is not None else get_registry()
-        self._rejected = registry.counter(
+        self._rejected = get_registry().counter(
             "repro_admission_rejected_total",
             "Submissions rejected by admission control",
             ("reason",),

@@ -1,12 +1,12 @@
 """Periodic metrics snapshots into the run registry.
 
-:class:`MetricsSnapshotter` samples a
-:class:`~repro.obs.metrics.MetricsRegistry` every ``interval_s``
-seconds and appends the flat ``{series: value}`` sample as one row of
-the :class:`~repro.store.runstore.RunStore`'s ``metrics_history``
-table.  The dashboard (``repro dashboard``) charts those rows, so the
-server's traffic/cache/queue history survives restarts alongside the
-runs themselves.
+:class:`MetricsSnapshotter` samples the process metrics registry
+(:func:`~repro.obs.metrics.get_registry`) every ``interval_s`` seconds
+and appends the flat ``{series: value}`` sample as one row of the
+:class:`~repro.store.runstore.RunStore`'s ``metrics_history`` table.
+The dashboard (``repro dashboard``) charts those rows, so the server's
+traffic/cache/queue history survives restarts alongside the runs
+themselves.
 
 Snapshotting is strictly best-effort: a failed store write is counted
 (:attr:`MetricsSnapshotter.errors`) and retried on the next tick, and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.trace import normalize_source
 
 __all__ = ["MetricsSnapshotter"]
@@ -26,11 +26,12 @@ __all__ = ["MetricsSnapshotter"]
 class MetricsSnapshotter:
     """Background sampler appending registry snapshots to a store.
 
+    Each tick samples whatever registry
+    :func:`~repro.obs.metrics.get_registry` returns at that moment.
+
     Args:
         store: a :class:`~repro.store.runstore.RunStore` (anything with
             ``append_metrics_snapshot``).
-        registry: the registry to sample; defaults to the process
-            global.
         interval_s: seconds between snapshots.
         source: tag recorded with every row (lets one registry hold
             history from several processes/servers).  Normalised
@@ -47,14 +48,12 @@ class MetricsSnapshotter:
     def __init__(
         self,
         store,
-        registry: MetricsRegistry | None = None,
         interval_s: float = 30.0,
         source: str = "serve",
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
         self.store = store
-        self.registry = registry if registry is not None else get_registry()
         self.interval_s = interval_s
         self.source = normalize_source(source)
         #: Snapshots appended / store writes failed since construction.
@@ -66,7 +65,7 @@ class MetricsSnapshotter:
     def snapshot_once(self):
         """Sample the registry and append one history row (returns it)."""
         record = self.store.append_metrics_snapshot(
-            self.registry.sample_values(), source=self.source
+            get_registry().sample_values(), source=self.source
         )
         self.snapshots += 1
         return record

@@ -22,24 +22,23 @@ I/O.  This module gives all those layers one request identity:
   :class:`~repro.service.server.CampaignClient` joins the server's
   trace today and remote workers can join a coordinator's tomorrow.
 
-Sampling and retention
-----------------------
+Retention
+---------
 
-The keep/drop decision is **head sampling**: it is taken once, when a
-trace's root span starts, from a *private* seeded ``random.Random``
-(never the global RNG — starting a trace can never perturb a seeded GA
-run).  Spans of a sampled-out trace are still assembled so two
-always-keep policies can override the head decision when the trace
-completes: a trace containing any ``status="error"`` span is kept, and
-— with ``slow_threshold_s`` set — so is any trace whose longest span
-reached the threshold.  Everything else sampled out is discarded at
-completion and never reaches the ring or the sinks.
+Every completed trace is kept: it lands in a bounded in-memory ring
+(``max_traces``, oldest evicted first) and goes to every registered
+sink.  Memory stays bounded per trace (``max_spans_per_trace``; spans
+beyond it are only counted) and across live traces (``max_active``;
+the oldest is force-completed).  Span and trace ids come from a
+*private* ``random.Random`` (never the global RNG — starting a trace
+can never perturb a seeded GA run).
 
 Tracing is bit-neutral by construction: spans only *observe* wall
-time, no instrument draws from the global RNG, and no tracing knob
-enters a campaign or request fingerprint.  ``NULL_TRACER`` (installed
-via :func:`set_tracer`) disables tracing entirely — the overhead
-benchmark uses it as the untraced baseline.
+time, no instrument draws from the global RNG, and nothing about
+tracing enters a campaign or request fingerprint.  Every layer traces
+through the process-global tracer (:func:`get_tracer`, swapped with
+:func:`set_tracer`); ``NULL_TRACER`` disables tracing entirely — the
+overhead benchmark uses it as the untraced baseline.
 
 A trace is *complete* when its number of open spans returns to zero.
 Layers whose spans hand off asynchronously (the job queue starting a
@@ -105,7 +104,6 @@ class SpanContext:
 
     trace_id: str
     span_id: str
-    sampled: bool = True
 
 
 class Span:
@@ -131,7 +129,6 @@ class Span:
         "attributes",
         "category",
         "thread",
-        "sampled",
         "_tracer",
         "_start_mono",
         "_ended",
@@ -144,7 +141,6 @@ class Span:
         trace_id: str,
         span_id: str,
         parent_id: str | None,
-        sampled: bool,
         attributes: dict | None,
         category: str,
     ) -> None:
@@ -153,7 +149,6 @@ class Span:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
-        self.sampled = sampled
         self.attributes = dict(attributes) if attributes else {}
         self.category = category
         self.thread = threading.current_thread().name
@@ -166,7 +161,7 @@ class Span:
 
     @property
     def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id, self.sampled)
+        return SpanContext(self.trace_id, self.span_id)
 
     @property
     def recording(self) -> bool:
@@ -243,7 +238,6 @@ class _NullSpan:
     parent_id = None
     status = "ok"
     error = None
-    sampled = False
     duration_s = 0.0
     start_time = 0.0
     attributes: dict = {}
@@ -292,7 +286,6 @@ class TraceRecord:
     start_time: float
     duration_s: float
     status: str
-    sampled: bool
     spans: list
 
     def to_dict(self, include_spans: bool = True) -> dict:
@@ -302,7 +295,6 @@ class TraceRecord:
             "start_time": self.start_time,
             "duration_s": self.duration_s,
             "status": self.status,
-            "sampled": self.sampled,
             "span_count": len(self.spans),
         }
         if include_spans:
@@ -314,60 +306,21 @@ class _TraceState:
     """Book-keeping for one live trace (guarded by the tracer lock).
 
     ``spans`` holds finished :class:`Span` objects interleaved with
-    :class:`_SpanBatch` placeholders (bulk recordings whose ``Span``
+    :class:`_SpanSeries` placeholders (bulk recordings whose ``Span``
     objects are only materialised when the trace is read); ``n_spans``
-    counts actual spans, batches expanded.  ``record`` caches the
+    counts actual spans, series expanded.  ``record`` caches the
     assembled :class:`TraceRecord` after the first read.
     """
 
-    __slots__ = (
-        "spans", "open", "sampled", "error", "dropped", "n_spans", "record"
-    )
+    __slots__ = ("spans", "open", "error", "dropped", "n_spans", "record")
 
-    def __init__(self, sampled: bool) -> None:
+    def __init__(self) -> None:
         self.spans: list = []
         self.open = 0
-        self.sampled = sampled
         self.error = False
         self.dropped = 0
         self.n_spans = 0
         self.record: TraceRecord | None = None
-
-
-class _SpanBatch:
-    """A bulk span recording, expanded to :class:`Span` objects lazily.
-
-    :meth:`Tracer.record_spans` appends one of these per call instead
-    of building a ``Span`` per item — most traces are evicted from the
-    ring unread, so the per-span object construction (and id minting)
-    is deferred to assembly time.
-    """
-
-    __slots__ = ("parent_id", "category", "thread", "items")
-
-    def __init__(
-        self, parent_id: str, category: str, thread: str, items: list
-    ) -> None:
-        self.parent_id = parent_id
-        self.category = category
-        self.thread = thread
-        self.items = items  # (name, duration_s, end_time, attributes)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def truncate(self, n: int) -> None:
-        self.items = self.items[:n]
-
-    def durations(self):
-        return (item[1] for item in self.items)
-
-    def expand(self, spans: list, make_span) -> None:
-        for name, duration_s, end_time, attributes in self.items:
-            spans.append(make_span(
-                self, name, duration_s, end_time,
-                attributes if attributes is not None else {},
-            ))
 
 
 class _SpanSeries:
@@ -375,7 +328,8 @@ class _SpanSeries:
 
     The cheapest hot-path shape — the caller's loop appends plain
     floats and everything else (names, attribute dicts, span objects,
-    ids) is built at assembly time.  ``attributes`` is shared by every
+    ids) is built at assembly time, so the many traces evicted from
+    the ring unread never pay for it.  ``attributes`` is shared by every
     span; ``per_key``/``per_values`` add one per-span attribute (e.g.
     chunk sizes).
     """
@@ -399,17 +353,11 @@ class _SpanSeries:
         self.per_key = per_key
         self.per_values = per_values
 
-    def __len__(self) -> int:
-        return len(self.durs)
-
     def truncate(self, n: int) -> None:
         self.durs = self.durs[:n]
         self.end_times = self.end_times[:n]
         if self.per_values is not None:
             self.per_values = self.per_values[:n]
-
-    def durations(self):
-        return self.durs
 
     def expand(self, spans: list, make_span) -> None:
         base = self.attributes
@@ -516,13 +464,13 @@ _TRACEPARENT_VERSION = "00"
 
 
 def format_traceparent(context: SpanContext | None) -> str | None:
-    """Render a span context as a W3C ``traceparent`` header value."""
+    """Render a span context as a W3C ``traceparent`` header value.
+
+    The flags are always ``01`` (sampled): every trace is kept.
+    """
     if context is None:
         return None
-    flags = "01" if context.sampled else "00"
-    return (
-        f"{_TRACEPARENT_VERSION}-{context.trace_id}-{context.span_id}-{flags}"
-    )
+    return f"{_TRACEPARENT_VERSION}-{context.trace_id}-{context.span_id}-01"
 
 
 def _is_hex(value: str) -> bool:
@@ -538,7 +486,8 @@ def parse_traceparent(header: str | None) -> SpanContext | None:
 
     Malformed headers are *dropped*, never raised on: an unparseable
     context simply starts a fresh trace, per the W3C spec's
-    restart-the-trace guidance.
+    restart-the-trace guidance.  The flags must be two hex digits;
+    their value is ignored, since every trace is kept.
     """
     if not header:
         return None
@@ -556,8 +505,7 @@ def parse_traceparent(header: str | None) -> SpanContext | None:
         return None
     if len(flags) != 2 or not _is_hex(flags):
         return None
-    sampled = bool(int(flags, 16) & 0x01)
-    return SpanContext(trace_id.lower(), span_id.lower(), sampled)
+    return SpanContext(trace_id.lower(), span_id.lower())
 
 
 # Tracer ---------------------------------------------------------------------
@@ -567,12 +515,6 @@ class Tracer:
     """Starts spans, tracks live traces, retains completed ones.
 
     Args:
-        sample_ratio: head-sampling probability in ``[0, 1]``; the
-            keep/drop decision is taken once per trace at root-span
-            start, from a private RNG.
-        slow_threshold_s: always keep a trace whose longest span
-            reached this duration, even when head-sampled out
-            (``None`` disables the policy).
         max_traces: completed traces retained in the in-memory ring.
         max_spans_per_trace: per-trace span cap; spans beyond it are
             counted (``dropped_spans`` attribute on the root) instead
@@ -580,40 +522,27 @@ class Tracer:
         max_active: live-trace cap; when exceeded the oldest live trace
             is force-completed (marked ``incomplete``) so abandoned
             traces cannot accumulate forever.
-        seed: RNG seed for the sampling decision (``None`` = OS
-            entropy).  Tests pin it for determinism.
     """
 
     def __init__(
         self,
-        sample_ratio: float = 1.0,
-        slow_threshold_s: float | None = None,
         max_traces: int = 128,
         max_spans_per_trace: int = 4096,
         max_active: int = 512,
-        seed: int | None = None,
     ) -> None:
-        if not 0.0 <= sample_ratio <= 1.0:
-            raise ValueError(
-                f"sample_ratio must be within [0, 1], got {sample_ratio}"
-            )
-        if slow_threshold_s is not None and slow_threshold_s < 0:
-            raise ValueError("slow_threshold_s must be >= 0 when given")
-        self.sample_ratio = float(sample_ratio)
-        self.slow_threshold_s = slow_threshold_s
         self.max_spans_per_trace = max_spans_per_trace
         self.max_active = max_active
         self._lock = threading.Lock()
-        # Private seeded stream: the head-sampling draw must never
-        # perturb a seeded GA run sharing the global random module.
-        self._rng = Random(seed)
+        # Private id stream: minting ids must never perturb a seeded GA
+        # run sharing the global random module.
+        self._rng = Random()
         self._active: dict[str, _TraceState] = {}
-        self._finished: deque[TraceRecord] = deque(maxlen=max_traces)
+        #: Completed traces as ``(trace_id, state, incomplete)``; the
+        #: record is assembled (and cached on the state) when read.
+        self._finished: deque[tuple] = deque(maxlen=max_traces)
         self._sinks: list[Callable[[TraceRecord], None]] = []
-        #: Traces completed / kept / dropped-by-sampling since construction.
+        #: Traces completed since construction.
         self.completed = 0
-        self.kept = 0
-        self.dropped = 0
 
     # Span creation ---------------------------------------------------------
     def start_root(
@@ -626,40 +555,30 @@ class Tracer:
         """Start a trace root — or join a remote parent's trace.
 
         With ``parent_context`` (a parsed ``traceparent``), the new
-        span continues the remote trace and inherits its sampling
-        decision; otherwise a fresh ``trace_id`` is minted and the head
-        sampling decision is drawn here.
+        span continues the remote trace; otherwise a fresh
+        ``trace_id`` is minted here.
         """
         if parent_context is not None:
             return self._make_span(
                 name,
                 parent_context.trace_id,
                 parent_context.span_id,
-                parent_context.sampled,
                 attributes,
                 category,
             )
-        # Fresh root: mint both ids, draw the sampling decision and
-        # register the trace state under one lock round-trip (this is
-        # once per trace, but local roots start every standalone
-        # campaign and benchmark batch).
-        span = Span(self, name, "", "", None, True, attributes, category)
+        # Fresh root: mint both ids and register the trace state under
+        # one lock round-trip (this is once per trace, but local roots
+        # start every standalone campaign and benchmark batch).
+        span = Span(self, name, "", "", None, attributes, category)
         evicted = None
         with self._lock:
             rng = self._rng
             span.trace_id = f"{rng.getrandbits(128) or 1:032x}"
             span.span_id = f"{rng.getrandbits(64) or 1:016x}"
-            if self.sample_ratio >= 1.0:
-                sampled = True
-            elif self.sample_ratio <= 0.0:
-                sampled = False
-            else:
-                sampled = rng.random() < self.sample_ratio
-            span.sampled = sampled
             if len(self._active) >= self.max_active:
                 oldest = next(iter(self._active))
                 evicted = (oldest, self._active.pop(oldest))
-            state = _TraceState(sampled)
+            state = _TraceState()
             state.open = 1
             self._active[span.trace_id] = state
         if evicted is not None:
@@ -696,12 +615,7 @@ class Tracer:
                 )
             return NULL_SPAN
         return self._make_span(
-            name,
-            context.trace_id,
-            context.span_id,
-            context.sampled,
-            attributes,
-            category,
+            name, context.trace_id, context.span_id, attributes, category
         )
 
     def span(
@@ -756,7 +670,7 @@ class Tracer:
             parent = current_span()
         if parent is None:
             return NULL_SPAN
-        # Span, SpanContext and the null span all expose these three
+        # Span, SpanContext and the null span all expose these two
         # fields; a null parent's empty trace_id means tracing is off
         # upstream, so there is nothing to join.
         trace_id = parent.trace_id
@@ -773,7 +687,6 @@ class Tracer:
         span.trace_id = trace_id
         span.span_id = ""
         span.parent_id = parent.span_id
-        span.sampled = parent.sampled
         span.attributes = dict(attributes) if attributes else {}
         span.category = category
         span.thread = threading.current_thread().name
@@ -798,7 +711,7 @@ class Tracer:
             else:
                 # Parent trace already completed/evicted: record the
                 # span alone, like a span ending after force-completion.
-                orphaned = _TraceState(span.sampled)
+                orphaned = _TraceState()
                 orphaned.spans.append(span)
                 orphaned.n_spans = 1
                 if status == "error":
@@ -806,47 +719,6 @@ class Tracer:
         if orphaned is not None:
             self._complete(trace_id, orphaned)
         return span
-
-    def record_spans(
-        self,
-        items: Sequence,
-        parent=_AMBIENT,
-        category: str = "app",
-    ) -> int:
-        """Batch form of :meth:`record_span` — one lock round for all.
-
-        ``items`` holds ``(name, duration_s, end_time, attributes)``
-        tuples (``end_time`` epoch seconds, or ``None`` for "now"; the
-        attributes dict is taken by reference, so pass a fresh one).
-        Executors use this to publish a whole batch of chunk timings:
-        the call appends one deferred batch under a single lock round
-        — ``Span`` objects and ids are only materialised if the trace
-        is actually read or sunk.  Returns the number of spans
-        recorded (0 when there is no trace to join).
-        """
-        if parent is _AMBIENT:
-            parent = current_span()
-        if parent is None:
-            return 0
-        trace_id = parent.trace_id
-        if not trace_id:
-            return 0
-        items = list(items)
-        if any(item[2] is None for item in items):
-            now = time.time()
-            items = [
-                (name, dur, now if end is None else end, attrs)
-                for name, dur, end, attrs in items
-            ]
-        if not items:
-            return 0
-        batch = _SpanBatch(
-            parent.span_id,
-            category,
-            threading.current_thread().name,
-            items,
-        )
-        return self._record_bulk(trace_id, parent.sampled, batch)
 
     def record_span_series(
         self,
@@ -895,11 +767,6 @@ class Tracer:
         )
         if n < len(durations):
             series.truncate(n)
-        return self._record_bulk(trace_id, parent.sampled, series)
-
-    def _record_bulk(self, trace_id: str, sampled: bool, bulk) -> int:
-        """Append a deferred bulk recording to its trace's state."""
-        n = len(bulk)
         orphaned = None
         with self._lock:
             state = self._active.get(trace_id)
@@ -909,13 +776,13 @@ class Tracer:
                     state.dropped += n - max(room, 0)
                     if room <= 0:
                         return 0
-                    bulk.truncate(room)
+                    series.truncate(room)
                     n = room
-                state.spans.append(bulk)
+                state.spans.append(series)
                 state.n_spans += n
             else:
-                orphaned = _TraceState(sampled)
-                orphaned.spans.append(bulk)
+                orphaned = _TraceState()
+                orphaned.spans.append(series)
                 orphaned.n_spans = n
         if orphaned is not None:
             self._complete(trace_id, orphaned)
@@ -926,20 +793,10 @@ class Tracer:
         name: str,
         trace_id: str,
         parent_id: str | None,
-        sampled: bool,
         attributes: dict | None,
         category: str,
     ) -> Span:
-        span = Span(
-            self,
-            name,
-            trace_id,
-            "",
-            parent_id,
-            sampled,
-            attributes,
-            category,
-        )
+        span = Span(self, name, trace_id, "", parent_id, attributes, category)
         evicted = None
         with self._lock:
             span.span_id = f"{self._rng.getrandbits(64) or 1:016x}"
@@ -948,7 +805,7 @@ class Tracer:
                 if len(self._active) >= self.max_active:
                     oldest = next(iter(self._active))
                     evicted = (oldest, self._active.pop(oldest))
-                state = _TraceState(sampled)
+                state = _TraceState()
                 self._active[trace_id] = state
             state.open += 1
         if evicted is not None:
@@ -962,7 +819,7 @@ class Tracer:
             if state is None:
                 # A span ending after its trace was force-completed
                 # (eviction) re-opens nothing: record it alone.
-                state = _TraceState(span.sampled)
+                state = _TraceState()
                 state.open = 1
             if span.status == "error":
                 state.error = True
@@ -981,37 +838,18 @@ class Tracer:
     def _complete(
         self, trace_id: str, state: _TraceState, incomplete: bool = False
     ) -> None:
-        spans = state.spans
-        if not spans:
+        if not state.spans:
             return
-        keep = state.sampled or state.error
-        if not keep and self.slow_threshold_s is not None:
-            threshold = self.slow_threshold_s
-            for entry in spans:
-                if isinstance(entry, Span):
-                    if entry.duration_s >= threshold:
-                        keep = True
-                        break
-                elif any(d >= threshold for d in entry.durations()):
-                    keep = True
-                    break
         with self._lock:
             self.completed += 1
-            if keep:
-                self.kept += 1
-            else:
-                self.dropped += 1
-            sinks = list(self._sinks) if self._sinks else None
-            if keep and sinks is None:
-                # No sinks: defer assembly (sort, root find, record
-                # construction) to read time — most ring entries are
-                # evicted unread, so the hot path pays one lock round.
-                self._finished.append((trace_id, state, incomplete))
-        if not keep or sinks is None:
+            # Assembly (sort, root find, record construction) waits for
+            # a read: most ring entries are evicted unread, so without
+            # sinks the hot path pays one lock round.
+            self._finished.append((trace_id, state, incomplete))
+            sinks = list(self._sinks)
+        if not sinks:
             return
         record = self._assemble(trace_id, state, incomplete)
-        with self._lock:
-            self._finished.append(record)
         for sink in sinks:
             try:
                 sink(record)
@@ -1022,11 +860,12 @@ class Tracer:
     def _assemble(
         self, trace_id: str, state: _TraceState, incomplete: bool = False
     ) -> TraceRecord:
-        """Build (and cache) the presentable record for a kept trace.
+        """Build (and cache) the presentable record for a completed trace.
 
-        Runs under the tracer lock: deferred batches are expanded into
-        ``Span`` objects exactly once, so repeated reads see the same
-        span ids and the sort/root work is paid only on first read.
+        Runs under the tracer lock: deferred series are expanded into
+        ``Span`` objects exactly once, so repeated reads (and the
+        sinks) see the same record and span ids, and the sort/root
+        work is paid only on first read.
         """
         with self._lock:
             if state.record is not None:
@@ -1044,7 +883,6 @@ class Tracer:
                 span.trace_id = trace_id
                 span.span_id = f"{rng.getrandbits(64) or 1:016x}"
                 span.parent_id = entry.parent_id
-                span.sampled = state.sampled
                 span.attributes = attrs
                 span.category = entry.category
                 span.thread = entry.thread
@@ -1092,14 +930,13 @@ class Tracer:
                 start_time=start,
                 duration_s=end - start,
                 status="error" if state.error else "ok",
-                sampled=state.sampled,
                 spans=spans,
             )
             return state.record
 
     # Retention / inspection ------------------------------------------------
     def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Call ``sink(record)`` for every *kept* completed trace.
+        """Call ``sink(record)`` for every completed trace.
 
         Sinks run on whatever thread completed the trace, outside the
         tracer lock; exceptions are swallowed.
@@ -1108,26 +945,20 @@ class Tracer:
             self._sinks.append(sink)
 
     def finished(self, limit: int | None = None) -> list[TraceRecord]:
-        """Completed-and-kept traces, newest first."""
+        """Completed traces still in the ring, newest first."""
         with self._lock:
             entries = list(self._finished)
         entries.reverse()
         if limit is not None:
             entries = entries[: max(0, limit)]
-        return [
-            entry if isinstance(entry, TraceRecord) else self._assemble(*entry)
-            for entry in entries
-        ]
+        return [self._assemble(*entry) for entry in entries]
 
     def get(self, trace_id: str) -> TraceRecord | None:
         """The completed trace with this id (``None`` when unknown)."""
         with self._lock:
             entries = list(self._finished)
         for entry in reversed(entries):
-            if isinstance(entry, TraceRecord):
-                if entry.trace_id == trace_id:
-                    return entry
-            elif entry[0] == trace_id:
+            if entry[0] == trace_id:
                 return self._assemble(*entry)
         return None
 
@@ -1135,24 +966,12 @@ class Tracer:
         with self._lock:
             return len(self._active)
 
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "completed": self.completed,
-                "kept": self.kept,
-                "dropped": self.dropped,
-                "active": len(self._active),
-                "retained": len(self._finished),
-                "sample_ratio": self.sample_ratio,
-                "slow_threshold_s": self.slow_threshold_s,
-            }
-
 
 class _NullTracer(Tracer):
     """Tracing fully off: every span is the null span, nothing retained."""
 
     def __init__(self) -> None:
-        super().__init__(sample_ratio=0.0, max_traces=1)
+        super().__init__(max_traces=1)
 
     def start_root(self, name, attributes=None, parent_context=None, category="app"):
         return NULL_SPAN
@@ -1174,9 +993,6 @@ class _NullTracer(Tracer):
         category="app", status="ok", error=None,
     ):
         return NULL_SPAN
-
-    def record_spans(self, items, parent=_AMBIENT, category="app"):
-        return 0
 
     def record_span_series(
         self, name, durations, end_times, parent=_AMBIENT,

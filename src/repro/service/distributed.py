@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.hashing import stable_hash
-from repro.obs.log import JsonLogger, get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.log import get_logger
+from repro.obs.metrics import get_registry
 from repro.obs.trace import format_traceparent, get_tracer
 from repro.problems import get_problem
 from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
@@ -173,8 +173,6 @@ class WorkCoordinator:
         self,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        registry: MetricsRegistry | None = None,
-        logger: JsonLogger | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if lease_ttl_s <= 0:
@@ -184,7 +182,7 @@ class WorkCoordinator:
         self.lease_ttl_s = float(lease_ttl_s)
         self.max_attempts = int(max_attempts)
         self._clock = clock
-        self._log = logger if logger is not None else get_logger("repro.distributed")
+        self._log = get_logger("repro.distributed")
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._campaigns: dict[str, _Campaign] = {}
@@ -194,11 +192,11 @@ class WorkCoordinator:
         self._unit_rows: OrderedDict[str, list[dict]] = OrderedDict()
         self._ids = itertools.count(1)
         self._worker_ids = itertools.count(1)
-        self._init_metrics(registry)
+        self._init_metrics()
 
     # Metrics ---------------------------------------------------------------
-    def _init_metrics(self, registry: MetricsRegistry | None) -> None:
-        registry = registry if registry is not None else get_registry()
+    def _init_metrics(self) -> None:
+        registry = get_registry()
         self._m_leased = registry.counter(
             "repro_units_leased_total", "Work-unit leases granted"
         )

@@ -44,8 +44,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs.log import JsonLogger, get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.log import get_logger
+from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_SPAN, get_tracer, use_span
 from repro.service.api import CampaignRequest, CampaignResponse
 from repro.service.campaign import execute_request
@@ -225,8 +225,6 @@ class JobQueue:
         event_buffer_size: int = 256,
         ttl_s: float | None = None,
         store=None,
-        registry: MetricsRegistry | None = None,
-        logger: JsonLogger | None = None,
         on_recorded=None,
     ) -> None:
         if workers < 0:
@@ -236,7 +234,7 @@ class JobQueue:
         #: the run registry (``job.run_id`` is set by then) — the serve
         #: layer uses it to flush per-unit worker rows for the run.
         self.on_recorded = on_recorded
-        self._log = logger if logger is not None else get_logger("repro.jobs")
+        self._log = get_logger("repro.jobs")
         if runner is None:
             def runner(request, observer=None, should_stop=None):
                 return execute_request(
@@ -261,7 +259,7 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._closed = False
         self.stats = _QueueStats(_lock=self._lock)
-        self._init_metrics(registry)
+        self._init_metrics()
         self._workers: list[threading.Thread] = []
         for n in range(workers):
             thread = threading.Thread(
@@ -272,15 +270,15 @@ class JobQueue:
         self.stats.workers = len(self._workers)
 
     # Metrics ---------------------------------------------------------------
-    def _init_metrics(self, registry: MetricsRegistry | None) -> None:
-        """Mirror the queue's cheap counters into a metrics registry.
+    def _init_metrics(self) -> None:
+        """Mirror the queue's cheap counters into the process registry.
 
         Lifecycle counters already live in ``stats`` (updated under the
         queue lock), so they are exported through a scrape-time
         collector at zero hot-path cost; only the wait/run latency
         histograms are observed directly at the transitions.
         """
-        registry = registry if registry is not None else get_registry()
+        registry = get_registry()
         self._m_submitted = registry.counter(
             "repro_jobs_submitted_total", "Campaign submissions accepted"
         )

@@ -97,10 +97,9 @@ from typing import AsyncIterator, Iterator
 from urllib.parse import parse_qs, quote as _quote, urlparse, urlsplit
 
 from repro.obs.admission import AdmissionController, AdmissionError
-from repro.obs.log import JsonLogger, get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.log import get_logger
+from repro.obs.metrics import get_registry
 from repro.obs.trace import (
-    Tracer,
     current_span,
     format_traceparent,
     get_tracer,
@@ -363,8 +362,8 @@ class _CampaignHandler(BaseHTTPRequestHandler):
     timeout = KEEPALIVE_IDLE_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
+        """Silence the stdlib access log: the server logs each request
+        as one JSON ``request`` line (``--log-level info``)."""
 
     # Dispatch -------------------------------------------------------------
     def do_GET(self) -> None:
@@ -389,6 +388,13 @@ class _CampaignHandler(BaseHTTPRequestHandler):
     )
 
     def _dispatch(self, method: str) -> None:
+        if self.server._closing:
+            # Read after shutdown() began (Linux still hands over data
+            # that arrives after SHUT_RD): close the connection
+            # unanswered, and the client resends the request on a new
+            # one, to whichever server listens then.
+            self.close_connection = True
+            return
         started = time.perf_counter()
         # The matched route *template* (set at the match sites in
         # _route) keeps metric label cardinality bounded — raw paths
@@ -401,7 +407,7 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             # Join the caller's trace when it sent a W3C ``traceparent``
             # header; otherwise this request roots a fresh trace.
             remote = parse_traceparent(self.headers.get("traceparent"))
-            span = self.server.tracer.start_root(
+            span = get_tracer().start_root(
                 "http.request",
                 attributes={"method": method},
                 parent_context=remote,
@@ -488,14 +494,14 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             return self._cache_route(method, parts[2:], url)
         if method == "GET" and parts == ["metrics"]:
             self._route_template = "/metrics"
-            text = self.server.registry.render_prometheus()
+            text = get_registry().render_prometheus()
             return _RawResponse(
                 text.encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             ), 200
         if method == "GET" and parts == ["api", "metrics"]:
             self._route_template = "/api/metrics"
-            return self.server.registry.to_dict(), 200
+            return get_registry().to_dict(), 200
         if method == "GET" and parts == ["api", "stats"]:
             self._route_template = "/api/stats"
             queue.sweep_expired()  # stats reads tick the TTL sweep
@@ -679,7 +685,7 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         """
         listed: list[dict] = []
         seen: set[str] = set()
-        for record in self.server.tracer.finished():
+        for record in get_tracer().finished():
             listed.append(record.to_dict(include_spans=False))
             seen.add(record.trace_id)
         store = self.server.store
@@ -695,7 +701,7 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         return listed[: max(0, limit)]
 
     def _trace(self, trace_id: str) -> dict:
-        record = self.server.tracer.get(trace_id)
+        record = get_tracer().get(trace_id)
         if record is not None:
             return record.to_dict(include_spans=True)
         store = self.server.store
@@ -870,26 +876,26 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 class CampaignHTTPServer(ThreadingHTTPServer):
     """Stdlib HTTP/JSON front-end bound to one job queue.
 
+    Instrumentation is process-wide: each request is traced through the
+    tracer :func:`~repro.obs.trace.get_tracer` returns at that moment
+    (which ``/api/traces`` also reads), ``/metrics`` and
+    ``/api/metrics`` render :func:`~repro.obs.metrics.get_registry`,
+    and each answered request is logged as one JSON ``request`` line
+    on the ``repro.http`` logger (:func:`repro.obs.configure` sets the
+    level and stream).
+
     Args:
         address: ``(host, port)``; port ``0`` binds an ephemeral port
             (read it back from :attr:`port`).
         queue: the worker-backed queue to serve; the server never owns
             it — close the queue separately.
-        verbose: log requests to stderr (quiet by default).
         store: optional :class:`~repro.store.runstore.RunStore` behind
             the ``/api/runs`` and ``/api/compare`` endpoints (defaults
             to the queue's store, so recorded runs are immediately
             queryable).
-        registry: metrics registry served at ``/metrics`` and
-            ``/api/metrics`` (defaults to the process global — the one
-            the queue/cache/executor report into).
         admission: optional
             :class:`~repro.obs.admission.AdmissionController` applied
             to every submission.
-        logger: structured request logger (defaults to the shared
-            ``repro.http`` JSON-lines logger).
-        tracer: span tracer for request tracing and the ``/api/traces``
-            endpoints (defaults to the process-global tracer).
         coordinator: optional
             :class:`~repro.service.distributed.WorkCoordinator`; mounts
             the ``/api/workers`` + ``/api/units`` protocol so external
@@ -905,35 +911,31 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self,
         address: tuple[str, int],
         queue: JobQueue,
-        verbose: bool = False,
         store=None,
-        registry: MetricsRegistry | None = None,
         admission: AdmissionController | None = None,
-        logger: JsonLogger | None = None,
-        tracer: Tracer | None = None,
         coordinator=None,
         cache=None,
     ) -> None:
         super().__init__(address, _CampaignHandler)
         self.queue = queue
-        self.verbose = verbose
         self.store = store if store is not None else queue.store
-        self.registry = registry if registry is not None else get_registry()
         self.admission = admission
-        self.logger = logger if logger is not None else get_logger("repro.http")
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.logger = get_logger("repro.http")
         self.coordinator = coordinator
         self.cache = cache
         self.started_at = time.monotonic()
+        #: Set by :meth:`shutdown`; handlers answer no request after it.
+        self._closing = False
         #: Accepted sockets whose handler has not finished yet.
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        self._m_requests = self.registry.counter(
+        registry = get_registry()
+        self._m_requests = registry.counter(
             "repro_http_requests_total",
             "HTTP requests served, by route template",
             ("route", "method", "status"),
         )
-        self._m_request_seconds = self.registry.histogram(
+        self._m_request_seconds = registry.histogram(
             "repro_http_request_seconds",
             "End-to-end HTTP request latency",
             ("route",),
@@ -952,12 +954,15 @@ class CampaignHTTPServer(ThreadingHTTPServer):
     def shutdown(self) -> None:
         """Stop serving, kept-alive connections included.
 
+        The server is marked closing first: a handler closes its
+        connection unanswered on any request it reads from then on.
         After the accept loop stops, each open connection's read side is
         shut: a handler waiting for the next request sees end-of-stream
         and closes the connection, and one mid-request still writes its
         answer first.  So no request is served after this returns, and
         ``server_close`` does not wait out :data:`KEEPALIVE_IDLE_S`.
         """
+        self._closing = True
         super().shutdown()
         # Under the lock: shutdown_request drops a socket from the set
         # before closing it, so none of these is closed yet.
@@ -1014,19 +1019,17 @@ def serve(
     event_buffer_size: int = 256,
     ttl_s: float | None = None,
     store=None,
-    verbose: bool = False,
-    registry: MetricsRegistry | None = None,
     admission: AdmissionController | None = None,
-    logger: JsonLogger | None = None,
-    tracer: Tracer | None = None,
     coordinator=None,
 ) -> CampaignHTTPServer:
     """Build a ready-to-run HTTP server (queue included unless given).
 
     With ``store`` set, an owned queue records every campaign into it
-    and the ``/api/runs`` endpoints serve the registry.  ``registry``,
-    ``admission`` and ``logger`` configure the operations layer
-    (``/metrics``, admission control, request logging).  The caller
+    and the ``/api/runs`` endpoints serve the registry.  ``admission``
+    guards submissions.  Tracing, metrics and logging go through the
+    process-wide tracer, registry and log configuration
+    (:func:`repro.obs.set_tracer`, :func:`repro.obs.set_registry`,
+    :func:`repro.obs.configure`).  The caller
     drives ``server.serve_forever()`` (or ``serve_in_background()``)
     and is responsible for closing the queue on shutdown —
     :func:`repro.cli.main`'s ``repro serve`` shows the full lifecycle.
@@ -1065,19 +1068,13 @@ def serve(
             event_buffer_size=event_buffer_size,
             ttl_s=ttl_s,
             store=store,
-            registry=registry,
-            logger=logger,
             on_recorded=on_recorded,
         )
     return CampaignHTTPServer(
         (host, port),
         queue,
-        verbose=verbose,
         store=store,
-        registry=registry,
         admission=admission,
-        logger=logger,
-        tracer=tracer,
         coordinator=coordinator,
         cache=cache,
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.log import JsonLogger, get_logger
+from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, parse_traceparent, use_span
 from repro.problems import get_problem
 from repro.service.api import CampaignRequest
@@ -86,7 +86,6 @@ class CampaignWorker:
         max_units: int | None = None,
         exit_idle_s: float | None = None,
         library: CellLibrary | None = None,
-        logger: JsonLogger | None = None,
         client=None,
     ) -> None:
         from repro.service.server import CampaignClient
@@ -99,7 +98,7 @@ class CampaignWorker:
         self.max_units = max_units
         self.exit_idle_s = exit_idle_s
         self.library = library or CellLibrary.default()
-        self._log = logger if logger is not None else get_logger("repro.worker")
+        self._log = get_logger("repro.worker")
         self.lease_ttl_s = 30.0
         self.units_done = 0
         self.units_failed = 0

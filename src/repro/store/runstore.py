@@ -1020,10 +1020,14 @@ class RunStore:
                 seconds ago.
 
         Returns how many runs were deleted.  At least one criterion is
-        required.
+        required, and neither may be negative.
         """
         if keep_last is None and older_than_s is None:
             raise ValueError("gc needs keep_last and/or older_than_s")
+        if keep_last is not None and keep_last < 0:
+            raise ValueError(f"keep_last must be >= 0, got {keep_last}")
+        if older_than_s is not None and older_than_s < 0:
+            raise ValueError(f"older_than_s must be >= 0, got {older_than_s}")
         with self._lock:
             pinned = set(self.baselines().values())
             records = self.list_runs()  # newest first

@@ -209,11 +209,9 @@ class TestKernelParity:
 
 
 class TestKernelInstrumentation:
-    def test_kernels_time_into_registry(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        k = GAKernels(registry=registry)
+    def test_kernels_time_into_registry(self, fresh_registry):
+        registry = fresh_registry
+        k = GAKernels()
         matrix = k.as_matrix([(1.0, 2.0), (2.0, 1.0)])
         k.nondominated_sort(matrix)
         k.crowding(matrix, [0, 1])

@@ -14,7 +14,7 @@ from repro.obs.admission import (
     TokenBucket,
     request_budget,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service.api import CampaignRequest, SpecRequest
 from repro.service.cache import EvaluationCache
 from repro.service.jobs import JobQueue
@@ -95,20 +95,18 @@ class TestAdmissionController:
     def test_request_budget(self):
         assert request_budget(request_of(2, 10, 32)) == 640
 
-    def test_budget_cap_rejects_413(self):
-        controller = AdmissionController(
-            AdmissionPolicy(max_budget=100), registry=MetricsRegistry()
-        )
+    def test_budget_cap_rejects_413(self, fresh_registry):
+        controller = AdmissionController(AdmissionPolicy(max_budget=100))
         with pytest.raises(AdmissionError) as excinfo:
             controller.admit(request_of(2, 10, 32), "client", pending=0)
         assert excinfo.value.status == 413
         assert excinfo.value.code == "budget_exceeded"
         assert excinfo.value.headers == {}
 
-    def test_rate_limit_rejects_429_with_retry_after(self):
-        registry = MetricsRegistry()
+    def test_rate_limit_rejects_429_with_retry_after(self, fresh_registry):
+        registry = fresh_registry
         controller = AdmissionController(
-            AdmissionPolicy(rate_limit=0.001, burst=1), registry=registry
+            AdmissionPolicy(rate_limit=0.001, burst=1)
         )
         controller.admit(request_of(), "client", pending=0)
         with pytest.raises(AdmissionError) as excinfo:
@@ -119,10 +117,8 @@ class TestAdmissionController:
         sample = registry.sample_values()
         assert sample['repro_admission_rejected_total{reason="rate"}'] == 1.0
 
-    def test_queue_bound_rejects_429(self):
-        controller = AdmissionController(
-            AdmissionPolicy(max_pending=4), registry=MetricsRegistry()
-        )
+    def test_queue_bound_rejects_429(self, fresh_registry):
+        controller = AdmissionController(AdmissionPolicy(max_pending=4))
         controller.admit(request_of(), "client", pending=3)
         with pytest.raises(AdmissionError) as excinfo:
             controller.admit(request_of(), "client", pending=4)
@@ -130,12 +126,11 @@ class TestAdmissionController:
         assert excinfo.value.code == "queue_full"
         assert excinfo.value.headers["Retry-After"] == "1"
 
-    def test_budget_named_before_queue(self):
+    def test_budget_named_before_queue(self, fresh_registry):
         # An oversized request is called out as such even when the
         # queue is simultaneously full (check order is documented).
         controller = AdmissionController(
-            AdmissionPolicy(max_budget=10, max_pending=1),
-            registry=MetricsRegistry(),
+            AdmissionPolicy(max_budget=10, max_pending=1)
         )
         with pytest.raises(AdmissionError) as excinfo:
             controller.admit(request_of(2, 10, 32), "client", pending=99)
@@ -144,19 +139,17 @@ class TestAdmissionController:
 
 @pytest.fixture(scope="class")
 def guarded_server():
-    registry = MetricsRegistry()
-    queue = JobQueue(cache=EvaluationCache(), workers=1, registry=registry)
+    previous = set_registry(MetricsRegistry())
+    queue = JobQueue(cache=EvaluationCache(), workers=1)
     admission = AdmissionController(
-        AdmissionPolicy(rate_limit=0.001, burst=1, max_budget=500),
-        registry=registry,
+        AdmissionPolicy(rate_limit=0.001, burst=1, max_budget=500)
     )
-    server = serve(
-        port=0, queue=queue, registry=registry, admission=admission
-    )
+    server = serve(port=0, queue=queue, admission=admission)
     server.serve_in_background()
     yield server.url
     server.shutdown()
     queue.close()
+    set_registry(previous)
 
 
 def post_submit(url: str, request: CampaignRequest, client_id: str):
@@ -209,15 +202,10 @@ class TestAdmissionOverHTTP:
         assert excinfo.value.code == 400
 
 
-def test_queue_full_over_http():
-    registry = MetricsRegistry()
-    queue = JobQueue(cache=EvaluationCache(), workers=1, registry=registry)
-    admission = AdmissionController(
-        AdmissionPolicy(max_pending=0), registry=registry
-    )
-    server = serve(
-        port=0, queue=queue, registry=registry, admission=admission
-    )
+def test_queue_full_over_http(fresh_registry):
+    queue = JobQueue(cache=EvaluationCache(), workers=1)
+    admission = AdmissionController(AdmissionPolicy(max_pending=0))
+    server = serve(port=0, queue=queue, admission=admission)
     server.serve_in_background()
     try:
         with pytest.raises(urllib.error.HTTPError) as excinfo:

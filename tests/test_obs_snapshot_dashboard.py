@@ -61,18 +61,16 @@ class TestMetricsHistory:
 
 
 class TestMetricsSnapshotter:
-    def test_snapshot_once(self, store):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        snapshotter = MetricsSnapshotter(store, registry, source="test")
+    def test_snapshot_once(self, store, fresh_registry):
+        fresh_registry.counter("a").inc()
+        snapshotter = MetricsSnapshotter(store, source="test")
         record = snapshotter.snapshot_once()
         assert record.source == "test"
         assert record.metrics["a"] == 1.0
         assert snapshotter.snapshots == 1
 
-    def test_threaded_sampling_and_final_flush(self, store):
-        registry = MetricsRegistry()
-        snapshotter = MetricsSnapshotter(store, registry, interval_s=0.05)
+    def test_threaded_sampling_and_final_flush(self, store, fresh_registry):
+        snapshotter = MetricsSnapshotter(store, interval_s=0.05)
         with snapshotter:
             deadline = time.time() + 5.0
             while snapshotter.snapshots < 2 and time.time() < deadline:
@@ -85,12 +83,12 @@ class TestMetricsSnapshotter:
             for thread in threading.enumerate()
         )
 
-    def test_store_errors_are_counted_not_raised(self):
+    def test_store_errors_are_counted_not_raised(self, fresh_registry):
         class BrokenStore:
             def append_metrics_snapshot(self, metrics, source=""):
                 raise RuntimeError("disk full")
 
-        snapshotter = MetricsSnapshotter(BrokenStore(), MetricsRegistry())
+        snapshotter = MetricsSnapshotter(BrokenStore())
         snapshotter.start()
         snapshotter.stop(final_snapshot=True)
         assert snapshotter.errors >= 1

@@ -39,8 +39,8 @@ from repro.dse.nsga2 import NSGA2Config
 
 @pytest.fixture
 def tracer():
-    """A fully-sampling tracer installed as the process global."""
-    tracer = Tracer(sample_ratio=1.0, seed=13)
+    """A fresh tracer installed as the process global."""
+    tracer = Tracer()
     previous = set_tracer(tracer)
     try:
         yield tracer
@@ -121,21 +121,26 @@ class TestSpanBasics:
 class TestTraceparent:
     def test_round_trip(self):
         context = SpanContext("0af7651916cd43dd8448eb211c80319c",
-                              "b7ad6b7169203331", sampled=True)
+                              "b7ad6b7169203331")
         header = format_traceparent(context)
         assert header == ("00-0af7651916cd43dd8448eb211c80319c-"
                           "b7ad6b7169203331-01")
         assert parse_traceparent(header) == context
 
-    def test_unsampled_flag(self):
-        context = SpanContext("0af7651916cd43dd8448eb211c80319c",
-                              "b7ad6b7169203331", sampled=False)
-        header = format_traceparent(context)
-        assert header.endswith("-00")
-        assert parse_traceparent(header).sampled is False
-
     def test_format_none_context(self):
         assert format_traceparent(None) is None
+
+    def test_incoming_flags_validated_then_ignored(self, tracer):
+        # Every trace is kept: a caller's "not sampled" flag still
+        # parses, its trace is joined and kept, and the answer says 01.
+        header = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00"
+        remote = parse_traceparent(header)
+        assert remote == SpanContext("0af7651916cd43dd8448eb211c80319c",
+                                     "b7ad6b7169203331")
+        span = tracer.start_root("server-side", parent_context=remote)
+        assert format_traceparent(span.context).endswith("-01")
+        span.end()
+        assert tracer.get(remote.trace_id) is not None
 
     @pytest.mark.parametrize("header", [
         None,
@@ -158,7 +163,7 @@ class TestTraceparent:
 
     def test_join_remote_parent(self, tracer):
         remote = SpanContext("0af7651916cd43dd8448eb211c80319c",
-                             "b7ad6b7169203331", sampled=True)
+                             "b7ad6b7169203331")
         span = tracer.start_root("server-side", parent_context=remote)
         assert span.trace_id == remote.trace_id
         assert span.parent_id == remote.span_id
@@ -169,35 +174,8 @@ class TestTraceparent:
 
 
 class TestSamplingAndRetention:
-    def test_sampled_out_clean_trace_dropped(self):
-        tracer = Tracer(sample_ratio=0.0)
-        with tracer.span("quiet", root_if_orphan=True):
-            pass
-        assert tracer.finished() == []
-        assert tracer.stats()["dropped"] == 1
-
-    def test_error_trace_kept_despite_sampling(self):
-        tracer = Tracer(sample_ratio=0.0)
-        with pytest.raises(RuntimeError):
-            with tracer.span("failing", root_if_orphan=True):
-                raise RuntimeError("kept")
-        record = only_trace(tracer)
-        assert record.status == "error"
-
-    def test_slow_trace_kept_despite_sampling(self):
-        tracer = Tracer(sample_ratio=0.0, slow_threshold_s=0.5)
-        root = tracer.start_root("slowpath")
-        # The slow span arrives through the bulk series path, so the
-        # retention scan must look through deferred recordings too.
-        tracer.record_span_series(
-            "chunk", [0.75], [time.time()], parent=root
-        )
-        root.end()
-        record = only_trace(tracer)
-        assert any(s.duration_s >= 0.5 for s in record.spans)
-
     def test_ring_is_bounded(self):
-        tracer = Tracer(sample_ratio=1.0, max_traces=4)
+        tracer = Tracer(max_traces=4)
         for i in range(10):
             tracer.start_root(f"t{i}").end()
         names = [r.name for r in tracer.finished()]
@@ -207,7 +185,7 @@ class TestSamplingAndRetention:
         # Spans land in the trace when they *end*, so the root — which
         # ends last — competes for the final slot: with the budget
         # already full of children it is itself counted as dropped.
-        tracer = Tracer(sample_ratio=1.0, max_spans_per_trace=3)
+        tracer = Tracer(max_spans_per_trace=3)
         with tracer.span("root", root_if_orphan=True) as root:
             for i in range(5):
                 tracer.record_span("child", 0.001, parent=root)
@@ -218,7 +196,7 @@ class TestSamplingAndRetention:
         assert record.spans[0].attributes["dropped_spans"] == 3
 
     def test_span_budget_keeps_root_when_it_fits(self):
-        tracer = Tracer(sample_ratio=1.0, max_spans_per_trace=3)
+        tracer = Tracer(max_spans_per_trace=3)
         with tracer.span("root", root_if_orphan=True) as root:
             tracer.record_span("child", 0.001, parent=root)
             tracer.record_span("child", 0.001, parent=root)
@@ -228,7 +206,7 @@ class TestSamplingAndRetention:
         assert "dropped_spans" not in root_span.attributes
 
     def test_max_active_evicts_oldest_as_incomplete(self):
-        tracer = Tracer(sample_ratio=1.0, max_active=2)
+        tracer = Tracer(max_active=2)
         first = tracer.start_root("first")
         tracer.record_span("done-work", 0.01, parent=first)
         tracer.start_root("second")
@@ -240,16 +218,10 @@ class TestSamplingAndRetention:
         assert len(tracer.finished()) == 2
 
     def test_evicted_empty_trace_leaves_no_record(self):
-        tracer = Tracer(sample_ratio=1.0, max_active=1)
+        tracer = Tracer(max_active=1)
         tracer.start_root("first")  # never ends, no finished spans
         tracer.start_root("second")  # evicts "first", which is empty
         assert tracer.finished() == []
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_ratio=1.5)
-        with pytest.raises(ValueError):
-            Tracer(slow_threshold_s=-1.0)
 
 
 class TestRecordedSpans:
@@ -270,29 +242,8 @@ class TestRecordedSpans:
 
     def test_record_without_trace_is_noop(self, tracer):
         assert tracer.record_span("work", 1.0) is NULL_SPAN
-        assert tracer.record_spans([("a", 1.0, None, None)]) == 0
         assert tracer.record_span_series("a", [1.0], [time.time()]) == 0
         assert tracer.finished() == []
-
-    def test_record_spans_batch(self, tracer):
-        now = time.time()
-        with tracer.span("root", root_if_orphan=True) as root:
-            n = tracer.record_spans(
-                [
-                    ("chunk", 0.01, now, {"genomes": 32}),
-                    ("chunk", 0.02, None, None),  # None end -> "now"
-                ],
-                parent=root,
-                category="executor",
-            )
-            assert n == 2
-        record = only_trace(tracer)
-        chunks = [s for s in record.spans if s.name == "chunk"]
-        assert len(chunks) == 2
-        assert all(c.parent_id == root.span_id for c in chunks)
-        by_duration = {c.duration_s: c.attributes for c in chunks}
-        assert by_duration[0.01] == {"genomes": 32}
-        assert by_duration[0.02] == {}
 
     def test_record_span_series_shared_and_per_span_attrs(self, tracer):
         now = time.time()
@@ -319,8 +270,8 @@ class TestRecordedSpans:
 
     def test_lazy_assembly_yields_stable_ids(self, tracer):
         with tracer.span("root", root_if_orphan=True) as root:
-            tracer.record_spans(
-                [("chunk", 0.01, None, None)], parent=root
+            tracer.record_span_series(
+                "chunk", [0.01], [time.time()], parent=root
             )
         first = tracer.finished()[0]
         second = tracer.get(first.trace_id)
@@ -348,10 +299,14 @@ class TestRecordedSpans:
         tracer.add_sink(seen.append)
         tracer.add_sink(lambda record: 1 / 0)  # broken sinks are swallowed
         with tracer.span("root", root_if_orphan=True) as root:
-            tracer.record_spans([("chunk", 0.01, None, None)], parent=root)
+            tracer.record_span_series(
+                "chunk", [0.01], [time.time()], parent=root
+            )
         assert len(seen) == 1
         assert {s.name for s in seen[0].spans} == {"root", "chunk"}
         assert all(len(s.span_id) == 16 for s in seen[0].spans)
+        # The ring holds the very record the sinks saw.
+        assert tracer.finished()[0] is seen[0]
 
 
 class TestNullTracer:
@@ -361,7 +316,6 @@ class TestNullTracer:
         assert NULL_TRACER.start_root("x") is NULL_SPAN
         assert NULL_TRACER.start_span("x", root_if_orphan=True) is NULL_SPAN
         assert NULL_TRACER.record_span("x", 1.0) is NULL_SPAN
-        assert NULL_TRACER.record_spans([("x", 1.0, None, None)]) == 0
         assert NULL_TRACER.record_span_series("x", [1.0], [0.0]) == 0
         NULL_TRACER.add_sink(lambda record: None)
         assert NULL_TRACER.finished() == []
@@ -519,18 +473,17 @@ class TestBitParity:
         previous = set_tracer(NULL_TRACER)
         try:
             baseline = fingerprint()
-            set_tracer(Tracer(sample_ratio=1.0, seed=99))
+            set_tracer(Tracer())
             assert fingerprint() == baseline
-            set_tracer(Tracer(sample_ratio=0.0))
-            assert fingerprint() == baseline
-            set_tracer(Tracer(sample_ratio=0.5, seed=5, slow_threshold_s=10))
+            # Spans over the per-trace budget are counted, not kept.
+            set_tracer(Tracer(max_traces=1, max_spans_per_trace=1))
             assert fingerprint() == baseline
         finally:
             set_tracer(previous)
 
     def test_request_fingerprint_blind_to_tracing(self):
         request = tiny_request()
-        previous = set_tracer(Tracer(sample_ratio=0.25, seed=3))
+        previous = set_tracer(Tracer())
         try:
             traced = request.fingerprint()
         finally:
@@ -707,8 +660,7 @@ class TestServerTracing:
     def served(self, tracer):
         from repro.service.server import CampaignClient, serve
 
-        server = serve("127.0.0.1", 0, workers=1, cache=EvaluationCache(),
-                       tracer=tracer)
+        server = serve("127.0.0.1", 0, workers=1, cache=EvaluationCache())
         thread = server.serve_in_background()
         try:
             yield server, CampaignClient(server.url)
@@ -731,7 +683,7 @@ class TestServerTracing:
         import urllib.request
 
         server, _ = served
-        remote = SpanContext("3" * 32, "4" * 16, sampled=True)
+        remote = SpanContext("3" * 32, "4" * 16)
         request = urllib.request.Request(
             f"{server.url}/api/problems",
             headers={"traceparent": format_traceparent(remote)},
@@ -803,6 +755,51 @@ class TestServerTracing:
         tree = trace_tree(full["spans"])
         assert "http.request" in tree and "generation" in tree
 
+    def test_tracer_installed_after_serve_holds_the_whole_request(self):
+        """The handler reads the process tracer per request, so a tracer
+        installed after ``serve()`` returned still gets one trace for
+        the whole HTTP campaign, from request to executor chunks."""
+        from repro.service.server import CampaignClient, serve
+
+        server = serve("127.0.0.1", 0, workers=1)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        thread = server.serve_in_background()
+        client = CampaignClient(server.url)
+        try:
+            job_id = client.submit(tiny_request())
+            events = list(client.watch(job_id, poll_s=1.0))
+            assert events[-1].kind.value == "campaign_done"
+            # The trace completes moments after the job finishes.
+            deadline = time.time() + 10
+            records = []
+            while time.time() < deadline and not records:
+                records = [
+                    r for r in tracer.finished()
+                    if "campaign" in {s.name for s in r.spans}
+                ]
+                if not records:
+                    time.sleep(0.02)
+        finally:
+            client.close()
+            server.shutdown()
+            server.queue.close()
+            thread.join(timeout=10)
+            set_tracer(previous)
+        assert len(records) == 1
+        (record,) = records
+        names = {s.name for s in record.spans}
+        assert {
+            "http.request", "job.queue_wait", "job.run", "campaign",
+            "spec", "generation", "executor.chunk",
+        } <= names
+        assert {s.trace_id for s in record.spans} == {record.trace_id}
+        submit = next(
+            s for s in record.spans
+            if s.name == "http.request" and s.parent_id is None
+        )
+        assert submit.attributes["route"] == "/api/campaigns"
+
     def test_api_traces_store_fallback(self, tmp_path, tracer):
         from repro.service.server import CampaignClient, serve
         from repro.store import RunStore
@@ -812,8 +809,7 @@ class TestServerTracing:
                 make_span_rows("5" * 32, run_id="run-z"), source="serve"
             )
             server = serve("127.0.0.1", 0, workers=1,
-                           cache=EvaluationCache(), store=store,
-                           tracer=tracer)
+                           cache=EvaluationCache(), store=store)
             thread = server.serve_in_background()
             try:
                 client = CampaignClient(server.url)
@@ -859,6 +855,14 @@ class TestTraceCLI:
         assert main(["trace", "list", "--store", store_path,
                      "--run", "run-other", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["traces"] == []
+
+    def test_trace_list_negative_limit_is_usage_error(self, store_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "list", "--store", store_path, "--limit", "-1"])
+        assert excinfo.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_trace_show_tree_and_json(self, store_path, capsys):
         from repro.cli import main

@@ -187,6 +187,22 @@ class TestRunsCommands:
         assert run_cli("runs", "gc", "--store", seeded_store) == 1
         assert "--keep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--keep", "-1"),
+        ("--older-than", "-5"),
+    ])
+    def test_gc_rejects_negative_values(
+        self, seeded_store, capsys, flag, value
+    ):
+        assert run_cli("runs", "gc", flag, value,
+                       "--store", seeded_store) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "must be >= 0" in captured.err
+        assert "deleted" not in captured.out
+        with RunStore(seeded_store) as store:
+            assert len(store) == 2
+
     def test_baseline_set_and_show(self, seeded_store, capsys):
         assert run_cli("runs", "baseline", "release", "rerun",
                        "--store", seeded_store) == 0

@@ -321,7 +321,7 @@ class TestExhaustiveRouteBypassesCache:
         from repro.obs.trace import Tracer, set_tracer
 
         serial = run_campaign(SPECS, CampaignConfig(seed=3))
-        tracer = Tracer(sample_ratio=1.0, seed=7)
+        tracer = Tracer()
         previous = set_tracer(tracer)
         try:
             threaded = run_campaign(

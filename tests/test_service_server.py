@@ -425,9 +425,9 @@ class TestKeptAliveConnections:
         client.close()
         assert nodelay and all(nodelay)
 
-    def test_client_reconnects_across_a_server_restart(self, keepalive_server):
-        from repro.obs.metrics import MetricsRegistry
-
+    def test_client_reconnects_across_a_server_restart(
+        self, keepalive_server, fresh_registry
+    ):
         server, seen = keepalive_server
         client = CampaignClient(server.url)  # retries=0: no second attempt
         assert client.healthy()
@@ -435,9 +435,7 @@ class TestKeptAliveConnections:
         server.server_close()
 
         queue = JobQueue(cache=EvaluationCache())
-        restarted = serve(
-            port=server.port, queue=queue, registry=MetricsRegistry()
-        )
+        restarted = serve(port=server.port, queue=queue)
         restarted.serve_in_background()
         try:
             job_id = client.submit(tiny_request())
@@ -451,6 +449,53 @@ class TestKeptAliveConnections:
             client.close()
             restarted.shutdown()
             restarted.server_close()
+            queue.close()
+
+    def test_request_read_after_shutdown_is_not_served(self, monkeypatch):
+        """A handler between two requests when ``shutdown()`` runs must
+        not answer the next one, even though Linux still hands over
+        data that arrives after the read side was shut."""
+        import http.client
+        import json as _json
+        import threading
+
+        from repro.service.server import _CampaignHandler
+
+        between = threading.Event()  # request 1 answered, 2 not read yet
+        release = threading.Event()
+        handle_one = _CampaignHandler.handle_one_request
+
+        def held(self):
+            handle_one(self)
+            if not between.is_set():
+                between.set()
+                release.wait(timeout=10)
+
+        monkeypatch.setattr(_CampaignHandler, "handle_one_request", held)
+        queue = JobQueue(cache=EvaluationCache())
+        server = serve(port=0, queue=queue)
+        server.serve_in_background()
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10
+        )
+        try:
+            assert raw_call(connection, "GET", "/healthz")[0] == 200
+            assert between.wait(timeout=10)
+            server.shutdown()
+            # The submit reaches the held handler's socket only now.
+            connection.request(
+                "POST", "/api/campaigns",
+                body=_json.dumps(tiny_request().to_dict()).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            release.set()
+            with pytest.raises(ConnectionError):
+                connection.getresponse()  # closed, unanswered
+            assert queue.stats.submitted == 0
+        finally:
+            release.set()
+            connection.close()
+            server.server_close()
             queue.close()
 
     def test_metrics_text_uses_the_shared_transport(self, keepalive_server):

@@ -184,6 +184,15 @@ class TestMaintenance:
         with pytest.raises(ValueError):
             store.gc()
 
+    @pytest.mark.parametrize(
+        "criterion", [{"keep_last": -1}, {"older_than_s": -5.0}]
+    )
+    def test_gc_rejects_negative_values(self, store, criterion):
+        store.record_response(response())
+        with pytest.raises(ValueError, match="must be >= 0"):
+            store.gc(**criterion)
+        assert len(store) == 1
+
 
 class TestPersistence:
     def test_survives_reopen(self, tmp_path):
