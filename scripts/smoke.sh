@@ -38,7 +38,7 @@ for precision in ("INT8", "BF16"):
     print(f"parity OK: {precision} ({len(genomes)} genomes)")
 PY
 
-echo "== wall-clock gates (bench marker: overhead <3% x2, engine and GA kernels >=3x, cache >=5x) =="
+echo "== wall-clock gates (bench marker: overhead <3% x2, engine and GA kernels >=3x, cache >=5x, Pareto filter >=1.5x) =="
 # Tier-1 deselects these; each must pass here, with its bound as set in
 # the test.  They record benchmarks/results/*.txt as they go.
 if ! bench_output="$(python -m pytest -m bench -q benchmarks 2>&1)"; then
@@ -47,8 +47,8 @@ if ! bench_output="$(python -m pytest -m bench -q benchmarks 2>&1)"; then
     exit 1
 fi
 echo "$bench_output"
-if ! grep -qE "^5 passed, [0-9]+ deselected" <<<"$bench_output"; then
-    echo "smoke: expected exactly 5 passing bench gates" >&2
+if ! grep -qE "^6 passed, [0-9]+ deselected" <<<"$bench_output"; then
+    echo "smoke: expected exactly 6 passing bench gates" >&2
     exit 1
 fi
 

@@ -131,11 +131,13 @@ class DcimProblem:
     def exhaustive_front_with_objectives(
         self,
     ) -> tuple[list[DesignPoint], list[tuple[float, ...]]]:
-        """Exhaustive front plus its objective rows, from one batch."""
+        """Exhaustive front plus its objective rows, from one batch.
+
+        Only the kept genomes are decoded, in enumeration order.
+        """
         from repro.core.pareto import pareto_front
 
         genomes = self.codec.enumerate()
-        points = self.codec.decode_batch(genomes)
         objectives = self.evaluate_batch(genomes)
-        front = pareto_front(list(zip(points, objectives)), objectives)
-        return [p for p, _ in front], [o for _, o in front]
+        front = pareto_front(list(zip(genomes, objectives)), objectives)
+        return self.codec.decode_batch([g for g, _ in front]), [o for _, o in front]

@@ -25,6 +25,16 @@ Two ideas make the batch path fast:
    mapped onto its key with C-level dict lookups, so no Python code runs
    per genome.
 
+Validation is column-wise too.  Every structural constraint of
+:func:`repro.model.integer.validate_int_params` bounds a single
+parameter column (``N``, ``H``, ``L`` or ``k``) against the batch's
+widths, except ``N*H*L % Bw == 0``, which follows from ``N % Bw == 0``
+for integer parameters.  So the engine checks each column's *distinct*
+values (a handful per batch) instead of every distinct ``(N, H, L, k)``
+row, and hands only the first rejected row to the scalar validator,
+which raises with its own message: the same exception, text and row
+as a per-row loop.
+
 The array arithmetic replicates the *exact* operation order of
 :func:`repro.model.integer.int_macro_cost` and
 :func:`repro.model.floating.fp_macro_cost`, so the results are
@@ -128,6 +138,27 @@ class BatchCost:
 
 def _empty_batch(arch: str) -> BatchCost:
     return BatchCost(arch, (), (), (), (), (), ())
+
+
+def _first_invalid_row(n, h, l, k, bx: int, bw: int) -> int | None:
+    """Index of the first row :func:`validate_int_params` would reject.
+
+    Checks the distinct values of each column against its own bounds
+    (see the module docstring); widths below 1 reject every row.
+    """
+    if min(bx, bw) < 1:
+        return 0
+    bad_n = {v for v in set(n) if v < 1 or v % bw}
+    bad_h = {v for v in set(h) if v < 1}
+    bad_l = {v for v in set(l) if v < 1}
+    bad_k = {v for v in set(k) if v < 1 or v > bx or bx % v}
+    if not (bad_n or bad_h or bad_l or bad_k):
+        return None
+    return next(
+        i
+        for i, (ni, hi, li, ki) in enumerate(zip(n, h, l, k))
+        if ni in bad_n or hi in bad_h or li in bad_l or ki in bad_k
+    )
 
 
 class CostEngine:
@@ -261,11 +292,9 @@ class CostEngine:
         """
         if not len(n):
             return _empty_batch("int-mul")
-        # Parameters draw from tiny discrete sets, so validating the
-        # unique tuples (first-occurrence order) covers the whole batch
-        # without an O(batch) scalar loop; same errors, same order.
-        for params in dict.fromkeys(zip(n, h, l, k)):
-            validate_int_params(*params, bx, bw)
+        bad = _first_invalid_row(n, h, l, k, bx, bw)
+        if bad is not None:
+            validate_int_params(n[bad], h[bad], l[bad], k[bad], bx, bw)
         lib = self.library
         n64 = np.asarray(n, dtype=np.int64)
         h64 = np.asarray(h, dtype=np.int64)
@@ -334,8 +363,9 @@ class CostEngine:
         """
         if not len(n):
             return _empty_batch("fp-prealign")
-        for params in dict.fromkeys(zip(n, h, l, k)):
-            validate_fp_params(*params, be, bm)
+        bad = 0 if be < 1 else _first_invalid_row(n, h, l, k, bm, bm)
+        if bad is not None:
+            validate_fp_params(n[bad], h[bad], l[bad], k[bad], be, bm)
         lib = self.library
         n64 = np.asarray(n, dtype=np.int64)
         h64 = np.asarray(h, dtype=np.int64)

@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spec import DcimSpec
-from repro.dse.genome import GenomeCodec
+from repro.dse.genome import GenomeCodec, divisors
 from repro.dse.problem import DcimProblem, objectives_of
 from repro.model.engine import CostEngine
 from repro.model import engine as engine_module
 from repro.model.cost import Cost
+from repro.model.floating import fp_macro_cost, validate_fp_params
+from repro.model.integer import int_macro_cost, validate_int_params
 from repro.tech.cells import CellLibrary
 
 LIB = CellLibrary.default()
@@ -174,6 +176,119 @@ class TestDecodeBatch:
             problem.evaluate_batch([bad])
         with pytest.raises(ValueError, match="infeasible"):
             problem.evaluate(bad)
+
+
+def per_row_validation(n, h, l, k, fp, widths):
+    """Reference check: one scalar validator call per distinct row, in
+    first-occurrence order."""
+    validate = validate_fp_params if fp else validate_int_params
+    for params in dict.fromkeys(zip(n, h, l, k)):
+        validate(*params, *widths)
+
+
+def raised(call):
+    """``(type, message)`` of what ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+#: The column value that makes a row rejected, per kind, given the
+#: batch's ``(Bx, Bw)``; ``k = 3`` divides no power-of-two width.
+REJECTED = {
+    "k = 0": lambda bx, bw: {"k": 0},
+    "k > Bx": lambda bx, bw: {"k": bx + 1},
+    "Bx % k": lambda bx, bw: {"k": 3},
+    "N % Bw": lambda bx, bw: {"n": bw * 4 + 1},
+    "N < 1": lambda bx, bw: {"n": 0},
+    "H < 1": lambda bx, bw: {"h": -2},
+    "L < 1": lambda bx, bw: {"l": 0},
+}
+
+
+@st.composite
+def batches_with_rejects(draw):
+    """A valid batch with duplicates, rejected rows at random positions,
+    and sometimes a width below 1."""
+    fp = draw(st.booleans())
+    if fp:
+        be = draw(st.sampled_from([-1, 0, 1, 5, 8, 8, 8]))
+        bm = draw(st.sampled_from([0, 4, 8, 8, 11, 24]))
+        widths, bx, bw = (be, bm), bm, bm
+    else:
+        bx = draw(st.sampled_from([-1, 0, 2, 4, 8, 8, 16]))
+        bw = draw(st.sampled_from([0, 2, 4, 8, 8, 16]))
+        widths = (bx, bw)
+    legal_k = divisors(bx) if bx >= 1 else [1, 2]
+    pool = [
+        (max(bw, 1) << draw(st.integers(0, 5)), 1 << draw(st.integers(0, 7)),
+         1 << draw(st.integers(0, 5)), draw(st.sampled_from(legal_k)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(draw(st.integers(1, 30)))]
+    for kind in draw(st.lists(st.sampled_from(sorted(REJECTED)), max_size=3)):
+        n, h, l, k = draw(st.sampled_from(pool))
+        bad = {"n": n, "h": h, "l": l, "k": k, **REJECTED[kind](max(bx, 1), max(bw, 1))}
+        rows.insert(draw(st.integers(0, len(rows))), (bad["n"], bad["h"], bad["l"], bad["k"]))
+    n, h, l, k = (list(column) for column in zip(*rows))
+    return fp, widths, n, h, l, k
+
+
+class TestColumnValidation:
+    """Column-wise checks raise exactly what the per-row loop raised."""
+
+    @given(batches_with_rejects())
+    @settings(max_examples=300, deadline=None)
+    def test_same_error_as_per_row_loop(self, batch):
+        fp, widths, n, h, l, k = batch
+        engine = CostEngine(LIB)
+        if fp:
+            evaluate = lambda: engine.evaluate_fp(n, h, l, k, be=widths[0], bm=widths[1])
+        else:
+            evaluate = lambda: engine.evaluate_int(n, h, l, k, bx=widths[0], bw=widths[1])
+        expected = raised(lambda: per_row_validation(n, h, l, k, fp, widths))
+        assert raised(evaluate) == expected
+        if expected is None:
+            batch = evaluate()
+            if fp:
+                costs = [fp_macro_cost(LIB, n=a, h=b, l=c, k=d, be=widths[0], bm=widths[1])
+                         for a, b, c, d in zip(n, h, l, k)]
+            else:
+                costs = [int_macro_cost(LIB, n=a, h=b, l=c, k=d, bx=widths[0], bw=widths[1])
+                         for a, b, c, d in zip(n, h, l, k)]
+            assert batch.area == tuple(c.area for c in costs)
+            assert batch.delay == tuple(c.delay for c in costs)
+            assert batch.energy_per_pass == tuple(c.energy_per_pass for c in costs)
+            assert batch.cycles_per_pass == tuple(c.cycles_per_pass for c in costs)
+            assert batch.ops_per_pass == tuple(c.ops_per_pass for c in costs)
+            assert batch.sram_bits == tuple(c.sram_bits for c in costs)
+
+    @pytest.mark.parametrize("kind", sorted(REJECTED))
+    def test_each_rejected_kind_after_valid_duplicates(self, kind):
+        valid = (32, 64, 4, 2)
+        bad = dict(zip("nhlk", valid), **REJECTED[kind](8, 8))
+        rows = [valid, valid, tuple(bad[p] for p in "nhlk"), valid]
+        n, h, l, k = (list(c) for c in zip(*rows))
+        expected = raised(lambda: per_row_validation(n, h, l, k, False, (8, 8)))
+        assert expected is not None and expected[0] is ValueError
+        engine = CostEngine(LIB)
+        assert raised(lambda: engine.evaluate_int(n, h, l, k, bx=8, bw=8)) == expected
+
+    @pytest.mark.parametrize("bx,bw", [(8, 0), (0, 8), (0, 0), (-4, 8)])
+    def test_widths_below_one_raise_value_error(self, bx, bw):
+        # Bw = 0 must not reach a modulo: the message is the scalar one.
+        engine = CostEngine(LIB)
+        with pytest.raises(ValueError, match="all integer-macro parameters must be >= 1"):
+            engine.evaluate_int([8, 16], [1, 1], [1, 1], [1, 1], bx=bx, bw=bw)
+
+    def test_fp_widths_below_one(self):
+        engine = CostEngine(LIB)
+        with pytest.raises(ValueError, match="exponent width BE must be >= 1, got 0"):
+            engine.evaluate_fp([8], [1], [1], [1], be=0, bm=8)
+        with pytest.raises(ValueError, match="all integer-macro parameters must be >= 1"):
+            engine.evaluate_fp([8], [1], [1], [1], be=5, bm=0)
 
 
 #: The component models the engine memoises (names in its module).

@@ -1,12 +1,15 @@
 """Tests for repro.dse.genome."""
 
+import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.spec import DcimSpec
+from repro.core.precision import STANDARD_PRECISIONS
+from repro.core.spec import DcimSpec, DesignPoint
 from repro.dse.genome import GenomeCodec, divisors
 
 
@@ -199,6 +202,54 @@ class TestSampleRepairDecode:
         c = codec(precision="BF16")
         point = c.decode(c.enumerate()[0])
         assert point.n * point.h * point.l // 8 == 64 * 1024
+
+
+#: Bounds the decode parity check covers: (max_l, max_h, min_n_factor,
+#: max_n), crossed with every standard precision and five Wstores.
+BOUND_GRID = list(itertools.product((1, 8, 64), (4, 2048), (0, 4), (None, 4096)))
+
+
+class TestDecodeSkipsRevalidation:
+    """``decode`` builds its point unvalidated; it must equal the validated one."""
+
+    @pytest.mark.parametrize("precision", sorted(STANDARD_PRECISIONS) + ["INT3", "INT6"])
+    def test_every_genome_equals_validated_design_point(self, precision):
+        checked = 0
+        for wstore, (max_l, max_h, factor, max_n) in itertools.product(
+            (2**9, 2**12, 2**16, 2**20, 2**23), BOUND_GRID
+        ):
+            try:
+                c = codec(wstore, precision, max_l=max_l, max_h=max_h,
+                          min_n_factor=factor, max_n=max_n)
+            except ValueError:  # bounds that admit no design
+                continue
+            for g in c.enumerate():
+                a, b, c_gene, k_idx = g
+                point = c.decode(g)
+                validated = DesignPoint(
+                    precision, c.weight_bits * 2**a, 2**b, 2**c_gene, c.k_choices[k_idx]
+                )
+                assert point == validated
+                assert hash(point) == hash(validated)
+                assert repr(point) == repr(validated)
+                checked += 1
+        assert checked > 1000
+
+    def test_decoded_point_behaves_like_a_constructed_one(self):
+        c = codec(precision="BF16")
+        point = c.decode(c.enumerate()[5])
+        point.validate()
+        clone = pickle.loads(pickle.dumps(point))
+        assert clone == point and {point, clone} == {point}
+        with pytest.raises(AttributeError):
+            point.n = 1  # still frozen
+
+    @pytest.mark.parametrize(
+        "genome", [(0, 0, 0, 0), (2, 2, 2, 0), (3, 6, 7, -1), (3, 6, 7, 4), (17, 0, -1, 0)]
+    )
+    def test_infeasible_genomes_still_raise(self, genome):
+        with pytest.raises(ValueError, match="infeasible genome"):
+            codec().decode(genome)
 
 
 class TestEnumerate:

@@ -90,6 +90,72 @@ class TestDominanceKernel:
         assert dominated_flags(points).tolist() == expected
 
 
+def float_fold_flags(points) -> np.ndarray:
+    """Row ``j`` is dominated: the float column fold, kept as the oracle."""
+    points = np.asarray(points, dtype=float)
+    no_worse = np.ones((len(points), len(points)), dtype=bool)
+    for column in points.T:
+        no_worse &= column[:, None] <= column
+    return (no_worse > no_worse.T).any(axis=0)
+
+
+@st.composite
+def enumeration_sized_matrices(draw):
+    """Up to 700 rows, as many as a paper spec enumerates: few distinct
+    values per column, duplicated rows, and nan, +-inf and -0.0."""
+    n = draw(st.integers(min_value=0, max_value=700))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    specials = draw(
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]), max_size=5)
+    )
+    distinct = draw(st.integers(min_value=1, max_value=60))
+    palette = np.concatenate([rng.normal(scale=1e3, size=distinct), specials])
+    points = rng.choice(palette, size=(n, m))
+    if n:
+        copies = rng.integers(0, n, size=n // 4)
+        points[rng.integers(0, n, size=n // 4)] = points[copies]
+    return points
+
+
+class TestRankedFlags:
+    """The rank-coded ``dominated_flags`` against the float-fold oracle."""
+
+    @given(enumeration_sized_matrices(), st.integers(min_value=1, max_value=300))
+    @settings(max_examples=100, deadline=None)
+    def test_enumeration_sizes_match_float_fold(self, points, chunk):
+        expected = float_fold_flags(points).tolist()
+        assert dominated_flags(points).tolist() == expected
+        original = pareto._DOMINANCE_CHUNK
+        pareto._DOMINANCE_CHUNK = chunk
+        try:
+            assert dominated_flags(points).tolist() == expected
+        finally:
+            pareto._DOMINANCE_CHUNK = original
+
+    @given(adversarial_matrices(), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_small_inputs_ranked_match_pairwise(self, points, chunk):
+        # Below _RANKED_ROWS the float fold answers; forcing the ranks
+        # on tiny inputs covers empty, one-row and all-nan matrices.
+        expected = [any(dominates(u, v) for u in points) for v in points]
+        ranked_rows, block = pareto._RANKED_ROWS, pareto._DOMINANCE_CHUNK
+        pareto._RANKED_ROWS, pareto._DOMINANCE_CHUNK = 0, chunk
+        try:
+            assert dominated_flags(points).tolist() == expected
+        finally:
+            pareto._RANKED_ROWS, pareto._DOMINANCE_CHUNK = ranked_rows, block
+
+    def test_ties_signed_zero_and_infinities_rank_exactly(self):
+        rows = [
+            [0.0, 1.0], [-0.0, 1.0], [-math.inf, 2.0], [math.inf, -math.inf],
+            [math.nan, 0.0], [1.0, 1.0], [0.0, 1.0], [math.inf, math.inf],
+        ]
+        points = np.array(rows * 20)  # 160 rows: the ranked path
+        assert len(points) >= pareto._RANKED_ROWS
+        assert dominated_flags(points).tolist() == float_fold_flags(points).tolist()
+
+
 class TestParetoMask:
     def test_simple_front(self):
         pts = np.array([[1, 4], [2, 2], [4, 1], [3, 3], [5, 5]])
