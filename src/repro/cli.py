@@ -230,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="background campaign workers")
     serve_p.add_argument("--cache", default=None, metavar="PATH",
                          help="shared persistent evaluation cache "
-                              "(SQLite file; omit for in-memory)")
+                              "(SQLite file; omit for in-memory; not "
+                              "with --workers-remote, whose workers "
+                              "evaluate uncached)")
     serve_p.add_argument("--store", default=None, metavar="PATH",
                          help="record every campaign into this run "
                               "registry (SQLite) and serve the "
@@ -289,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_p.add_argument("--url", default="http://127.0.0.1:8000",
                           help="coordinator base URL")
-    worker_p.add_argument("--cache", default="remote", metavar="SPEC",
-                          help="evaluation cache: 'remote' (default; "
-                               "share the coordinator's dedup layer "
-                               "over /api/cache), 'memory', 'none', or "
-                               "a local cache file path")
     worker_p.add_argument("--worker-id", default=None, metavar="ID",
                           help="stable worker identity (default: "
                                "coordinator-assigned)")
@@ -1038,17 +1035,32 @@ def _campaign_registry_epilogue(args, store, result) -> int:
 
 def _cmd_serve(args) -> int:
     from repro import obs
-    from repro.service import EvaluationCache, serve
+    from repro.service import serve
 
     obs.configure(level=args.log_level)
     if args.snapshot_every is not None and not args.store:
         print("error: --snapshot-every needs --store", file=sys.stderr)
         return 1
-    try:
-        cache = EvaluationCache(args.cache) if args.cache else EvaluationCache()
-    except ValueError as exc:  # a directory or a JSONL log
-        print(f"error: {exc}", file=sys.stderr)
+    if args.workers_remote and args.cache:
+        print("error: --cache does not apply to --workers-remote: "
+              "workers evaluate uncached", file=sys.stderr)
         return 1
+    if not args.workers_remote and (
+        args.lease_ttl is not None or args.unit_attempts is not None
+    ):
+        print("error: --lease-ttl/--unit-attempts need --workers-remote",
+              file=sys.stderr)
+        return 1
+    # A coordinator's queue evaluates nothing itself, so it gets no cache.
+    cache = None
+    if not args.workers_remote:
+        from repro.service.cache import EvaluationCache
+
+        try:
+            cache = EvaluationCache(args.cache) if args.cache else EvaluationCache()
+        except ValueError as exc:  # a directory or a JSONL log
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     store = None
     if args.store:
         from repro.store import RunStore
@@ -1091,10 +1103,6 @@ def _cmd_serve(args) -> int:
                 args.unit_attempts if args.unit_attempts is not None else 3
             ),
         )
-    elif args.lease_ttl is not None or args.unit_attempts is not None:
-        print("error: --lease-ttl/--unit-attempts need --workers-remote",
-              file=sys.stderr)
-        return 1
     server = serve(
         host=args.host,
         port=args.port,
@@ -1117,10 +1125,9 @@ def _cmd_serve(args) -> int:
     registry = f", registry {args.store}" if store is not None else ""
     pool = (
         "remote workers" if coordinator is not None
-        else f"{args.workers} workers"
+        else f"{args.workers} workers, cache {cache.backend}"
     )
-    print(f"serving campaigns on {server.url} "
-          f"({pool}, cache {cache.backend}{registry})",
+    print(f"serving campaigns on {server.url} ({pool}{registry})",
           flush=True)
     try:
         server.serve_forever()
@@ -1131,7 +1138,8 @@ def _cmd_serve(args) -> int:
             snapshotter.stop()
         server.shutdown()
         server.queue.close(wait=False)
-        cache.close()
+        if cache is not None:
+            cache.close()
         if store is not None:
             store.close()
     return 0
@@ -1139,17 +1147,11 @@ def _cmd_serve(args) -> int:
 
 def _cmd_worker(args) -> int:
     from repro import obs
-    from repro.service.worker import CampaignWorker, worker_cache
+    from repro.service.worker import CampaignWorker
 
     obs.configure(level=args.log_level)
-    try:
-        cache = worker_cache(args.cache, args.url)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     worker = CampaignWorker(
         args.url,
-        cache=cache,
         worker_id=args.worker_id,
         poll_s=args.poll,
         max_units=args.max_units,
@@ -1162,9 +1164,6 @@ def _cmd_worker(args) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if cache is not None:
-            cache.close()
     return 0
 
 

@@ -4,7 +4,8 @@ The service layer turns the per-run, in-memory evaluation loop of the
 MOGA explorer into shared infrastructure:
 
 * :mod:`repro.service.cache` — content-addressed persistent evaluation
-  cache (memory LRU + SQLite disk tier, hit/miss statistics),
+  cache (memory LRU + SQLite disk tier, hit/miss statistics), local to
+  the process that runs the campaign,
 * :mod:`repro.service.executor` — the serial batch executor behind the
   ``evaluate_batch`` interface, and the cache-aware evaluator the GA
   injects,
@@ -23,9 +24,7 @@ MOGA explorer into shared infrastructure:
   into leasable per-spec work units (TTL leases, heartbeats, bounded
   retry, idempotent result submission),
 * :mod:`repro.service.worker` — the ``repro worker`` loop that leases,
-  evaluates and submits units over the HTTP protocol,
-* :mod:`repro.service.cache_backends` — the remote-over-HTTP storage
-  backend for the evaluation cache and the CLI's cache-spec parser,
+  evaluates (uncached) and submits units over the HTTP protocol,
 * :mod:`repro.service.api` — typed, JSON round-trippable
   request/response records.
 """
@@ -42,18 +41,12 @@ __all__ = [
     "CampaignClient",
     "CampaignHTTPServer",
     "serve",
-    "CacheBackend",
     "CacheStats",
     "EvaluationCache",
-    "SqliteCacheBackend",
-    "RemoteCacheBackend",
-    "make_cache",
     "evaluation_key",
     "stable_hash",
     "WorkCoordinator",
-    "DistributedRunner",
     "CampaignWorker",
-    "worker_cache",
     "BatchExecutor",
     "SerialExecutor",
     "ProblemEvaluator",
@@ -75,12 +68,8 @@ _EXPORTS = {
         "SCHEMA_VERSION", "CampaignRequest", "CampaignResponse", "FrontierPoint",
         "SpecRequest",
     ),
-    "repro.service.cache": (
-        "CacheBackend", "CacheStats", "EvaluationCache", "SqliteCacheBackend",
-        "evaluation_key",
-    ),
+    "repro.service.cache": ("CacheStats", "EvaluationCache", "evaluation_key"),
     "repro.core.hashing": ("stable_hash",),
-    "repro.service.cache_backends": ("RemoteCacheBackend", "make_cache"),
     "repro.service.campaign": (
         "CampaignConfig", "CampaignResult", "execute_request", "run_campaign",
     ),
@@ -88,12 +77,12 @@ _EXPORTS = {
         "CampaignCancelled", "CampaignEvent", "EventBuffer", "EventKind",
     ),
     "repro.service.executor": ("BatchExecutor", "ProblemEvaluator", "SerialExecutor"),
-    "repro.service.distributed": ("DistributedRunner", "WorkCoordinator"),
+    "repro.service.distributed": ("WorkCoordinator",),
     "repro.service.jobs": ("JobQueue", "JobRecord", "JobStatus"),
     "repro.service.server": (
         "AsyncCampaignService", "CampaignClient", "CampaignHTTPServer", "serve",
     ),
-    "repro.service.worker": ("CampaignWorker", "worker_cache"),
+    "repro.service.worker": ("CampaignWorker",),
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

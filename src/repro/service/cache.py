@@ -21,7 +21,10 @@ plus one ``executemany`` transaction) instead of N per-genome queries
 and N commits.  Every batch is written through, so whatever a campaign
 evaluated is on disk when it ends — also when it fails or is
 cancelled.  The SQLite tier runs in WAL journal mode with a busy
-timeout, so concurrent worker processes can share one cache file.
+timeout, so concurrent processes can share one cache file.
+
+The cache lives in the process that runs the campaign: no server
+exposes it, and ``repro worker`` processes evaluate uncached.
 
 All public operations are thread-safe; campaign workers share one
 cache instance.
@@ -39,18 +42,16 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.hashing import stable_hash
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import NULL_SPAN, get_tracer
 
 __all__ = [
-    "CacheBackend",
     "CacheStats",
     "EvaluationCache",
     "GenomeKeyer",
-    "SqliteCacheBackend",
     "evaluation_key",
     "problem_fingerprint",
     "stable_hash",
@@ -179,52 +180,17 @@ class CacheStats:
         }
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """Pluggable persistent tier behind :class:`EvaluationCache`.
-
-    Implementations store ``key -> objectives`` pairs durably (or
-    remotely) and are **batch-first**: :meth:`get_many`/:meth:`put_many`
-    move a whole generation in one round trip.  The built-ins are
-    :class:`SqliteCacheBackend` and the HTTP-speaking
-    :class:`~repro.service.cache_backends.RemoteCacheBackend` that lets
-    N worker processes share one dedup layer.  Pass an instance as
-    ``EvaluationCache(backend=...)`` to front it with the memory LRU.
-    """
-
-    #: Short backend label used in metrics and ``info()`` payloads.
-    name: str
-
-    def get(self, key: str) -> Objectives | None: ...
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, Objectives]: ...
-
-    def put(self, key: str, objectives: Objectives) -> None: ...
-
-    def put_many(self, entries: Mapping[str, Objectives]) -> None: ...
-
-    def compact(self) -> dict: ...
-
-    def __len__(self) -> int: ...
-
-    def items(self) -> Iterator[tuple[str, Objectives]]: ...
-
-    def close(self) -> None: ...
-
-
 class _SqliteStore:
     """SQLite disk tier: one ``evaluations(key, objectives)`` table.
 
     Runs in WAL journal mode with a generous busy timeout so several
-    worker processes can ``put_many`` into one cache file concurrently:
+    processes can ``put_many`` into one cache file concurrently:
     readers never block the writer, and a second writer waits for the
     lock instead of failing with ``database is locked``.  A whole
     batch is one ``executemany`` inside a single transaction — one
     commit (and at most one fsync) per generation rather than per
     genome.
     """
-
-    name = "sqlite"
 
     def __init__(self, path: Path) -> None:
         # sqlite3 fails on these two with a bare "unable to open" or
@@ -328,14 +294,8 @@ class EvaluationCache:
 
     Args:
         path: SQLite file of the disk tier, whatever its suffix.
-            ``None`` keeps the cache memory-only (unless a backend is
-            passed).  A directory, or a log of the removed JSONL tier,
-            raises :class:`ValueError`.
-        backend: a :class:`CacheBackend` instance to plug in as the
-            disk tier (e.g. a
-            :class:`~repro.service.cache_backends.RemoteCacheBackend`
-            sharing a server-side dedup layer); ``path`` must be
-            omitted then.
+            ``None`` keeps the cache memory-only.  A directory, or a
+            log of the removed JSONL tier, raises :class:`ValueError`.
         max_memory_entries: LRU capacity of the memory tier.
         registry: :class:`~repro.obs.metrics.MetricsRegistry` the cache
             publishes into (defaults to the process global).  Counters
@@ -357,37 +317,19 @@ class EvaluationCache:
         self,
         path: str | Path | None = None,
         *,
-        backend: CacheBackend | None = None,
         max_memory_entries: int = 262_144,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if max_memory_entries < 1:
             raise ValueError("max_memory_entries must be >= 1")
-        if isinstance(backend, str):
-            raise ValueError(
-                f"backend={backend!r}: backend takes a CacheBackend "
-                f"instance; a cache path always opens SQLite"
-            )
         self.max_memory_entries = max_memory_entries
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, Objectives] = OrderedDict()
-        self._disk: CacheBackend | None = None
+        self._disk: _SqliteStore | None = None
         self.backend = "memory"
         self.path: Path | None = None
-        if backend is not None:
-            # A caller-built CacheBackend instance plugs in directly;
-            # the memory LRU fronts it exactly like the SQLite tier.
-            if path is not None:
-                raise ValueError(
-                    "pass either a path or a CacheBackend instance, not both"
-                )
-            self._disk = backend
-            self.backend = getattr(backend, "name", type(backend).__name__)
-            backend_path = getattr(backend, "path", None)
-            if isinstance(backend_path, (str, Path)):
-                self.path = Path(backend_path)
-        elif path is not None:
+        if path is not None:
             self.path = Path(path)
             self._disk = _SqliteStore(self.path)
             self.backend = "sqlite"
@@ -651,8 +593,3 @@ class EvaluationCache:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-#: Public name for the built-in disk tier, now that the backend
-#: interface is pluggable (the underscore spelling predates it).
-SqliteCacheBackend = _SqliteStore

@@ -5,12 +5,12 @@ single-spec :class:`~repro.service.api.CampaignRequest` whose seed is
 rebased to ``seed + spec_index``, exactly the seed the in-process
 :func:`~repro.service.campaign.run_campaign` hands that spec.  Worker
 processes (:mod:`repro.service.worker`) lease units over the HTTP JSON
-envelope, evaluate them through the ordinary campaign machinery, and
-report their per-spec fronts back; the coordinator concatenates the
-fronts in spec order and runs the same single
+envelope, evaluate them uncached through the ordinary campaign
+machinery, and report their per-spec fronts back; the coordinator
+concatenates the fronts in spec order and runs the same single
 :func:`~repro.core.pareto.pareto_front` merge the in-process path uses,
-so the assembled response is **bit-identical** to a local run of the
-same request.
+so the assembled response equals an uncached local run of the same
+request in every field but ``wall_time_s``.
 
 Fault tolerance is lease-based: a unit lease lasts ``lease_ttl_s`` and
 is renewed by worker heartbeats; when a worker dies (or just stops
@@ -22,8 +22,9 @@ campaign fingerprint plus the unit's own request payload), and the
 first completed result wins; a late duplicate from a slow worker whose
 lease was already reassigned is acknowledged and dropped.
 
-The coordinator plugs into the existing :class:`~repro.service.jobs.
-JobQueue` as a *runner* (:class:`DistributedRunner`), so submission,
+:meth:`WorkCoordinator.execute` is the
+:class:`~repro.service.jobs.JobQueue`'s runner in distributed mode (it
+takes the queue's ``observer``/``should_stop`` hooks), so submission,
 deduplication, event streaming, cancellation, TTL purging and run
 recording all behave exactly as for in-process execution.
 """
@@ -47,7 +48,6 @@ from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
 from repro.service.events import CampaignCancelled, CampaignEvent, EventKind
 
 __all__ = [
-    "DistributedRunner",
     "UnitStatus",
     "WorkCoordinator",
     "WorkUnit",
@@ -162,9 +162,9 @@ class WorkCoordinator:
     """Thread-safe lease/heartbeat/result hub for distributed campaigns.
 
     The HTTP layer calls the worker-facing methods from handler
-    threads; :class:`DistributedRunner` calls :meth:`execute` from a
-    job-queue worker thread and blocks until the campaign's units all
-    complete (or fail / are cancelled).  Lease expiry is checked on
+    threads; the job queue calls :meth:`execute` from a worker thread,
+    which blocks until the campaign's units all complete (or fail /
+    are cancelled).  Lease expiry is checked on
     every worker interaction and on every wait tick of the blocked
     runner, so no extra sweeper thread is needed.
     """
@@ -728,16 +728,17 @@ class WorkCoordinator:
         and stable-sort by objective 0 — the same algorithm (and the
         same float values, since JSON round-trips doubles exactly) as
         :func:`~repro.dse.explorer.merge_exploration_results`, so the
-        frontier is bit-identical to the in-process path.
+        frontier is bit-identical to the in-process path.  Workers run
+        uncached, so every evaluation is fresh and there are no cache
+        statistics; cache fields an older worker still reports are
+        ignored.
         """
         from repro.core.pareto import pareto_front
 
         points: list[FrontierPoint] = []
         objectives: list[tuple[float, ...]] = []
         per_spec: list[int] = []
-        fresh = 0
         strategies: list[str] = []
-        cache_totals: dict[str, float] | None = {}
         for unit in campaign.units:
             result = unit.result or {}
             for payload in result.get("front") or ():
@@ -745,21 +746,7 @@ class WorkCoordinator:
                 points.append(point)
                 objectives.append(tuple(point.objectives))
             per_spec.append(int(result.get("evaluations") or 0))
-            fresh += int(result.get("fresh_evaluations") or 0)
             strategies.append(result.get("strategy") or "ga")
-            stats = result.get("cache_stats")
-            if stats is None:
-                cache_totals = None
-            elif cache_totals is not None:
-                for key, value in stats.items():
-                    if key == "hit_rate":
-                        continue
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        if cache_totals is not None:
-            lookups = cache_totals.get("hits", 0) + cache_totals.get("misses", 0)
-            cache_totals["hit_rate"] = round(
-                cache_totals.get("hits", 0) / lookups if lookups else 0.0, 4
-            )
         if points:
             merged = pareto_front(list(zip(points, objectives)), objectives)
             merged.sort(key=lambda po: po[1][0])
@@ -769,32 +756,10 @@ class WorkCoordinator:
         return CampaignResponse(
             frontier=frontier,
             evaluations=sum(per_spec),
-            fresh_evaluations=fresh,
+            fresh_evaluations=sum(per_spec),
             per_spec_evaluations=tuple(per_spec),
-            cache_stats=cache_totals,
             wall_time_s=wall_time,
             problem=campaign.request.problem,
             strategies=tuple(strategies),
         )
 
-
-class DistributedRunner:
-    """Adapter that lets a :class:`~repro.service.jobs.JobQueue` hand
-    campaigns to a :class:`WorkCoordinator` instead of running them
-    in-process.  The signature carries the queue's ``observer`` /
-    ``should_stop`` hooks, so event streaming and cancellation work
-    unchanged.
-    """
-
-    def __init__(self, coordinator: WorkCoordinator) -> None:
-        self.coordinator = coordinator
-
-    def __call__(
-        self,
-        request: CampaignRequest,
-        observer: Callable[[CampaignEvent], None] | None = None,
-        should_stop: Callable[[], bool] | None = None,
-    ) -> CampaignResponse:
-        return self.coordinator.execute(
-            request, observer=observer, should_stop=should_stop
-        )

@@ -1,9 +1,9 @@
 """Asyncio and HTTP front-ends over the campaign job queue.
 
 Two entry points, both backed by one worker-driven
-:class:`~repro.service.jobs.JobQueue` (and therefore one shared
-:class:`~repro.service.cache.EvaluationCache` as the cross-request
-dedup layer):
+:class:`~repro.service.jobs.JobQueue` (and the optional
+:class:`~repro.service.cache.EvaluationCache` its in-process runner
+shares across requests; no route exposes that cache):
 
 * :class:`AsyncCampaignService` — the asyncio face.  ``await
   submit/status/result/cancel`` plus an ``async for`` stream of
@@ -47,12 +47,6 @@ dedup layer):
       POST /api/units/lease               lease the next work unit
       POST /api/units/<id>/result         submit a unit outcome
                                           (idempotent on the unit id)
-
-  and with a shared ``cache``, the batched remote-cache envelope::
-
-      GET  /api/cache                     cache info
-      POST /api/cache/get_many            {"keys": [...]}
-      POST /api/cache/put_many            {"entries": {key: [objs]}}
 
   The ``/api/runs`` family answers 404 unless the server was given a
   :class:`~repro.store.runstore.RunStore` (the same instance the queue
@@ -374,7 +368,7 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     #: Paths that never start a request span: health probes, scrape /
     #: trace-inspection endpoints, and the distributed-protocol polling
-    #: traffic (lease/heartbeat/cache batches fire continuously) would
+    #: traffic (leases and heartbeats fire continuously) would
     #: otherwise flood the trace ring.  Unit evaluations are traced
     #: through the coordinator's ``unit.evaluate`` spans instead.
     _UNTRACED_PREFIXES = (
@@ -384,7 +378,6 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         "/api/traces",
         "/api/workers",
         "/api/units",
-        "/api/cache",
     )
 
     def _dispatch(self, method: str) -> None:
@@ -490,8 +483,6 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             return self._workers_route(method, parts[2:], url)
         if parts[:2] == ["api", "units"]:
             return self._units_route(method, parts[2:], url)
-        if parts[:2] == ["api", "cache"]:
-            return self._cache_route(method, parts[2:], url)
         if method == "GET" and parts == ["metrics"]:
             self._route_template = "/metrics"
             text = get_registry().render_prometheus()
@@ -830,48 +821,6 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             return coordinator.submit_result(worker_id, tail[0], payload), 200
         raise _ApiError(404, f"unknown units path {url.path!r}")
 
-    def _cache_route(self, method: str, tail: list[str], url) -> tuple[dict, int]:
-        cache = self.server.cache
-        if cache is None:
-            raise _ApiError(
-                404, "this server has no shared cache", "no_cache"
-            )
-        if not tail and method == "GET":
-            self._route_template = "/api/cache"
-            return cache.info(), 200
-        if tail == ["get_many"] and method == "POST":
-            self._route_template = "/api/cache/get_many"
-            keys = self._read_json().get("keys")
-            if not isinstance(keys, list):
-                raise _ApiError(400, "get_many needs a JSON list of keys")
-            hits = cache.get_many([str(key) for key in keys])
-            found = {
-                key: list(value)
-                for key, value in zip(keys, hits)
-                if value is not None
-            }
-            return {"found": found, "entries": len(cache)}, 200
-        if tail == ["put_many"] and method == "POST":
-            self._route_template = "/api/cache/put_many"
-            entries = self._read_json().get("entries")
-            if not isinstance(entries, dict):
-                raise _ApiError(
-                    400, "put_many needs a JSON object of key -> objectives"
-                )
-            try:
-                cache.put_many(
-                    {
-                        str(key): tuple(float(v) for v in values)
-                        for key, values in entries.items()
-                    }
-                )
-            except (TypeError, ValueError) as exc:
-                raise _ApiError(
-                    400, f"bad objectives payload: {exc}"
-                ) from None
-            return {"stored": len(entries), "entries": len(cache)}, 200
-        raise _ApiError(404, f"unknown cache path {url.path!r}")
-
 
 class CampaignHTTPServer(ThreadingHTTPServer):
     """Stdlib HTTP/JSON front-end bound to one job queue.
@@ -900,9 +849,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
             :class:`~repro.service.distributed.WorkCoordinator`; mounts
             the ``/api/workers`` + ``/api/units`` protocol so external
             ``repro worker`` processes can lease and evaluate units.
-        cache: optional :class:`~repro.service.cache.EvaluationCache`
-            served over ``/api/cache`` as the workers' shared dedup
-            layer (the ``remote`` cache backend's other half).
     """
 
     daemon_threads = True
@@ -914,7 +860,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         store=None,
         admission: AdmissionController | None = None,
         coordinator=None,
-        cache=None,
     ) -> None:
         super().__init__(address, _CampaignHandler)
         self.queue = queue
@@ -922,7 +867,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self.admission = admission
         self.logger = get_logger("repro.http")
         self.coordinator = coordinator
-        self.cache = cache
         self.started_at = time.monotonic()
         #: Set by :meth:`shutdown`; handlers answer no request after it.
         self._closing = False
@@ -1034,15 +978,16 @@ def serve(
     and is responsible for closing the queue on shutdown —
     :func:`repro.cli.main`'s ``repro serve`` shows the full lifecycle.
 
-    With a ``coordinator``
+    The ``cache`` (when given) serves an owned queue's in-process
+    runner; no route exposes it.  With a ``coordinator``
     (:class:`~repro.service.distributed.WorkCoordinator`), an owned
-    queue runs campaigns through
-    :class:`~repro.service.distributed.DistributedRunner` — external
-    ``repro worker`` processes lease the units over ``/api/workers`` /
-    ``/api/units`` — and, with a store attached, per-unit worker rows
+    queue hands each campaign to its
+    :meth:`~repro.service.distributed.WorkCoordinator.execute` instead:
+    external ``repro worker`` processes lease the units over
+    ``/api/workers`` / ``/api/units`` and evaluate them uncached, so a
+    ``cache`` goes unused.  With a store attached, per-unit worker rows
     are flushed into ``RunStore.record_work_units`` once each run is
-    recorded.  The ``cache`` (when given) is additionally served over
-    ``/api/cache`` so workers can share it as their dedup layer.
+    recorded.
     """
     if queue is None:
         if workers < 1:
@@ -1050,9 +995,7 @@ def serve(
         runner = None
         on_recorded = None
         if coordinator is not None:
-            from repro.service.distributed import DistributedRunner
-
-            runner = DistributedRunner(coordinator)
+            runner = coordinator.execute
             if store is not None and hasattr(store, "record_work_units"):
                 def on_recorded(job, _store=store, _coord=coordinator):
                     if job.run_id is None:
@@ -1076,7 +1019,6 @@ def serve(
         store=store,
         admission=admission,
         coordinator=coordinator,
-        cache=cache,
     )
 
 
@@ -1398,16 +1340,3 @@ class CampaignClient:
         return self._call(
             "POST", f"/api/units/{_quote(unit_id)}/result", body
         )
-
-    # Remote cache ----------------------------------------------------------
-    def cache_info(self) -> dict:
-        """The server-side shared cache's info payload."""
-        return self._call("GET", "/api/cache")
-
-    def cache_get_many(self, keys: list[str]) -> dict:
-        """Batched lookup against the server's shared cache."""
-        return self._call("POST", "/api/cache/get_many", {"keys": keys})
-
-    def cache_put_many(self, entries: dict) -> dict:
-        """Batched store into the server's shared cache."""
-        return self._call("POST", "/api/cache/put_many", {"entries": entries})

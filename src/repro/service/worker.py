@@ -13,11 +13,12 @@ campaign's ``should_stop`` hook.
 
 Results are deterministic, so the worker needs no coordination beyond
 the lease: the unit's request payload carries the spec and the rebased
-seed, and the evaluation is bit-identical wherever it runs.  The
-evaluation cache defaults to the coordinator's own dedup layer (the
-``remote`` backend speaking ``/api/cache`` — a genome any worker
-evaluated is a cache hit for every other worker) and can instead be a
-local file or memory-only.
+seed, and the evaluation is bit-identical wherever it runs.  Workers
+evaluate uncached: the cost engine takes about 4 µs a genome, so a
+shared cache saved less than the HTTP round trip per generation it
+cost, and a unit's GA run already dedups its genomes in its own
+archive.  The merged response counts every evaluation as fresh, as an
+uncached in-process run does.
 """
 
 from __future__ import annotations
@@ -29,28 +30,11 @@ from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, parse_traceparent, use_span
 from repro.problems import get_problem
 from repro.service.api import CampaignRequest
-from repro.service.cache import EvaluationCache
 from repro.service.campaign import CampaignConfig, run_campaign
 from repro.service.events import CampaignCancelled
 from repro.tech.cells import CellLibrary
 
-__all__ = ["CampaignWorker", "worker_cache"]
-
-
-def worker_cache(spec: str | None, base_url: str) -> EvaluationCache | None:
-    """Build a worker's evaluation cache from its ``--cache`` spec.
-
-    ``"remote"`` (the default) shares the coordinator's dedup layer
-    over ``/api/cache``; ``"memory"`` is process-local; ``"none"``
-    disables caching; anything else is a local SQLite cache file.
-    """
-    from repro.service.cache_backends import RemoteCacheBackend, make_cache
-
-    if spec == "none":
-        return None
-    if spec is None or spec == "remote":
-        return EvaluationCache(backend=RemoteCacheBackend(base_url))
-    return make_cache(spec)
+__all__ = ["CampaignWorker"]
 
 
 class CampaignWorker:
@@ -58,8 +42,6 @@ class CampaignWorker:
 
     Args:
         url: coordinator base URL.
-        cache: shared evaluation cache (see :func:`worker_cache`);
-            ``None`` evaluates uncached.
         worker_id: stable identity to register under; ``None`` lets
             the coordinator assign one.
         poll_s: idle sleep between lease attempts when no work is
@@ -70,8 +52,8 @@ class CampaignWorker:
             (``None`` = wait forever); how the example and smoke
             workers terminate once a campaign drains.
         library: normalised cell library (defaults to the bundled one —
-            workers must share the coordinator's library for cache keys
-            and results to line up).
+            workers must share the coordinator's library for results to
+            line up).
         client: a pre-built :class:`~repro.service.server.
             CampaignClient` (tests inject one; normally built from
             ``url`` with retries enabled).
@@ -80,7 +62,6 @@ class CampaignWorker:
     def __init__(
         self,
         url: str,
-        cache: EvaluationCache | None = None,
         worker_id: str | None = None,
         poll_s: float = 0.5,
         max_units: int | None = None,
@@ -92,7 +73,6 @@ class CampaignWorker:
 
         self.url = url.rstrip("/")
         self.client = client or CampaignClient(self.url, retries=4)
-        self.cache = cache
         self.worker_id = worker_id
         self.poll_s = poll_s
         self.max_units = max_units
@@ -311,7 +291,6 @@ class CampaignWorker:
             specs,
             config,
             library=self.library,
-            cache=self.cache,
             should_stop=lambda: (
                 self._stopped.is_set() or self._unit_lost(unit_id)
             ),
@@ -325,14 +304,8 @@ class CampaignWorker:
             "status": "done",
             "front": front,
             "evaluations": exploration.evaluations,
-            "fresh_evaluations": result.fresh_evaluations,
             "generations_run": exploration.generations_run,
             "strategy": exploration.strategy,
-            "cache_stats": (
-                result.cache_stats.as_dict()
-                if result.cache_stats is not None
-                else None
-            ),
         }
 
 

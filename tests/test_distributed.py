@@ -1,11 +1,10 @@
 """Tests for distributed campaign execution.
 
 Coordinator protocol (leases, heartbeats, expiry, idempotent results,
-bounded attempts), the HTTP worker round trip and its bit-parity with
-the in-process path, the remote cache backend's cross-worker dedup,
-client retries, and the run-store / dashboard plumbing.  Tests marked
-``distributed`` additionally spawn real ``repro serve`` / ``repro
-worker`` subprocesses.
+bounded attempts), the HTTP worker round trip and its parity with the
+uncached in-process path, client retries, the distributed CLI flags,
+and the run-store / dashboard plumbing.  Tests marked ``distributed``
+additionally spawn real ``repro serve`` / ``repro worker`` subprocesses.
 """
 
 import threading
@@ -18,7 +17,7 @@ from repro.service.cache import EvaluationCache
 from repro.service.distributed import WorkCoordinator
 from repro.service.events import CampaignCancelled
 from repro.service.server import CampaignClient, serve
-from repro.service.worker import CampaignWorker, worker_cache
+from repro.service.worker import CampaignWorker
 
 
 def tiny_request(**overrides) -> CampaignRequest:
@@ -46,6 +45,13 @@ def done_payload(evaluations: int = 3) -> dict:
         "cache_stats": None,
         "wall_time_s": 0.01,
     }
+
+
+def without_wall_time(response) -> dict:
+    """Every field of a response except its wall clock."""
+    payload = response.to_dict()
+    del payload["wall_time_s"]
+    return payload
 
 
 def run_execute(coordinator, request, should_stop=None):
@@ -157,22 +163,27 @@ class TestWorkCoordinator:
         thread.join(timeout=10)
         assert box["response"].evaluations == 6
 
-    def test_merge_sums_reported_fresh_evaluations(self):
-        # Exhaustive units consult no cache: zero misses, all fresh.  The
-        # merge must take each worker's count, not re-derive it.
+    def test_merge_ignores_reported_cache_fields(self):
+        # Workers evaluate uncached.  An older worker may still report
+        # cache counters and a smaller fresh count: the merge ignores
+        # both and counts every genome fresh, as an uncached run does.
         coord = WorkCoordinator(lease_ttl_s=10.0)
         thread, box = run_execute(coord, tiny_request())
         wait_for(lambda: coord.stats()["units_pending"] == 2)
-        unconsulted = EvaluationCache().stats.as_dict()
         for evaluations in (5, 7):
             unit = coord.lease("w1")
             payload = done_payload(evaluations)
-            payload.update(strategy="exhaustive", cache_stats=unconsulted)
+            payload.update(
+                fresh_evaluations=1,
+                cache_stats={"hits": evaluations - 1, "misses": 1,
+                             "hit_rate": 0.8},
+            )
             coord.submit_result("w1", unit["unit_id"], payload)
         thread.join(timeout=10)
         response = box["response"]
         assert response.fresh_evaluations == response.evaluations == 12
-        assert response.cache_stats["misses"] == 0
+        assert response.per_spec_evaluations == (5, 7)
+        assert response.cache_stats is None
 
     def test_attempts_exhausted_fails_campaign_structurally(self):
         coord = WorkCoordinator(lease_ttl_s=10.0, max_attempts=2)
@@ -228,18 +239,11 @@ def distributed_setup(tmp_path):
 
     store = RunStore(tmp_path / "runs.sqlite")
     coordinator = WorkCoordinator(lease_ttl_s=5.0)
-    cache = EvaluationCache()
-    server = serve(
-        port=0, workers=2, cache=cache, store=store, coordinator=coordinator
-    )
+    server = serve(port=0, workers=2, store=store, coordinator=coordinator)
     server.serve_in_background()
     workers, threads = [], []
     for _ in range(2):
-        worker = CampaignWorker(
-            server.url,
-            cache=worker_cache("remote", server.url),
-            poll_s=0.05,
-        )
+        worker = CampaignWorker(server.url, poll_s=0.05)
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         workers.append(worker)
@@ -252,7 +256,6 @@ def distributed_setup(tmp_path):
     server.shutdown()
     server.queue.close(wait=False)
     store.close()
-    cache.close()
 
 
 class TestDistributedRoundTrip:
@@ -272,18 +275,14 @@ class TestDistributedRoundTrip:
 
         client, _, workers, store = distributed_setup
         request = tiny_request()
-        reference = execute_request(request, cache=EvaluationCache())
+        reference = execute_request(request)
 
         job_id = client.submit(request)
         response = finished(client, job_id)
 
-        assert [p.to_dict() for p in response.frontier] == [
-            p.to_dict() for p in reference.frontier
-        ]
-        assert response.evaluations == reference.evaluations
-        assert response.per_spec_evaluations == (
-            reference.per_spec_evaluations
-        )
+        # Workers evaluate uncached, so the whole response (counts and
+        # cache_stats included) equals the uncached in-process run's.
+        assert without_wall_time(response) == without_wall_time(reference)
         # The recorded run carries the same request fingerprint as the
         # in-process path would, and both units landed with worker ids.
         run = store.list_runs()[0]
@@ -305,40 +304,28 @@ class TestDistributedRoundTrip:
         assert "Distributed workers" in html
         assert rows[0]["worker_id"] in html
 
-    def test_remote_cache_dedups_across_workers(self, distributed_setup):
-        client, server, _, _ = distributed_setup
-        first = finished(client, client.submit(tiny_request()))
-        assert first.fresh_evaluations > 0
-        assert len(server.cache) == first.fresh_evaluations
-
-        # A distinct campaign (different fingerprint, same evaluation
-        # space) re-runs every unit — but every genome any worker
-        # evaluated is already in the shared remote cache.
-        second_request = tiny_request(workers=3)
-        assert second_request.fingerprint() != tiny_request().fingerprint()
-        second = finished(client, client.submit(second_request))
-        assert second.fresh_evaluations == 0
-        assert second.evaluations == first.evaluations
-        assert [p.to_dict() for p in second.frontier] == [
-            p.to_dict() for p in first.frontier
-        ]
-        assert second.cache_stats["hits"] == second.evaluations
+        # The same holds on the exhaustive route.
+        exhaustive = tiny_request(exhaustive_threshold=None)
+        response = finished(client, client.submit(exhaustive))
+        assert response.strategies == ("exhaustive", "exhaustive")
+        assert without_wall_time(response) == without_wall_time(
+            execute_request(exhaustive)
+        )
 
     def test_exhaustive_units_count_every_genome_fresh(self, distributed_setup):
-        client, server, _, _ = distributed_setup
+        client, _, _, _ = distributed_setup
         first = finished(
             client, client.submit(tiny_request(exhaustive_threshold=None))
         )
         assert first.strategies == ("exhaustive", "exhaustive")
         assert first.fresh_evaluations == first.evaluations > 0
-        # A distinct request over the same specs: no unit consulted the
-        # shared cache, so every genome is fresh again.
+        # A distinct request over the same specs: workers evaluate
+        # uncached, so every genome is fresh again.
         second = finished(
             client,
             client.submit(tiny_request(exhaustive_threshold=None, workers=3)),
         )
         assert second.fresh_evaluations == second.evaluations == first.evaluations
-        assert len(server.cache) == 0
 
     def test_workers_endpoint_lists_registered_workers(
         self, distributed_setup
@@ -351,17 +338,19 @@ class TestDistributedRoundTrip:
         }
         assert all(row["state"] in ("idle", "active") for row in rows)
 
-    def test_remote_cache_endpoint_round_trip(self, distributed_setup):
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("GET", "/api/cache"),
+            ("POST", "/api/cache/get_many"),
+            ("POST", "/api/cache/put_many"),
+        ],
+    )
+    def test_coordinator_serves_no_cache(self, distributed_setup, method, path):
         client, _, _, _ = distributed_setup
-        stored = client.cache_put_many(
-            {"key-a": (1.0, 2.0), "key-b": (3.0, 4.0)}
-        )
-        assert stored["stored"] == 2
-        answer = client.cache_get_many(["key-a", "key-b", "key-c"])
-        assert answer["found"] == {
-            "key-a": [1.0, 2.0], "key-b": [3.0, 4.0]
-        }
-        assert client.cache_info()["entries"] >= 2
+        body = None if method == "GET" else {"keys": [], "entries": {}}
+        with pytest.raises(RuntimeError, match=r"HTTP 404 \(not_found"):
+            client._call(method, path, body)
 
 
 class TestWorkerFaultTolerance:
@@ -393,12 +382,7 @@ class TestWorkerFaultTolerance:
 
             # A healthy worker shows up after the lease has expired and
             # completes the campaign.
-            worker = CampaignWorker(
-                server.url,
-                cache=worker_cache("remote", server.url),
-                poll_s=0.05,
-                max_units=1,
-            )
+            worker = CampaignWorker(server.url, poll_s=0.05, max_units=1)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
             response = finished(client, job_id)
@@ -529,11 +513,9 @@ class TestSubprocessRoundTrip:
             wait_for(lambda: len(client.workers()) == 2, timeout_s=30.0)
             request = tiny_request()
             response = finished(client, client.submit(request))
-            reference = execute_request(request, cache=EvaluationCache())
-            assert [p.to_dict() for p in response.frontier] == [
-                p.to_dict() for p in reference.frontier
-            ]
-            assert response.evaluations == reference.evaluations
+            assert without_wall_time(response) == without_wall_time(
+                execute_request(request)
+            )
             # Both worker processes registered with the coordinator.
             assert len(client.workers()) == 2
         finally:
@@ -542,3 +524,32 @@ class TestSubprocessRoundTrip:
             serve_proc.terminate()
             for proc in [*workers, serve_proc]:
                 proc.wait(timeout=30)
+
+
+class TestDistributedFlags:
+    """The serving side of ``--workers-remote`` carries no cache."""
+
+    def test_serve_rejects_cache_with_remote_workers(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "evals.sqlite"
+        assert main(["serve", "--port", "0", "--workers-remote",
+                     "--cache", str(cache)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --cache does not apply to --workers-remote: "
+            "workers evaluate uncached\n"
+        )
+        assert captured.out == ""  # no server came up
+        assert not cache.exists()
+
+    def test_worker_cache_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        # Rejected while parsing: no coordinator is contacted.
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--url", "http://127.0.0.1:9", "--cache", "none"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --cache none" in captured.err
+        assert captured.out == ""

@@ -366,7 +366,3 @@ class TestStats:
         payload = stats.as_dict()
         assert payload["hits"] == 3
         assert payload["hit_rate"] == 0.75
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationCache(backend="redis")

@@ -278,6 +278,53 @@ class TestHTTPServer:
         assert response.frontier[0].extras["n_macros"] >= 1
 
 
+class TestNoCacheRoutes:
+    """No route reads or writes the evaluation cache a server runs with."""
+
+    def test_no_client_can_rewrite_served_fronts(self):
+        from repro.problems import get_problem
+        from repro.service.cache import GenomeKeyer
+        from repro.service.campaign import execute_request
+        from repro.tech.cells import CellLibrary
+
+        request = tiny_request()  # forced GA on 4096:INT4
+        definition = get_problem(request.problem)
+        problem = definition.make_problem(
+            definition.to_spec(request.specs[0]), CellLibrary.default()
+        )
+        keyer = GenomeKeyer.for_problem(problem.spec, problem.library)
+        fake = {
+            keyer(genome): [0.0, 0.0, 0.0, -1e9]
+            for genome in problem.enumerate_genomes()
+        }
+        server = serve(port=0, workers=1, cache=EvaluationCache())
+        server.serve_in_background()
+        client = CampaignClient(server.url)
+        try:
+            for method, path, body in [
+                ("POST", "/api/cache/put_many", {"entries": fake}),
+                ("POST", "/api/cache/get_many", {"keys": list(fake)}),
+                ("GET", "/api/cache", None),
+            ]:
+                with pytest.raises(RuntimeError, match=r"HTTP 404 \(not_found"):
+                    client._call(method, path, body)
+            job_id = client.submit(request)
+            for _ in client.watch(job_id, poll_s=0.1):
+                pass
+            served = client.result(job_id).to_dict()
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            server.queue.close()
+        # A fresh cache on both sides: the same counters, and the same
+        # front, as a campaign no client could touch.
+        reference = execute_request(request, cache=EvaluationCache()).to_dict()
+        for payload in (served, reference):
+            del payload["wall_time_s"]
+        assert served == reference
+
+
 @pytest.fixture()
 def keepalive_server(monkeypatch):
     """A fresh server whose handler logs ``(path, client port)`` per request."""
@@ -309,6 +356,41 @@ def raw_call(connection, method, path, body=None):
     connection.request(method, path, body=data, headers=headers)
     answer = connection.getresponse()
     return answer.status, answer.read()
+
+
+def record_servers(monkeypatch):
+    """Log ``(server, path, client port)`` for every request a handler
+    reads, and ``(server, route)`` for every one it answers."""
+    from repro.service.server import CampaignHTTPServer, _CampaignHandler
+
+    read, answered = [], []
+    dispatch = _CampaignHandler._dispatch
+    observe = CampaignHTTPServer.observe_request
+
+    def spy(self, method):
+        read.append((self.server, self.path, self.client_address[1]))
+        return dispatch(self, method)
+
+    def observed(self, route, method, status, elapsed_s):
+        answered.append((self, route))
+        return observe(self, route, method, status, elapsed_s)
+
+    monkeypatch.setattr(_CampaignHandler, "_dispatch", spy)
+    monkeypatch.setattr(CampaignHTTPServer, "observe_request", observed)
+    return read, answered
+
+
+def assert_served_after_restart(old, new, read, answered, job_id):
+    """The restarted server got exactly the submit and the status, both
+    on one connection that is not the first call's; whatever the old
+    server read after its shutdown went unanswered."""
+    assert read[0][:2] == (old, "/healthz")
+    after = [(path, port) for by, path, port in read if by is new]
+    assert [path for path, _ in after] == [
+        "/api/campaigns", f"/api/campaigns/{job_id}"
+    ]
+    assert after[0][1] == after[1][1] != read[0][2]
+    assert [route for by, route in answered if by is old] == ["/healthz"]
 
 
 class TestKeptAliveConnections:
@@ -426,9 +508,10 @@ class TestKeptAliveConnections:
         assert nodelay and all(nodelay)
 
     def test_client_reconnects_across_a_server_restart(
-        self, keepalive_server, fresh_registry
+        self, keepalive_server, fresh_registry, monkeypatch
     ):
-        server, seen = keepalive_server
+        server, _ = keepalive_server
+        read, answered = record_servers(monkeypatch)
         client = CampaignClient(server.url)  # retries=0: no second attempt
         assert client.healthy()
         server.shutdown()  # also ends the client's kept-alive connection
@@ -442,10 +525,64 @@ class TestKeptAliveConnections:
             assert client.status(job_id)["status"] == "pending"
             assert queue.stats.submitted == 1
             assert [r.job_id for r in queue.jobs()] == [job_id]
-            # One connection carried both calls after the reconnect.
-            after = [port for _, port in seen[1:]]
-            assert len(after) == 2 and after[0] == after[1] != seen[0][1]
+            assert_served_after_restart(server, restarted, read, answered, job_id)
         finally:
+            client.close()
+            restarted.shutdown()
+            restarted.server_close()
+            queue.close()
+
+    def test_client_resends_what_the_old_server_read_after_shutdown(
+        self, keepalive_server, fresh_registry, monkeypatch
+    ):
+        """The restart race, made deterministic: the old handler sits
+        between two requests until the client's submit is on its
+        connection, reads it after ``shutdown()``, closes it unanswered,
+        and the client resends it to the restarted server."""
+        import threading
+
+        from repro.service.server import _CampaignHandler, _Connection
+
+        server, _ = keepalive_server
+        read, answered = record_servers(monkeypatch)
+        between = threading.Event()  # /healthz answered, next not read yet
+        release = threading.Event()
+        handle_one = _CampaignHandler.handle_one_request
+
+        def held(self):
+            handle_one(self)
+            if self.server is server and not between.is_set():
+                between.set()
+                release.wait(timeout=10)
+
+        monkeypatch.setattr(_CampaignHandler, "handle_one_request", held)
+        client = CampaignClient(server.url)
+        assert client.healthy()
+        assert between.wait(timeout=10)
+        server.shutdown()
+        server.server_close()  # handlers are daemon threads: no wait
+
+        queue = JobQueue(cache=EvaluationCache())
+        restarted = serve(port=server.port, queue=queue)
+        restarted.serve_in_background()
+        getresponse = _Connection.getresponse
+
+        def sent(self, *args, **kwargs):
+            release.set()  # the request is on the connection by now
+            return getresponse(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Connection, "getresponse", sent)
+        try:
+            job_id = client.submit(tiny_request())
+            assert client.status(job_id)["status"] == "pending"
+            assert queue.stats.submitted == 1
+            # The old server did read the submit, after shutdown.
+            assert [
+                path for by, path, _ in read if by is server
+            ] == ["/healthz", "/api/campaigns"]
+            assert_served_after_restart(server, restarted, read, answered, job_id)
+        finally:
+            release.set()
             client.close()
             restarted.shutdown()
             restarted.server_close()
