@@ -10,9 +10,10 @@ by background workers runs two campaigns —
    its first few generation events, showing it stops well before its
    configured generation budget.
 
-Both share one in-memory :class:`~repro.service.cache.EvaluationCache`,
-so the second campaign's overlapping genomes are served from the first
-run's evaluations.  The same interactions work over a socket::
+Both share one in-memory :class:`~repro.service.cache.EvaluationCache`;
+the short campaign's small spaces are enumerated exactly (the default
+route), so only the forced-GA campaign consults it.  The same
+interactions work over a socket::
 
     python -m repro serve --port 8000 --workers 2 &
     python -m repro submit --url http://127.0.0.1:8000 --spec 8192:INT8 --watch
@@ -82,25 +83,30 @@ async def cancel_long(service: AsyncCampaignService) -> None:
 def print_live_metrics() -> None:
     """Everything above also fed the process-global metrics registry.
 
-    This is the same sample ``GET /metrics`` (Prometheus text) and
-    ``GET /api/metrics`` (JSON) serve over HTTP, and the rows
-    ``repro serve --snapshot-every`` records for ``repro dashboard``.
+    This is the same registry ``GET /metrics`` (Prometheus text) and
+    ``GET /api/metrics`` (this ``to_dict()`` document) serve over HTTP.
     """
     from repro.obs import get_registry
 
-    sample = get_registry().sample_values()
-    interesting = (
+    interesting = {
         "repro_evaluations_total",
         "repro_jobs_submitted_total",
         "repro_jobs_total",
         "repro_campaign_generations_total",
         "repro_cache_hits_total",
-        "repro_job_run_seconds_p95",
-    )
-    print("\nlive metrics (subset of the /metrics sample):")
-    for key in sorted(sample):
-        if key.startswith(interesting):
-            print(f"  {key} = {sample[key]:g}")
+        "repro_job_run_seconds",
+    }
+    print("\nlive metrics (subset of /api/metrics):")
+    for family in get_registry().to_dict()["metrics"]:
+        if family["name"] not in interesting:
+            continue
+        for series in family["series"]:
+            labels = ",".join(f"{k}={v}" for k, v in series["labels"].items())
+            name = f"{family['name']}{{{labels}}}" if labels else family["name"]
+            if family["kind"] == "histogram":
+                print(f"  {name} count={series['count']} p95={series['p95']:g}")
+            else:
+                print(f"  {name} = {series['value']:g}")
 
 
 def print_trace_tree(tracer) -> None:

@@ -356,11 +356,12 @@ for flag_value in "--engine numpy" "--ga-backend python" \
 done
 echo "retired flags: all five rejected with exit 2"
 
-echo "== retired serve flags: --trace-sample/--trace-slow/--verbose are unknown arguments =="
-# Trace sampling and the stdlib access log are gone; argument parsing
-# fails before a port is bound.  The timeout only stops a server that
+echo "== retired serve flags: --trace-sample/--trace-slow/--verbose/--snapshot-every are unknown arguments =="
+# Trace sampling, the stdlib access log and the metrics history are
+# gone; argument parsing fails before a port is bound.  The timeout only stops a server that
 # a regression would start instead.
-for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose"; do
+for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose" \
+        "--snapshot-every 1"; do
     set +e
     # shellcheck disable=SC2086  # the flag and its value are two words
     timeout 30 python -m repro serve --port 0 $flag_value \
@@ -375,7 +376,7 @@ for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose"; do
         exit 1
     fi
 done
-echo "retired serve flags: all three rejected with exit 2"
+echo "retired serve flags: all four rejected with exit 2"
 
 echo "== problem registry: discovery + a non-DCIM campaign =="
 problems_output="$(python -m repro problems list)"
@@ -399,7 +400,7 @@ server_log="$workdir/serve.log"
 serve_store="$workdir/serve_runs.sqlite"
 python -m repro serve --host 127.0.0.1 --port 0 --workers 1 \
     --cache "$workdir/serve_evals.sqlite" \
-    --store "$serve_store" --snapshot-every 1 >"$server_log" 2>&1 &
+    --store "$serve_store" >"$server_log" 2>&1 &
 server_pid=$!
 url=""
 for _ in $(seq 100); do
@@ -510,25 +511,23 @@ events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
 assert events, "Perfetto export contains no complete events"
 print(f"Perfetto export: {len(events)} span events")
 PY
-sleep 1.5  # let the snapshotter land at least one history row
 kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
 dashboard_out="$workdir/dashboard.html"
 python -m repro dashboard --store "$serve_store" --out "$dashboard_out"
-if ! grep -q "<html" "$dashboard_out"; then
-    echo "smoke: repro dashboard produced no HTML" >&2
-    exit 1
-fi
-python - "$serve_store" <<'PY'
-import sys
-
-from repro.store import RunStore
-
-with RunStore(sys.argv[1]) as store:
-    history = store.metrics_history()
-assert history, "serve --snapshot-every recorded no metrics history"
-print(f"dashboard rendered from {len(history)} metrics snapshots")
-PY
+# The served campaigns fill the recent-runs and slowest-traces sections.
+for section in "<h2>Recent runs</h2>" "<h2>Slowest traces</h2>"; do
+    if ! grep -q "$section" "$dashboard_out"; then
+        echo "smoke: repro dashboard is missing $section" >&2
+        exit 1
+    fi
+done
+for placeholder in "no runs recorded yet" "no traces recorded yet"; do
+    if grep -q "$placeholder" "$dashboard_out"; then
+        echo "smoke: repro dashboard shows '$placeholder'" >&2
+        exit 1
+    fi
+done
 # Traces persisted into the run registry survive the server: the same
 # trace id must still render from the store alone.
 store_show="$(python -m repro trace show "$trace_id" --store "$serve_store")"

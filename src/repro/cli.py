@@ -14,8 +14,8 @@ Usage (also via ``python -m repro``)::
     repro campaign --problem mapping --spec tiny_cnn:INT8
     repro campaign --spec 8192:INT8 --store build/runs.sqlite --baseline main
     repro serve  --port 8000 --workers 2 --cache build/evals.sqlite
-    repro serve  --store build/runs.sqlite --snapshot-every 30 \\
-                 --rate-limit 5 --max-pending 32 --max-budget 100000
+    repro serve  --store build/runs.sqlite --rate-limit 5 \\
+                 --max-pending 32 --max-budget 100000
     repro dashboard --store build/runs.sqlite --out build/dashboard.html
     repro submit --url http://127.0.0.1:8000 --spec 8192:INT8 --watch
     repro watch  --url http://127.0.0.1:8000 job-1
@@ -260,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission control: reject requests (413) "
                               "whose specs x generations x population "
                               "exceeds N")
-    serve_p.add_argument("--snapshot-every", type=float, default=None,
-                         metavar="S",
-                         help="sample /metrics into the run registry "
-                              "every S seconds (needs --store; feeds "
-                              "'repro dashboard')")
     serve_p.add_argument("--no-trace", action="store_true",
                          help="disable request/campaign tracing")
     serve_p.add_argument("--workers-remote", action="store_true",
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard_p = sub.add_parser(
         "dashboard",
         help="render a static HTML operations dashboard from a run "
-             "registry's metrics history",
+             "registry's runs, workers and traces",
     )
     dashboard_p.add_argument("--store", required=True, metavar="PATH",
                              help="run registry database (SQLite)")
@@ -318,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="PATH", help="output HTML file")
     dashboard_p.add_argument("--title", default="repro operations",
                              help="page heading")
-    dashboard_p.add_argument("--history", type=int, default=500,
-                             metavar="N",
-                             help="most recent metrics snapshots charted")
     dashboard_p.add_argument("--runs", type=int, default=15, metavar="N",
                              help="rows in the recent-runs table")
 
@@ -424,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs_gc = runs_sub.add_parser(
         "gc",
-        help="delete old runs and prune observability history "
+        help="delete old runs and prune trace spans "
              "(baseline-pinned runs are kept)",
     )
     add_store_arg(runs_gc)
@@ -437,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="prune trace spans started more than this "
                               "many seconds ago")
-    runs_gc.add_argument("--keep-snapshots", type=float, default=None,
-                         metavar="SECONDS",
-                         help="prune metrics snapshots sampled more "
-                              "than this many seconds ago")
 
     runs_baseline = runs_sub.add_parser(
         "baseline", help="pin or show a named baseline"
@@ -1038,9 +1026,6 @@ def _cmd_serve(args) -> int:
     from repro.service import serve
 
     obs.configure(level=args.log_level)
-    if args.snapshot_every is not None and not args.store:
-        print("error: --snapshot-every needs --store", file=sys.stderr)
-        return 1
     if args.workers_remote and args.cache:
         print("error: --cache does not apply to --workers-remote: "
               "workers evaluate uncached", file=sys.stderr)
@@ -1114,12 +1099,6 @@ def _cmd_serve(args) -> int:
         admission=admission,
         coordinator=coordinator,
     )
-    snapshotter = None
-    if args.snapshot_every is not None:
-        snapshotter = obs.MetricsSnapshotter(
-            store, interval_s=args.snapshot_every
-        )
-        snapshotter.start()
     # The bound port matters when --port 0 asked for an ephemeral one;
     # scripts parse this line (see scripts/smoke.sh).
     registry = f", registry {args.store}" if store is not None else ""
@@ -1134,8 +1113,6 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        if snapshotter is not None:
-            snapshotter.stop()
         server.shutdown()
         server.queue.close(wait=False)
         if cache is not None:
@@ -1183,7 +1160,6 @@ def _cmd_dashboard(args) -> int:
             store,
             args.out,
             title=args.title,
-            history_limit=args.history,
             runs_limit=args.runs,
         )
     print(f"wrote dashboard to {out}")
@@ -1375,20 +1351,15 @@ def _run_registry_command(args, store) -> int:
             args.keep is None
             and args.older_than is None
             and args.keep_traces is None
-            and args.keep_snapshots is None
         ):
-            print("error: gc needs --keep, --older-than, --keep-traces, "
-                  "and/or --keep-snapshots",
-                  file=sys.stderr)
+            print("error: gc needs --keep, --older-than and/or "
+                  "--keep-traces", file=sys.stderr)
             return 1
         if args.keep is not None or args.older_than is not None:
             deleted = store.gc(
                 keep_last=args.keep, older_than_s=args.older_than
             )
             print(f"deleted {deleted} runs ({len(store)} kept)")
-        if args.keep_snapshots is not None:
-            pruned = store.prune_metrics_history(args.keep_snapshots)
-            print(f"pruned {pruned} metrics snapshots")
         if args.keep_traces is not None:
             pruned = store.prune_trace_spans(args.keep_traces)
             print(f"pruned {pruned} trace spans")

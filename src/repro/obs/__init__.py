@@ -10,15 +10,11 @@ registry, so one request's spans and metrics land in one place.
 
 * :mod:`repro.obs.metrics` — thread-safe ``Counter``/``Gauge``/
   ``Histogram`` instruments, labelled families, and a
-  ``MetricsRegistry`` rendering Prometheus text, JSON, and flat
-  samples,
+  ``MetricsRegistry`` rendering Prometheus text and JSON,
 * :mod:`repro.obs.log` — a JSON-lines structured logger shared by the
   HTTP server and job-queue workers,
 * :mod:`repro.obs.admission` — token-bucket rate limiting, bounded
   queues, and per-request budget caps for ``repro serve``,
-* :mod:`repro.obs.snapshot` — a periodic sampler appending metrics
-  history into the :class:`~repro.store.runstore.RunStore` for the
-  ``repro dashboard`` renderer,
 * :mod:`repro.obs.trace` — a span tracer with contextvar-based ambient
   spans, W3C ``traceparent`` propagation, a bounded ring of
   completed traces, and ascii-tree / Chrome-trace exports for
@@ -47,7 +43,6 @@ __all__ = [
     "RateLimiter",
     "TokenBucket",
     "request_budget",
-    "MetricsSnapshotter",
     "KNOWN_SOURCES",
     "NULL_SPAN",
     "NULL_TRACER",
@@ -77,7 +72,6 @@ _EXPORTS = {
         "DEFAULT_BUCKETS", "NULL_REGISTRY", "Counter", "Gauge", "Histogram",
         "MetricFamily", "MetricsRegistry", "get_registry", "set_registry",
     ),
-    "repro.obs.snapshot": ("MetricsSnapshotter",),
     "repro.obs.trace": (
         "KNOWN_SOURCES", "NULL_SPAN", "NULL_TRACER", "Span", "SpanContext",
         "TraceRecord", "Tracer", "chrome_trace", "current_span",

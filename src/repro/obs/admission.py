@@ -182,11 +182,15 @@ class AdmissionController:
             if burst is None:
                 burst = max(1, math.ceil(policy.rate_limit))
             self._limiter = RateLimiter(policy.rate_limit, burst)
-        self._rejected = get_registry().counter(
+
+    @staticmethod
+    def _reject(reason: str) -> None:
+        """Count one rejection in the current process registry."""
+        get_registry().counter(
             "repro_admission_rejected_total",
             "Submissions rejected by admission control",
             ("reason",),
-        )
+        ).labels(reason).inc()
 
     def admit(self, request, client_id: str, pending: int) -> None:
         """Raise :class:`AdmissionError` unless the submission may run.
@@ -200,7 +204,7 @@ class AdmissionController:
         if policy.max_budget is not None:
             budget = request_budget(request)
             if budget > policy.max_budget:
-                self._rejected.labels("budget").inc()
+                self._reject("budget")
                 raise AdmissionError(
                     413,
                     "budget_exceeded",
@@ -212,7 +216,7 @@ class AdmissionController:
         if self._limiter is not None:
             retry_after = self._limiter.try_acquire(client_id)
             if retry_after > 0.0:
-                self._rejected.labels("rate").inc()
+                self._reject("rate")
                 raise AdmissionError(
                     429,
                     "rate_limited",
@@ -221,7 +225,7 @@ class AdmissionController:
                     retry_after_s=retry_after,
                 )
         if policy.max_pending is not None and pending >= policy.max_pending:
-            self._rejected.labels("queue_full").inc()
+            self._reject("queue_full")
             # The queue drains at campaign speed; one second is the
             # floor Retry-After can express anyway.
             raise AdmissionError(

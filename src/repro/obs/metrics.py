@@ -10,17 +10,15 @@ Three instrument kinds behind one registry:
 Instruments live inside a :class:`MetricFamily` (one family per metric
 name, children keyed by label values, Prometheus-style) and families
 live inside a :class:`MetricsRegistry`, which renders everything as
-Prometheus text exposition (:meth:`~MetricsRegistry.render_prometheus`),
-a JSON document (:meth:`~MetricsRegistry.to_dict`), or a flat
-``{series: value}`` sample (:meth:`~MetricsRegistry.sample_values`, the
-shape the :class:`~repro.obs.snapshot.MetricsSnapshotter` persists).
+Prometheus text exposition (:meth:`~MetricsRegistry.render_prometheus`)
+or a JSON document (:meth:`~MetricsRegistry.to_dict`).
 
 Hot paths stay cheap two ways:
 
 * *collectors* — a layer that already keeps its own counters (the
-  evaluation cache's :class:`~repro.service.cache.CacheStats`, the job
-  queue's ``_QueueStats``) registers a callback that mirrors them into
-  the registry **at scrape time**, adding zero work per operation, and
+  evaluation cache's :class:`~repro.service.cache.CacheStats`) registers
+  a callback that mirrors them into the registry **at scrape time**,
+  adding zero work per operation, and
 * the :data:`NULL_REGISTRY` — a no-op registry instrumented code can be
   pointed at (via :func:`set_registry`) to measure or remove
   instrumentation cost entirely.
@@ -421,8 +419,8 @@ class MetricsRegistry:
         """Run ``collector`` before every scrape/render.
 
         Bound methods are held through a weak reference, so registering
-        a cache's or queue's collector never extends its lifetime —
-        dead collectors are dropped silently on the next scrape.
+        a cache's collector never extends its lifetime — dead
+        collectors are dropped silently on the next scrape.
         """
         if hasattr(collector, "__self__"):
             ref: object = weakref.WeakMethod(collector)
@@ -522,29 +520,6 @@ class MetricsRegistry:
             )
         return {"metrics": families}
 
-    def sample_values(self) -> dict[str, float]:
-        """Flat ``{'name{a="b"}': value}`` snapshot of every series.
-
-        Histograms flatten into ``_count``/``_sum`` plus their summary
-        quantiles.  This is the row shape
-        :meth:`~repro.store.runstore.RunStore.append_metrics_snapshot`
-        persists and the dashboard charts.
-        """
-        sample: dict[str, float] = {}
-        for family in self.families():
-            for labelvalues, instrument in family.series():
-                suffix = _label_suffix(family.labelnames, labelvalues)
-                if family.kind == "histogram":
-                    sample[f"{family.name}_count{suffix}"] = float(
-                        instrument.count
-                    )
-                    sample[f"{family.name}_sum{suffix}"] = instrument.sum
-                    for key, value in instrument.quantiles().items():
-                        sample[f"{family.name}_{key}{suffix}"] = value
-                else:
-                    sample[f"{family.name}{suffix}"] = instrument.value
-        return sample
-
 
 # Null registry --------------------------------------------------------------
 
@@ -606,9 +581,6 @@ class _NullRegistry(MetricsRegistry):
 
     def to_dict(self) -> dict:
         return {"metrics": []}
-
-    def sample_values(self) -> dict[str, float]:
-        return {}
 
 
 NULL_REGISTRY = _NullRegistry()

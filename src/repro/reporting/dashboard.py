@@ -1,19 +1,13 @@
 """Static HTML operations dashboard rendered from the run registry.
 
 ``repro dashboard`` turns a :class:`~repro.store.runstore.RunStore` —
-its ``metrics_history`` rows (sampled by
-:class:`~repro.obs.snapshot.MetricsSnapshotter`) plus the recorded runs
-— into one self-contained HTML file: stat tiles, SVG traffic/cache/
-queue charts, per-problem latency quantiles, the recent-run table, and
-a slowest-traces explorer with per-trace span waterfalls (fed by the
-``trace_spans`` table :mod:`repro.obs.trace` persists).
-No third-party dependencies, no external assets, no scripts: the file
-is inert and viewable from disk.
-
-Chart series are derived from *counter deltas* between consecutive
-snapshots (requests/s, evaluations/s), so restarting the server (which
-resets the in-process counters) shows up as a clamped-to-zero dip
-rather than a negative spike.
+its recorded runs, per-unit worker rows and persisted ``trace_spans``
+(fed by :mod:`repro.obs.trace`) — into one self-contained HTML file:
+per-problem campaign latency quantiles, the recent-run table, the
+distributed-worker totals, and a slowest-traces explorer with per-trace
+span waterfalls.  No third-party dependencies, no external assets, no
+scripts: the file is inert and viewable from disk.  Live counters and
+histograms are served by ``GET /metrics`` instead.
 """
 
 from __future__ import annotations
@@ -24,9 +18,9 @@ from pathlib import Path
 
 __all__ = ["render_dashboard", "write_dashboard"]
 
-#: Data-series and surface colors (light, dark) — series identity uses
-#: one blue (single-series charts); text wears ink tokens, never the
-#: series color.
+#: Data-series and surface colors (light, dark) — waterfall bars use
+#: one blue, error spans red; text wears ink tokens, never the series
+#: color.
 _PALETTE = {
     "series": ("#2a78d6", "#3987e5"),
     "surface": ("#fcfcfb", "#1a1a19"),
@@ -39,95 +33,10 @@ _PALETTE = {
 }
 
 _CHART_W = 560
-_CHART_H = 150
 _PAD_L = 46
 _PAD_R = 10
 _PAD_T = 8
 _PAD_B = 20
-
-
-def _series_total(metrics: dict[str, float], name: str) -> float:
-    """Sum every series of one family in a flat sample.
-
-    Samples key labelled series as ``name{a="b"}``; summing across the
-    labels gives the family total (e.g. all routes, all backends).
-    """
-    prefix = name + "{"
-    return float(
-        sum(
-            value
-            for key, value in metrics.items()
-            if key == name or key.startswith(prefix)
-        )
-    )
-
-
-def _rate_series(
-    snapshots, name: str
-) -> list[tuple[float, float]]:
-    """Per-second increase of a counter family between snapshots."""
-    points = []
-    previous = None
-    for snap in snapshots:
-        total = _series_total(snap.metrics, name)
-        if previous is not None:
-            prev_t, prev_total = previous
-            dt = snap.snapshot_at - prev_t
-            if dt > 0:
-                # A server restart resets counters; clamp the delta so
-                # the chart dips to zero instead of going negative.
-                rate = max(0.0, total - prev_total) / dt
-                points.append((snap.snapshot_at, rate))
-        previous = (snap.snapshot_at, total)
-    return points
-
-
-def _gauge_series(snapshots, name: str) -> list[tuple[float, float]]:
-    """A gauge family's summed value at each snapshot."""
-    return [
-        (snap.snapshot_at, _series_total(snap.metrics, name))
-        for snap in snapshots
-    ]
-
-
-def _hit_rate_series(snapshots) -> list[tuple[float, float]]:
-    """Cache hit rate over each inter-snapshot window (counter deltas)."""
-    points = []
-    previous = None
-    for snap in snapshots:
-        hits = _series_total(snap.metrics, "repro_cache_hits_total")
-        misses = _series_total(snap.metrics, "repro_cache_misses_total")
-        if previous is not None:
-            d_hits = max(0.0, hits - previous[0])
-            d_misses = max(0.0, misses - previous[1])
-            lookups = d_hits + d_misses
-            if lookups > 0:
-                points.append((snap.snapshot_at, d_hits / lookups))
-        previous = (hits, misses)
-    return points
-
-
-def _format_value(value: float) -> str:
-    if value != value or math.isinf(value):  # NaN / inf guard
-        return "–"
-    if abs(value) >= 1_000_000:
-        return f"{value / 1_000_000:.1f}M"
-    if abs(value) >= 10_000:
-        return f"{value / 1000:.1f}k"
-    if value == int(value):
-        return str(int(value))
-    if abs(value) >= 100:
-        return f"{value:.0f}"
-    if abs(value) >= 1:
-        return f"{value:.2f}"
-    return f"{value:.3f}"
-
-
-def _format_clock(epoch: float) -> str:
-    import datetime
-
-    stamp = datetime.datetime.fromtimestamp(epoch)
-    return stamp.strftime("%H:%M:%S")
 
 
 def _format_date(epoch: float) -> str:
@@ -135,104 +44,6 @@ def _format_date(epoch: float) -> str:
 
     stamp = datetime.datetime.fromtimestamp(epoch)
     return stamp.strftime("%Y-%m-%d %H:%M")
-
-
-def _svg_chart(
-    points: list[tuple[float, float]],
-    unit: str = "",
-    y_max_floor: float = 0.0,
-) -> str:
-    """One single-series SVG line chart (2px line, hover tooltips).
-
-    The series is unnamed inside the plot — the card title names it, so
-    no legend is needed.  One y-axis, min/max gridline labels, native
-    ``<title>`` tooltips on enlarged hover targets.
-    """
-    if len(points) < 2:
-        return (
-            '<div class="placeholder">not enough samples yet — '
-            "serve with <code>--snapshot-every</code> and a store, then "
-            "re-render</div>"
-        )
-    xs = [t for t, _ in points]
-    ys = [v for _, v in points]
-    x_min, x_max = min(xs), max(xs)
-    y_min = 0.0
-    y_max = max(max(ys), y_max_floor)
-    if y_max <= y_min:
-        y_max = y_min + 1.0
-    x_span = (x_max - x_min) or 1.0
-    plot_w = _CHART_W - _PAD_L - _PAD_R
-    plot_h = _CHART_H - _PAD_T - _PAD_B
-
-    def sx(t: float) -> float:
-        return _PAD_L + (t - x_min) / x_span * plot_w
-
-    def sy(v: float) -> float:
-        return _PAD_T + (1.0 - (v - y_min) / (y_max - y_min)) * plot_h
-
-    coords = [(sx(t), sy(v)) for t, v in points]
-    polyline = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-    dots = "".join(
-        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="8" class="hit">'
-        f"<title>{_format_clock(t)} — {_format_value(v)}{unit}</title>"
-        f"</circle>"
-        for (x, y), (t, v) in zip(coords, points)
-    )
-    baseline_y = sy(y_min)
-    mid_y = sy((y_min + y_max) / 2)
-    top_y = sy(y_max)
-    return (
-        f'<svg viewBox="0 0 {_CHART_W} {_CHART_H}" role="img" '
-        f'preserveAspectRatio="none">'
-        f'<line class="grid" x1="{_PAD_L}" y1="{top_y:.1f}" '
-        f'x2="{_CHART_W - _PAD_R}" y2="{top_y:.1f}"/>'
-        f'<line class="grid" x1="{_PAD_L}" y1="{mid_y:.1f}" '
-        f'x2="{_CHART_W - _PAD_R}" y2="{mid_y:.1f}"/>'
-        f'<line class="axis" x1="{_PAD_L}" y1="{baseline_y:.1f}" '
-        f'x2="{_CHART_W - _PAD_R}" y2="{baseline_y:.1f}"/>'
-        f'<text class="tick" x="{_PAD_L - 6}" y="{top_y + 4:.1f}" '
-        f'text-anchor="end">{_format_value(y_max)}{unit}</text>'
-        f'<text class="tick" x="{_PAD_L - 6}" y="{baseline_y + 4:.1f}" '
-        f'text-anchor="end">{_format_value(y_min)}</text>'
-        f'<text class="tick" x="{_PAD_L}" y="{_CHART_H - 6}">'
-        f"{_format_clock(x_min)}</text>"
-        f'<text class="tick" x="{_CHART_W - _PAD_R}" y="{_CHART_H - 6}" '
-        f'text-anchor="end">{_format_clock(x_max)}</text>'
-        f'<polyline class="series" points="{polyline}"/>'
-        f"{dots}"
-        f"</svg>"
-    )
-
-
-def _stat_tiles(snapshots, runs) -> str:
-    latest = snapshots[-1].metrics if snapshots else {}
-    hits = _series_total(latest, "repro_cache_hits_total")
-    misses = _series_total(latest, "repro_cache_misses_total")
-    lookups = hits + misses
-    tiles = (
-        ("HTTP requests", _series_total(latest, "repro_http_requests_total"), ""),
-        ("Evaluations", _series_total(latest, "repro_evaluations_total"), ""),
-        (
-            "Cache hit rate",
-            (hits / lookups * 100) if lookups else float("nan"),
-            "%",
-        ),
-        (
-            "Jobs done",
-            _series_total(latest, 'repro_jobs_total{status="done"}'),
-            "",
-        ),
-        ("Rejected", _series_total(latest, "repro_admission_rejected_total"), ""),
-        ("Recorded runs", float(len(runs)), ""),
-    )
-    cells = "".join(
-        f'<div class="tile"><div class="tile-value">'
-        f"{_format_value(value)}{unit}</div>"
-        f'<div class="tile-label">{html.escape(label)}</div></div>'
-        for label, value, unit in tiles
-    )
-    return f'<div class="tiles">{cells}</div>'
 
 
 def _quantile(sample: list[float], q: float) -> float:
@@ -309,7 +120,7 @@ def _workers_table(store) -> str:
         f"<tr><td><code>{html.escape(str(w['worker_id']))}</code></td>"
         f'<td class="num">{w["units"]}</td>'
         f'<td class="num">{w["units_done"]}</td>'
-        f'<td class="num">{_format_value(float(w["evaluations"]))}</td>'
+        f'<td class="num">{w["evaluations"]}</td>'
         f'<td class="num">{w["wall_time_s"]:.2f}</td></tr>'
         for w in workers
     )
@@ -318,33 +129,6 @@ def _workers_table(store) -> str:
         '<th class="num">units</th><th class="num">done</th>'
         '<th class="num">evals</th><th class="num">wall (s)</th>'
         f"</tr></thead><tbody>{rows}</tbody></table>"
-    )
-
-
-def _snapshot_table(snapshots, limit: int = 10) -> str:
-    """Table view of the charted history (accessibility fallback)."""
-    if not snapshots:
-        return '<div class="placeholder">no metrics history yet</div>'
-    recent = snapshots[-limit:]
-    rows = "".join(
-        f"<tr><td>{_format_date(snap.snapshot_at)}</td>"
-        f"<td>{html.escape(snap.source)}</td>"
-        f'<td class="num">'
-        f'{_format_value(_series_total(snap.metrics, "repro_http_requests_total"))}'
-        f"</td>"
-        f'<td class="num">'
-        f'{_format_value(_series_total(snap.metrics, "repro_evaluations_total"))}'
-        f"</td>"
-        f'<td class="num">'
-        f'{_format_value(_series_total(snap.metrics, "repro_queue_depth"))}'
-        f"</td></tr>"
-        for snap in recent
-    )
-    return (
-        "<table><thead><tr><th>sampled</th><th>source</th>"
-        '<th class="num">requests</th><th class="num">evals</th>'
-        '<th class="num">queue depth</th></tr></thead>'
-        f"<tbody>{rows}</tbody></table>"
     )
 
 
@@ -510,17 +294,6 @@ body {{
 h1 {{ font-size: 20px; margin: 0 0 2px; }}
 .subtitle {{ color: var(--secondary); margin: 0 0 20px; }}
 h2 {{ font-size: 15px; margin: 26px 0 10px; }}
-.tiles {{ display: flex; flex-wrap: wrap; gap: 12px; }}
-.tile {{
-  border: 1px solid var(--grid); border-radius: 8px;
-  padding: 12px 16px; min-width: 128px;
-}}
-.tile-value {{ font-size: 22px; font-weight: 600; }}
-.tile-label {{ color: var(--secondary); font-size: 12px; }}
-.charts {{
-  display: grid; gap: 16px;
-  grid-template-columns: repeat(auto-fit, minmax(320px, 1fr));
-}}
 .card {{
   border: 1px solid var(--grid); border-radius: 8px; padding: 12px 14px;
 }}
@@ -529,12 +302,8 @@ h2 {{ font-size: 15px; margin: 26px 0 10px; }}
   font-weight: 600;
 }}
 svg {{ width: 100%; height: auto; display: block; }}
-.series {{ fill: none; stroke: var(--series); stroke-width: 2; }}
-.grid {{ stroke: var(--grid); stroke-width: 1; }}
 .axis {{ stroke: var(--baseline); stroke-width: 1; }}
 .tick {{ fill: var(--muted); font-size: 10px; }}
-.hit {{ fill: transparent; }}
-.hit:hover {{ fill: var(--series); fill-opacity: 0.25; }}
 .bar {{ fill: var(--series); fill-opacity: 0.85; }}
 .bar.error {{ fill: var(--error); }}
 .bar:hover {{ fill-opacity: 1; }}
@@ -560,7 +329,6 @@ footer {{ color: var(--muted); font-size: 12px; margin-top: 28px; }}
 def render_dashboard(
     store,
     title: str = "repro operations",
-    history_limit: int = 500,
     runs_limit: int = 15,
     traces_limit: int = 8,
 ) -> str:
@@ -569,39 +337,11 @@ def render_dashboard(
     Args:
         store: a :class:`~repro.store.runstore.RunStore`.
         title: page heading.
-        history_limit: most recent metrics snapshots charted.
         runs_limit: rows in the recent-runs table.
         traces_limit: rows in the slowest-traces table (the three
             slowest also get a span waterfall).
     """
-    snapshots = store.metrics_history(limit=history_limit)
     runs = store.list_runs(limit=max(runs_limit, 200))
-    charts = (
-        ("Requests / s", _svg_chart(_rate_series(snapshots, "repro_http_requests_total"), "/s")),
-        ("Evaluations / s", _svg_chart(_rate_series(snapshots, "repro_evaluations_total"), "/s")),
-        (
-            "Cache hit rate",
-            _svg_chart(_hit_rate_series(snapshots), "", y_max_floor=1.0),
-        ),
-        (
-            "Queue depth",
-            _svg_chart(
-                _gauge_series(snapshots, "repro_queue_depth"), "",
-                y_max_floor=1.0,
-            ),
-        ),
-    )
-    cards = "".join(
-        f'<div class="card"><h3>{html.escape(name)}</h3>{svg}</div>'
-        for name, svg in charts
-    )
-    window = ""
-    if snapshots:
-        window = (
-            f"{len(snapshots)} snapshots, "
-            f"{_format_date(snapshots[0].snapshot_at)} – "
-            f"{_format_date(snapshots[-1].snapshot_at)}"
-        )
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -612,10 +352,7 @@ def render_dashboard(
 </head>
 <body>
 <h1>{html.escape(title)}</h1>
-<p class="subtitle">{html.escape(window) or "no metrics history recorded"}</p>
-{_stat_tiles(snapshots, runs)}
-<h2>Traffic</h2>
-<div class="charts">{cards}</div>
+<p class="subtitle">recorded runs: {len(store)}</p>
 <h2>Campaign latency by problem</h2>
 {_latency_table(runs)}
 <h2>Recent runs</h2>
@@ -624,11 +361,8 @@ def render_dashboard(
 {_workers_table(store)}
 <h2>Slowest traces</h2>
 {_traces_section(store, traces_limit)}
-<h2>Recent snapshots</h2>
-{_snapshot_table(snapshots)}
 <footer>rendered by <code>repro dashboard</code> from the run
-registry; metrics are sampled by the serving process
-(<code>repro serve --store … --snapshot-every …</code>).</footer>
+registry; live metrics are served by <code>GET /metrics</code>.</footer>
 </body>
 </html>
 """

@@ -68,6 +68,8 @@ _LOST_AFTER_TTLS = 3.0
 #: rows cannot grow without limit.
 _MAX_STASHED_CAMPAIGNS = 64
 
+_UNITS_HELP = "Work units finished, by terminal status"
+
 
 class UnitStatus(str, enum.Enum):
     PENDING = "pending"
@@ -192,57 +194,34 @@ class WorkCoordinator:
         self._unit_rows: OrderedDict[str, list[dict]] = OrderedDict()
         self._ids = itertools.count(1)
         self._worker_ids = itertools.count(1)
-        self._init_metrics()
 
     # Metrics ---------------------------------------------------------------
-    def _init_metrics(self) -> None:
-        registry = get_registry()
-        self._m_leased = registry.counter(
-            "repro_units_leased_total", "Work-unit leases granted"
-        )
-        self._m_units = registry.counter(
-            "repro_units_total",
-            "Work units finished, by terminal status",
-            ("status",),
-        )
-        self._m_requeued = registry.counter(
-            "repro_units_requeued_total",
-            "Work units put back on the queue (expiry or worker failure)",
-        )
-        self._m_expired = registry.counter(
-            "repro_lease_expired_total", "Unit leases that timed out"
-        )
-        self._m_duplicates = registry.counter(
-            "repro_unit_duplicate_results_total",
-            "Result submissions dropped as idempotent duplicates",
-        )
-        self._m_pending = registry.gauge(
-            "repro_units_pending", "Work units waiting for a lease"
-        )
-        self._m_inflight = registry.gauge(
-            "repro_units_leased", "Work units currently leased out"
-        )
-        self._m_workers = registry.gauge(
-            "repro_workers_registered", "Worker processes ever registered"
-        )
-        self._m_unit_seconds = registry.histogram(
-            "repro_unit_run_seconds",
-            "Worker-side wall time of one completed unit",
-        )
-        registry.register_collector(self._collect_metrics)
+    # Every series is looked up in the registry get_registry() returns at
+    # that moment, so a registry installed after construction sees them.
+    @staticmethod
+    def _count(name: str, help_text: str, status: str | None = None) -> None:
+        if status is None:
+            get_registry().counter(name, help_text).inc()
+        else:
+            get_registry().counter(name, help_text, ("status",)).labels(
+                status
+            ).inc()
 
-    def _collect_metrics(self) -> None:
-        with self._lock:
-            pending = sum(
-                1 for u in self._units.values() if u.status is UnitStatus.PENDING
-            )
-            leased = sum(
-                1 for u in self._units.values() if u.status is UnitStatus.LEASED
-            )
-            workers = len(self._workers)
-        self._m_pending.set(pending)
-        self._m_inflight.set(leased)
-        self._m_workers.set(workers)
+    def _count_units(self, status: UnitStatus) -> int:
+        return sum(1 for u in self._units.values() if u.status is status)
+
+    def _publish_gauges_locked(self) -> None:
+        """Write the unit and worker gauges after a state change."""
+        registry = get_registry()
+        registry.gauge(
+            "repro_units_pending", "Work units waiting for a lease"
+        ).set(self._count_units(UnitStatus.PENDING))
+        registry.gauge(
+            "repro_units_leased", "Work units currently leased out"
+        ).set(self._count_units(UnitStatus.LEASED))
+        registry.gauge(
+            "repro_workers_registered", "Worker processes ever registered"
+        ).set(len(self._workers))
 
     # Worker-facing API (called from HTTP handler threads) ------------------
     def register_worker(
@@ -259,6 +238,7 @@ class WorkCoordinator:
                     worker_id=worker_id, registered_at=now, last_seen=now
                 )
                 self._workers[worker_id] = entry
+                self._publish_gauges_locked()
             entry.last_seen = now
             if meta:
                 entry.meta.update(meta)
@@ -321,7 +301,8 @@ class WorkCoordinator:
             entry = self._workers.get(worker_id)
             if entry is not None:
                 entry.leases += 1
-            self._m_leased.inc()
+            self._count("repro_units_leased_total", "Work-unit leases granted")
+            self._publish_gauges_locked()
             campaign = self._campaigns.get(unit.campaign_id)
             descriptor = unit.descriptor()
             descriptor["lease_ttl_s"] = self.lease_ttl_s
@@ -362,7 +343,10 @@ class WorkCoordinator:
             if unit is None:
                 return {"accepted": False, "reason": "unknown_unit"}
             if unit.status is UnitStatus.DONE:
-                self._m_duplicates.inc()
+                self._count(
+                    "repro_unit_duplicate_results_total",
+                    "Result submissions dropped as idempotent duplicates",
+                )
                 return {"accepted": False, "duplicate": True}
             if unit.status is UnitStatus.CANCELLED:
                 return {"accepted": False, "reason": "cancelled"}
@@ -380,8 +364,12 @@ class WorkCoordinator:
                 unit.evaluations = int(payload.get("evaluations") or 0)
                 if entry is not None:
                     entry.units_done += 1
-                self._m_units.labels("done").inc()
-                self._m_unit_seconds.observe(unit.wall_time_s)
+                self._count("repro_units_total", _UNITS_HELP, "done")
+                get_registry().histogram(
+                    "repro_unit_run_seconds",
+                    "Worker-side wall time of one completed unit",
+                ).observe(unit.wall_time_s)
+                self._publish_gauges_locked()
                 if campaign is not None and campaign.span is not None:
                     get_tracer().record_span(
                         "unit.evaluate",
@@ -461,16 +449,8 @@ class WorkCoordinator:
         with self._lock:
             return {
                 "campaigns": len(self._campaigns),
-                "units_pending": sum(
-                    1
-                    for u in self._units.values()
-                    if u.status is UnitStatus.PENDING
-                ),
-                "units_leased": sum(
-                    1
-                    for u in self._units.values()
-                    if u.status is UnitStatus.LEASED
-                ),
+                "units_pending": self._count_units(UnitStatus.PENDING),
+                "units_leased": self._count_units(UnitStatus.LEASED),
                 "workers": len(self._workers),
                 "lease_ttl_s": self.lease_ttl_s,
                 "max_attempts": self.max_attempts,
@@ -488,6 +468,7 @@ class WorkCoordinator:
                 last_seen=self._clock(),
             )
             self._workers[worker_id] = entry
+            self._publish_gauges_locked()
         entry.last_seen = self._clock()
 
     def _expire_locked(self) -> None:
@@ -498,7 +479,9 @@ class WorkCoordinator:
                 and unit.lease_deadline is not None
                 and unit.lease_deadline < now
             ):
-                self._m_expired.inc()
+                self._count(
+                    "repro_lease_expired_total", "Unit leases that timed out"
+                )
                 self._requeue_locked(
                     unit,
                     f"lease expired after {self.lease_ttl_s:g}s "
@@ -511,7 +494,7 @@ class WorkCoordinator:
         unit.lease_deadline = None
         if unit.attempts >= unit.max_attempts:
             unit.status = UnitStatus.FAILED
-            self._m_units.labels("failed").inc()
+            self._count("repro_units_total", _UNITS_HELP, "failed")
             campaign = self._campaigns.get(unit.campaign_id)
             if campaign is not None and campaign.failure is None:
                 campaign.failure = (
@@ -526,13 +509,17 @@ class WorkCoordinator:
             unit.status = UnitStatus.PENDING
             unit.worker_id = None
             self._queue.append(unit.unit_id)
-            self._m_requeued.inc()
+            self._count(
+                "repro_units_requeued_total",
+                "Work units put back on the queue (expiry or worker failure)",
+            )
             self._log.info(
                 "unit_requeued",
                 unit_id=unit.unit_id,
                 attempts=unit.attempts,
                 reason=reason,
             )
+        self._publish_gauges_locked()
         self._cond.notify_all()
 
     def _emit(self, pending_event) -> None:
@@ -593,7 +580,8 @@ class WorkCoordinator:
                 # is acknowledged and dropped.
                 unit.status = UnitStatus.CANCELLED
                 unit.lease_deadline = None
-                self._m_units.labels("cancelled").inc()
+                self._count("repro_units_total", _UNITS_HELP, "cancelled")
+        self._publish_gauges_locked()
         self._cond.notify_all()
 
     def _cleanup_locked(self, campaign: _Campaign) -> None:
@@ -605,6 +593,7 @@ class WorkCoordinator:
         ]
         while len(self._unit_rows) > _MAX_STASHED_CAMPAIGNS:
             self._unit_rows.popitem(last=False)
+        self._publish_gauges_locked()
 
     def take_unit_rows(self, fingerprint: str) -> list[dict]:
         """Pop the per-unit rows of a finished campaign (for the store)."""
@@ -655,6 +644,7 @@ class WorkCoordinator:
             for unit in campaign.units:
                 self._units[unit.unit_id] = unit
                 self._queue.append(unit.unit_id)
+            self._publish_gauges_locked()
             self._cond.notify_all()
         self._log.info(
             "campaign_registered",

@@ -118,13 +118,46 @@ class JobRecord:
     finished_at: float | None = None
 
 
+_JOBS_HELP = "Jobs finished, by terminal status"
+
+#: Each lifecycle counter of :class:`_QueueStats` and the series of the
+#: process metrics registry it is mirrored into: (family, help, status).
+_COUNTER_SERIES = {
+    "submitted": (
+        "repro_jobs_submitted_total", "Campaign submissions accepted", None
+    ),
+    "deduplicated": (
+        "repro_jobs_deduplicated_total",
+        "Submissions collapsed onto an existing job",
+        None,
+    ),
+    "completed": ("repro_jobs_total", _JOBS_HELP, "done"),
+    "failed": ("repro_jobs_total", _JOBS_HELP, "failed"),
+    "cancelled": ("repro_jobs_total", _JOBS_HELP, "cancelled"),
+    "purged": (
+        "repro_jobs_purged_total", "Terminal records dropped by TTL/purge", None
+    ),
+    "recorded": (
+        "repro_jobs_recorded_total",
+        "Job outcomes persisted to the run registry",
+        None,
+    ),
+    "record_errors": (
+        "repro_jobs_record_errors_total", "Run-registry writes that failed", None
+    ),
+}
+
+
 @dataclass
 class _QueueStats:
     """Counters plus live gauges for one queue.
 
     The first block counts lifecycle transitions since construction;
     the gauges (``queue_depth``, ``workers``, ``busy_workers``) reflect
-    the current state and are updated under the queue lock.
+    the current state.  Both are updated under the queue lock, through
+    :meth:`count` and :meth:`publish_gauges`, which also write them into
+    the registry :func:`~repro.obs.metrics.get_registry` returns at that
+    moment; ``/api/stats`` reads the fields here.
     """
 
     submitted: int = 0
@@ -144,6 +177,30 @@ class _QueueStats:
     _lock: threading.RLock | None = field(
         default=None, repr=False, compare=False
     )
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to one lifecycle counter and its metric."""
+        setattr(self, name, getattr(self, name) + amount)
+        family, help_text, status = _COUNTER_SERIES[name]
+        if status is None:
+            get_registry().counter(family, help_text).inc(amount)
+        else:
+            get_registry().counter(family, help_text, ("status",)).labels(
+                status
+            ).inc(amount)
+
+    def publish_gauges(self) -> None:
+        """Write the live gauges into the process metrics registry."""
+        registry = get_registry()
+        registry.gauge(
+            "repro_queue_depth", "Jobs pending (not yet running)"
+        ).set(self.queue_depth)
+        registry.gauge(
+            "repro_queue_workers", "Background worker threads"
+        ).set(self.workers)
+        registry.gauge(
+            "repro_queue_busy_workers", "Workers currently executing a job"
+        ).set(self.busy_workers)
 
     def as_dict(self) -> dict:
         if self._lock is not None:
@@ -259,7 +316,6 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._closed = False
         self.stats = _QueueStats(_lock=self._lock)
-        self._init_metrics()
         self._workers: list[threading.Thread] = []
         for n in range(workers):
             thread = threading.Thread(
@@ -267,70 +323,9 @@ class JobQueue:
             )
             thread.start()
             self._workers.append(thread)
-        self.stats.workers = len(self._workers)
-
-    # Metrics ---------------------------------------------------------------
-    def _init_metrics(self) -> None:
-        """Mirror the queue's cheap counters into the process registry.
-
-        Lifecycle counters already live in ``stats`` (updated under the
-        queue lock), so they are exported through a scrape-time
-        collector at zero hot-path cost; only the wait/run latency
-        histograms are observed directly at the transitions.
-        """
-        registry = get_registry()
-        self._m_submitted = registry.counter(
-            "repro_jobs_submitted_total", "Campaign submissions accepted"
-        )
-        self._m_deduplicated = registry.counter(
-            "repro_jobs_deduplicated_total",
-            "Submissions collapsed onto an existing job",
-        )
-        self._m_jobs = registry.counter(
-            "repro_jobs_total", "Jobs finished, by terminal status", ("status",)
-        )
-        self._m_purged = registry.counter(
-            "repro_jobs_purged_total", "Terminal records dropped by TTL/purge"
-        )
-        self._m_recorded = registry.counter(
-            "repro_jobs_recorded_total", "Job outcomes persisted to the run registry"
-        )
-        self._m_record_errors = registry.counter(
-            "repro_jobs_record_errors_total", "Run-registry writes that failed"
-        )
-        self._m_depth = registry.gauge(
-            "repro_queue_depth", "Jobs pending (not yet running)"
-        )
-        self._m_workers = registry.gauge(
-            "repro_queue_workers", "Background worker threads"
-        )
-        self._m_busy = registry.gauge(
-            "repro_queue_busy_workers", "Workers currently executing a job"
-        )
-        self._m_wait_seconds = registry.histogram(
-            "repro_job_wait_seconds", "Time a job spent queued before running"
-        )
-        self._m_run_seconds = registry.histogram(
-            "repro_job_run_seconds",
-            "Execution time of one job, by terminal status",
-            ("status",),
-        )
-        registry.register_collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> None:
         with self._lock:
-            stats = self.stats._as_dict_unlocked()
-        self._m_submitted.set_total(stats["submitted"])
-        self._m_deduplicated.set_total(stats["deduplicated"])
-        self._m_jobs.labels("done").set_total(stats["completed"])
-        self._m_jobs.labels("failed").set_total(stats["failed"])
-        self._m_jobs.labels("cancelled").set_total(stats["cancelled"])
-        self._m_purged.set_total(stats["purged"])
-        self._m_recorded.set_total(stats["recorded"])
-        self._m_record_errors.set_total(stats["record_errors"])
-        self._m_depth.set(stats["queue_depth"])
-        self._m_workers.set(stats["workers"])
-        self._m_busy.set(stats["busy_workers"])
+            self.stats.workers = len(self._workers)
+            self.stats.publish_gauges()
 
     # Submission -----------------------------------------------------------
     def submit(self, request: CampaignRequest) -> str:
@@ -341,7 +336,7 @@ class JobQueue:
                 raise RuntimeError("queue is closed")
             if self.ttl_s is not None:
                 self._purge_locked(self.ttl_s)
-            self.stats.submitted += 1
+            self.stats.count("submitted")
             existing_id = self._by_fingerprint.get(fingerprint)
             if existing_id is not None:
                 existing = self._jobs[existing_id]
@@ -352,7 +347,7 @@ class JobQueue:
                     and not existing.cancel_requested
                 ):
                     existing.submissions += 1
-                    self.stats.deduplicated += 1
+                    self.stats.count("deduplicated")
                     return existing_id
             job_id = f"job-{next(self._ids)}"
             job = JobRecord(
@@ -435,6 +430,7 @@ class JobQueue:
             for job_id in self._pending
             if self._jobs[job_id].status is JobStatus.PENDING
         )
+        self.stats.publish_gauges()
 
     # Cancellation / waiting / purging --------------------------------------
     def cancel(self, job_id: str) -> JobStatus:
@@ -523,7 +519,7 @@ class JobQueue:
                 job_id for job_id in self._pending if job_id in self._jobs
             )
             self._refresh_depth()
-        self.stats.purged += len(doomed)
+            self.stats.count("purged", len(doomed))
         return len(doomed)
 
     # Execution ------------------------------------------------------------
@@ -554,7 +550,10 @@ class JobQueue:
             if job.status is JobStatus.PENDING:
                 job.status = JobStatus.RUNNING
                 job.started_at = time.monotonic()
-                self._m_wait_seconds.observe(job.started_at - job.created_at)
+                get_registry().histogram(
+                    "repro_job_wait_seconds",
+                    "Time a job spent queued before running",
+                ).observe(job.started_at - job.created_at)
                 self._refresh_depth()
                 return job
         self._refresh_depth()
@@ -585,13 +584,17 @@ class JobQueue:
             job.error = error
             job.finished_at = time.monotonic()
             if status is JobStatus.DONE:
-                self.stats.completed += 1
+                self.stats.count("completed")
             elif status is JobStatus.FAILED:
-                self.stats.failed += 1
+                self.stats.count("failed")
             elif status is JobStatus.CANCELLED:
-                self.stats.cancelled += 1
+                self.stats.count("cancelled")
             if job.started_at is not None:
-                self._m_run_seconds.labels(status.value).observe(
+                get_registry().histogram(
+                    "repro_job_run_seconds",
+                    "Execution time of one job, by terminal status",
+                    ("status",),
+                ).labels(status.value).observe(
                     job.finished_at - job.started_at
                 )
             self._refresh_depth()
@@ -618,17 +621,17 @@ class JobQueue:
                 )
             job.run_id = record.run_id
             with self._lock:
-                self.stats.recorded += 1
+                self.stats.count("recorded")
         except Exception:  # recording must never take the queue down
             with self._lock:
-                self.stats.record_errors += 1
+                self.stats.count("record_errors")
             return
         if self.on_recorded is not None:
             try:
                 self.on_recorded(job)
             except Exception:  # same contract as recording itself
                 with self._lock:
-                    self.stats.record_errors += 1
+                    self.stats.count("record_errors")
 
     def _execute(self, job: JobRecord) -> None:
         """Run one RUNNING job to a terminal state (no lock held)."""
@@ -751,11 +754,13 @@ class JobQueue:
                 if job is None:  # closed; abandon whatever is still queued
                     return
                 self.stats.busy_workers += 1
+                self.stats.publish_gauges()
             try:
                 self._execute(job)
             finally:
                 with self._lock:
                     self.stats.busy_workers -= 1
+                    self.stats.publish_gauges()
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting submissions and shut the workers down.

@@ -827,9 +827,10 @@ class CampaignHTTPServer(ThreadingHTTPServer):
 
     Instrumentation is process-wide: each request is traced through the
     tracer :func:`~repro.obs.trace.get_tracer` returns at that moment
-    (which ``/api/traces`` also reads), ``/metrics`` and
-    ``/api/metrics`` render :func:`~repro.obs.metrics.get_registry`,
-    and each answered request is logged as one JSON ``request`` line
+    (which ``/api/traces`` also reads), counted and timed into the
+    registry :func:`~repro.obs.metrics.get_registry` returns at that
+    moment (which ``/metrics`` and ``/api/metrics`` render), and each
+    answered request is logged as one JSON ``request`` line
     on the ``repro.http`` logger (:func:`repro.obs.configure` sets the
     level and stream).
 
@@ -873,17 +874,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         #: Accepted sockets whose handler has not finished yet.
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        registry = get_registry()
-        self._m_requests = registry.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by route template",
-            ("route", "method", "status"),
-        )
-        self._m_request_seconds = registry.histogram(
-            "repro_http_request_seconds",
-            "End-to-end HTTP request latency",
-            ("route",),
-        )
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
@@ -921,8 +911,17 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self, route: str, method: str, status: int, elapsed_s: float
     ) -> None:
         """Count/time one handled request (called from handler threads)."""
-        self._m_requests.labels(route, method, str(status)).inc()
-        self._m_request_seconds.labels(route).observe(elapsed_s)
+        registry = get_registry()
+        registry.counter(
+            "repro_http_requests_total",
+            "HTTP requests served, by route template",
+            ("route", "method", "status"),
+        ).labels(route, method, str(status)).inc()
+        registry.histogram(
+            "repro_http_request_seconds",
+            "End-to-end HTTP request latency",
+            ("route",),
+        ).labels(route).observe(elapsed_s)
         self.logger.info(
             "request",
             route=route,

@@ -25,7 +25,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "RunStore",
     "RunRecord",
-    "MetricsSnapshot",
     "point_hash",
     "FrontComparison",
     "compare_fronts",
@@ -45,7 +44,7 @@ _EXPORTS = {
         "front_coverage", "knee_drift", "union_hypervolumes",
     ),
     "repro.store.gate": ("GateConfig", "GateReport", "check_regression"),
-    "repro.store.runstore": ("MetricsSnapshot", "RunRecord", "RunStore", "point_hash"),
+    "repro.store.runstore": ("RunRecord", "RunStore", "point_hash"),
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,11 +13,11 @@ Named *baselines* pin a run id under a stable name (``"main"``,
 ``"nightly"`` ...) for the regression gate (:mod:`repro.store.gate`)
 and for cross-run comparison (:mod:`repro.store.analytics`).
 
-Two observability tables ride along: ``metrics_history`` (sampled
-metric values, see :class:`~repro.obs.snapshot.MetricsSnapshotter`)
-and ``trace_spans`` (finished spans from :mod:`repro.obs.trace`,
-linked to their run where the trace carried a ``run_id``).  Both are
-append-only with explicit pruning (``repro runs gc``).
+Finished spans from :mod:`repro.obs.trace` ride along in
+``trace_spans``, linked to their run where the trace carried a
+``run_id``; the table is append-only with explicit pruning
+(``repro runs gc --keep-traces``).  A database written while the
+server still sampled metrics history keeps that table, unread.
 
 Recording is strictly opt-in and write-only from the campaign's point
 of view: a campaign run with a store produces bit-identical fronts to
@@ -33,13 +33,13 @@ import sqlite3
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.hashing import stable_hash
 from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
 
-__all__ = ["MetricsSnapshot", "RunRecord", "RunStore", "point_hash"]
+__all__ = ["RunRecord", "RunStore", "point_hash"]
 
 #: Terminal statuses a run row may carry.
 RUN_STATUSES = ("done", "failed", "cancelled")
@@ -84,12 +84,6 @@ CREATE TABLE IF NOT EXISTS baselines (
     run_id TEXT NOT NULL REFERENCES runs(run_id),
     updated_at REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS metrics_history (
-    snapshot_at REAL NOT NULL,
-    source TEXT NOT NULL DEFAULT '',
-    metrics TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS metrics_by_time ON metrics_history(snapshot_at);
 CREATE TABLE IF NOT EXISTS trace_spans (
     trace_id TEXT NOT NULL,
     span_id TEXT NOT NULL,
@@ -289,30 +283,6 @@ class RunRecord:
             f"{len(self.specs)} specs, front {self.front_size}, "
             f"{self.evaluations} evaluations{via}, {self.wall_time_s:.2f} s"
         )
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """One sampled row of the ``metrics_history`` table.
-
-    Attributes:
-        snapshot_at: wall-clock epoch seconds when sampled.
-        source: tag of the sampling process (e.g. ``"serve"``).
-        metrics: flat ``{series: value}`` sample — the shape
-            :meth:`repro.obs.metrics.MetricsRegistry.sample_values`
-            produces.
-    """
-
-    snapshot_at: float
-    source: str
-    metrics: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "snapshot_at": self.snapshot_at,
-            "source": self.source,
-            "metrics": dict(self.metrics),
-        }
 
 
 class RunStore:
@@ -686,80 +656,6 @@ class RunStore:
                 "SELECT name, run_id FROM baselines ORDER BY name"
             ).fetchall()
         return dict(rows)
-
-    # Metrics history -------------------------------------------------------
-    def append_metrics_snapshot(
-        self,
-        metrics: dict[str, float],
-        source: str = "",
-        snapshot_at: float | None = None,
-    ) -> MetricsSnapshot:
-        """Append one flat metrics sample; returns the stored row."""
-        record = MetricsSnapshot(
-            snapshot_at=time.time() if snapshot_at is None else snapshot_at,
-            source=source,
-            metrics=dict(metrics),
-        )
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO metrics_history (snapshot_at, source, metrics) "
-                "VALUES (?, ?, ?)",
-                (record.snapshot_at, record.source, json.dumps(record.metrics)),
-            )
-            self._conn.commit()
-        return record
-
-    def metrics_history(
-        self,
-        limit: int | None = None,
-        source: str | None = None,
-        since: float | None = None,
-    ) -> list[MetricsSnapshot]:
-        """Sampled metrics rows, oldest first (chart-ready order).
-
-        ``limit`` keeps the *most recent* N rows (still returned oldest
-        first); ``since`` drops rows sampled before that epoch time.
-        """
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be >= 0, got {limit}")
-        query = "SELECT snapshot_at, source, metrics FROM metrics_history"
-        params: list = []
-        clauses = []
-        if source is not None:
-            clauses.append("source = ?")
-            params.append(source)
-        if since is not None:
-            clauses.append("snapshot_at >= ?")
-            params.append(since)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        # DESC + LIMIT selects the most recent N; reverse to oldest-first.
-        query += " ORDER BY snapshot_at DESC, rowid DESC"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(limit)
-        with self._lock:
-            rows = self._conn.execute(query, params).fetchall()
-        return [
-            MetricsSnapshot(
-                snapshot_at=snapshot_at,
-                source=source_tag,
-                metrics=json.loads(metrics),
-            )
-            for snapshot_at, source_tag, metrics in reversed(rows)
-        ]
-
-    def prune_metrics_history(self, older_than_s: float) -> int:
-        """Drop samples older than ``older_than_s`` seconds; returns count."""
-        if older_than_s < 0:
-            raise ValueError(f"older_than_s must be >= 0, got {older_than_s}")
-        cutoff = time.time() - older_than_s
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM metrics_history WHERE snapshot_at < ?", (cutoff,)
-            )
-            self._conn.commit()
-        return cursor.rowcount
 
     # Trace spans -----------------------------------------------------------
     def append_trace_spans(

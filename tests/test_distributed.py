@@ -220,6 +220,32 @@ class TestWorkCoordinator:
         answer = coord.submit_result("w1", unit["unit_id"], done_payload())
         assert answer["accepted"] is False
 
+    def test_reports_into_the_registry_installed_after_construction(
+        self, fresh_registry
+    ):
+        from repro.obs import MetricsRegistry, set_registry
+
+        coord = WorkCoordinator(lease_ttl_s=10.0)
+        installed = MetricsRegistry()
+        set_registry(installed)  # fresh_registry restores the original
+        thread, box = run_execute(coord, tiny_request())
+        wait_for(lambda: coord.stats()["units_pending"] == 2)
+        assert installed.gauge("repro_units_pending").value == 2
+        first = coord.lease("w1")
+        assert installed.gauge("repro_units_leased").value == 1
+        assert installed.gauge("repro_workers_registered").value == 1
+        for unit in (first, coord.lease("w1")):
+            coord.submit_result("w1", unit["unit_id"], done_payload())
+        thread.join(timeout=10)
+        assert "response" in box
+        assert installed.counter("repro_units_leased_total").value == 2
+        units = installed.counter("repro_units_total", labelnames=("status",))
+        assert units.labels("done").value == 2
+        assert installed.histogram("repro_unit_run_seconds").labels().count == 2
+        assert installed.gauge("repro_units_pending").value == 0
+        assert installed.gauge("repro_units_leased").value == 0
+        assert fresh_registry.render_prometheus() == ""
+
     def test_workers_info_states(self):
         now = [0.0]
         coord = WorkCoordinator(lease_ttl_s=1.0, clock=lambda: now[0])
@@ -254,6 +280,7 @@ def distributed_setup(tmp_path):
     for thread in threads:
         thread.join(timeout=10)
     server.shutdown()
+    server.server_close()
     server.queue.close(wait=False)
     store.close()
 
@@ -397,6 +424,7 @@ class TestWorkerFaultTolerance:
             assert rows[0]["worker_id"] == worker.worker_id
         finally:
             server.shutdown()
+            server.server_close()
             server.queue.close(wait=False)
             store.close()
 
@@ -424,6 +452,7 @@ class TestWorkerFaultTolerance:
             assert "lease expired" in str(excinfo.value)
         finally:
             server.shutdown()
+            server.server_close()
             server.queue.close(wait=False)
 
 
@@ -524,6 +553,7 @@ class TestSubprocessRoundTrip:
             serve_proc.terminate()
             for proc in [*workers, serve_proc]:
                 proc.wait(timeout=30)
+            serve_proc.stdout.close()
 
 
 class TestDistributedFlags:

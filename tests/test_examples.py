@@ -1,5 +1,6 @@
 """The example scripts run end to end, writing only to temp directories."""
 
+import asyncio
 import importlib.util
 from pathlib import Path
 
@@ -33,3 +34,29 @@ def test_run_registry_gates_twin_and_degraded_runs(capsys):
     assert "registry holds 2 runs" in out
     assert "gate on twin run: PASS" in out
     assert "regression gate: FAIL" in out
+
+
+def test_async_service_prints_live_metrics_and_a_trace(capsys, fresh_registry):
+    from repro.obs.trace import get_tracer, set_tracer
+
+    previous = get_tracer()  # main() installs its own process tracer
+    try:
+        asyncio.run(load_example("async_service").main())
+    finally:
+        set_tracer(previous)
+    lines = capsys.readouterr().out.splitlines()
+    assert any(
+        line.startswith("job-2: status cancelled after") for line in lines
+    )
+    metrics = lines[lines.index("live metrics (subset of /api/metrics):") + 1:]
+    assert "  repro_jobs_submitted_total = 2" in metrics
+    assert "  repro_jobs_total{status=done} = 1" in metrics
+    assert "  repro_jobs_total{status=cancelled} = 1" in metrics
+    assert any(
+        line.startswith("  repro_job_run_seconds{status=done} count=1 p95=")
+        for line in metrics
+    )
+    tree = lines[lines.index("trace of the most recent campaign:") + 1:]
+    assert tree[0].startswith("trace ")
+    assert any("job.run" in line for line in tree)
+    assert any("generation" in line for line in tree)

@@ -114,8 +114,10 @@ class TestAdmissionController:
         assert excinfo.value.status == 429
         assert excinfo.value.code == "rate_limited"
         assert int(excinfo.value.headers["Retry-After"]) >= 1
-        sample = registry.sample_values()
-        assert sample['repro_admission_rejected_total{reason="rate"}'] == 1.0
+        rejected = registry.counter(
+            "repro_admission_rejected_total", labelnames=("reason",)
+        )
+        assert rejected.labels("rate").value == 1.0
 
     def test_queue_bound_rejects_429(self, fresh_registry):
         controller = AdmissionController(AdmissionPolicy(max_pending=4))

@@ -186,16 +186,6 @@ class TestMetricsRegistry:
         assert hist_row["count"] == 1
         assert hist_row["p50"] == pytest.approx(0.2)
 
-    def test_sample_values_flattens_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter("a", labelnames=("k",)).labels("v").inc(2)
-        registry.histogram("h").observe(0.25)
-        sample = registry.sample_values()
-        assert sample['a{k="v"}'] == 2.0
-        assert sample["h_count"] == 1.0
-        assert sample["h_sum"] == pytest.approx(0.25)
-        assert sample["h_p95"] == pytest.approx(0.25)
-
     def test_collector_runs_at_scrape_time(self):
         registry = MetricsRegistry()
         mirrored = registry.counter("mirrored_total")
@@ -204,7 +194,8 @@ class TestMetricsRegistry:
         source["count"] = 41
         assert "mirrored_total 41" in registry.render_prometheus()
         source["count"] = 42
-        assert registry.sample_values()["mirrored_total"] == 42.0
+        (family,) = registry.to_dict()["metrics"]
+        assert family["series"] == [{"labels": {}, "value": 42.0}]
 
     def test_dead_bound_collector_is_dropped(self):
         registry = MetricsRegistry()
@@ -253,7 +244,7 @@ class TestMetricsRegistry:
             while not stop_scraping.is_set():
                 try:
                     registry.render_prometheus()
-                    registry.sample_values()
+                    registry.to_dict()
                 except Exception as exc:  # pragma: no cover - failure path
                     scrape_errors.append(exc)
                     return
@@ -285,7 +276,6 @@ class TestNullRegistry:
             pass
         assert NULL_REGISTRY.render_prometheus() == ""
         assert NULL_REGISTRY.to_dict() == {"metrics": []}
-        assert NULL_REGISTRY.sample_values() == {}
 
     def test_set_registry_swaps_and_restores(self):
         scoped = MetricsRegistry()
@@ -334,14 +324,17 @@ class TestCampaignParity:
                     exhaustive_threshold=0,  # force the GA: we count generations
                 ),
             )
-            sample = scoped.sample_values()
         finally:
             set_registry(previous)
-        assert sample['repro_campaign_generations_total{problem="dcim"}'] == 3.0
-        assert (
-            sample['repro_campaigns_total{problem="dcim",status="done"}'] == 1.0
+        generations = scoped.counter(
+            "repro_campaign_generations_total", labelnames=("problem",)
         )
-        assert any(
-            key.startswith("repro_evaluations_total") and value > 0
-            for key, value in sample.items()
+        assert generations.labels("dcim").value == 3.0
+        campaigns = scoped.counter(
+            "repro_campaigns_total", labelnames=("problem", "status")
         )
+        assert campaigns.labels("dcim", "done").value == 1.0
+        evaluations = scoped.counter(
+            "repro_evaluations_total", labelnames=("backend",)
+        )
+        assert sum(series.value for _, series in evaluations.series()) > 0

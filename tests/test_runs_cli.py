@@ -476,3 +476,83 @@ class TestRetiredExecutorFlags:
             run_cli(command, "--help")
         out = capsys.readouterr().out
         assert not any(flag in out for flag in flags)
+
+
+#: The metrics-history table and index as registries written while
+#: ``repro serve --snapshot-every`` existed hold them.
+METRICS_HISTORY_DDL = """
+CREATE TABLE IF NOT EXISTS metrics_history (
+    snapshot_at REAL NOT NULL,
+    source TEXT NOT NULL DEFAULT '',
+    metrics TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS metrics_by_time ON metrics_history(snapshot_at);
+"""
+
+
+class TestRetiredMetricsHistory:
+    """The metrics history is gone: a registry holding its table still
+    opens and serves every command, which leave the rows alone, and the
+    three flags that wrote, pruned or charted it fail as unknown
+    arguments (exit 2)."""
+
+    @pytest.fixture
+    def history_store(self, seeded_store):
+        with sqlite3.connect(seeded_store) as conn:
+            conn.executescript(METRICS_HISTORY_DDL)
+            conn.executemany(
+                "INSERT INTO metrics_history (snapshot_at, source, metrics) "
+                "VALUES (?, ?, ?)",
+                [
+                    (1000.0 + 30.0 * tick, "serve", json.dumps({
+                        'repro_http_requests_total{route="/healthz",'
+                        'method="GET",status="200"}': 5.0 * tick,
+                        "repro_queue_depth": float(tick % 2),
+                    }))
+                    for tick in range(3)
+                ],
+            )
+        return seeded_store
+
+    @staticmethod
+    def history_rows(store_path):
+        with sqlite3.connect(store_path) as conn:
+            return conn.execute(
+                "SELECT rowid, snapshot_at, source, metrics "
+                "FROM metrics_history ORDER BY rowid"
+            ).fetchall()
+
+    def test_commands_work_and_leave_the_rows(
+        self, history_store, tmp_path, capsys
+    ):
+        before = self.history_rows(history_store)
+        assert len(before) == 3
+        assert run_cli("runs", "list", "--store", history_store) == 0
+        assert "2 runs shown (2 recorded)" in capsys.readouterr().out
+        out = tmp_path / "dashboard.html"
+        assert run_cli("dashboard", "--store", history_store,
+                       "--out", str(out)) == 0
+        assert "recorded runs: 2" in out.read_text(encoding="utf-8")
+        assert run_cli("runs", "gc", "--keep-traces", "0",
+                       "--store", history_store) == 0
+        assert "pruned 0 trace spans" in capsys.readouterr().out
+        assert self.history_rows(history_store) == before
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("serve", "--port", "0", "--snapshot-every", "1"),
+         "--snapshot-every 1"),
+        (("runs", "gc", "--keep-snapshots", "1"), "--keep-snapshots 1"),
+        (("dashboard", "--history", "5"), "--history 5"),
+    ])
+    def test_flags_are_gone(self, history_store, tmp_path, capsys, argv, flag):
+        out = tmp_path / "dashboard.html"
+        extra = ("--out", str(out)) if argv[0] == "dashboard" else ()
+        store = () if argv[0] == "serve" else ("--store", history_store)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *store, *extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""  # rejected before any work started
+        assert not out.exists()
+        assert len(self.history_rows(history_store)) == 3

@@ -113,6 +113,7 @@ def http_setup():
     server.serve_in_background()
     yield CampaignClient(server.url), queue
     server.shutdown()
+    server.server_close()
     queue.close()
 
 
@@ -323,6 +324,60 @@ class TestNoCacheRoutes:
         for payload in (served, reference):
             del payload["wall_time_s"]
         assert served == reference
+
+
+class TestRegistryInstalledAfterServe:
+    """Every layer reports into the registry current at each use."""
+
+    def test_one_campaign_lands_every_series_in_the_new_registry(
+        self, fresh_registry
+    ):
+        from repro.obs import (
+            AdmissionController,
+            AdmissionPolicy,
+            MetricsRegistry,
+            set_registry,
+        )
+
+        server = serve(
+            port=0,
+            workers=1,
+            admission=AdmissionController(AdmissionPolicy(max_budget=100)),
+        )
+        server.serve_in_background()
+        installed = MetricsRegistry()
+        set_registry(installed)  # fresh_registry restores the original
+        client = CampaignClient(server.url)
+        try:
+            job_id = client.submit(tiny_request())
+            for _ in client.watch(job_id, poll_s=0.1):
+                pass
+            client.result(job_id)
+            with pytest.raises(RuntimeError, match="budget_exceeded"):
+                client.submit(long_request())
+            text = client.metrics_text()
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            server.queue.close()
+        for family in (
+            "repro_campaign_generations_total",
+            "repro_http_requests_total",
+            "repro_http_request_seconds",
+            "repro_jobs_submitted_total",
+            "repro_jobs_total",
+            "repro_job_wait_seconds",
+            "repro_job_run_seconds",
+            "repro_queue_depth",
+            "repro_admission_rejected_total",
+        ):
+            assert f"# TYPE {family} " in text, f"/metrics lacks {family}"
+        assert 'repro_jobs_total{status="done"} 1' in text
+        # The registry that was current at construction got none of it.
+        assert "repro_http_requests_total" not in (
+            fresh_registry.render_prometheus()
+        )
 
 
 @pytest.fixture()
