@@ -1,19 +1,17 @@
 """Async serving: stream a campaign's progress and cancel another.
 
-Demonstrates the progress-aware serving core on top of the evaluation
-service: an :class:`~repro.service.server.AsyncCampaignService` backed
-by background workers runs two campaigns —
+The :class:`~repro.service.jobs.JobQueue` is the in-process serving
+API.  Asyncio code drives it through :func:`asyncio.to_thread`, so no
+queue call stalls the event loop: here a ``JobQueue(workers=2)`` runs
+two campaigns —
 
-1. a short INT8/BF16 campaign whose per-generation events are streamed
-   with ``async for`` while it runs, and
+1. a short INT8/BF16 campaign whose progress events are streamed with
+   a ``wait_events`` cursor loop while it runs, and
 2. a deliberately long campaign that is cancelled cooperatively after
    its first few generation events, showing it stops well before its
    configured generation budget.
 
-Both share one in-memory :class:`~repro.service.cache.EvaluationCache`;
-the short campaign's small spaces are enumerated exactly (the default
-route), so only the forced-GA campaign consults it.  The same
-interactions work over a socket::
+The same interactions work over a socket::
 
     python -m repro serve --port 8000 --workers 2 &
     python -m repro submit --url http://127.0.0.1:8000 --spec 8192:INT8 --watch
@@ -25,13 +23,7 @@ Usage::
 
 import asyncio
 
-from repro.service import (
-    AsyncCampaignService,
-    CampaignRequest,
-    EvaluationCache,
-    EventKind,
-    SpecRequest,
-)
+from repro.service import CampaignRequest, EventKind, JobQueue, SpecRequest
 
 SHORT = CampaignRequest(
     specs=(SpecRequest(8192, "INT8"), SpecRequest(8192, "BF16")),
@@ -50,30 +42,46 @@ LONG = CampaignRequest(
 )
 
 
-async def stream_short(service: AsyncCampaignService) -> None:
-    job_id = await service.submit(SHORT)
+async def events(queue: JobQueue, job_id: str):
+    """Yield a job's progress events as they arrive, up to its last.
+
+    Each ``wait_events`` call blocks (on a worker thread) for up to a
+    second until the job's buffer holds events past ``cursor``.
+    """
+    cursor, done = 0, False
+    while not done:
+        batch, cursor, done = await asyncio.to_thread(
+            queue.wait_events, job_id, cursor, 1.0
+        )
+        for event in batch:
+            yield event
+
+
+async def stream_short(queue: JobQueue) -> None:
+    job_id = await asyncio.to_thread(queue.submit, SHORT)
     print(f"streaming {job_id}:")
-    async for event in service.events(job_id):
+    async for event in events(queue, job_id):
         print(f"  {event.describe()}")
-    response = await service.result(job_id)
+    # The terminal event is emitted after the result is stored.
+    response = await asyncio.to_thread(queue.result, job_id)
     print(
-        f"{job_id}: {len(response.frontier)} frontier designs, "
-        f"{response.fresh_evaluations}/{response.evaluations} computed fresh\n"
+        f"{job_id}: {len(response.frontier)} frontier designs from "
+        f"{response.evaluations} evaluations\n"
     )
 
 
-async def cancel_long(service: AsyncCampaignService) -> None:
-    job_id = await service.submit(LONG)
+async def cancel_long(queue: JobQueue) -> None:
+    job_id = await asyncio.to_thread(queue.submit, LONG)
     print(f"cancelling {job_id} after three generations:")
     generations = 0
-    async for event in service.events(job_id):
+    async for event in events(queue, job_id):
         if event.kind is EventKind.GENERATION_DONE:
             generations += 1
             if generations == 3:
-                await service.cancel(job_id)
+                await asyncio.to_thread(queue.cancel, job_id)
         if event.terminal:
             print(f"  {event.describe()}")
-    status = await service.status(job_id)
+    status = await asyncio.to_thread(queue.status, job_id)
     print(
         f"{job_id}: status {status.value} after {generations} of "
         f"{LONG.generations} configured generations"
@@ -93,7 +101,6 @@ def print_live_metrics() -> None:
         "repro_jobs_submitted_total",
         "repro_jobs_total",
         "repro_campaign_generations_total",
-        "repro_cache_hits_total",
         "repro_job_run_seconds",
     }
     print("\nlive metrics (subset of /api/metrics):")
@@ -135,11 +142,12 @@ async def main() -> None:
     tracer = Tracer()
     set_tracer(tracer)
 
-    cache = EvaluationCache()
-    async with AsyncCampaignService(workers=2, cache=cache) as service:
-        await stream_short(service)
-        await cancel_long(service)
-    print(f"\nshared cache: {cache.stats.hits} hits / {cache.stats.misses} misses")
+    queue = JobQueue(workers=2)
+    try:
+        await stream_short(queue)
+        await cancel_long(queue)
+    finally:
+        await asyncio.to_thread(queue.close)
     print_live_metrics()
     print_trace_tree(tracer)
 

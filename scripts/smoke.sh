@@ -16,6 +16,22 @@ fi
 
 python -m pytest -x -q
 
+echo "== server tests under -X dev: no ResourceWarning =="
+# Every server, queue, socket and pipe these tests open must be closed;
+# development mode reports one that is left to the garbage collector.
+if ! dev_output="$(python -X dev -m pytest -q \
+        tests/test_service_server.py tests/test_distributed.py 2>&1)"; then
+    echo "$dev_output"
+    echo "smoke: the server tests failed under -X dev" >&2
+    exit 1
+fi
+tail -n 1 <<<"$dev_output"
+if grep -q "ResourceWarning" <<<"$dev_output"; then
+    grep "ResourceWarning" <<<"$dev_output" >&2
+    echo "smoke: the server tests leaked a resource under -X dev" >&2
+    exit 1
+fi
+
 echo "== property tests under the random 'explore' hypothesis profile =="
 # Tier-1 runs every @given test derandomised (tests/conftest.py); this
 # pass draws fresh examples so exploration is not lost.
@@ -535,6 +551,20 @@ if ! grep -q "campaign" <<<"$store_show"; then
     echo "smoke: persisted trace $trace_id missing from $serve_store" >&2
     exit 1
 fi
+# A GET without a traceparent starts no trace, so the watch, status,
+# result, catalogue and metrics reads above left none: the store holds
+# exactly this step's two campaign traces, each rooted at its submit.
+trace_list_json="$(python -m repro trace list --store "$serve_store" --json)"
+python - "$trace_list_json" <<'PY'
+import json
+import sys
+
+traces = json.loads(sys.argv[1])["traces"]
+shape = [(t["name"], t["span_count"], t["run_id"]) for t in traces]
+assert len(traces) == 2, f"expected the 2 campaign traces, got {shape}"
+assert all(t["span_count"] > 1 and t["run_id"] for t in traces), shape
+print(f"persisted traces: {shape}")
+PY
 
 echo "== run registry: record -> list -> compare -> gate =="
 store="$workdir/runs.sqlite"

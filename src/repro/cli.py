@@ -1067,10 +1067,9 @@ def _cmd_serve(args) -> int:
         if store is not None:
             # Persist every trace so `repro trace`/the dashboard can
             # read it after the server (or its ring) is gone.
-            trace_source = obs.normalize_source("serve")
             tracer.add_sink(
                 lambda record: store.append_trace_spans(
-                    obs.spans_to_dicts(record.spans), source=trace_source
+                    obs.spans_to_dicts(record.spans), source="serve"
                 )
             )
     # Every layer, the HTTP handler included, traces through the process

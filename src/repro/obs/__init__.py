@@ -43,7 +43,6 @@ __all__ = [
     "RateLimiter",
     "TokenBucket",
     "request_budget",
-    "KNOWN_SOURCES",
     "NULL_SPAN",
     "NULL_TRACER",
     "Span",
@@ -54,7 +53,6 @@ __all__ = [
     "current_span",
     "format_traceparent",
     "get_tracer",
-    "normalize_source",
     "parse_traceparent",
     "set_tracer",
     "spans_to_dicts",
@@ -73,11 +71,10 @@ _EXPORTS = {
         "MetricFamily", "MetricsRegistry", "get_registry", "set_registry",
     ),
     "repro.obs.trace": (
-        "KNOWN_SOURCES", "NULL_SPAN", "NULL_TRACER", "Span", "SpanContext",
-        "TraceRecord", "Tracer", "chrome_trace", "current_span",
-        "format_traceparent", "get_tracer", "normalize_source",
-        "parse_traceparent", "set_tracer", "spans_to_dicts", "trace_tree",
-        "use_span",
+        "NULL_SPAN", "NULL_TRACER", "Span", "SpanContext", "TraceRecord",
+        "Tracer", "chrome_trace", "current_span", "format_traceparent",
+        "get_tracer", "parse_traceparent", "set_tracer", "spans_to_dicts",
+        "trace_tree", "use_span",
     ),
 }
 

@@ -61,7 +61,6 @@ from random import Random
 from typing import Callable, Sequence
 
 __all__ = [
-    "KNOWN_SOURCES",
     "NULL_SPAN",
     "NULL_TRACER",
     "Span",
@@ -72,7 +71,6 @@ __all__ = [
     "current_span",
     "format_traceparent",
     "get_tracer",
-    "normalize_source",
     "parse_traceparent",
     "set_current_span",
     "set_tracer",
@@ -80,23 +78,6 @@ __all__ = [
     "trace_tree",
     "use_span",
 ]
-
-#: One ``source`` vocabulary shared by everything that tags persisted
-#: observability rows — metrics snapshots and trace spans alike — so
-#: history from several processes stays queryable with one filter set.
-KNOWN_SOURCES = ("serve", "cli", "worker", "bench", "test")
-
-
-def normalize_source(source: str) -> str:
-    """Fold a free-form source tag onto the shared vocabulary.
-
-    Known tags pass through; anything else is lower-cased and stripped
-    so ``"Serve"`` and ``"serve"`` land in the same bucket rather than
-    splitting the history.
-    """
-    folded = str(source).strip().lower()
-    return folded if folded else "cli"
-
 
 @dataclass(frozen=True)
 class SpanContext:
@@ -110,8 +91,8 @@ class Span:
     """One timed operation inside a trace.
 
     Spans are created through a :class:`Tracer` (never directly),
-    mutated while open (:meth:`set_attribute`, :meth:`set_status`) and
-    sealed exactly once by :meth:`end` — double ends are ignored, so a
+    mutated while open (:meth:`set_attribute`, :meth:`set_attributes`)
+    and sealed exactly once by :meth:`end` — double ends are ignored, so a
     ``finally`` can close defensively.  Durations come from the
     monotonic clock; ``start_time`` is epoch wall time for display and
     export only.
@@ -173,12 +154,6 @@ class Span:
 
     def set_attributes(self, **attrs) -> "Span":
         self.attributes.update(attrs)
-        return self
-
-    def set_status(self, status: str, error: str | None = None) -> "Span":
-        self.status = status
-        if error is not None:
-            self.error = error
         return self
 
     def end(self, status: str | None = None, error: str | None = None) -> None:
@@ -256,9 +231,6 @@ class _NullSpan:
         return self
 
     def set_attributes(self, **attrs) -> "_NullSpan":
-        return self
-
-    def set_status(self, status, error=None) -> "_NullSpan":
         return self
 
     def end(self, status=None, error=None) -> None:

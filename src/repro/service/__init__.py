@@ -14,12 +14,12 @@ MOGA explorer into shared infrastructure:
   cross-architecture frontier,
 * :mod:`repro.service.jobs` — job queue / background-worker scheduler
   with request deduplication, per-job status/result records, streaming
-  progress events and cooperative cancellation,
+  progress events and cooperative cancellation; the in-process serving
+  API (asyncio code calls it through :func:`asyncio.to_thread`),
 * :mod:`repro.service.events` — typed, JSON-able campaign progress
   events and the bounded per-job event buffer,
-* :mod:`repro.service.server` — asyncio front-end
-  (:class:`~repro.service.server.AsyncCampaignService`) plus a
-  stdlib-only HTTP/JSON server and client,
+* :mod:`repro.service.server` — the stdlib-only HTTP/JSON server that
+  puts the job queue on a socket, and its client,
 * :mod:`repro.service.distributed` — coordinator that shards campaigns
   into leasable per-spec work units (TTL leases, heartbeats, bounded
   retry, idempotent result submission),
@@ -37,7 +37,6 @@ __all__ = [
     "CampaignEvent",
     "EventBuffer",
     "EventKind",
-    "AsyncCampaignService",
     "CampaignClient",
     "CampaignHTTPServer",
     "serve",
@@ -79,9 +78,7 @@ _EXPORTS = {
     "repro.service.executor": ("BatchExecutor", "ProblemEvaluator", "SerialExecutor"),
     "repro.service.distributed": ("WorkCoordinator",),
     "repro.service.jobs": ("JobQueue", "JobRecord", "JobStatus"),
-    "repro.service.server": (
-        "AsyncCampaignService", "CampaignClient", "CampaignHTTPServer", "serve",
-    ),
+    "repro.service.server": ("CampaignClient", "CampaignHTTPServer", "serve"),
     "repro.service.worker": ("CampaignWorker",),
 }
 

@@ -1,6 +1,7 @@
 """Job queue / background-worker scheduler with request deduplication.
 
-The queue is the serving core the front-ends wrap: campaigns are
+The queue is the in-process serving API, and the HTTP server
+(:mod:`repro.service.server`) puts it on a socket.  Campaigns are
 *submitted* as :class:`~repro.service.api.CampaignRequest`s, identical
 in-flight requests collapse onto one job (content-addressed by the
 request fingerprint), and each job carries a status/result record plus
@@ -20,10 +21,11 @@ Execution comes in two flavours that share one scheduler:
   :meth:`~JobQueue.status`, block on :meth:`~JobQueue.wait`, stream
   :meth:`~JobQueue.events_since`, and stop a campaign cooperatively
   with :meth:`~JobQueue.cancel` (the GA stops at its next generation
-  boundary).
+  boundary).  Asyncio code calls these through
+  :func:`asyncio.to_thread` (see ``examples/async_service.py``).
 
-Finished records survive until explicitly purged — or, with ``ttl_s``
-set, until they age out (checked on every submit, on every
+Finished records stay for the queue's lifetime unless ``ttl_s`` is
+set; then they age out (checked on every submit, on every
 :meth:`~JobQueue.jobs`/:meth:`~JobQueue.sweep_expired` read, and by
 idle background workers — an idle queue does not retain finished jobs
 forever).
@@ -37,7 +39,6 @@ the TTL and the process.
 from __future__ import annotations
 
 import enum
-import inspect
 import itertools
 import threading
 import time
@@ -224,31 +225,15 @@ class _QueueStats:
         }
 
 
-def _accepts_hooks(runner) -> bool:
-    """Does ``runner`` take ``observer``/``should_stop`` keywords?
-
-    Custom runners that only accept the request still work — they just
-    run without progress events, and cancellation only catches their
-    jobs while still pending.
-    """
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
-        return True
-    return "observer" in parameters and "should_stop" in parameters
-
-
 class JobQueue:
     """Campaign scheduler with content-addressed deduplication.
 
     Args:
-        runner: ``CampaignRequest -> CampaignResponse`` callable;
-            defaults to :func:`repro.service.campaign.execute_request`
-            bound to the given resources.  Runners accepting
-            ``observer``/``should_stop`` keywords get the job's event
-            buffer and cancellation flag threaded through.
+        runner: ``(request, observer=, should_stop=) ->
+            CampaignResponse`` callable; defaults to
+            :func:`repro.service.campaign.execute_request` bound to the
+            given resources.  Each job passes its event observer and
+            its cancellation check as the two keywords.
         library / cache: shared resources handed to the default
             runner.
         workers: background daemon threads draining the queue; ``0``
@@ -258,8 +243,7 @@ class JobQueue:
         ttl_s: age (seconds since finishing) after which terminal
             records are purged automatically — on submit, on
             :meth:`jobs`/:meth:`sweep_expired` reads, and by idle
-            background workers; ``None`` keeps them until
-            :meth:`purge` is called.
+            background workers; ``None`` keeps them.
         store: optional :class:`~repro.store.runstore.RunStore`;
             every executed job's outcome is recorded into it at the
             terminal transition (the job's :attr:`JobRecord.run_id`
@@ -302,7 +286,6 @@ class JobQueue:
                     should_stop=should_stop,
                 )
         self._runner = runner
-        self._runner_takes_hooks = _accepts_hooks(runner)
         self._event_buffer_size = event_buffer_size
         self.ttl_s = ttl_s
         self._lock = threading.RLock()
@@ -335,7 +318,7 @@ class JobQueue:
             if self._closed:
                 raise RuntimeError("queue is closed")
             if self.ttl_s is not None:
-                self._purge_locked(self.ttl_s)
+                self._purge_locked()
             self.stats.count("submitted")
             existing_id = self._by_fingerprint.get(fingerprint)
             if existing_id is not None:
@@ -432,7 +415,7 @@ class JobQueue:
         )
         self.stats.publish_gauges()
 
-    # Cancellation / waiting / purging --------------------------------------
+    # Cancellation / waiting / expiry ---------------------------------------
     def cancel(self, job_id: str) -> JobStatus:
         """Request cancellation; returns the job's status afterwards.
 
@@ -473,19 +456,6 @@ class JobQueue:
             f"{job_id} still {job.status.value} after {timeout} s"
         )
 
-    def purge(self, older_than_s: float | None = None) -> int:
-        """Drop terminal records finished more than ``older_than_s`` ago.
-
-        ``None`` falls back to the queue's ``ttl_s``; passing ``0``
-        drops every terminal record.  Returns how many were removed.
-        """
-        if older_than_s is None:
-            older_than_s = self.ttl_s
-        if older_than_s is None:
-            raise ValueError("no TTL configured and no age given")
-        with self._lock:
-            return self._purge_locked(older_than_s)
-
     def sweep_expired(self) -> int:
         """TTL sweep outside submit: purge aged-out terminal records.
 
@@ -497,16 +467,17 @@ class JobQueue:
         if self.ttl_s is None:
             return 0
         with self._lock:
-            return self._purge_locked(self.ttl_s)
+            return self._purge_locked()
 
-    def _purge_locked(self, older_than_s: float) -> int:
+    def _purge_locked(self) -> int:
+        """Drop terminal records finished at least ``ttl_s`` ago."""
         now = time.monotonic()
         doomed = [
             job
             for job in self._jobs.values()
             if job.status.terminal
             and job.finished_at is not None
-            and now - job.finished_at >= older_than_s
+            and now - job.finished_at >= self.ttl_s
         ]
         for job in doomed:
             del self._jobs[job.job_id]
@@ -671,14 +642,11 @@ class JobQueue:
             # ambient here, in the worker thread, so the campaign
             # below attaches its spans to this job's trace.
             with use_span(run_span):
-                if self._runner_takes_hooks:
-                    response = self._runner(
-                        job.request,
-                        observer=observer,
-                        should_stop=lambda: job.cancel_requested,
-                    )
-                else:
-                    response = self._runner(job.request)
+                response = self._runner(
+                    job.request,
+                    observer=observer,
+                    should_stop=lambda: job.cancel_requested,
+                )
         except CampaignCancelled as exc:
             self._record_run(job, JobStatus.CANCELLED, error=str(exc))
             run_span.end(status="error", error=str(exc))
@@ -750,7 +718,7 @@ class JobQueue:
                     # Without one, block until work arrives.
                     tick = None if self.ttl_s is None else max(self.ttl_s, 0.1)
                     if not self._work.wait(tick) and self.ttl_s is not None:
-                        self._purge_locked(self.ttl_s)
+                        self._purge_locked()
                 if job is None:  # closed; abandon whatever is still queued
                     return
                 self.stats.busy_workers += 1

@@ -1,16 +1,11 @@
-"""Asyncio and HTTP front-ends over the campaign job queue.
+"""HTTP front-end over the campaign job queue.
 
-Two entry points, both backed by one worker-driven
-:class:`~repro.service.jobs.JobQueue` (and the optional
+The :class:`~repro.service.jobs.JobQueue` is the in-process serving
+API (asyncio code calls it through :func:`asyncio.to_thread`, as
+``examples/async_service.py`` shows); this module puts it on a socket.
+One worker-driven queue backs the server (with the optional
 :class:`~repro.service.cache.EvaluationCache` its in-process runner
 shares across requests; no route exposes that cache):
-
-* :class:`AsyncCampaignService` — the asyncio face.  ``await
-  submit/status/result/cancel`` plus an ``async for`` stream of
-  :class:`~repro.service.events.CampaignEvent`s per job.  Blocking
-  queue waits are pushed onto worker threads with
-  :func:`asyncio.to_thread`, so the event loop never stalls on a
-  campaign.
 
 * :class:`CampaignHTTPServer` — a stdlib-only (``http.server``)
   JSON-over-HTTP server so campaigns are drivable over a socket::
@@ -61,10 +56,14 @@ shares across requests; no route exposes that cache):
   in ``repro_http_requests_total{route,method,status}`` and timed in
   ``repro_http_request_seconds{route}``.
 
-  Requests (other than health/scrape/trace-inspection paths) run under
-  a ``http.request`` span: an incoming W3C ``traceparent`` header joins
-  the caller's trace, the response echoes the request span's
-  ``traceparent``, and finished traces are browsable at
+  POSTs (other than the distributed protocol's) run under a
+  ``http.request`` span, and so does a GET that carries a valid W3C
+  ``traceparent`` header; an incoming ``traceparent`` joins the
+  caller's trace, and the response echoes the request span's.  A GET
+  without one (status, events and result polls, the catalogue, the
+  registry reads) starts no trace, so a watched campaign leaves one
+  trace, rooted at its submit; health, scrape and trace-inspection
+  paths are never traced.  Finished traces are browsable at
   ``/api/traces``.  :class:`CampaignClient` injects ``traceparent``
   from its ambient span automatically.
 
@@ -87,7 +86,7 @@ import threading
 import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import AsyncIterator, Iterator
+from typing import Iterator
 from urllib.parse import parse_qs, quote as _quote, urlparse, urlsplit
 
 from repro.obs.admission import AdmissionController, AdmissionError
@@ -106,7 +105,6 @@ from repro.service.events import CampaignEvent
 from repro.service.jobs import JobQueue, JobStatus
 
 __all__ = [
-    "AsyncCampaignService",
     "CampaignHTTPServer",
     "CampaignClient",
     "serve",
@@ -120,167 +118,6 @@ MAX_LONG_POLL_S = 30.0
 #: re-sends a request once on a fresh connection when it finds its
 #: connection closed this way.
 KEEPALIVE_IDLE_S = 15.0
-
-
-async def _to_thread(func, *args):
-    """:func:`asyncio.to_thread`, importing asyncio on first use.
-
-    Only :class:`AsyncCampaignService` runs an event loop, so the HTTP
-    server and client never load asyncio.
-    """
-    import asyncio
-
-    return await asyncio.to_thread(func, *args)
-
-
-class AsyncCampaignService:
-    """Asyncio wrapper around a background-worker :class:`JobQueue`.
-
-    Args:
-        queue: an existing queue to front (left open on close);
-            when omitted the service owns a fresh one built from the
-            remaining arguments and closes it with the service.
-        workers: background worker threads for an owned queue.
-        library / cache: shared resources for the owned queue's
-            default runner.
-        event_buffer_size / ttl_s: forwarded to the owned queue.
-        store: optional :class:`~repro.store.runstore.RunStore`; an
-            owned queue records every campaign into it, and the
-            ``runs``/``run``/``run_front``/``compare`` coroutines
-            query it (off-loop, like everything else).  Defaults to
-            the fronted queue's store when one is attached.
-
-    Use as an async context manager::
-
-        async with AsyncCampaignService(workers=2, cache=cache) as svc:
-            job_id = await svc.submit(request)
-            async for event in svc.events(job_id):
-                print(event.describe())
-            response = await svc.result(job_id)
-    """
-
-    def __init__(
-        self,
-        queue: JobQueue | None = None,
-        *,
-        workers: int = 2,
-        library=None,
-        cache=None,
-        event_buffer_size: int = 256,
-        ttl_s: float | None = None,
-        store=None,
-    ) -> None:
-        if queue is None:
-            if workers < 1:
-                raise ValueError("an owned queue needs workers >= 1")
-            queue = JobQueue(
-                library=library,
-                cache=cache,
-                workers=workers,
-                event_buffer_size=event_buffer_size,
-                ttl_s=ttl_s,
-                store=store,
-            )
-            self._own_queue = True
-        else:
-            self._own_queue = False
-        self.queue = queue
-        self.store = store if store is not None else queue.store
-
-    async def submit(self, request: CampaignRequest) -> str:
-        """Queue a campaign; returns the (possibly deduplicated) job id."""
-        return await _to_thread(self.queue.submit, request)
-
-    async def status(self, job_id: str) -> JobStatus:
-        return await _to_thread(self.queue.status, job_id)
-
-    async def result(
-        self, job_id: str, timeout: float | None = None
-    ) -> CampaignResponse:
-        """Wait for the job to finish and return its response.
-
-        Raises :class:`TimeoutError` when ``timeout`` elapses first and
-        :class:`RuntimeError` when the job failed or was cancelled.
-        """
-        await _to_thread(self.queue.wait, job_id, timeout)
-        return await _to_thread(self.queue.result, job_id)
-
-    async def cancel(self, job_id: str) -> JobStatus:
-        """Request cooperative cancellation; returns the current status."""
-        return await _to_thread(self.queue.cancel, job_id)
-
-    async def events(
-        self, job_id: str, cursor: int = 0, poll_s: float = 1.0
-    ) -> AsyncIterator[CampaignEvent]:
-        """Stream a job's progress events until its terminal event.
-
-        Each iteration long-polls the job's buffer on a worker thread,
-        yields whatever arrived, and stops once the stream closes.
-        ``cursor`` resumes an interrupted stream.
-        """
-        while True:
-            events, cursor, done = await _to_thread(
-                self.queue.wait_events, job_id, cursor, poll_s
-            )
-            for event in events:
-                yield event
-            if done:
-                return
-
-    # Problem discovery ----------------------------------------------------
-    async def problems(self) -> list[dict]:
-        """Discovery payloads of every registered problem."""
-        from repro.problems import problem_catalog
-
-        # First call imports/registers the built-ins: keep it off-loop.
-        return await _to_thread(problem_catalog)
-
-    # Run registry ---------------------------------------------------------
-    def _require_store(self):
-        if self.store is None:
-            raise RuntimeError("no run store attached to this service")
-        return self.store
-
-    async def runs(
-        self,
-        limit: int | None = None,
-        status: str | None = None,
-        offset: int = 0,
-        problem: str | None = None,
-    ):
-        """Recorded runs, newest first (requires an attached store)."""
-        store = self._require_store()
-        return await _to_thread(
-            store.list_runs, limit, status, offset, problem
-        )
-
-    async def run(self, run_id: str):
-        """One registry row by id."""
-        store = self._require_store()
-        return await _to_thread(store.get_run, run_id)
-
-    async def run_front(self, run_id: str):
-        """A recorded run's merged frontier."""
-        store = self._require_store()
-        return await _to_thread(store.front, run_id)
-
-    async def compare(self, ref_a: str, ref_b: str):
-        """Front-quality indicators between two recorded runs."""
-        from repro.store.analytics import compare_runs
-
-        store = self._require_store()
-        return await _to_thread(compare_runs, store, ref_a, ref_b)
-
-    async def close(self) -> None:
-        """Shut down an owned queue (a fronted queue is left running)."""
-        if self._own_queue:
-            await _to_thread(self.queue.close)
-
-    async def __aenter__(self) -> "AsyncCampaignService":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
 
 
 # HTTP server ---------------------------------------------------------------
@@ -398,15 +235,18 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         plain_path = self.path.split("?", 1)[0]
         if not plain_path.startswith(self._UNTRACED_PREFIXES):
             # Join the caller's trace when it sent a W3C ``traceparent``
-            # header; otherwise this request roots a fresh trace.
+            # header.  Without one, a POST roots a fresh trace and a GET
+            # (a poll, a catalogue or registry read) starts none, so the
+            # trace ring holds campaigns rather than polls.
             remote = parse_traceparent(self.headers.get("traceparent"))
-            span = get_tracer().start_root(
-                "http.request",
-                attributes={"method": method},
-                parent_context=remote,
-                category="http",
-            )
-            token = set_current_span(span)
+            if method == "POST" or remote is not None:
+                span = get_tracer().start_root(
+                    "http.request",
+                    attributes={"method": method},
+                    parent_context=remote,
+                    category="http",
+                )
+                token = set_current_span(span)
         try:
             try:
                 self._body = self._read_body()

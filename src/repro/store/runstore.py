@@ -708,10 +708,7 @@ class RunStore:
         return len(rows)
 
     def trace_list(
-        self,
-        limit: int | None = None,
-        run_id: str | None = None,
-        source: str | None = None,
+        self, limit: int | None = None, run_id: str | None = None
     ) -> list[dict]:
         """Persisted traces as summary dicts, newest first.
 
@@ -728,15 +725,9 @@ class RunStore:
             "MAX(source), MAX(run_id) FROM trace_spans"
         )
         params: list = []
-        clauses = []
         if run_id is not None:
-            clauses.append("run_id = ?")
+            query += " WHERE run_id = ?"
             params.append(run_id)
-        if source is not None:
-            clauses.append("source = ?")
-            params.append(source)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
         query += " GROUP BY trace_id ORDER BY MIN(start_time) DESC"
         if limit is not None:
             query += " LIMIT ?"

@@ -11,7 +11,6 @@ import pytest
 
 from repro.obs.log import JsonLogger
 from repro.obs.trace import (
-    KNOWN_SOURCES,
     NULL_SPAN,
     NULL_TRACER,
     SpanContext,
@@ -20,7 +19,6 @@ from repro.obs.trace import (
     current_span,
     format_traceparent,
     get_tracer,
-    normalize_source,
     parse_traceparent,
     set_tracer,
     spans_to_dicts,
@@ -508,17 +506,6 @@ class TestLogCorrelation:
         assert "trace_id" not in outside
 
 
-class TestSourceVocabulary:
-    def test_known_sources_pass_through(self):
-        for source in KNOWN_SOURCES:
-            assert normalize_source(source) == source
-
-    def test_free_form_folds(self):
-        assert normalize_source("Serve") == "serve"
-        assert normalize_source("  CLI ") == "cli"
-        assert normalize_source("") == "cli"
-
-
 class TestExporters:
     def make_record(self, tracer):
         with tracer.span("root", root_if_orphan=True) as root:
@@ -623,7 +610,6 @@ class TestRunStoreTraces:
             assert newest["span_count"] == 2
             assert newest["duration_s"] == pytest.approx(2.0)
             assert store.trace_list(run_id="run-x")[0]["trace_id"] == "1" * 32
-            assert store.trace_list(source="cli")[0]["trace_id"] == "2" * 32
             assert store.trace_list(limit=1)[0]["trace_id"] == "2" * 32
 
     def test_prune_trace_spans(self, tmp_path):
@@ -673,7 +659,12 @@ class TestServerTracing:
         import urllib.request
 
         server, _ = served
-        response = urllib.request.urlopen(f"{server.url}/api/problems")
+        request = urllib.request.Request(
+            f"{server.url}/api/campaigns",
+            data=tiny_request().to_json().encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = urllib.request.urlopen(request)
         header = response.headers.get("traceparent")
         context = parse_traceparent(header)
         assert context is not None
@@ -708,13 +699,49 @@ class TestServerTracing:
 
         server, _ = served
         request = urllib.request.Request(
-            f"{server.url}/api/problems",
-            headers={"traceparent": "not-a-traceparent"},
+            f"{server.url}/api/campaigns",
+            data=tiny_request().to_json().encode("utf-8"),
+            headers={
+                "Content-Type": "application/json",
+                "traceparent": "not-a-traceparent",
+            },
         )
         response = urllib.request.urlopen(request)
         context = parse_traceparent(response.headers.get("traceparent"))
         assert context is not None
         assert context.trace_id != "not-a-traceparent"
+
+    def test_watched_campaign_leaves_one_trace(self, served, tracer):
+        """GET polls without a ``traceparent`` start no trace: a campaign
+        submitted, watched and then read leaves the one trace its
+        submit rooted, and the polls' answers carry no header."""
+        import urllib.request
+
+        server, client = served
+        job_id = client.submit(tiny_request())
+        events = list(client.watch(job_id, poll_s=0.1))
+        assert events[-1].kind.value == "campaign_done"
+        assert client.status(job_id)["status"] == "done"
+        assert client.result(job_id).frontier
+        with urllib.request.urlopen(
+            f"{server.url}/api/campaigns/{job_id}"
+        ) as response:
+            assert response.headers.get("traceparent") is None
+        # The job's trace completes moments after its result lands.
+        deadline = time.time() + 10
+        while time.time() < deadline and not tracer.finished():
+            time.sleep(0.02)
+        records = tracer.finished()
+        assert len(records) == 1, [
+            (r.name, len(r.spans)) for r in records
+        ]
+        (record,) = records
+        roots = [s for s in record.spans if s.parent_id is None]
+        assert [s.name for s in roots] == ["http.request"]
+        assert roots[0].attributes["route"] == "/api/campaigns"
+        assert {"job.run", "campaign", "generation"} <= {
+            s.name for s in record.spans
+        }
 
     def test_http_campaign_trace_covers_all_layers(self, served, tracer):
         server, client = served

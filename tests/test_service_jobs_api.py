@@ -111,7 +111,7 @@ class TestJobQueue:
     def test_failed_job_allows_retry(self):
         calls = {"n": 0}
 
-        def flaky(request):
+        def flaky(request, observer=None, should_stop=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("backend exploded")
@@ -170,21 +170,17 @@ class TestQueueStatsAndPurge:
         assert queue.stats.as_dict()["completed"] == 2
 
     def test_purge_drops_old_terminal_records(self):
-        queue = JobQueue(cache=EvaluationCache())
+        queue = JobQueue(cache=EvaluationCache(), ttl_s=0.0)
         job_id = queue.submit(tiny_request())
-        queue.run_all()
-        keep_id = queue.submit(tiny_request(seed=9))  # still pending
-        assert queue.purge(0) == 1
+        keep_id = queue.submit(tiny_request(seed=9))  # stays pending
+        queue.run_next()
+        assert queue.sweep_expired() == 1
         assert queue.stats.purged == 1
         with pytest.raises(KeyError):
             queue.status(job_id)
         assert queue.status(keep_id) is JobStatus.PENDING
         # The fingerprint slot is free again: resubmitting requeues.
         assert queue.submit(tiny_request()) != job_id
-
-    def test_purge_without_ttl_requires_age(self):
-        with pytest.raises(ValueError):
-            JobQueue().purge()
 
     def test_ttl_purges_on_submit(self):
         queue = JobQueue(cache=EvaluationCache(), ttl_s=0.0)

@@ -1,14 +1,12 @@
-"""Tests for the asyncio front-end and the HTTP/JSON campaign server."""
-
-import asyncio
+"""Tests for the HTTP/JSON campaign server and its client."""
 
 import pytest
 
 from repro.service.api import CampaignRequest, SpecRequest
 from repro.service.cache import EvaluationCache
 from repro.service.events import EventKind
-from repro.service.jobs import JobQueue, JobStatus
-from repro.service.server import AsyncCampaignService, CampaignClient, serve
+from repro.service.jobs import JobQueue
+from repro.service.server import CampaignClient, serve
 
 
 def tiny_request(**overrides) -> CampaignRequest:
@@ -27,70 +25,7 @@ def long_request(**overrides) -> CampaignRequest:
     return tiny_request(generations=200, **overrides)
 
 
-class TestAsyncCampaignService:
-    def test_submit_stream_result(self):
-        async def scenario():
-            async with AsyncCampaignService(
-                workers=1, cache=EvaluationCache()
-            ) as service:
-                job_id = await service.submit(tiny_request())
-                kinds = []
-                async for event in service.events(job_id):
-                    kinds.append(event.kind)
-                response = await service.result(job_id, timeout=60.0)
-                status = await service.status(job_id)
-                return job_id, kinds, response, status
-
-        job_id, kinds, response, status = asyncio.run(scenario())
-        assert job_id == "job-1"
-        assert status is JobStatus.DONE
-        assert kinds[0] is EventKind.SPEC_STARTED
-        assert kinds.count(EventKind.GENERATION_DONE) == 4
-        assert kinds[-1] is EventKind.CAMPAIGN_DONE
-        assert response.frontier
-        assert response.evaluations > 0
-
-    def test_cancel_mid_campaign_stops_early(self):
-        async def scenario():
-            async with AsyncCampaignService(
-                workers=1, cache=EvaluationCache()
-            ) as service:
-                job_id = await service.submit(long_request())
-                generations_seen = 0
-                async for event in service.events(job_id):
-                    if event.kind is EventKind.GENERATION_DONE:
-                        generations_seen += 1
-                        await service.cancel(job_id)
-                    if event.terminal:
-                        final = event
-                status = await service.status(job_id)
-                with pytest.raises(RuntimeError):
-                    await service.result(job_id, timeout=60.0)
-                return generations_seen, final, status
-
-        generations_seen, final, status = asyncio.run(scenario())
-        assert status is JobStatus.CANCELLED
-        assert final.kind is EventKind.CAMPAIGN_CANCELLED
-        assert 1 <= generations_seen < 200
-
-    def test_fronted_queue_left_open(self):
-        queue = JobQueue(cache=EvaluationCache(), workers=1)
-
-        async def scenario():
-            async with AsyncCampaignService(queue) as service:
-                job_id = await service.submit(tiny_request())
-                await service.result(job_id, timeout=60.0)
-
-        asyncio.run(scenario())
-        # The service must not have closed the caller's queue.
-        second = queue.submit(tiny_request(seed=2))
-        assert queue.wait(second, timeout=60.0) is JobStatus.DONE
-        queue.close()
-
-    def test_owned_service_requires_workers(self):
-        with pytest.raises(ValueError):
-            AsyncCampaignService(workers=0)
-
+class TestServeArguments:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_serve_requires_workers(self, workers):
         with pytest.raises(ValueError, match="workers >= 1"):

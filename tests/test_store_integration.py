@@ -5,8 +5,6 @@ Covers the opt-in recording hooks (``run_campaign(store=...)``,
 ``/api/runs`` + ``/api/compare`` endpoints end to end.
 """
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from repro.service import (
 )
 from repro.service.api import CampaignRequest, SpecRequest
 from repro.service.events import EventKind
-from repro.service.server import AsyncCampaignService, CampaignClient, serve
+from repro.service.server import CampaignClient, serve
 from repro.store import RunStore
 
 
@@ -193,41 +191,6 @@ class TestTTLSweep:
             while queue.stats.purged == 0 and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert queue.stats.purged == 1
-
-
-class TestAsyncServiceRegistry:
-    def test_runs_front_compare(self, store):
-        async def scenario():
-            async with AsyncCampaignService(
-                workers=1, cache=EvaluationCache(), store=store
-            ) as service:
-                a = await service.submit(tiny_request(seed=1))
-                await service.result(a, timeout=60.0)
-                b = await service.submit(tiny_request(seed=2))
-                await service.result(b, timeout=60.0)
-                runs = await service.runs()
-                front = await service.run_front(runs[0].run_id)
-                record = await service.run(runs[0].run_id)
-                comparison = await service.compare(
-                    runs[1].run_id, runs[0].run_id
-                )
-                return runs, front, record, comparison
-
-        runs, front, record, comparison = asyncio.run(scenario())
-        assert len(runs) == 2
-        assert record == runs[0]
-        assert front and front[0].objectives
-        assert comparison.size_a > 0 and comparison.size_b > 0
-
-    def test_storeless_service_raises(self):
-        async def scenario():
-            async with AsyncCampaignService(
-                workers=1, cache=EvaluationCache()
-            ) as service:
-                with pytest.raises(RuntimeError):
-                    await service.runs()
-
-        asyncio.run(scenario())
 
 
 @pytest.fixture(scope="class")

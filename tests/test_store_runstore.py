@@ -416,7 +416,10 @@ class TestFailedWrites:
         from repro.service.jobs import JobQueue, JobStatus
 
         answer = response(fp(32), fp(64, extras={1: "a", "b": 2}))
-        queue = JobQueue(runner=lambda request: answer, store=store)
+        queue = JobQueue(
+            runner=lambda request, observer=None, should_stop=None: answer,
+            store=store,
+        )
         try:
             job_id = queue.submit(
                 CampaignRequest(specs=(SpecRequest(4096, "INT8"),))
