@@ -21,9 +21,9 @@ Usage (also via ``python -m repro``)::
     repro watch  --url http://127.0.0.1:8000 job-1
     repro runs list --store build/runs.sqlite --limit 20 --offset 0
     repro runs compare run-abc run-def --store build/runs.sqlite
-    repro trace list --store build/runs.sqlite
+    repro trace list --url http://127.0.0.1:8000 --run run-abc
     repro trace show  trace-id --url http://127.0.0.1:8000
-    repro trace export trace-id --store build/runs.sqlite --out build/t.json
+    repro trace export trace-id --out build/t.json
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard_p = sub.add_parser(
         "dashboard",
         help="render a static HTML operations dashboard from a run "
-             "registry's runs, workers and traces",
+             "registry's runs",
     )
     dashboard_p.add_argument("--store", required=True, metavar="PATH",
                              help="run registry database (SQLite)")
@@ -416,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs_gc = runs_sub.add_parser(
         "gc",
-        help="delete old runs and prune trace spans "
-             "(baseline-pinned runs are kept)",
+        help="delete old runs (baseline-pinned runs are kept)",
     )
     add_store_arg(runs_gc)
     runs_gc.add_argument("--keep", type=int, default=None, metavar="N",
@@ -425,10 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_gc.add_argument("--older-than", type=float, default=None,
                          metavar="SECONDS",
                          help="only delete runs older than this")
-    runs_gc.add_argument("--keep-traces", type=float, default=None,
-                         metavar="SECONDS",
-                         help="prune trace spans started more than this "
-                              "many seconds ago")
 
     runs_baseline = runs_sub.add_parser(
         "baseline", help="pin or show a named baseline"
@@ -464,23 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser(
         "trace",
-        help="inspect end-to-end traces (list/show/export) from a run "
-             "registry or a running server",
+        help="inspect end-to-end traces (list/show/export) held in a "
+             "running server's trace ring",
     )
     trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
-
-    def add_trace_source_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--store", default=None, metavar="PATH",
-                       help="read persisted traces from this run "
-                            "registry (SQLite)")
-        p.add_argument("--url", default=None, metavar="URL",
-                       help="read traces from this campaign server "
-                            "(e.g. http://127.0.0.1:8000)")
 
     trace_list = trace_sub.add_parser(
         "list", help="finished traces, newest first"
     )
-    add_trace_source_args(trace_list)
+    add_client_args(trace_list)
     trace_list.add_argument("--limit", type=_non_negative_int, default=20,
                             help="max rows to print")
     trace_list.add_argument("--run", default=None, metavar="RUN_ID",
@@ -491,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_show = trace_sub.add_parser(
         "show", help="one trace as an ascii span tree"
     )
-    add_trace_source_args(trace_show)
+    add_client_args(trace_show)
     trace_show.add_argument("trace_id", help="trace id (from 'trace list')")
     trace_show.add_argument("--json", action="store_true",
                             help="print the trace's spans as JSON")
@@ -501,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export one trace as Chrome trace-event JSON "
              "(open in ui.perfetto.dev or chrome://tracing)",
     )
-    add_trace_source_args(trace_export)
+    add_client_args(trace_export)
     trace_export.add_argument("trace_id", help="trace id (from 'trace list')")
     trace_export.add_argument("--out", default=None, metavar="PATH",
                               help="write here instead of stdout")
@@ -1060,21 +1047,9 @@ def _cmd_serve(args) -> int:
     )
     if policy.enabled:
         admission = obs.AdmissionController(policy)
-    if args.no_trace:
-        tracer = obs.NULL_TRACER
-    else:
-        tracer = obs.Tracer()
-        if store is not None:
-            # Persist every trace so `repro trace`/the dashboard can
-            # read it after the server (or its ring) is gone.
-            tracer.add_sink(
-                lambda record: store.append_trace_spans(
-                    obs.spans_to_dicts(record.spans), source="serve"
-                )
-            )
     # Every layer, the HTTP handler included, traces through the process
-    # global; the server also serves /api/traces from it.
-    obs.set_tracer(tracer)
+    # global; the server also serves /api/traces from its ring.
+    obs.set_tracer(obs.NULL_TRACER if args.no_trace else obs.Tracer())
     coordinator = None
     if args.workers_remote:
         from repro.service.distributed import WorkCoordinator
@@ -1346,22 +1321,12 @@ def _run_registry_command(args, store) -> int:
         return 0
 
     if args.runs_command == "gc":
-        if (
-            args.keep is None
-            and args.older_than is None
-            and args.keep_traces is None
-        ):
-            print("error: gc needs --keep, --older-than and/or "
-                  "--keep-traces", file=sys.stderr)
+        if args.keep is None and args.older_than is None:
+            print("error: gc needs --keep and/or --older-than",
+                  file=sys.stderr)
             return 1
-        if args.keep is not None or args.older_than is not None:
-            deleted = store.gc(
-                keep_last=args.keep, older_than_s=args.older_than
-            )
-            print(f"deleted {deleted} runs ({len(store)} kept)")
-        if args.keep_traces is not None:
-            pruned = store.prune_trace_spans(args.keep_traces)
-            print(f"pruned {pruned} trace spans")
+        deleted = store.gc(keep_last=args.keep, older_than_s=args.older_than)
+        print(f"deleted {deleted} runs ({len(store)} kept)")
         return 0
 
     if args.runs_command == "baseline":
@@ -1396,62 +1361,19 @@ def _run_registry_command(args, store) -> int:
     raise AssertionError(f"unhandled runs command {args.runs_command!r}")
 
 
-def _trace_backend(args):
-    """Resolve ``--store``/``--url`` into (summaries_fn, spans_fn).
-
-    Exactly one source is required: the registry holds persisted
-    traces, a running server additionally serves its in-memory ring.
-    """
-    if (args.store is None) == (args.url is None):
-        raise ValueError("trace commands need exactly one of --store/--url")
-    if args.store is not None:
-        from pathlib import Path
-
-        from repro.store import RunStore
-
-        if not Path(args.store).exists():
-            raise ValueError(f"no run registry at {args.store}")
-        store = RunStore(args.store)
-
-        def summaries(limit, run_id=None):
-            return store.trace_list(limit=limit, run_id=run_id)
-
-        return summaries, store.trace_spans, store.close
-    from repro.service import CampaignClient
-
-    client = CampaignClient(args.url)
-
-    def summaries(limit, run_id=None):
-        traces = client.traces(limit=limit)
-        if run_id is not None:
-            traces = [t for t in traces if t.get("run_id") == run_id]
-        return traces
-
-    def spans(trace_id):
-        try:
-            return client.trace(trace_id).get("spans", [])
-        except RuntimeError as exc:
-            if "404" in str(exc):
-                return []
-            raise
-
-    return summaries, spans, lambda: None
-
-
 def _cmd_trace(args) -> int:
     import json as _json
     import time as _time
 
     from repro.obs.trace import chrome_trace, trace_tree
+    from repro.service import CampaignClient
 
-    try:
-        summaries, span_rows, close = _trace_backend(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    client = CampaignClient(args.url)
     try:
         if args.trace_command == "list":
-            traces = summaries(args.limit, getattr(args, "run", None))
+            traces = client.traces(limit=args.limit)
+            if args.run is not None:
+                traces = [t for t in traces if t.get("run_id") == args.run]
             if args.json:
                 print(_json.dumps({"traces": traces}, sort_keys=True))
                 return 0
@@ -1474,18 +1396,20 @@ def _cmd_trace(args) -> int:
             print(f"{len(traces)} traces shown")
             return 0
 
-        spans = span_rows(args.trace_id)
+        try:
+            spans = client.trace(args.trace_id).get("spans", [])
+        except RuntimeError as exc:
+            if "404" not in str(exc):
+                raise
+            spans = []
         if not spans:
             print(f"error: unknown trace id {args.trace_id!r}",
                   file=sys.stderr)
             return 1
         if args.trace_command == "show":
             if args.json:
-                from repro.obs.trace import spans_to_dicts
-
                 print(_json.dumps(
-                    {"trace_id": args.trace_id,
-                     "spans": spans_to_dicts(spans)},
+                    {"trace_id": args.trace_id, "spans": spans},
                     sort_keys=True, default=str,
                 ))
             else:
@@ -1509,7 +1433,7 @@ def _cmd_trace(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        close()
+        client.close()
 
 
 def _cmd_mc(args) -> int:

@@ -9,9 +9,8 @@ I/O.  This module gives all those layers one request identity:
   ``parent_id``, monotonic-clock duration, status + structured
   attributes),
 * :class:`Tracer` — starts spans, tracks every live trace, and lands
-  finished traces in a bounded in-memory ring plus any registered
-  sinks (the server wires a sink persisting into the
-  :class:`~repro.store.runstore.RunStore`'s ``trace_spans`` table),
+  finished traces in a bounded in-memory ring, the one trace store
+  (the server serves it at ``/api/traces``),
 * a **contextvar-based ambient current span** so deep layers (the
   cache, the executor) attach child spans without plumbing arguments
   through every call — with explicit helpers (:func:`use_span`,
@@ -25,13 +24,13 @@ I/O.  This module gives all those layers one request identity:
 Retention
 ---------
 
-Every completed trace is kept: it lands in a bounded in-memory ring
-(``max_traces``, oldest evicted first) and goes to every registered
-sink.  Memory stays bounded per trace (``max_spans_per_trace``; spans
-beyond it are only counted) and across live traces (``max_active``;
-the oldest is force-completed).  Span and trace ids come from a
-*private* ``random.Random`` (never the global RNG — starting a trace
-can never perturb a seeded GA run).
+Every completed trace is kept in a bounded in-memory ring
+(``max_traces``, oldest evicted first); nothing persists it, so a
+process's traces go with it.  Memory stays bounded per trace
+(``max_spans_per_trace``; spans beyond it are only counted) and across
+live traces (``max_active``; the oldest is force-completed).  Span and
+trace ids come from a *private* ``random.Random`` (never the global
+RNG — starting a trace can never perturb a seeded GA run).
 
 Tracing is bit-neutral by construction: spans only *observe* wall
 time, no instrument draws from the global RNG, and nothing about
@@ -58,7 +57,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = [
     "NULL_SPAN",
@@ -261,6 +260,18 @@ class TraceRecord:
     spans: list
 
     def to_dict(self, include_spans: bool = True) -> dict:
+        """The trace as JSON; ``run_id`` links it to its recorded run.
+
+        The link is the ``run_id`` attribute of the first span carrying
+        one (``job.run`` and ``campaign`` get it once their run is
+        recorded), ``None`` for traces of unrecorded work.
+        """
+        run_id = None
+        for span in self.spans:
+            candidate = span.attributes.get("run_id")
+            if candidate:
+                run_id = str(candidate)
+                break
         record = {
             "trace_id": self.trace_id,
             "name": self.name,
@@ -268,6 +279,7 @@ class TraceRecord:
             "duration_s": self.duration_s,
             "status": self.status,
             "span_count": len(self.spans),
+            "run_id": run_id,
         }
         if include_spans:
             record["spans"] = spans_to_dicts(self.spans)
@@ -512,7 +524,6 @@ class Tracer:
         #: Completed traces as ``(trace_id, state, incomplete)``; the
         #: record is assembled (and cached on the state) when read.
         self._finished: deque[tuple] = deque(maxlen=max_traces)
-        self._sinks: list[Callable[[TraceRecord], None]] = []
         #: Traces completed since construction.
         self.completed = 0
 
@@ -815,19 +826,9 @@ class Tracer:
         with self._lock:
             self.completed += 1
             # Assembly (sort, root find, record construction) waits for
-            # a read: most ring entries are evicted unread, so without
-            # sinks the hot path pays one lock round.
+            # a read: most ring entries are evicted unread, so the hot
+            # path pays one lock round.
             self._finished.append((trace_id, state, incomplete))
-            sinks = list(self._sinks)
-        if not sinks:
-            return
-        record = self._assemble(trace_id, state, incomplete)
-        for sink in sinks:
-            try:
-                sink(record)
-            except Exception:
-                # A broken sink must never take the traced layer down.
-                pass
 
     def _assemble(
         self, trace_id: str, state: _TraceState, incomplete: bool = False
@@ -835,9 +836,9 @@ class Tracer:
         """Build (and cache) the presentable record for a completed trace.
 
         Runs under the tracer lock: deferred series are expanded into
-        ``Span`` objects exactly once, so repeated reads (and the
-        sinks) see the same record and span ids, and the sort/root
-        work is paid only on first read.
+        ``Span`` objects exactly once, so repeated reads see the same
+        record and span ids, and the sort/root work is paid only on
+        first read.
         """
         with self._lock:
             if state.record is not None:
@@ -907,15 +908,6 @@ class Tracer:
             return state.record
 
     # Retention / inspection ------------------------------------------------
-    def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Call ``sink(record)`` for every completed trace.
-
-        Sinks run on whatever thread completed the trace, outside the
-        tracer lock; exceptions are swallowed.
-        """
-        with self._lock:
-            self._sinks.append(sink)
-
     def finished(self, limit: int | None = None) -> list[TraceRecord]:
         """Completed traces still in the ring, newest first."""
         with self._lock:
@@ -972,9 +964,6 @@ class _NullTracer(Tracer):
     ):
         return 0
 
-    def add_sink(self, sink) -> None:
-        pass
-
 
 NULL_TRACER = _NullTracer()
 
@@ -1016,8 +1005,9 @@ def trace_tree(spans: Sequence) -> str:
     """Render one trace's spans as an ascii tree (``repro trace show``).
 
     Children sort by start time under their parent; spans whose parent
-    is not part of the trace render as additional roots, so a pruned
-    or partially persisted trace still displays.
+    is not part of the trace render as additional roots, so a trace
+    that lost a parent to the span cap, or joined a remote one, still
+    displays.
     """
     rows = spans_to_dicts(spans)
     if not rows:

@@ -585,8 +585,8 @@ def run_campaign(
         if record is not None:
             campaign_result.run_id = record.run_id
     if campaign_result.run_id is not None:
-        # Link the trace to the recorded run; the trace sink picks the
-        # attribute up when persisting rows into ``trace_spans``.
+        # Link the trace to the recorded run: its summary on
+        # ``/api/traces`` reports the attribute as its ``run_id``.
         campaign_span.set_attribute("run_id", campaign_result.run_id)
     campaign_span.set_attributes(
         evaluations=campaign_result.evaluations,

@@ -35,7 +35,7 @@ import enum
 import itertools
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,11 +62,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: reported as ``lost`` in the workers table (purely cosmetic — actual
 #: failover is per-lease, not per-worker).
 _LOST_AFTER_TTLS = 3.0
-
-#: Completed campaigns whose per-unit rows have not been collected yet
-#: (see :meth:`WorkCoordinator.take_unit_rows`); bounded so abandoned
-#: rows cannot grow without limit.
-_MAX_STASHED_CAMPAIGNS = 64
 
 _UNITS_HELP = "Work units finished, by terminal status"
 
@@ -121,20 +116,6 @@ class WorkUnit:
             "request": self.request_payload,
         }
 
-    def row(self) -> dict:
-        """The JSON shape recorded into ``RunStore.record_work_units``."""
-        return {
-            "unit_id": self.unit_id,
-            "spec_index": self.spec_index,
-            "spec": self.label,
-            "worker_id": self.worker_id,
-            "attempts": self.attempts,
-            "status": self.status.value,
-            "wall_time_s": self.wall_time_s,
-            "evaluations": self.evaluations,
-            "error": self.error,
-        }
-
 
 @dataclass
 class _WorkerEntry:
@@ -151,7 +132,6 @@ class _WorkerEntry:
 class _Campaign:
     campaign_id: str
     request: CampaignRequest
-    fingerprint: str
     units: list[WorkUnit]
     observer: Callable[[CampaignEvent], None] | None = None
     span: object | None = None
@@ -191,7 +171,6 @@ class WorkCoordinator:
         self._units: dict[str, WorkUnit] = {}
         self._queue: deque[str] = deque()
         self._workers: dict[str, _WorkerEntry] = {}
-        self._unit_rows: OrderedDict[str, list[dict]] = OrderedDict()
         self._ids = itertools.count(1)
         self._worker_ids = itertools.count(1)
 
@@ -414,7 +393,7 @@ class WorkCoordinator:
         return {"accepted": True, "status": unit.status.value}
 
     def workers_info(self) -> list[dict]:
-        """Rows for the ``/api/workers`` endpoint and dashboard table."""
+        """Rows for the ``/api/workers`` endpoint."""
         with self._lock:
             now = self._clock()
             rows = []
@@ -588,17 +567,7 @@ class WorkCoordinator:
         for unit in campaign.units:
             self._units.pop(unit.unit_id, None)
         self._campaigns.pop(campaign.campaign_id, None)
-        self._unit_rows[campaign.fingerprint] = [
-            unit.row() for unit in campaign.units
-        ]
-        while len(self._unit_rows) > _MAX_STASHED_CAMPAIGNS:
-            self._unit_rows.popitem(last=False)
         self._publish_gauges_locked()
-
-    def take_unit_rows(self, fingerprint: str) -> list[dict]:
-        """Pop the per-unit rows of a finished campaign (for the store)."""
-        with self._lock:
-            return self._unit_rows.pop(fingerprint, [])
 
     # Campaign-facing API ---------------------------------------------------
     def execute(
@@ -634,7 +603,6 @@ class WorkCoordinator:
             campaign = _Campaign(
                 campaign_id=campaign_id,
                 request=request,
-                fingerprint=fingerprint,
                 units=self._decompose(campaign_id, request, fingerprint),
                 observer=observer,
                 span=span,

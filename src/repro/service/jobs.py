@@ -247,8 +247,9 @@ class JobQueue:
         store: optional :class:`~repro.store.runstore.RunStore`;
             every executed job's outcome is recorded into it at the
             terminal transition (the job's :attr:`JobRecord.run_id`
-            carries the registry id).  Recording failures never take
-            the queue down — they are counted in
+            carries the registry id; a done job's ``job.run`` span
+            carries it too, linking the trace to the run).  Recording
+            failures never take the queue down — they are counted in
             ``stats.record_errors``.
 
     Submitting a request whose fingerprint matches a job that is still
@@ -266,15 +267,10 @@ class JobQueue:
         event_buffer_size: int = 256,
         ttl_s: float | None = None,
         store=None,
-        on_recorded=None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.store = store
-        #: ``(job) -> None`` hook fired after a job's outcome lands in
-        #: the run registry (``job.run_id`` is set by then) — the serve
-        #: layer uses it to flush per-unit worker rows for the run.
-        self.on_recorded = on_recorded
         self._log = get_logger("repro.jobs")
         if runner is None:
             def runner(request, observer=None, should_stop=None):
@@ -596,13 +592,6 @@ class JobQueue:
         except Exception:  # recording must never take the queue down
             with self._lock:
                 self.stats.count("record_errors")
-            return
-        if self.on_recorded is not None:
-            try:
-                self.on_recorded(job)
-            except Exception:  # same contract as recording itself
-                with self._lock:
-                    self.stats.count("record_errors")
 
     def _execute(self, job: JobRecord) -> None:
         """Run one RUNNING job to a terminal state (no lock held)."""

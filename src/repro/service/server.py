@@ -24,7 +24,8 @@ shares across requests; no route exposes that cache):
       GET  /api/runs/<id>/front           recorded merged frontier
       GET  /api/compare?a=..&b=..         front-quality indicators
       GET  /api/stats                     queue counters/gauges
-      GET  /api/traces                    finished traces (?limit=N)
+      GET  /api/traces                    the tracer ring's finished
+                                          traces (?limit=N)
       GET  /api/traces/<id>               one trace with its spans
       GET  /api/metrics                   metrics registry as JSON
       GET  /metrics                       Prometheus text exposition
@@ -64,8 +65,10 @@ shares across requests; no route exposes that cache):
   registry reads) starts no trace, so a watched campaign leaves one
   trace, rooted at its submit; health, scrape and trace-inspection
   paths are never traced.  Finished traces are browsable at
-  ``/api/traces``.  :class:`CampaignClient` injects ``traceparent``
-  from its ambient span automatically.
+  ``/api/traces`` while they stay in the process tracer's ring (the
+  newest 128 by default); each summary carries the ``run_id`` its
+  campaign was recorded under.  :class:`CampaignClient` injects
+  ``traceparent`` from its ambient span automatically.
 
 :class:`CampaignClient` is the matching ``http.client``-based client used
 by ``repro submit`` / ``repro watch``.  Connections are persistent: the
@@ -508,54 +511,19 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         return comparison.to_dict()
 
     def _trace_list(self, limit: int) -> list[dict]:
-        """Finished traces: the in-memory ring first, store rows after.
-
-        The ring holds what this process finished recently; the store
-        (when attached) remembers persisted traces across restarts.
-        Ring entries win on trace-id collisions.
-        """
-        listed: list[dict] = []
-        seen: set[str] = set()
-        for record in get_tracer().finished():
-            listed.append(record.to_dict(include_spans=False))
-            seen.add(record.trace_id)
-        store = self.server.store
-        if store is not None and hasattr(store, "trace_list"):
-            try:
-                stored = store.trace_list(limit=limit + len(seen))
-            except Exception:  # noqa: BLE001 — listing must not 500 on store issues
-                stored = []
-            for row in stored:
-                if row.get("trace_id") not in seen:
-                    listed.append(row)
-        listed.sort(key=lambda r: r.get("start_time") or 0.0, reverse=True)
+        """The tracer ring's finished traces, latest start first."""
+        listed = [
+            record.to_dict(include_spans=False)
+            for record in get_tracer().finished()
+        ]
+        listed.sort(key=lambda r: r["start_time"], reverse=True)
         return listed[: max(0, limit)]
 
     def _trace(self, trace_id: str) -> dict:
         record = get_tracer().get(trace_id)
-        if record is not None:
-            return record.to_dict(include_spans=True)
-        store = self.server.store
-        if store is not None and hasattr(store, "trace_spans"):
-            spans = store.trace_spans(trace_id)
-            if spans:
-                start = min(s["start_time"] for s in spans)
-                end = max(s["start_time"] + s["duration_s"] for s in spans)
-                roots = [s for s in spans if not s.get("parent_id")]
-                return {
-                    "trace_id": trace_id,
-                    "name": roots[0]["name"] if roots else spans[0]["name"],
-                    "start_time": start,
-                    "duration_s": end - start,
-                    "status": (
-                        "error"
-                        if any(s.get("status") == "error" for s in spans)
-                        else "ok"
-                    ),
-                    "span_count": len(spans),
-                    "spans": spans,
-                }
-        raise _ApiError(404, f"unknown trace id {trace_id!r}")
+        if record is None:
+            raise _ApiError(404, f"unknown trace id {trace_id!r}")
+        return record.to_dict(include_spans=True)
 
     def _events(self, job_id: str, query: dict) -> dict:
         try:
@@ -824,33 +792,19 @@ def serve(
     :meth:`~repro.service.distributed.WorkCoordinator.execute` instead:
     external ``repro worker`` processes lease the units over
     ``/api/workers`` / ``/api/units`` and evaluate them uncached, so a
-    ``cache`` goes unused.  With a store attached, per-unit worker rows
-    are flushed into ``RunStore.record_work_units`` once each run is
-    recorded.
+    ``cache`` goes unused.
     """
     if queue is None:
         if workers < 1:
             raise ValueError(f"an owned queue needs workers >= 1, got {workers}")
-        runner = None
-        on_recorded = None
-        if coordinator is not None:
-            runner = coordinator.execute
-            if store is not None and hasattr(store, "record_work_units"):
-                def on_recorded(job, _store=store, _coord=coordinator):
-                    if job.run_id is None:
-                        return
-                    rows = _coord.take_unit_rows(job.request.fingerprint())
-                    if rows:
-                        _store.record_work_units(job.run_id, rows)
         queue = JobQueue(
-            runner=runner,
+            runner=coordinator.execute if coordinator is not None else None,
             library=library,
             cache=cache,
             workers=workers,
             event_buffer_size=event_buffer_size,
             ttl_s=ttl_s,
             store=store,
-            on_recorded=on_recorded,
         )
     return CampaignHTTPServer(
         (host, port),

@@ -13,11 +13,11 @@ Named *baselines* pin a run id under a stable name (``"main"``,
 ``"nightly"`` ...) for the regression gate (:mod:`repro.store.gate`)
 and for cross-run comparison (:mod:`repro.store.analytics`).
 
-Finished spans from :mod:`repro.obs.trace` ride along in
-``trace_spans``, linked to their run where the trace carried a
-``run_id``; the table is append-only with explicit pruning
-(``repro runs gc --keep-traces``).  A database written while the
-server still sampled metrics history keeps that table, unread.
+The registry records runs, fronts and baselines only; traces live in
+the tracer's bounded in-memory ring (:mod:`repro.obs.trace`, served at
+``/api/traces``).  A database written while the server still persisted
+trace spans, per-unit worker rows or metrics history keeps those
+tables (``trace_spans``, ``work_units``, ``metrics_history``), unread.
 
 Recording is strictly opt-in and write-only from the campaign's point
 of view: a campaign run with a store produces bit-identical fronts to
@@ -84,38 +84,6 @@ CREATE TABLE IF NOT EXISTS baselines (
     run_id TEXT NOT NULL REFERENCES runs(run_id),
     updated_at REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS trace_spans (
-    trace_id TEXT NOT NULL,
-    span_id TEXT NOT NULL,
-    parent_id TEXT,
-    name TEXT NOT NULL,
-    category TEXT NOT NULL DEFAULT '',
-    start_time REAL NOT NULL,
-    duration_s REAL NOT NULL,
-    status TEXT NOT NULL DEFAULT 'ok',
-    error TEXT,
-    attributes TEXT NOT NULL DEFAULT '{}',
-    thread TEXT,
-    source TEXT NOT NULL DEFAULT '',
-    run_id TEXT,
-    PRIMARY KEY (trace_id, span_id)
-);
-CREATE INDEX IF NOT EXISTS trace_spans_by_time ON trace_spans(start_time);
-CREATE INDEX IF NOT EXISTS trace_spans_by_run ON trace_spans(run_id);
-CREATE TABLE IF NOT EXISTS work_units (
-    run_id TEXT NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
-    unit_id TEXT NOT NULL,
-    spec_index INTEGER NOT NULL,
-    spec TEXT NOT NULL DEFAULT '',
-    worker_id TEXT,
-    attempts INTEGER NOT NULL DEFAULT 0,
-    status TEXT NOT NULL DEFAULT '',
-    wall_time_s REAL NOT NULL DEFAULT 0.0,
-    evaluations INTEGER NOT NULL DEFAULT 0,
-    error TEXT,
-    PRIMARY KEY (run_id, unit_id)
-);
-CREATE INDEX IF NOT EXISTS work_units_by_worker ON work_units(worker_id);
 """
 
 #: The ``runs`` columns a :class:`RunRecord` reads, named rather than
@@ -656,233 +624,6 @@ class RunStore:
                 "SELECT name, run_id FROM baselines ORDER BY name"
             ).fetchall()
         return dict(rows)
-
-    # Trace spans -----------------------------------------------------------
-    def append_trace_spans(
-        self, spans: list[dict], source: str = ""
-    ) -> int:
-        """Persist one finished trace's spans; returns rows written.
-
-        ``spans`` is the :meth:`repro.obs.trace.Span.to_dict` shape.
-        The trace-level ``run_id`` link is pulled from the first span
-        carrying a ``run_id`` attribute (the campaign/job spans set it)
-        and stamped onto every row of the trace, so
-        ``trace_spans_by_run`` answers "which traces touched this run".
-        Re-appending a trace is idempotent (primary key upsert).
-        """
-        if not spans:
-            return 0
-        run_id = None
-        for span in spans:
-            candidate = (span.get("attributes") or {}).get("run_id")
-            if candidate:
-                run_id = str(candidate)
-                break
-        rows = [
-            (
-                span["trace_id"],
-                span["span_id"],
-                span.get("parent_id"),
-                span["name"],
-                span.get("category") or "",
-                span["start_time"],
-                span["duration_s"],
-                span.get("status") or "ok",
-                span.get("error"),
-                json.dumps(span.get("attributes") or {}, default=str),
-                span.get("thread"),
-                source,
-                run_id,
-            )
-            for span in spans
-        ]
-        with self._lock:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO trace_spans (trace_id, span_id, "
-                "parent_id, name, category, start_time, duration_s, status, "
-                "error, attributes, thread, source, run_id) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-            self._conn.commit()
-        return len(rows)
-
-    def trace_list(
-        self, limit: int | None = None, run_id: str | None = None
-    ) -> list[dict]:
-        """Persisted traces as summary dicts, newest first.
-
-        Each entry carries ``trace_id``, root ``name``, ``start_time``,
-        end-to-end ``duration_s``, aggregate ``status``, ``span_count``,
-        ``source``, and the linked ``run_id`` (when known).
-        """
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be >= 0, got {limit}")
-        query = (
-            "SELECT trace_id, MIN(start_time), "
-            "MAX(start_time + duration_s) - MIN(start_time), COUNT(*), "
-            "MAX(CASE WHEN status = 'error' THEN 1 ELSE 0 END), "
-            "MAX(source), MAX(run_id) FROM trace_spans"
-        )
-        params: list = []
-        if run_id is not None:
-            query += " WHERE run_id = ?"
-            params.append(run_id)
-        query += " GROUP BY trace_id ORDER BY MIN(start_time) DESC"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(limit)
-        with self._lock:
-            rows = self._conn.execute(query, params).fetchall()
-            summaries = []
-            for (
-                trace_id, start, duration, count, errored, src, linked
-            ) in rows:
-                # The trace's display name is its root span's (no parent
-                # inside the trace); the earliest span is the fallback
-                # for traces persisted without their root.
-                name_row = self._conn.execute(
-                    "SELECT name FROM trace_spans WHERE trace_id = ? "
-                    "ORDER BY (parent_id IS NOT NULL), start_time LIMIT 1",
-                    (trace_id,),
-                ).fetchone()
-                summaries.append(
-                    {
-                        "trace_id": trace_id,
-                        "name": name_row[0] if name_row else "",
-                        "start_time": start,
-                        "duration_s": duration,
-                        "status": "error" if errored else "ok",
-                        "span_count": count,
-                        "source": src or "",
-                        "run_id": linked,
-                    }
-                )
-        return summaries
-
-    def trace_spans(self, trace_id: str) -> list[dict]:
-        """One persisted trace's spans, ordered by start time."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT trace_id, span_id, parent_id, name, category, "
-                "start_time, duration_s, status, error, attributes, thread, "
-                "source, run_id FROM trace_spans WHERE trace_id = ? "
-                "ORDER BY start_time, span_id",
-                (trace_id,),
-            ).fetchall()
-        return [
-            {
-                "trace_id": row[0],
-                "span_id": row[1],
-                "parent_id": row[2],
-                "name": row[3],
-                "category": row[4],
-                "start_time": row[5],
-                "duration_s": row[6],
-                "status": row[7],
-                "error": row[8],
-                "attributes": json.loads(row[9]) if row[9] else {},
-                "thread": row[10],
-                "source": row[11],
-                "run_id": row[12],
-            }
-            for row in rows
-        ]
-
-    def prune_trace_spans(self, older_than_s: float) -> int:
-        """Drop spans started more than ``older_than_s`` seconds ago."""
-        if older_than_s < 0:
-            raise ValueError(f"older_than_s must be >= 0, got {older_than_s}")
-        cutoff = time.time() - older_than_s
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM trace_spans WHERE start_time < ?", (cutoff,)
-            )
-            self._conn.commit()
-        return cursor.rowcount
-
-    # Distributed work units -------------------------------------------------
-    def record_work_units(self, run_id: str, rows: list[dict]) -> int:
-        """Persist the per-unit outcomes of one distributed run.
-
-        ``rows`` is the :meth:`repro.service.distributed.WorkUnit.row`
-        shape — which worker evaluated each unit, how many lease
-        attempts it took, and the per-unit wall time.  Re-recording a
-        unit upserts on ``(run_id, unit_id)``.
-        """
-        self.get_run(run_id)
-        if not rows:
-            return 0
-        with self._lock:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO work_units (run_id, unit_id, "
-                "spec_index, spec, worker_id, attempts, status, "
-                "wall_time_s, evaluations, error) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        run_id,
-                        row["unit_id"],
-                        int(row.get("spec_index") or 0),
-                        row.get("spec") or "",
-                        row.get("worker_id"),
-                        int(row.get("attempts") or 0),
-                        row.get("status") or "",
-                        float(row.get("wall_time_s") or 0.0),
-                        int(row.get("evaluations") or 0),
-                        row.get("error"),
-                    )
-                    for row in rows
-                ],
-            )
-            self._conn.commit()
-        return len(rows)
-
-    def work_units(self, run_id: str) -> list[dict]:
-        """One run's recorded work units, in spec order."""
-        self.get_run(run_id)
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT unit_id, spec_index, spec, worker_id, attempts, "
-                "status, wall_time_s, evaluations, error FROM work_units "
-                "WHERE run_id = ? ORDER BY spec_index, unit_id",
-                (run_id,),
-            ).fetchall()
-        return [
-            {
-                "unit_id": row[0],
-                "spec_index": row[1],
-                "spec": row[2],
-                "worker_id": row[3],
-                "attempts": row[4],
-                "status": row[5],
-                "wall_time_s": row[6],
-                "evaluations": row[7],
-                "error": row[8],
-            }
-            for row in rows
-        ]
-
-    def worker_summary(self) -> list[dict]:
-        """Aggregate per-worker totals across every recorded run."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT worker_id, COUNT(*), "
-                "SUM(CASE WHEN status = 'done' THEN 1 ELSE 0 END), "
-                "SUM(evaluations), SUM(wall_time_s) FROM work_units "
-                "WHERE worker_id IS NOT NULL GROUP BY worker_id "
-                "ORDER BY worker_id",
-            ).fetchall()
-        return [
-            {
-                "worker_id": row[0],
-                "units": row[1],
-                "units_done": row[2],
-                "evaluations": row[3] or 0,
-                "wall_time_s": row[4] or 0.0,
-            }
-            for row in rows
-        ]
 
     # Maintenance ----------------------------------------------------------
     def delete_run(self, run_id: str) -> None:

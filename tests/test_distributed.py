@@ -3,7 +3,7 @@
 Coordinator protocol (leases, heartbeats, expiry, idempotent results,
 bounded attempts), the HTTP worker round trip and its parity with the
 uncached in-process path, client retries, the distributed CLI flags,
-and the run-store / dashboard plumbing.  Tests marked ``distributed``
+and the run-store plumbing.  Tests marked ``distributed``
 additionally spawn real ``repro serve`` / ``repro worker`` subprocesses.
 """
 
@@ -311,25 +311,15 @@ class TestDistributedRoundTrip:
         # cache_stats included) equals the uncached in-process run's.
         assert without_wall_time(response) == without_wall_time(reference)
         # The recorded run carries the same request fingerprint as the
-        # in-process path would, and both units landed with worker ids.
+        # in-process path would, and the two workers did both units.
         run = store.list_runs()[0]
         assert run.fingerprint == request.fingerprint()
-        rows = store.work_units(run.run_id)
-        assert [row["spec_index"] for row in rows] == [0, 1]
-        assert all(row["status"] == "done" for row in rows)
-        assert all(row["worker_id"] for row in rows)
-        worker_ids = {w.worker_id for w in workers}
-        assert {row["worker_id"] for row in rows} <= worker_ids
-
-        # The workers table aggregates across runs, and the dashboard
-        # renders it.
-        summary = store.worker_summary()
-        assert sum(row["units_done"] for row in summary) == 2
-        from repro.reporting.dashboard import render_dashboard
-
-        html = render_dashboard(store)
-        assert "Distributed workers" in html
-        assert rows[0]["worker_id"] in html
+        rows = client.workers()
+        assert {row["worker_id"] for row in rows} == {
+            w.worker_id for w in workers
+        }
+        assert sum(row["units_done"] for row in rows) == 2
+        assert sum(row["units_failed"] for row in rows) == 0
 
         # The same holds on the exhaustive route.
         exhaustive = tiny_request(exhaustive_threshold=None)
@@ -381,17 +371,13 @@ class TestDistributedRoundTrip:
 
 
 class TestWorkerFaultTolerance:
-    def test_dead_worker_lease_expires_and_unit_requeues(self, tmp_path):
+    def test_dead_worker_lease_expires_and_unit_requeues(self, fresh_registry):
         """A worker that leases a unit and dies must not wedge the run."""
-        from repro.store import RunStore
-
-        store = RunStore(tmp_path / "runs.sqlite")
         coordinator = WorkCoordinator(lease_ttl_s=0.5)
         server = serve(
             port=0,
             workers=1,
             cache=EvaluationCache(),
-            store=store,
             coordinator=coordinator,
         )
         server.serve_in_background()
@@ -417,16 +403,18 @@ class TestWorkerFaultTolerance:
             thread.join(timeout=10)
             assert response.frontier
 
-            rows = store.work_units(store.list_runs()[0].run_id)
-            assert len(rows) == 1
-            assert rows[0]["status"] == "done"
-            assert rows[0]["attempts"] == 2  # doomed lease + real one
-            assert rows[0]["worker_id"] == worker.worker_id
+            # Two leases: the doomed one expired and requeued the unit,
+            # and the healthy worker's lease completed it.
+            requeued = fresh_registry.counter("repro_units_requeued_total")
+            assert requeued.value == 1
+            rows = {row["worker_id"]: row for row in client.workers()}
+            doomed, healthy = rows["doomed"], rows[worker.worker_id]
+            assert (doomed["leases"], doomed["units_done"]) == (1, 0)
+            assert (healthy["leases"], healthy["units_done"]) == (1, 1)
         finally:
             server.shutdown()
             server.server_close()
             server.queue.close(wait=False)
-            store.close()
 
     def test_campaign_fails_structured_when_attempts_run_out(self):
         coordinator = WorkCoordinator(lease_ttl_s=0.2, max_attempts=2)

@@ -1,7 +1,7 @@
 """Tests for the span tracer: core mechanics, W3C propagation, the
-service-layer trace (queue -> campaign -> executor -> cache), store
-persistence, and the bit-parity guarantee (tracing never changes
-results)."""
+service-layer trace (queue -> campaign -> executor -> cache), the ring
+served at ``/api/traces`` and read by ``repro trace``, and the
+bit-parity guarantee (tracing never changes results)."""
 
 import json
 import threading
@@ -292,20 +292,6 @@ class TestRecordedSpans:
         assert len(record.spans) == 4
         assert record.spans[0].attributes["dropped_spans"] == 7
 
-    def test_sink_sees_assembled_record(self, tracer):
-        seen = []
-        tracer.add_sink(seen.append)
-        tracer.add_sink(lambda record: 1 / 0)  # broken sinks are swallowed
-        with tracer.span("root", root_if_orphan=True) as root:
-            tracer.record_span_series(
-                "chunk", [0.01], [time.time()], parent=root
-            )
-        assert len(seen) == 1
-        assert {s.name for s in seen[0].spans} == {"root", "chunk"}
-        assert all(len(s.span_id) == 16 for s in seen[0].spans)
-        # The ring holds the very record the sinks saw.
-        assert tracer.finished()[0] is seen[0]
-
 
 class TestNullTracer:
     def test_everything_is_noop(self):
@@ -315,7 +301,6 @@ class TestNullTracer:
         assert NULL_TRACER.start_span("x", root_if_orphan=True) is NULL_SPAN
         assert NULL_TRACER.record_span("x", 1.0) is NULL_SPAN
         assert NULL_TRACER.record_span_series("x", [1.0], [0.0]) == 0
-        NULL_TRACER.add_sink(lambda record: None)
         assert NULL_TRACER.finished() == []
 
     def test_set_tracer_swaps_global(self):
@@ -557,88 +542,23 @@ class TestExporters:
         rows = [{"name": "already-a-dict"}]
         assert spans_to_dicts(rows) == rows
 
-
-def make_span_rows(trace_id, run_id=None, start=1000.0):
-    root_id, child_id = "a" * 16, "b" * 16
-    attributes = {"run_id": run_id} if run_id else {}
-    return [
-        {
-            "trace_id": trace_id, "span_id": root_id, "parent_id": None,
-            "name": "campaign", "category": "campaign",
-            "start_time": start, "duration_s": 2.0, "status": "ok",
-            "error": None, "attributes": attributes, "thread": "main",
-        },
-        {
-            "trace_id": trace_id, "span_id": child_id, "parent_id": root_id,
-            "name": "executor.chunk", "category": "executor",
-            "start_time": start + 0.5, "duration_s": 1.0, "status": "ok",
-            "error": None, "attributes": {}, "thread": "main",
-        },
-    ]
-
-
-class TestRunStoreTraces:
-    def test_append_and_read_back(self, tmp_path):
-        from repro.store import RunStore
-
-        with RunStore(str(tmp_path / "runs.sqlite")) as store:
-            rows = make_span_rows("1" * 32, run_id="run-x")
-            assert store.append_trace_spans(rows, source="serve") == 2
-            spans = store.trace_spans("1" * 32)
-            assert [s["name"] for s in spans] == ["campaign", "executor.chunk"]
-            assert all(s["run_id"] == "run-x" for s in spans)
-            assert all(s["source"] == "serve" for s in spans)
-            # Idempotent: re-appending the same trace changes nothing.
-            assert store.append_trace_spans(rows, source="serve") == 2
-            assert len(store.trace_spans("1" * 32)) == 2
-
-    def test_trace_list_summaries_and_filters(self, tmp_path):
-        from repro.store import RunStore
-
-        with RunStore(str(tmp_path / "runs.sqlite")) as store:
-            store.append_trace_spans(
-                make_span_rows("1" * 32, run_id="run-x", start=1000.0),
-                source="serve",
+    def test_summary_links_the_first_run_id(self, tracer):
+        """A ring summary carries the ``run_id`` of the first span (in
+        start order) that has one, and ``None`` when no span does."""
+        with tracer.span("root", root_if_orphan=True) as root:
+            with tracer.span("first", attributes={"run_id": "run-a"}):
+                pass
+            tracer.record_span(
+                "second", 0.0, parent=root, attributes={"run_id": "run-b"}
             )
-            store.append_trace_spans(
-                make_span_rows("2" * 32, start=2000.0), source="cli"
-            )
-            summaries = store.trace_list()
-            assert [s["trace_id"] for s in summaries] == ["2" * 32, "1" * 32]
-            newest = summaries[0]
-            assert newest["name"] == "campaign"
-            assert newest["span_count"] == 2
-            assert newest["duration_s"] == pytest.approx(2.0)
-            assert store.trace_list(run_id="run-x")[0]["trace_id"] == "1" * 32
-            assert store.trace_list(limit=1)[0]["trace_id"] == "2" * 32
-
-    def test_prune_trace_spans(self, tmp_path):
-        from repro.store import RunStore
-
-        with RunStore(str(tmp_path / "runs.sqlite")) as store:
-            old = make_span_rows("1" * 32, start=time.time() - 3600)
-            fresh = make_span_rows("2" * 32, start=time.time())
-            store.append_trace_spans(old, source="test")
-            store.append_trace_spans(fresh, source="test")
-            assert store.prune_trace_spans(60.0) == 2
-            assert store.trace_spans("1" * 32) == []
-            assert len(store.trace_spans("2" * 32)) == 2
-
-    def test_runs_gc_keep_traces_flag(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.store import RunStore
-
-        path = str(tmp_path / "runs.sqlite")
-        with RunStore(path) as store:
-            store.append_trace_spans(
-                make_span_rows("1" * 32, start=time.time() - 3600),
-                source="test",
-            )
-        assert main(["runs", "gc", "--store", path, "--keep-traces", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "trace" in out.lower()
-        with RunStore(path) as store:
-            assert store.trace_list() == []
+        summary = only_trace(tracer).to_dict(include_spans=False)
+        assert summary["run_id"] == "run-a"
+        assert summary["span_count"] == 3
+        assert "spans" not in summary
+        unlinked = Tracer()
+        with unlinked.span("root", root_if_orphan=True):
+            pass
+        assert unlinked.finished()[0].to_dict()["run_id"] is None
 
 
 class TestServerTracing:
@@ -827,101 +747,105 @@ class TestServerTracing:
         )
         assert submit.attributes["route"] == "/api/campaigns"
 
-    def test_api_traces_store_fallback(self, tmp_path, tracer):
+
+class TestTraceCLI:
+    """``repro trace`` reads a live server's ring over ``--url``."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        """A server with a run registry that has served one campaign:
+        yields its URL, the campaign's trace id and its run id."""
         from repro.service.server import CampaignClient, serve
         from repro.store import RunStore
 
-        with RunStore(str(tmp_path / "runs.sqlite")) as store:
-            store.append_trace_spans(
-                make_span_rows("5" * 32, run_id="run-z"), source="serve"
-            )
-            server = serve("127.0.0.1", 0, workers=1,
-                           cache=EvaluationCache(), store=store)
-            thread = server.serve_in_background()
-            try:
-                client = CampaignClient(server.url)
-                listed = client.traces()
-                assert any(t["trace_id"] == "5" * 32 for t in listed)
-                detail = client.trace("5" * 32)
-                assert {s["name"] for s in detail["spans"]} == {
-                    "campaign", "executor.chunk"
-                }
-            finally:
-                server.shutdown()
-                server.queue.close()
-                thread.join(timeout=10)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        store = RunStore(tmp_path_factory.mktemp("trace_cli") / "runs.sqlite")
+        server = serve("127.0.0.1", 0, workers=1, store=store)
+        thread = server.serve_in_background()
+        client = CampaignClient(server.url)
+        try:
+            job_id = client.submit(tiny_request())
+            events = list(client.watch(job_id, poll_s=0.1))
+            assert events[-1].kind.value == "campaign_done"
+            run_id = client.status(job_id)["run_id"]
+            # The trace completes moments after the result lands.
+            deadline = time.time() + 10
+            while time.time() < deadline and not tracer.finished():
+                time.sleep(0.02)
+            (record,) = tracer.finished()
+            yield server.url, record.trace_id, run_id, len(record.spans)
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            server.queue.close()
+            thread.join(timeout=10)
+            store.close()
+            set_tracer(previous)
 
-
-class TestTraceCLI:
-    @pytest.fixture
-    def store_path(self, tmp_path):
-        from repro.store import RunStore
-
-        path = str(tmp_path / "runs.sqlite")
-        with RunStore(path) as store:
-            store.append_trace_spans(
-                make_span_rows("6" * 32, run_id="run-q"), source="cli"
-            )
-        return path
-
-    def test_trace_list(self, store_path, capsys):
+    def test_trace_list(self, served, capsys):
         from repro.cli import main
 
-        assert main(["trace", "list", "--store", store_path]) == 0
+        url, trace_id, run_id, _ = served
+        assert main(["trace", "list", "--url", url]) == 0
         out = capsys.readouterr().out
-        assert "6" * 32 in out
-        assert "run-q" in out
+        assert trace_id in out
+        assert run_id in out
+        assert "1 traces shown" in out
 
-    def test_trace_list_json_filters_run(self, store_path, capsys):
+    def test_trace_list_json_filters_run(self, served, capsys):
+        """``--run`` finds the ring trace of a recorded campaign."""
         from repro.cli import main
 
-        assert main(["trace", "list", "--store", store_path,
-                     "--run", "run-q", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["traces"][0]["trace_id"] == "6" * 32
-        assert main(["trace", "list", "--store", store_path,
+        url, trace_id, run_id, n_spans = served
+        assert main(["trace", "list", "--url", url,
+                     "--run", run_id, "--json"]) == 0
+        traces = json.loads(capsys.readouterr().out)["traces"]
+        assert [t["trace_id"] for t in traces] == [trace_id]
+        assert traces[0]["run_id"] == run_id
+        assert traces[0]["span_count"] == n_spans
+        assert main(["trace", "list", "--url", url,
                      "--run", "run-other", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["traces"] == []
 
-    def test_trace_list_negative_limit_is_usage_error(self, store_path, capsys):
+    def test_trace_list_negative_limit_is_usage_error(self, served, capsys):
         from repro.cli import main
 
+        url = served[0]
         with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "list", "--store", store_path, "--limit", "-1"])
+            main(["trace", "list", "--url", url, "--limit", "-1"])
         assert excinfo.value.code == 2
         assert "non-negative integer" in capsys.readouterr().err
 
-    def test_trace_show_tree_and_json(self, store_path, capsys):
+    def test_trace_show_tree_and_json(self, served, capsys):
         from repro.cli import main
 
-        assert main(["trace", "show", "6" * 32, "--store", store_path]) == 0
+        url, trace_id, _, n_spans = served
+        assert main(["trace", "show", trace_id, "--url", url]) == 0
         tree = capsys.readouterr().out
-        assert "campaign" in tree and "executor.chunk" in tree
-        assert main(["trace", "show", "6" * 32, "--store", store_path,
+        assert "http.request" in tree and "campaign" in tree
+        assert main(["trace", "show", trace_id, "--url", url,
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["spans"]) == 2
+        assert payload["trace_id"] == trace_id
+        assert len(payload["spans"]) == n_spans
 
-    def test_trace_show_unknown_id(self, store_path, capsys):
+    def test_trace_show_unknown_id(self, served, capsys):
         from repro.cli import main
 
-        assert main(["trace", "show", "f" * 32, "--store", store_path]) == 1
+        url = served[0]
+        assert main(["trace", "show", "f" * 32, "--url", url]) == 1
         assert "unknown trace id" in capsys.readouterr().err
 
-    def test_trace_export_perfetto(self, store_path, tmp_path, capsys):
+    def test_trace_export_perfetto(self, served, tmp_path, capsys):
         from repro.cli import main
 
+        url, trace_id, _, n_spans = served
         out = str(tmp_path / "t.json")
-        assert main(["trace", "export", "6" * 32, "--store", store_path,
+        assert main(["trace", "export", trace_id, "--url", url,
                      "--out", out]) == 0
         with open(out) as fh:
             payload = json.load(fh)
         complete = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        assert len(complete) == 2
-
-    def test_trace_missing_store(self, tmp_path, capsys):
-        from repro.cli import main
-
-        missing = str(tmp_path / "nope.sqlite")
-        assert main(["trace", "list", "--store", missing]) == 1
-        assert "no run registry" in capsys.readouterr().err
+        assert len(complete) == n_spans

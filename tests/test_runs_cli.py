@@ -533,9 +533,9 @@ class TestRetiredMetricsHistory:
         assert run_cli("dashboard", "--store", history_store,
                        "--out", str(out)) == 0
         assert "recorded runs: 2" in out.read_text(encoding="utf-8")
-        assert run_cli("runs", "gc", "--keep-traces", "0",
+        assert run_cli("runs", "gc", "--keep", "1",
                        "--store", history_store) == 0
-        assert "pruned 0 trace spans" in capsys.readouterr().out
+        assert "deleted 0 runs (2 kept)" in capsys.readouterr().out
         assert self.history_rows(history_store) == before
 
     @pytest.mark.parametrize("argv, flag", [
@@ -556,3 +556,116 @@ class TestRetiredMetricsHistory:
         assert captured.out == ""  # rejected before any work started
         assert not out.exists()
         assert len(self.history_rows(history_store)) == 3
+
+
+#: The two telemetry tables of registries written while ``repro serve
+#: --store`` persisted every trace and each distributed run's per-unit
+#: worker rows, as they were created then.
+TRACE_TABLES_DDL = """
+CREATE TABLE IF NOT EXISTS trace_spans (
+    trace_id TEXT NOT NULL,
+    span_id TEXT NOT NULL,
+    parent_id TEXT,
+    name TEXT NOT NULL,
+    category TEXT NOT NULL DEFAULT '',
+    start_time REAL NOT NULL,
+    duration_s REAL NOT NULL,
+    status TEXT NOT NULL DEFAULT 'ok',
+    error TEXT,
+    attributes TEXT NOT NULL DEFAULT '{}',
+    thread TEXT,
+    source TEXT NOT NULL DEFAULT '',
+    run_id TEXT,
+    PRIMARY KEY (trace_id, span_id)
+);
+CREATE INDEX IF NOT EXISTS trace_spans_by_time ON trace_spans(start_time);
+CREATE INDEX IF NOT EXISTS trace_spans_by_run ON trace_spans(run_id);
+CREATE TABLE IF NOT EXISTS work_units (
+    run_id TEXT NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
+    unit_id TEXT NOT NULL,
+    spec_index INTEGER NOT NULL,
+    spec TEXT NOT NULL DEFAULT '',
+    worker_id TEXT,
+    attempts INTEGER NOT NULL DEFAULT 0,
+    status TEXT NOT NULL DEFAULT '',
+    wall_time_s REAL NOT NULL DEFAULT 0.0,
+    evaluations INTEGER NOT NULL DEFAULT 0,
+    error TEXT,
+    PRIMARY KEY (run_id, unit_id)
+);
+CREATE INDEX IF NOT EXISTS work_units_by_worker ON work_units(worker_id);
+"""
+
+
+class TestRetiredTraceTables:
+    """Persisted traces and work-unit rows are gone: a registry holding
+    their tables still opens and serves every command, which leave its
+    trace rows alone, and the flags that read or pruned them fail as
+    unknown arguments (exit 2)."""
+
+    @pytest.fixture
+    def old_store(self, seeded_store):
+        """The seeded registry (``good`` pinned as ``main``, then
+        ``rerun``) with a trace and unit rows for ``rerun``, and a newer
+        third run, so ``gc --keep 1`` deletes ``rerun``."""
+        with RunStore(seeded_store) as store:
+            rerun = store.resolve("rerun").run_id
+            store.record_response(CampaignResponse(frontier=()), specs=["extra"])
+        with sqlite3.connect(seeded_store) as conn:
+            conn.executescript(TRACE_TABLES_DDL)
+            conn.executemany(
+                "INSERT INTO trace_spans (trace_id, span_id, parent_id, "
+                "name, start_time, duration_s, source, run_id) "
+                "VALUES (?, ?, ?, ?, ?, ?, 'serve', ?)",
+                [
+                    ("1" * 32, "a" * 16, None, "http.request", 1000.0, 0.5,
+                     rerun),
+                    ("1" * 32, "b" * 16, "a" * 16, "campaign", 1000.1, 0.3,
+                     rerun),
+                ],
+            )
+            conn.executemany(
+                "INSERT INTO work_units (run_id, unit_id, spec_index, spec, "
+                "worker_id, attempts, status) VALUES (?, ?, ?, ?, ?, 1, "
+                "'done')",
+                [(rerun, f"unit-{i}", i, "4096:INT4", "w1") for i in range(2)],
+            )
+        return seeded_store
+
+    @staticmethod
+    def span_rows(store_path):
+        with sqlite3.connect(store_path) as conn:
+            return conn.execute(
+                "SELECT * FROM trace_spans ORDER BY span_id"
+            ).fetchall()
+
+    def test_commands_work_and_leave_the_rows(
+        self, old_store, tmp_path, capsys
+    ):
+        before = self.span_rows(old_store)
+        assert len(before) == 2
+        assert run_cli("runs", "list", "--store", old_store) == 0
+        assert "3 runs shown (3 recorded)" in capsys.readouterr().out
+        assert run_cli("runs", "show", "rerun", "--store", old_store) == 0
+        assert "(rerun)" in capsys.readouterr().out
+        out = tmp_path / "dashboard.html"
+        assert run_cli("dashboard", "--store", old_store,
+                       "--out", str(out)) == 0
+        assert "recorded runs: 3" in out.read_text(encoding="utf-8")
+        assert run_cli("runs", "gc", "--keep", "1",
+                       "--store", old_store) == 0
+        assert "deleted 1 runs (2 kept)" in capsys.readouterr().out
+        assert self.span_rows(old_store) == before
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("trace", "list", "--store"), "--store"),
+        (("runs", "gc", "--keep-traces", "0", "--store"), "--keep-traces 0"),
+    ])
+    def test_flags_are_gone(self, old_store, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, old_store)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
+        assert len(self.span_rows(old_store)) == 2
