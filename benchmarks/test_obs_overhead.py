@@ -115,9 +115,9 @@ def test_tracing_overhead(record):
     executor = SerialExecutor(chunk_size=chunk_size)
 
     def evaluate():
-        # A root span makes the chunk spans record (the executor only
-        # reports spans under an ambient trace) — exactly the traced
-        # campaign shape, one span per chunk.
+        # A root span makes the executor's span record (the executor
+        # only reports spans under an ambient trace) — exactly the
+        # traced campaign shape, one span per batch.
         with get_tracer().span("bench", root_if_orphan=True):
             return executor.evaluate_batch(problem, genomes)
 

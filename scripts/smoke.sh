@@ -19,8 +19,8 @@ python -m pytest -x -q
 echo "== server tests under -X dev: no ResourceWarning =="
 # Every server, queue, socket and pipe these tests open must be closed;
 # development mode reports one that is left to the garbage collector.
-if ! dev_output="$(python -X dev -m pytest -q \
-        tests/test_service_server.py tests/test_distributed.py 2>&1)"; then
+if ! dev_output="$(python -X dev -m pytest -q tests/test_service_server.py \
+        tests/test_distributed.py tests/test_obs_trace.py 2>&1)"; then
     echo "$dev_output"
     echo "smoke: the server tests failed under -X dev" >&2
     exit 1

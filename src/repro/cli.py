@@ -1371,9 +1371,15 @@ def _cmd_trace(args) -> int:
     client = CampaignClient(args.url)
     try:
         if args.trace_command == "list":
-            traces = client.traces(limit=args.limit)
-            if args.run is not None:
-                traces = [t for t in traces if t.get("run_id") == args.run]
+            if args.run is None:
+                traces = client.traces(limit=args.limit)
+            else:
+                # The server cuts to its limit before any run filter:
+                # ask for the whole ring, keep the run's, then cut.
+                traces = [
+                    t for t in client.traces(limit=sys.maxsize)
+                    if t.get("run_id") == args.run
+                ][: args.limit]
             if args.json:
                 print(_json.dumps({"traces": traces}, sort_keys=True))
                 return 0

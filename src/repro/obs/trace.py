@@ -30,7 +30,10 @@ process's traces go with it.  Memory stays bounded per trace
 (``max_spans_per_trace``; spans beyond it are only counted) and across
 live traces (``max_active``; the oldest is force-completed).  Span and
 trace ids come from a *private* ``random.Random`` (never the global
-RNG — starting a trace can never perturb a seeded GA run).
+RNG — starting a trace can never perturb a seeded GA run) and are
+minted when a span starts or is recorded.  A completed trace's record
+(sorted spans, root, duration) is assembled on its first read, outside
+the tracer lock, and cached; most ring entries are evicted unread.
 
 Tracing is bit-neutral by construction: spans only *observe* wall
 time, no instrument draws from the global RNG, and nothing about
@@ -287,71 +290,23 @@ class TraceRecord:
 
 
 class _TraceState:
-    """Book-keeping for one live trace (guarded by the tracer lock).
+    """Book-keeping for one trace.
 
-    ``spans`` holds finished :class:`Span` objects interleaved with
-    :class:`_SpanSeries` placeholders (bulk recordings whose ``Span``
-    objects are only materialised when the trace is read); ``n_spans``
-    counts actual spans, series expanded.  ``record`` caches the
-    assembled :class:`TraceRecord` after the first read.
+    Guarded by the tracer lock while the trace is live; once completed
+    (popped from ``Tracer._active``) nothing writes it but the first
+    read.  ``spans`` holds the trace's finished :class:`Span` objects,
+    each with its id already minted; ``record`` caches the assembled
+    :class:`TraceRecord` after that first read.
     """
 
-    __slots__ = ("spans", "open", "error", "dropped", "n_spans", "record")
+    __slots__ = ("spans", "open", "error", "dropped", "record")
 
     def __init__(self) -> None:
-        self.spans: list = []
+        self.spans: list[Span] = []
         self.open = 0
         self.error = False
         self.dropped = 0
-        self.n_spans = 0
         self.record: TraceRecord | None = None
-
-
-class _SpanSeries:
-    """Columnar bulk recording: one span per (duration, end time) pair.
-
-    The cheapest hot-path shape — the caller's loop appends plain
-    floats and everything else (names, attribute dicts, span objects,
-    ids) is built at assembly time, so the many traces evicted from
-    the ring unread never pay for it.  ``attributes`` is shared by every
-    span; ``per_key``/``per_values`` add one per-span attribute (e.g.
-    chunk sizes).
-    """
-
-    __slots__ = (
-        "parent_id", "category", "thread", "name", "durs",
-        "end_times", "attributes", "per_key", "per_values",
-    )
-
-    def __init__(
-        self, parent_id, category, thread, name, durs, end_times,
-        attributes, per_key, per_values,
-    ) -> None:
-        self.parent_id = parent_id
-        self.category = category
-        self.thread = thread
-        self.name = name
-        self.durs = durs
-        self.end_times = end_times
-        self.attributes = attributes
-        self.per_key = per_key
-        self.per_values = per_values
-
-    def truncate(self, n: int) -> None:
-        self.durs = self.durs[:n]
-        self.end_times = self.end_times[:n]
-        if self.per_values is not None:
-            self.per_values = self.per_values[:n]
-
-    def expand(self, spans: list, make_span) -> None:
-        base = self.attributes
-        for i, duration_s in enumerate(self.durs):
-            attrs = dict(base) if base else {}
-            if self.per_key is not None:
-                attrs[self.per_key] = self.per_values[i]
-            spans.append(make_span(
-                self, self.name, duration_s, self.end_times[i], attrs
-            ))
 
 
 _AMBIENT = object()  # sentinel: "parent = whatever span is ambient"
@@ -639,10 +594,10 @@ class Tracer:
     ) -> Span:
         """Record an already-measured operation as a completed span.
 
-        The pattern for work that ran where this process cannot observe
-        it live — a remote worker measures its work unit and reports the
-        elapsed time; the coordinator records the span here.  The span
-        is back-dated so its wall-clock placement matches when the work
+        The one way to record a finished span: the executor times each
+        evaluation batch, and the coordinator records the elapsed time
+        a remote worker reports for its work unit.  The span is
+        back-dated so its wall-clock placement matches when the work
         actually ran.
 
         It skips the open-span bookkeeping entirely: a span born
@@ -686,9 +641,8 @@ class Tracer:
             if state is not None:
                 if status == "error":
                     state.error = True
-                if state.n_spans < self.max_spans_per_trace:
+                if len(state.spans) < self.max_spans_per_trace:
                     state.spans.append(span)
-                    state.n_spans += 1
                 else:
                     state.dropped += 1
             else:
@@ -696,80 +650,11 @@ class Tracer:
                 # span alone, like a span ending after force-completion.
                 orphaned = _TraceState()
                 orphaned.spans.append(span)
-                orphaned.n_spans = 1
                 if status == "error":
                     orphaned.error = True
         if orphaned is not None:
             self._complete(trace_id, orphaned)
         return span
-
-    def record_span_series(
-        self,
-        name: str,
-        durations: Sequence[float],
-        end_times: Sequence[float],
-        parent=_AMBIENT,
-        category: str = "app",
-        attributes: dict | None = None,
-        per_span: tuple | None = None,
-    ) -> int:
-        """Record one completed span per ``(duration, end_time)`` pair.
-
-        The cheapest bulk shape: a hot loop only appends plain floats
-        to two lists and makes this one call per batch — names,
-        attribute dicts and span objects are all built lazily at read
-        time.  ``attributes`` is shared by every span of the series;
-        ``per_span=(key, values)`` attaches one per-span attribute
-        (``values`` aligned with ``durations``).  All sequences are
-        taken by reference — do not mutate them afterwards.  Returns
-        the number of spans recorded.
-        """
-        if parent is _AMBIENT:
-            parent = current_span()
-        if parent is None:
-            return 0
-        trace_id = parent.trace_id
-        if not trace_id:
-            return 0
-        n = min(len(durations), len(end_times))
-        if n == 0:
-            return 0
-        per_key = per_values = None
-        if per_span is not None:
-            per_key, per_values = per_span
-        series = _SpanSeries(
-            parent.span_id,
-            category,
-            threading.current_thread().name,
-            name,
-            durations,
-            end_times,
-            attributes,
-            per_key,
-            per_values,
-        )
-        if n < len(durations):
-            series.truncate(n)
-        orphaned = None
-        with self._lock:
-            state = self._active.get(trace_id)
-            if state is not None:
-                room = self.max_spans_per_trace - state.n_spans
-                if room < n:
-                    state.dropped += n - max(room, 0)
-                    if room <= 0:
-                        return 0
-                    series.truncate(room)
-                    n = room
-                state.spans.append(series)
-                state.n_spans += n
-            else:
-                orphaned = _TraceState()
-                orphaned.spans.append(series)
-                orphaned.n_spans = n
-        if orphaned is not None:
-            self._complete(trace_id, orphaned)
-        return n
 
     def _make_span(
         self,
@@ -806,9 +691,8 @@ class Tracer:
                 state.open = 1
             if span.status == "error":
                 state.error = True
-            if state.n_spans < self.max_spans_per_trace:
+            if len(state.spans) < self.max_spans_per_trace:
                 state.spans.append(span)
-                state.n_spans += 1
             else:
                 state.dropped += 1
             state.open -= 1
@@ -835,77 +719,42 @@ class Tracer:
     ) -> TraceRecord:
         """Build (and cache) the presentable record for a completed trace.
 
-        Runs under the tracer lock: deferred series are expanded into
-        ``Span`` objects exactly once, so repeated reads see the same
-        record and span ids, and the sort/root work is paid only on
-        first read.
+        Takes no lock: a completed trace's spans, ids included, never
+        change, so the sort/root work is paid once, on first read, and
+        repeated reads see the same record.
         """
-        with self._lock:
-            if state.record is not None:
-                return state.record
-            spans: list[Span] = []
-            rng = self._rng
-
-            def make_span(entry, name, duration_s, end_time, attrs):
-                duration_s = float(duration_s)
-                if duration_s < 0.0:
-                    duration_s = 0.0
-                span = Span.__new__(Span)
-                span._tracer = self
-                span.name = name
-                span.trace_id = trace_id
-                span.span_id = f"{rng.getrandbits(64) or 1:016x}"
-                span.parent_id = entry.parent_id
-                span.attributes = attrs
-                span.category = entry.category
-                span.thread = entry.thread
-                span.status = "ok"
-                span.error = None
-                span._ended = True
-                span.duration_s = duration_s
-                span.start_time = end_time - duration_s
-                span._start_mono = 0.0
-                return span
-
-            for entry in state.spans:
-                if isinstance(entry, Span):
-                    spans.append(entry)
-                else:
-                    entry.expand(spans, make_span)
-            spans.sort(key=_SPAN_ORDER)
-            root = None
+        if state.record is not None:
+            return state.record
+        spans = sorted(state.spans, key=_SPAN_ORDER)
+        root = None
+        for span in spans:
+            if span.parent_id is None:
+                root = span
+                break
+        if root is None:
+            # No local root: earliest span whose parent is remote.
+            span_ids = {span.span_id for span in spans}
             for span in spans:
-                if span.parent_id is None:
+                if span.parent_id not in span_ids:
                     root = span
                     break
             if root is None:
-                # No local root: earliest span whose parent is remote.
-                span_ids = {span.span_id for span in spans}
-                for span in spans:
-                    if span.parent_id not in span_ids:
-                        root = span
-                        break
-                if root is None:
-                    root = spans[0]
-            if state.dropped:
-                root.attributes["dropped_spans"] = state.dropped
-            if incomplete:
-                root.attributes["incomplete"] = True
-            start = spans[0].start_time  # sorted: the earliest start
-            end = start
-            for span in spans:
-                finish = span.start_time + span.duration_s
-                if finish > end:
-                    end = finish
-            state.record = TraceRecord(
-                trace_id=trace_id,
-                name=root.name,
-                start_time=start,
-                duration_s=end - start,
-                status="error" if state.error else "ok",
-                spans=spans,
-            )
-            return state.record
+                root = spans[0]
+        if state.dropped:
+            root.attributes["dropped_spans"] = state.dropped
+        if incomplete:
+            root.attributes["incomplete"] = True
+        start = spans[0].start_time  # sorted: the earliest start
+        end = max(span.start_time + span.duration_s for span in spans)
+        state.record = TraceRecord(
+            trace_id=trace_id,
+            name=root.name,
+            start_time=start,
+            duration_s=end - start,
+            status="error" if state.error else "ok",
+            spans=spans,
+        )
+        return state.record
 
     # Retention / inspection ------------------------------------------------
     def finished(self, limit: int | None = None) -> list[TraceRecord]:
@@ -957,12 +806,6 @@ class _NullTracer(Tracer):
         category="app", status="ok", error=None,
     ):
         return NULL_SPAN
-
-    def record_span_series(
-        self, name, durations, end_times, parent=_AMBIENT,
-        category="app", attributes=None, per_span=None,
-    ):
-        return 0
 
 
 NULL_TRACER = _NullTracer()

@@ -6,8 +6,9 @@ in the calling thread.  By default a batch is one chunk, so each call
 hands the whole batch to the problem's ``evaluate_batch`` and from
 there to the vectorised :class:`repro.model.engine.CostEngine`.
 Results come back in input order, which keeps GA runs bit-identical
-for a fixed seed whatever the chunking.  :class:`ProblemEvaluator`
-binds an executor and an optional
+for a fixed seed whatever the chunking.  Under a trace, each call
+records one ``executor.chunk`` span, however many chunks it ran.
+:class:`ProblemEvaluator` binds an executor and an optional
 :class:`~repro.service.cache.EvaluationCache` to one problem, exposing
 the ``evaluate_batch(genomes)`` hook that :func:`repro.dse.nsga2.nsga2`
 injects.
@@ -19,7 +20,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from repro.obs.metrics import get_registry
-from repro.obs.trace import current_span, get_tracer
+from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # the cache module loads only when a cache is passed
     from repro.service.cache import EvaluationCache
@@ -94,7 +95,7 @@ class SerialExecutor:
 
     By default the whole batch is one engine chunk (the optimal serial
     granularity); an explicit ``chunk_size`` splits it, so the
-    per-chunk instruments can be exercised and benchmarked.
+    per-chunk latency histogram can be exercised and benchmarked.
     """
 
     name = "serial"
@@ -114,12 +115,8 @@ class SerialExecutor:
         # One call per chunk: batch-capable problems (``DcimProblem``)
         # ship the whole chunk to their cost engine at once.
         batch = getattr(problem, "evaluate_batch", None)
-        tracer, trace_parent = get_tracer(), current_span()
         results: list[Objectives] = []
         chunk_times: list[float] = []
-        end_times: list[float] | None = (
-            [] if trace_parent is not None else None
-        )
         for chunk in chunks:
             started = time.perf_counter()
             if batch is not None:
@@ -128,25 +125,15 @@ class SerialExecutor:
                 fresh = [problem.evaluate(genome) for genome in chunk]
             chunk_times.append(time.perf_counter() - started)
             results.extend(fresh)
-            if end_times is not None:
-                # One float per chunk is the entire hot-loop tracing
-                # cost; the series records each span back-dated to its
-                # true wall-clock slot.
-                end_times.append(time.time())
-        # One instrument transaction per batch, not per chunk: the
-        # histogram still records every per-chunk latency, but the
-        # lock/call overhead is paid once.  Chunk spans batch the same
-        # way.
-        if end_times:
-            tracer.record_span_series(
-                "executor.chunk",
-                chunk_times,
-                end_times,
-                parent=trace_parent,
-                category="executor",
-                attributes={"backend": self.name},
-                per_span=("genomes", [len(c) for c in chunks]),
-            )
+        # One instrument transaction per batch, not per chunk: one span,
+        # back-dated over the batch's chunks, and one histogram call
+        # that still records every per-chunk latency.
+        get_tracer().record_span(
+            "executor.chunk",
+            sum(chunk_times),
+            attributes={"backend": self.name, "genomes": len(genomes)},
+            category="executor",
+        )
         metrics.chunk_seconds.observe_many(chunk_times)
         metrics.evaluations.inc(len(results))
         return results

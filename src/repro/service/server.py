@@ -512,12 +512,12 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     def _trace_list(self, limit: int) -> list[dict]:
         """The tracer ring's finished traces, latest start first."""
-        listed = [
+        records = get_tracer().finished()
+        records.sort(key=lambda r: r.start_time, reverse=True)
+        return [
             record.to_dict(include_spans=False)
-            for record in get_tracer().finished()
+            for record in records[: max(0, limit)]
         ]
-        listed.sort(key=lambda r: r["start_time"], reverse=True)
-        return listed[: max(0, limit)]
 
     def _trace(self, trace_id: str) -> dict:
         record = get_tracer().get(trace_id)

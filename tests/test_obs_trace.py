@@ -4,8 +4,10 @@ served at ``/api/traces`` and read by ``repro trace``, and the
 bit-parity guarantee (tracing never changes results)."""
 
 import json
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -240,37 +242,11 @@ class TestRecordedSpans:
 
     def test_record_without_trace_is_noop(self, tracer):
         assert tracer.record_span("work", 1.0) is NULL_SPAN
-        assert tracer.record_span_series("a", [1.0], [time.time()]) == 0
         assert tracer.finished() == []
-
-    def test_record_span_series_shared_and_per_span_attrs(self, tracer):
-        now = time.time()
-        with tracer.span("root", root_if_orphan=True) as root:
-            n = tracer.record_span_series(
-                "chunk",
-                [0.01, 0.02, 0.03],
-                [now, now, now],
-                parent=root,
-                category="executor",
-                attributes={"backend": "serial"},
-                per_span=("genomes", [32, 32, 7]),
-            )
-            assert n == 3
-        record = only_trace(tracer)
-        chunks = [s for s in record.spans if s.name == "chunk"]
-        # Spans sort by start time (= shared end minus duration), so
-        # compare by duration instead of presentation order.
-        assert {
-            c.duration_s: c.attributes["genomes"] for c in chunks
-        } == {0.01: 32, 0.02: 32, 0.03: 7}
-        assert all(c.attributes["backend"] == "serial" for c in chunks)
-        assert all(c.category == "executor" for c in chunks)
 
     def test_lazy_assembly_yields_stable_ids(self, tracer):
         with tracer.span("root", root_if_orphan=True) as root:
-            tracer.record_span_series(
-                "chunk", [0.01], [time.time()], parent=root
-            )
+            tracer.record_span("chunk", 0.01, parent=root)
         first = tracer.finished()[0]
         second = tracer.get(first.trace_id)
         assert [s.span_id for s in first.spans] == [
@@ -278,19 +254,48 @@ class TestRecordedSpans:
         ]
         assert all(len(s.span_id) == 16 for s in first.spans)
 
-    def test_bulk_respects_span_budget(self, tracer):
-        tracer.max_spans_per_trace = 4
-        with tracer.span("root", root_if_orphan=True) as root:
-            now = time.time()
-            recorded = tracer.record_span_series(
-                "chunk", [0.01] * 10, [now] * 10, parent=root
-            )
-            assert recorded == 4  # truncated to the remaining room
-        record = only_trace(tracer)
-        # 6 series spans over budget, plus the root (which ends last,
-        # after the series already filled the trace).
-        assert len(record.spans) == 4
-        assert record.spans[0].attributes["dropped_spans"] == 7
+    def test_reads_race_span_ends_without_the_lock(self):
+        """Readers assemble ring records while writer threads end spans:
+        every record read holds all its spans, each with its own id, and
+        a later read sees the same spans."""
+        tracer = Tracer(max_traces=256)
+        writers, traces, children = 4, 25, 20
+        stop = threading.Event()
+        bad = []
+
+        def write():
+            for _ in range(traces):
+                with tracer.span("root", root_if_orphan=True) as root:
+                    for _ in range(children):
+                        tracer.record_span("child", 0.0, parent=root)
+
+        def read():
+            while not stop.is_set():
+                for record in tracer.finished():
+                    ids = [s.span_id for s in record.spans]
+                    again = tracer.get(record.trace_id)
+                    if (len(set(ids)) != children + 1
+                            or [s.span_id for s in again.spans] != ids):
+                        bad.append(record.trace_id)
+
+        threads = [threading.Thread(target=write) for _ in range(writers)]
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + threads)
+        assert bad == []
+        assert tracer.completed == writers * traces
+        assert all(len(r.spans) == children + 1 for r in tracer.finished())
 
 
 class TestNullTracer:
@@ -300,7 +305,6 @@ class TestNullTracer:
         assert NULL_TRACER.start_root("x") is NULL_SPAN
         assert NULL_TRACER.start_span("x", root_if_orphan=True) is NULL_SPAN
         assert NULL_TRACER.record_span("x", 1.0) is NULL_SPAN
-        assert NULL_TRACER.record_span_series("x", [1.0], [0.0]) == 0
         assert NULL_TRACER.finished() == []
 
     def test_set_tracer_swaps_global(self):
@@ -432,6 +436,44 @@ class TestServiceTrace:
         assert {"cache.get_many", "cache.put_many"} <= names
         gets = [s for s in record.spans if s.name == "cache.get_many"]
         assert all(s.category == "cache" for s in gets)
+
+
+class TestCampaignTraceShape:
+    """The traced shape of a campaign, GA and enumerated: span counts
+    per name, where the executor's spans hang and what they carry."""
+
+    SPECS = [
+        DcimSpec(wstore=4096, precision="INT4"),
+        DcimSpec(wstore=8192, precision="INT8"),
+    ]
+
+    @pytest.mark.parametrize("overrides, counts, chunk_parent", [
+        ({"exhaustive_threshold": 0},
+         {"campaign": 1, "spec": 2, "generation": 6, "spec.finalize": 2,
+          "executor.chunk": 8}, "generation"),
+        ({}, {"campaign": 1, "spec": 2, "spec.exhaustive": 2,
+              "executor.chunk": 2}, "spec.exhaustive"),
+    ], ids=["ga", "enumerated"])
+    def test_span_counts_parents_and_chunk_attributes(
+        self, tracer, overrides, counts, chunk_parent
+    ):
+        result = run_campaign(self.SPECS, CampaignConfig(
+            nsga2=NSGA2Config(population_size=16, generations=3),
+            seed=5,
+            **overrides,
+        ))
+        spans = only_trace(tracer).spans
+        seen: dict[str, int] = {}
+        for span in spans:
+            seen[span.name] = seen.get(span.name, 0) + 1
+        assert seen == counts
+        parents = {s.span_id for s in spans if s.name == chunk_parent}
+        chunks = [s for s in spans if s.name == "executor.chunk"]
+        assert all(c.parent_id in parents for c in chunks)
+        assert all(set(c.attributes) == {"backend", "genomes"} for c in chunks)
+        assert sum(c.attributes["genomes"] for c in chunks) == (
+            result.evaluations
+        )
 
 
 class TestBitParity:
@@ -572,6 +614,7 @@ class TestServerTracing:
             yield server, CampaignClient(server.url)
         finally:
             server.shutdown()
+            server.server_close()
             server.queue.close()
             thread.join(timeout=10)
 
@@ -730,6 +773,7 @@ class TestServerTracing:
         finally:
             client.close()
             server.shutdown()
+            server.server_close()
             server.queue.close()
             thread.join(timeout=10)
             set_tracer(previous)
@@ -748,41 +792,60 @@ class TestServerTracing:
         assert submit.attributes["route"] == "/api/campaigns"
 
 
+@contextmanager
+def served_campaigns(path, requests):
+    """Serve ``requests`` one after another from a server with a run
+    registry at ``path``: yields its URL and, per campaign in order,
+    ``(trace_id, run_id, span_count)``."""
+    from repro.service.server import CampaignClient, serve
+    from repro.store import RunStore
+
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    store = RunStore(path)
+    server = serve("127.0.0.1", 0, workers=1, store=store)
+    thread = server.serve_in_background()
+    client = CampaignClient(server.url)
+    try:
+        campaigns = []
+        for request in requests:
+            job_id = client.submit(request)
+            events = list(client.watch(job_id, poll_s=0.1))
+            assert events[-1].kind.value == "campaign_done"
+            # The trace completes moments after the result lands.
+            deadline = time.time() + 10
+            while (time.time() < deadline
+                   and len(tracer.finished()) == len(campaigns)):
+                time.sleep(0.02)
+            record = tracer.finished()[0]
+            campaigns.append((
+                record.trace_id,
+                client.status(job_id)["run_id"],
+                len(record.spans),
+            ))
+        assert len(tracer.finished()) == len(campaigns)
+        yield server.url, campaigns
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        server.queue.close()
+        thread.join(timeout=10)
+        store.close()
+        set_tracer(previous)
+
+
 class TestTraceCLI:
     """``repro trace`` reads a live server's ring over ``--url``."""
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
         """A server with a run registry that has served one campaign:
-        yields its URL, the campaign's trace id and its run id."""
-        from repro.service.server import CampaignClient, serve
-        from repro.store import RunStore
-
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        store = RunStore(tmp_path_factory.mktemp("trace_cli") / "runs.sqlite")
-        server = serve("127.0.0.1", 0, workers=1, store=store)
-        thread = server.serve_in_background()
-        client = CampaignClient(server.url)
-        try:
-            job_id = client.submit(tiny_request())
-            events = list(client.watch(job_id, poll_s=0.1))
-            assert events[-1].kind.value == "campaign_done"
-            run_id = client.status(job_id)["run_id"]
-            # The trace completes moments after the result lands.
-            deadline = time.time() + 10
-            while time.time() < deadline and not tracer.finished():
-                time.sleep(0.02)
-            (record,) = tracer.finished()
-            yield server.url, record.trace_id, run_id, len(record.spans)
-        finally:
-            client.close()
-            server.shutdown()
-            server.server_close()
-            server.queue.close()
-            thread.join(timeout=10)
-            store.close()
-            set_tracer(previous)
+        yields its URL and the campaign's trace id, run id and span
+        count."""
+        path = tmp_path_factory.mktemp("trace_cli") / "runs.sqlite"
+        with served_campaigns(path, [tiny_request()]) as (url, campaigns):
+            yield (url, *campaigns[0])
 
     def test_trace_list(self, served, capsys):
         from repro.cli import main
@@ -808,6 +871,21 @@ class TestTraceCLI:
         assert main(["trace", "list", "--url", url,
                      "--run", "run-other", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["traces"] == []
+
+    def test_trace_list_run_searches_the_whole_ring(self, tmp_path, capsys):
+        """``--run`` filters before ``--limit`` cuts: the older of two
+        served campaigns is found with ``--limit 1``."""
+        from repro.cli import main
+
+        requests = [tiny_request(seed=1), tiny_request(seed=2)]
+        with served_campaigns(tmp_path / "runs.sqlite", requests) as (
+            url, campaigns,
+        ):
+            first_trace, first_run, _ = campaigns[0]
+            assert main(["trace", "list", "--url", url, "--run", first_run,
+                         "--limit", "1", "--json"]) == 0
+        traces = json.loads(capsys.readouterr().out)["traces"]
+        assert [t["trace_id"] for t in traces] == [first_trace]
 
     def test_trace_list_negative_limit_is_usage_error(self, served, capsys):
         from repro.cli import main
