@@ -46,7 +46,9 @@ async def events(queue: JobQueue, job_id: str):
     """Yield a job's progress events as they arrive, up to its last.
 
     Each ``wait_events`` call blocks (on a worker thread) for up to a
-    second until the job's buffer holds events past ``cursor``.
+    second until the job's buffer holds events past ``cursor``, then
+    returns the batch one short window collects (the terminal event at
+    once).
     """
     cursor, done = 0, False
     while not done:

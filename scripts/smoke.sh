@@ -20,7 +20,8 @@ echo "== server tests under -X dev: no ResourceWarning =="
 # Every server, queue, socket and pipe these tests open must be closed;
 # development mode reports one that is left to the garbage collector.
 if ! dev_output="$(python -X dev -m pytest -q tests/test_service_server.py \
-        tests/test_distributed.py tests/test_obs_trace.py 2>&1)"; then
+        tests/test_distributed.py tests/test_obs_trace.py \
+        tests/test_service_events.py tests/test_service_jobs_api.py 2>&1)"; then
     echo "$dev_output"
     echo "smoke: the server tests failed under -X dev" >&2
     exit 1
@@ -470,6 +471,21 @@ if ! grep -q "frontier designs" <<<"$watch_output"; then
     echo "smoke: re-watching $job_id did not return the result" >&2
     exit 1
 fi
+# A forced-GA campaign streams one event per generation, and a long-poll
+# answers with a batch of them: batching must lose none, so every
+# generation line arrives, in order, before the terminal one.
+ga_output="$(python -m repro submit --url "$url" --spec 4096:INT4 \
+    --exhaustive-threshold 0 --population 16 --generations 6 --watch)"
+echo "$ga_output"
+ga_progress="$(grep -oE "generation [0-9]+/6|campaign done" <<<"$ga_output" \
+    | paste -sd, - || true)"
+expected_progress="generation 1/6,generation 2/6,generation 3/6"
+expected_progress+=",generation 4/6,generation 5/6,generation 6/6,campaign done"
+if [[ "$ga_progress" != "$expected_progress" ]]; then
+    echo "smoke: the watched GA campaign streamed '$ga_progress'," \
+        "expected '$expected_progress'" >&2
+    exit 1
+fi
 # v2 API: the server lists both registered problems and serves a
 # mapping campaign end to end.
 python - "$url" <<'PY'
@@ -555,7 +571,7 @@ print(f"Perfetto export: {len(events)} span events")
 PY
 # A GET without a traceparent starts no trace, so the watch, status,
 # result, catalogue, metrics and trace reads above left none: the ring
-# holds exactly this step's two campaign traces, each rooted at its
+# holds exactly this step's three campaign traces, each rooted at its
 # submit and linked to the run the server recorded.
 trace_list_json="$(python -m repro trace list --url "$url" --json)"
 linked_run="$(python - "$trace_list_json" <<'PY'
@@ -564,7 +580,7 @@ import sys
 
 traces = json.loads(sys.argv[1])["traces"]
 shape = [(t["name"], t["span_count"], t["run_id"]) for t in traces]
-assert len(traces) == 2, f"expected the 2 campaign traces, got {shape}"
+assert len(traces) == 3, f"expected the 3 campaign traces, got {shape}"
 assert all(t["span_count"] > 1 and t["run_id"] for t in traces), shape
 print(f"ring traces: {shape}", file=sys.stderr)
 print(traces[0]["run_id"])

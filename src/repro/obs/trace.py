@@ -33,7 +33,9 @@ trace ids come from a *private* ``random.Random`` (never the global
 RNG — starting a trace can never perturb a seeded GA run) and are
 minted when a span starts or is recorded.  A completed trace's record
 (sorted spans, root, duration) is assembled on its first read, outside
-the tracer lock, and cached; most ring entries are evicted unread.
+the tracer lock, and cached; most ring entries are evicted unread.  Its
+start time is kept as spans land, so :meth:`Tracer.latest` orders the
+ring and assembles only the traces it returns.
 
 Tracing is bit-neutral by construction: spans only *observe* wall
 time, no instrument draws from the global RNG, and nothing about
@@ -52,6 +54,7 @@ ends.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 import time
@@ -295,18 +298,32 @@ class _TraceState:
     Guarded by the tracer lock while the trace is live; once completed
     (popped from ``Tracer._active``) nothing writes it but the first
     read.  ``spans`` holds the trace's finished :class:`Span` objects,
-    each with its id already minted; ``record`` caches the assembled
-    :class:`TraceRecord` after that first read.
+    each with its id already minted, and ``start`` the earliest of their
+    start times (the record's ``start_time``, known without assembly);
+    ``record`` caches the assembled :class:`TraceRecord` after that
+    first read.
     """
 
-    __slots__ = ("spans", "open", "error", "dropped", "record")
+    __slots__ = ("spans", "start", "open", "error", "dropped", "record")
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
+        self.start = math.inf
         self.open = 0
         self.error = False
         self.dropped = 0
         self.record: TraceRecord | None = None
+
+    def add(self, span: Span, max_spans: int) -> None:
+        """Keep a finished span, or count it dropped past ``max_spans``."""
+        if span.status == "error":
+            self.error = True
+        if len(self.spans) < max_spans:
+            self.spans.append(span)
+            if span.start_time < self.start:
+                self.start = span.start_time
+        else:
+            self.dropped += 1
 
 
 _AMBIENT = object()  # sentinel: "parent = whatever span is ambient"
@@ -638,20 +655,11 @@ class Tracer:
         with self._lock:
             span.span_id = f"{self._rng.getrandbits(64) or 1:016x}"
             state = self._active.get(trace_id)
-            if state is not None:
-                if status == "error":
-                    state.error = True
-                if len(state.spans) < self.max_spans_per_trace:
-                    state.spans.append(span)
-                else:
-                    state.dropped += 1
-            else:
+            if state is None:
                 # Parent trace already completed/evicted: record the
                 # span alone, like a span ending after force-completion.
-                orphaned = _TraceState()
-                orphaned.spans.append(span)
-                if status == "error":
-                    orphaned.error = True
+                state = orphaned = _TraceState()
+            state.add(span, self.max_spans_per_trace)
         if orphaned is not None:
             self._complete(trace_id, orphaned)
         return span
@@ -689,12 +697,7 @@ class Tracer:
                 # (eviction) re-opens nothing: record it alone.
                 state = _TraceState()
                 state.open = 1
-            if span.status == "error":
-                state.error = True
-            if len(state.spans) < self.max_spans_per_trace:
-                state.spans.append(span)
-            else:
-                state.dropped += 1
+            state.add(span, self.max_spans_per_trace)
             state.open -= 1
             finished = state.open <= 0
             if finished:
@@ -757,14 +760,26 @@ class Tracer:
         return state.record
 
     # Retention / inspection ------------------------------------------------
-    def finished(self, limit: int | None = None) -> list[TraceRecord]:
+    def finished(self) -> list[TraceRecord]:
         """Completed traces still in the ring, newest first."""
         with self._lock:
             entries = list(self._finished)
         entries.reverse()
-        if limit is not None:
-            entries = entries[: max(0, limit)]
         return [self._assemble(*entry) for entry in entries]
+
+    def latest(self, limit: int) -> list[TraceRecord]:
+        """The ``limit`` ring traces that started last, latest first.
+
+        Equal starts keep the newest-completed first.  Each trace is
+        ordered by the earliest span start kept with it, so only the
+        returned ones are assembled: a short listing of a full ring
+        costs a sort, not a ring of assemblies.
+        """
+        with self._lock:
+            entries = list(self._finished)
+        entries.reverse()
+        entries.sort(key=lambda entry: entry[1].start, reverse=True)
+        return [self._assemble(*entry) for entry in entries[: max(0, limit)]]
 
     def get(self, trace_id: str) -> TraceRecord | None:
         """The completed trace with this id (``None`` when unknown)."""

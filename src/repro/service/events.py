@@ -11,9 +11,11 @@ observers, the job queue's per-job buffers, and the HTTP front-end.
 :class:`EventBuffer` is the bounded, thread-safe fan-out primitive the
 job queue attaches to each job: producers append, consumers read
 incrementally by cursor (``since``) or block until news arrives
-(``wait_since``).  When the buffer overflows, the *oldest* events are
-dropped and counted — late subscribers lose history, never liveness,
-and the terminal event is always retained once it lands.
+(``wait_since``, which then collects the events of one
+:data:`BATCH_WINDOW_S` into a single read).  When the buffer overflows,
+the *oldest* events are dropped and counted — late subscribers lose
+history, never liveness, and the terminal event is always retained once
+it lands.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from __future__ import annotations
 import enum
 import json
 import threading
+import time
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
+
+from repro.problems.base import filter_unknown_keys
 
 __all__ = [
     "EventKind",
@@ -32,6 +37,12 @@ __all__ = [
     "EventBuffer",
     "CampaignCancelled",
 ]
+
+#: Seconds a long-poll that already holds news keeps waiting for more
+#: before it answers, so a busy stream reaches its watcher in one read
+#: per window instead of one read per event.  The terminal event ends
+#: the wait at once.
+BATCH_WINDOW_S = 0.02
 
 
 class CampaignCancelled(RuntimeError):
@@ -108,16 +119,31 @@ class CampaignEvent:
         return self.kind.terminal
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["kind"] = self.kind.value
-        return payload
+        # Field by field: dataclasses.asdict deep-copies through a
+        # generic recursion, and a batched poll encodes every event of
+        # a GA job.  The keys keep the field order.
+        return {
+            "kind": self.kind.value,
+            "seq": self.seq,
+            "spec_index": self.spec_index,
+            "spec": self.spec,
+            "generation": self.generation,
+            "generations": self.generations,
+            "evaluations": self.evaluations,
+            "front_size": self.front_size,
+            "cache_hit_rate": self.cache_hit_rate,
+            "wall_time_s": self.wall_time_s,
+            "message": self.message,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignEvent":
-        return cls(**payload)
+        """Load one event; keys a newer server added are dropped with a
+        warning, so an older watcher keeps streaming."""
+        return cls(**filter_unknown_keys(payload, cls, "CampaignEvent"))
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignEvent":
@@ -229,18 +255,31 @@ class EventBuffer:
     def wait_since(
         self, cursor: int = 0, timeout: float | None = None
     ) -> tuple[list[CampaignEvent], int, bool]:
-        """Like :meth:`since`, but blocks until there is news.
+        """Like :meth:`since`, but blocks until there is news, then batches.
 
-        Returns as soon as an event with ``seq >= cursor`` exists or the
-        stream closes; on timeout it returns whatever is there (possibly
-        nothing).  The three-tuple is read atomically, so ``closed=True``
-        guarantees the returned events include everything up to and
-        including the terminal one (within the retention window).
+        Waits until an event with ``seq >= cursor`` exists or the stream
+        closes.  Holding news while the stream is still open, it keeps
+        waiting for the terminal event for at most :data:`BATCH_WINDOW_S`
+        more (never past ``timeout`` from the call), then returns every
+        event since ``cursor``: a busy stream costs its watcher one read
+        per window rather than one per event.  The terminal event ends
+        the wait at once, and on timeout it returns whatever is there
+        (possibly nothing).  The three-tuple is read atomically, so
+        ``closed=True`` guarantees the returned events include
+        everything up to and including the terminal one (within the
+        retention window).
         """
+        start = time.monotonic()
         with self._cond:
             self._cond.wait_for(
                 lambda: self._closed or self._next_seq > cursor, timeout
             )
+            if not self._closed and self._next_seq > cursor:
+                window = BATCH_WINDOW_S
+                if timeout is not None:
+                    window = min(window, start + timeout - time.monotonic())
+                if window > 0:
+                    self._cond.wait_for(lambda: self._closed, window)
             events = [e for e in self._events if e.seq >= cursor]
             return events, self._next_seq, self._closed
 

@@ -393,7 +393,15 @@ class JobQueue:
     def wait_events(
         self, job_id: str, cursor: int = 0, timeout: float | None = None
     ) -> tuple[list[CampaignEvent], int, bool]:
-        """Blocking :meth:`events_since`: waits up to ``timeout`` for news."""
+        """Blocking :meth:`events_since`: waits up to ``timeout`` for news.
+
+        News on a running job is returned in batches: once there is
+        some, the read waits up to
+        :data:`~repro.service.events.BATCH_WINDOW_S` more (never past
+        ``timeout``) and returns every event since ``cursor``, while the
+        terminal event returns at once
+        (:meth:`~repro.service.events.EventBuffer.wait_since`).
+        """
         return self._job(job_id).events.wait_since(cursor, timeout)
 
     def _job(self, job_id: str) -> JobRecord:

@@ -15,7 +15,10 @@ shares across requests; no route exposes that cache):
       GET  /api/campaigns                 list jobs
       GET  /api/campaigns/<id>            status record
       GET  /api/campaigns/<id>/result     CampaignResponse (409 until done)
-      GET  /api/campaigns/<id>/events     ?cursor=N&wait=SECONDS long-poll
+      GET  /api/campaigns/<id>/events     ?cursor=N&wait=SECONDS long-poll;
+                                          news comes in batches of one
+                                          BATCH_WINDOW_S (20 ms), the
+                                          terminal event at once
       POST /api/campaigns/<id>/cancel     cooperative cancellation
       GET  /api/problems                  registered problem catalogue
       GET  /api/runs                      recorded runs
@@ -512,11 +515,9 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     def _trace_list(self, limit: int) -> list[dict]:
         """The tracer ring's finished traces, latest start first."""
-        records = get_tracer().finished()
-        records.sort(key=lambda r: r.start_time, reverse=True)
         return [
             record.to_dict(include_spans=False)
-            for record in records[: max(0, limit)]
+            for record in get_tracer().latest(limit)
         ]
 
     def _trace(self, trace_id: str) -> dict:
@@ -1017,7 +1018,14 @@ class CampaignClient:
     def watch(
         self, job_id: str, cursor: int = 0, poll_s: float = 2.0
     ) -> Iterator[CampaignEvent]:
-        """Long-poll the event stream until the terminal event."""
+        """Long-poll the event stream until the terminal event.
+
+        Each poll waits up to ``poll_s`` for news; the server then
+        answers with everything one batching window
+        (:data:`~repro.service.events.BATCH_WINDOW_S`, 20 ms) collected,
+        or at once with the terminal event, so a GA campaign costs about
+        one request per window rather than one per event.
+        """
         while True:
             events, cursor, done = self.events(job_id, cursor, wait_s=poll_s)
             yield from events

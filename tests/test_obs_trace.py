@@ -674,6 +674,32 @@ class TestServerTracing:
         assert context is not None
         assert context.trace_id != "not-a-traceparent"
 
+    def test_trace_list_assembles_only_what_it_returns(self, served, tracer):
+        """``/api/traces?limit=N`` orders the ring by trace start and
+        assembles only the N traces it returns; its payload equals
+        assembling everything, sorting by start and slicing, ties (equal
+        starts keep the newest-completed first) included."""
+        _, client = served
+        for i in range(6):
+            root = tracer.start_root(f"t{i}")
+            tracer.record_span("child", 0.001, parent=root)
+            root.start_time = 1000.0 + i // 2  # three pairs of equal starts
+            root.end()
+        (summary,) = client.traces(limit=1)
+        assembled = [
+            state.record.trace_id
+            for _, state, _ in tracer._finished
+            if state.record is not None
+        ]
+        assert assembled == [summary["trace_id"]]
+        records = tracer.finished()
+        records.sort(key=lambda r: r.start_time, reverse=True)
+        assert [r.name for r in records] == ["t5", "t4", "t3", "t2", "t1", "t0"]
+        for limit in (0, 1, 2, 3, 6, 10):
+            assert client.traces(limit=limit) == [
+                r.to_dict(include_spans=False) for r in records[:limit]
+            ]
+
     def test_watched_campaign_leaves_one_trace(self, served, tracer):
         """GET polls without a ``traceparent`` start no trace: a campaign
         submitted, watched and then read leaves the one trace its

@@ -1,10 +1,13 @@
 """Tests for campaign progress events and the bounded event buffer."""
 
+import dataclasses
+import json
 import threading
 import time
 
 import pytest
 
+from repro.service import events as events_module
 from repro.service.events import CampaignEvent, EventBuffer, EventKind
 
 
@@ -23,6 +26,32 @@ def event(kind=EventKind.GENERATION_DONE, **overrides) -> CampaignEvent:
     return CampaignEvent(**payload)
 
 
+def watch_blocking(buffer: EventBuffer) -> threading.Event:
+    """Swap in a condition that reports when a reader blocks on it."""
+    blocked = threading.Event()
+
+    class Reporting(threading.Condition):
+        def wait(self, timeout=None):
+            blocked.set()
+            return super().wait(timeout)
+
+    buffer._cond = Reporting()
+    return blocked
+
+
+def wait_in_thread(buffer: EventBuffer) -> tuple[threading.Thread, dict]:
+    """Start ``wait_since(0, timeout=60)`` on a thread; its answer lands
+    in the returned dict under ``"got"``."""
+    results = {}
+
+    def wait():
+        results["got"] = buffer.wait_since(0, timeout=60.0)
+
+    thread = threading.Thread(target=wait)
+    thread.start()
+    return thread, results
+
+
 class TestCampaignEvent:
     @pytest.mark.parametrize("kind", list(EventKind))
     def test_json_round_trip(self, kind):
@@ -39,6 +68,28 @@ class TestCampaignEvent:
             EventKind.CAMPAIGN_FAILED,
             EventKind.CAMPAIGN_CANCELLED,
         }
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_to_dict_matches_asdict(self, kind):
+        """The hand-written encoder keeps the dataclass encoding: same
+        keys, same order, same JSON bytes."""
+        original = event(kind=kind, message="detail", wall_time_s=1.5)
+        expected = dataclasses.asdict(original)
+        expected["kind"] = original.kind.value
+        payload = original.to_dict()
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert json.dumps(payload) == json.dumps(expected)
+        assert original.to_json() == json.dumps(expected, sort_keys=True)
+
+    def test_from_dict_drops_unknown_keys(self):
+        """An event field added by a newer server is dropped with a
+        warning instead of failing the watcher."""
+        original = event(seq=4)
+        payload = dict(original.to_dict(), recall=0.75)
+        with pytest.warns(RuntimeWarning, match="CampaignEvent key.*'recall'"):
+            loaded = CampaignEvent.from_dict(payload)
+        assert loaded == original
 
     @pytest.mark.parametrize("kind", list(EventKind))
     def test_describe_is_single_line(self, kind):
@@ -109,6 +160,45 @@ class TestEventBuffer:
         events, cursor, _ = results["got"]
         assert [e.seq for e in events] == [0]
         assert cursor == 1
+
+    def test_batch_waits_for_the_terminal_event(self, monkeypatch):
+        """Holding news on an open stream, a waiter keeps waiting within
+        the batching window and answers with the terminal event the
+        moment it lands."""
+        monkeypatch.setattr(events_module, "BATCH_WINDOW_S", 30.0)
+        buffer = EventBuffer()
+        blocked = watch_blocking(buffer)
+        buffer.append(event())
+        thread, results = wait_in_thread(buffer)
+        while thread.is_alive() and not blocked.wait(0.01):
+            pass
+        buffer.append(event(kind=EventKind.CAMPAIGN_DONE))
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        events, cursor, done = results["got"]
+        assert [e.kind for e in events] == [
+            EventKind.GENERATION_DONE, EventKind.CAMPAIGN_DONE,
+        ]
+        assert cursor == 2 and done
+
+    def test_zero_window_returns_the_first_news(self, monkeypatch):
+        monkeypatch.setattr(events_module, "BATCH_WINDOW_S", 0.0)
+        buffer = EventBuffer()
+        thread, results = wait_in_thread(buffer)
+        buffer.append(event())
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        events, cursor, done = results["got"]
+        assert [e.seq for e in events] == [0]
+        assert cursor == 1 and not done
+
+    def test_batch_window_ends_at_the_caller_timeout(self, monkeypatch):
+        monkeypatch.setattr(events_module, "BATCH_WINDOW_S", 30.0)
+        buffer = EventBuffer()
+        buffer.append(event())
+        events, cursor, done = buffer.wait_since(0, timeout=0.05)
+        assert [e.seq for e in events] == [0]
+        assert cursor == 1 and not done
 
     def test_rejects_silly_maxlen(self):
         with pytest.raises(ValueError):
