@@ -722,7 +722,9 @@ for _ in 1 2; do
     worker_pids+=($!)
 done
 python - "$url" <<'PY'
+import json
 import sys
+import time
 
 from repro.service import (
     CampaignClient,
@@ -746,6 +748,16 @@ def fields(response):
 
 
 client = CampaignClient(sys.argv[1], retries=4)
+# Submit only once both workers have registered: otherwise the first
+# one can lease both units before the second one exists.
+deadline = time.monotonic() + 30.0
+while len(client.workers()) < 2 and time.monotonic() < deadline:
+    time.sleep(0.05)
+registered = client.workers()
+if len(registered) < 2:
+    print(f"smoke: {len(registered)} of 2 workers registered after 30 s; "
+          f"workers table:\n{json.dumps(registered, indent=2)}", file=sys.stderr)
+    sys.exit(1)
 request = CampaignRequest(
     specs=(SpecRequest(4096, "INT4"), SpecRequest(8192, "INT8")),
     population_size=16, generations=6, seed=3, exhaustive_threshold=0,

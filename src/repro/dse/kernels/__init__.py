@@ -15,7 +15,10 @@ is pairwise, so the survivors of one merged sort carry their own matrix
 as its submatrix (:meth:`GAKernels.take`): ``nsga2()`` builds one
 dominance matrix per generation, and keeps the population objectives
 as one matrix that grows only by the children's rows
-(:meth:`GAKernels.append`).
+(:meth:`GAKernels.append`).  When the merged first front fills the
+population, ``nsga2()`` needs no parent sort at all and takes only the
+survivors' rows (``take`` with no dominance matrix).  Crowding reads
+one contiguous column per objective.
 
 The *variation* operators (tournament, uniform crossover, step
 mutation) and the hash-based archive dedup live here as shared code:
@@ -103,9 +106,12 @@ class GAKernels:
         ``dominance`` is the population's matrix from
         :meth:`nondominated_sort`.  Dominance is pairwise, so the
         subset's own matrix is exactly the ``np.ix_(rows, rows)``
-        submatrix: nothing is recomputed.
+        submatrix: nothing is recomputed.  A ``None`` dominance (the
+        caller needs no sort of the subset) stays ``None``.
         """
         index = np.asarray(rows, dtype=np.intp)
+        if dominance is None:
+            return matrix.take(index, axis=0), None
         # Two axis takes: several times cheaper than np.ix_ indexing.
         return (
             matrix.take(index, axis=0),

@@ -98,16 +98,19 @@ def crowding(
         return [], []
     if n <= 2:
         return base.tolist(), [INFINITY] * n
-    points = np.asarray(objectives, dtype=float)[base]  # (n, m)
+    # (m, n): one contiguous row per objective, so each pass below
+    # gathers from a 1-D column instead of fancy-indexing a 2-D array.
+    columns = np.asarray(objectives, dtype=float).take(base, axis=0).T.copy()
     perm = np.arange(n)  # positions into `base`, permuted per objective
     dist = np.zeros(n)  # indexed by position in `base`
     # inf - inf produces nan exactly like the CPython reference does;
     # silence numpy's warning so the kernel is as quiet as the reference.
     with np.errstate(invalid="ignore"):
-        for m in range(points.shape[1]):
-            keys = points[perm, m]
-            perm = perm[np.argsort(keys, kind="stable")]
-            values = points[perm, m]
+        for column in columns:
+            keys = column[perm]
+            order = np.argsort(keys, kind="stable")
+            perm = perm[order]
+            values = keys[order]
             dist[perm[0]] = INFINITY
             dist[perm[-1]] = INFINITY
             span = values[-1] - values[0]

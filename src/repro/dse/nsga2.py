@@ -18,8 +18,11 @@ Population state runs as parallel arrays (genome / objective / rank /
 crowding sequences) through the numpy sort and crowding kernels of
 :mod:`repro.dse.kernels`.  The objectives also live as one float64
 matrix that only grows by the children's rows, and each generation
-builds one dominance matrix: the merged sort's, whose survivor
-submatrix ranks the next parents.
+builds one dominance matrix: the merged sort's.  When that sort's first
+front alone fills the next population, the parents are mutually
+non-dominated, so they are ranked all 0 in one front with no sort (the
+usual case once a run settles); otherwise the survivors' submatrix
+ranks them.
 :class:`Individual` objects are built only at the API boundary (the
 returned front and population), so the public shapes are unchanged.
 """
@@ -297,6 +300,7 @@ def nsga2(
     pop_objectives = [archive[g] for g in pop_genomes]
     pop_matrix = kernels.as_matrix(pop_objectives)
     pop_dominance = None  # built by the first parent sort
+    pop_fronts = None  # the parents' fronts, when known without a sort
     pop_ranks = [0] * config.population_size
     pop_crowding = [0.0] * config.population_size
 
@@ -310,9 +314,11 @@ def nsga2(
             stopped_early = True
             break
         # Parent ranking feeds tournament selection.
-        ranks, fronts = kernels.nondominated_sort(pop_matrix, pop_dominance)
-        pop_ranks = ranks
-        for front in fronts:
+        if pop_fronts is None:
+            pop_ranks, pop_fronts = kernels.nondominated_sort(
+                pop_matrix, pop_dominance
+            )
+        for front in pop_fronts:
             perm, dist = kernels.crowding(pop_matrix, front)
             for i, value in zip(perm, dist):
                 pop_crowding[i] = value
@@ -358,9 +364,16 @@ def nsga2(
                 break
         pop_genomes = [merged_genomes[i] for i in survivors]
         pop_objectives = [merged_objectives[i] for i in survivors]
-        pop_matrix, pop_dominance = kernels.take(matrix, dominance, survivors)
         pop_ranks = [ranks[i] for i in survivors]
         pop_crowding = survivor_crowding
+        # When one front filled the population, the parents are mutually
+        # non-dominated: their sort could only return all ranks 0 and
+        # one front in row order, so it is skipped.
+        one_front = len(fronts[0]) >= config.population_size
+        pop_matrix, pop_dominance = kernels.take(
+            matrix, None if one_front else dominance, survivors
+        )
+        pop_fronts = [list(range(config.population_size))] if one_front else None
         history.append(
             [
                 objectives

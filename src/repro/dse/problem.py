@@ -62,13 +62,13 @@ class DcimProblem:
     def __post_init__(self) -> None:
         self.codec = GenomeCodec(self.spec)
         self.engine = CostEngine(self.library)
+        #: The Problem protocol's ``repair`` is the codec's own, bound
+        #: here so the GA calls it without a forwarding method per child.
+        self.repair = self.codec.repair
 
     # Problem protocol -----------------------------------------------------
     def sample(self, rng: random.Random) -> Genome:
         return self.codec.sample(rng)
-
-    def repair(self, genome: Genome, rng: random.Random) -> Genome:
-        return self.codec.repair(genome, rng)
 
     def evaluate(self, genome: Genome) -> tuple[float, ...]:
         """Objective vector for one genome: a batch of one."""

@@ -4,10 +4,17 @@ Where the ``"dcim"`` problem optimises one macro in normalised units,
 this problem optimises a *deployment*: which macro design, replicated
 how many times, serves a named workload network best.  The genome
 extends the DCIM exponent encoding with a macro-count gene, and each
-candidate is scored by actually mapping the network onto the system
-(:func:`repro.workloads.system.map_system`), so tiling, weight reloads
-and schedule effects shape the front — objectives are physical
-``[system area mm2, latency us, energy uJ, -inferences/s]``.
+candidate is scored by actually mapping the network onto the system,
+so tiling, weight reloads and schedule effects shape the front —
+objectives are physical ``[system area mm2, latency us, energy uJ,
+-inferences/s]``.
+
+A problem instance costs and maps each macro design (the first four
+genes) once (:func:`repro.workloads.system.map_design`); a candidate
+then only composes its macro count
+(:func:`repro.workloads.system.compose_system`).  About half of a GA
+run's genomes share a design with another, and the values equal
+:func:`repro.workloads.system.map_system`'s bit for bit.
 
 It exists both as a genuinely useful second workload and as the proof
 that the registry abstraction holds: nothing in the serving stack knows
@@ -32,7 +39,12 @@ from repro.tech.corners import STANDARD_CORNERS, apply_corner
 from repro.tech.pdk import load_pdk
 from repro.workloads.mapping import recommend_spec
 from repro.workloads.networks import AVAILABLE_NETWORKS
-from repro.workloads.system import map_system
+from repro.workloads.system import (
+    SCHEDULES,
+    DesignMapping,
+    compose_system,
+    map_design,
+)
 
 __all__ = [
     "MappingSpec",
@@ -44,10 +56,6 @@ __all__ = [
 
 #: Minimised objective order of the mapping problem.
 MAPPING_OBJECTIVES = ("area_mm2", "latency_us", "energy_uj", "neg_inferences_s")
-
-#: Schedules :func:`repro.workloads.system.map_system` understands.
-SCHEDULES = ("sequential", "pipelined")
-
 
 @dataclass(frozen=True)
 class MappingSpec:
@@ -137,10 +145,11 @@ class MappingProblem:
     Implements the :class:`repro.dse.nsga2.Problem` protocol.  The
     genome is ``(a, b, c, k_idx, em)``: the DCIM exponent genes plus a
     macro-count exponent (``n_macros = 2**em``).  Batch evaluation
-    computes every candidate's macro cost through one shared
-    :class:`~repro.model.engine.CostEngine` call, then maps the network
-    onto each system — evaluation is a pure function of the genome, so
-    runs are bit-identical per seed and cacheable across campaigns.
+    costs the designs it has not seen through one shared
+    :class:`~repro.model.engine.CostEngine` call and maps the network
+    onto each once, then composes every candidate's system —
+    evaluation is a pure function of the genome, so runs are
+    bit-identical per seed and cacheable across campaigns.
     """
 
     spec: MappingSpec
@@ -153,6 +162,8 @@ class MappingProblem:
         self.engine = CostEngine(self.library)
         #: Largest macro-count exponent with ``2**em <= max_macros``.
         self.max_em = int(math.log2(self.spec.max_macros))
+        #: Every design evaluated so far, by its four genes.
+        self._designs: dict[tuple[int, ...], DesignMapping] = {}
 
     # Problem protocol -----------------------------------------------------
     def sample(self, rng: random.Random) -> tuple[int, ...]:
@@ -175,32 +186,39 @@ class MappingProblem:
     def evaluate_batch(
         self, genomes: Sequence[tuple[int, ...]]
     ) -> list[tuple[float, ...]]:
-        if not genomes:
-            return []
-        designs = self.codec.decode_batch([g[:4] for g in genomes])
-        costs = self.engine.macro_costs(designs)
+        """Objective vectors for many genomes, in input order.
+
+        Each distinct design (the first four genes) is costed and
+        mapped once per problem instance (:func:`~repro.workloads.
+        system.map_design`): the designs this instance has not seen go
+        through one ``engine.macro_costs`` call per batch.  Each genome
+        then only composes its macro count
+        (:func:`~repro.workloads.system.compose_system`), so the values
+        equal :func:`~repro.workloads.system.map_system`'s bit for bit.
+
+        Raises:
+            ValueError: on the first infeasible design of the batch,
+                then on the first macro-count gene out of range.
+        """
+        designs = self._designs
+        keys = [genome[:4] for genome in genomes]
+        novel = [key for key in dict.fromkeys(keys) if key not in designs]
+        if novel:
+            points = self.codec.decode_batch(novel)
+            costs = self.engine.macro_costs(points)
+            for key, point, cost in zip(novel, points, costs):
+                designs[key] = map_design(
+                    self.layers, point, self.tech, self.library, cost
+                )
+        schedule = self.spec.schedule
         results: list[tuple[float, ...]] = []
-        for genome, design, cost in zip(genomes, designs, costs):
+        for genome, key in zip(genomes, keys):
             em = genome[4]
             if not 0 <= em <= self.max_em:
                 raise ValueError(f"infeasible genome {tuple(genome)}")
-            mapped = map_system(
-                self.layers,
-                design,
-                self.tech,
-                n_macros=1 << em,
-                schedule=self.spec.schedule,
-                library=self.library,
-                cost=cost,
-            )
-            results.append(
-                (
-                    mapped.area_mm2,
-                    mapped.latency_us,
-                    mapped.energy_uj,
-                    -mapped.throughput_inferences_s,
-                )
-            )
+            mapping = designs[key]
+            area, latency, throughput = compose_system(mapping, 1 << em, schedule)
+            results.append((area, latency, mapping.energy_uj, -throughput))
         return results
 
     # Conveniences ---------------------------------------------------------

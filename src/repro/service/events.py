@@ -198,6 +198,9 @@ class EventBuffer:
     The buffer keeps at most ``maxlen`` events: overflow drops the
     oldest (counted in :attr:`dropped`).  A terminal event closes the
     buffer — further appends are discarded and all waiters wake up.
+    Any other event wakes waiters only while a reader is waiting for
+    news: a reader inside its batching window waits for the terminal
+    event alone, so it blocks once per window, not once per event.
     """
 
     def __init__(self, maxlen: int = 256) -> None:
@@ -209,6 +212,8 @@ class EventBuffer:
         self._next_seq = 0
         self.dropped = 0
         self._closed = False
+        #: Readers blocked until the next event (not batching ones).
+        self._news_waiters = 0
 
     @property
     def closed(self) -> bool:
@@ -237,7 +242,10 @@ class EventBuffer:
                 self.dropped += 1
             if event.terminal:
                 self._closed = True
-            self._cond.notify_all()
+            # A reader inside its batching window waits for the
+            # terminal event alone; only news waiters need the others.
+            if event.terminal or self._news_waiters:
+                self._cond.notify_all()
             return event.seq
 
     def since(self, cursor: int = 0) -> tuple[list[CampaignEvent], int, bool]:
@@ -271,9 +279,13 @@ class EventBuffer:
         """
         start = time.monotonic()
         with self._cond:
-            self._cond.wait_for(
-                lambda: self._closed or self._next_seq > cursor, timeout
-            )
+            self._news_waiters += 1
+            try:
+                self._cond.wait_for(
+                    lambda: self._closed or self._next_seq > cursor, timeout
+                )
+            finally:
+                self._news_waiters -= 1
             if not self._closed and self._next_seq > cursor:
                 window = BATCH_WINDOW_S
                 if timeout is not None:

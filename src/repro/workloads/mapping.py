@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.spec import DcimSpec, DesignPoint
 from repro.core.precision import parse_precision
@@ -20,7 +21,15 @@ from repro.tech.cells import CellLibrary
 from repro.tech.technology import Technology
 from repro.workloads.layers import Layer
 
-__all__ = ["LayerMapping", "NetworkMapping", "map_layer", "map_network", "recommend_spec"]
+__all__ = [
+    "LayerMapping",
+    "LayerFigures",
+    "NetworkMapping",
+    "layer_figures",
+    "map_layer",
+    "map_network",
+    "recommend_spec",
+]
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,24 @@ class LayerMapping:
     utilization: float
 
 
+class LayerFigures(NamedTuple):
+    """The numbers of one :class:`LayerMapping`, without the layer.
+
+    Fields and order are :class:`LayerMapping`'s after ``layer``, so
+    ``LayerMapping(layer, *figures)`` builds the full mapping.
+    """
+
+    row_tiles: int
+    col_tiles: int
+    resident_tiles: int
+    reloads: int
+    passes: int
+    cycles: int
+    latency_us: float
+    energy_uj: float
+    utilization: float
+
+
 @dataclass(frozen=True)
 class NetworkMapping:
     """Aggregate mapping of a whole layer list."""
@@ -67,6 +94,47 @@ class NetworkMapping:
         if self.latency_us == 0:
             return 0.0
         return 2 * self.total_macs / (self.latency_us * 1e-6) * 1e-12
+
+
+def layer_figures(
+    layer: Layer,
+    design: DesignPoint,
+    metrics: MacroMetrics,
+    overlap_reload: bool = False,
+) -> LayerFigures:
+    """The mapping arithmetic of one layer onto one macro.
+
+    :func:`map_layer` and the per-design step of
+    :mod:`repro.workloads.system` both call it, so their numbers cannot
+    drift apart.
+    """
+    groups = design.n // design.precision.weight_bits
+    row_tiles = math.ceil(layer.rows / design.h)
+    col_tiles = math.ceil(layer.cols / groups)
+    tiles = row_tiles * col_tiles
+    resident = min(tiles, design.l)
+    reloads = max(0, tiles - design.l)
+    passes = tiles * layer.vectors
+    compute_cycles = passes * metrics.cycles_per_pass
+    reload_cycles = reloads * design.h  # row-by-row rewrite per inference
+    if overlap_reload:
+        reload_cycles = max(0, reload_cycles - compute_cycles)
+    cycles = compute_cycles + reload_cycles
+    latency_us = cycles * metrics.delay_ns * 1e-3
+    energy_uj = passes * metrics.energy_per_pass_nj * 1e-3
+    offered = passes * design.h * groups
+    utilization = layer.macs / offered if offered else 0.0
+    return LayerFigures(
+        row_tiles,
+        col_tiles,
+        resident,
+        reloads,
+        passes,
+        cycles,
+        latency_us,
+        energy_uj,
+        utilization,
+    )
 
 
 def map_layer(
@@ -90,35 +158,7 @@ def map_layer(
             compute up to the available compute time.
     """
     metrics = metrics or evaluate_macro(design.macro_cost(library), tech)
-    groups = design.n // design.precision.weight_bits
-    row_tiles = math.ceil(layer.rows / design.h)
-    col_tiles = math.ceil(layer.cols / groups)
-    tiles = row_tiles * col_tiles
-    resident = min(tiles, design.l)
-    reloads = max(0, tiles - design.l)
-    cycles_per_pass = metrics.cycles_per_pass
-    passes = tiles * layer.vectors
-    compute_cycles = passes * cycles_per_pass
-    reload_cycles = reloads * design.h  # row-by-row rewrite per inference
-    if overlap_reload:
-        reload_cycles = max(0, reload_cycles - compute_cycles)
-    cycles = compute_cycles + reload_cycles
-    latency_us = cycles * metrics.delay_ns * 1e-3
-    energy_uj = passes * metrics.energy_per_pass_nj * 1e-3
-    offered = passes * design.h * groups
-    utilization = layer.macs / offered if offered else 0.0
-    return LayerMapping(
-        layer=layer,
-        row_tiles=row_tiles,
-        col_tiles=col_tiles,
-        resident_tiles=resident,
-        reloads=reloads,
-        passes=passes,
-        cycles=cycles,
-        latency_us=latency_us,
-        energy_uj=energy_uj,
-        utilization=utilization,
-    )
+    return LayerMapping(layer, *layer_figures(layer, design, metrics, overlap_reload))
 
 
 def map_network(

@@ -7,6 +7,15 @@ macros teaming on one layer (data-parallel over output columns), or
 both, on top of the per-layer mapping of :mod:`repro.workloads.
 mapping`, and reports system area/latency/energy/throughput so users
 can trade macro count against performance.
+
+Mapping splits in two steps.  :func:`map_design` does everything one
+macro design fixes: its physical metrics (layout area included), each
+layer's passes, latency and energy, and the summed energy.
+:func:`compose_system` adds what the macro count and the schedule
+change: system area, latency and throughput.  :func:`map_system` runs
+both; a search over designs times macro counts (the ``mapping``
+problem, :mod:`repro.problems.mapping`) runs the first once per design
+and the second once per candidate.
 """
 
 from __future__ import annotations
@@ -15,13 +24,23 @@ import math
 from dataclasses import dataclass
 
 from repro.core.spec import DesignPoint
-from repro.model.metrics import evaluate_macro
+from repro.model.metrics import MacroMetrics, evaluate_macro
 from repro.tech.cells import CellLibrary
 from repro.tech.technology import Technology
 from repro.workloads.layers import Layer
-from repro.workloads.mapping import LayerMapping, map_layer
+from repro.workloads.mapping import LayerFigures, LayerMapping, layer_figures
 
-__all__ = ["SystemMapping", "map_system", "map_system_sweep"]
+__all__ = [
+    "SystemMapping",
+    "DesignMapping",
+    "map_design",
+    "compose_system",
+    "map_system",
+    "map_system_sweep",
+]
+
+#: Schedules :func:`compose_system` (so :func:`map_system`) understands.
+SCHEDULES = ("sequential", "pipelined")
 
 
 @dataclass(frozen=True)
@@ -49,6 +68,66 @@ class SystemMapping:
     energy_uj: float
     throughput_inferences_s: float
     area_mm2: float
+
+
+@dataclass(frozen=True)
+class DesignMapping:
+    """A network mapped onto one macro of a design.
+
+    The part of a :class:`SystemMapping` that neither the macro count
+    nor the schedule changes (see :func:`compose_system` for the rest).
+
+    Attributes:
+        metrics: the macro's physical metrics (``layout_area_mm2`` is
+            one macro's area).
+        layers: each layer's numbers on one macro.
+        energy_uj: one-inference energy (schedule- and count-independent).
+    """
+
+    metrics: MacroMetrics
+    layers: tuple[LayerFigures, ...]
+    energy_uj: float
+
+
+def map_design(
+    layers: list[Layer],
+    design: DesignPoint,
+    tech: Technology,
+    library: CellLibrary | None = None,
+    cost=None,
+) -> DesignMapping:
+    """Map a network onto one macro of ``design``: the per-design step.
+
+    ``cost`` is as in :func:`map_system`.
+    """
+    metrics = evaluate_macro(
+        cost if cost is not None else design.macro_cost(library), tech
+    )
+    figures = tuple(layer_figures(l, design, metrics) for l in layers)
+    return DesignMapping(metrics, figures, sum(f.energy_uj for f in figures))
+
+
+def compose_system(
+    mapping: DesignMapping, n_macros: int, schedule: str
+) -> tuple[float, float, float]:
+    """``(area_mm2, latency_us, throughput_inferences_s)`` of a system.
+
+    The system is ``n_macros`` copies of ``mapping``'s design, run on
+    ``schedule`` (see :func:`map_system` for both schedules).  The
+    arguments are not checked: :func:`map_system` checks them first.
+    """
+    area = n_macros * mapping.metrics.layout_area_mm2
+    if schedule == "sequential":
+        latency = sum(
+            f.latency_us / min(n_macros, max(f.passes, 1))
+            for f in mapping.layers
+        )
+        return area, latency, 1.0 / (latency * 1e-6)
+    stage_work = [0.0] * n_macros
+    for i, f in enumerate(mapping.layers):
+        stage_work[i % n_macros] += f.latency_us
+    latency = sum(f.latency_us for f in mapping.layers)
+    return area, latency, 1.0 / (max(stage_work) * 1e-6)
 
 
 def map_system(
@@ -80,37 +159,19 @@ def map_system(
     """
     if n_macros < 1:
         raise ValueError(f"n_macros must be >= 1, got {n_macros}")
-    if schedule not in ("sequential", "pipelined"):
+    if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if not layers:
         raise ValueError("need at least one layer")
-    metrics = evaluate_macro(
-        cost if cost is not None else design.macro_cost(library), tech
-    )
-    mapped = [map_layer(l, design, tech, library, metrics) for l in layers]
-    energy = sum(m.energy_uj for m in mapped)
-    area = n_macros * metrics.layout_area_mm2
-
-    if schedule == "sequential":
-        latency = sum(
-            m.latency_us / min(n_macros, max(m.passes, 1)) for m in mapped
-        )
-        throughput = 1.0 / (latency * 1e-6)
-    else:
-        stage_work = [0.0] * n_macros
-        for i, m in enumerate(mapped):
-            stage_work[i % n_macros] += m.latency_us
-        latency = sum(m.latency_us for m in mapped)
-        interval = max(stage_work)
-        throughput = 1.0 / (interval * 1e-6)
-
+    mapping = map_design(layers, design, tech, library, cost)
+    area, latency, throughput = compose_system(mapping, n_macros, schedule)
     return SystemMapping(
         design=design,
         n_macros=n_macros,
         schedule=schedule,
-        layers=mapped,
+        layers=[LayerMapping(l, *f) for l, f in zip(layers, mapping.layers)],
         latency_us=latency,
-        energy_uj=energy,
+        energy_uj=mapping.energy_uj,
         throughput_inferences_s=throughput,
         area_mm2=area,
     )

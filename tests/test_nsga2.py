@@ -1,5 +1,6 @@
 """Tests for repro.dse.nsga2 on synthetic and DCIM problems."""
 
+import importlib
 import random
 
 import pytest
@@ -9,6 +10,11 @@ from repro.core.spec import DcimSpec
 from repro.dse.kernels import GAKernels
 from repro.dse.nsga2 import NSGA2Config, nsga2
 from repro.dse.problem import DcimProblem
+from repro.problems.mapping import MappingProblem, MappingSpec
+from repro.workloads.networks import AVAILABLE_NETWORKS
+
+# ``repro.dse.nsga2`` the attribute is the function; this is the module.
+NSGA2_MODULE = importlib.import_module("repro.dse.nsga2")
 
 
 class GridProblem:
@@ -207,3 +213,88 @@ class TestObserverAndCancellation:
         assert result.generations_run == 0
         assert result.history == []
         assert result.front  # initial population is still evaluated
+
+
+def parent_rankings(monkeypatch, problem, config):
+    """Run ``nsga2`` and return, per generation, the parents' genomes,
+    ranks and crowding as breeding received them, and the number of
+    parent sorts the run made."""
+    seen = []
+    breed = NSGA2_MODULE.breed_offspring
+
+    def spy_breed(rng, genomes, ranks, crowding, *rest):
+        seen.append((list(genomes), list(ranks), list(crowding)))
+        return breed(rng, genomes, ranks, crowding, *rest)
+
+    sorts = []
+    sort = GAKernels.nondominated_sort
+
+    def spy_sort(self, matrix, dominance=None, **options):
+        if not options:  # the merged sort passes return_dominance/limit
+            sorts.append(len(matrix))
+        return sort(self, matrix, dominance, **options)
+
+    monkeypatch.setattr(NSGA2_MODULE, "breed_offspring", spy_breed)
+    monkeypatch.setattr(GAKernels, "nondominated_sort", spy_sort)
+    nsga2(problem, config)
+    monkeypatch.undo()
+    return seen, len(sorts)
+
+
+def full_ranking(problem, genomes):
+    """Ranks and crowding per row from a fresh sort of ``genomes``."""
+    kernels = GAKernels()
+    matrix = kernels.as_matrix([problem.evaluate(g) for g in genomes])
+    ranks, fronts = kernels.nondominated_sort(matrix)
+    crowding = [0.0] * len(genomes)
+    for front in fronts:
+        perm, dist = kernels.crowding(matrix, front)
+        for i, value in zip(perm, dist):
+            crowding[i] = value
+    return ranks, crowding
+
+
+BENCHMARK_SHAPES = [
+    *(
+        pytest.param(
+            DcimProblem(DcimSpec(wstore=wstore, precision=precision)),
+            NSGA2Config(population_size=64, generations=60, seed=1),
+            id=f"dcim-{wstore}:{precision}",
+        )
+        for wstore, precision in ((65536, "INT8"), (65536, "BF16"), (262144, "FP32"))
+    ),
+    *(
+        pytest.param(
+            MappingProblem(MappingSpec(network=network)),
+            NSGA2Config(population_size=32, generations=24, seed=1),
+            id=f"mapping-{network}",
+        )
+        for network in sorted(AVAILABLE_NETWORKS)
+    ),
+]
+
+
+class TestOneFrontParents:
+    """When one front fills the next population, ``nsga2`` ranks the
+    parents without a sort; the ranking must be the sort's."""
+
+    @pytest.mark.parametrize("problem, config", BENCHMARK_SHAPES)
+    def test_benchmark_shapes(self, monkeypatch, problem, config):
+        seen, sorts = parent_rankings(monkeypatch, problem, config)
+        assert len(seen) == config.generations
+        for genomes, ranks, crowding in seen:
+            assert (ranks, crowding) == full_ranking(problem, genomes)
+        assert sorts < config.generations  # the skip was taken
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_populations_of_several_fronts(self, monkeypatch, seed):
+        problem = GridProblem()
+        config = NSGA2Config(population_size=16, generations=10, seed=seed)
+        seen, sorts = parent_rankings(monkeypatch, problem, config)
+        several = 0
+        for genomes, ranks, crowding in seen:
+            assert (ranks, crowding) == full_ranking(problem, genomes)
+            several += max(ranks) > 0
+        assert several > 1
+        # Every population of several fronts was sorted; some were not.
+        assert several <= sorts < config.generations

@@ -15,6 +15,8 @@ from repro.problems.mapping import (
 from repro.service import CampaignConfig, CampaignRequest, run_campaign
 from repro.service.campaign import execute_request
 from repro.store import RunStore
+from repro.workloads.networks import AVAILABLE_NETWORKS
+from repro.workloads.system import map_system
 
 TINY = CampaignConfig(
     nsga2=NSGA2Config(population_size=12, generations=4),
@@ -111,6 +113,133 @@ class TestMappingProblem:
         assert [i.objectives for i in a.front] == [
             i.objectives for i in b.front
         ]
+
+
+def map_system_table(problem: MappingProblem) -> dict:
+    """``{genome: objectives}`` over the whole space, by direct ``map_system``."""
+    table = {}
+    for design in problem.codec.enumerate():
+        point = problem.codec.decode(design)
+        cost = point.macro_cost(problem.library)
+        for em in range(problem.max_em + 1):
+            mapped = map_system(
+                problem.layers,
+                point,
+                problem.tech,
+                n_macros=1 << em,
+                schedule=problem.spec.schedule,
+                library=problem.library,
+                cost=cost,
+            )
+            table[(*design, em)] = (
+                mapped.area_mm2,
+                mapped.latency_us,
+                mapped.energy_uj,
+                -mapped.throughput_inferences_s,
+            )
+    return table
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (network, schedule)
+        for network in sorted(AVAILABLE_NETWORKS)
+        for schedule in ("sequential", "pipelined")
+    ],
+    ids=lambda param: ":".join(param),
+)
+def whole_space(request):
+    network, schedule = request.param
+    spec = MappingSpec(network=network, schedule=schedule)
+    return spec, map_system_table(MappingProblem(spec))
+
+
+class TestPerDesignEvaluation:
+    """Each design is mapped once per instance; every genome still
+    equals ``map_system`` exactly."""
+
+    def test_one_batch_equals_map_system(self, whole_space):
+        spec, table = whole_space
+        genomes = list(table)
+        assert MappingProblem(spec).evaluate_batch(genomes) == [
+            table[g] for g in genomes
+        ]
+
+    def test_shuffled_batches_through_one_instance(self, whole_space):
+        spec, table = whole_space
+        genomes = list(table)
+        random.Random(7).shuffle(genomes)
+        problem = MappingProblem(spec)
+        for start in range(0, len(genomes), 7):
+            batch = genomes[start : start + 7]
+            assert problem.evaluate_batch(batch) == [table[g] for g in batch]
+
+    def test_evaluate_equals_map_system(self, whole_space):
+        spec, table = whole_space
+        problem = MappingProblem(spec)
+        for genome, objectives in table.items():
+            assert problem.evaluate(genome) == objectives
+
+    def test_costs_only_unseen_designs_once_per_batch(self, monkeypatch):
+        problem = MappingProblem(MappingSpec(network="tiny_cnn", wstore=4096))
+        calls = []
+        real = problem.engine.macro_costs
+
+        def spy(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(problem.engine, "macro_costs", spy)
+        designs = problem.codec.enumerate()[:3]
+        first = [(*designs[0], 0), (*designs[1], 1), (*designs[0], 2)]
+        problem.evaluate_batch(first)
+        assert calls == [2]
+        problem.evaluate_batch([(*designs[1], 0), (*designs[2], 0), (*designs[2], 1)])
+        assert calls == [2, 1]
+        problem.evaluate_batch(first)
+        assert calls == [2, 1]
+        assert problem.evaluate_batch([]) == []
+        assert calls == [2, 1]
+
+
+class TestInfeasibleGenomes:
+    def problem(self):
+        return MappingProblem(MappingSpec(network="tiny_cnn", wstore=4096))
+
+    @pytest.mark.parametrize("em", [-1, 4])
+    def test_macro_count_out_of_range(self, em):
+        problem = self.problem()
+        genome = (*problem.codec.enumerate()[0], em)
+        assert problem.max_em == 3
+        for call in (problem.evaluate, lambda g: problem.evaluate_batch([g])):
+            with pytest.raises(ValueError) as info:
+                call(genome)
+            assert str(info.value) == f"infeasible genome {genome}"
+
+    def test_infeasible_design(self):
+        problem = self.problem()
+        genome = (99, 0, 0, 0, 0)
+        for call in (problem.evaluate, lambda g: problem.evaluate_batch([g])):
+            with pytest.raises(ValueError) as info:
+                call(genome)
+            assert str(info.value) == "infeasible genome (99, 0, 0, 0)"
+
+    def test_design_error_comes_before_macro_count_error(self):
+        problem = self.problem()
+        bad_em = (*problem.codec.enumerate()[0], 9)
+        with pytest.raises(ValueError, match=r"^infeasible genome \(99, 0, 0, 0\)$"):
+            problem.evaluate_batch([bad_em, (99, 0, 0, 0, 0)])
+
+    def test_a_failed_batch_leaves_the_instance_exact(self):
+        problem = self.problem()
+        table = map_system_table(problem)
+        good = list(table)[:5]
+        with pytest.raises(ValueError):
+            problem.evaluate_batch([*good, (*good[0][:4], 9)])
+        with pytest.raises(ValueError):
+            problem.evaluate_batch([*good, (99, 0, 0, 0, 0)])
+        assert problem.evaluate_batch(good) == [table[g] for g in good]
 
 
 class TestMappingCampaigns:

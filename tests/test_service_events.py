@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import threading
 import time
 
@@ -181,6 +182,48 @@ class TestEventBuffer:
         ]
         assert cursor == 2 and done
 
+    def test_batching_reader_blocks_once_over_many_events(self, monkeypatch):
+        """Non-terminal events do not wake a reader inside its window:
+        it blocks once and answers with everything at the terminal
+        event."""
+        monkeypatch.setattr(events_module, "BATCH_WINDOW_S", 30.0)
+        buffer = EventBuffer()
+        waits = []
+
+        class Counting(threading.Condition):
+            def wait(self, timeout=None):
+                waits.append(timeout)
+                return super().wait(timeout)
+
+        buffer._cond = Counting()
+        buffer.append(event())
+        thread, results = wait_in_thread(buffer)
+        while thread.is_alive() and not waits:
+            time.sleep(0.001)
+        for generation in range(10):
+            buffer.append(event(generation=generation))
+            time.sleep(0.002)  # room for a woken reader to wait again
+        buffer.append(event(kind=EventKind.CAMPAIGN_DONE))
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        events, cursor, done = results["got"]
+        assert [e.seq for e in events] == list(range(12))
+        assert cursor == 12 and done
+        assert len(waits) == 1
+
+    def test_news_waiters_still_wake_per_event(self):
+        """A reader waiting for news wakes at the next event, not at its
+        timeout."""
+        buffer = EventBuffer()
+        thread, results = wait_in_thread(buffer)
+        while thread.is_alive() and not buffer._news_waiters:
+            time.sleep(0.001)
+        buffer.append(event())
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert [e.seq for e in results["got"][0]] == [0]
+        assert buffer._news_waiters == 0
+
     def test_zero_window_returns_the_first_news(self, monkeypatch):
         monkeypatch.setattr(events_module, "BATCH_WINDOW_S", 0.0)
         buffer = EventBuffer()
@@ -231,6 +274,46 @@ class TestEventBuffer:
         assert seqs == list(range(total - len(retained), total))
         assert len(retained) == buffer.maxlen
         assert not buffer.closed
+
+    def test_many_readers_race_the_producer(self):
+        """More readers than cores, each moving between waiting for news
+        and batching, under a short switch interval: every reader sees
+        every event once, in order, and stops at the terminal one."""
+        buffer = EventBuffer(maxlen=1024)
+        total, readers = 300, 6
+        seen = [[] for _ in range(readers)]
+
+        def consume(i):
+            cursor = 0
+            while True:
+                events, cursor, done = buffer.wait_since(cursor, timeout=30.0)
+                seen[i].extend(e.seq for e in events)
+                if done:
+                    return
+
+        def produce():
+            for i in range(total - 1):
+                buffer.append(event(generation=i))
+                if i % 13 == 0:
+                    time.sleep(0.001)
+            buffer.append(event(kind=EventKind.CAMPAIGN_DONE))
+
+        threads = [
+            threading.Thread(target=consume, args=(i,)) for i in range(readers)
+        ]
+        threads.append(threading.Thread(target=produce))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [list(range(total))] * readers
+        assert buffer._news_waiters == 0
 
     def test_cursor_reads_race_the_producer(self):
         # A producer streams 200 events (terminal last) while a consumer
