@@ -71,19 +71,22 @@ fi
 
 echo "== benchmark workloads: every op checked against its oracle =="
 # A short run of each workload: exact fronts, merges, compile checks and
-# HTTP responses are all checked; no timing is asserted.
-for workload in in_process service_http; do
+# HTTP responses are all checked; no timing is asserted.  The traced
+# in_process run wraps every layer perfbench/tracing.py names (distill,
+# lint, the verify checks ...), so a renamed or broken target fails here.
+for run in "in_process 0" "service_http 0" "in_process 1"; do
+    read -r workload trace <<<"$run"
     bench_json="$(python perfbench/run.py --workload "$workload" \
-        --seed 1 --seconds 2 --trace 0 | tail -n 1)"
-    python - "$workload" "$bench_json" <<'PY'
+        --seed 1 --seconds 2 --trace "$trace" | tail -n 1)"
+    python - "$workload" "$trace" "$bench_json" <<'PY'
 import json
 import sys
 
-workload, line = sys.argv[1], sys.argv[2]
+workload, trace, line = sys.argv[1], sys.argv[2], sys.argv[3]
 result = json.loads(line)
 if result["correct"] is not True or result["failed"] != 0:
-    sys.exit(f"smoke: perfbench {workload} checks failed: {line[:300]}")
-print(f"perfbench {workload}: {result['attempted']} ops, all correct")
+    sys.exit(f"smoke: perfbench {workload} --trace {trace} checks failed: {line[:300]}")
+print(f"perfbench {workload} --trace {trace}: {result['attempted']} ops, all correct")
 PY
 done
 

@@ -4,6 +4,13 @@ After exploration, the user narrows the frontier with physical
 requirements (area/power/throughput/delay budgets) and finally picks one
 design with a selection strategy (knee point, extreme of one metric, or
 a weighted score).
+
+:func:`distill` costs the whole frontier through one
+:class:`~repro.model.engine.CostEngine`, so the component models come
+from the process-wide memo that exploration has already filled instead
+of being rebuilt per point.  The costs equal
+:meth:`DesignPoint.macro_cost` bit for bit (the engine parity tests
+check it), and so do the metrics.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import numpy as np
 
 from repro.core.pareto import knee_point
 from repro.core.spec import DesignPoint
-from repro.model.metrics import MacroMetrics
+from repro.model.engine import CostEngine
+from repro.model.metrics import MacroMetrics, evaluate_macro
 from repro.tech.cells import CellLibrary
 from repro.tech.technology import Technology
 
@@ -64,8 +72,8 @@ def distill(
     """Attach metrics to Pareto designs and drop those outside budget."""
     requirements = requirements or Requirements()
     out = []
-    for point in points:
-        metrics = point.metrics(tech, library)
+    for point, cost in zip(points, CostEngine(library).macro_costs(points)):
+        metrics = evaluate_macro(cost, tech)
         if requirements.admits(metrics):
             out.append((point, metrics))
     return out

@@ -4,9 +4,18 @@ Stands in for the commercial logic simulator of a real flow.  Every net
 holds a Python int with one bit per *lane*: lane ``i`` is an independent
 copy of the design, so one pass over the gates evaluates ``lanes`` test
 vectors at once with big-int AND/OR/XOR.  The combinational fabric is
-levelised once (topological order) and compiled into a flat op list;
-``eval`` propagates input changes through it, and ``step`` clocks every
-DFF simultaneously, then re-evaluates.
+compiled into a flat op list in topological order; ``eval`` propagates
+input changes through it, and ``step`` clocks every DFF simultaneously,
+then re-evaluates.
+
+Loading takes one pass when the gate list is already in topological
+order, which every builder's is: :meth:`Netlist.add_gate` drives a
+fresh net each time, so gate outputs strictly increase and every input
+is a lower-numbered net than its gate's output.  Such a list has one
+driver per net, and no gate reads a net driven later, so creation order
+is the program.  Any other list (hand-appended or shuffled gates) goes
+through the driver check and Kahn's algorithm, which raise on a doubly
+driven net or a combinational cycle.
 """
 
 from __future__ import annotations
@@ -76,31 +85,36 @@ class GateSimulator:
         # The compiled program: one (op, out, in0, in1, in2) tuple per
         # gate, in creation order, then in topological order.
         self._gates = [
-            (_OPCODES[g.kind], g.output, *g.inputs, *_PADDING[g.kind])
-            for g in netlist.gates
+            (_OPCODES[kind], out, *inputs, *_PADDING[kind])
+            for kind, inputs, out in netlist.gates
         ]
-        order = self._levelize()
-        self._program = self._gates if order is None else [self._gates[i] for i in order]
+        self._program = (
+            self._gates
+            if self._in_creation_order()
+            else [self._gates[i] for i in self._levelize()]
+        )
         self._dffs = [(dff.d, dff.q, dff.clear) for dff in netlist.dffs]
         self.eval()
 
-    def _levelize(self) -> list[int] | None:
-        """Topological order of gate indices; ``None`` if creation order is one.
+    def _in_creation_order(self) -> bool:
+        """True when gate outputs strictly increase, every input is a
+        lower-numbered net than its gate's output, and every output is
+        a net of the design: the builders' lists, checked in one pass."""
+        last = -1
+        for _op, out, in0, in1, in2 in self._gates:
+            if out <= last or in0 >= out or in1 >= out or in2 >= out:
+                return False
+            last = out
+        return last < self.netlist.n_nets
 
-        Builders create gates in dependency order, so one linear pass
-        usually confirms creation order; Kahn's algorithm runs only when
-        some gate reads a net that a later gate drives.
-        """
+    def _levelize(self) -> list[int]:
+        """Topological order of gate indices by Kahn's algorithm, once no
+        net has two drivers."""
         driver = [-1] * self.netlist.n_nets
         for i, (_op, out, _in0, _in1, _in2) in enumerate(self._gates):
             if driver[out] >= 0:
                 raise ValueError("multiple drivers on one net")
             driver[out] = i
-        for i, (_op, _out, in0, in1, in2) in enumerate(self._gates):
-            if driver[in0] >= i or driver[in1] >= i or driver[in2] >= i:
-                break
-        else:
-            return None
         gates = self.netlist.gates
         consumers: dict[int, list[int]] = {}
         indegree = [0] * len(gates)

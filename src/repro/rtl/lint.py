@@ -10,11 +10,16 @@ caught without a simulator:
 * every instantiated module is defined in the bundle (or whitelisted),
 * named port connections reference ports the target module declares,
 * no duplicate module definitions.
+
+The eight block keywords are counted in one ``\b(...)\b`` scan.  Each
+match is a whole word, and whole words never overlap, so one pass over
+all eight finds exactly the matches of eight per-keyword passes.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.rtl.generator import RtlBundle
@@ -28,6 +33,9 @@ _KEYWORD_PAIRS = (
     ("generate", "endgenerate"),
     ("case", "endcase"),
 )
+_KEYWORD_RE = re.compile(
+    r"\b(" + "|".join(word for pair in _KEYWORD_PAIRS for word in pair) + r")\b"
+)
 # An instantiation: identifier identifier ( ... with named pins.
 _INSTANCE_RE = re.compile(r"^\s*(\w+)\s+(\w+)\s*\(\s*$", re.M)
 _PIN_RE = re.compile(r"\.(\w+)\s*\(")
@@ -36,10 +44,6 @@ _PIN_RE = re.compile(r"\.(\w+)\s*\(")
 def _strip_comments(source: str) -> str:
     source = re.sub(r"//[^\n]*", "", source)
     return re.sub(r"/\*.*?\*/", "", source, flags=re.S)
-
-
-def _count_token(text: str, token: str) -> int:
-    return len(re.findall(rf"\b{token}\b", text))
 
 
 @dataclass
@@ -64,15 +68,11 @@ def lint_source(source: str, known_modules: set[str] | None = None) -> LintRepor
     report = LintReport()
     text = _strip_comments(source)
 
+    counts = Counter(_KEYWORD_RE.findall(text))
     for opener, closer in _KEYWORD_PAIRS:
-        n_open = _count_token(text, opener)
-        # 'end' also terminates 'begin' blocks only; endmodule/endcase
-        # and endgenerate are distinct tokens so plain counting works.
-        n_close = _count_token(text, closer)
-        if opener == "begin":
-            # 'end' appears in endmodule etc. only as distinct words, so
-            # \b counting is already exact.
-            pass
+        # 'end' closes 'begin' blocks only: endmodule, endcase and
+        # endgenerate are distinct words, so whole-word counts are exact.
+        n_open, n_close = counts[opener], counts[closer]
         if n_open != n_close:
             report.errors.append(
                 f"unbalanced {opener}/{closer}: {n_open} vs {n_close}"

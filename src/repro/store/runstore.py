@@ -22,6 +22,12 @@ tables (``trace_spans``, ``work_units``, ``metrics_history``), unread.
 Recording is strictly opt-in and write-only from the campaign's point
 of view: a campaign run with a store produces bit-identical fronts to
 one without.
+
+Durability: the WAL connection runs with ``synchronous=NORMAL``, as the
+evaluation cache's SQLite tier does, so a commit does not wait for an
+fsync.  A run whose ``record_*`` call has returned survives a crash or
+``kill -9`` of the process.  An OS crash or power loss can roll back
+the last few recorded runs, and the file stays consistent.
 """
 
 from __future__ import annotations
@@ -276,6 +282,8 @@ class RunStore:
             timeout=30.0,  # wait out writers from other processes
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
+        # No fsync per commit; what that risks: the module docstring.
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._conn.executescript(_SCHEMA)
         self._migrate()

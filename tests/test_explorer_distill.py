@@ -11,7 +11,9 @@ from repro.dse import (
     distill,
     select,
 )
+from repro.model.cost import Cost
 from repro.tech import GENERIC28
+from repro.tech.cells import CellLibrary
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,39 @@ class TestDistill:
             int_result.points, GENERIC28, Requirements(max_area_mm2=1e-9)
         )
         assert pairs == []
+
+
+#: Every Fig 7/8 grid spec (4K-1M weights x 7 precisions) plus FP32 256K.
+GRID_SPECS = [
+    DcimSpec(wstore=4 * 1024 << i, precision=p)
+    for i in range(9)
+    for p in ("INT2", "INT4", "INT8", "INT16", "FP8", "FP16", "BF16")
+] + [DcimSpec(wstore=256 * 1024, precision="FP32")]
+
+
+@pytest.mark.parametrize(
+    "library",
+    [CellLibrary.default(), CellLibrary.default().with_cell("FA", Cost(6.3, 3.7, 9.1))],
+    ids=["default", "with_cell"],
+)
+def test_distill_equals_scalar_metrics_on_exact_fronts(library):
+    """Costed through the engine memo, every pair equals
+    ``(point, point.metrics(tech, library))``, with and without budgets."""
+    explorer = DesignSpaceExplorer(library)
+    assert len(GRID_SPECS) == 64
+    for spec in GRID_SPECS:
+        points = explorer.explore_exhaustive(spec).points
+        expected = [(p, p.metrics(GENERIC28, library)) for p in points]
+        assert distill(points, GENERIC28, None, library) == expected
+        areas = sorted(m.layout_area_mm2 for _, m in expected)
+        efficiencies = sorted(m.tops_per_watt for _, m in expected)
+        budget = Requirements(
+            max_area_mm2=areas[len(areas) * 3 // 4],
+            min_tops_per_watt=efficiencies[len(efficiencies) // 4],
+        )
+        admitted = [pm for pm in expected if budget.admits(pm[1])]
+        assert 0 < len(admitted) <= len(expected)
+        assert distill(points, GENERIC28, budget, library) == admitted
 
 
 class TestSelect:

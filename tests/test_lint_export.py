@@ -1,12 +1,18 @@
 """Tests for repro.rtl.lint and repro.netlist.export."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.rtl.lint as lint_module
 from repro.core.spec import DesignPoint
 from repro.netlist import GateSimulator, build_adder_tree, build_shift_accumulator
 from repro.netlist.export import PRIMITIVE_LIBRARY_VERILOG, netlist_to_verilog
 from repro.rtl import generate_rtl, lint_bundle, lint_source
+from repro.rtl.lint import LintReport
 from repro.rtl.modules.memory import generate_sram_array
 
 
@@ -73,6 +79,73 @@ class TestLintDetectsProblems:
             "// module fake (\nmodule a (x);\n  input x;\nendmodule\n"
         )
         assert report.passed
+
+
+def per_token_lint(source, known_modules=None):
+    """``lint_source`` as it was with one regex pass per block keyword,
+    kept as the oracle of the single-scan count."""
+    report = LintReport()
+    text = lint_module._strip_comments(source)
+    for opener, closer in lint_module._KEYWORD_PAIRS:
+        n_open = len(re.findall(rf"\b{opener}\b", text))
+        n_close = len(re.findall(rf"\b{closer}\b", text))
+        if n_open != n_close:
+            report.errors.append(f"unbalanced {opener}/{closer}: {n_open} vs {n_close}")
+    if text.count("(") != text.count(")"):
+        report.errors.append("unbalanced parentheses")
+    ports_by_module = {}
+    for match in lint_module._MODULE_RE.finditer(text):
+        name, port_list = match.groups()
+        if name in ports_by_module:
+            report.errors.append(f"duplicate module definition: {name}")
+        ports_by_module[name] = {p.strip() for p in port_list.split(",") if p.strip()}
+    report.modules = list(ports_by_module)
+    known = set(ports_by_module) | (known_modules or set())
+    keywords = {
+        "module", "endmodule", "begin", "end", "if", "else", "for",
+        "always", "assign", "wire", "reg", "input", "output", "generate",
+        "endgenerate", "genvar", "integer", "localparam", "case", "endcase",
+        "task", "endtask", "initial", "repeat",
+    }
+    for match in lint_module._INSTANCE_RE.finditer(text):
+        module_name, _inst = match.groups()
+        if module_name in keywords:
+            continue
+        if module_name not in known:
+            report.errors.append(f"undefined module instantiated: {module_name}")
+            continue
+        tail = text[match.end():]
+        close = tail.find(");")
+        pins = set(lint_module._PIN_RE.findall(tail[: close if close >= 0 else None]))
+        for pin in sorted(pins - ports_by_module.get(module_name, pins)):
+            report.errors.append(f"instance of {module_name} connects unknown port .{pin}")
+    return report
+
+
+KEYWORDS = ("module", "endmodule", "begin", "end", "generate", "endgenerate", "case", "endcase")
+#: Keywords, identifiers that contain them, comment and port syntax,
+#: and separators: soups of these unbalance the blocks in every way.
+SOUP_TOKENS = (
+    *KEYWORDS, "end_", "_end", "begin2", "mybegin", "endcase_x", "casez", "modules",
+    "endgenerate0", "generated", "beginé", "émodule", "x", "sub", "u0", ".a(", ".b(",
+    "(", ")", ");", ";", "//", "/*", "*/", "\n", " ", "\t", ",",
+)
+
+
+class TestSingleScanKeywordCount:
+    @given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=60), st.sampled_from(["", " ", "\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_token_soups_match_per_token_count(self, tokens, glue):
+        source = glue.join(tokens)
+        assert lint_source(source) == per_token_lint(source)
+        assert lint_source(source, {"sub"}) == per_token_lint(source, {"sub"})
+
+    @pytest.mark.parametrize(
+        "precision,n,h,l,k", [("INT8", 16, 8, 4, 4), ("BF16", 16, 8, 4, 8)]
+    )
+    def test_generated_bundles_match_per_token_count(self, precision, n, h, l, k):
+        source = generate_rtl(DesignPoint(precision=precision, n=n, h=h, l=l, k=k)).source
+        assert lint_source(source) == per_token_lint(source)
 
 
 class TestNetlistExport:

@@ -1,6 +1,7 @@
 """Tests for repro.netlist.ir, primitives and simulate."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,30 @@ class TestIr:
             Gate("AND", (1,), 2)
         with pytest.raises(ValueError):
             Gate("NAND9", (1, 2), 3)
+
+    def test_gate_errors_keep_their_text(self):
+        with pytest.raises(ValueError, match=r"^AND expects 2 inputs, got 1$"):
+            Gate("AND", (1,), 2)
+        with pytest.raises(ValueError, match=r"^unknown gate kind 'NAND9'$"):
+            Gate("NAND9", (1, 2), 3)
+        nl = Netlist("t")
+        with pytest.raises(ValueError, match=r"^unknown gate kind 'NAND9'$"):
+            nl.add_gate("NAND9", 1, 2)
+        with pytest.raises(ValueError, match=r"^MUX2 expects 3 inputs, got 2$"):
+            nl.add_gate("MUX2", 0, 1)
+        assert nl.gates == [] and nl.n_nets == 2  # a rejected gate allocates no net
+
+    def test_gate_is_a_record(self):
+        gate = Gate("MUX2", (1, 2, 3), 4)
+        assert (gate.kind, gate.inputs, gate.output) == ("MUX2", (1, 2, 3), 4)
+        assert repr(gate) == "Gate(kind='MUX2', inputs=(1, 2, 3), output=4)"
+        assert gate == Gate("MUX2", (1, 2, 3), 4) and hash(gate) == hash(Gate("MUX2", (1, 2, 3), 4))
+        nl = Netlist("t")
+        nl.add_gate("MUX2", 1, 2, 3)
+        assert nl.gates == [Gate("MUX2", (1, 2, 3), 2)]
+        assert type(nl.gates[0]) is Gate
+        with pytest.raises(AttributeError):
+            gate.kind = "AND"
 
     def test_constants_preallocated(self):
         nl = Netlist("t")
@@ -387,6 +412,57 @@ class TestLanes:
             sim.step()
         for name in nl.outputs:
             assert sims[0].get_bus(name) == sims[1].get_bus(name)
+
+    @given(small_netlists(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_increasing_outputs_reading_a_later_gate_levelise(self, nl, data):
+        """Outputs that increase do not make a list topological: a gate
+        that reads a later gate's output sends the load to Kahn's
+        algorithm, and the results match the creation-order original."""
+        nl.add_gate("NOT", nl.gates[-1].output)  # at least one gate reads another
+        outputs = {gate.output: i for i, gate in enumerate(nl.gates)}
+        pairs = [
+            (outputs[net], j)
+            for j, gate in enumerate(nl.gates)
+            for net in gate.inputs
+            if net in outputs
+        ]
+        i, j = data.draw(st.sampled_from(pairs), label="pair")
+        # Move reader j in front of its driver i, then renumber the gate
+        # outputs so they increase again in the new order.
+        order = [*nl.gates[:i], nl.gates[j], *nl.gates[i:j], *nl.gates[j + 1:]]
+        base = nl.gates[0].output
+        rename = {gate.output: base + index for index, gate in enumerate(order)}
+
+        def net(n):
+            return rename.get(n, n)
+
+        moved = dataclasses.replace(
+            nl,
+            gates=[
+                Gate(gate.kind, tuple(net(n) for n in gate.inputs), base + index)
+                for index, gate in enumerate(order)
+            ],
+            dffs=[Dff(net(dff.d), dff.q, dff.clear) for dff in nl.dffs],
+            outputs={name: [net(n) for n in bus] for name, bus in nl.outputs.items()},
+        )
+        gates = moved.gates
+        assert all(a.output < b.output for a, b in zip(gates, gates[1:]))
+        assert gates[i].output < max(gates[i].inputs)
+        with mock.patch.object(
+            GateSimulator, "_levelize", autospec=True, side_effect=GateSimulator._levelize
+        ) as levelize:
+            sims = [GateSimulator(nl), GateSimulator(moved)]
+        assert [call.args[0] for call in levelize.call_args_list] == [sims[1]]
+        for name, bus in nl.inputs.items():
+            value = data.draw(st.integers(0, 2 ** len(bus) - 1), label=name)
+            for sim in sims:
+                sim.set_bus(name, value)
+        for action in ("eval", "step", "step"):
+            for sim in sims:
+                getattr(sim, action)()
+            for name in nl.outputs:
+                assert sims[0].get_bus(name) == sims[1].get_bus(name)
 
     @given(small_netlists(), st.data())
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -338,7 +339,7 @@ class TestConcurrentWriters:
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", _WRITER_SCRIPT, str(path), str(base)],
-                env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+                env={**os.environ, "PYTHONPATH": src},
                 stderr=subprocess.PIPE,
                 text=True,
             )

@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import os
+import signal
 import sqlite3
+import subprocess
+import sys
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,25 @@ def response(*points, **overrides):
     )
     payload.update(overrides)
     return CampaignResponse(**payload)
+
+
+#: Records one run, prints its id, then kills its own process.
+_KILLED_RECORDER = """
+import os, signal, sys
+from repro.service.api import CampaignResponse, FrontierPoint
+from repro.store import RunStore
+
+def fp(n, objectives):
+    return FrontierPoint(precision="INT8", n=n, h=128, l=4, k=8, objectives=objectives)
+
+store = RunStore(sys.argv[1])
+record = store.record_response(
+    CampaignResponse(frontier=(fp(32, (1.0, 2.0)), fp(64, (2.0, 1.0))), evaluations=40),
+    specs=["4096:INT8"],
+)
+print(record.run_id, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 @pytest.fixture
@@ -206,6 +230,29 @@ class TestPersistence:
             assert len(store) == 1
             assert store.get_baseline("main").run_id == record.run_id
             assert store.front(record.run_id) == [fp(32), fp(64, (2.0, 1.0))]
+
+    def test_runs_without_fsync_per_commit(self, store):
+        (mode,) = store._conn.execute("PRAGMA synchronous").fetchone()
+        assert mode == 1  # NORMAL
+
+    def test_recorded_run_survives_sigkill(self, tmp_path):
+        """A run whose ``record_response`` returned is committed: the
+        recording process dying by SIGKILL right after loses nothing."""
+        path = tmp_path / "runs.sqlite"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_RECORDER, str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        run_id = proc.stdout.strip()
+        with RunStore(path) as store:
+            assert [record.run_id for record in store.list_runs()] == [run_id]
+            assert store.get_run(run_id).specs == ("4096:INT8",)
+            assert store.front(run_id) == [fp(32), fp(64, (2.0, 1.0))]
 
     def test_memory_store(self):
         with RunStore(":memory:") as store:
