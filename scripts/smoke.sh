@@ -598,6 +598,35 @@ traces, run_id = json.loads(sys.argv[1])["traces"], sys.argv[2]
 assert [t["run_id"] for t in traces] == [run_id], traces
 print(f"trace list --run {run_id}: 1 trace")
 PY
+echo "== CLI and served parity: repro campaign --json equals repro submit --watch --json =="
+# One set of flags builds one CampaignRequest, run in-process by
+# 'repro campaign' and through this server by 'repro submit': the
+# frontier, the evaluation counts and the strategies must match (the
+# server's cache changes only the cache fields).  Runs after the trace
+# checks above, which count this step's traces.
+check_served_parity() {
+    local label="$1"
+    shift
+    local local_json served_json
+    local_json="$(python -m repro campaign "$@" --json)"
+    served_json="$(python -m repro submit --url "$url" "$@" --watch --json \
+        | tail -n 1)"
+    python - "$label" "$local_json" "$served_json" <<'PY'
+import json
+import sys
+
+label, local, served = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+keys = ("frontier", "evaluations", "per_spec_evaluations", "strategies")
+differ = [key for key in keys if local[key] != served[key]]
+assert not differ, f"smoke: {label}: repro campaign and repro submit differ in {differ}"
+print(f"{label}: {len(local['frontier'])} frontier designs, "
+      f"strategies {','.join(local['strategies'])}; {', '.join(keys)} equal")
+PY
+}
+check_served_parity "default route" \
+    --spec 4096:INT8 --spec 8192:BF16 --spec 16384:INT4
+check_served_parity "forced GA" --spec 4096:INT4 --spec 8192:INT8 \
+    --exhaustive-threshold 0 --population 16 --generations 6 --seed 5
 kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
 dashboard_out="$workdir/dashboard.html"

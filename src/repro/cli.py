@@ -166,33 +166,38 @@ def build_parser() -> argparse.ArgumentParser:
                                metavar="N",
                                help="entries per put_many transaction")
 
+    def add_request_args(p: argparse.ArgumentParser) -> None:
+        # The CampaignRequest flags of `repro campaign` and `repro
+        # submit` (built by _campaign_request).
+        p.add_argument("--problem", default="dcim", metavar="NAME",
+                       help="registered problem to optimise "
+                            "(see 'repro problems list'; default dcim)")
+        p.add_argument(
+            "--spec", action="append", required=True, metavar="SPEC",
+            help="one specification in the problem's CLI syntax, e.g. "
+                 "8192:INT8 (dcim) or tiny_cnn:INT8 (mapping); repeatable",
+        )
+        p.add_argument("--population", type=int, default=None,
+                       help="NSGA-II population size (default: the "
+                            "problem's own)")
+        p.add_argument("--generations", type=int, default=None,
+                       help="NSGA-II generations (default: the "
+                            "problem's own)")
+        p.add_argument("--seed", type=int, default=0, help="base GA seed")
+        p.add_argument("--exhaustive-threshold", type=int, default=None,
+                       metavar="N",
+                       help="enumerate design spaces of up to N genomes "
+                            "instead of running the GA (0 always runs "
+                            "the GA; default 512)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="specs explored concurrently")
+
     campaign = sub.add_parser(
         "campaign",
         help="explore many specs through the evaluation service and "
              "merge one cross-architecture frontier",
     )
-    campaign.add_argument("--problem", default="dcim", metavar="NAME",
-                          help="registered problem to optimise "
-                               "(see 'repro problems list'; default dcim)")
-    campaign.add_argument(
-        "--spec", action="append", required=True, metavar="SPEC",
-        help="one specification in the problem's CLI syntax, e.g. "
-             "8192:INT8 (dcim) or tiny_cnn:INT8 (mapping); repeatable",
-    )
-    campaign.add_argument("--population", type=int, default=None,
-                          help="NSGA-II population size (default: the "
-                               "problem's own)")
-    campaign.add_argument("--generations", type=int, default=None,
-                          help="NSGA-II generations (default: the "
-                               "problem's own)")
-    campaign.add_argument("--seed", type=int, default=0, help="base GA seed")
-    campaign.add_argument("--exhaustive-threshold", type=int, default=None,
-                          metavar="N",
-                          help="enumerate design spaces of up to N "
-                               "genomes instead of running the GA "
-                               "(0 always runs the GA; default 512)")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="specs explored concurrently")
+    add_request_args(campaign)
     campaign.add_argument("--cache", default=None, metavar="PATH",
                           help="persistent evaluation cache "
                                "(SQLite file; omit to run uncached)")
@@ -324,28 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a campaign to a running server"
     )
     add_client_args(submit_p)
-    submit_p.add_argument("--problem", default="dcim", metavar="NAME",
-                          help="registered problem to optimise "
-                               "(see 'repro problems list'; default dcim)")
-    submit_p.add_argument(
-        "--spec", action="append", required=True, metavar="SPEC",
-        help="one specification in the problem's CLI syntax, e.g. "
-             "8192:INT8 (dcim) or tiny_cnn:INT8 (mapping); repeatable",
-    )
-    submit_p.add_argument("--population", type=int, default=None,
-                          help="NSGA-II population size (default: the "
-                               "problem's own)")
-    submit_p.add_argument("--generations", type=int, default=None,
-                          help="NSGA-II generations (default: the "
-                               "problem's own)")
-    submit_p.add_argument("--seed", type=int, default=0, help="base GA seed")
-    submit_p.add_argument("--workers", type=int, default=1,
-                          help="specs explored concurrently")
-    submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
-                          metavar="N",
-                          help="enumerate design spaces of up to N "
-                               "genomes instead of running the GA "
-                               "(0 always runs the GA; default 512)")
+    add_request_args(submit_p)
     submit_p.add_argument("--watch", action="store_true",
                           help="stream progress events until the "
                                "campaign finishes")
@@ -720,19 +704,35 @@ def _apply_tech_flags(spec_request, args):
     return dataclasses.replace(spec_request, **updates)
 
 
-def _resolve_ga_sizing(args, definition) -> tuple[int, int]:
-    """CLI GA sizing, falling back to the problem's own defaults."""
-    population = (
-        args.population
-        if args.population is not None
-        else definition.sizing.population_size
-    )
-    generations = (
-        args.generations
-        if args.generations is not None
-        else definition.sizing.generations
-    )
-    return population, generations
+def _campaign_request(args):
+    """The ``CampaignRequest`` that ``repro campaign``/``submit``'s flags
+    describe; ``None``, after an ``error:`` line, when they describe none.
+
+    The request resolves omitted GA sizing to the problem's own and an
+    omitted threshold to the library default, as a raw HTTP submit does.
+    """
+    from repro.problems import get_problem
+    from repro.service.api import CampaignRequest
+
+    try:
+        definition = get_problem(args.problem)
+        specs = [definition.parse_cli_spec(text) for text in args.spec]
+        if "pdk" in args:  # repro campaign's --pdk/--corner
+            specs = [_apply_tech_flags(spec, args) for spec in specs]
+        return CampaignRequest(
+            specs=tuple(specs),
+            population_size=args.population,
+            generations=args.generations,
+            seed=args.seed,
+            workers=args.workers,
+            problem=args.problem,
+            exhaustive_threshold=args.exhaustive_threshold,
+        )
+    except KeyError as exc:  # an unknown problem
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
 
 
 def _read_jsonl_log(path) -> list[tuple[str, tuple[float, ...]]]:
@@ -830,37 +830,15 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.dse.nsga2 import NSGA2Config
     from repro.problems import get_problem
-    from repro.service.campaign import CampaignConfig, run_campaign
+    from repro.service.campaign import campaign_arguments, run_campaign
 
-    try:
-        definition = get_problem(args.problem)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    request = _campaign_request(args)
+    if request is None:
         return 1
+    definition = get_problem(request.problem)
     try:
-        spec_requests = [
-            _apply_tech_flags(definition.parse_cli_spec(text), args)
-            for text in args.spec
-        ]
-        specs = [definition.to_spec(request) for request in spec_requests]
-        population, generations = _resolve_ga_sizing(args, definition)
-        # None keeps CampaignConfig's default threshold; an explicit
-        # value (including 0 = always GA) overrides it.
-        threshold = {}
-        if args.exhaustive_threshold is not None:
-            threshold["exhaustive_threshold"] = args.exhaustive_threshold
-        config = CampaignConfig(
-            nsga2=NSGA2Config(
-                population_size=population,
-                generations=generations,
-            ),
-            seed=args.seed,
-            workers=args.workers,
-            problem=args.problem,
-            **threshold,
-        )
+        specs, config = campaign_arguments(request)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1052,15 +1030,12 @@ def _cmd_serve(args) -> int:
     obs.set_tracer(obs.NULL_TRACER if args.no_trace else obs.Tracer())
     coordinator = None
     if args.workers_remote:
-        from repro.service.distributed import WorkCoordinator
+        from repro.service import distributed
 
-        coordinator = WorkCoordinator(
-            lease_ttl_s=(
-                args.lease_ttl if args.lease_ttl is not None else 30.0
-            ),
-            max_attempts=(
-                args.unit_attempts if args.unit_attempts is not None else 3
-            ),
+        ttl, attempts = args.lease_ttl, args.unit_attempts
+        coordinator = distributed.WorkCoordinator(
+            lease_ttl_s=distributed.DEFAULT_LEASE_TTL_S if ttl is None else ttl,
+            max_attempts=distributed.DEFAULT_MAX_ATTEMPTS if attempts is None else attempts,
         )
     server = serve(
         host=args.host,
@@ -1140,24 +1115,6 @@ def _cmd_dashboard(args) -> int:
     return 0
 
 
-def _build_submit_request(args):
-    from repro.problems import get_problem
-    from repro.service import CampaignRequest
-
-    definition = get_problem(args.problem)
-    specs = tuple(definition.parse_cli_spec(text) for text in args.spec)
-    population, generations = _resolve_ga_sizing(args, definition)
-    return CampaignRequest(
-        specs=specs,
-        population_size=population,
-        generations=generations,
-        seed=args.seed,
-        workers=args.workers,
-        problem=args.problem,
-        exhaustive_threshold=args.exhaustive_threshold,
-    )
-
-
 def _watch_job(client, job_id: str, cursor: int = 0, as_json: bool = False) -> int:
     """Stream events until the terminal one; print the outcome."""
     from repro.service.events import EventKind
@@ -1183,13 +1140,8 @@ def _watch_job(client, job_id: str, cursor: int = 0, as_json: bool = False) -> i
 def _cmd_submit(args) -> int:
     from repro.service import CampaignClient
 
-    try:
-        request = _build_submit_request(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    request = _campaign_request(args)
+    if request is None:
         return 1
     client = CampaignClient(args.url)
     try:

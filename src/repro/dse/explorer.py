@@ -30,6 +30,7 @@ __all__ = [
     "DesignSpaceExplorer",
     "SpecPlan",
     "merge_exploration_results",
+    "pareto_merge",
 ]
 
 #: Largest enumerable design space (decoded genome count) that defaults
@@ -322,23 +323,26 @@ class DesignSpaceExplorer:
 def merge_exploration_results(
     results: list[ExplorationResult],
 ) -> tuple[list[DesignPoint], np.ndarray]:
-    """Merge several frontiers into one dominance-filtered, area-sorted set.
-
-    The single merge implementation shared by
-    :meth:`DesignSpaceExplorer.merge_fronts` and the campaign runner:
-    one :func:`~repro.core.pareto.pareto_front` call over the
-    concatenated fronts, carrying the objective rows alongside and
-    sorting by area (objective 0) like :class:`ExplorationResult` does.
-    """
-    points: list[DesignPoint] = []
-    objectives: list[tuple[float, ...]] = []
-    for result in results:
-        points.extend(result.points)
-        objectives.extend(map(tuple, result.objectives))
-    if not points:
+    """Merge several frontiers into one dominance-filtered, area-sorted
+    set (:func:`pareto_merge`), the objective rows as one array."""
+    merged = pareto_merge((result.points, result.objectives) for result in results)
+    if not merged:
         return [], np.empty((0, 0))
-    merged = pareto_front(list(zip(points, objectives)), objectives)
-    merged.sort(key=lambda po: po[1][0])
-    merged_points = [p for p, _ in merged]
-    merged_objs = np.array([o for _, o in merged], dtype=float)
-    return merged_points, merged_objs
+    return [p for p, _ in merged], np.array([o for _, o in merged], dtype=float)
+
+
+def pareto_merge(fronts) -> list[tuple]:
+    """Merge ``(points, objective rows)`` fronts into one front of
+    ``(point, objectives tuple)`` pairs: one
+    :func:`~repro.core.pareto.pareto_front` call over the concatenated
+    fronts, then a stable sort by area (objective 0).  The campaign
+    runner and the distributed coordinator both merge through it.
+    """
+    pairs = [
+        (point, tuple(row))
+        for points, objectives in fronts
+        for point, row in zip(points, objectives)
+    ]
+    merged = pareto_front(pairs, [row for _, row in pairs])
+    merged.sort(key=lambda pair: pair[1][0])
+    return merged

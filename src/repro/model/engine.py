@@ -469,10 +469,6 @@ class CostEngine:
                     column[i] = row[j]
         return BatchCost(arch, *(tuple(c) for c in columns))
 
-    def objectives_of_points(self, points: Sequence) -> list[tuple[float, ...]]:
-        """``[A, D, E, -T]`` rows for many design points, in input order."""
-        return self.evaluate_points(points).objectives()
-
     # Scalar wrappers -------------------------------------------------------
     def macro_cost(self, point) -> MacroCost:
         """Full :class:`MacroCost` (with breakdown) for one design point.

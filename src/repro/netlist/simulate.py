@@ -236,9 +236,3 @@ class GateSimulator:
         """Zero the toggle counters (power-measurement windows)."""
         self.gate_toggles = [0] * len(self.netlist.gates)
         self.dff_toggles = [0] * len(self.netlist.dffs)
-
-    def reset_state(self) -> None:
-        """Zero every flip-flop output and re-evaluate."""
-        for _d, q, _clear in self._dffs:
-            self.values[q] = 0
-        self.eval()

@@ -146,10 +146,6 @@ class ProblemDefinition(ABC):
         by programmatic callers are trusted.
         """
 
-    def spec_dict(self, spec_request) -> dict:
-        """The JSON-able dict form of one spec request."""
-        return dataclasses.asdict(spec_request)
-
     @abstractmethod
     def to_spec(self, spec_request):
         """Wire spec request -> concrete spec for :meth:`make_problem`."""

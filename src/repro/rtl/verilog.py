@@ -9,7 +9,7 @@ structure to keep the templates readable and the output consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Port", "Instance", "VerilogModule", "render_modules"]
 
@@ -66,7 +66,6 @@ class VerilogModule:
         self.ports: list[Port] = []
         self.wires: list[tuple[str, int]] = []
         self.regs: list[tuple[str, int]] = []
-        self.localparams: list[tuple[str, str]] = []
         self.assigns: list[tuple[str, str]] = []
         self.blocks: list[str] = []
         self.instances: list[Instance] = []
@@ -87,10 +86,6 @@ class VerilogModule:
     def add_reg(self, name: str, width: int = 1) -> None:
         """Declare an internal reg."""
         self.regs.append((name, width))
-
-    def add_localparam(self, name: str, value: str | int) -> None:
-        """Declare a localparam."""
-        self.localparams.append((name, str(value)))
 
     # Behaviour ------------------------------------------------------------
     def add_assign(self, lhs: str, rhs: str) -> None:
@@ -116,8 +111,6 @@ class VerilogModule:
         lines.append(f"module {self.name} ({port_names});")
         for port in self.ports:
             lines.append(f"  {port.declaration()};")
-        for name, value in self.localparams:
-            lines.append(f"  localparam {name} = {value};")
         for name, width in self.wires:
             lines.append(f"  wire {_bus(width)}{name};")
         for name, width in self.regs:

@@ -12,6 +12,11 @@ the whole space directly and never consults the cache.
 Spec-level sharding uses threads: each worker thread drives its own
 NSGA-II run and evaluates its genome batches, in that thread, through
 the shared batch executor.
+
+:func:`campaign_arguments` is the one place a served
+:class:`~repro.service.api.CampaignRequest` becomes :func:`run_campaign`
+arguments: :func:`execute_request` (the job queue's runner, and a remote
+worker's, for its one-spec unit) and ``repro campaign`` both use it.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "run_campaign",
+    "campaign_arguments",
     "execute_request",
-    "spec_label",
 ]
 
 
@@ -164,15 +169,6 @@ class CampaignResult:
             problem=self.problem,
             strategies=self.strategies,
         )
-
-
-def spec_label(spec: DcimSpec) -> str:
-    """The ``"<wstore>:<precision>"`` label events identify a spec by.
-
-    This is the ``"dcim"`` labelling; generic campaigns label specs
-    through their problem definition's ``spec_label``.
-    """
-    return f"{spec.wstore}:{spec.precision.name}"
 
 
 def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
@@ -617,9 +613,25 @@ def _record_safely(record_fn, *args, **kwargs):
         return None
 
 
+def campaign_arguments(request: CampaignRequest) -> tuple[list, CampaignConfig]:
+    """The :func:`run_campaign` specs and config ``request`` stands for;
+    its ``problem``'s registry entry materialises the specs."""
+    definition = get_problem(request.problem)
+    specs = [definition.to_spec(spec) for spec in request.specs]
+    return specs, CampaignConfig(
+        nsga2=NSGA2Config(
+            population_size=request.population_size,
+            generations=request.generations,
+        ),
+        seed=request.seed,
+        workers=request.workers,
+        problem=request.problem,
+        exhaustive_threshold=request.exhaustive_threshold,
+    )
+
+
 def execute_request(
     request: CampaignRequest,
-    library: CellLibrary | None = None,
     cache: EvaluationCache | None = None,
     observer: CampaignObserver | None = None,
     should_stop: Callable[[], bool] | None = None,
@@ -630,28 +642,10 @@ def execute_request(
     drives: a pure ``CampaignRequest -> CampaignResponse`` function,
     optionally narrating progress through ``observer`` and stopping
     cooperatively when ``should_stop`` returns True (by raising
-    :class:`~repro.service.events.CampaignCancelled`).  The request's
-    ``problem`` picks the :mod:`repro.problems` registry entry that
-    materialises the specs and builds the GA problems.
+    :class:`~repro.service.events.CampaignCancelled`).
     """
-    definition = get_problem(request.problem)
-    specs = [definition.to_spec(spec) for spec in request.specs]
-    config = CampaignConfig(
-        nsga2=NSGA2Config(
-            population_size=request.population_size,
-            generations=request.generations,
-        ),
-        seed=request.seed,
-        workers=request.workers,
-        problem=request.problem,
-        exhaustive_threshold=request.exhaustive_threshold,
-    )
+    specs, config = campaign_arguments(request)
     result = run_campaign(
-        specs,
-        config,
-        library=library,
-        cache=cache,
-        observer=observer,
-        should_stop=should_stop,
+        specs, config, cache=cache, observer=observer, should_stop=should_stop
     )
     return result.to_response()

@@ -5,12 +5,13 @@ single-spec :class:`~repro.service.api.CampaignRequest` whose seed is
 rebased to ``seed + spec_index``, exactly the seed the in-process
 :func:`~repro.service.campaign.run_campaign` hands that spec.  Worker
 processes (:mod:`repro.service.worker`) lease units over the HTTP JSON
-envelope, evaluate them uncached through the ordinary campaign
-machinery, and report their per-spec fronts back; the coordinator
-concatenates the fronts in spec order and runs the same single
-:func:`~repro.core.pareto.pareto_front` merge the in-process path uses,
-so the assembled response equals an uncached local run of the same
-request in every field but ``wall_time_s``.
+envelope, run each one uncached through
+:func:`~repro.service.campaign.execute_request`, as the in-process
+queue runs a whole request, and report the unit's front back.  The
+coordinator merges the fronts in spec order through
+:func:`~repro.dse.explorer.pareto_merge`, the merge the in-process path
+uses, so the assembled response equals an uncached local run of the
+same request in every field but ``wall_time_s``.
 
 Fault tolerance is lease-based: a unit lease lasts ``lease_ttl_s`` and
 is renewed by worker heartbeats; when a worker dies (or just stops
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.hashing import stable_hash
+from repro.dse.explorer import pareto_merge
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import format_traceparent, get_tracer
@@ -679,40 +681,27 @@ class WorkCoordinator:
         return response
 
     def _assemble(self, campaign: _Campaign, wall_time: float) -> CampaignResponse:
-        """Merge per-unit fronts exactly like the in-process campaign.
+        """Merge the unit fronts as the in-process campaign merges its specs.
 
-        Concatenate the per-spec fronts in spec order, run **one**
-        :func:`~repro.core.pareto.pareto_front` pass over the union,
-        and stable-sort by objective 0 — the same algorithm (and the
-        same float values, since JSON round-trips doubles exactly) as
-        :func:`~repro.dse.explorer.merge_exploration_results`, so the
-        frontier is bit-identical to the in-process path.  Workers run
-        uncached, so every evaluation is fresh and there are no cache
-        statistics; cache fields an older worker still reports are
-        ignored.
+        The per-spec fronts go, in spec order, through
+        :func:`~repro.dse.explorer.pareto_merge`, the merge behind
+        :func:`~repro.dse.explorer.merge_exploration_results`; JSON
+        round-trips doubles exactly, so the frontier is bit-identical to
+        the in-process path.  Workers run uncached, so every evaluation
+        is fresh and there are no cache statistics; cache fields an
+        older worker still reports are ignored.
         """
-        from repro.core.pareto import pareto_front
-
-        points: list[FrontierPoint] = []
-        objectives: list[tuple[float, ...]] = []
+        fronts = []
         per_spec: list[int] = []
         strategies: list[str] = []
         for unit in campaign.units:
             result = unit.result or {}
-            for payload in result.get("front") or ():
-                point = FrontierPoint.from_dict(payload)
-                points.append(point)
-                objectives.append(tuple(point.objectives))
+            points = [FrontierPoint.from_dict(p) for p in result.get("front") or ()]
+            fronts.append((points, [point.objectives for point in points]))
             per_spec.append(int(result.get("evaluations") or 0))
             strategies.append(result.get("strategy") or "ga")
-        if points:
-            merged = pareto_front(list(zip(points, objectives)), objectives)
-            merged.sort(key=lambda po: po[1][0])
-            frontier = tuple(point for point, _ in merged)
-        else:
-            frontier = ()
         return CampaignResponse(
-            frontier=frontier,
+            frontier=tuple(point for point, _ in pareto_merge(fronts)),
             evaluations=sum(per_spec),
             fresh_evaluations=sum(per_spec),
             per_spec_evaluations=tuple(per_spec),
@@ -720,4 +709,3 @@ class WorkCoordinator:
             problem=campaign.request.problem,
             strategies=tuple(strategies),
         )
-

@@ -231,11 +231,10 @@ class JobQueue:
     Args:
         runner: ``(request, observer=, should_stop=) ->
             CampaignResponse`` callable; defaults to
-            :func:`repro.service.campaign.execute_request` bound to the
-            given resources.  Each job passes its event observer and
-            its cancellation check as the two keywords.
-        library / cache: shared resources handed to the default
-            runner.
+            :func:`repro.service.campaign.execute_request` with
+            ``cache``.  Each job passes its event observer and its
+            cancellation check as the two keywords.
+        cache: evaluation cache the default runner shares across jobs.
         workers: background daemon threads draining the queue; ``0``
             (the default) keeps the queue fully synchronous —
             :meth:`run_next`/:meth:`run_all` semantics are unchanged.
@@ -261,7 +260,6 @@ class JobQueue:
     def __init__(
         self,
         runner=None,
-        library=None,
         cache=None,
         workers: int = 0,
         event_buffer_size: int = 256,
@@ -276,7 +274,6 @@ class JobQueue:
             def runner(request, observer=None, should_stop=None):
                 return execute_request(
                     request,
-                    library=library,
                     cache=cache,
                     observer=observer,
                     should_stop=should_stop,

@@ -125,6 +125,11 @@ MAX_LONG_POLL_S = 30.0
 #: connection closed this way.
 KEEPALIVE_IDLE_S = 15.0
 
+#: Largest request body the server reads.  A worker's unit result, a
+#: one-spec front, is the largest body a client posts, at tens of KB; a
+#: request that declares more answers 413 before any of it is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 # HTTP server ---------------------------------------------------------------
 
@@ -299,19 +304,25 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
         A body left unread on a kept-alive connection would be parsed
         as the next request, so every request consumes its
-        ``Content-Length`` bytes here, once.
+        ``Content-Length`` bytes here, once.  Where that fails, where
+        the body ends is unknown, so the answer closes the connection.
         """
+        close = {"Connection": "close"}
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
         if length < 0:
-            # Where the body ends is unknown, so the connection cannot
-            # carry another request.
-            raise _ApiError(
-                400, "bad Content-Length header", headers={"Connection": "close"}
-            )
-        return self.rfile.read(length) if length else b""
+            raise _ApiError(400, "bad Content-Length header", headers=close)
+        if length > MAX_BODY_BYTES:
+            raise _ApiError(413, f"request body over {MAX_BODY_BYTES} bytes", headers=close)
+        try:
+            body = self.rfile.read(length) if length else b""
+        except OSError:  # timed out after KEEPALIVE_IDLE_S, or reset
+            body = b""
+        if len(body) < length:
+            raise _ApiError(400, "request body shorter than its Content-Length", headers=close)
+        return body
 
     def _route(self, method: str) -> tuple[dict, int]:
         queue = self.server.queue
@@ -766,7 +777,6 @@ def serve(
     queue: JobQueue | None = None,
     *,
     workers: int = 2,
-    library=None,
     cache=None,
     event_buffer_size: int = 256,
     ttl_s: float | None = None,
@@ -800,7 +810,6 @@ def serve(
             raise ValueError(f"an owned queue needs workers >= 1, got {workers}")
         queue = JobQueue(
             runner=coordinator.execute if coordinator is not None else None,
-            library=library,
             cache=cache,
             workers=workers,
             event_buffer_size=event_buffer_size,

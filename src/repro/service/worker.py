@@ -3,17 +3,18 @@
 ``repro worker --url http://coordinator:8000`` connects to a serving
 coordinator (``repro serve --workers-remote``), performs the handshake
 (``GET /api/healthz`` + ``POST /api/workers``), then loops: lease a
-work unit, evaluate it through the ordinary
-:func:`~repro.service.campaign.run_campaign` machinery, submit the
-per-spec front back, repeat.  A daemon heartbeat thread renews the
-worker's leases at a third of the lease TTL; units the coordinator
-reports as *lost* (lease expired and reassigned, or campaign
-cancelled) are abandoned at the next generation boundary through the
-campaign's ``should_stop`` hook.
+work unit, run its one-spec request through
+:func:`~repro.service.campaign.execute_request`, exactly as the
+in-process job queue runs a request, submit the unit's front back,
+repeat.  A daemon heartbeat thread renews the worker's leases at a
+third of the lease TTL; units the coordinator reports as *lost* (lease
+expired and reassigned, or campaign cancelled) are abandoned at the
+next generation boundary through the request's ``should_stop`` hook.
 
 Results are deterministic, so the worker needs no coordination beyond
-the lease: the unit's request payload carries the spec and the rebased
-seed, and the evaluation is bit-identical wherever it runs.  Workers
+the lease: the unit's request carries the spec and the rebased seed,
+and the evaluation is bit-identical wherever it runs.  A one-spec
+response's frontier is that spec's own front, in order.  Workers
 evaluate uncached: the cost engine takes about 4 µs a genome, so a
 shared cache saved less than the HTTP round trip per generation it
 cost, and a unit's GA run already dedups its genomes in its own
@@ -28,11 +29,10 @@ import time
 
 from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, parse_traceparent, use_span
-from repro.problems import get_problem
 from repro.service.api import CampaignRequest
-from repro.service.campaign import CampaignConfig, run_campaign
-from repro.service.events import CampaignCancelled
-from repro.tech.cells import CellLibrary
+from repro.service.campaign import execute_request
+from repro.service.distributed import DEFAULT_LEASE_TTL_S
+from repro.service.events import CampaignCancelled, EventKind
 
 __all__ = ["CampaignWorker"]
 
@@ -51,9 +51,6 @@ class CampaignWorker:
         exit_idle_s: stop after this long without leasing a unit
             (``None`` = wait forever); how the example and smoke
             workers terminate once a campaign drains.
-        library: normalised cell library (defaults to the bundled one —
-            workers must share the coordinator's library for results to
-            line up).
         client: a pre-built :class:`~repro.service.server.
             CampaignClient` (tests inject one; normally built from
             ``url`` with retries enabled).
@@ -66,7 +63,6 @@ class CampaignWorker:
         poll_s: float = 0.5,
         max_units: int | None = None,
         exit_idle_s: float | None = None,
-        library: CellLibrary | None = None,
         client=None,
     ) -> None:
         from repro.service.server import CampaignClient
@@ -77,9 +73,8 @@ class CampaignWorker:
         self.poll_s = poll_s
         self.max_units = max_units
         self.exit_idle_s = exit_idle_s
-        self.library = library or CellLibrary.default()
         self._log = get_logger("repro.worker")
-        self.lease_ttl_s = 30.0
+        self.lease_ttl_s = DEFAULT_LEASE_TTL_S
         self.units_done = 0
         self.units_failed = 0
         self.units_lost = 0
@@ -265,47 +260,32 @@ class CampaignWorker:
         )
 
     def _run_unit(self, unit_id: str, request_payload: dict) -> dict:
-        """Evaluate one single-spec unit; returns the result payload.
+        """Run one single-spec unit; returns the result payload.
 
         The unit request already carries the rebased seed, so the
-        worker runs a plain one-spec campaign and reports that spec's
-        *unmerged* front — merging across specs happens once, at the
+        worker runs it as any served request and reports the response's
+        one-spec front; merging across specs happens once, at the
         coordinator, exactly like the in-process path.
         """
-        request = CampaignRequest.from_dict(dict(request_payload))
-        definition = get_problem(request.problem)
-        specs = [definition.to_spec(spec) for spec in request.specs]
-        from repro.dse.nsga2 import NSGA2Config
+        spec_done = []
 
-        config = CampaignConfig(
-            nsga2=NSGA2Config(
-                population_size=request.population_size,
-                generations=request.generations,
-            ),
-            seed=request.seed,
-            workers=1,
-            problem=request.problem,
-            exhaustive_threshold=request.exhaustive_threshold,
-        )
-        result = run_campaign(
-            specs,
-            config,
-            library=self.library,
+        def observer(event) -> None:
+            if event.kind is EventKind.SPEC_DONE:
+                spec_done.append(event)
+
+        response = execute_request(
+            CampaignRequest.from_dict(request_payload),
+            observer=observer,
             should_stop=lambda: (
                 self._stopped.is_set() or self._unit_lost(unit_id)
             ),
         )
-        exploration = result.results[0]
-        front = [
-            definition.frontier_point(point, tuple(row)).to_dict()
-            for point, row in zip(exploration.points, exploration.objectives)
-        ]
         return {
             "status": "done",
-            "front": front,
-            "evaluations": exploration.evaluations,
-            "generations_run": exploration.generations_run,
-            "strategy": exploration.strategy,
+            "front": [point.to_dict() for point in response.frontier],
+            "evaluations": response.evaluations,
+            "generations_run": spec_done[0].generation,
+            "strategy": response.strategies[0],
         }
 
 

@@ -370,6 +370,125 @@ class TestDistributedRoundTrip:
             client._call(method, path, body)
 
 
+#: The merged response of ``golden_campaign()`` at ``workers=1``, minus
+#: ``wall_time_s``, captured before remote units ran through
+#: ``execute_request``.  Every way of running the request must
+#: reproduce it.
+GOLDEN_CAMPAIGN_DIGEST = (
+    "f0cf3c3fe9c4828d7a820199d159b5f9222c4b7964030f2173b04bdca33c3c21"
+)
+
+
+def golden_campaign(**overrides) -> CampaignRequest:
+    """A small forced-GA 4-spec campaign."""
+    payload = dict(
+        specs=(
+            SpecRequest(4096, "INT4"),
+            SpecRequest(4096, "INT8"),
+            SpecRequest(8192, "BF16"),
+            SpecRequest(16384, "INT8"),
+        ),
+        population_size=16,
+        generations=6,
+        seed=3,
+        exhaustive_threshold=0,
+    )
+    payload.update(overrides)
+    return CampaignRequest(**payload)
+
+
+def response_digest(response) -> str:
+    from repro.core.hashing import stable_hash
+
+    return stable_hash(without_wall_time(response))
+
+
+class TestCampaignGolden:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_process_reproduces_golden(self, workers):
+        from repro.service.campaign import execute_request
+
+        response = execute_request(golden_campaign(workers=workers))
+        assert response.strategies == ("ga",) * 4
+        assert response_digest(response) == GOLDEN_CAMPAIGN_DIGEST
+
+    def test_coordinator_with_two_workers_reproduces_golden(
+        self, distributed_setup
+    ):
+        client, _, _, _ = distributed_setup
+        response = finished(client, client.submit(golden_campaign()))
+        assert response_digest(response) == GOLDEN_CAMPAIGN_DIGEST
+
+
+def run_campaign_unit_payload(request_payload: dict) -> dict:
+    """A unit's result payload built from ``run_campaign`` directly:
+    the one spec's exploration front, as the run found it."""
+    from repro.dse.nsga2 import NSGA2Config
+    from repro.problems import get_problem
+    from repro.service.campaign import CampaignConfig, run_campaign
+
+    request = CampaignRequest.from_dict(request_payload)
+    definition = get_problem(request.problem)
+    config = CampaignConfig(
+        nsga2=NSGA2Config(
+            population_size=request.population_size,
+            generations=request.generations,
+        ),
+        seed=request.seed,
+        problem=request.problem,
+        exhaustive_threshold=request.exhaustive_threshold,
+    )
+    result = run_campaign(
+        [definition.to_spec(spec) for spec in request.specs], config
+    )
+    (exploration,) = result.results
+    return {
+        "status": "done",
+        "front": [
+            definition.frontier_point(point, tuple(row)).to_dict()
+            for point, row in zip(exploration.points, exploration.objectives)
+        ],
+        "evaluations": exploration.evaluations,
+        "generations_run": exploration.generations_run,
+        "strategy": exploration.strategy,
+    }
+
+
+class TestUnitPayload:
+    @pytest.mark.parametrize(
+        "request_, strategy",
+        [
+            (golden_campaign(), "ga"),
+            (golden_campaign(exhaustive_threshold=None), "exhaustive"),
+            (
+                CampaignRequest(
+                    problem="mapping",
+                    specs=(
+                        {"network": "tiny_cnn", "wstore": 4096},
+                        {"network": "resnet_block", "wstore": 8192},
+                    ),
+                    population_size=12,
+                    generations=3,
+                    seed=5,
+                ),
+                "ga",
+            ),
+        ],
+        ids=["ga", "exhaustive", "mapping"],
+    )
+    def test_unit_payload_equals_run_campaign(self, request_, strategy):
+        units = WorkCoordinator()._decompose(
+            "dc-1", request_, request_.fingerprint()
+        )
+        # _run_unit evaluates locally; the worker's client never connects.
+        worker = CampaignWorker("http://127.0.0.1:9")
+        for unit in units:
+            payload = worker._run_unit(unit.unit_id, unit.request_payload)
+            assert payload["strategy"] == strategy
+            assert payload["front"]
+            assert payload == run_campaign_unit_payload(unit.request_payload)
+
+
 class TestWorkerFaultTolerance:
     def test_dead_worker_lease_expires_and_unit_requeues(self, fresh_registry):
         """A worker that leases a unit and dies must not wedge the run."""

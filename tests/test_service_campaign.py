@@ -465,3 +465,61 @@ class TestObserverAndCancellation:
         ]
         # Warm cache: by the end everything is served from it.
         assert rates[-1] > 0.9
+
+
+class TestOneRequestTranslation:
+    """`repro campaign`, `repro submit` and the job queue run one request
+    the same way: the CLI flags build one ``CampaignRequest`` and
+    ``campaign_arguments`` turns it into ``run_campaign`` arguments."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--spec", "4096:INT8", "--spec", "8192:BF16"],
+            [
+                "--spec", "4096:INT4", "--spec", "4096:INT8",
+                "--exhaustive-threshold", "0", "--population", "16",
+                "--generations", "6", "--seed", "3", "--workers", "2",
+            ],
+            [
+                "--problem", "mapping", "--spec", "tiny_cnn:INT8",
+                "--population", "12", "--generations", "3",
+            ],
+        ],
+        ids=["default-route", "forced-ga", "mapping"],
+    )
+    def test_campaign_json_equals_the_submitted_request(self, flags, capsys):
+        import json
+
+        from repro.cli import _campaign_request, build_parser, main
+        from repro.service.campaign import execute_request
+
+        assert main(["campaign", *flags, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        request = _campaign_request(build_parser().parse_args(["submit", *flags]))
+        served = execute_request(request).to_dict()
+        del printed["wall_time_s"], served["wall_time_s"]
+        assert printed == served
+
+    def test_arguments_carry_the_resolved_request(self):
+        from repro.problems import get_problem
+        from repro.service.api import CampaignRequest, SpecRequest
+        from repro.service.campaign import campaign_arguments
+
+        request = CampaignRequest(
+            specs=(SpecRequest(4096, "INT8"), SpecRequest(8192, "BF16")),
+            seed=4,
+            workers=2,
+        )
+        specs, config = campaign_arguments(request)
+        sizing = get_problem("dcim").sizing
+        assert specs == [SpecRequest(4096, "INT8").to_spec(),
+                         SpecRequest(8192, "BF16").to_spec()]
+        assert config == CampaignConfig(
+            nsga2=NSGA2Config(
+                population_size=sizing.population_size,
+                generations=sizing.generations,
+            ),
+            seed=4,
+            workers=2,
+        )

@@ -348,6 +348,29 @@ def raw_call(connection, method, path, body=None):
     return answer.status, answer.read()
 
 
+def declared_post(server, content_length: int, body: bytes = b""):
+    """POST a campaign whose header declares ``content_length`` bytes,
+    send ``body``, and read until the server closes the connection:
+    (status, headers, error envelope)."""
+    import json as _json
+    import socket
+
+    head = (
+        "POST /api/campaigns HTTP/1.1\r\nHost: test\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    chunks = []
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        while chunk := sock.recv(65536):  # until the server closes
+            chunks.append(chunk)
+    raw_head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = raw_head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, _json.loads(payload)
+
+
 def record_servers(monkeypatch):
     """Log ``(server, path, client port)`` for every request a handler
     reads, and ``(server, route)`` for every one it answers."""
@@ -426,6 +449,39 @@ class TestKeptAliveConnections:
         assert answer.status == 400
         assert answer.getheader("Connection") == "close"
         assert envelope["error"]["code"] == "bad_request"
+
+    def test_oversized_body_is_413_before_any_read(
+        self, keepalive_server, monkeypatch
+    ):
+        from repro.service.server import MAX_BODY_BYTES, _CampaignHandler
+
+        # A handler that tried to read the body would time out and
+        # answer 400; a short timeout keeps that failure quick.
+        monkeypatch.setattr(_CampaignHandler, "timeout", 0.2)
+        server, _ = keepalive_server
+        status, headers, envelope = declared_post(server, 10**11)
+        assert 10**11 > MAX_BODY_BYTES
+        assert status == 413
+        assert headers["Connection"] == "close"
+        assert envelope["error"]["code"] == "too_large"
+        assert CampaignClient(server.url).healthy()
+
+    def test_short_body_is_400_and_closes(
+        self, keepalive_server, monkeypatch, capsys
+    ):
+        from repro.service.server import _CampaignHandler
+
+        monkeypatch.setattr(_CampaignHandler, "timeout", 0.2)
+        server, _ = keepalive_server
+        status, headers, envelope = declared_post(server, 10**7, b"{}")
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert envelope["error"]["code"] == "bad_request"
+        assert "Content-Length" in envelope["error"]["message"]
+        # The handler stopped at its answer: it never read the timed-out
+        # socket again, so socketserver reported no exception.
+        assert "Exception occurred" not in capsys.readouterr().err
+        assert CampaignClient(server.url).healthy()
 
     def test_calls_share_one_connection_per_thread(self, keepalive_server):
         import sys
