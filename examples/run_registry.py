@@ -1,10 +1,12 @@
 """Run registry walkthrough: record, compare, and gate campaigns.
 
-Runs two small campaigns through the evaluation service with a
-persistent :class:`~repro.store.runstore.RunStore` attached, pins the
-first as the ``main`` baseline, compares the two fronts (hypervolume,
-epsilon-indicator, coverage, diff, knee drift), and finally shows the
-regression gate failing on an artificially degraded front.
+Runs two small campaigns through the evaluation service, records each
+outcome into a persistent :class:`~repro.store.runstore.RunStore` with
+:meth:`~repro.store.runstore.RunStore.record_response` (as
+``repro campaign --store`` does), pins the first as the ``main``
+baseline, compares the two fronts (hypervolume, epsilon-indicator,
+coverage, diff, knee drift), and finally shows the regression gate
+failing on an artificially degraded front.
 
 Run with: ``PYTHONPATH=src python examples/run_registry.py``
 """
@@ -25,14 +27,18 @@ def main() -> None:
         store = RunStore(Path(tmp) / "runs.sqlite")
         cache = EvaluationCache(Path(tmp) / "evals.sqlite")
         specs = [DcimSpec(wstore=4096, precision=p) for p in ("INT4", "INT8")]
+        labels = ["4096:INT4", "4096:INT8"]
         config = CampaignConfig(nsga2=NSGA2Config(population_size=16,
                                                   generations=6))
 
-        # 1. Record two campaigns (the second is served from the cache).
-        first = run_campaign(specs, config, cache=cache,
-                             store=store, run_name="nightly-1")
-        second = run_campaign(specs, config, cache=cache,
-                              store=store, run_name="nightly-2")
+        # 1. Run the same campaign twice and record what each returned.
+        first, second = (
+            store.record_response(
+                run_campaign(specs, config, cache=cache).to_response(),
+                specs=labels, name=name,
+            )
+            for name in ("nightly-1", "nightly-2")
+        )
         store.set_baseline("main", first.run_id)
         print(f"recorded {first.run_id} (baseline 'main') and "
               f"{second.run_id}; registry holds {len(store)} runs\n")

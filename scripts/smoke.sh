@@ -376,12 +376,13 @@ for flag_value in "--engine numpy" "--ga-backend python" \
 done
 echo "retired flags: all five rejected with exit 2"
 
-echo "== retired serve flags: --trace-sample/--trace-slow/--verbose/--snapshot-every are unknown arguments =="
-# Trace sampling, the stdlib access log and the metrics history are
-# gone; argument parsing fails before a port is bound.  The timeout only stops a server that
-# a regression would start instead.
+echo "== retired serve flags: --trace-sample/--trace-slow/--verbose/--snapshot-every/--buffer are unknown arguments =="
+# Trace sampling, the stdlib access log, the metrics history and the
+# per-job event-buffer size are gone; argument parsing fails before a
+# port is bound.  The timeout only stops a server that a regression
+# would start instead.
 for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose" \
-        "--snapshot-every 1"; do
+        "--snapshot-every 1" "--buffer 8"; do
     set +e
     # shellcheck disable=SC2086  # the flag and its value are two words
     timeout 30 python -m repro serve --port 0 $flag_value \
@@ -396,7 +397,28 @@ for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose" \
         exit 1
     fi
 done
-echo "retired serve flags: all four rejected with exit 2"
+echo "retired serve flags: all five rejected with exit 2"
+
+echo "== out-of-range serve numbers are usage errors =="
+# Each value would make WorkCoordinator or AdmissionPolicy raise; the
+# argparse types reject it first, with exit 2 and nothing on stdout.
+for flag_value in "--lease-ttl 0" "--unit-attempts 0" "--rate-limit 0" \
+        "--burst 0" "--max-pending -1" "--max-budget 0"; do
+    set +e
+    # shellcheck disable=SC2086  # the flag and its value are two words
+    timeout 30 python -m repro serve --port 0 --workers-remote $flag_value \
+        >"$workdir/range.out" 2>"$workdir/range.err"
+    range_status=$?
+    set -e
+    if [[ "$range_status" -ne 2 ]] \
+            || ! grep -q "argument ${flag_value% *}: expected a" "$workdir/range.err" \
+            || [[ -s "$workdir/range.out" ]]; then
+        cat "$workdir/range.err" >&2
+        echo "smoke: out-of-range '$flag_value' was not a usage error (exit $range_status)" >&2
+        exit 1
+    fi
+done
+echo "out-of-range serve numbers: all six rejected with exit 2"
 
 echo "== retired trace-store flags: trace list --store and runs gc --keep-traces are unknown arguments =="
 # Traces live only in a server's ring: the run registry keeps no copy
@@ -655,8 +677,8 @@ if ! grep -q "hypervolume" <<<"$compare_output"; then
     exit 1
 fi
 # An artificially degraded front (worse objectives, half the points)
-# must fail the regression gate; recording must also be bit-neutral
-# and cheap (store overhead < 10% on this campaign).
+# must fail the regression gate; recording must also be cheap (store
+# overhead < 10% on this campaign).
 python - "$store" <<'PY'
 import statistics
 import sys
@@ -666,8 +688,9 @@ import numpy as np
 
 from repro.core.spec import DcimSpec
 from repro.dse.nsga2 import NSGA2Config
-from repro.service import CampaignConfig, run_campaign
+from repro.service import CampaignConfig, CampaignRequest, run_campaign
 from repro.service.api import CampaignResponse, FrontierPoint
+from repro.service.campaign import _campaign_fingerprint
 from repro.store import RunStore
 
 store = RunStore(sys.argv[1])
@@ -691,16 +714,30 @@ config = CampaignConfig(
     exhaustive_threshold=0,
 )
 
+request = CampaignRequest(
+    specs=({"wstore": 4096, "precision": "INT4"},
+           {"wstore": 4096, "precision": "INT8"}),
+    population_size=32, generations=24, exhaustive_threshold=0,
+)
+labels = ["4096:INT4", "4096:INT8"]
+
 def run(store):
+    # What `repro campaign --store` does: run, then record what the
+    # campaign returned with one record_response call.
     start = time.perf_counter()
-    result = run_campaign(specs, config, store=store)
+    result = run_campaign(specs, config)
+    if store is not None:
+        store.record_response(
+            result.to_response(), request, specs=labels,
+            fingerprint=_campaign_fingerprint(specs, config),
+        )
     return result, time.perf_counter() - start
 
 (plain, _) = run(None)
 (recorded, _) = run(store)
 assert np.array_equal(plain.merged_objectives, recorded.merged_objectives), \
     "recording changed the merged front"
-# run_campaign touches the store only after its exploration clock
+# The store is written only after the exploration clock
 # (result.wall_time_s) stops, so each run's time outside that clock
 # holds all the recording adds.  Run-to-run noise in the ~30 ms
 # exploration is larger than the write being measured; subtracting it

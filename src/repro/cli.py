@@ -29,6 +29,7 @@ Usage (also via ``python -m repro``)::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.core.precision import STANDARD_PRECISIONS, parse_precision
@@ -56,6 +57,19 @@ def _non_negative_int(text: str) -> int:
             f"expected a non-negative integer, got {text!r}"
         )
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for rates and durations: finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,23 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
                               "/api/runs endpoints")
     serve_p.add_argument("--ttl", type=float, default=None, metavar="S",
                          help="purge finished job records after S seconds")
-    serve_p.add_argument("--buffer", type=int, default=256, metavar="N",
-                         help="progress events retained per job")
     serve_p.add_argument("--log-level", default="warning",
                          choices=["debug", "info", "warning", "error"],
                          help="structured JSON-lines log level on stderr")
-    serve_p.add_argument("--rate-limit", type=float, default=None,
+    serve_p.add_argument("--rate-limit", type=_positive_float, default=None,
                          metavar="R/S",
                          help="admission control: sustained submissions "
                               "per second allowed per client")
-    serve_p.add_argument("--burst", type=int, default=None, metavar="N",
+    serve_p.add_argument("--burst", type=_positive_int, default=None,
+                         metavar="N",
                          help="admission control: token-bucket burst "
                               "capacity (default ceil(rate))")
-    serve_p.add_argument("--max-pending", type=int, default=None,
-                         metavar="N",
+    serve_p.add_argument("--max-pending", type=_non_negative_int,
+                         default=None, metavar="N",
                          help="admission control: reject submissions "
                               "(429) once N campaigns are pending")
-    serve_p.add_argument("--max-budget", type=int, default=None,
+    serve_p.add_argument("--max-budget", type=_positive_int, default=None,
                          metavar="N",
                          help="admission control: reject requests (413) "
                               "whose specs x generations x population "
@@ -272,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "leasable work units drained by external "
                               "'repro worker' processes instead of "
                               "running in-process")
-    serve_p.add_argument("--lease-ttl", type=float, default=None,
+    serve_p.add_argument("--lease-ttl", type=_positive_float, default=None,
                          metavar="S",
                          help="with --workers-remote: work-unit lease "
                               "TTL; a unit whose worker stops "
                               "heartbeating for S seconds is requeued "
                               "(default 30)")
-    serve_p.add_argument("--unit-attempts", type=int, default=None,
-                         metavar="N",
+    serve_p.add_argument("--unit-attempts", type=_positive_int,
+                         default=None, metavar="N",
                          help="with --workers-remote: lease a unit at "
                               "most N times before failing the "
                               "campaign (default 3)")
@@ -865,16 +878,16 @@ def _cmd_campaign(args) -> int:
     tech = _tech(args)
     try:
         try:
-            result = run_campaign(
-                specs, config, cache=cache, store=store, run_name=args.name
-            )
+            result = run_campaign(specs, config, cache=cache)
         except ValueError as exc:  # e.g. a spec the genome codec rejects
             print(f"error: {exc}", file=sys.stderr)
             return 1
         response = result.to_response()
         if args.json:
             print(response.to_json())
-            return _campaign_registry_epilogue(args, store, result)
+            return _campaign_registry_epilogue(
+                args, store, request, specs, config, response
+            )
         # The default problem keeps its physical-units table: deriving
         # mm2/ns/TOPS needs the CLI's --pdk/--corner technology context,
         # which generic definitions deliberately know nothing about.
@@ -938,7 +951,9 @@ def _cmd_campaign(args) -> int:
                 f"misses (hit rate {stats.hit_rate:.1%}), "
                 f"{len(cache)} entries stored"
             )
-        return _campaign_registry_epilogue(args, store, result)
+        return _campaign_registry_epilogue(
+            args, store, request, specs, config, response
+        )
     finally:
         if cache is not None:
             cache.close()
@@ -946,22 +961,39 @@ def _cmd_campaign(args) -> int:
             store.close()
 
 
-def _campaign_registry_epilogue(args, store, result) -> int:
-    """Post-campaign registry work: announce, pin, and gate the run.
+def _campaign_registry_epilogue(args, store, request, specs, config,
+                                response) -> int:
+    """Post-campaign registry work: record, announce, pin, and gate the run.
 
-    Returns the process exit code: 0 normally, 1 when a ``--baseline``
-    gate found a regression.
+    Runs after the front is printed.  Returns the process exit code: 0
+    normally, 1 when the write failed or a ``--baseline`` gate found a
+    regression.
     """
     if store is None:
         return 0
-    if result.run_id is None:  # write failed (warned by run_campaign)
+    import sqlite3
+
+    from repro.problems import get_problem
+    from repro.service.campaign import _campaign_fingerprint
+
+    definition = get_problem(request.problem)
+    try:
+        run_id = store.record_response(
+            response,
+            request,
+            specs=[definition.spec_label(spec) for spec in specs],
+            name=args.name,
+            fingerprint=_campaign_fingerprint(specs, config),
+        ).run_id
+    except sqlite3.Error as exc:  # the computed front is already printed
         print(f"error: campaign finished but recording into "
-              f"{args.store} failed", file=sys.stderr)
+              f"{args.store} failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
-    print(f"recorded {result.run_id} in {args.store}", file=sys.stderr)
+    print(f"recorded {run_id} in {args.store}", file=sys.stderr)
     if args.set_baseline:
-        store.set_baseline(args.set_baseline, result.run_id)
-        print(f"baseline {args.set_baseline!r} -> {result.run_id}",
+        store.set_baseline(args.set_baseline, run_id)
+        print(f"baseline {args.set_baseline!r} -> {run_id}",
               file=sys.stderr)
     if not args.baseline:
         return 0
@@ -971,12 +1003,12 @@ def _campaign_registry_epilogue(args, store, result) -> int:
         store.get_baseline(args.baseline)
     except KeyError:
         # First use seeds the baseline with this very run.
-        store.set_baseline(args.baseline, result.run_id)
-        print(f"baseline {args.baseline!r} seeded with {result.run_id}",
+        store.set_baseline(args.baseline, run_id)
+        print(f"baseline {args.baseline!r} seeded with {run_id}",
               file=sys.stderr)
         return 0
     try:
-        report = check_regression(store, result.run_id, args.baseline)
+        report = check_regression(store, run_id, args.baseline)
     except ValueError as exc:
         # e.g. the named baseline pins a run of a different problem —
         # the registry refuses cross-problem comparison.
@@ -1042,7 +1074,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         cache=cache,
-        event_buffer_size=args.buffer,
         ttl_s=args.ttl,
         store=store,
         admission=admission,

@@ -578,10 +578,6 @@ class EvaluationCache:
                 payload["disk_bytes"] = self.path.stat().st_size
             return payload
 
-    def clear_stats(self) -> None:
-        with self._lock:
-            self.stats = CacheStats()
-
     def close(self) -> None:
         with self._lock:
             if self._disk is not None:

@@ -11,7 +11,9 @@ the whole space directly and never consults the cache.
 
 Spec-level sharding uses threads: each worker thread drives its own
 NSGA-II run and evaluates its genome batches, in that thread, through
-the shared batch executor.
+the shared batch executor.  :func:`run_campaign` reports progress and
+returns a :class:`CampaignResult` or raises; the job or command that
+holds the request records the outcome and ends the event stream.
 
 :func:`campaign_arguments` is the one place a served
 :class:`~repro.service.api.CampaignRequest` becomes :func:`run_campaign`
@@ -115,9 +117,6 @@ class CampaignResult:
         cache_stats: snapshot of the shared cache counters for this
             campaign (``None`` when uncached).
         wall_time_s: end-to-end wall clock.
-        run_id: registry id assigned when the campaign was recorded
-            into a :class:`~repro.store.runstore.RunStore` (``None``
-            for unrecorded campaigns).
         problem: :mod:`repro.problems` registry name the campaign
             optimised (decides how ``merged_points`` flatten into
             frontier records).
@@ -131,7 +130,6 @@ class CampaignResult:
     evaluations: int = 0
     cache_stats: CacheStats | None = None
     wall_time_s: float = 0.0
-    run_id: str | None = None
     problem: str = DEFAULT_PROBLEM
     strategies: tuple[str, ...] = ()
 
@@ -172,7 +170,7 @@ class CampaignResult:
 
 
 def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
-    """Content hash of a programmatic campaign (mirrors
+    """Content hash of a ``repro campaign --store`` run (mirrors
     :meth:`~repro.service.api.CampaignRequest.fingerprint` in spirit —
     identical workloads share it).  Like the request fingerprint, the
     default ``"dcim"`` problem hashes the pre-v2 config layout so
@@ -208,8 +206,6 @@ def run_campaign(
     executor: BatchExecutor | None = None,
     observer: CampaignObserver | None = None,
     should_stop: Callable[[], bool] | None = None,
-    store=None,
-    run_name: str | None = None,
 ) -> CampaignResult:
     """Explore ``specs`` concurrently and merge their Pareto fronts.
 
@@ -229,7 +225,7 @@ def run_campaign(
             executor stays open for reuse.
         observer: called with a :class:`~repro.service.events.
             CampaignEvent` as the campaign progresses (spec started /
-            generation done / spec done / campaign done).  With
+            generation done / spec done; no terminal event).  With
             ``workers > 1`` events arrive from several threads, so the
             observer must be thread-safe.  Attaching one never changes
             the result: observers fire between generations, outside all
@@ -239,14 +235,6 @@ def run_campaign(
             in-flight GA runs stop at their next generation boundary and
             the campaign raises :class:`~repro.service.events.
             CampaignCancelled` instead of returning a result.
-        store: optional :class:`~repro.store.runstore.RunStore`; when
-            given, the campaign's outcome (including a cancellation) is
-            recorded after the run.  Recording is write-only — attaching
-            a store never changes the result — and the assigned run id
-            lands in :attr:`CampaignResult.run_id`.  A store write
-            failure never discards the computed result: it is reported
-            as a :class:`RuntimeWarning` and ``run_id`` stays ``None``.
-        run_name: human label for the recorded run.
     """
     if not specs:
         raise ValueError("a campaign needs at least one spec")
@@ -514,7 +502,6 @@ def run_campaign(
         raise
     wall_time = time.perf_counter() - started
 
-    labels = [definition.spec_label(spec) for spec in specs]
     if any(result is None for result in maybe_results) or (
         should_stop is not None and should_stop()
     ):
@@ -522,31 +509,12 @@ def run_campaign(
         message = f"campaign cancelled after {done}/{len(specs)} specs"
         campaign_span.end(status="error", error=message)
         m_campaigns.labels(config.problem, "cancelled").inc()
-        if store is not None:
-            _record_safely(
-                store.record_failure,
-                "cancelled",
-                message,
-                specs=labels,
-                name=run_name,
-                fingerprint=_campaign_fingerprint(specs, config),
-                problem=config.problem,
-            )
         raise CampaignCancelled(message)
     results: list[ExplorationResult] = maybe_results
 
     m_campaigns.labels(config.problem, "done").inc()
     m_campaign_seconds.observe(wall_time)
     merged_points, merged_objs = merge_exploration_results(results)
-    emit(
-        CampaignEvent(
-            kind=EventKind.CAMPAIGN_DONE,
-            evaluations=sum(r.evaluations for r in results),
-            front_size=len(merged_points),
-            cache_hit_rate=hit_rate(),
-            wall_time_s=wall_time,
-        )
-    )
     stats = None
     if cache is not None:
         from repro.service.cache import CacheStats
@@ -570,47 +538,12 @@ def run_campaign(
         problem=config.problem,
         strategies=tuple(r.strategy for r in results),
     )
-    if store is not None:
-        record = _record_safely(
-            store.record_response,
-            campaign_result.to_response(),
-            specs=labels,
-            name=run_name,
-            fingerprint=_campaign_fingerprint(specs, config),
-        )
-        if record is not None:
-            campaign_result.run_id = record.run_id
-    if campaign_result.run_id is not None:
-        # Link the trace to the recorded run: its summary on
-        # ``/api/traces`` reports the attribute as its ``run_id``.
-        campaign_span.set_attribute("run_id", campaign_result.run_id)
     campaign_span.set_attributes(
         evaluations=campaign_result.evaluations,
         front_size=len(merged_points),
     )
     campaign_span.end()
     return campaign_result
-
-
-def _record_safely(record_fn, *args, **kwargs):
-    """Run one store write; a failure must not discard the campaign.
-
-    Returns the :class:`~repro.store.runstore.RunRecord` or ``None``
-    (with a :class:`RuntimeWarning`) when the write failed — e.g. a
-    locked database or a full disk.
-    """
-    import warnings
-
-    try:
-        return record_fn(*args, **kwargs)
-    except Exception as exc:
-        warnings.warn(
-            f"campaign ran but recording it failed: "
-            f"{type(exc).__name__}: {exc}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
 
 
 def campaign_arguments(request: CampaignRequest) -> tuple[list, CampaignConfig]:

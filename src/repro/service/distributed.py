@@ -667,17 +667,6 @@ class WorkCoordinator:
             units=len(campaign.units),
         )
         span.end()
-        self._emit(
-            (
-                observer,
-                CampaignEvent(
-                    kind=EventKind.CAMPAIGN_DONE,
-                    evaluations=response.evaluations,
-                    front_size=len(response.frontier),
-                    wall_time_s=wall_time,
-                ),
-            )
-        )
         return response
 
     def _assemble(self, campaign: _Campaign, wall_time: float) -> CampaignResponse:

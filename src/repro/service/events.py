@@ -1,12 +1,13 @@
 """Typed, JSON-able progress events for streaming campaigns.
 
-A running campaign narrates itself as a sequence of
-:class:`CampaignEvent` records: one ``SPEC_STARTED``/``SPEC_DONE`` pair
-per specification, one ``GENERATION_DONE`` per completed GA generation
-in between, and exactly one terminal event (``CAMPAIGN_DONE``,
-``CAMPAIGN_FAILED`` or ``CAMPAIGN_CANCELLED``) at the end.  Every event
-round-trips through JSON, so the same stream serves in-process
-observers, the job queue's per-job buffers, and the HTTP front-end.
+A running campaign reports its progress as :class:`CampaignEvent`
+records: one ``SPEC_STARTED``/``SPEC_DONE`` pair per specification, one
+``GENERATION_DONE`` per completed GA generation in between.  The job
+that holds the request then appends exactly one terminal event
+(``CAMPAIGN_DONE``, ``CAMPAIGN_FAILED`` or ``CAMPAIGN_CANCELLED``).
+Every event round-trips through JSON, so the same stream serves
+in-process observers, the job queue's per-job buffers, and the HTTP
+front-end.
 
 :class:`EventBuffer` is the bounded, thread-safe fan-out primitive the
 job queue attaches to each job: producers append, consumers read

@@ -6,10 +6,11 @@ The queue is the in-process serving API, and the HTTP server
 in-flight requests collapse onto one job (content-addressed by the
 request fingerprint), and each job carries a status/result record plus
 a bounded :class:`~repro.service.events.EventBuffer` that streams the
-campaign's progress events.  The queue is problem-agnostic: the default
-runner (:func:`~repro.service.campaign.execute_request`) dispatches
-each request through its ``problem``'s :mod:`repro.problems` registry
-entry, so any registered problem is servable without queue changes.
+campaign's progress events; the job appends its one terminal event.
+The queue is problem-agnostic: the default runner
+(:func:`~repro.service.campaign.execute_request`) dispatches each
+request through its ``problem``'s :mod:`repro.problems` registry entry,
+so any registered problem is servable without queue changes.
 
 Execution comes in two flavours that share one scheduler:
 
@@ -233,12 +234,12 @@ class JobQueue:
             CampaignResponse`` callable; defaults to
             :func:`repro.service.campaign.execute_request` with
             ``cache``.  Each job passes its event observer and its
-            cancellation check as the two keywords.
+            cancellation check as the two keywords; the runner
+            reports progress, and the job ends the stream.
         cache: evaluation cache the default runner shares across jobs.
         workers: background daemon threads draining the queue; ``0``
             (the default) keeps the queue fully synchronous —
             :meth:`run_next`/:meth:`run_all` semantics are unchanged.
-        event_buffer_size: retained progress events per job.
         ttl_s: age (seconds since finishing) after which terminal
             records are purged automatically — on submit, on
             :meth:`jobs`/:meth:`sweep_expired` reads, and by idle
@@ -262,7 +263,6 @@ class JobQueue:
         runner=None,
         cache=None,
         workers: int = 0,
-        event_buffer_size: int = 256,
         ttl_s: float | None = None,
         store=None,
     ) -> None:
@@ -279,7 +279,6 @@ class JobQueue:
                     should_stop=should_stop,
                 )
         self._runner = runner
-        self._event_buffer_size = event_buffer_size
         self.ttl_s = ttl_s
         self._lock = threading.RLock()
         #: Signalled when work arrives or the queue closes.
@@ -326,11 +325,7 @@ class JobQueue:
                     self.stats.count("deduplicated")
                     return existing_id
             job_id = f"job-{next(self._ids)}"
-            job = JobRecord(
-                job_id=job_id,
-                request=request,
-                events=EventBuffer(self._event_buffer_size),
-            )
+            job = JobRecord(job_id=job_id, request=request)
             # The queue-wait span starts here — while the submitting
             # request's span (if any) is still open — so the trace
             # stays alive through the hand-off to a worker thread.

@@ -778,7 +778,6 @@ def serve(
     *,
     workers: int = 2,
     cache=None,
-    event_buffer_size: int = 256,
     ttl_s: float | None = None,
     store=None,
     admission: AdmissionController | None = None,
@@ -812,7 +811,6 @@ def serve(
             runner=coordinator.execute if coordinator is not None else None,
             cache=cache,
             workers=workers,
-            event_buffer_size=event_buffer_size,
             ttl_s=ttl_s,
             store=store,
         )

@@ -15,9 +15,9 @@ records, compares, and guards them over time:
   a named baseline and failing with a structured report when front
   quality degrades beyond tolerance.
 
-Recording is opt-in everywhere (``run_campaign(..., store=...)``,
-``JobQueue(store=...)``, ``repro campaign --store PATH``) and never
-changes a campaign's result.
+Recording is opt-in: the job or command that holds a campaign's
+request records its outcome after the campaign (``JobQueue(store=...)``,
+``repro campaign --store PATH``), so it never changes the result.
 """
 
 from repro._lazy import lazy_exports

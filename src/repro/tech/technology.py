@@ -85,18 +85,10 @@ class Technology:
         act = self.activity if activity is None else activity
         return norm_energy * self.gate_energy_fj * act * self._voltage_ratio**2
 
-    def energy_nj(self, norm_energy: float, activity: float | None = None) -> float:
-        """Convert a normalised energy to nJ."""
-        return self.energy_fj(norm_energy, activity) * 1e-6
-
     # Derived operating points -------------------------------------------
     def with_voltage(self, voltage_v: float) -> "Technology":
         """Return the same node at a different supply voltage."""
         return dataclasses.replace(self, voltage_v=voltage_v)
-
-    def with_activity(self, activity: float) -> "Technology":
-        """Return the same node with a different activity factor."""
-        return dataclasses.replace(self, activity=activity)
 
     def scaled_to_node(self, node_nm: float, name: str | None = None) -> "Technology":
         """First-order constant-field scaling to another feature size.

@@ -541,13 +541,12 @@ class TestRunStoreStrategyColumns:
         from repro.service import CampaignConfig, run_campaign
         from repro.store import RunStore
 
+        result = run_campaign(
+            [DcimSpec(wstore=4096, precision="INT8")], CampaignConfig()
+        )
         with RunStore(tmp_path / "runs.sqlite") as store:
-            result = run_campaign(
-                [DcimSpec(wstore=4096, precision="INT8")],
-                CampaignConfig(),
-                store=store,
-            )
-            record = store.get_run(result.run_id)
+            run_id = store.record_response(result.to_response()).run_id
+            record = store.get_run(run_id)
         assert record.strategy == "exhaustive"
         assert "via exhaustive" in record.describe()
         assert record.to_dict()["strategy"] == "exhaustive"
@@ -557,13 +556,11 @@ class TestRunStoreStrategyColumns:
         from repro.store import RunStore
 
         path = tmp_path / "runs.sqlite"
+        result = run_campaign(
+            [DcimSpec(wstore=4096, precision="INT8")], CampaignConfig()
+        )
         with RunStore(path) as store:
-            result = run_campaign(
-                [DcimSpec(wstore=4096, precision="INT8")],
-                CampaignConfig(),
-                store=store,
-            )
-            run_id = result.run_id
+            run_id = store.record_response(result.to_response()).run_id
         # Rebuild the pre-kernel schema: drop the new column outright.
         with sqlite3.connect(path) as conn:
             conn.execute("ALTER TABLE runs DROP COLUMN strategy")

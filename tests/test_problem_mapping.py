@@ -24,6 +24,18 @@ TINY = CampaignConfig(
 )
 
 
+def record_campaign(path, *flags: str, name: str):
+    """Run a tiny ``repro campaign --store`` and return its recorded run."""
+    from repro.cli import main
+
+    assert main([
+        "campaign", *flags, "--population", "12", "--generations", "3",
+        "--store", str(path), "--name", name,
+    ]) == 0
+    with RunStore(path) as store:
+        return next(r for r in store.list_runs() if r.name == name)
+
+
 def tiny_mapping_request(**overrides) -> CampaignRequest:
     payload = dict(
         problem="mapping",
@@ -272,40 +284,32 @@ class TestMappingCampaigns:
         assert clone.frontier[0].extras == response.frontier[0].extras
 
     def test_store_records_problem_and_extras(self, tmp_path):
-        spec = MappingSpec(network="tiny_cnn", wstore=4096)
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            result = run_campaign([spec], TINY, store=store, run_name="map")
-            record = store.get_run(result.run_id)
-            assert record.problem == "mapping"
-            assert record.specs == ("tiny_cnn:INT8:sequential",)
-            front = store.front(result.run_id)
+        path = tmp_path / "runs.sqlite"
+        record = record_campaign(
+            path, "--problem", "mapping", "--spec", "tiny_cnn:INT8", name="map"
+        )
+        assert record.problem == "mapping"
+        assert record.specs == ("tiny_cnn:INT8:sequential",)
+        with RunStore(path) as store:
+            front = store.front(record.run_id)
             assert front and front[0].extras["n_macros"] >= 1
             # problem filter in pagination
             assert store.list_runs(problem="mapping")[0].run_id \
-                == result.run_id
+                == record.run_id
             assert store.list_runs(problem="dcim") == []
 
     def test_compare_refuses_cross_problem_runs(self, tmp_path):
-        from repro.core.spec import DcimSpec
         from repro.store import compare_runs
 
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            dcim_result = run_campaign(
-                [DcimSpec(wstore=4096, precision="INT8")],
-                CampaignConfig(
-                    nsga2=NSGA2Config(population_size=12, generations=3)
-                ),
-                store=store,
-                run_name="dcim-run",
-            )
-            map_result = run_campaign(
-                [MappingSpec(network="tiny_cnn", wstore=4096)],
-                TINY,
-                store=store,
-                run_name="map-run",
-            )
+        path = tmp_path / "runs.sqlite"
+        dcim_run = record_campaign(path, "--spec", "4096:INT8", name="dcim-run")
+        map_run = record_campaign(
+            path, "--problem", "mapping", "--spec", "tiny_cnn:INT8",
+            name="map-run",
+        )
+        with RunStore(path) as store:
             with pytest.raises(ValueError, match="different problems"):
-                compare_runs(store, dcim_result.run_id, map_result.run_id)
+                compare_runs(store, dcim_run.run_id, map_run.run_id)
 
     def test_mapping_through_job_queue(self):
         from repro.service.jobs import JobQueue, JobStatus
@@ -331,20 +335,12 @@ class TestMappingReports:
     def test_reports_show_extras_only_when_present(self, tmp_path):
         from repro.reporting.runs import run_report_csv
 
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            map_run = run_campaign(
-                [MappingSpec(network="tiny_cnn", wstore=4096)],
-                TINY, store=store,
-            )
-            from repro.core.spec import DcimSpec
-
-            dcim_run = run_campaign(
-                [DcimSpec(wstore=4096, precision="INT8")],
-                CampaignConfig(
-                    nsga2=NSGA2Config(population_size=12, generations=3)
-                ),
-                store=store,
-            )
+        path = tmp_path / "runs.sqlite"
+        map_run = record_campaign(
+            path, "--problem", "mapping", "--spec", "tiny_cnn:INT8", name="map"
+        )
+        dcim_run = record_campaign(path, "--spec", "4096:INT8", name="dcim")
+        with RunStore(path) as store:
             map_csv = run_report_csv(
                 store.get_run(map_run.run_id), store.front(map_run.run_id)
             )

@@ -303,16 +303,24 @@ class TestExhaustiveRouteBypassesCache:
         assert rates["262144:FP32"] is not None
 
     def test_all_exhaustive_campaign_done_reports_no_hit_rate(self):
+        """The job's terminal event reports no hit rate for a cached
+        campaign that looked nothing up."""
+        from repro.service.api import CampaignRequest, SpecRequest
         from repro.service.events import EventKind
+        from repro.service.jobs import JobQueue
 
-        events = []
-        run_campaign(
-            SPECS,
-            CampaignConfig(seed=3),
-            cache=EvaluationCache(),
-            observer=events.append,
+        queue = JobQueue(cache=EvaluationCache())
+        job_id = queue.submit(
+            CampaignRequest(
+                specs=(SpecRequest(4096, "INT4"), SpecRequest(4096, "INT8")),
+                seed=3,
+            )
         )
+        queue.run_next()
+        assert queue.result(job_id).strategies == ("exhaustive", "exhaustive")
+        events, _, closed = queue.events_since(job_id)
         done = [e for e in events if e.kind is EventKind.CAMPAIGN_DONE]
+        assert closed
         assert [e.cache_hit_rate for e in done] == [None]
 
     def test_thread_backend_matches_serial_and_traces_chunks(self):
@@ -392,17 +400,19 @@ class TestObserverAndCancellation:
         from repro.service.events import EventKind
 
         events = []
-        run_campaign(SPECS, small_config(), observer=events.append)
+        result = run_campaign(SPECS, small_config(), observer=events.append)
         kinds = [e.kind for e in events]
         assert kinds.count(EventKind.SPEC_STARTED) == len(SPECS)
         assert kinds.count(EventKind.SPEC_DONE) == len(SPECS)
         assert kinds.count(EventKind.GENERATION_DONE) == (
             len(SPECS) * SMALL_GA.generations
         )
-        assert kinds[-1] is EventKind.CAMPAIGN_DONE
-        done = events[-1]
-        assert done.front_size > 0
-        assert done.wall_time_s > 0
+        # Progress only: the outcome is the return value, and the job
+        # holding the request appends the terminal event.
+        assert kinds[-1] is EventKind.SPEC_DONE
+        assert not any(e.terminal for e in events)
+        assert len(result.merged_points) > 0
+        assert result.wall_time_s > 0
         labels = {e.spec for e in events if e.spec}
         assert labels == {"4096:INT4", "4096:INT8"}
 
@@ -422,7 +432,8 @@ class TestObserverAndCancellation:
         assert kinds.count(EventKind.GENERATION_DONE) == (
             len(SPECS) * SMALL_GA.generations
         )
-        assert kinds[-1] is EventKind.CAMPAIGN_DONE
+        assert kinds.count(EventKind.SPEC_DONE) == len(SPECS)
+        assert not any(e.terminal for e in events)
 
     def test_should_stop_raises_campaign_cancelled(self):
         from repro.service.events import CampaignCancelled, EventKind

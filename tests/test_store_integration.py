@@ -1,23 +1,19 @@
-"""Store integration with the serving stack: campaign, queue, HTTP.
+"""Store integration with the serving stack: campaign command, queue, HTTP.
 
-Covers the opt-in recording hooks (``run_campaign(store=...)``,
-``JobQueue(store=...)``), the bit-neutrality guarantee, and the
+Covers the opt-in recorders (``repro campaign --store``, which records
+what ``run_campaign`` returned, and ``JobQueue(store=...)``) and the
 ``/api/runs`` + ``/api/compare`` endpoints end to end.
 """
 
-import numpy as np
+import io
+import sqlite3
+import sys
+
 import pytest
 
-from repro.core.spec import DcimSpec
-from repro.dse.nsga2 import NSGA2Config
-from repro.service import (
-    CampaignConfig,
-    EvaluationCache,
-    JobQueue,
-    JobStatus,
-    run_campaign,
-)
-from repro.service.api import CampaignRequest, SpecRequest
+from repro.cli import main
+from repro.service import EvaluationCache, JobQueue, JobStatus
+from repro.service.api import CampaignRequest, CampaignResponse, SpecRequest
 from repro.service.events import EventKind
 from repro.service.server import CampaignClient, serve
 from repro.store import RunStore
@@ -41,71 +37,77 @@ def store(tmp_path):
         yield s
 
 
-TINY = CampaignConfig(
-    nsga2=NSGA2Config(population_size=16, generations=4), exhaustive_threshold=0
-)
+#: ``repro campaign`` flags of a tiny forced-GA campaign.
+TINY = ["--population", "16", "--generations", "4",
+        "--exhaustive-threshold", "0"]
+
+
+def fail_front_writes(path) -> None:
+    """Make every front write of the registry at ``path`` fail, after
+    its run row went in: a recorder must roll the row back."""
+    RunStore(path).close()
+    with sqlite3.connect(path) as conn:
+        conn.execute(
+            "CREATE TRIGGER no_fronts BEFORE INSERT ON fronts "
+            "BEGIN SELECT RAISE(ABORT, 'disk full'); END"
+        )
+    conn.close()
 
 
 class TestRunCampaignHook:
-    def test_recording_is_bit_neutral(self, store):
-        specs = [DcimSpec(wstore=4096, precision="INT4")]
-        plain = run_campaign(specs, TINY)
-        recorded = run_campaign(specs, TINY, store=store, run_name="twin")
-        assert np.array_equal(
-            plain.merged_objectives, recorded.merged_objectives
+    """``repro campaign --store`` records what ``run_campaign`` returned,
+    once it has returned; the engine itself takes no store."""
+
+    def test_recorded_run_matches_result(self, tmp_path, capsys):
+        path = tmp_path / "runs.sqlite"
+        assert main([
+            "campaign", "--spec", "4096:INT4", "--spec", "4096:INT8", *TINY,
+            "--store", str(path), "--name", "nightly", "--json",
+        ]) == 0
+        response = CampaignResponse.from_json(capsys.readouterr().out)
+        with RunStore(path) as store:
+            (record,) = store.list_runs()
+            assert record.name == "nightly"
+            assert record.status == "done"
+            assert record.specs == ("4096:INT4", "4096:INT8")
+            assert record.evaluations == response.evaluations
+            front = store.front(record.run_id)
+        assert len(front) == len(response.frontier)
+        assert [p.objectives for p in front] == [
+            p.objectives for p in response.frontier
+        ]
+
+    def test_identical_campaigns_share_fingerprint_and_points(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        argv = ["campaign", "--spec", "4096:INT4", *TINY, "--store", str(path)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        with RunStore(path) as store:
+            record_b, record_a = store.list_runs()
+            assert record_a.fingerprint == record_b.fingerprint
+            # Twin fronts reuse the content-addressed design-point rows.
+            assert store.point_count() == record_a.front_size
+
+    def test_store_failure_warns_and_keeps_result(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.sqlite"
+        fail_front_writes(path)
+        both = io.StringIO()  # stdout and stderr, in the order written
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        assert main([
+            "campaign", "--spec", "4096:INT4", *TINY, "--store", str(path),
+            "--set-baseline", "main",
+        ]) == 1
+        lines = both.getvalue().splitlines()
+        assert lines[0].startswith("Merged dcim frontier over 1 specs")
+        assert lines[-1] == (
+            f"error: campaign finished but recording into {path} failed: "
+            "IntegrityError: disk full"
         )
-        assert plain.merged_points == recorded.merged_points
-        assert plain.run_id is None
-        assert recorded.run_id is not None
-
-    def test_recorded_run_matches_result(self, store):
-        specs = [
-            DcimSpec(wstore=4096, precision="INT4"),
-            DcimSpec(wstore=4096, precision="INT8"),
-        ]
-        result = run_campaign(specs, TINY, store=store, run_name="nightly")
-        record = store.get_run(result.run_id)
-        assert record.name == "nightly"
-        assert record.status == "done"
-        assert record.specs == ("4096:INT4", "4096:INT8")
-        assert record.evaluations == result.evaluations
-        front = store.front(result.run_id)
-        assert len(front) == len(result.merged_points)
-        assert [tuple(row) for row in result.merged_objectives] == [
-            p.objectives for p in front
-        ]
-
-    def test_identical_campaigns_share_fingerprint_and_points(self, store):
-        specs = [DcimSpec(wstore=4096, precision="INT4")]
-        a = run_campaign(specs, TINY, store=store)
-        b = run_campaign(specs, TINY, store=store)
-        record_a = store.get_run(a.run_id)
-        record_b = store.get_run(b.run_id)
-        assert record_a.fingerprint == record_b.fingerprint
-        # Twin fronts reuse the content-addressed design-point rows.
-        assert store.point_count() == record_a.front_size
-
-    def test_store_failure_warns_and_keeps_result(self, tmp_path):
-        broken = RunStore(tmp_path / "runs.sqlite")
-        broken.close()  # every write now raises
-        specs = [DcimSpec(wstore=4096, precision="INT4")]
-        with pytest.warns(RuntimeWarning, match="recording it failed"):
-            result = run_campaign(specs, TINY, store=broken)
-        assert result.run_id is None
-        assert len(result.merged_points) > 0
-
-    def test_cancelled_campaign_recorded(self, store):
-        specs = [DcimSpec(wstore=4096, precision="INT4")]
-        from repro.service.events import CampaignCancelled
-
-        with pytest.raises(CampaignCancelled):
-            run_campaign(
-                specs, TINY, store=store, should_stop=lambda: True
-            )
-        runs = store.list_runs()
-        assert len(runs) == 1
-        assert runs[0].status == "cancelled"
-        assert runs[0].front_size == 0
+        with RunStore(path) as store:
+            assert len(store) == 0
+            assert store.point_count() == 0
+            assert store.baselines() == {}
 
 
 class TestJobQueueRecording:
@@ -201,6 +203,7 @@ def http_registry(tmp_path_factory):
     server.serve_in_background()
     yield CampaignClient(server.url), store
     server.shutdown()
+    server.server_close()
     queue.close()
     store.close()
 
@@ -273,4 +276,5 @@ class TestHTTPWithoutStore:
                 client.runs()
         finally:
             server.shutdown()
+            server.server_close()
             queue.close()
