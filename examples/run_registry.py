@@ -17,7 +17,7 @@ from tempfile import TemporaryDirectory
 from repro.core.spec import DcimSpec
 from repro.dse.nsga2 import NSGA2Config
 from repro.reporting import comparison_markdown, run_report_markdown
-from repro.service import CampaignConfig, EvaluationCache, run_campaign
+from repro.service import CampaignConfig, run_campaign
 from repro.service.api import CampaignResponse, FrontierPoint
 from repro.store import RunStore, check_regression, compare_runs
 
@@ -25,7 +25,6 @@ from repro.store import RunStore, check_regression, compare_runs
 def main() -> None:
     with TemporaryDirectory() as tmp:
         store = RunStore(Path(tmp) / "runs.sqlite")
-        cache = EvaluationCache(Path(tmp) / "evals.sqlite")
         specs = [DcimSpec(wstore=4096, precision=p) for p in ("INT4", "INT8")]
         labels = ["4096:INT4", "4096:INT8"]
         config = CampaignConfig(nsga2=NSGA2Config(population_size=16,
@@ -34,7 +33,7 @@ def main() -> None:
         # 1. Run the same campaign twice and record what each returned.
         first, second = (
             store.record_response(
-                run_campaign(specs, config, cache=cache).to_response(),
+                run_campaign(specs, config).to_response(),
                 specs=labels, name=name,
             )
             for name in ("nightly-1", "nightly-2")
@@ -78,7 +77,6 @@ def main() -> None:
         print(comparison_markdown(comparison))
 
         store.close()
-        cache.close()
 
 
 if __name__ == "__main__":

@@ -376,13 +376,13 @@ for flag_value in "--engine numpy" "--ga-backend python" \
 done
 echo "retired flags: all five rejected with exit 2"
 
-echo "== retired serve flags: --trace-sample/--trace-slow/--verbose/--snapshot-every/--buffer are unknown arguments =="
-# Trace sampling, the stdlib access log, the metrics history and the
-# per-job event-buffer size are gone; argument parsing fails before a
-# port is bound.  The timeout only stops a server that a regression
-# would start instead.
+echo "== retired serve flags: --trace-sample/--trace-slow/--verbose/--snapshot-every/--buffer/--log-level/--no-trace are unknown arguments =="
+# Trace sampling, the stdlib access log, the metrics history, the
+# per-job event-buffer size, the JSON-lines log and the tracing switch
+# are gone; argument parsing fails before a port is bound.  The timeout
+# only stops a server that a regression would start instead.
 for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose" \
-        "--snapshot-every 1" "--buffer 8"; do
+        "--snapshot-every 1" "--buffer 8" "--log-level info" "--no-trace"; do
     set +e
     # shellcheck disable=SC2086  # the flag and its value are two words
     timeout 30 python -m repro serve --port 0 $flag_value \
@@ -397,16 +397,25 @@ for flag_value in "--trace-sample 0.1" "--trace-slow 30" "--verbose" \
         exit 1
     fi
 done
-echo "retired serve flags: all five rejected with exit 2"
+echo "retired serve flags: all seven rejected with exit 2"
 
-echo "== out-of-range serve numbers are usage errors =="
-# Each value would make WorkCoordinator or AdmissionPolicy raise; the
-# argparse types reject it first, with exit 2 and nothing on stdout.
-for flag_value in "--lease-ttl 0" "--unit-attempts 0" "--rate-limit 0" \
-        "--burst 0" "--max-pending -1" "--max-budget 0"; do
+echo "== out-of-range serve and worker numbers are usage errors =="
+# Each serve value would make WorkCoordinator or AdmissionPolicy raise,
+# and each worker value would make an idle worker poll back to back or
+# never exit; the argparse types reject it first, with exit 2 and
+# nothing on stdout, before a port is bound or a coordinator contacted.
+serve_argv="serve --port 0 --workers-remote"
+worker_argv="worker --url http://127.0.0.1:9"
+for range_argv in "$serve_argv|--lease-ttl 0" "$serve_argv|--unit-attempts 0" \
+        "$serve_argv|--rate-limit 0" "$serve_argv|--burst 0" \
+        "$serve_argv|--max-pending -1" "$serve_argv|--max-budget 0" \
+        "$worker_argv|--poll 0" "$worker_argv|--poll -1" \
+        "$worker_argv|--poll nan" "$worker_argv|--exit-idle 0" \
+        "$worker_argv|--exit-idle nan" "$worker_argv|--max-units 0"; do
+    flag_value="${range_argv#*|}"
     set +e
-    # shellcheck disable=SC2086  # the flag and its value are two words
-    timeout 30 python -m repro serve --port 0 --workers-remote $flag_value \
+    # shellcheck disable=SC2086  # the command and flag are several words
+    timeout 30 python -m repro ${range_argv%%|*} $flag_value \
         >"$workdir/range.out" 2>"$workdir/range.err"
     range_status=$?
     set -e
@@ -418,7 +427,7 @@ for flag_value in "--lease-ttl 0" "--unit-attempts 0" "--rate-limit 0" \
         exit 1
     fi
 done
-echo "out-of-range serve numbers: all six rejected with exit 2"
+echo "out-of-range serve and worker numbers: all twelve rejected with exit 2"
 
 echo "== retired trace-store flags: trace list --store and runs gc --keep-traces are unknown arguments =="
 # Traces live only in a server's ring: the run registry keeps no copy
@@ -651,6 +660,14 @@ check_served_parity "forced GA" --spec 4096:INT4 --spec 8192:INT8 \
     --exhaustive-threshold 0 --population 16 --generations 6 --seed 5
 kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
+# Traces, metrics and events are the server's whole report: its output
+# holds no JSON log line and no stdlib access-log line.
+if grep -qE '"logger":|"GET |"POST ' "$server_log"; then
+    grep -E '"logger":|"GET |"POST ' "$server_log" | head -n 5 >&2
+    echo "smoke: repro serve wrote log lines" >&2
+    exit 1
+fi
+echo "serve.log: no JSON log or access-log lines"
 dashboard_out="$workdir/dashboard.html"
 python -m repro dashboard --store "$serve_store" --out "$dashboard_out"
 # The served campaigns fill the recent-runs section.
@@ -785,6 +802,21 @@ if [[ -z "$url" ]]; then
     exit 1
 fi
 wait_healthy "$url"
+# The worker's JSON-lines log level is gone too: parsing fails before
+# the worker contacts the coordinator.
+set +e
+timeout 30 python -m repro worker --url "$url" --log-level info \
+    >"$workdir/retired.out" 2>"$workdir/retired.err"
+retired_status=$?
+set -e
+if [[ "$retired_status" -ne 2 ]] \
+        || ! grep -q "unrecognized arguments: --log-level info" "$workdir/retired.err" \
+        || [[ -s "$workdir/retired.out" ]]; then
+    cat "$workdir/retired.err" >&2
+    echo "smoke: retired worker flag '--log-level info' was not rejected (exit $retired_status)" >&2
+    exit 1
+fi
+echo "retired worker flag: --log-level rejected with exit 2"
 for _ in 1 2; do
     python -m repro worker --url "$url" --poll 0.05 --exit-idle 30 \
         >/dev/null 2>&1 &

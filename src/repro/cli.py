@@ -258,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "/api/runs endpoints")
     serve_p.add_argument("--ttl", type=float, default=None, metavar="S",
                          help="purge finished job records after S seconds")
-    serve_p.add_argument("--log-level", default="warning",
-                         choices=["debug", "info", "warning", "error"],
-                         help="structured JSON-lines log level on stderr")
     serve_p.add_argument("--rate-limit", type=_positive_float, default=None,
                          metavar="R/S",
                          help="admission control: sustained submissions "
@@ -278,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission control: reject requests (413) "
                               "whose specs x generations x population "
                               "exceeds N")
-    serve_p.add_argument("--no-trace", action="store_true",
-                         help="disable request/campaign tracing")
     serve_p.add_argument("--workers-remote", action="store_true",
                          help="distributed mode: campaigns shard into "
                               "leasable work units drained by external "
@@ -307,18 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p.add_argument("--worker-id", default=None, metavar="ID",
                           help="stable worker identity (default: "
                                "coordinator-assigned)")
-    worker_p.add_argument("--poll", type=float, default=0.5, metavar="S",
+    worker_p.add_argument("--poll", type=_positive_float, default=0.5,
+                          metavar="S",
                           help="idle sleep between lease attempts")
-    worker_p.add_argument("--max-units", type=int, default=None,
+    worker_p.add_argument("--max-units", type=_positive_int, default=None,
                           metavar="N",
                           help="exit after completing N units")
-    worker_p.add_argument("--exit-idle", type=float, default=None,
+    worker_p.add_argument("--exit-idle", type=_positive_float, default=None,
                           metavar="S",
                           help="exit after S seconds without leasing a "
                                "unit (default: run until interrupted)")
-    worker_p.add_argument("--log-level", default="warning",
-                          choices=["debug", "info", "warning", "error"],
-                          help="structured JSON-lines log level on stderr")
 
     dashboard_p = sub.add_parser(
         "dashboard",
@@ -872,9 +865,11 @@ def _cmd_campaign(args) -> int:
             return 1
     store = None
     if args.store:
-        from repro.store import RunStore
-
-        store = RunStore(args.store)
+        store = _open_run_store(args.store)
+        if store is None:
+            if cache is not None:
+                cache.close()
+            return 1
     tech = _tech(args)
     try:
         try:
@@ -961,6 +956,26 @@ def _cmd_campaign(args) -> int:
             store.close()
 
 
+def _open_run_store(path):
+    """The run registry at ``path``, or ``None`` after an ``error:`` line.
+
+    Every command that takes ``--store`` opens it here, before it runs a
+    campaign or binds a port, so a path SQLite cannot open (a directory,
+    a file that is not a database) ends the command with exit 1 instead
+    of a traceback.
+    """
+    import sqlite3
+
+    from repro.store import RunStore
+
+    try:
+        return RunStore(path)
+    except (sqlite3.Error, OSError) as exc:
+        print(f"error: cannot open run registry {path}: {exc}",
+              file=sys.stderr)
+        return None
+
+
 def _campaign_registry_epilogue(args, store, request, specs, config,
                                 response) -> int:
     """Post-campaign registry work: record, announce, pin, and gate the run.
@@ -1022,7 +1037,6 @@ def _cmd_serve(args) -> int:
     from repro import obs
     from repro.service import serve
 
-    obs.configure(level=args.log_level)
     if args.workers_remote and args.cache:
         print("error: --cache does not apply to --workers-remote: "
               "workers evaluate uncached", file=sys.stderr)
@@ -1045,9 +1059,11 @@ def _cmd_serve(args) -> int:
             return 1
     store = None
     if args.store:
-        from repro.store import RunStore
-
-        store = RunStore(args.store)
+        store = _open_run_store(args.store)
+        if store is None:
+            if cache is not None:
+                cache.close()
+            return 1
     admission = None
     policy = obs.AdmissionPolicy(
         rate_limit=args.rate_limit,
@@ -1057,9 +1073,6 @@ def _cmd_serve(args) -> int:
     )
     if policy.enabled:
         admission = obs.AdmissionController(policy)
-    # Every layer, the HTTP handler included, traces through the process
-    # global; the server also serves /api/traces from its ring.
-    obs.set_tracer(obs.NULL_TRACER if args.no_trace else obs.Tracer())
     coordinator = None
     if args.workers_remote:
         from repro.service import distributed
@@ -1103,10 +1116,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro import obs
     from repro.service.worker import CampaignWorker
 
-    obs.configure(level=args.log_level)
     worker = CampaignWorker(
         args.url,
         worker_id=args.worker_id,
@@ -1128,14 +1139,16 @@ def _cmd_dashboard(args) -> int:
     from pathlib import Path
 
     from repro.reporting import write_dashboard
-    from repro.store import RunStore
 
     # Rendering reads an existing registry; opening a typo'd path would
     # silently create an empty database (matching the runs commands).
     if not Path(args.store).exists():
         print(f"error: no run registry at {args.store}", file=sys.stderr)
         return 1
-    with RunStore(args.store) as store:
+    store = _open_run_store(args.store)
+    if store is None:
+        return 1
+    with store:
         out = write_dashboard(
             store,
             args.out,
@@ -1201,14 +1214,15 @@ def _cmd_watch(args) -> int:
 def _cmd_runs(args) -> int:
     from pathlib import Path
 
-    from repro.store import RunStore
-
     # Every runs subcommand reads an existing registry; opening a typo'd
     # path would silently create an empty database.
     if not Path(args.store).exists():
         print(f"error: no run registry at {args.store}", file=sys.stderr)
         return 1
-    with RunStore(args.store) as store:
+    store = _open_run_store(args.store)
+    if store is None:
+        return 1
+    with store:
         try:
             return _run_registry_command(args, store)
         except KeyError as exc:

@@ -1,18 +1,17 @@
-"""Observability layer: metrics, structured logging, admission control.
+"""Observability layer: metrics, tracing, admission control.
 
 Dependency-free operational plumbing for the serving stack.  Every
 layer reports into one process-wide context: the tracer
-(:func:`get_tracer`/:func:`set_tracer`), the metrics registry
-(:func:`get_registry`/:func:`set_registry`) and the log configuration
-(:func:`configure`).  No component takes its own tracer or logger,
-and only the evaluation cache (``EvaluationCache(registry=)``) its own
-registry, so one request's spans and metrics land in one place.
+(:func:`get_tracer`/:func:`set_tracer`) and the metrics registry
+(:func:`get_registry`/:func:`set_registry`).  No component takes its
+own tracer, and only the evaluation cache (``EvaluationCache(registry=)``)
+its own registry, so one request's spans and metrics land in one place.
+Spans, ``repro_*`` metrics and a campaign's progress events are the
+stack's whole report: there is no log channel.
 
 * :mod:`repro.obs.metrics` — thread-safe ``Counter``/``Gauge``/
   ``Histogram`` instruments, labelled families, and a
   ``MetricsRegistry`` rendering Prometheus text and JSON,
-* :mod:`repro.obs.log` — a JSON-lines structured logger shared by the
-  HTTP server and job-queue workers,
 * :mod:`repro.obs.admission` — token-bucket rate limiting, bounded
   queues, and per-request budget caps for ``repro serve``,
 * :mod:`repro.obs.trace` — a span tracer with contextvar-based ambient
@@ -33,10 +32,6 @@ __all__ = [
     "NULL_REGISTRY",
     "get_registry",
     "set_registry",
-    "JsonLogger",
-    "LEVELS",
-    "configure",
-    "get_logger",
     "AdmissionController",
     "AdmissionError",
     "AdmissionPolicy",
@@ -65,7 +60,6 @@ _EXPORTS = {
         "AdmissionController", "AdmissionError", "AdmissionPolicy",
         "RateLimiter", "TokenBucket", "request_budget",
     ),
-    "repro.obs.log": ("LEVELS", "JsonLogger", "configure", "get_logger"),
     "repro.obs.metrics": (
         "DEFAULT_BUCKETS", "NULL_REGISTRY", "Counter", "Gauge", "Histogram",
         "MetricFamily", "MetricsRegistry", "get_registry", "set_registry",

@@ -28,6 +28,13 @@ lease was already reassigned is acknowledged and dropped.
 takes the queue's ``observer``/``should_stop`` hooks), so submission,
 deduplication, event streaming, cancellation, TTL purging and run
 recording all behave exactly as for in-process execution.
+
+The coordinator reports through its ``campaign.distributed`` span, the
+``repro_units_*``, ``repro_lease_expired_total`` and
+``repro_workers_registered`` metrics, each campaign's ``spec_started``/
+``spec_done`` events and the ``/api/workers`` table; an exhausted
+unit's last requeue reason ends up in the campaign's failure message.
+It writes no log lines.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from typing import Callable
 
 from repro.core.hashing import stable_hash
 from repro.dse.explorer import pareto_merge
-from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import format_traceparent, get_tracer
 from repro.problems import get_problem
@@ -166,7 +172,6 @@ class WorkCoordinator:
         self.lease_ttl_s = float(lease_ttl_s)
         self.max_attempts = int(max_attempts)
         self._clock = clock
-        self._log = get_logger("repro.distributed")
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._campaigns: dict[str, _Campaign] = {}
@@ -223,7 +228,6 @@ class WorkCoordinator:
             entry.last_seen = now
             if meta:
                 entry.meta.update(meta)
-        self._log.info("worker_registered", worker_id=worker_id)
         return {
             "worker_id": worker_id,
             "lease_ttl_s": self.lease_ttl_s,
@@ -299,13 +303,6 @@ class WorkCoordinator:
                         generations=unit.request_payload.get("generations"),
                     ),
                 )
-        self._log.info(
-            "unit_leased",
-            unit_id=unit.unit_id,
-            worker_id=worker_id,
-            spec=unit.label,
-            attempt=unit.attempts,
-        )
         self._emit(event)
         return descriptor
 
@@ -384,13 +381,6 @@ class WorkCoordinator:
                     entry.units_failed += 1
                 self._requeue_locked(unit, f"worker {worker_id}: {error}")
             self._cond.notify_all()
-        self._log.info(
-            "unit_result",
-            unit_id=unit_id,
-            worker_id=worker_id,
-            status=status,
-            unit_status=unit.status.value,
-        )
         self._emit(event)
         return {"accepted": True, "status": unit.status.value}
 
@@ -483,9 +473,6 @@ class WorkCoordinator:
                     f"index {unit.spec_index}) failed after "
                     f"{unit.attempts} attempts; last error: {reason}"
                 )
-            self._log.warning(
-                "unit_exhausted", unit_id=unit.unit_id, error=reason
-            )
         else:
             unit.status = UnitStatus.PENDING
             unit.worker_id = None
@@ -493,12 +480,6 @@ class WorkCoordinator:
             self._count(
                 "repro_units_requeued_total",
                 "Work units put back on the queue (expiry or worker failure)",
-            )
-            self._log.info(
-                "unit_requeued",
-                unit_id=unit.unit_id,
-                attempts=unit.attempts,
-                reason=reason,
             )
         self._publish_gauges_locked()
         self._cond.notify_all()
@@ -616,12 +597,6 @@ class WorkCoordinator:
                 self._queue.append(unit.unit_id)
             self._publish_gauges_locked()
             self._cond.notify_all()
-        self._log.info(
-            "campaign_registered",
-            campaign_id=campaign_id,
-            units=len(campaign.units),
-            fingerprint=fingerprint[:12],
-        )
         # Wait ticks double as the lease-expiry sweep; a quarter TTL
         # bounds how stale an expired lease can go unnoticed while
         # staying responsive to cancellation.

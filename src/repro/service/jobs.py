@@ -35,6 +35,10 @@ With a :class:`~repro.store.runstore.RunStore` attached, every job that
 *executes* is also recorded into the persistent run registry at its
 terminal transition (done/failed/cancelled), so results outlive both
 the TTL and the process.
+
+A job reports through its ``job.queue_wait`` and ``job.run`` spans, the
+``repro_jobs_*``/``repro_job_*_seconds`` metrics, its event stream and
+its :class:`JobRecord`; the queue writes no log lines.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_SPAN, get_tracer, use_span
 from repro.service.api import CampaignRequest, CampaignResponse
@@ -93,11 +96,6 @@ class JobRecord:
         run_id: registry id once the outcome was recorded into the
             queue's :class:`~repro.store.runstore.RunStore` (``None``
             without a store, or for jobs cancelled before running).
-        trace_id: id of the trace this job belongs to (``None`` with
-            tracing off).  The queue-wait span is started at submit —
-            inside the submitting request's span when one is ambient —
-            and the job's run span is parented to it, so one trace
-            follows the job across the worker-thread boundary.
         created_at / started_at / finished_at: monotonic timestamps
             (``None`` until the transition happens).
     """
@@ -111,9 +109,11 @@ class JobRecord:
     events: EventBuffer = field(default_factory=EventBuffer)
     cancel_requested: bool = False
     run_id: str | None = None
-    trace_id: str | None = None
     #: The open queue-wait span (internal; closed when the job starts
-    #: running or reaches a terminal state without running).
+    #: running or reaches a terminal state without running).  It starts
+    #: at submit, inside the submitting request's span when one is
+    #: ambient, and the job's run span is parented to it, so one trace
+    #: follows the job across the worker-thread boundary.
     trace_span: object = field(default=None, repr=False, compare=False)
     created_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
@@ -269,7 +269,6 @@ class JobQueue:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.store = store
-        self._log = get_logger("repro.jobs")
         if runner is None:
             def runner(request, observer=None, should_stop=None):
                 return execute_request(
@@ -336,7 +335,6 @@ class JobQueue:
                 category="queue",
             )
             job.trace_span = wait_span
-            job.trace_id = wait_span.trace_id or None
             self._jobs[job_id] = job
             self._by_fingerprint[fingerprint] = job_id
             self._pending.append(job_id)
@@ -611,13 +609,6 @@ class JobQueue:
             category="queue",
         )
         wait_span.end()
-        self._log.debug(
-            "job_started",
-            job_id=job.job_id,
-            trace_id=job.trace_id,
-            problem=job.request.problem,
-            specs=len(job.request.specs),
-        )
 
         def observer(event: CampaignEvent) -> None:
             # Terminal events close the stream and wake watchers, who
@@ -679,17 +670,6 @@ class JobQueue:
                     wall_time_s=response.wall_time_s,
                 ),
             )
-        duration = None
-        if job.started_at is not None and job.finished_at is not None:
-            duration = round(job.finished_at - job.started_at, 6)
-        self._log.info(
-            "job_finished",
-            job_id=job.job_id,
-            trace_id=job.trace_id,
-            status=job.status.value,
-            duration_s=duration,
-            error=job.error,
-        )
 
     # Background workers ----------------------------------------------------
     def _worker_loop(self) -> None:

@@ -96,7 +96,6 @@ from typing import Iterator
 from urllib.parse import parse_qs, quote as _quote, urlparse, urlsplit
 
 from repro.obs.admission import AdmissionController, AdmissionError
-from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
     current_span,
@@ -204,8 +203,9 @@ class _CampaignHandler(BaseHTTPRequestHandler):
     timeout = KEEPALIVE_IDLE_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence the stdlib access log: the server logs each request
-        as one JSON ``request`` line (``--log-level info``)."""
+        """Silence the stdlib access log: each request is counted and
+        timed in ``repro_http_requests_total`` and
+        ``repro_http_request_seconds``."""
 
     # Dispatch -------------------------------------------------------------
     def do_GET(self) -> None:
@@ -649,10 +649,7 @@ class CampaignHTTPServer(ThreadingHTTPServer):
     tracer :func:`~repro.obs.trace.get_tracer` returns at that moment
     (which ``/api/traces`` also reads), counted and timed into the
     registry :func:`~repro.obs.metrics.get_registry` returns at that
-    moment (which ``/metrics`` and ``/api/metrics`` render), and each
-    answered request is logged as one JSON ``request`` line
-    on the ``repro.http`` logger (:func:`repro.obs.configure` sets the
-    level and stream).
+    moment (which ``/metrics`` and ``/api/metrics`` render).
 
     Args:
         address: ``(host, port)``; port ``0`` binds an ephemeral port
@@ -686,7 +683,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self.queue = queue
         self.store = store if store is not None else queue.store
         self.admission = admission
-        self.logger = get_logger("repro.http")
         self.coordinator = coordinator
         self.started_at = time.monotonic()
         #: Set by :meth:`shutdown`; handlers answer no request after it.
@@ -742,13 +738,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
             "End-to-end HTTP request latency",
             ("route",),
         ).labels(route).observe(elapsed_s)
-        self.logger.info(
-            "request",
-            route=route,
-            method=method,
-            status=status,
-            duration_s=round(elapsed_s, 6),
-        )
 
     @property
     def host(self) -> str:
@@ -787,10 +776,9 @@ def serve(
 
     With ``store`` set, an owned queue records every campaign into it
     and the ``/api/runs`` endpoints serve the registry.  ``admission``
-    guards submissions.  Tracing, metrics and logging go through the
-    process-wide tracer, registry and log configuration
-    (:func:`repro.obs.set_tracer`, :func:`repro.obs.set_registry`,
-    :func:`repro.obs.configure`).  The caller
+    guards submissions.  Tracing and metrics go through the
+    process-wide tracer and registry (:func:`repro.obs.set_tracer`,
+    :func:`repro.obs.set_registry`).  The caller
     drives ``server.serve_forever()`` (or ``serve_in_background()``)
     and is responsible for closing the queue on shutdown —
     :func:`repro.cli.main`'s ``repro serve`` shows the full lifecycle.

@@ -20,6 +20,13 @@ shared cache saved less than the HTTP round trip per generation it
 cost, and a unit's GA run already dedups its genomes in its own
 archive.  The merged response counts every evaluation as fresh, as an
 uncached in-process run does.
+
+A worker reports through its ``worker.unit`` spans (joined to the
+coordinator's campaign trace through the lease's ``traceparent``), the
+coordinator's ``/api/workers`` row and :meth:`CampaignWorker.run`'s
+summary; it writes no log lines.  Lease, heartbeat and submit failures
+are survived as the lease protocol allows, and five failed leases in a
+row end :meth:`~CampaignWorker.run` with a ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, parse_traceparent, use_span
 from repro.service.api import CampaignRequest
 from repro.service.campaign import execute_request
@@ -73,7 +79,6 @@ class CampaignWorker:
         self.poll_s = poll_s
         self.max_units = max_units
         self.exit_idle_s = exit_idle_s
-        self._log = get_logger("repro.worker")
         self.lease_ttl_s = DEFAULT_LEASE_TTL_S
         self.units_done = 0
         self.units_failed = 0
@@ -100,13 +105,6 @@ class CampaignWorker:
         )
         self.worker_id = answer["worker_id"]
         self.lease_ttl_s = float(answer.get("lease_ttl_s") or self.lease_ttl_s)
-        self._log.info(
-            "worker_handshake",
-            worker_id=self.worker_id,
-            coordinator=self.url,
-            version=health.get("version"),
-            lease_ttl_s=self.lease_ttl_s,
-        )
         return answer
 
     def run(self) -> dict:
@@ -135,9 +133,6 @@ class CampaignWorker:
                     # The client already retried with backoff; repeated
                     # hard failures mean the coordinator is gone.
                     errors += 1
-                    self._log.warning(
-                        "lease_error", error=str(exc), consecutive=errors
-                    )
                     if errors >= 5:
                         raise RuntimeError(
                             f"coordinator unreachable: {exc}"
@@ -155,14 +150,12 @@ class CampaignWorker:
                 self._evaluate_unit(unit)
         finally:
             self._stopped.set()
-        summary = {
+        return {
             "worker_id": self.worker_id,
             "units_done": self.units_done,
             "units_failed": self.units_failed,
             "units_lost": self.units_lost,
         }
-        self._log.info("worker_exit", **summary)
-        return summary
 
     # Heartbeats ------------------------------------------------------------
     def _heartbeat_loop(self) -> None:
@@ -177,14 +170,13 @@ class CampaignWorker:
                 continue
             try:
                 answer = self.client.worker_heartbeat(self.worker_id, active)
-            except Exception as exc:
-                self._log.warning("heartbeat_error", error=str(exc))
+            except Exception:
+                # Missed renewals fall back to lease expiry.
                 continue
             lost = set(answer.get("lost") or ())
             if lost:
                 with self._active_lock:
                     self._lost_units |= lost
-                self._log.info("units_lost", units=sorted(lost))
 
     def _unit_lost(self, unit_id: str) -> bool:
         with self._active_lock:
@@ -217,7 +209,6 @@ class CampaignWorker:
             # coordinator already reassigned or cancelled the unit.
             self.units_lost += 1
             span.end(status="error", error="lease lost")
-            self._log.info("unit_abandoned", unit_id=unit_id)
             with self._active_lock:
                 self._active_units.discard(unit_id)
                 self._lost_units.discard(unit_id)
@@ -242,22 +233,12 @@ class CampaignWorker:
             answer = self.client.submit_unit_result(
                 self.worker_id, unit_id, payload
             )
-        except Exception as exc:
+        except Exception:
             # The lease will expire and the unit will be requeued; the
             # next completion is idempotent on the unit id.
-            self._log.warning(
-                "submit_error", unit_id=unit_id, error=str(exc)
-            )
             return
         if payload.get("status") == "done" and answer.get("accepted"):
             self.units_done += 1
-        self._log.info(
-            "unit_submitted",
-            unit_id=unit_id,
-            status=payload.get("status"),
-            accepted=answer.get("accepted"),
-            duplicate=answer.get("duplicate"),
-        )
 
     def _run_unit(self, unit_id: str, request_payload: dict) -> dict:
         """Run one single-spec unit; returns the result payload.

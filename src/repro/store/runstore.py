@@ -281,13 +281,17 @@ class RunStore:
             check_same_thread=False,
             timeout=30.0,  # wait out writers from other processes
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        # No fsync per commit; what that risks: the module docstring.
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA foreign_keys=ON")
-        self._conn.executescript(_SCHEMA)
-        self._migrate()
-        self._conn.commit()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            # No fsync per commit; what that risks: the module docstring.
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute("PRAGMA foreign_keys=ON")
+            self._conn.executescript(_SCHEMA)
+            self._migrate()
+            self._conn.commit()
+        except sqlite3.Error:  # e.g. a file that is not a database
+            self._conn.close()
+            raise
 
     def _migrate(self) -> None:
         """Bring pre-v2 databases up to the current schema in place.

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.obs.log import JsonLogger
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -514,23 +513,6 @@ class TestBitParity:
         finally:
             set_tracer(previous)
         assert traced == tiny_request().fingerprint()
-
-
-class TestLogCorrelation:
-    def test_log_lines_carry_trace_ids_under_span(self, tracer):
-        import io
-
-        stream = io.StringIO()
-        log = JsonLogger("test", level="info", stream=stream)
-        with tracer.span("root", root_if_orphan=True) as root:
-            log.info("inside")
-        log.info("outside")
-        inside, outside = [
-            json.loads(line) for line in stream.getvalue().splitlines()
-        ]
-        assert inside["trace_id"] == root.trace_id
-        assert inside["span_id"] == root.span_id
-        assert "trace_id" not in outside
 
 
 class TestExporters:

@@ -2,12 +2,17 @@
 --store/--baseline`)."""
 
 import json
+import os
 import re
 import sqlite3
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.service.api import CampaignRequest, CampaignResponse, FrontierPoint
 from repro.store import RunStore
@@ -94,6 +99,36 @@ class TestCampaignStoreFlags:
         out = capsys.readouterr().out
         assert "regression gate: FAIL" in out
         assert "hypervolume" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("campaign", "--spec", "4096:INT8"),
+        ("serve", "--port", "0"),
+        ("runs", "list"),
+        ("dashboard",),
+    ],
+    ids=["campaign", "serve", "runs-list", "dashboard"],
+)
+def test_unopenable_registry_is_one_error_line(argv, tmp_path):
+    """A ``--store`` path SQLite cannot open (here a directory) ends the
+    command with exit 1 and one ``error:`` line, before a campaign runs
+    or a port is bound.  A fresh interpreter shows what a user sees; the
+    timeout stops a server that a regression would start."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--store", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: cannot open run registry {tmp_path}: "
+    )
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
-"""``repro serve`` checks its numbers while parsing: an out-of-range
-value, or a flag that was deleted, exits 2 before a port is bound."""
+"""``repro serve`` and ``repro worker`` check their numbers while
+parsing: an out-of-range value, or a flag that was deleted, exits 2
+before a port is bound or a coordinator is contacted."""
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 
 
 @pytest.mark.parametrize(
@@ -51,4 +52,50 @@ def test_buffer_flag_is_gone(capsys):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert "unrecognized arguments: --buffer 8" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, retired",
+    [
+        (["serve", "--port", "0", "--log-level", "info"], "--log-level info"),
+        (["serve", "--port", "0", "--no-trace"], "--no-trace"),
+        (["worker", "--log-level", "info"], "--log-level info"),
+    ],
+)
+def test_log_and_trace_switches_are_gone(argv, retired, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {retired}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--poll", "0", "expected a positive number"),
+        ("--poll", "-1", "expected a positive number"),
+        ("--poll", "nan", "expected a positive number"),
+        ("--exit-idle", "0", "expected a positive number"),
+        ("--exit-idle", "nan", "expected a positive number"),
+        ("--max-units", "0", "expected a positive integer"),
+        ("--max-units", "-1", "expected a positive integer"),
+    ],
+)
+def test_worker_out_of_range_value_is_a_usage_error(
+    flag, value, message, capsys, monkeypatch
+):
+    from repro.service.worker import CampaignWorker
+
+    def contact(self):
+        raise AssertionError("the worker contacted its coordinator")
+
+    monkeypatch.setattr(CampaignWorker, "run", contact)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--url", "http://127.0.0.1:9", flag, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: {message}, got {value!r}" in captured.err
     assert captured.out == ""
