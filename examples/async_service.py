@@ -93,8 +93,8 @@ async def cancel_long(queue: JobQueue) -> None:
 def print_live_metrics() -> None:
     """Everything above also fed the process-global metrics registry.
 
-    This is the same registry ``GET /metrics`` (Prometheus text) and
-    ``GET /api/metrics`` (this ``to_dict()`` document) serve over HTTP.
+    This is the same registry ``GET /metrics`` serves over HTTP, as
+    Prometheus text.
     """
     from repro.obs import get_registry
 
@@ -105,17 +105,19 @@ def print_live_metrics() -> None:
         "repro_campaign_generations_total",
         "repro_job_run_seconds",
     }
-    print("\nlive metrics (subset of /api/metrics):")
-    for family in get_registry().to_dict()["metrics"]:
-        if family["name"] not in interesting:
+    print("\nlive metrics (subset of GET /metrics):")
+    for family in get_registry().families():
+        if family.name not in interesting:
             continue
-        for series in family["series"]:
-            labels = ",".join(f"{k}={v}" for k, v in series["labels"].items())
-            name = f"{family['name']}{{{labels}}}" if labels else family["name"]
-            if family["kind"] == "histogram":
-                print(f"  {name} count={series['count']} p95={series['p95']:g}")
+        for labelvalues, series in family.series():
+            labels = ",".join(
+                f"{k}={v}" for k, v in zip(family.labelnames, labelvalues)
+            )
+            name = f"{family.name}{{{labels}}}" if labels else family.name
+            if family.kind == "histogram":
+                print(f"  {name} count={series.count} sum={series.sum:g}")
             else:
-                print(f"  {name} = {series['value']:g}")
+                print(f"  {name} = {series.value:g}")
 
 
 def print_trace_tree(tracer) -> None:

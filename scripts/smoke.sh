@@ -400,15 +400,18 @@ done
 echo "retired serve flags: all seven rejected with exit 2"
 
 echo "== out-of-range serve and worker numbers are usage errors =="
-# Each serve value would make WorkCoordinator or AdmissionPolicy raise,
-# and each worker value would make an idle worker poll back to back or
-# never exit; the argparse types reject it first, with exit 2 and
-# nothing on stdout, before a port is bound or a coordinator contacted.
+# Each serve value would make WorkCoordinator, AdmissionPolicy or
+# JobQueue raise (a NaN TTL would make an idle queue worker spin, and a
+# TTL of 0 purges a result before its watcher reads it), and each
+# worker value would make an idle worker poll back to back or never
+# exit; the argparse types reject it first, with exit 2 and nothing on
+# stdout, before a port is bound or a coordinator contacted.
 serve_argv="serve --port 0 --workers-remote"
 worker_argv="worker --url http://127.0.0.1:9"
 for range_argv in "$serve_argv|--lease-ttl 0" "$serve_argv|--unit-attempts 0" \
         "$serve_argv|--rate-limit 0" "$serve_argv|--burst 0" \
         "$serve_argv|--max-pending -1" "$serve_argv|--max-budget 0" \
+        "$serve_argv|--ttl nan" "$serve_argv|--ttl -1" "$serve_argv|--ttl 0" \
         "$worker_argv|--poll 0" "$worker_argv|--poll -1" \
         "$worker_argv|--poll nan" "$worker_argv|--exit-idle 0" \
         "$worker_argv|--exit-idle nan" "$worker_argv|--max-units 0"; do
@@ -427,7 +430,7 @@ for range_argv in "$serve_argv|--lease-ttl 0" "$serve_argv|--unit-attempts 0" \
         exit 1
     fi
 done
-echo "out-of-range serve and worker numbers: all twelve rejected with exit 2"
+echo "out-of-range serve and worker numbers: all fifteen rejected with exit 2"
 
 echo "== retired trace-store flags: trace list --store and runs gc --keep-traces are unknown arguments =="
 # Traces live only in a server's ring: the run registry keeps no copy
@@ -543,10 +546,10 @@ print(f"mapping over HTTP: {len(response.frontier)} frontier points")
 PY
 echo "== operations: /metrics scrape + dashboard render =="
 python - "$url" <<'PY'
+import json
 import sys
+from urllib.error import HTTPError
 from urllib.request import urlopen
-
-from repro.service import CampaignClient
 
 url = sys.argv[1]
 with urlopen(f"{url}/metrics", timeout=10) as answer:
@@ -555,11 +558,17 @@ with urlopen(f"{url}/metrics", timeout=10) as answer:
 for series in ("repro_http_requests_total", "repro_evaluations_total",
                "repro_jobs_submitted_total", "repro_campaign_generations_total"):
     assert series in text, f"/metrics is missing {series}"
-payload = CampaignClient(url).metrics()
-names = {family["name"] for family in payload["metrics"]}
-assert "repro_http_requests_total" in names, names
-print(f"/metrics: {len(text.splitlines())} lines, "
-      f"/api/metrics: {len(names)} families")
+# /metrics is the one report of the numbers: the JSON copies are gone.
+for path in ("/api/stats", "/api/metrics"):
+    try:
+        urlopen(f"{url}{path}", timeout=10)
+    except HTTPError as exc:
+        code = json.loads(exc.read().decode("utf-8"))["error"]["code"]
+        assert (exc.code, code) == (404, "not_found"), (path, exc.code, code)
+    else:
+        sys.exit(f"GET {path} answered; it should be 404 not_found")
+print(f"/metrics: {len(text.splitlines())} lines; "
+      f"/api/stats and /api/metrics: 404 not_found")
 PY
 echo "== tracing: list -> show -> Perfetto export round trip =="
 trace_id="$(python - "$url" <<'PY'

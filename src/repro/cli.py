@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record every campaign into this run "
                               "registry (SQLite) and serve the "
                               "/api/runs endpoints")
-    serve_p.add_argument("--ttl", type=float, default=None, metavar="S",
+    serve_p.add_argument("--ttl", type=_positive_float, default=None,
+                         metavar="S",
                          help="purge finished job records after S seconds")
     serve_p.add_argument("--rate-limit", type=_positive_float, default=None,
                          metavar="R/S",
@@ -1082,16 +1083,25 @@ def _cmd_serve(args) -> int:
             lease_ttl_s=distributed.DEFAULT_LEASE_TTL_S if ttl is None else ttl,
             max_attempts=distributed.DEFAULT_MAX_ATTEMPTS if attempts is None else attempts,
         )
-    server = serve(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache=cache,
-        ttl_s=args.ttl,
-        store=store,
-        admission=admission,
-        coordinator=coordinator,
-    )
+    try:
+        server = serve(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            cache=cache,
+            ttl_s=args.ttl,
+            store=store,
+            admission=admission,
+            coordinator=coordinator,
+        )
+    except OSError as exc:  # the port is taken, or the host is not ours
+        print(f"error: cannot serve on {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        if cache is not None:
+            cache.close()
+        if store is not None:
+            store.close()
+        return 1
     # The bound port matters when --port 0 asked for an ephemeral one;
     # scripts parse this line (see scripts/smoke.sh).
     registry = f", registry {args.store}" if store is not None else ""

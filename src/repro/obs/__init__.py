@@ -11,7 +11,7 @@ stack's whole report: there is no log channel.
 
 * :mod:`repro.obs.metrics` — thread-safe ``Counter``/``Gauge``/
   ``Histogram`` instruments, labelled families, and a
-  ``MetricsRegistry`` rendering Prometheus text and JSON,
+  ``MetricsRegistry`` rendering Prometheus text (``GET /metrics``),
 * :mod:`repro.obs.admission` — token-bucket rate limiting, bounded
   queues, and per-request budget caps for ``repro serve``,
 * :mod:`repro.obs.trace` — a span tracer with contextvar-based ambient

@@ -4,14 +4,13 @@ Three instrument kinds behind one registry:
 
 * :class:`Counter` — monotonically increasing totals,
 * :class:`Gauge` — point-in-time values that go both ways,
-* :class:`Histogram` — bucketed latency/size distributions with a
-  reservoir-sampled p50/p95/p99 readout.
+* :class:`Histogram` — bucketed latency/size distributions.
 
 Instruments live inside a :class:`MetricFamily` (one family per metric
 name, children keyed by label values, Prometheus-style) and families
 live inside a :class:`MetricsRegistry`, which renders everything as
-Prometheus text exposition (:meth:`~MetricsRegistry.render_prometheus`)
-or a JSON document (:meth:`~MetricsRegistry.to_dict`).
+Prometheus text exposition (:meth:`~MetricsRegistry.render_prometheus`,
+served at ``GET /metrics``).
 
 Hot paths stay cheap two ways:
 
@@ -23,20 +22,15 @@ Hot paths stay cheap two ways:
   pointed at (via :func:`set_registry`) to measure or remove
   instrumentation cost entirely.
 
-Determinism: the histogram reservoir draws from a **private** seeded
-``random.Random`` — never the global RNG — so observing a value can
-never perturb a seeded GA run.  All operations are thread-safe.
+Recording draws no random numbers, so it can never perturb a seeded GA
+run.  All operations are thread-safe.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import threading
-import time
 import weakref
-from contextlib import contextmanager
-from random import Random
 from typing import Callable, Sequence
 
 __all__ = [
@@ -55,9 +49,6 @@ __all__ = [
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
-
-#: Quantiles every histogram reports.
-SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def _format_number(value: float) -> str:
@@ -138,21 +129,13 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed distribution with a reservoir-backed quantile readout.
+    """Bucketed distribution (one labelled series).
 
     Buckets use Prometheus ``le`` (less-or-equal) semantics with an
-    implicit ``+Inf`` bucket; ``percentile`` answers come from a
-    uniform reservoir (Vitter's algorithm R) so long-running processes
-    keep an unbiased sample at O(reservoir_size) memory.
+    implicit ``+Inf`` bucket.
     """
 
-    def __init__(
-        self,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        reservoir_size: int = 1024,
-    ) -> None:
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         bounds = tuple(sorted(float(b) for b in buckets))
         if len(set(bounds)) != len(bounds):
             raise ValueError(f"duplicate bucket bounds in {buckets!r}")
@@ -161,11 +144,6 @@ class Histogram:
         self._bucket_counts = [0] * (len(bounds) + 1)  # +Inf last
         self._count = 0
         self._sum = 0.0
-        self._reservoir: list[float] = []
-        self._reservoir_size = reservoir_size
-        # Private seeded stream: observing a latency must never perturb
-        # a seeded GA run sharing the process-global random module.
-        self._rng = Random(0)
 
     def observe(self, value: float) -> None:
         with self._lock:
@@ -186,23 +164,6 @@ class Histogram:
         self._bucket_counts[bisect.bisect_left(self._bounds, value)] += 1
         self._count += 1
         self._sum += value
-        if len(self._reservoir) < self._reservoir_size:
-            self._reservoir.append(value)
-        else:
-            # random() is ~2x cheaper than randrange() and the float
-            # truncation bias is immaterial at these sizes.
-            slot = int(self._rng.random() * self._count)
-            if slot < self._reservoir_size:
-                self._reservoir[slot] = value
-
-    @contextmanager
-    def time(self):
-        """Observe the wall-clock duration of the ``with`` block."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - started)
 
     @property
     def count(self) -> int:
@@ -213,23 +174,6 @@ class Histogram:
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank quantile of the reservoir (``q`` in [0, 1])."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {q}")
-        with self._lock:
-            sample = sorted(self._reservoir)
-        if not sample:
-            return 0.0
-        rank = max(0, min(len(sample) - 1, math.ceil(q * len(sample)) - 1))
-        return sample[rank]
-
-    def quantiles(self) -> dict[str, float]:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` of the reservoir."""
-        return {
-            f"p{int(q * 100)}": self.percentile(q) for q in SUMMARY_QUANTILES
-        }
 
     def snapshot(self) -> dict:
         """Atomic readout of buckets/count/sum (for rendering)."""
@@ -335,9 +279,6 @@ class MetricFamily:
 
     def observe_many(self, values: Sequence[float]) -> None:
         self._solo().observe_many(values)
-
-    def time(self):
-        return self._solo().time()
 
     @property
     def value(self) -> float:
@@ -490,36 +431,6 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_dict(self) -> dict:
-        """JSON document: one entry per family, one row per series."""
-        families = []
-        for family in self.families():
-            series = []
-            for labelvalues, instrument in family.series():
-                labels = dict(zip(family.labelnames, labelvalues))
-                if family.kind == "histogram":
-                    series.append(
-                        {
-                            "labels": labels,
-                            "count": instrument.count,
-                            "sum": instrument.sum,
-                            **instrument.quantiles(),
-                        }
-                    )
-                else:
-                    series.append(
-                        {"labels": labels, "value": instrument.value}
-                    )
-            families.append(
-                {
-                    "name": family.name,
-                    "kind": family.kind,
-                    "help": family.help,
-                    "series": series,
-                }
-            )
-        return {"metrics": families}
-
 
 # Null registry --------------------------------------------------------------
 
@@ -548,10 +459,6 @@ class _NullInstrument:
     def observe_many(self, values) -> None:
         pass
 
-    @contextmanager
-    def time(self):
-        yield
-
     @property
     def value(self) -> float:
         return 0.0
@@ -578,9 +485,6 @@ class _NullRegistry(MetricsRegistry):
 
     def render_prometheus(self) -> str:
         return ""
-
-    def to_dict(self) -> dict:
-        return {"metrics": []}
 
 
 NULL_REGISTRY = _NullRegistry()

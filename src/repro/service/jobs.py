@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -122,8 +123,9 @@ class JobRecord:
 
 _JOBS_HELP = "Jobs finished, by terminal status"
 
-#: Each lifecycle counter of :class:`_QueueStats` and the series of the
-#: process metrics registry it is mirrored into: (family, help, status).
+#: Each lifecycle transition the queue counts, and the series of the
+#: process metrics registry that counts it: (family, help, status).
+#: The registry is the one owner of these totals (``GET /metrics``).
 _COUNTER_SERIES = {
     "submitted": (
         "repro_jobs_submitted_total", "Campaign submissions accepted", None
@@ -133,7 +135,7 @@ _COUNTER_SERIES = {
         "Submissions collapsed onto an existing job",
         None,
     ),
-    "completed": ("repro_jobs_total", _JOBS_HELP, "done"),
+    "done": ("repro_jobs_total", _JOBS_HELP, "done"),
     "failed": ("repro_jobs_total", _JOBS_HELP, "failed"),
     "cancelled": ("repro_jobs_total", _JOBS_HELP, "cancelled"),
     "purged": (
@@ -150,80 +152,15 @@ _COUNTER_SERIES = {
 }
 
 
-@dataclass
-class _QueueStats:
-    """Counters plus live gauges for one queue.
-
-    The first block counts lifecycle transitions since construction;
-    the gauges (``queue_depth``, ``workers``, ``busy_workers``) reflect
-    the current state.  Both are updated under the queue lock, through
-    :meth:`count` and :meth:`publish_gauges`, which also write them into
-    the registry :func:`~repro.obs.metrics.get_registry` returns at that
-    moment; ``/api/stats`` reads the fields here.
-    """
-
-    submitted: int = 0
-    deduplicated: int = 0
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    purged: int = 0
-    recorded: int = 0
-    record_errors: int = 0
-    queue_depth: int = 0
-    workers: int = 0
-    busy_workers: int = 0
-    #: The owning queue's lock; ``as_dict`` snapshots under it so a
-    #: reader never sees a torn view (e.g. completed already bumped but
-    #: queue_depth not yet refreshed) while workers transition jobs.
-    _lock: threading.RLock | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to one lifecycle counter and its metric."""
-        setattr(self, name, getattr(self, name) + amount)
-        family, help_text, status = _COUNTER_SERIES[name]
-        if status is None:
-            get_registry().counter(family, help_text).inc(amount)
-        else:
-            get_registry().counter(family, help_text, ("status",)).labels(
-                status
-            ).inc(amount)
-
-    def publish_gauges(self) -> None:
-        """Write the live gauges into the process metrics registry."""
-        registry = get_registry()
-        registry.gauge(
-            "repro_queue_depth", "Jobs pending (not yet running)"
-        ).set(self.queue_depth)
-        registry.gauge(
-            "repro_queue_workers", "Background worker threads"
-        ).set(self.workers)
-        registry.gauge(
-            "repro_queue_busy_workers", "Workers currently executing a job"
-        ).set(self.busy_workers)
-
-    def as_dict(self) -> dict:
-        if self._lock is not None:
-            with self._lock:
-                return self._as_dict_unlocked()
-        return self._as_dict_unlocked()
-
-    def _as_dict_unlocked(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "deduplicated": self.deduplicated,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "purged": self.purged,
-            "recorded": self.recorded,
-            "record_errors": self.record_errors,
-            "queue_depth": self.queue_depth,
-            "workers": self.workers,
-            "busy_workers": self.busy_workers,
-        }
+def _count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to one lifecycle counter of the metrics registry."""
+    family, help_text, status = _COUNTER_SERIES[name]
+    if status is None:
+        get_registry().counter(family, help_text).inc(amount)
+    else:
+        get_registry().counter(family, help_text, ("status",)).labels(
+            status
+        ).inc(amount)
 
 
 class JobQueue:
@@ -240,17 +177,17 @@ class JobQueue:
         workers: background daemon threads draining the queue; ``0``
             (the default) keeps the queue fully synchronous —
             :meth:`run_next`/:meth:`run_all` semantics are unchanged.
-        ttl_s: age (seconds since finishing) after which terminal
-            records are purged automatically — on submit, on
-            :meth:`jobs`/:meth:`sweep_expired` reads, and by idle
-            background workers; ``None`` keeps them.
+        ttl_s: age (seconds since finishing, finite and at least 0)
+            after which terminal records are purged automatically — on
+            submit, on :meth:`jobs`/:meth:`sweep_expired` reads, and by
+            idle background workers; ``None`` keeps them.
         store: optional :class:`~repro.store.runstore.RunStore`;
             every executed job's outcome is recorded into it at the
             terminal transition (the job's :attr:`JobRecord.run_id`
             carries the registry id; a done job's ``job.run`` span
             carries it too, linking the trace to the run).  Recording
             failures never take the queue down — they are counted in
-            ``stats.record_errors``.
+            ``repro_jobs_record_errors_total``.
 
     Submitting a request whose fingerprint matches a job that is still
     pending, running, or successfully finished returns the existing job
@@ -268,6 +205,8 @@ class JobQueue:
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if ttl_s is not None and not 0 <= ttl_s < math.inf:  # NaN fails too
+            raise ValueError(f"ttl_s must be finite and >= 0, got {ttl_s}")
         self.store = store
         if runner is None:
             def runner(request, observer=None, should_stop=None):
@@ -289,7 +228,6 @@ class JobQueue:
         self._pending: deque[str] = deque()
         self._ids = itertools.count(1)
         self._closed = False
-        self.stats = _QueueStats(_lock=self._lock)
         self._workers: list[threading.Thread] = []
         for n in range(workers):
             thread = threading.Thread(
@@ -298,8 +236,12 @@ class JobQueue:
             thread.start()
             self._workers.append(thread)
         with self._lock:
-            self.stats.workers = len(self._workers)
-            self.stats.publish_gauges()
+            self._publish_gauges()
+
+    @property
+    def workers(self) -> int:
+        """Background worker threads (0 for a synchronous queue)."""
+        return len(self._workers)
 
     # Submission -----------------------------------------------------------
     def submit(self, request: CampaignRequest) -> str:
@@ -310,7 +252,7 @@ class JobQueue:
                 raise RuntimeError("queue is closed")
             if self.ttl_s is not None:
                 self._purge_locked()
-            self.stats.count("submitted")
+            _count("submitted")
             existing_id = self._by_fingerprint.get(fingerprint)
             if existing_id is not None:
                 existing = self._jobs[existing_id]
@@ -321,7 +263,7 @@ class JobQueue:
                     and not existing.cancel_requested
                 ):
                     existing.submissions += 1
-                    self.stats.count("deduplicated")
+                    _count("deduplicated")
                     return existing_id
             job_id = f"job-{next(self._ids)}"
             job = JobRecord(job_id=job_id, request=request)
@@ -338,7 +280,7 @@ class JobQueue:
             self._jobs[job_id] = job
             self._by_fingerprint[fingerprint] = job_id
             self._pending.append(job_id)
-            self._refresh_depth()
+            self._publish_gauges()
             self._work.notify()
             return job_id
 
@@ -366,9 +308,9 @@ class JobQueue:
             return list(self._jobs.values())
 
     def pending_count(self) -> int:
-        # queue_depth is kept current under this lock by _refresh_depth.
+        """Jobs submitted and not yet running."""
         with self._lock:
-            return self.stats.queue_depth
+            return len(self._pending)
 
     def events_since(
         self, job_id: str, cursor: int = 0
@@ -401,13 +343,19 @@ class JobQueue:
             except KeyError:
                 raise KeyError(f"unknown job id {job_id!r}") from None
 
-    def _refresh_depth(self) -> None:
-        self.stats.queue_depth = sum(
-            1
-            for job_id in self._pending
-            if self._jobs[job_id].status is JobStatus.PENDING
-        )
-        self.stats.publish_gauges()
+    def _publish_gauges(self) -> None:
+        """Write the queue depth and pool size into the metrics registry.
+
+        Called under the lock wherever the depth moves, so a registry
+        installed after construction gets both on the next submit.
+        """
+        registry = get_registry()
+        registry.gauge(
+            "repro_queue_depth", "Jobs pending (not yet running)"
+        ).set(len(self._pending))
+        registry.gauge(
+            "repro_queue_workers", "Background worker threads"
+        ).set(len(self._workers))
 
     # Cancellation / waiting / expiry ---------------------------------------
     def cancel(self, job_id: str) -> JobStatus:
@@ -422,6 +370,8 @@ class JobQueue:
         with self._lock:
             job = self._job(job_id)
             if job.status is JobStatus.PENDING:
+                self._pending.remove(job_id)
+                self._publish_gauges()
                 self._finish(
                     job,
                     JobStatus.CANCELLED,
@@ -454,9 +404,9 @@ class JobQueue:
         """TTL sweep outside submit: purge aged-out terminal records.
 
         A no-op (returns 0) without a configured ``ttl_s``.  Called
-        automatically from :meth:`jobs`, the HTTP stats endpoint, and
-        idle background workers, so finished records age out even on a
-        queue that never sees another submit.
+        automatically from :meth:`jobs` and idle background workers, so
+        finished records age out even on a queue that never sees
+        another submit.
         """
         if self.ttl_s is None:
             return 0
@@ -479,12 +429,7 @@ class JobQueue:
             if self._by_fingerprint.get(fingerprint) == job.job_id:
                 del self._by_fingerprint[fingerprint]
         if doomed:
-            # Lazily queued ids of purged jobs must not dangle.
-            self._pending = deque(
-                job_id for job_id in self._pending if job_id in self._jobs
-            )
-            self._refresh_depth()
-            self.stats.count("purged", len(doomed))
+            _count("purged", len(doomed))
         return len(doomed)
 
     # Execution ------------------------------------------------------------
@@ -505,24 +450,22 @@ class JobQueue:
         return executed
 
     def _pop_runnable(self) -> JobRecord | None:
-        """Pop the oldest still-pending job and mark it RUNNING.
+        """Pop the oldest pending job and mark it RUNNING.
 
-        Jobs cancelled while queued stay in the deque until they reach
-        the front; they are skipped here (already terminal).
+        Only pending jobs are queued: a job cancelled while pending
+        leaves the deque at once.
         """
-        while self._pending:
-            job = self._jobs[self._pending.popleft()]
-            if job.status is JobStatus.PENDING:
-                job.status = JobStatus.RUNNING
-                job.started_at = time.monotonic()
-                get_registry().histogram(
-                    "repro_job_wait_seconds",
-                    "Time a job spent queued before running",
-                ).observe(job.started_at - job.created_at)
-                self._refresh_depth()
-                return job
-        self._refresh_depth()
-        return None
+        if not self._pending:
+            return None
+        job = self._jobs[self._pending.popleft()]
+        job.status = JobStatus.RUNNING
+        job.started_at = time.monotonic()
+        get_registry().histogram(
+            "repro_job_wait_seconds",
+            "Time a job spent queued before running",
+        ).observe(job.started_at - job.created_at)
+        self._publish_gauges()
+        return job
 
     def _finish(
         self,
@@ -548,12 +491,7 @@ class JobQueue:
             job.response = response
             job.error = error
             job.finished_at = time.monotonic()
-            if status is JobStatus.DONE:
-                self.stats.count("completed")
-            elif status is JobStatus.FAILED:
-                self.stats.count("failed")
-            elif status is JobStatus.CANCELLED:
-                self.stats.count("cancelled")
+            _count(status.value)
             if job.started_at is not None:
                 get_registry().histogram(
                     "repro_job_run_seconds",
@@ -562,7 +500,6 @@ class JobQueue:
                 ).labels(status.value).observe(
                     job.finished_at - job.started_at
                 )
-            self._refresh_depth()
             self._done.notify_all()
         if event is not None and not job.events.closed:
             job.events.append(event)
@@ -585,11 +522,9 @@ class JobQueue:
                     status.value, error or "", job.request
                 )
             job.run_id = record.run_id
-            with self._lock:
-                self.stats.count("recorded")
+            _count("recorded")
         except Exception:  # recording must never take the queue down
-            with self._lock:
-                self.stats.count("record_errors")
+            _count("record_errors")
 
     def _execute(self, job: JobRecord) -> None:
         """Run one RUNNING job to a terminal state (no lock held)."""
@@ -690,14 +625,16 @@ class JobQueue:
                         self._purge_locked()
                 if job is None:  # closed; abandon whatever is still queued
                     return
-                self.stats.busy_workers += 1
-                self.stats.publish_gauges()
+            # The job's inc and dec land on one gauge, even if another
+            # registry is installed while it runs.
+            busy = get_registry().gauge(
+                "repro_queue_busy_workers", "Workers currently executing a job"
+            )
+            busy.inc()
             try:
                 self._execute(job)
             finally:
-                with self._lock:
-                    self.stats.busy_workers -= 1
-                    self.stats.publish_gauges()
+                busy.dec()
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting submissions and shut the workers down.

@@ -26,11 +26,9 @@ shares across requests; no route exposes that cache):
       GET  /api/runs/<id>                 one registry row
       GET  /api/runs/<id>/front           recorded merged frontier
       GET  /api/compare?a=..&b=..         front-quality indicators
-      GET  /api/stats                     queue counters/gauges
       GET  /api/traces                    the tracer ring's finished
                                           traces (?limit=N)
       GET  /api/traces/<id>               one trace with its spans
-      GET  /api/metrics                   metrics registry as JSON
       GET  /metrics                       Prometheus text exposition
       GET  /healthz                       liveness
       GET  /api/healthz                   readiness (version, uptime,
@@ -347,13 +345,6 @@ class _CampaignHandler(BaseHTTPRequestHandler):
                 text.encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             ), 200
-        if method == "GET" and parts == ["api", "metrics"]:
-            self._route_template = "/api/metrics"
-            return get_registry().to_dict(), 200
-        if method == "GET" and parts == ["api", "stats"]:
-            self._route_template = "/api/stats"
-            queue.sweep_expired()  # stats reads tick the TTL sweep
-            return queue.stats.as_dict(), 200
         if method == "GET" and parts == ["api", "problems"]:
             self._route_template = "/api/problems"
             from repro.problems import problem_catalog
@@ -584,7 +575,7 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             "version": repro.__version__,
             "uptime_s": round(time.monotonic() - self.server.started_at, 3),
             "queue_depth": self.server.queue.pending_count(),
-            "workers": self.server.queue.stats.workers,
+            "workers": self.server.queue.workers,
         }
         coordinator = self.server.coordinator
         if coordinator is not None:
@@ -649,7 +640,7 @@ class CampaignHTTPServer(ThreadingHTTPServer):
     tracer :func:`~repro.obs.trace.get_tracer` returns at that moment
     (which ``/api/traces`` also reads), counted and timed into the
     registry :func:`~repro.obs.metrics.get_registry` returns at that
-    moment (which ``/metrics`` and ``/api/metrics`` render).
+    moment (which ``/metrics`` renders).
 
     Args:
         address: ``(host, port)``; port ``0`` binds an ephemeral port
@@ -782,6 +773,8 @@ def serve(
     drives ``server.serve_forever()`` (or ``serve_in_background()``)
     and is responsible for closing the queue on shutdown —
     :func:`repro.cli.main`'s ``repro serve`` shows the full lifecycle.
+    When the address cannot be bound, the :class:`OSError` propagates
+    after an owned queue is closed, so no worker thread outlives it.
 
     The ``cache`` (when given) serves an owned queue's in-process
     runner; no route exposes it.  With a ``coordinator``
@@ -792,7 +785,8 @@ def serve(
     ``/api/workers`` / ``/api/units`` and evaluate them uncached, so a
     ``cache`` goes unused.
     """
-    if queue is None:
+    owned = queue is None
+    if owned:
         if workers < 1:
             raise ValueError(f"an owned queue needs workers >= 1, got {workers}")
         queue = JobQueue(
@@ -802,13 +796,18 @@ def serve(
             ttl_s=ttl_s,
             store=store,
         )
-    return CampaignHTTPServer(
-        (host, port),
-        queue,
-        store=store,
-        admission=admission,
-        coordinator=coordinator,
-    )
+    try:
+        return CampaignHTTPServer(
+            (host, port),
+            queue,
+            store=store,
+            admission=admission,
+            coordinator=coordinator,
+        )
+    except BaseException:
+        if owned:
+            queue.close()
+        raise
 
 
 # HTTP client ---------------------------------------------------------------
@@ -1074,13 +1073,6 @@ class CampaignClient:
     def trace(self, trace_id: str) -> dict:
         """One finished trace with its full span list."""
         return self._call("GET", f"/api/traces/{_quote(trace_id)}")
-
-    def stats(self) -> dict:
-        return self._call("GET", "/api/stats")
-
-    def metrics(self) -> dict:
-        """The server's metrics registry as JSON."""
-        return self._call("GET", "/api/metrics")
 
     def metrics_text(self) -> str:
         """The raw Prometheus text exposition from ``/metrics``."""

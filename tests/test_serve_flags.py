@@ -1,6 +1,11 @@
 """``repro serve`` and ``repro worker`` check their numbers while
 parsing: an out-of-range value, or a flag that was deleted, exits 2
-before a port is bound or a coordinator is contacted."""
+before a port is bound or a coordinator is contacted.  A port that
+cannot be bound ends ``repro serve`` with one ``error:`` line, exit 1,
+and nothing it opened left open."""
+
+import socket
+import threading
 
 import pytest
 
@@ -19,6 +24,10 @@ from repro.cli import build_parser, main
         ("--lease-ttl", "inf", "expected a positive number"),
         ("--rate-limit", "nan", "expected a positive number"),
         ("--rate-limit", "fast", "expected a positive number"),
+        ("--ttl", "nan", "expected a positive number"),
+        ("--ttl", "inf", "expected a positive number"),
+        ("--ttl", "-1", "expected a positive number"),
+        ("--ttl", "0", "expected a positive number"),
     ],
 )
 def test_out_of_range_value_is_a_usage_error(flag, value, message, capsys):
@@ -39,6 +48,7 @@ def test_out_of_range_value_is_a_usage_error(flag, value, message, capsys):
         ("--burst", "1", 1),
         ("--max-pending", "0", 0),
         ("--max-budget", "1", 1),
+        ("--ttl", "0.5", 0.5),
     ],
 )
 def test_in_range_value_parses(flag, value, parsed):
@@ -99,3 +109,56 @@ def test_worker_out_of_range_value_is_a_usage_error(
     captured = capsys.readouterr()
     assert f"argument {flag}: {message}, got {value!r}" in captured.err
     assert captured.out == ""
+
+
+@pytest.fixture
+def bound_port():
+    """A loopback port another socket already listens on."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        yield holder.getsockname()[1]
+
+
+def queue_workers() -> set[threading.Thread]:
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("jobqueue-worker-")
+    }
+
+
+def test_serve_on_a_bound_port_closes_its_queue(bound_port):
+    from repro.service.server import serve
+
+    before = queue_workers()
+    with pytest.raises(OSError):
+        serve(port=bound_port, workers=2)
+    assert queue_workers() <= before
+
+
+def test_serve_command_on_a_bound_port_is_one_error_line(
+    bound_port, tmp_path, capsys, monkeypatch
+):
+    from repro.service.cache import EvaluationCache
+    from repro.store import RunStore
+
+    closed = []
+    for cls in (EvaluationCache, RunStore):
+        def spy(self, close=cls.close, name=cls.__name__):
+            closed.append(name)
+            close(self)
+
+        monkeypatch.setattr(cls, "close", spy)
+    before = queue_workers()
+    code = main([
+        "serve", "--port", str(bound_port),
+        "--cache", str(tmp_path / "evals.sqlite"),
+        "--store", str(tmp_path / "runs.sqlite"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot serve on 127.0.0.1:{bound_port}: ")
+    assert sorted(closed) == ["EvaluationCache", "RunStore"]
+    assert queue_workers() <= before

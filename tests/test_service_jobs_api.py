@@ -1,5 +1,7 @@
 """Tests for the job queue and the typed request/response API."""
 
+import math
+
 import pytest
 
 from repro.core.spec import DcimSpec
@@ -12,6 +14,13 @@ from repro.service.api import (
 from repro.service.cache import EvaluationCache
 from repro.service.events import EventKind
 from repro.service.jobs import JobQueue, JobStatus
+
+
+def jobs_total(registry, status: str) -> float:
+    """``repro_jobs_total{status=...}`` of a test's metrics registry."""
+    return registry.counter("repro_jobs_total", labelnames=("status",)).labels(
+        status
+    ).value
 
 
 def tiny_request(**overrides) -> CampaignRequest:
@@ -85,14 +94,14 @@ class TestJobQueue:
         assert response.frontier
         assert response.evaluations > 0
 
-    def test_identical_requests_deduplicate(self):
+    def test_identical_requests_deduplicate(self, fresh_registry):
         queue = JobQueue(cache=EvaluationCache())
         first = queue.submit(tiny_request())
         second = queue.submit(tiny_request())
         assert first == second
         assert queue.pending_count() == 1
         assert queue.record(first).submissions == 2
-        assert queue.stats.deduplicated == 1
+        assert fresh_registry.counter("repro_jobs_deduplicated_total").value == 1
 
     def test_distinct_requests_queue_separately(self):
         queue = JobQueue(cache=EvaluationCache())
@@ -157,25 +166,47 @@ class TestJobQueue:
 
 
 class TestQueueStatsAndPurge:
-    def test_queue_depth_tracks_pending(self):
+    def test_queue_depth_tracks_pending(self, fresh_registry):
         queue = JobQueue(cache=EvaluationCache())
-        assert queue.stats.queue_depth == 0
+        gauge = fresh_registry.gauge("repro_queue_depth")
+
+        def depth():
+            assert gauge.value == queue.pending_count()
+            return queue.pending_count()
+
+        assert depth() == 0
         queue.submit(tiny_request())
         queue.submit(tiny_request(seed=9))
-        assert queue.stats.queue_depth == 2
+        assert depth() == 2
         queue.run_next()
-        assert queue.stats.queue_depth == 1
+        assert depth() == 1
         queue.run_all()
-        assert queue.stats.queue_depth == 0
-        assert queue.stats.as_dict()["completed"] == 2
+        assert depth() == 0
+        assert jobs_total(fresh_registry, "done") == 2
 
-    def test_purge_drops_old_terminal_records(self):
+    def test_cancelled_pending_job_leaves_the_depth(self, fresh_registry):
+        queue = JobQueue(cache=EvaluationCache())
+        first = queue.submit(tiny_request())
+        queue.submit(tiny_request(seed=9))
+        queue.cancel(first)
+        assert queue.pending_count() == 1
+        assert fresh_registry.gauge("repro_queue_depth").value == 1
+        assert [job.status for job in queue.run_all()] == [JobStatus.DONE]
+        assert queue.pending_count() == 0
+
+    @pytest.mark.parametrize("ttl_s", [math.nan, math.inf, -1.0])
+    def test_ttl_must_be_finite_and_not_negative(self, ttl_s):
+        # A NaN tick would make an idle worker's wait return at once.
+        with pytest.raises(ValueError, match="ttl_s"):
+            JobQueue(ttl_s=ttl_s)
+
+    def test_purge_drops_old_terminal_records(self, fresh_registry):
         queue = JobQueue(cache=EvaluationCache(), ttl_s=0.0)
         job_id = queue.submit(tiny_request())
         keep_id = queue.submit(tiny_request(seed=9))  # stays pending
         queue.run_next()
         assert queue.sweep_expired() == 1
-        assert queue.stats.purged == 1
+        assert fresh_registry.counter("repro_jobs_purged_total").value == 1
         with pytest.raises(KeyError):
             queue.status(job_id)
         assert queue.status(keep_id) is JobStatus.PENDING
@@ -195,7 +226,7 @@ class TestQueueStatsAndPurge:
 
 
 class TestCancellation:
-    def test_cancel_pending_job(self):
+    def test_cancel_pending_job(self, fresh_registry):
         queue = JobQueue(cache=EvaluationCache())
         job_id = queue.submit(tiny_request())
         assert queue.cancel(job_id) is JobStatus.CANCELLED
@@ -203,7 +234,7 @@ class TestCancellation:
         events, _, done = queue.events_since(job_id)
         assert done
         assert events[-1].kind is EventKind.CAMPAIGN_CANCELLED
-        assert queue.stats.cancelled == 1
+        assert jobs_total(fresh_registry, "cancelled") == 1
         with pytest.raises(RuntimeError):
             queue.result(job_id)
         # Cancelled jobs do not absorb resubmissions.
@@ -241,14 +272,15 @@ class TestCancellation:
 
 
 class TestBackgroundWorkers:
-    def test_workers_drain_submissions(self):
+    def test_workers_drain_submissions(self, fresh_registry):
         with JobQueue(cache=EvaluationCache(), workers=2) as queue:
             ids = [queue.submit(tiny_request(seed=s)) for s in range(4)]
             for job_id in ids:
                 assert queue.wait(job_id, timeout=60.0) is JobStatus.DONE
                 assert queue.result(job_id).frontier
-            assert queue.stats.workers == 2
-            assert queue.stats.completed == 4
+            assert queue.workers == 2
+            assert fresh_registry.gauge("repro_queue_workers").value == 2
+            assert jobs_total(fresh_registry, "done") == 4
 
     def test_submit_after_close_raises(self):
         queue = JobQueue(cache=EvaluationCache(), workers=1)
@@ -262,7 +294,7 @@ class TestBackgroundWorkers:
         with pytest.raises(TimeoutError):
             queue.wait(job_id, timeout=0.05)
 
-    def test_threaded_submits_deduplicate_while_running(self):
+    def test_threaded_submits_deduplicate_while_running(self, fresh_registry):
         import threading as _threading
 
         started = _threading.Event()
@@ -293,7 +325,7 @@ class TestBackgroundWorkers:
         release.set()
         assert set(ids) == {first}
         assert queue.record(first).submissions == 9
-        assert queue.stats.deduplicated == 8
+        assert fresh_registry.counter("repro_jobs_deduplicated_total").value == 8
         assert queue.wait(first, timeout=60.0) is JobStatus.DONE
         queue.close()
 

@@ -56,8 +56,14 @@ class TestHTTPServer:
     def test_health_and_stats(self, http_setup):
         client, _ = http_setup
         assert client.healthy()
-        stats = client.stats()
-        assert stats["workers"] == 2
+        assert client.health()["workers"] == 2
+
+    @pytest.mark.parametrize("path", ["/api/stats", "/api/metrics"])
+    def test_json_metrics_routes_are_gone(self, http_setup, path):
+        # GET /metrics is the one report of the serving stack's numbers.
+        client, _ = http_setup
+        with pytest.raises(RuntimeError, match=r"HTTP 404 \(not_found"):
+            client._call("GET", path)
 
     def test_submit_watch_result_round_trip(self, http_setup):
         client, _ = http_setup
@@ -569,8 +575,7 @@ class TestKeptAliveConnections:
         try:
             job_id = client.submit(tiny_request())
             assert client.status(job_id)["status"] == "pending"
-            assert queue.stats.submitted == 1
-            assert [r.job_id for r in queue.jobs()] == [job_id]
+            assert [(r.job_id, r.submissions) for r in queue.jobs()] == [(job_id, 1)]
             assert_served_after_restart(server, restarted, read, answered, job_id)
         finally:
             client.close()
@@ -621,7 +626,7 @@ class TestKeptAliveConnections:
         try:
             job_id = client.submit(tiny_request())
             assert client.status(job_id)["status"] == "pending"
-            assert queue.stats.submitted == 1
+            assert [r.submissions for r in queue.jobs()] == [1]
             # The old server did read the submit, after shutdown.
             assert [
                 path for by, path, _ in read if by is server
@@ -674,7 +679,7 @@ class TestKeptAliveConnections:
             release.set()
             with pytest.raises(ConnectionError):
                 connection.getresponse()  # closed, unanswered
-            assert queue.stats.submitted == 0
+            assert queue.jobs() == []
         finally:
             release.set()
             connection.close()

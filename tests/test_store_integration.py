@@ -111,7 +111,7 @@ class TestRunCampaignHook:
 
 
 class TestJobQueueRecording:
-    def test_done_job_recorded_with_run_id(self, store):
+    def test_done_job_recorded_with_run_id(self, store, fresh_registry):
         queue = JobQueue(cache=EvaluationCache(), store=store)
         job_id = queue.submit(tiny_request())
         job = queue.run_next()
@@ -121,8 +121,8 @@ class TestJobQueueRecording:
         assert record.status == "done"
         assert record.fingerprint == job.request.fingerprint()
         assert record.front_size == len(queue.result(job_id).frontier)
-        assert queue.stats.recorded == 1
-        assert queue.stats.record_errors == 0
+        assert fresh_registry.counter("repro_jobs_recorded_total").value == 1
+        assert fresh_registry.counter("repro_jobs_record_errors_total").value == 0
 
     def test_failed_job_recorded(self, store):
         queue = JobQueue(cache=EvaluationCache(), store=store)
@@ -145,14 +145,14 @@ class TestJobQueueRecording:
             record = store.get_run(queue.record(job_id).run_id)
             assert record.status == "cancelled"
 
-    def test_record_errors_counted_not_raised(self, tmp_path):
+    def test_record_errors_counted_not_raised(self, tmp_path, fresh_registry):
         store = RunStore(tmp_path / "runs.sqlite")
         store.close()  # recording into a closed store must not kill jobs
         queue = JobQueue(cache=EvaluationCache(), store=store)
         job = queue.submit(tiny_request()) and queue.run_next()
         assert job.status is JobStatus.DONE
         assert job.run_id is None
-        assert queue.stats.record_errors == 1
+        assert fresh_registry.counter("repro_jobs_record_errors_total").value == 1
 
 
 def iter_events(queue, job_id, cursor=0):
@@ -164,13 +164,13 @@ def iter_events(queue, job_id, cursor=0):
 
 
 class TestTTLSweep:
-    def test_jobs_read_sweeps_expired(self):
+    def test_jobs_read_sweeps_expired(self, fresh_registry):
         queue = JobQueue(cache=EvaluationCache(), ttl_s=0.0)
         queue.submit(tiny_request())
         queue.run_all()
         # No submit happens; the jobs() read itself must sweep.
         assert queue.jobs() == []
-        assert queue.stats.purged == 1
+        assert fresh_registry.counter("repro_jobs_purged_total").value == 1
 
     def test_sweep_expired_without_ttl_is_noop(self):
         queue = JobQueue(cache=EvaluationCache())
@@ -179,9 +179,10 @@ class TestTTLSweep:
         assert queue.sweep_expired() == 0
         assert len(queue.jobs()) == 1
 
-    def test_idle_worker_sweeps_expired(self):
+    def test_idle_worker_sweeps_expired(self, fresh_registry):
         import time
 
+        purged = fresh_registry.counter("repro_jobs_purged_total")
         with JobQueue(
             cache=EvaluationCache(), workers=1, ttl_s=0.2
         ) as queue:
@@ -190,9 +191,9 @@ class TestTTLSweep:
             # Touch nothing: the idle worker's tick must purge the
             # terminal record on its own.
             deadline = time.monotonic() + 5.0
-            while queue.stats.purged == 0 and time.monotonic() < deadline:
+            while purged.value == 0 and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert queue.stats.purged == 1
+            assert purged.value == 1
 
 
 @pytest.fixture(scope="class")

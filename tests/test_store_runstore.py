@@ -459,7 +459,9 @@ class TestFailedWrites:
             assert store.front(second.run_id) == [fp(80)]
         assert table_counts(path) == {"runs": 2, "fronts": 2, "design_points": 2}
 
-    def test_queue_counts_the_failure_and_finishes_the_job(self, store):
+    def test_queue_counts_the_failure_and_finishes_the_job(
+        self, store, fresh_registry
+    ):
         from repro.service.jobs import JobQueue, JobStatus
 
         answer = response(fp(32), fp(64, extras={1: "a", "b": 2}))
@@ -475,8 +477,8 @@ class TestFailedWrites:
             assert queue.status(job_id) is JobStatus.DONE
             assert queue.result(job_id) == answer
             assert queue.record(job_id).run_id is None
-            assert queue.stats.record_errors == 1
-            assert queue.stats.recorded == 0
+            assert fresh_registry.counter("repro_jobs_record_errors_total").value == 1
+            assert fresh_registry.counter("repro_jobs_recorded_total").value == 0
         finally:
             queue.close()
         assert len(store) == 0
